@@ -7,7 +7,10 @@ representation inside A (x) M_|G|,
 
 and crossed products by coactions through the induced regular representation
 inside A (x) M_|G|, spanned by (a_t, u) = a_t (x) lam_t chi_u over graded
-basis elements a_t and u in G.  For finite groups these representations are
+basis elements a_t and u in G.  A coaction of a finite group is the same thing
+as a grading (Quigg 1996), so both the graph and the groupoid coactions are a
+:class:`GradedSpan`, delta(a_t) = a_t (x) lam_t, checked by the one verifier
+:func:`verify_graded_coaction`.  For finite groups these representations are
 faithful; the constructors verify this by dimension count instead of assuming
 it: the spanning families are orthogonal of the expected cardinality, so
 
@@ -15,14 +18,20 @@ it: the spanning families are orthogonal of the expected cardinality, so
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import matalg
-from .graphalg import CKFamily
 from .graphs import GraphAction
-from .groups import FiniteGroup, regular_representations
+from .groups import FiniteGroup, regular_matrices
 from .matalg import AlgebraSpan, as_sparse, frobenius, kron
+
+if TYPE_CHECKING:
+    from .graphalg import CKFamily
 
 
 class ActionInvalid(ValueError):
@@ -54,28 +63,6 @@ class AlgebraAction:
         self.name = name
         if verify:
             self._verify(tol)
-
-    @classmethod
-    def from_basis_permutation(
-        cls,
-        span: AlgebraSpan,
-        group: FiniteGroup,
-        perms,
-        tol: float = matalg.PRODUCT_TOL,
-        verify: bool = True,
-        name: str = "action",
-    ) -> "AlgebraAction":
-        """Action permuting the basis: gamma_t(b_i) = b_{perms[t][i]}."""
-        d = span.dim
-        mats = []
-        for t in group:
-            p = np.asarray(perms[t], dtype=np.int64)
-            mats.append(
-                sp.csr_matrix(
-                    (np.ones(d, dtype=np.complex128), (np.arange(d), p)), shape=(d, d)
-                )
-            )
-        return cls(span, group, mats, tol=tol, verify=verify, name=name)
 
     @classmethod
     def from_unitary_conjugation(
@@ -228,9 +215,7 @@ class ActionCrossedProduct:
         d = base.dim
         self.ambient_dim = n * m
         N = self.ambient_dim
-        reps = regular_representations(G)
-        self._lam = [as_sparse(reps.lam(t)) for t in G]
-        self._rho = [as_sparse(reps.rho(t)) for t in G]
+        self._lam = regular_matrices(G)[0]
 
         # Basis row for (i, s): vec(pi~(b_i) u~_s), at index k = i*m + s.
         # pi~(b_i) u~_s = sum_t gamma_{t^-1}(b_i) (x) E_{t, s^-1 t}.
@@ -293,11 +278,6 @@ class ActionCrossedProduct:
     def dim(self) -> int:
         return self.span.dim
 
-    def coefficient_functions(self, x, tol: float = matalg.PRODUCT_TOL) -> dict:
-        """Decompose x = sum_s pi~(a_s) u~_s; returns {s: a_s matrix}."""
-        coeffs = self.span.coefficients(x, tol=tol).reshape(self.base.dim, self.group.order)
-        return {s: self.base.element(coeffs[:, s]) for s in self.group}
-
     def conditional_expectation(self, x, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
         """P(sum_s pi~(a_s) u~_s) = a_e, by trace pairing with the basis.
 
@@ -308,12 +288,127 @@ class ActionCrossedProduct:
         return self.base.element(coeffs.reshape(self.base.dim, self.group.order)[:, e])
 
 
+@dataclass(eq=False)
+class GradedSpan:
+    """A G-grading of an AlgebraSpan: basis element b_i has degree ``degrees[i]``.
+
+    The grading is the coaction delta(b_i) = b_i (x) lam_{degrees[i]} inside
+    A (x) M_|G|.  Whether it is multiplicative and *-compatible is checked by
+    ``graphalg.spectral_subspaces`` or by :class:`CoactionCrossedProduct`, and
+    whether delta is a coaction by :func:`verify_graded_coaction`.
+    """
+
+    span: AlgebraSpan
+    degrees: np.ndarray
+    group: FiniteGroup
+
+    def __post_init__(self):
+        self.degrees = np.asarray(self.degrees, dtype=np.int64)
+
+    def subspace_dims(self) -> dict[int, int]:
+        return {t: int(np.sum(self.degrees == t)) for t in self.group}
+
+    @cached_property
+    def spanning_rows(self) -> sp.csr_matrix:
+        """Rows vec(b_i (x) lam_t chi_u), t = deg(b_i), at index k = i |G| + u."""
+        G = self.group
+        m = G.order
+        n = self.span.ambient_dim
+        N = n * m
+        coo = self.span.rows.tocoo()
+        a_i, a_j = coo.col // n, coo.col % n
+        deg = self.degrees[coo.row]
+        rows_idx, cols_idx, data = [], [], []
+        for u in G:
+            tu = G.table[deg, u]
+            rows_idx.append(coo.row * m + u)
+            cols_idx.append((a_i * m + tu) * N + (a_j * m + u))
+            data.append(coo.data)
+        return sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+            shape=(self.span.dim * m, N * N),
+        )
+
+    @cached_property
+    def delta_rows(self) -> sp.csr_matrix:
+        """Rows vec(delta(b_i)): lam_t = sum_u lam_t chi_u, so row i is the sum
+        of the spanning rows i |G| + u over u."""
+        ones = np.ones((1, self.group.order))
+        collapse = sp.kron(sp.identity(self.span.dim, format="csr"), ones, format="csr")
+        return (collapse @ self.spanning_rows).tocsr()
+
+    def delta(self, mat, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
+        """delta(a) through the basis expansion of a; raises
+        :class:`matalg.NotInSpan` when a is farther than ``tol`` from the span."""
+        coeffs = self.span.coefficients(mat, tol=tol)
+        N = self.span.ambient_dim * self.group.order
+        row = sp.csr_matrix(coeffs.reshape(1, -1)) @ self.delta_rows
+        return row.reshape(N, N).tocsr()
+
+
+def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
+    """Machine-check delta(a_t) = a_t (x) lam_t as a coaction of G.
+
+    - delta is injective: the images of the basis are orthogonal and nonzero;
+    - the coaction identity (delta (x) id) delta = (id (x) delta_G) delta holds
+      on every generator x (the basis when the span has none).  The C*(G) leg
+      of delta(x) is expanded in the lam basis, delta(x) = sum_t x_t (x) lam_t,
+      each x_t must be the degree-t component of x, and the two sides
+      sum_t delta(x_t) (x) lam_t and sum_t x_t (x) lam_t (x) lam_t must agree
+      at every lam_t of the third leg;
+    - nondegeneracy, witnessed by delta(x_s)(1 (x) lam_{s^-1 t}) = x_s (x) lam_t.
+
+    Returns the errors; raises :class:`ActionInvalid` if any check fails.
+    """
+    G, span = graded.group, graded.span
+    n, m = span.ambient_dim, G.order
+    lam_sparse = regular_matrices(G)[0]
+    lam = [mat.toarray() for mat in lam_sparse]
+    eye_n = sp.identity(n, format="csr", dtype=np.complex128)
+    shifts = [kron(eye_n, mat) for mat in lam_sparse]
+    errs = {}
+
+    gram = (graded.delta_rows @ graded.delta_rows.conj().T).toarray()
+    off = np.abs(gram - np.diag(np.diag(gram)))
+    errs["image_orthogonality"] = float(off.max()) if off.size else 0.0
+    errs["injective"] = bool(np.all(np.abs(np.diag(gram)) > 0.5))
+
+    ident_err = nondeg_err = 0.0
+    for x in span.generators or span.basis_matrices():
+        coeffs = span.coefficients(x)
+        dx = graded.delta(x).toarray()
+        dxd = dx.reshape(n, m, n, m)
+        recon = np.zeros_like(dx)
+        for t in G:
+            x_t = np.einsum("ab,iajb->ij", lam[t].conj(), dxd) / m
+            component = span.element(np.where(graded.degrees == t, coeffs, 0)).toarray()
+            ident_err = max(ident_err, float(np.linalg.norm(x_t - component)))
+            if not x_t.any():
+                continue
+            x_t_lam = np.kron(x_t, lam[t])
+            recon += x_t_lam
+            # The lam_t term of the third leg: sum_t delta(x_t) (x) lam_t against
+            # sum_t x_t (x) lam_t (x) lam_t.
+            dx_t = graded.delta(x_t, tol=None)
+            ident_err = max(ident_err, float(np.linalg.norm(dx_t.toarray() - x_t_lam)))
+            for r in G:
+                lhs = (dx_t @ shifts[G.mul(G.inv(t), r)]).toarray()
+                nondeg_err = max(nondeg_err, float(np.linalg.norm(lhs - np.kron(x_t, lam[r]))))
+        ident_err = max(ident_err, float(np.linalg.norm(recon - dx)))
+    errs["coaction_identity"] = ident_err
+    errs["nondegeneracy_witness"] = nondeg_err
+
+    bad = [k for k, v in errs.items() if (isinstance(v, float) and v > tol) or v is False]
+    if bad:
+        raise ActionInvalid(f"coaction verification failed: {bad} ({errs})")
+    return errs
+
+
 class CoactionCrossedProduct:
     """A x_delta G inside A (x) M_|G|, spanned by (a_t, u) = a_t (x) lam_t chi_u.
 
-    ``graded`` must expose an AlgebraSpan ``span``, an integer array
-    ``degrees`` grading its basis, and the ``group``.  The spanning set is
-    indexed by (basis element, u) at k = i |G| + u; its multiplication rule
+    The spanning set of the :class:`GradedSpan` ``graded`` is indexed by
+    (basis element, u) at k = i |G| + u; its multiplication rule
 
         (a_r, s)(a_t, u) = (a_r a_t, u) if s = t u, else 0
         (a_t, u)* = (a_t*, t u)
@@ -322,39 +417,20 @@ class CoactionCrossedProduct:
     sampled beyond it).
     """
 
-    def __init__(self, graded, tol: float = matalg.PRODUCT_TOL, name: str | None = None,
-                 pair_cap: int = 256, rng: np.random.Generator | None = None,
-                 graded_checked: bool = False):
+    def __init__(self, graded: GradedSpan, tol: float = matalg.PRODUCT_TOL,
+                 name: str | None = None, pair_cap: int = 256,
+                 rng: np.random.Generator | None = None, graded_checked: bool = False):
         self.graded = graded
         self.group: FiniteGroup = graded.group
         self.base: AlgebraSpan = graded.span
-        self.degrees = np.asarray(graded.degrees, dtype=np.int64)
+        self.degrees = graded.degrees
         G = self.group
-        m = G.order
-        n = self.base.ambient_dim
-        d = self.base.dim
-        self.ambient_dim = n * m
-        N = self.ambient_dim
-        reps = regular_representations(G)
-        self._lam = [as_sparse(reps.lam(t)) for t in G]
-        self._rho = [as_sparse(reps.rho(t)) for t in G]
-        self._chi = [as_sparse(reps.chi(t)) for t in G]
-
-        base_coo = self.base.rows.tocoo()
-        a_i, a_j = base_coo.col // n, base_coo.col % n
-        deg = self.degrees[base_coo.row]
-        rows_idx, cols_idx, data = [], [], []
-        for u in G:
-            tu = np.array([G.mul(int(t), u) for t in deg], dtype=np.int64)
-            big = (a_i * m + tu) * N + (a_j * m + u)
-            rows_idx.append(base_coo.row * m + u)
-            cols_idx.append(big)
-            data.append(base_coo.data)
-        rows = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(d * m, N * N),
+        self.ambient_dim = self.base.ambient_dim * G.order
+        self._lam, self._rho, self._chi = regular_matrices(G)
+        self.span = AlgebraSpan(
+            self.ambient_dim, graded.spanning_rows,
+            name=name or f"{self.base.name} x_delta G", check=True,
         )
-        self.span = AlgebraSpan(N, rows, name=name or f"{self.base.name} x_delta G", check=True)
         base_gens = self.base.generators or self.base.basis_matrices()
         self.span.generators = [self.j_a(g) for g in base_gens] + [self.j_g(u) for u in G]
         self._verify_spanning_relations(
@@ -369,14 +445,8 @@ class CoactionCrossedProduct:
         )
 
     def j_a(self, mat, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
-        """j_A(a) = sum over degrees of a_t (x) lam_t (the represented coaction)."""
-        coeffs = self.base.coefficients(mat, tol=tol)
-        out = sp.csr_matrix((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for i in np.nonzero(np.abs(coeffs) > 0)[0]:
-            out = out + coeffs[i] * kron(
-                self.base.basis_matrix(int(i)), self._lam[int(self.degrees[i])]
-            )
-        return out.tocsr()
+        """j_A = delta, the represented coaction."""
+        return self.graded.delta(mat, tol=tol)
 
     def j_g(self, u: int) -> sp.csr_matrix:
         """j_G(chi_u) = 1 (x) chi_u."""
@@ -425,9 +495,6 @@ class CoactionCrossedProduct:
         # Base leg: products and adjoints stay in the span with multiplying
         # degrees.  Batched: for each j, expand b_i b_j for all i at once.
         if not graded_checked:
-            mul_table = np.array(
-                [[G.mul(int(a), int(b)) for b in range(m)] for a in range(m)]
-            )
             for j in range(d):
                 bj = self.base.basis_matrix(j)
                 prod_rows = self.base.rows @ matalg.right_mult_operator(bj, n)
@@ -436,7 +503,7 @@ class CoactionCrossedProduct:
                     raise ActionInvalid("base algebra is not closed under products")
                 coo = coeffs.tocoo()
                 keep = np.abs(coo.data) > tol
-                expected = mul_table[self.degrees[coo.row[keep]], int(self.degrees[j])]
+                expected = G.table[self.degrees[coo.row[keep]], int(self.degrees[j])]
                 if np.any(self.degrees[coo.col[keep]] != expected):
                     raise ActionInvalid("product degree mismatch in the graded base")
         star_rows = matalg.star_columns(self.base.rows, n)

@@ -36,11 +36,10 @@ from .crossed import (
 from .graphalg import CKFamily, ck_representation, coaction
 from .graphs import DirectedGraph, GraphAction, skew_product, translation_action
 from .graphs import quotient_and_gross_tucker
-from .groups import FiniteGroup, Labeling, regular_representations
+from .groups import FiniteGroup, Labeling, regular_matrices
 from .matalg import (
     AlgebraSpan,
     StarMapReport,
-    as_sparse,
     frobenius,
     full_matrix_span,
     kron,
@@ -221,21 +220,11 @@ def certify_eqvt_iso(
     skew = skew_product(graph, G, labeling)
     fam_skew = ck_representation(skew)
     m = ccp.ambient_dim
-    reps = regular_representations(G)
-    lam = [as_sparse(reps.lam(t)) for t in G]
-    chi = [as_sparse(reps.chi(t)) for t in G]
-    rho = [as_sparse(reps.rho(t)) for t in G]
 
     # Generator images: s_(f,t) -> (s_f, t) = s_f (x) lam_c(f) chi_t, and
-    # p_(v,t) -> (p_v, t) = p_v (x) chi_t.
-    edge_imgs, vertex_imgs = [], []
-    for e_idx, edge in enumerate(skew.edges):
-        f_id, t_name = edge.id
-        f = graph.edge_index(f_id)
-        t = G.index(t_name)
-        edge_imgs.append(kron(fam.s[f], lam[labeling.of(f)] @ chi[t]))
-    for v_idx, (v, t_name) in enumerate(skew.vertices):
-        vertex_imgs.append(kron(fam.p[graph.vertex_index(v)], chi[G.index(t_name)]))
+    # p_(v,t) -> (p_v, t) = p_v (x) chi_t, the same as Theta's; Theta's
+    # u_r = 1 (x) rho_r implements the dual action.
+    edge_imgs, vertex_imgs, theta_u = _theta_generator_images(fam, skew, G, labeling)
 
     ck_err = _ck_relations_for(skew, edge_imgs, vertex_imgs, m, tol)
 
@@ -244,9 +233,10 @@ def certify_eqvt_iso(
     # Inverse on the crossed-product basis: (e_{mu,nu}, u) pulls back to the
     # skew matrix unit over the paths (mu, a), (nu, a) with a = c(nu)^-1 u.
     lookup = _skew_path_lookup(fam_skew, fam, G, labeling, skew)
+    path_degree = [labeling.of_path(p.edges) for p in fam.paths]
     perm = np.zeros(ccp.dim, dtype=np.int64)
     for k, (i, j) in enumerate(fam.pairs):
-        cnu = int(rc.graded.path_degree[j])
+        cnu = path_degree[j]
         for u in G:
             a = G.mul(G.inv(cnu), u)
             skew_pair = fam_skew.pair_index[(lookup[(i, a)], lookup[(j, a)])]
@@ -268,9 +258,8 @@ def certify_eqvt_iso(
     # Equivariance Phi gamma_r = delta^_r Phi, exactly on generators.
     gact = translation_action(skew, G)
     eq_err = 0.0
-    eye_n = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
     for r in G:
-        ad = kron(eye_n, rho[r])
+        ad = theta_u[r]
         for e_idx in range(skew.n_edges):
             lhs = edge_imgs[gact.edge(r, e_idx)]
             rhs = ad @ edge_imgs[e_idx] @ ad.conj().T
@@ -319,15 +308,11 @@ def certify_direct_iso(
     fam, skew, fam_skew, gact, gamma, acp, target = _parts or _direct_iso_parts(
         graph, G, labeling, tol
     )
-    reps = regular_representations(G)
-    chi = [as_sparse(reps.chi(t)) for t in G]
-    rho = [as_sparse(reps.rho(t)) for t in G]
+    _, rho, chi = regular_matrices(G)
     mt = target.ambient_dim  # = P |G|
 
     # Theta on generators.
-    theta_edge, theta_vertex, theta_u = _theta_generator_images(
-        fam, skew, G, labeling, mt
-    )
+    theta_edge, theta_vertex, theta_u = _theta_generator_images(fam, skew, G, labeling)
 
     ck_err = _ck_relations_for(skew, theta_edge, theta_vertex, mt, tol)
     # u_t t_(f,r) = t_(f, r t^-1) u_t: the covariance the universal property needs.
@@ -477,28 +462,22 @@ def certify_regular_diagram(
     fam = ck_representation(graph)
     rc = coaction(fam, G, labeling)
     skew = skew_product(graph, G, labeling)
-    reps = regular_representations(G)
-    lam = [as_sparse(reps.lam(t)) for t in G]
-    chi = [as_sparse(reps.chi(t)) for t in G]
-    rho = [as_sparse(reps.rho(t)) for t in G]
+    _, rho, chi = regular_matrices(G)
     P = fam.ambient_dim
     eye_p = sp.identity(P, format="csr", dtype=np.complex128)
+    theta_edge, theta_vertex, theta_u = _theta_generator_images(fam, skew, G, labeling)
 
     err = 0.0
-    for edge in skew.edges:
+    for e_idx, edge in enumerate(skew.edges):
         f = graph.edge_index(edge.id[0])
         r = G.index(edge.id[1])
-        route_a = kron(fam.s[f], lam[labeling.of(f)] @ chi[r])
         route_b = rc.delta_edge(f) @ kron(eye_p, chi[r])
-        err = max(err, frobenius(route_a - route_b))
-    for v, r_name in skew.vertices:
-        vi = graph.vertex_index(v)
-        r = G.index(r_name)
-        route_a = kron(fam.p[vi], chi[r])
-        route_b = rc.delta_vertex(vi) @ kron(eye_p, chi[r])
-        err = max(err, frobenius(route_a - route_b))
+        err = max(err, frobenius(theta_edge[e_idx] - route_b))
+    for v_idx, (v, r_name) in enumerate(skew.vertices):
+        route_b = rc.delta_vertex(graph.vertex_index(v)) @ kron(eye_p, chi[G.index(r_name)])
+        err = max(err, frobenius(theta_vertex[v_idx] - route_b))
     for t in G:
-        err = max(err, frobenius(kron(eye_p, rho[t]) - kron(eye_p, rho[t])))
+        err = max(err, frobenius(theta_u[t] - kron(eye_p, rho[t])))
 
     # Finite-scale faithfulness: the regular covariant representation of the
     # crossed product preserves the universal dimension dim(A) |G|.
@@ -570,9 +549,7 @@ def certify_free_action(
             basis_map[k * m + s] = int(pair_map[k]) * m + s
 
     # Theta on the relabeled basis.
-    theta_edge, theta_vertex, theta_u = _theta_generator_images(
-        fam_q, skew_q, G, labeling, target.ambient_dim
-    )
+    theta_edge, theta_vertex, theta_u = _theta_generator_images(fam_q, skew_q, G, labeling)
     image_rows_skew = _basis_image_rows(
         fam_skew, theta_edge, theta_vertex, target.ambient_dim, post=theta_u
     )
@@ -626,11 +603,10 @@ def certify_free_action(
     )
 
 
-def _theta_generator_images(fam, skew, G, labeling, mt):
-    reps = regular_representations(G)
-    lam = [as_sparse(reps.lam(t)) for t in G]
-    chi = [as_sparse(reps.chi(t)) for t in G]
-    rho = [as_sparse(reps.rho(t)) for t in G]
+def _theta_generator_images(fam, skew, G, labeling):
+    """Theta's images s_(f,r) -> s_f (x) lam_c(f) chi_r, p_(v,r) -> p_v (x) chi_r
+    and u_t -> 1 (x) rho_t, inside C*(E) (x) M_|G|."""
+    lam, rho, chi = regular_matrices(G)
     P = fam.ambient_dim
     eye_p = sp.identity(P, format="csr", dtype=np.complex128)
     theta_edge, theta_vertex = [], []

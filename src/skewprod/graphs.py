@@ -413,12 +413,9 @@ def quotient_and_gross_tucker(
                 continue
             orbit = [(int(perm_rows[t, i]), t) for t in G]
             r = min(o for o, _ in orbit)
-            # t with t.i = r, so i = t^-1.r
-            t_to_r = next(t for o, t in orbit if o == r)
             for o, t in [(int(perm_rows[t, r]), t) for t in G]:
                 rep[o] = r
                 shift[o] = t
-            del t_to_r
         return rep, shift
 
     vrep, vshift = orbit_data(action.vperm, graph.n_vertices)

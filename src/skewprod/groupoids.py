@@ -22,16 +22,20 @@ product R x| G of an action twists multiplication by (x,s)(y,t) = (x (s.y), st).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import matalg
-from .crossed import ActionCrossedProduct, AlgebraAction, CoactionCrossedProduct
+from .crossed import (
+    ActionCrossedProduct,
+    AlgebraAction,
+    CoactionCrossedProduct,
+    GradedSpan,
+    verify_graded_coaction,
+)
 from .duality import IsomorphismCertificate
-from .groups import FiniteGroup, regular_representations
-from .matalg import AlgebraSpan, as_sparse, frobenius, kron
+from .groups import FiniteGroup
+from .matalg import AlgebraSpan, frobenius
 
 
 class GroupoidError(ValueError):
@@ -118,9 +122,6 @@ class FiniteGroupoid:
             raise GroupoidError(f"arrows {i} and {j} are not composable")
         return k
 
-    def is_unit_arrow(self, i: int) -> bool:
-        return i in set(int(x) for x in self.unit_arrow)
-
     def _find_unit_arrows(self):
         out = np.full(self.n_units, -1, dtype=np.int64)
         for i in range(self.n_arrows):
@@ -193,9 +194,6 @@ class FiniteGroupoid:
 
     def arrows_with_range(self, u: int) -> np.ndarray:
         return np.nonzero(self.r == u)[0]
-
-    def arrows_with_source(self, u: int) -> np.ndarray:
-        return np.nonzero(self.s == u)[0]
 
     def __repr__(self):
         return f"FiniteGroupoid({self.n_units} units, {self.n_arrows} arrows)"
@@ -678,90 +676,9 @@ def algebra_action_from_groupoid_action(
     return act
 
 
-@dataclass
-class GradedConvolution:
-    """A cocycle grading of a convolution algebra: degrees[i] = c(arrow i)."""
-
-    span: AlgebraSpan
-    degrees: np.ndarray
-    group: FiniteGroup
-    algebra: GroupoidAlgebra
-    cocycle: Cocycle
-
-    def rows_of_degree(self, t: int) -> np.ndarray:
-        return np.nonzero(self.degrees == t)[0]
-
-    def subspace_dims(self) -> dict[int, int]:
-        return {t: int(np.sum(self.degrees == t)) for t in self.group}
-
-
-def graded_convolution(alg: GroupoidAlgebra, c: Cocycle) -> GradedConvolution:
-    return GradedConvolution(
-        span=alg.span,
-        degrees=np.asarray(c.values, dtype=np.int64),
-        group=c.group,
-        algebra=alg,
-        cocycle=c,
-    )
-
-
-def verify_graded_coaction(
-    graded: GradedConvolution, tol: float = 1e-12
-) -> dict:
-    """Machine-check delta(f_s) = f_s (x) lam_s as a coaction.
-
-    Verifies injectivity (orthogonal image rows of full cardinality), the
-    coaction identity on the basis through the lam-expansion of the group
-    leg, and nondegeneracy via delta(f_s)(1 (x) lam_{s^-1 t}) = f_s (x) lam_t.
-    """
-    G = graded.group
-    span = graded.span
-    m = G.order
-    n = span.ambient_dim
-    reps = regular_representations(G)
-    lam = [as_sparse(reps.lam(t)) for t in G]
-    errs = {}
-
-    delta_mats = [
-        kron(span.basis_matrix(i), lam[int(graded.degrees[i])]) for i in range(span.dim)
-    ]
-    delta_rows = sp.vstack([d.reshape(1, (n * m) ** 2) for d in delta_mats], format="csr")
-    gram = (delta_rows @ delta_rows.conj().T).toarray()
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    errs["image_orthogonality"] = float(off.max()) if off.size else 0.0
-    errs["injective"] = bool(np.all(np.diag(gram).real > 0.5))
-
-    # Coaction identity: both legs agree on every graded basis element.
-    err = 0.0
-    for i in range(span.dim):
-        t = int(graded.degrees[i])
-        b = span.basis_matrix(i)
-        side1 = kron(kron(b, lam[t]), lam[t])
-        side2 = kron(b, kron(lam[t], lam[t]))
-        err = max(err, frobenius(side1 - side2))
-        # The group leg of delta(b) expands as a single lam term; check it.
-        dx = delta_mats[i].toarray().reshape(n, m, n, m)
-        for u in G:
-            coeff = np.einsum("ab,iajb->ij", lam[u].toarray().conj(), dx) / m
-            expected = b.toarray() if u == t else np.zeros((n, n))
-            err = max(err, float(np.linalg.norm(coeff - expected)))
-    errs["coaction_identity"] = err
-
-    err = 0.0
-    eye_n = sp.identity(n, format="csr", dtype=np.complex128)
-    for i in range(span.dim):
-        s_ = int(graded.degrees[i])
-        for t in G:
-            shift = kron(eye_n, lam[G.mul(G.inv(s_), t)])
-            lhs = delta_mats[i] @ shift
-            rhs = kron(span.basis_matrix(i), lam[t])
-            err = max(err, frobenius(lhs - rhs))
-    errs["nondegeneracy_witness"] = err
-
-    bad = [k for k, v in errs.items() if (isinstance(v, float) and v > tol) or v is False]
-    if bad:
-        raise CocycleError(f"groupoid coaction verification failed: {bad} ({errs})")
-    return errs
+def graded_convolution(alg: GroupoidAlgebra, c: Cocycle) -> GradedSpan:
+    """The cocycle grading of a convolution algebra: delta_x has degree c(x)."""
+    return GradedSpan(alg.span, c.values, c.group)
 
 
 def kernel_embedding_check(
@@ -1232,12 +1149,6 @@ class EquivalenceBimodule:
                         raise AxiomFailed("sigma does not separate left orbits")
         out["orbit_bijections_ok"] = True
         return out
-
-
-def skew_action_groupoid_pair(Q: FiniteGroupoid, G: FiniteGroup, c: Cocycle):
-    skew = skew_product_groupoid(Q, G, c)
-    trans = translation_groupoid_action(skew, G)
-    return skew, semidirect_product(skew, G, trans)
 
 
 def certify_equivalence(

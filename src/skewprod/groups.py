@@ -13,6 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .matalg import as_sparse
+
 MAX_GROUP_ORDER = 16
 
 
@@ -232,6 +234,16 @@ def regular_representations(G: FiniteGroup) -> RegularRepresentations:
         GroupRepresentation(G, "left-regular"),
         GroupRepresentation(G, "right-regular"),
         GroupRepresentation(G, "projection"),
+    )
+
+
+def regular_matrices(G: FiniteGroup) -> tuple[list, list, list]:
+    """The lam, rho and chi matrices of every element, as sparse complex lists."""
+    reps = regular_representations(G)
+    return (
+        [as_sparse(reps.lam(t)) for t in G],
+        [as_sparse(reps.rho(t)) for t in G],
+        [as_sparse(reps.chi(t)) for t in G],
     )
 
 

@@ -63,12 +63,6 @@ def as_dense(mat) -> np.ndarray:
     return np.asarray(mat, dtype=np.complex128)
 
 
-def dagger(mat):
-    if sp.issparse(mat):
-        return mat.conj().T.tocsr()
-    return mat.conj().T
-
-
 def kron(a, b) -> sp.csr_matrix:
     return sp.kron(as_sparse(a), as_sparse(b), format="csr")
 
@@ -94,11 +88,6 @@ def star_columns(rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
     return sp.csr_matrix(
         (coo.data.conj(), (coo.row, new_col)), shape=rows.shape
     )
-
-
-def left_mult_operator(g, n: int) -> sp.csr_matrix:
-    """R -> R . M with row R = vec(X) giving vec(g X)."""
-    return kron(as_sparse(g).T, sp.identity(n, format="csr", dtype=np.complex128))
 
 
 def right_mult_operator(g, n: int) -> sp.csr_matrix:

@@ -3,14 +3,12 @@
 Instances are sampled under explicit size budgets (ambient dimension of the
 largest constructed algebra, and the dimension of the double crossed product)
 so that every certification stays at desk scale.  Sampling is deterministic
-per seed, and each case derives its own child seed, so suites can be
-dispatched concurrently and reassembled in case order with byte-identical
-reports.
+per seed, and each case derives its own child seed, so reports are
+byte-identical for a fixed suite seed.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,28 +357,20 @@ def suite_run(
     tol: float = 1e-8,
     max_dim: int = 256,
     kinds: tuple[str, ...] = ("graph", "free-action", "groupoid"),
-    jobs: int | None = None,
 ) -> SuiteReport:
-    """Run a mixed certification suite; cases are dispatched concurrently and
-    reassembled in case order (per-case child seeds keep it deterministic)."""
+    """Run a mixed certification suite, one case after another; case i is of
+    kind ``kinds[i % len(kinds)]`` and draws from its own child seed."""
     runners = {
         "graph": run_graph_case,
         "free-action": run_free_action_case,
         "groupoid": run_groupoid_case,
     }
-    tasks = []
+    results = []
     for i in range(cases):
         kind = kinds[i % len(kinds)]
         child = seed * 1_000_003 + i
-        tasks.append((i, kind, child))
-
-    def run(task):
-        i, kind, child = task
         if kind in ("graph", "free-action"):
-            return runners[kind](child, index=i, tol=tol, max_dim=max_dim)
-        return runners[kind](child, index=i, tol=tol)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run, tasks))
-    results.sort(key=lambda c: c.index)
+            results.append(runners[kind](child, index=i, tol=tol, max_dim=max_dim))
+        else:
+            results.append(runners[kind](child, index=i, tol=tol))
     return SuiteReport(seed=seed, tolerance=tol, cases=results)

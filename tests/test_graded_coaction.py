@@ -1,0 +1,93 @@
+"""Planted defects in the graded-coaction layer: each check that layer makes
+is shown to fail on a known error, next to the same call on correct input."""
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from skewprod import duality, groups, matalg
+from skewprod.crossed import (
+    ActionInvalid,
+    CoactionCrossedProduct,
+    GradedSpan,
+    verify_graded_coaction,
+)
+from skewprod.graphalg import ck_representation, spectral_subspaces
+from skewprod.groupoids import (
+    cocycle_from_names,
+    convolution_algebra,
+    graded_convolution,
+    pair_groupoid,
+)
+
+
+@pytest.fixture
+def e1_z3(e1, z3):
+    lab = groups.Labeling(e1, z3, [1])
+    return spectral_subspaces(ck_representation(e1), z3, lab), lab
+
+
+def test_rho_in_place_of_lam_fails_coaction_identity(e1_z3, z3):
+    graded, _ = e1_z3
+    verify_graded_coaction(graded)
+    # For an abelian group rho_t = lam_{t^-1}: delta(b) = b (x) rho_deg(b) is
+    # still a coaction, but of the inverse grading, so only the identity's
+    # check of the lam-expansion against the degree components sees it.
+    rho = groups.regular_matrices(z3)[1]
+    graded.delta_rows = matalg.vec_rows(
+        [
+            matalg.kron(graded.span.basis_matrix(k), rho[int(t)])
+            for k, t in enumerate(graded.degrees)
+        ]
+    )
+    with pytest.raises(ActionInvalid, match=r"failed: \['coaction_identity'\]"):
+        verify_graded_coaction(graded)
+
+
+def test_zeroed_delta_row_fails_injective(e1_z3):
+    graded, _ = e1_z3
+    rows = graded.delta_rows.tolil()
+    rows[0, :] = 0
+    graded.delta_rows = rows.tocsr()
+    with pytest.raises(ActionInvalid, match=r"failed: \[[^\]]*'injective'"):
+        verify_graded_coaction(graded)
+
+
+def test_non_cocycle_degrees_fail_crossed_product(z2):
+    pair2 = pair_groupoid(2)
+    alg = convolution_algebra(pair2)
+    c = cocycle_from_names(pair2, z2, {"x11": "e", "x22": "e", "x12": "g", "x21": "g"})
+    assert CoactionCrossedProduct(graded_convolution(alg, c)).dim == 8
+    with pytest.raises(ActionInvalid, match="product degree mismatch"):
+        CoactionCrossedProduct(GradedSpan(alg.span, [0, 0, 1, 0], z2))
+
+
+def test_wrong_path_degree_fails_spectral_subspaces(chain2, z3, monkeypatch):
+    lab = groups.Labeling(chain2, z3, [1, 1])
+    fam = ck_representation(chain2)
+    spectral_subspaces(fam, z3, lab)
+    # Shift the degree of the one length-2 path, e1 e2.
+    true_of_path = lab.of_path
+    monkeypatch.setattr(
+        lab,
+        "of_path",
+        lambda edges: z3.mul(true_of_path(edges), 1) if len(edges) == 2 else true_of_path(edges),
+    )
+    with pytest.raises(ValueError, match="off its labeled degree"):
+        spectral_subspaces(fam, z3, lab)
+
+
+def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
+    _, lab = e1_z3
+    assert duality.certify_regular_diagram(e1, z3, lab).extra["chase_ok"]
+    true_images = duality._theta_generator_images
+
+    def lam_for_rho(fam, skew, G, labeling):
+        edge_imgs, vertex_imgs, _ = true_images(fam, skew, G, labeling)
+        lam = groups.regular_matrices(G)[0]
+        eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
+        return edge_imgs, vertex_imgs, [matalg.kron(eye, lam[t]) for t in G]
+
+    monkeypatch.setattr(duality, "_theta_generator_images", lam_for_rho)
+    cert = duality.certify_regular_diagram(e1, z3, lab)
+    assert not cert.extra["chase_ok"]
+    assert not cert.passed

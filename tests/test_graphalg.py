@@ -178,7 +178,7 @@ class TestCoaction:
         for k in range(fam.dim):
             t = int(rc.graded.degrees[k])
             b = fam.span.basis_matrix(k)
-            lhs = rc.delta(b)
+            lhs = rc.graded.delta(b)
             rhs = matalg.kron(b, lam[t])
             assert matalg.frobenius(lhs - rhs) == 0.0
 
