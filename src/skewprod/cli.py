@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from . import duality, graphalg, graphs, groupoids, groups, matalg, suite
+from . import crossed, duality, graphalg, graphs, groupoids, groups, matalg, suite
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DIM = 256
@@ -180,7 +180,11 @@ def main(argv=None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except duality.CertificationFailed as err:
+    except (
+        duality.CertificationFailed,
+        crossed.ActionInvalid,
+        graphalg.CKRelationError,
+    ) as err:
         print(f"certification failed: {err}", file=sys.stderr)
         return 1
 

@@ -181,15 +181,19 @@ def ck_action_from_graph_action(fam: CKFamily, action: GraphAction) -> AlgebraAc
     act = AlgebraAction.from_unitary_conjugation(
         fam.span, G, unitaries, name="graph automorphism action"
     )
+    # Batched over generators: row k of gen_rows is s_k for k < n_e, else p_(k - n_e).
+    n_e, n_v = fam.graph.n_edges, fam.graph.n_vertices
+    gen_rows = matalg.vec_rows(list(fam.s) + list(fam.p))
+    coeffs, _ = fam.span.coefficients_rows(gen_rows)
     for t in G:
-        for e in range(fam.graph.n_edges):
-            lhs = act.apply(t, fam.s[e])
-            if frobenius(lhs - fam.s[action.edge(t, e)]) > matalg.PRODUCT_TOL:
-                raise ActionInvalid(f"gamma_{t}(s_f) != s_(t.f) at edge {e}")
-        for v in range(fam.graph.n_vertices):
-            lhs = act.apply(t, fam.p[v])
-            if frobenius(lhs - fam.p[action.vertex(t, v)]) > matalg.PRODUCT_TOL:
-                raise ActionInvalid(f"gamma_{t}(p_v) != p_(t.v) at vertex {v}")
+        moved = [action.edge(t, e) for e in range(n_e)]
+        moved += [n_e + action.vertex(t, v) for v in range(n_v)]
+        err = matalg.row_norms(coeffs @ act.coeff_mats[t] @ fam.span.rows - gen_rows[moved])
+        bad = np.flatnonzero(err > matalg.PRODUCT_TOL)
+        if bad.size and bad[0] < n_e:
+            raise ActionInvalid(f"gamma_{t}(s_f) != s_(t.f) at edge {bad[0]}")
+        if bad.size:
+            raise ActionInvalid(f"gamma_{t}(p_v) != p_(t.v) at vertex {bad[0] - n_e}")
     return act
 
 
@@ -237,7 +241,8 @@ class ActionCrossedProduct:
         e = G.identity_index
         self._pi_rows = self.span.rows[np.arange(d) * m + e]  # rows of pi~(b_i)
         if base.generators is not None:
-            self.span.generators = [self.pi_tilde(g) for g in base.generators] + [
+            coeffs, _ = base.coefficients_rows(matalg.vec_rows(base.generators))
+            self.span.generators = matalg.unvec_rows(coeffs @ self._pi_rows, N) + [
                 self.u_mat(s) for s in G
             ]
         self._verify_covariance(tol)
@@ -493,18 +498,28 @@ class CoactionCrossedProduct:
                             raise ActionInvalid("lam/chi multiplication identity fails")
 
         # Base leg: products and adjoints stay in the span with multiplying
-        # degrees.  Batched: for each j, expand b_i b_j for all i at once.
-        if not graded_checked:
-            for j in range(d):
+        # degrees.  Batched: for each j, expand b_i b_j for all i at once; the
+        # expansions are kept for the spanning-pair check below.
+        cache_cj: dict[int, tuple] = {}
+
+        def product_coeffs(j):
+            if j not in cache_cj:
                 bj = self.base.basis_matrix(j)
                 prod_rows = self.base.rows @ matalg.right_mult_operator(bj, n)
-                coeffs, resid = self.base.coefficients_rows(prod_rows)
+                c_j, resid = self.base.coefficients_rows(prod_rows)
                 if resid > tol:
                     raise ActionInvalid("base algebra is not closed under products")
-                coo = coeffs.tocoo()
-                keep = np.abs(coo.data) > tol
-                expected = G.table[self.degrees[coo.row[keep]], int(self.degrees[j])]
-                if np.any(self.degrees[coo.col[keep]] != expected):
+                coo = c_j.tocoo()
+                keep = np.abs(coo.data) > 1e-14
+                cache_cj[j] = (coo.row[keep], coo.col[keep], coo.data[keep])
+            return cache_cj[j]
+
+        if not graded_checked:
+            for j in range(d):
+                r_idx, c_idx, vals = product_coeffs(j)
+                keep = np.abs(vals) > tol
+                expected = G.table[self.degrees[r_idx[keep]], int(self.degrees[j])]
+                if np.any(self.degrees[c_idx[keep]] != expected):
                     raise ActionInvalid("product degree mismatch in the graded base")
         star_rows = matalg.star_columns(self.base.rows, n)
         star_coeffs, resid = self.base.coefficients_rows(star_rows)
@@ -530,18 +545,8 @@ class CoactionCrossedProduct:
                 (int(rng.integers(d)), int(rng.integers(m))) for _ in range(24)
             ]
             self.pair_check_exhaustive = False
-        cache_cj: dict[int, sp.coo_matrix] = {}
         for j, w in right:
-            if j not in cache_cj:
-                bj = self.base.basis_matrix(j)
-                prod_rows = self.base.rows @ matalg.right_mult_operator(bj, n)
-                c_j, resid = self.base.coefficients_rows(prod_rows)
-                if resid > tol:
-                    raise ActionInvalid("base algebra is not closed under products")
-                coo_cj = c_j.tocoo()
-                keep = np.abs(coo_cj.data) > 1e-14
-                cache_cj[j] = (coo_cj.row[keep], coo_cj.col[keep], coo_cj.data[keep])
-            r_idx, c_idx, vals = cache_cj[j]
+            r_idx, c_idx, vals = product_coeffs(j)
             mat_l = self.span.rows.getrow(j * m + w).reshape(N, N).tocsr()
             lhs = self.span.rows @ matalg.right_mult_operator(mat_l, N)
             u0 = G.mul(int(self.degrees[j]), w)

@@ -22,23 +22,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import matalg
+from . import graphalg, matalg
 from .crossed import (
     ActionCrossedProduct,
     AlgebraAction,
     CoactionCrossedProduct,
     ck_action_from_graph_action,
 )
-from .graphalg import CKFamily, ck_representation, coaction
+from .graphalg import CKFamily, ck_representation
 from .graphs import DirectedGraph, GraphAction, skew_product, translation_action
 from .graphs import quotient_and_gross_tucker
 from .groups import FiniteGroup, Labeling, regular_matrices
 from .matalg import (
-    AlgebraSpan,
     StarMapReport,
     frobenius,
     full_matrix_span,
@@ -207,24 +207,86 @@ def _skew_path_lookup(fam_skew: CKFamily, fam: CKFamily, G: FiniteGroup,
     return lookup
 
 
+class DualityParts:
+    """The constructions the graph certifiers share for one (E, G, c).
+
+    Each member is built on first use and then kept, so certifiers handed the
+    same parts build C*(E), the coaction, E x_c G, gamma and the crossed
+    product once between them.  ``tol`` is the covariance tolerance of
+    ``acp``.
+    """
+
+    def __init__(self, graph: DirectedGraph, G: FiniteGroup, labeling: Labeling,
+                 tol: float = DEFAULT_ISO_TOL):
+        self.graph, self.G, self.labeling, self.tol = graph, G, labeling, tol
+
+    @cached_property
+    def fam(self) -> CKFamily:
+        return ck_representation(self.graph)
+
+    @cached_property
+    def coaction(self) -> graphalg.RepresentedCoaction:
+        return graphalg.coaction(self.fam, self.G, self.labeling)
+
+    @cached_property
+    def skew(self) -> DirectedGraph:
+        return skew_product(self.graph, self.G, self.labeling)
+
+    @cached_property
+    def fam_skew(self) -> CKFamily:
+        return ck_representation(self.skew)
+
+    @cached_property
+    def theta(self) -> tuple[list, list, list]:
+        """Theta's images of s_(f,r), p_(v,r) and u_t; see
+        :func:`_theta_generator_images`."""
+        return _theta_generator_images(self.fam, self.skew, self.G, self.labeling)
+
+    @cached_property
+    def gact(self) -> GraphAction:
+        return translation_action(self.skew, self.G)
+
+    @cached_property
+    def gamma(self) -> AlgebraAction:
+        return ck_action_from_graph_action(self.fam_skew, self.gact)
+
+    @cached_property
+    def acp(self) -> ActionCrossedProduct:
+        return ActionCrossedProduct(self.fam_skew.span, self.G, self.gamma, tol=self.tol)
+
+    @cached_property
+    def target(self) -> matalg.AlgebraSpan:
+        return tensor_span(self.fam.span, full_matrix_span(self.G.order),
+                           name="C*(E) (x) M_G")
+
+
+def _parts_for(parts: DualityParts | None, graph, G, labeling, tol) -> DualityParts:
+    """The given parts, checked to be those of (graph, G, labeling), else new ones."""
+    if parts is None:
+        return DualityParts(graph, G, labeling, tol)
+    if parts.graph is not graph or parts.G is not G or parts.labeling is not labeling:
+        raise ValueError("parts were built for a different (graph, group, labeling)")
+    return parts
+
+
 def certify_eqvt_iso(
     graph: DirectedGraph,
     G: FiniteGroup,
     labeling: Labeling,
     tol: float = DEFAULT_ISO_TOL,
+    *,
+    parts: DualityParts | None = None,
 ) -> IsomorphismCertificate:
     """Certify C*(E x_c G) = C*(E) x_delta G via s_(f,t) -> (s_f, t)."""
-    fam = ck_representation(graph)
-    rc = coaction(fam, G, labeling)
-    ccp = CoactionCrossedProduct(rc.graded, graded_checked=True)
-    skew = skew_product(graph, G, labeling)
-    fam_skew = ck_representation(skew)
+    parts = _parts_for(parts, graph, G, labeling, tol)
+    fam, skew, fam_skew = parts.fam, parts.skew, parts.fam_skew
+    ccp = CoactionCrossedProduct(parts.coaction.graded, graded_checked=True)
     m = ccp.ambient_dim
 
     # Generator images: s_(f,t) -> (s_f, t) = s_f (x) lam_c(f) chi_t, and
     # p_(v,t) -> (p_v, t) = p_v (x) chi_t, the same as Theta's; Theta's
     # u_r = 1 (x) rho_r implements the dual action.
-    edge_imgs, vertex_imgs, theta_u = _theta_generator_images(fam, skew, G, labeling)
+    edge_imgs, vertex_imgs, theta_u = parts.theta
 
     ck_err = _ck_relations_for(skew, edge_imgs, vertex_imgs, m, tol)
 
@@ -256,7 +318,7 @@ def certify_eqvt_iso(
     )
 
     # Equivariance Phi gamma_r = delta^_r Phi, exactly on generators.
-    gact = translation_action(skew, G)
+    gact = parts.gact
     eq_err = 0.0
     for r in G:
         ad = theta_u[r]
@@ -282,18 +344,6 @@ def certify_eqvt_iso(
     )
 
 
-def _direct_iso_parts(graph, G, labeling, tol):
-    """Shared construction for the full-crossed-product certifications."""
-    fam = ck_representation(graph)
-    skew = skew_product(graph, G, labeling)
-    fam_skew = ck_representation(skew)
-    gact = translation_action(skew, G)
-    gamma = ck_action_from_graph_action(fam_skew, gact)
-    acp = ActionCrossedProduct(fam_skew.span, G, gamma, tol=tol)
-    target = tensor_span(fam.span, full_matrix_span(G.order), name="C*(E) (x) M_G")
-    return fam, skew, fam_skew, gact, gamma, acp, target
-
-
 def certify_direct_iso(
     graph: DirectedGraph,
     G: FiniteGroup,
@@ -302,17 +352,18 @@ def certify_direct_iso(
     compute_signatures: bool = True,
     signature_dim_cap: int = 600,
     rng: np.random.Generator | None = None,
-    _parts=None,
+    *,
+    parts: DualityParts | None = None,
 ) -> IsomorphismCertificate:
     """Certify C*(E x_c G) x_gamma G = C*(E) (x) M_|G| via Theta and Upsilon."""
-    fam, skew, fam_skew, gact, gamma, acp, target = _parts or _direct_iso_parts(
-        graph, G, labeling, tol
-    )
+    parts = _parts_for(parts, graph, G, labeling, tol)
+    fam, skew, fam_skew, gact = parts.fam, parts.skew, parts.fam_skew, parts.gact
+    acp, target = parts.acp, parts.target
     _, rho, chi = regular_matrices(G)
     mt = target.ambient_dim  # = P |G|
 
     # Theta on generators.
-    theta_edge, theta_vertex, theta_u = _theta_generator_images(fam, skew, G, labeling)
+    theta_edge, theta_vertex, theta_u = parts.theta
 
     ck_err = _ck_relations_for(skew, theta_edge, theta_vertex, mt, tol)
     # u_t t_(f,r) = t_(f, r t^-1) u_t: the covariance the universal property needs.
@@ -330,18 +381,20 @@ def certify_direct_iso(
     # Theta on the crossed-product basis, as words.
     image_rows = _basis_image_rows(fam_skew, theta_edge, theta_vertex, mt, post=theta_u)
 
-    # Upsilon: y_r = sum_v p_(v,r), w_t = (y x u)(lam_t), t_f, q_v.
-    def pi(mat):
-        return acp.pi_tilde(mat)
-
+    # Upsilon: y_r = sum_v p_(v,r), w_t = (y x u)(lam_t), t_f, q_v.  The
+    # crossed product's generators are pi~(s_e), pi~(p_v) (in the order of
+    # fam_skew's generators) and then u_t.
+    n_se, n_sv = skew.n_edges, skew.n_vertices
+    pi_s = acp.span.generators[:n_se]
+    pi_p = acp.span.generators[n_se:n_se + n_sv]
+    u = acp.span.generators[n_se + n_sv:]
     y = []
     for r in G:
         acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
         for v_idx, (v, r_name) in enumerate(skew.vertices):
             if G.index(r_name) == r:
-                acc = acc + pi(fam_skew.p[v_idx])
+                acc = acc + pi_p[v_idx]
         y.append(acc.tocsr())
-    u = [acp.u_mat(t) for t in G]
     w = []
     for t in G:
         acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
@@ -354,13 +407,13 @@ def certify_direct_iso(
         acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
         for e_idx, edge in enumerate(skew.edges):
             if graph.edge_index(edge.id[0]) == f:
-                acc = acc + pi(fam_skew.s[e_idx])
+                acc = acc + pi_s[e_idx]
         t_f.append((acc @ w[G.inv(labeling.of(f))]).tocsr())
     for v in range(graph.n_vertices):
         acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
         for v_idx, (vv, r_name) in enumerate(skew.vertices):
             if graph.vertex_index(vv) == v:
-                acc = acc + pi(fam_skew.p[v_idx])
+                acc = acc + pi_p[v_idx]
         q_v.append(acc.tocsr())
 
     # Upsilon on the target basis e_{mu,nu} (x) E_{a,b} -> t_mu t_nu* y_a u_{a^-1 b}.
@@ -375,9 +428,8 @@ def certify_direct_iso(
                 ups_rows.append(mat.reshape(1, acp.ambient_dim**2))
     inverse_rows = sp.vstack(ups_rows, format="csr")
 
-    gen_pairs = [(pi(fam_skew.s[e]), theta_edge[e]) for e in range(skew.n_edges)]
-    gen_pairs += [(pi(fam_skew.p[v]), theta_vertex[v]) for v in range(skew.n_vertices)]
-    gen_pairs += [(u[t], theta_u[t]) for t in G]
+    gen_pairs = list(zip(pi_s, theta_edge)) + list(zip(pi_p, theta_vertex))
+    gen_pairs += list(zip(u, theta_u))
     report = matalg.star_map_on_basis(
         acp.span, image_rows, mt, gen_pairs, tol=tol, target=target,
         inverse_rows=inverse_rows, check_right=False,
@@ -450,6 +502,8 @@ def certify_regular_diagram(
     G: FiniteGroup,
     labeling: Labeling,
     tol: float = DEFAULT_ISO_TOL,
+    *,
+    parts: DualityParts | None = None,
 ) -> IsomorphismCertificate:
     """Chase the generators of C*(E x_c G) x_gamma G around the diagram.
 
@@ -459,13 +513,12 @@ def certify_regular_diagram(
     bijectivity of Theta, witnesses at finite scale that the regular
     representation of the crossed product is faithful.
     """
-    fam = ck_representation(graph)
-    rc = coaction(fam, G, labeling)
-    skew = skew_product(graph, G, labeling)
+    parts = _parts_for(parts, graph, G, labeling, tol)
+    fam, rc, skew = parts.fam, parts.coaction, parts.skew
     _, rho, chi = regular_matrices(G)
     P = fam.ambient_dim
     eye_p = sp.identity(P, format="csr", dtype=np.complex128)
-    theta_edge, theta_vertex, theta_u = _theta_generator_images(fam, skew, G, labeling)
+    theta_edge, theta_vertex, theta_u = parts.theta
 
     err = 0.0
     for e_idx, edge in enumerate(skew.edges):
@@ -481,10 +534,7 @@ def certify_regular_diagram(
 
     # Finite-scale faithfulness: the regular covariant representation of the
     # crossed product preserves the universal dimension dim(A) |G|.
-    fam_skew = ck_representation(skew)
-    gact = translation_action(skew, G)
-    gamma = ck_action_from_graph_action(fam_skew, gact)
-    acp = ActionCrossedProduct(fam_skew.span, G, gamma, tol=tol)
+    fam_skew, acp = parts.fam_skew, parts.acp
     dims_ok = acp.dim == fam_skew.dim * G.order
 
     return IsomorphismCertificate(
@@ -523,10 +573,10 @@ def certify_free_action(
     beta = ck_action_from_graph_action(fam_f, action)
     acp_f = ActionCrossedProduct(fam_f.span, G, beta, tol=tol)
 
-    parts = _direct_iso_parts(quotient, G, labeling, tol)
-    fam_q, skew_q, fam_skew, gact, gamma, acp_skew, target = parts
+    parts = DualityParts(quotient, G, labeling, tol)
+    fam_skew, target = parts.fam_skew, parts.target
     inner = certify_direct_iso(
-        quotient, G, labeling, tol=tol, compute_signatures=False, _parts=parts
+        quotient, G, labeling, tol=tol, compute_signatures=False, parts=parts
     )
     if not (inner.star_report.passed and inner.star_report.bijective):
         raise CertificationFailed("inner direct isomorphism failed", witness=inner)
@@ -549,7 +599,7 @@ def certify_free_action(
             basis_map[k * m + s] = int(pair_map[k]) * m + s
 
     # Theta on the relabeled basis.
-    theta_edge, theta_vertex, theta_u = _theta_generator_images(fam_q, skew_q, G, labeling)
+    theta_edge, theta_vertex, theta_u = parts.theta
     image_rows_skew = _basis_image_rows(
         fam_skew, theta_edge, theta_vertex, target.ambient_dim, post=theta_u
     )

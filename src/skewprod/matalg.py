@@ -81,6 +81,17 @@ def vec_rows(mats: Sequence) -> sp.csr_matrix:
     return sp.vstack([as_sparse(m).reshape(1, n * n) for m in mats], format="csr")
 
 
+def unvec_rows(rows: sp.csr_matrix, n: int) -> list[sp.csr_matrix]:
+    """Inverse of :func:`vec_rows`: each row vec(m) back as the n x n matrix m."""
+    rows = rows.tocsr()
+    out = []
+    for k in range(rows.shape[0]):
+        lo, hi = rows.indptr[k], rows.indptr[k + 1]
+        cols = rows.indices[lo:hi]
+        out.append(sp.csr_matrix((rows.data[lo:hi], (cols // n, cols % n)), shape=(n, n)))
+    return out
+
+
 def star_columns(rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
     """Apply vec(X) -> vec(X*) to every row: transpose indices and conjugate."""
     coo = rows.tocoo()
@@ -108,11 +119,16 @@ def operator_norm(mat) -> float:
     return float(np.linalg.norm(d, 2))
 
 
+def row_norms(rows: sp.spmatrix) -> np.ndarray:
+    """Frobenius norm of each row of a sparse stacked vec matrix."""
+    sq = np.asarray(rows.multiply(rows.conj()).sum(axis=1)).ravel()
+    return np.sqrt(np.real(sq))
+
+
 def max_row_norm(rows) -> float:
     """Largest Frobenius norm over the rows of a stacked vec matrix."""
     if sp.issparse(rows):
-        sq = rows.multiply(rows.conj()).sum(axis=1)
-        return float(np.sqrt(np.max(np.real(sq)))) if rows.shape[0] else 0.0
+        return float(np.max(row_norms(rows))) if rows.shape[0] else 0.0
     return float(np.max(np.linalg.norm(rows, axis=1))) if len(rows) else 0.0
 
 
@@ -303,18 +319,24 @@ def span_closure(
 
 
 def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:
-    mats = []
-    bmats = b.basis_matrices()
-    for i in range(a.dim):
-        ai = a.basis_matrix(i)
-        for bj in bmats:
-            mats.append(kron(ai, bj))
+    """The basis a_i (x) b_j at row i dim(b) + j, as one sparse kron of the two
+    row matrices: its column (p n_a + q)(n_b^2) + (r n_b + s) holds the entry
+    ((p, q), (r, s)), which sits at vec index (p n_b + r) N + (q n_b + s) of the
+    N x N kron, N = n_a n_b."""
+    na, nb = a.ambient_dim, b.ambient_dim
+    N = na * nb
+    k = sp.kron(a.rows, b.rows, format="coo")
+    ca, cb = divmod(k.col.astype(np.int64), nb * nb)
+    (p, q), (r, s) = divmod(ca, na), divmod(cb, nb)
+    rows = sp.csr_matrix(
+        (k.data, (k.row, (p * nb + r) * N + (q * nb + s))), shape=(a.dim * b.dim, N * N)
+    )
     gens = None
     if a.generators is not None and b.generators is not None:
-        ia = sp.identity(a.ambient_dim, format="csr", dtype=np.complex128)
-        ib = sp.identity(b.ambient_dim, format="csr", dtype=np.complex128)
+        ia = sp.identity(na, format="csr", dtype=np.complex128)
+        ib = sp.identity(nb, format="csr", dtype=np.complex128)
         gens = [kron(g, ib) for g in a.generators] + [kron(ia, g) for g in b.generators]
-    return from_orthogonal(mats, name=name or f"{a.name} (x) {b.name}", generators=gens)
+    return AlgebraSpan(N, rows, generators=gens, name=name or f"{a.name} (x) {b.name}")
 
 
 def direct_sum_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import duality, graphalg, groupoids
-from .graphs import DirectedGraph, GraphHasCycle, skew_product, translation_action
+from .graphs import (
+    DirectedGraph,
+    GraphHasCycle,
+    enumerate_sink_paths,
+    skew_product,
+    translation_action,
+)
 from .groups import FiniteGroup, Labeling, cyclic_group, klein_four_group
 
 GAUGE_SAMPLES = (1.0, -1.0, 1j, np.exp(2j * np.pi / 7))
@@ -46,18 +52,22 @@ def random_graph_instance(
     groups: list[FiniteGroup] | None = None,
 ):
     """(graph, group, labeling) with the double-crossed-product ambient under
-    ``max_dim`` and its linear dimension under ``dim_budget``."""
+    ``max_dim`` and its linear dimension under ``dim_budget``.
+
+    C*(E) is not built: its ambient dimension is the number of sink-bound
+    paths, and its dimension the sum over sinks w of (paths into w)^2.
+    """
     groups = groups or suite_groups()
     while True:
         G = groups[int(rng.integers(len(groups)))]
         E = random_acyclic_graph(rng)
         try:
-            fam = graphalg.ck_representation(E)
+            paths = enumerate_sink_paths(E)
         except GraphHasCycle:  # pragma: no cover - generator never makes cycles
             continue
-        if fam.ambient_dim * G.order**2 > max_dim:
+        if len(paths) * G.order**2 > max_dim:
             continue
-        if fam.dim * G.order**2 > dim_budget:
+        if int(np.sum(np.bincount([p.range for p in paths]) ** 2)) * G.order**2 > dim_budget:
             continue
         labeling = Labeling(E, G, rng.integers(0, G.order, E.n_edges))
         return E, G, labeling
@@ -221,14 +231,15 @@ def run_graph_case(seed: int, index: int = 0, tol: float = 1e-8,
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     E, G, labeling = random_graph_instance(rng, max_dim=max_dim)
-    fam = graphalg.ck_representation(E)
-    rc = graphalg.coaction(fam, G, labeling)  # verifies at 1e-12
+    parts = duality.DualityParts(E, G, labeling, tol)
+    fam = parts.fam
+    rc = parts.coaction  # verifies at 1e-12
     gauge_ok = all(
         graphalg.gauge_check(fam, z).passed for z in GAUGE_SAMPLES
     )
-    c1 = duality.certify_eqvt_iso(E, G, labeling, tol=tol)
-    c2 = duality.certify_direct_iso(E, G, labeling, tol=tol, rng=rng)
-    c3 = duality.certify_regular_diagram(E, G, labeling, tol=tol)
+    c1 = duality.certify_eqvt_iso(E, G, labeling, tol=tol, parts=parts)
+    c2 = duality.certify_direct_iso(E, G, labeling, tol=tol, rng=rng, parts=parts)
+    c3 = duality.certify_regular_diagram(E, G, labeling, tol=tol, parts=parts)
     passed = (
         gauge_ok
         and c1.passed

@@ -1,6 +1,8 @@
 import json
 
-from skewprod import cli, fixture_path
+import pytest
+
+from skewprod import cli, crossed, fixture_path, graphalg
 
 
 def fx(name: str) -> str:
@@ -151,6 +153,19 @@ def test_exit_code_2_on_unknown_label(capsys):
     # e1.json labels an edge by 'g', which the trivial group lacks.
     code = cli.main(["graph", "skew", "-g", fx("e1"), "-G", fx("trivial")])
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [crossed.ActionInvalid, graphalg.CKRelationError])
+def test_exit_code_1_on_failed_construction_check(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("planted coaction failure")
+
+    monkeypatch.setattr(graphalg, "coaction", broken)
+    code = cli.main(["verify", "eqvt-iso", "-g", fx("e1"), "-G", fx("z2")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "certification failed: planted coaction failure" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_1_on_failed_report(capsys):

@@ -102,6 +102,22 @@ class TestAlgebraAction:
         img = act.apply(1, fam_skew.s[e_idx])
         assert matalg.frobenius(img - fam_skew.s[g_idx]) == 0.0
 
+    @pytest.mark.parametrize("kind", ["edge", "vertex"])
+    def test_generator_check_names_first_wrong_image(self, e1_setup, z2, monkeypatch, kind):
+        # gamma is built from the permutation tables; only the generator check
+        # asks action.edge / action.vertex, so one wrong answer must fail it.
+        *_, skew, fam_skew = e1_setup
+        gact = translation_action(skew, z2)
+        true = getattr(gact, kind)
+        n = skew.n_edges if kind == "edge" else skew.n_vertices
+
+        def wrong(t, x):
+            return (true(t, x) + 1) % n if (t, x) == (1, 0) else true(t, x)
+
+        monkeypatch.setattr(gact, kind, wrong)
+        with pytest.raises(ActionInvalid, match=f"^gamma_1\\(.* at {kind} 0$"):
+            ck_action_from_graph_action(fam_skew, gact)
+
     def test_rejects_non_homomorphism(self, e1_setup, z2):
         fam, *_ = e1_setup
         eye = sp.identity(fam.dim, format="csr", dtype=np.complex128)

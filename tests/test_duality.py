@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from skewprod import duality, graphs, groups, matalg
@@ -98,6 +99,22 @@ class TestRegularDiagram:
         G1 = groups.trivial_group()
         cert = certify_regular_diagram(e1, G1, groups.constant_labeling(e1, G1))
         assert cert.passed
+
+
+class TestDualityParts:
+    def test_rejects_parts_of_another_instance(self, e1, z2, e1_z2_labeling):
+        parts = duality.DualityParts(e1, z2, groups.constant_labeling(e1, z2))
+        for certify in (certify_eqvt_iso, certify_direct_iso, certify_regular_diagram):
+            with pytest.raises(ValueError, match="different"):
+                certify(e1, z2, e1_z2_labeling, parts=parts)
+        assert not {"fam", "coaction", "skew", "acp"} & vars(parts).keys()
+
+    def test_shared_parts_give_the_same_certificates(self, chain2, z3):
+        lab = groups.make_labeling(chain2, {"e1": "g", "e2": "g^2"}, z3)
+        parts = duality.DualityParts(chain2, z3, lab)
+        for certify in (certify_eqvt_iso, certify_direct_iso, certify_regular_diagram):
+            shared = certify(chain2, z3, lab, parts=parts)
+            assert shared.as_dict() == certify(chain2, z3, lab).as_dict()
 
 
 class TestFreeAction:

@@ -175,6 +175,33 @@ class TestStarMapOnBasis:
         assert not report.passed
 
 
+class TestTensorSpan:
+    @staticmethod
+    def kron_rows(a, b):
+        """The reference: a_i (x) b_j at row i dim(b) + j, one kron at a time."""
+        mats = [kron(a.basis_matrix(i), bj) for i in range(a.dim) for bj in b.basis_matrices()]
+        return matalg.vec_rows(mats)
+
+    def test_matches_kron_reference(self, rng):
+        m2, m3 = full_matrix_span(2), full_matrix_span(3)
+        summed = direct_sum_span(m2, full_matrix_span(1))
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        scrambled = span_closure([u @ m.toarray() @ u.conj().T for m in summed.basis_matrices()])
+        for a, b in [(m2, m3), (summed, m2), (m3, summed), (scrambled, m2), (m2, scrambled)]:
+            rows, ref = tensor_span(a, b).rows, self.kron_rows(a, b)
+            assert rows.shape == ref.shape
+            for got, want in zip((rows.indptr, rows.indices, rows.data),
+                                 (ref.indptr, ref.indices, ref.data)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_name_and_generators(self):
+        m2, m3 = full_matrix_span(2), full_matrix_span(3)
+        t = tensor_span(m2, m3)
+        assert t.name == "M_2 (x) M_3" and t.dim == 36 and t.ambient_dim == 6
+        assert len(t.generators) == m2.dim + m3.dim
+        assert matalg.frobenius(t.generators[0] - kron(m2.generators[0], np.eye(3))) == 0.0
+
+
 class TestWedderburn:
     def test_block_diagonal(self):
         m2 = full_matrix_span(2)

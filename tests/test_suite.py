@@ -1,4 +1,6 @@
-from skewprod import groupoids, suite
+from collections import Counter
+
+from skewprod import crossed, duality, graphalg, groupoids, suite
 
 
 def test_random_acyclic_graph_is_acyclic(rng):
@@ -16,6 +18,29 @@ def test_random_graph_instance_respects_budgets(rng):
         fam = ck_representation(E)
         assert fam.ambient_dim * G.order**2 <= 128
         assert fam.dim * G.order**2 <= 200
+
+
+def test_run_graph_case_builds_each_construction_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, original in (("coaction", graphalg.coaction),
+                           ("ck_action_from_graph_action", crossed.ck_action_from_graph_action)):
+        for module in (crossed, duality, graphalg, suite):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted(name, original))
+    monkeypatch.setattr(crossed.ActionCrossedProduct, "__init__", counted(
+        "ActionCrossedProduct", crossed.ActionCrossedProduct.__init__))
+    assert suite.run_graph_case(0).passed
+    assert calls == {"coaction": 1, "ck_action_from_graph_action": 1,
+                     "ActionCrossedProduct": 1}
 
 
 def test_random_groupoid_within_caps(rng):
