@@ -2,8 +2,9 @@
 constructions and certifications, and emit reports.
 
 Exit codes: 0 when every check passes, 1 on a certification failure, 2 on an
-input or parse error.  With --json the report body is deterministic for a
-fixed seed and inputs (the wall_time_s field is excluded from that guarantee).
+input or parse error or an input over --max-dim.  With --json the report body
+is deterministic for a fixed seed and inputs (the wall_time_s field is
+excluded from that guarantee).
 """
 from __future__ import annotations
 
@@ -61,6 +62,31 @@ def _load_groupoid(path: str, G: groups.FiniteGroup | None):
         return Q, c
     except (KeyError, ValueError) as err:
         raise InputError(f"bad groupoid file {path}: {err}") from err
+
+
+def _load_inputs(args):
+    """Load the group, graph and groupoid files a command names, and refuse
+    the input if the largest matrix a command builds from it is over --max-dim.
+
+    That is the crossed product of the skew product by G: ambient dimension
+    paths(E) |G|^2 for a graph (the number of paths ending at a sink), and
+    arrows(Q) |G|^2 for a groupoid.  A graph with a cycle has no finite path
+    space; the commands that build its algebra refuse it on their own.
+    """
+    G = _load_group(args.group) if getattr(args, "group", None) else None
+    graph = labeling = Q = c = None
+    order = G.order if G is not None else 1
+    dim = 0
+    if getattr(args, "graph", None):
+        graph, labeling = _load_graph(args.graph, G)
+        if graph.find_cycle() is None:
+            dim = graphs.count_sink_paths(graph) * order**2
+    if getattr(args, "groupoid", None):
+        Q, c = _load_groupoid(args.groupoid, G)
+        dim = Q.n_arrows * order**2
+    if dim > args.max_dim:
+        raise InputError(f"input needs ambient dimension {dim}, over --max-dim {args.max_dim}")
+    return G, graph, labeling, Q, c
 
 
 def _emit(args, report: dict, passed: bool, t0: float) -> int:
@@ -194,9 +220,8 @@ def _graph_to_obj(g: graphs.DirectedGraph) -> dict:
 
 
 def _dispatch(args, t0) -> int:
+    G, graph, labeling, Q, c = _load_inputs(args)
     if args.command == "graph":
-        G = _load_group(args.group)
-        graph, labeling = _load_graph(args.graph, G)
         if args.subcommand == "skew":
             skew = graphs.skew_product(graph, G, labeling)
             return _emit(args, {"skew_product": _graph_to_obj(skew)}, True, t0)
@@ -216,7 +241,6 @@ def _dispatch(args, t0) -> int:
         return _emit(args, report, True, t0)
 
     if args.command == "algebra" and args.subcommand == "ck":
-        graph, _ = _load_graph(args.graph, None)
         fam = graphalg.ck_representation(graph)
         closure = matalg.span_closure(list(fam.s) + list(fam.p))
         blocks = fam.sink_block_sizes()
@@ -230,8 +254,6 @@ def _dispatch(args, t0) -> int:
         return _emit(args, report, closure.dim == fam.dim, t0)
 
     if args.command == "gpd":
-        G = _load_group(args.group)
-        Q, c = _load_groupoid(args.groupoid, G)
         skew = groupoids.skew_product_groupoid(Q, G, c)
         if args.subcommand == "skew":
             return _emit(args, {"skew_product": json.loads(skew.to_json())}, True, t0)
@@ -240,7 +262,7 @@ def _dispatch(args, t0) -> int:
         return _emit(args, {"semidirect": json.loads(semi.to_json())}, True, t0)
 
     if args.command == "verify":
-        return _dispatch_verify(args, t0)
+        return _dispatch_verify(args, t0, G, graph, labeling, Q, c)
 
     if args.command == "suite" and args.subcommand == "run":
         kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
@@ -264,8 +286,6 @@ def _dispatch(args, t0) -> int:
         return _emit(args, body, report.passed, t0)
 
     if args.command == "convert":
-        G = _load_group(args.group)
-        graph, labeling = _load_graph(args.graph, G)
         other, iso = graphs.convention_iso(graph, G, labeling, which=args.to)
         report = {
             "convention": args.to,
@@ -278,11 +298,9 @@ def _dispatch(args, t0) -> int:
     raise InputError(f"unknown command {args.command}")
 
 
-def _dispatch_verify(args, t0) -> int:
+def _dispatch_verify(args, t0, G, graph, labeling, Q, c) -> int:
     tol = args.tol
     if args.subcommand in ("eqvt-iso", "direct-iso", "free-action", "diagram"):
-        G = _load_group(args.group)
-        graph, labeling = _load_graph(args.graph, G)
         if args.subcommand == "eqvt-iso":
             cert = duality.certify_eqvt_iso(graph, G, labeling, tol=tol)
         elif args.subcommand == "direct-iso":
@@ -298,8 +316,6 @@ def _dispatch_verify(args, t0) -> int:
             )
         return _emit(args, {"certificate": cert.as_dict(), "seed": args.seed}, cert.passed, t0)
 
-    G = _load_group(args.group)
-    Q, c = _load_groupoid(args.groupoid, G)
     rng = np.random.default_rng(args.seed)
     if args.subcommand == "gpd-iso":
         cert = groupoids.certify_gpd_iso(Q, G, c, tol=tol)

@@ -253,17 +253,43 @@ class ActionCrossedProduct:
             self._lam[s],
         )
 
+    def pi_tilde_rows(self, rows) -> sp.csr_matrix:
+        """vec(pi~(a)) for every stacked row vec(a) of base-algebra elements."""
+        coeffs, _ = self.base.coefficients_rows(rows)
+        return coeffs @ self._pi_rows
+
     def pi_tilde(self, mat) -> sp.csr_matrix:
         """pi~(a) = sum_t gamma_{t^-1}(a) (x) chi_t as a concrete matrix."""
-        coeffs = self.base.coefficients(mat)
-        row = sp.csr_matrix(coeffs.reshape(1, -1)) @ self._pi_rows
+        row = self.pi_tilde_rows(matalg.vec_rows([mat]))
         return row.reshape(self.ambient_dim, self.ambient_dim).tocsr()
 
     def element(self, coeff_fn) -> sp.csr_matrix:
         """sum_s pi~(a_s) u~_s for a mapping s -> base-algebra matrix."""
-        out = sp.csr_matrix((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for s, a in coeff_fn.items():
-            out = out + self.pi_tilde(a) @ self.u_mat(s)
+        return self.elements({s: matalg.vec_rows([a]) for s, a in coeff_fn.items()})[0]
+
+    def elements(self, parts) -> list[sp.csr_matrix]:
+        """:meth:`element` for k elements at once: ``parts`` maps s to the k
+        stacked rows vec(a_s).  pi~ is one product per s for the whole stack;
+        each sum is then assembled term by term in the order of ``parts``."""
+        N = self.ambient_dim
+        terms = [(matalg.unvec_rows(self.pi_tilde_rows(rows), N), self.u_mat(s))
+                 for s, rows in parts.items()]
+        out = []
+        for k in range(len(terms[0][0])):
+            x = sp.csr_matrix((N, N), dtype=np.complex128)
+            for pis, u in terms:
+                x = x + pis[k] @ u
+            out.append(x.tocsr())
+        return out
+
+    def element_rows(self, parts) -> sp.csr_matrix:
+        """The rows vec(sum_s pi~(a_s) u~_s) of :meth:`elements`, with one right
+        multiplication by u~_s per s for the whole stack."""
+        N = self.ambient_dim
+        out = None
+        for s, rows in parts.items():
+            term = self.pi_tilde_rows(rows) @ matalg.right_mult_operator(self.u_mat(s), N)
+            out = term if out is None else out + term
         return out.tocsr()
 
     def _verify_covariance(self, tol: float):
@@ -288,9 +314,19 @@ class ActionCrossedProduct:
 
         Raises :class:`matalg.NotInSpan` if x is not in the crossed product.
         """
-        coeffs = self.span.coefficients(x, tol=tol)
-        e = self.group.identity_index
-        return self.base.element(coeffs.reshape(self.base.dim, self.group.order)[:, e])
+        n = self.base.ambient_dim
+        row = self.conditional_expectation_rows(matalg.vec_rows([x]), tol=tol)
+        return row.reshape(n, n).tocsr()
+
+    def conditional_expectation_rows(self, rows, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
+        """vec(a_e) for every stacked row vec(sum_s pi~(a_s) u~_s); raises
+        :class:`matalg.NotInSpan` if any row is farther than ``tol`` from the
+        crossed product."""
+        coeffs, resid = self.span.coefficients_rows(rows)
+        if tol is not None and resid > tol:
+            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
+        e_cols = np.arange(self.base.dim) * self.group.order + self.group.identity_index
+        return coeffs[:, e_cols] @ self.base.rows
 
 
 @dataclass(eq=False)
@@ -498,25 +534,28 @@ class CoactionCrossedProduct:
                             raise ActionInvalid("lam/chi multiplication identity fails")
 
         # Base leg: products and adjoints stay in the span with multiplying
-        # degrees.  Batched: for each j, expand b_i b_j for all i at once; the
-        # expansions are kept for the spanning-pair check below.
+        # degrees.  Batched: b_i b_j for all i and a chunk of j per sparse
+        # product; the expansions are kept for the spanning-pair check below.
         cache_cj: dict[int, tuple] = {}
 
-        def product_coeffs(j):
-            if j not in cache_cj:
-                bj = self.base.basis_matrix(j)
-                prod_rows = self.base.rows @ matalg.right_mult_operator(bj, n)
-                c_j, resid = self.base.coefficients_rows(prod_rows)
+        def expand_products(js):
+            todo = sorted(set(js) - cache_cj.keys())
+            for k0, prods in matalg.right_products(self.base.rows, self.base.rows[todo], n):
+                coeffs, resid = self.base.coefficients_rows(prods)
                 if resid > tol:
                     raise ActionInvalid("base algebra is not closed under products")
-                coo = c_j.tocoo()
+                coo = coeffs.tocoo()
                 keep = np.abs(coo.data) > 1e-14
-                cache_cj[j] = (coo.row[keep], coo.col[keep], coo.data[keep])
-            return cache_cj[j]
+                block, row = np.divmod(coo.row[keep], d)
+                col, val = coo.col[keep], coo.data[keep]
+                for q, j in enumerate(todo[k0 : k0 + coeffs.shape[0] // d]):
+                    sel = block == q
+                    cache_cj[j] = (row[sel], col[sel], val[sel])
 
         if not graded_checked:
+            expand_products(range(d))
             for j in range(d):
-                r_idx, c_idx, vals = product_coeffs(j)
+                r_idx, c_idx, vals = cache_cj[j]
                 keep = np.abs(vals) > tol
                 expected = G.table[self.degrees[r_idx[keep]], int(self.degrees[j])]
                 if np.any(self.degrees[c_idx[keep]] != expected):
@@ -532,8 +571,8 @@ class CoactionCrossedProduct:
             raise ActionInvalid("adjoint degree mismatch in the graded base")
         self._star_coeffs = star_coeffs
 
-        # Concrete spanning pairs: for each right factor (j, w), multiply the
-        # whole spanning set in one batched sparse product and compare with
+        # Concrete spanning pairs: multiply the whole spanning set by the right
+        # factors (j, w), a chunk of them per sparse product, and compare with
         # the rule.  Exhaustive over right factors up to pair_cap, sampled
         # beyond (the left factor always ranges over everything).
         N = self.ambient_dim
@@ -545,16 +584,26 @@ class CoactionCrossedProduct:
                 (int(rng.integers(d)), int(rng.integers(m))) for _ in range(24)
             ]
             self.pair_check_exhaustive = False
-        for j, w in right:
-            r_idx, c_idx, vals = product_coeffs(j)
-            mat_l = self.span.rows.getrow(j * m + w).reshape(N, N).tocsr()
-            lhs = self.span.rows @ matalg.right_mult_operator(mat_l, N)
-            u0 = G.mul(int(self.degrees[j]), w)
+        expand_products(j for j, _ in right)
+        factors = self.span.rows[[j * m + w for j, w in right]]
+        for k0, lhs in matalg.right_products(self.span.rows, factors, N):
+            chunk = right[k0 : k0 + lhs.shape[0] // total]
+            # Block q: (a_i, u)(a_j, w) = (a_i a_j, w) if u = deg(a_j) w, else 0.
+            rule_r, rule_c, rule_v = [], [], []
+            for q, (j, w) in enumerate(chunk):
+                r_idx, c_idx, vals = cache_cj[j]
+                u0 = G.mul(int(self.degrees[j]), w)
+                rule_r.append(q * total + r_idx * m + u0)
+                rule_c.append(c_idx * m + w)
+                rule_v.append(vals)
             rule = sp.csr_matrix(
-                (vals, (r_idx * m + u0, c_idx * m + w)), shape=(total, total)
+                (np.concatenate(rule_v), (np.concatenate(rule_r), np.concatenate(rule_c))),
+                shape=(len(chunk) * total, total),
             )
-            rhs = rule @ self.span.rows
-            if matalg.max_row_norm(lhs - rhs) > tol:
+            err = matalg.row_norms(lhs - rule @ self.span.rows).reshape(len(chunk), total)
+            bad = np.flatnonzero(err.max(axis=1) > tol)
+            if bad.size:
+                j, w = chunk[bad[0]]
                 raise ActionInvalid(
                     f"spanning multiplication rule fails against right factor ({j},{w})"
                 )

@@ -181,6 +181,28 @@ class Path:
         return (self.base, self.edges)
 
 
+def _out_neighbours_first(graph: DirectedGraph) -> list[int]:
+    """The vertices, each after all its out-neighbours; raises
+    :class:`GraphHasCycle` if there is no such order."""
+    cyc = graph.find_cycle()
+    if cyc is not None:
+        raise GraphHasCycle(f"graph has a cycle through vertices {cyc}", cycle=cyc)
+    return list(
+        graphlib.TopologicalSorter(
+            {i: {int(graph.rng[e]) for e in graph.out_edges(i)}
+             for i in range(graph.n_vertices)}
+        ).static_order()
+    )
+
+
+def count_sink_paths(graph: DirectedGraph) -> int:
+    """len(enumerate_sink_paths(graph)), counted without listing the paths."""
+    count: dict[int, int] = {}
+    for v in _out_neighbours_first(graph):
+        count[v] = int(graph.is_sink(v)) + sum(count[int(graph.rng[e])] for e in graph.out_edges(v))
+    return sum(count.values())
+
+
 def enumerate_sink_paths(graph: DirectedGraph) -> list[Path]:
     """All paths whose range is a sink, including length-0 paths at sinks.
 
@@ -189,18 +211,8 @@ def enumerate_sink_paths(graph: DirectedGraph) -> list[Path]:
     :class:`GraphHasCycle` if the graph has a cycle (the path space would be
     infinite).
     """
-    cyc = graph.find_cycle()
-    if cyc is not None:
-        raise GraphHasCycle(f"graph has a cycle through vertices {cyc}", cycle=cyc)
-    # Dynamic program: a vertex is processed after all its out-neighbors.
-    order = list(
-        graphlib.TopologicalSorter(
-            {i: {int(graph.rng[e]) for e in graph.out_edges(i)}
-             for i in range(graph.n_vertices)}
-        ).static_order()
-    )
     from_vertex: dict[int, list[tuple[int, ...]]] = {}
-    for v in order:
+    for v in _out_neighbours_first(graph):
         paths = [()] if graph.is_sink(v) else []
         for e in graph.out_edges(v):
             for tail in from_vertex[int(graph.rng[e])]:

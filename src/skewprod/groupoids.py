@@ -430,12 +430,23 @@ class GroupoidAlgebra:
 
     def represent(self, f) -> sp.csr_matrix:
         """pi(f) for a coefficient function on arrows."""
-        row = sp.csr_matrix(np.asarray(f, dtype=np.complex128).reshape(1, -1))
         n = self.groupoid.n_arrows
-        return (row @ self.span.rows).reshape(n, n).tocsr()
+        return self.represent_rows(np.reshape(f, (1, -1))).reshape(n, n).tocsr()
+
+    def represent_rows(self, fs) -> sp.csr_matrix:
+        """vec(pi(f)) for every row f of a stack of coefficient functions."""
+        return sp.csr_matrix(np.asarray(fs, dtype=np.complex128)) @ self.span.rows
 
     def to_function(self, mat, tol: float = matalg.PRODUCT_TOL) -> np.ndarray:
-        return self.span.coefficients(mat, tol=tol)
+        return self.to_functions(matalg.vec_rows([mat]), tol=tol)[0]
+
+    def to_functions(self, rows, tol: float = matalg.PRODUCT_TOL) -> np.ndarray:
+        """The coefficient function of every stacked row vec(pi(f)); raises
+        :class:`matalg.NotInSpan` if a row is farther than ``tol`` from C*(Q)."""
+        coeffs, resid = self.span.coefficients_rows(rows)
+        if tol is not None and resid > tol:
+            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
+        return coeffs.toarray()
 
     def convolve(self, f, g) -> np.ndarray:
         """(f g)(x) = sum over r(y) = r(x) of f(y) g(y^-1 x)."""
@@ -467,18 +478,13 @@ class GroupoidAlgebra:
         Q = self.groupoid
         n = Q.n_arrows
         rows = self.span.rows
-        for y in range(n):
-            my = self.span.basis_matrix(y)
-            lhs = rows @ matalg.right_mult_operator(my, n)
-            rule_rows, rule_cols, rule_data = [], [], []
-            for x in range(n):
-                if Q.s[x] == Q.r[y]:
-                    rule_rows.append(x)
-                    rule_cols.append(Q.mult[x, y])
-                    rule_data.append(1.0)
+        for y0, lhs in matalg.right_products(rows, rows, n):
+            ys = np.arange(y0, y0 + lhs.shape[0] // n)
+            # Block j: delta_x delta_y = delta_(xy) if s(x) = r(y), else 0; y = ys[j].
+            j, x = np.nonzero(Q.s[None, :] == Q.r[ys][:, None])
             rule = sp.csr_matrix(
-                (np.array(rule_data, dtype=np.complex128), (rule_rows, rule_cols)),
-                shape=(n, n),
+                (np.ones(len(x), dtype=np.complex128), (j * n + x, Q.mult[x, ys[j]])),
+                shape=(len(ys) * n, n),
             )
             if matalg.max_row_norm(lhs - rule @ rows) > tol:
                 raise GroupoidError("regular representation breaks the convolution")
@@ -676,6 +682,26 @@ def algebra_action_from_groupoid_action(
     return act
 
 
+def induced_algebra_action(action: GroupoidAction) -> AlgebraAction:
+    """beta on C*(R) for an action on R; built once and cached on the action."""
+    if not hasattr(action, "_beta"):
+        action._beta = algebra_action_from_groupoid_action(
+            convolution_algebra(action.groupoid), action
+        )
+    return action._beta
+
+
+def action_crossed_product(action: GroupoidAction) -> ActionCrossedProduct:
+    """C*(R) x_beta G for an action on R, at PRODUCT_TOL; built once and cached
+    on the action."""
+    if not hasattr(action, "_crossed"):
+        beta = induced_algebra_action(action)
+        action._crossed = ActionCrossedProduct(
+            beta.span, action.group, beta, tol=matalg.PRODUCT_TOL
+        )
+    return action._crossed
+
+
 def graded_convolution(alg: GroupoidAlgebra, c: Cocycle) -> GradedSpan:
     """The cocycle grading of a convolution algebra: delta_x has degree c(x)."""
     return GradedSpan(alg.span, c.values, c.group)
@@ -697,8 +723,7 @@ def kernel_embedding_check(
     rng = rng or np.random.default_rng(0)
     G = c.group
     keep = np.nonzero(c.values == G.identity_index)[0]
-    N_sub = subgroupoid_on_arrows(Q, keep)
-    alg_n = convolution_algebra(N_sub)
+    alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
     alg_q = convolution_algebra(Q)
 
     image = [alg_q.span.basis_matrix(int(k)) for k in keep]
@@ -731,6 +756,17 @@ def kernel_embedding_check(
     return out
 
 
+def kernel_subgroupoid(Q: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
+    """N = c^-1(e) as a subgroupoid of Q, Q itself when c is trivial; built
+    once and cached on the cocycle."""
+    if c.groupoid is not Q:
+        c = Cocycle(Q, c.group, c.values)
+    if not hasattr(c, "_kernel"):
+        keep = np.nonzero(c.values == c.group.identity_index)[0]
+        c._kernel = Q if len(keep) == Q.n_arrows else subgroupoid_on_arrows(Q, keep)
+    return c._kernel
+
+
 def subgroupoid_on_arrows(Q: FiniteGroupoid, keep) -> FiniteGroupoid:
     """The subgroupoid on a subset of arrows (must be closed under the
     operations and contain all unit arrows of the touched units)."""
@@ -759,17 +795,36 @@ def subgroupoid_on_arrows(Q: FiniteGroupoid, keep) -> FiniteGroupoid:
     return make_groupoid(unit_names, arrows, mult, inv)
 
 
-def _right_rule_coeffs(span: AlgebraSpan, l: int, tol: float) -> sp.csr_matrix:
-    """Coefficient matrix of right multiplication by basis element l."""
-    n = span.ambient_dim
-    mat_l = span.basis_matrix(l)
-    prods = span.rows @ matalg.right_mult_operator(mat_l, n)
-    coeffs, resid = span.coefficients_rows(prods)
-    if resid > tol:
-        raise GroupoidError("span is not closed under multiplication")
-    coeffs.data[np.abs(coeffs.data) < 1e-13] = 0.0
-    coeffs.eliminate_zeros()
-    return coeffs
+def _right_rule_coeffs(span: AlgebraSpan, factors, tol: float):
+    """Coefficient matrices of right multiplication by the basis elements
+    ``factors``, one chunk of them at a time: in each yielded matrix, rows
+    j d to (j + 1) d - 1 expand b_i b_l, i < d = dim, for the j-th l of the chunk."""
+    for _, prods in matalg.right_products(span.rows, span.rows[factors], span.ambient_dim):
+        coeffs, resid = span.coefficients_rows(prods)
+        if resid > tol:
+            raise GroupoidError("span is not closed under multiplication")
+        coeffs.data[np.abs(coeffs.data) < 1e-13] = 0.0
+        coeffs.eliminate_zeros()
+        yield coeffs
+
+
+def _crossed_index(R: FiniteGroupoid, G: FiniteGroup, semi: FiniteGroupoid) -> np.ndarray:
+    """The bijection delta_(x,s) -> basis (x, s) of C*(R) x_beta G: arrow k of
+    R x| G goes to crossed-product index i |G| + s, x = arrow i of R."""
+    perm = np.zeros(semi.n_arrows, dtype=np.int64)
+    for i, a in enumerate(R.arrows):
+        for t in G:
+            perm[semi.arrow_index((a, G.name(t)))] = i * G.order + t
+    return perm
+
+
+def _crossed_parts(alg: GroupoidAlgebra, G: FiniteGroup, perm: np.ndarray, fs) -> dict:
+    """Phi(f) = sum_s pi~(f_s) u~_s, f_s(x) = f(x, s), for stacked functions f
+    on R x| G: the stacked rows vec(pi(f_s)) of every f, keyed by s."""
+    coeffs = np.zeros((len(fs), len(perm)), dtype=np.complex128)
+    coeffs[:, perm] = fs
+    d = len(perm) // G.order
+    return {s: alg.represent_rows(coeffs[:, np.arange(d) * G.order + s]) for s in G}
 
 
 def certify_semi_cross(
@@ -790,23 +845,22 @@ def certify_semi_cross(
     semi = semidirect_product(R, G, action)
     lhs_alg = convolution_algebra(semi)
     base_alg = convolution_algebra(R)
-    beta = algebra_action_from_groupoid_action(base_alg, action)
-    acp = ActionCrossedProduct(base_alg.span, G, beta, tol=matalg.PRODUCT_TOL)
-    m = G.order
+    acp = action_crossed_product(action)
+    perm = _crossed_index(R, G, semi)
+    d = semi.n_arrows
 
-    # The bijection delta_(x,s) -> basis (x, s) of the crossed product.
-    perm = np.zeros(semi.n_arrows, dtype=np.int64)
-    for i, a in enumerate(R.arrows):
-        for t in G:
-            perm[semi.arrow_index((a, G.name(t)))] = i * m + t
-
+    # The right-multiplication rule of each delta_(x,s) against the rule of
+    # its image, transported back through the bijection; a chunk at a time.
     max_err = 0.0
-    for l in range(semi.n_arrows):
-        c_dom = _right_rule_coeffs(lhs_alg.span, l, tol)
-        c_img = _right_rule_coeffs(acp.span, int(perm[l]), tol)
-        # Transport the image rule back through the bijection.
-        c_img_back = c_img[perm][:, perm]
-        max_err = max(max_err, frobenius(c_dom - c_img_back))
+    for c_dom, c_img in zip(
+        _right_rule_coeffs(lhs_alg.span, np.arange(d), tol),
+        _right_rule_coeffs(acp.span, perm, tol),
+    ):
+        blocks = c_dom.shape[0] // d
+        back = (np.arange(blocks)[:, None] * d + perm[None, :]).ravel()
+        diff = (c_dom - c_img[back][:, perm]).tocsr()
+        for j in range(blocks):
+            max_err = max(max_err, frobenius(diff[j * d : (j + 1) * d]))
     # Involutions agree through the bijection.
     star_dom, resid = lhs_alg.span.coefficients_rows(
         matalg.star_columns(lhs_alg.span.rows, semi.n_arrows)
@@ -818,24 +872,18 @@ def certify_semi_cross(
     max_err = max(max_err, resid)
     max_err = max(max_err, frobenius(star_dom - star_img[perm][:, perm]))
 
-    conv_err = 0.0
+    # Phi(f g) = Phi(f) Phi(g) on four random pairs, drawn first: the rows
+    # (f, g, f g) of all pairs go through pi~ together, and each matrix is
+    # assembled as acp.element assembles one, so its products round the same.
+    draws = []
     for _ in range(4):
-        f = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        g = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        fg = lhs_alg.convolve(f, g)
-        phi = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
-        phig = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
-        phifg = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
-        for k, (a, tname) in enumerate(semi.arrows):
-            i, t = R.arrow_index(a), G.index(tname)
-            phi[t][i] = f[k]
-            phig[t][i] = g[k]
-            phifg[t][i] = fg[k]
-        lhs_mat = acp.element({s: base_alg.represent(phi[s]) for s in G}) @ acp.element(
-            {s: base_alg.represent(phig[s]) for s in G}
-        )
-        rhs_mat = acp.element({s: base_alg.represent(phifg[s]) for s in G})
-        conv_err = max(conv_err, frobenius(lhs_mat - rhs_mat))
+        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        draws += [f, g, lhs_alg.convolve(f, g)]
+    mats = acp.elements(_crossed_parts(base_alg, G, perm, np.array(draws)))
+    conv_err = 0.0
+    for k in range(0, len(mats), 3):
+        conv_err = max(conv_err, frobenius(mats[k] @ mats[k + 1] - mats[k + 2]))
 
     return IsomorphismCertificate(
         theorem="semi-cross",
@@ -913,8 +961,7 @@ def certify_gpd_iso(
     # Equivariance: Psi delta^_s = beta_s Psi on the spanning set, with both
     # actions realized concretely (Ad(1 x rho_s) and the translation action).
     dual = ccp.dual_action()
-    trans = translation_groupoid_action(skew, G)
-    beta = algebra_action_from_groupoid_action(skew_alg, trans)
+    beta = induced_algebra_action(translation_groupoid_action(skew, G))
     eq_err = 0.0
     for s_ in G:
         lhs = dual.coeff_mats[s_] @ sp.csr_matrix(
@@ -952,10 +999,7 @@ def certify_full_groupoid(
     Wedderburn-signature equality on top of the composed skew/semidirect
     isomorphism certificates."""
     skew = skew_product_groupoid(Q, G, c)
-    trans = translation_groupoid_action(skew, G)
-    skew_alg = convolution_algebra(skew)
-    beta = algebra_action_from_groupoid_action(skew_alg, trans)
-    acp = ActionCrossedProduct(skew_alg.span, G, beta, tol=matalg.PRODUCT_TOL)
+    acp = action_crossed_product(translation_groupoid_action(skew, G))
     alg = convolution_algebra(Q)
     target = matalg.tensor_span(
         alg.span, matalg.full_matrix_span(G.order), name="C*(Q) (x) M_G"
@@ -992,9 +1036,7 @@ def expectations_and_norm_identities(
     rng = rng or np.random.default_rng(0)
     base_alg = convolution_algebra(R)
     semi = semidirect_product(R, G, action)
-    semi_alg = convolution_algebra(semi)
-    beta = algebra_action_from_groupoid_action(base_alg, action)
-    acp = ActionCrossedProduct(base_alg.span, G, beta, tol=matalg.PRODUCT_TOL)
+    acp = action_crossed_product(action)
     out = {}
 
     err = 0.0
@@ -1013,19 +1055,21 @@ def expectations_and_norm_identities(
     off[R.unit_arrow] = 0.0
     out["off_units_ok"] = base_alg.unit_sup_norm(off) == 0.0
 
+    # (ii) on all draws, a chunk of stacked rows Phi(b) at a time; every row
+    # must lie in the crossed product (1e-6) and its expectation in C*(R).
+    draws = [
+        rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        for _ in range(n_random)
+    ]
+    perm = _crossed_index(R, G, semi)
     err = 0.0
-    m = G.order
-    for _ in range(n_random):
-        b = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        lhs = semi_alg.unit_sup_norm(b)
-        phi = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
-        for k, (a, tname) in enumerate(semi.arrows):
-            phi[G.index(tname)][R.arrow_index(a)] = b[k]
-        x = acp.element({s: base_alg.represent(phi[s]) for s in G})
-        expectation = acp.conditional_expectation(x, tol=1e-6)
-        f_e = base_alg.to_function(expectation)
-        rhs = base_alg.unit_sup_norm(f_e)
-        err = max(err, abs(lhs - rhs))
+    for k0 in range(0, n_random, matalg.CHUNK):
+        b = np.array(draws[k0 : k0 + matalg.CHUNK])
+        x_rows = acp.element_rows(_crossed_parts(base_alg, G, perm, b))
+        f_e = base_alg.to_functions(acp.conditional_expectation_rows(x_rows, tol=1e-6))
+        lhs = np.max(np.abs(b[:, semi.unit_arrow]), axis=1)
+        rhs = np.max(np.abs(f_e[:, R.unit_arrow]), axis=1)
+        err = max(err, float(np.max(np.abs(lhs - rhs))))
     out["red_semi_cross_error"] = err
     out["red_semi_cross_ok"] = err <= tol
 
@@ -1220,8 +1264,7 @@ def certify_equivalence(
             ):
                 keep.append(k)
         H = subgroupoid_on_arrows(skew, keep)
-        N_keep = np.nonzero(c.values == G.identity_index)[0]
-        N_sub = subgroupoid_on_arrows(Q, N_keep)
+        N_sub = kernel_subgroupoid(Q, c)
         carrier = list(Q.arrows)
         rho, sigma = [], []
         for y in range(Q.n_arrows):
@@ -1417,7 +1460,7 @@ def verify_bimodule_module_structure(
     evaluator = InnerProductEvaluator(Q, c)
     alg = evaluator.algebra
     N_keep = evaluator.n_keep
-    N_sub = subgroupoid_on_arrows(Q, N_keep)
+    N_sub = kernel_subgroupoid(Q, c)
     alg_n = convolution_algebra(N_sub)
     out = {}
 

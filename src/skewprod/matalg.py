@@ -27,6 +27,7 @@ import scipy.sparse as sp
 MAX_AMBIENT_DIM = 256
 PRODUCT_TOL = 1e-9  # equality of single products
 CLOSURE_TOL = 1e-7  # quantities accumulated over span closure
+CHUNK = 16  # factors or elements per batched sparse product; bounds its memory
 
 
 class DimensionMismatch(ValueError):
@@ -104,6 +105,29 @@ def star_columns(rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
 def right_mult_operator(g, n: int) -> sp.csr_matrix:
     """R -> R . M with row R = vec(X) giving vec(X g)."""
     return kron(sp.identity(n, format="csr", dtype=np.complex128), as_sparse(g))
+
+
+def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
+    """vec(X g) for every row vec(X) of ``rows`` and every row vec(g) of
+    ``factors``, CHUNK factors to one sparse product.
+
+    Yields (k0, prods) per chunk: with d = rows.shape[0], row j d + i of
+    ``prods`` is vec(X_i g_(k0 + j)), the row ``rows[i] @
+    right_mult_operator(g_(k0 + j), n)`` would give.
+    """
+    d = rows.shape[0]
+    x = rows.tocoo()
+    # Each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix.
+    tall = sp.csr_matrix((x.data, (x.row * n + x.col // n, x.col % n)), shape=(d * n, n))
+    factors = factors.tocsr()
+    for k0 in range(0, factors.shape[0], CHUNK):
+        f = factors[k0 : k0 + CHUNK].tocoo()
+        c = f.shape[0]
+        # Each factor g_j as the block columns j n .. j n + n - 1 of one n x (c n) matrix.
+        wide = sp.csr_matrix((f.data, (f.col // n, f.row * n + f.col % n)), shape=(n, c * n))
+        p = (tall @ wide).tocoo()
+        (i, a), (j, b) = divmod(p.row, n), divmod(p.col, n)
+        yield k0, sp.csr_matrix((p.data, (j * d + i, a * n + b)), shape=(c * d, n * n))
 
 
 def frobenius(mat) -> float:

@@ -149,6 +149,19 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     assert code == 2
 
 
+def test_max_dim_refuses_larger_inputs(capsys):
+    # chain2 has 3 paths ending at its sink; with Z3 the crossed product of
+    # the skew product acts on 3 * 3**2 = 27 dimensions.
+    argv = ["verify", "direct-iso", "-g", fx("chain2"), "-G", fx("z3")]
+    assert cli.main(argv + ["--max-dim", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: input needs ambient dimension 27, over --max-dim 4\n"
+    assert cli.main(argv + ["--max-dim", "27"]) == 0
+    code = cli.main(["gpd", "skew", "-q", fx("pair-groupoid"), "-G", fx("z2"), "--max-dim", "15"])
+    assert code == 2
+    assert "ambient dimension 16" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_unknown_label(capsys):
     # e1.json labels an edge by 'g', which the trivial group lacks.
     code = cli.main(["graph", "skew", "-g", fx("e1"), "-G", fx("trivial")])

@@ -64,6 +64,28 @@ class TestCoactionCrossedProduct:
             assert ccp.span.contains(ccp.j_g(u), tol=1e-9)
 
 
+    def test_spanning_check_names_first_failing_right_factor(self, chain2, z3, monkeypatch):
+        # 9 basis elements x 3 group elements = 27 right factors, so two chunks;
+        # factor 20 = (6, 2) sits in the second, with the same rule checked.
+        rc = coaction(ck_representation(chain2), z3, groups.make_labeling(
+            chain2, {"e1": "g", "e2": "g"}, z3))
+        assert CoactionCrossedProduct(rc.graded).pair_check_exhaustive
+        original = matalg.right_products
+
+        def planted(rows, factors, n):
+            for k0, prods in original(rows, factors, n):
+                d = rows.shape[0]
+                if k0 <= 20 < k0 + prods.shape[0] // d:
+                    prods = prods.tolil()
+                    prods[(20 - k0) * d, 0] += 1.0
+                    prods = prods.tocsr()
+                yield k0, prods
+
+        monkeypatch.setattr(matalg, "right_products", planted)
+        with pytest.raises(ActionInvalid, match=r"against right factor \(6,2\)$"):
+            CoactionCrossedProduct(rc.graded)
+
+
 class TestDualAction:
     def test_swaps_and_involution(self, e1_setup, z2):
         fam, rc, *_ = e1_setup

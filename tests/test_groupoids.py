@@ -422,3 +422,121 @@ def test_json_round_trip_tuple_ids(pair2, pair2_cocycle):
     back, _ = gpd.groupoid_from_json(skew.to_json())
     assert set(back.arrows) == set(skew.arrows)
     assert back.n_units == skew.n_units
+
+
+class TestBatchedChecks:
+    """The batched structure-constant, random-convolution and expectation
+    checks: planted defects next to the same call on correct input, and
+    loops over one element at a time as the oracle."""
+
+    @pytest.fixture
+    def setup(self, pair2, pair2_cocycle):
+        skew = skew_product_groupoid(pair2, Z2, pair2_cocycle)
+        return skew, translation_groupoid_action(skew, Z2)
+
+    def test_semidirect_of_trivial_action_fails_semi_cross(self, setup, monkeypatch):
+        skew, trans = setup
+        cert = certify_semi_cross(skew, Z2, trans)
+        assert cert.extra["structure_constants_ok"] and cert.extra["random_convolution_ok"]
+        trivial = gpd.GroupoidAction(skew, Z2, np.tile(np.arange(skew.n_arrows), (2, 1)))
+        original = gpd.semidirect_product
+        monkeypatch.setattr(gpd, "semidirect_product",
+                            lambda R, G, action: original(R, G, trivial))
+        cert = certify_semi_cross(skew, Z2, trans)
+        assert not cert.extra["structure_constants_ok"]
+        assert not cert.extra["random_convolution_ok"]
+        assert not cert.passed
+
+    def test_crossed_product_of_another_action_fails_expectations(self, setup, monkeypatch):
+        skew, trans = setup
+        assert expectations_and_norm_identities(skew, Z2, trans, n_random=20)["red_semi_cross_ok"]
+        other = transitive_groupoid(2, Z2)  # 8 arrows, as skew has
+        assert other.n_arrows == skew.n_arrows
+        other_acp = gpd.action_crossed_product(
+            gpd.GroupoidAction(other, Z2, np.tile(np.arange(other.n_arrows), (2, 1)))
+        )
+        monkeypatch.setattr(gpd, "action_crossed_product", lambda action: other_acp)
+        with pytest.raises((gpd.IdentityViolated, matalg.NotInSpan)):
+            expectations_and_norm_identities(skew, Z2, trans, n_random=20)
+
+    def test_errors_equal_the_per_element_loops(self, setup):
+        skew, trans = setup
+        cert = certify_semi_cross(skew, Z2, trans, rng=np.random.default_rng(5))
+        rep = expectations_and_norm_identities(
+            skew, Z2, trans, n_random=40, rng=np.random.default_rng(6)
+        )
+        structure, convolution = _semi_cross_loops(skew, Z2, trans, np.random.default_rng(5))
+        assert cert.extra["structure_error"] == structure
+        assert cert.extra["random_convolution_error"] == convolution
+        assert rep["red_semi_cross_error"] == _expectation_loop(
+            skew, Z2, trans, 40, np.random.default_rng(6)
+        )
+
+
+def _loop_parts(R, G, action):
+    semi = semidirect_product(R, G, action)
+    base = convolution_algebra(R)
+    beta = gpd.algebra_action_from_groupoid_action(base, action)
+    acp = gpd.ActionCrossedProduct(base.span, G, beta, tol=matalg.PRODUCT_TOL)
+    return semi, base, acp
+
+
+def _one_element(R, G, semi, base, acp, f):
+    phi = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
+    for k, (a, tname) in enumerate(semi.arrows):
+        phi[G.index(tname)][R.arrow_index(a)] = f[k]
+    out = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
+    for s in G:
+        out = out + acp.pi_tilde(base.represent(phi[s])) @ acp.u_mat(s)
+    return out
+
+
+def _semi_cross_loops(R, G, action, rng):
+    """structure_error and random_convolution_error, one element at a time."""
+    semi, base, acp = _loop_parts(R, G, action)
+    lhs_alg = convolution_algebra(semi)
+    perm = np.zeros(semi.n_arrows, dtype=np.int64)
+    for i, a in enumerate(R.arrows):
+        for t in G:
+            perm[semi.arrow_index((a, G.name(t)))] = i * G.order + t
+
+    def rule(span, l):
+        prods = span.rows @ matalg.right_mult_operator(span.basis_matrix(l), span.ambient_dim)
+        coeffs, _ = span.coefficients_rows(prods)
+        coeffs.data[np.abs(coeffs.data) < 1e-13] = 0.0
+        coeffs.eliminate_zeros()
+        return coeffs
+
+    err = 0.0
+    for l in range(semi.n_arrows):
+        back = rule(acp.span, int(perm[l]))[perm][:, perm]
+        err = max(err, matalg.frobenius(rule(lhs_alg.span, l) - back))
+    star_dom, resid_dom = lhs_alg.span.coefficients_rows(
+        matalg.star_columns(lhs_alg.span.rows, semi.n_arrows))
+    star_img, resid_img = acp.span.coefficients_rows(
+        matalg.star_columns(acp.span.rows, acp.ambient_dim))
+    err = max(err, resid_dom, resid_img, matalg.frobenius(star_dom - star_img[perm][:, perm]))
+
+    conv = 0.0
+    for _ in range(4):
+        f = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        g = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        fg = lhs_alg.convolve(f, g)
+        lhs = _one_element(R, G, semi, base, acp, f) @ _one_element(R, G, semi, base, acp, g)
+        conv = max(conv, matalg.frobenius(lhs - _one_element(R, G, semi, base, acp, fg)))
+    return err, conv
+
+
+def _expectation_loop(R, G, action, n_random, rng):
+    """red_semi_cross_error, one element at a time, after the same draws for (i)."""
+    semi, base, acp = _loop_parts(R, G, action)
+    for _ in range(max(8, n_random // 10)):
+        rng.standard_normal(R.n_arrows), rng.standard_normal(R.n_arrows)
+    err = 0.0
+    for _ in range(n_random):
+        b = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        x = _one_element(R, G, semi, base, acp, b)
+        f_e = base.to_function(acp.conditional_expectation(x, tol=1e-6))
+        lhs = float(np.max(np.abs(b[semi.unit_arrow])))
+        err = max(err, abs(lhs - base.unit_sup_norm(f_e)))
+    return err

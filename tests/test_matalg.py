@@ -175,6 +175,20 @@ class TestStarMapOnBasis:
         assert not report.passed
 
 
+def test_right_products_match_right_mult_operator():
+    n = 4
+    rows = sp.random(5, n * n, density=0.4, random_state=1, format="csr") * (1 + 2j)
+    factors = sp.random(matalg.CHUNK + 3, n * n, density=0.3, random_state=2, format="csr")
+    seen = []
+    for k0, prods in matalg.right_products(rows, factors, n):
+        for j in range(prods.shape[0] // rows.shape[0]):
+            g = factors[k0 + j].reshape(n, n)
+            want = (rows @ matalg.right_mult_operator(g, n)).toarray()
+            np.testing.assert_array_equal(prods[j * 5 : (j + 1) * 5].toarray(), want)
+            seen.append(k0 + j)
+    assert seen == list(range(factors.shape[0]))
+
+
 class TestTensorSpan:
     @staticmethod
     def kron_rows(a, b):

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from skewprod import crossed, duality, graphalg, groupoids, suite
 
 
@@ -41,6 +43,31 @@ def test_run_graph_case_builds_each_construction_once(monkeypatch):
     assert suite.run_graph_case(0).passed
     assert calls == {"coaction": 1, "ck_action_from_graph_action": 1,
                      "ActionCrossedProduct": 1}
+
+
+# Seed 0 draws a cocycle with N = c^-1(e) smaller than Q, seed 3 a trivial one (N = Q).
+@pytest.mark.parametrize("seed,algebras", [(0, 4), (3, 3)])
+def test_run_groupoid_case_builds_each_construction_once(monkeypatch, seed, algebras):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    original = groupoids.algebra_action_from_groupoid_action
+    for module in (crossed, groupoids, suite):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted("beta", original))
+    for name, cls in (("ActionCrossedProduct", crossed.ActionCrossedProduct),
+                      ("GroupoidAlgebra", groupoids.GroupoidAlgebra)):
+        monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
+    assert suite.run_groupoid_case(seed).passed
+    # One convolution algebra per distinct groupoid: Q, N, Q x_c G and its semidirect product.
+    assert calls == {"beta": 1, "ActionCrossedProduct": 1, "GroupoidAlgebra": algebras}
 
 
 def test_random_groupoid_within_caps(rng):
