@@ -34,6 +34,10 @@ if TYPE_CHECKING:
     from .graphalg import CKFamily
 
 
+# Spanning-set size up to which every spanning pair is multiplied out.
+_PAIR_CAP = 256
+
+
 class ActionInvalid(ValueError):
     pass
 
@@ -459,8 +463,7 @@ class CoactionCrossedProduct:
     """
 
     def __init__(self, graded: GradedSpan, tol: float = matalg.PRODUCT_TOL,
-                 name: str | None = None, pair_cap: int = 256,
-                 rng: np.random.Generator | None = None, graded_checked: bool = False):
+                 graded_checked: bool = False):
         self.graded = graded
         self.group: FiniteGroup = graded.group
         self.base: AlgebraSpan = graded.span
@@ -470,13 +473,11 @@ class CoactionCrossedProduct:
         self._lam, self._rho, self._chi = regular_matrices(G)
         self.span = AlgebraSpan(
             self.ambient_dim, graded.spanning_rows,
-            name=name or f"{self.base.name} x_delta G", check=True,
+            name=f"{self.base.name} x_delta G", check=True,
         )
         base_gens = self.base.generators or self.base.basis_matrices()
         self.span.generators = [self.j_a(g) for g in base_gens] + [self.j_g(u) for u in G]
-        self._verify_spanning_relations(
-            tol, pair_cap, rng or np.random.default_rng(0), graded_checked
-        )
+        self._verify_spanning_relations(tol, graded_checked)
 
     def spanning_matrix(self, i: int, u: int) -> sp.csr_matrix:
         return (
@@ -498,7 +499,7 @@ class CoactionCrossedProduct:
     def dim(self) -> int:
         return self.span.dim
 
-    def _verify_spanning_relations(self, tol, pair_cap, rng, graded_checked):
+    def _verify_spanning_relations(self, tol, graded_checked):
         """Verify (a_r, s)(a_t, u) = (a_r a_t, u) [s = t u] and
         (a_t, u)* = (a_t*, t u) on the spanning set.
 
@@ -506,7 +507,7 @@ class CoactionCrossedProduct:
         the group leg, the grading of products and adjoints in the base
         algebra (skipped when the caller has already verified the grading
         exhaustively), and concrete spanning-pair products (all pairs up to
-        ``pair_cap`` spanning elements, a random sample beyond that).
+        ``_PAIR_CAP`` spanning elements, a fixed-seed random sample beyond).
         """
         G = self.group
         m = G.order
@@ -573,13 +574,14 @@ class CoactionCrossedProduct:
 
         # Concrete spanning pairs: multiply the whole spanning set by the right
         # factors (j, w), a chunk of them per sparse product, and compare with
-        # the rule.  Exhaustive over right factors up to pair_cap, sampled
+        # the rule.  Exhaustive over right factors up to _PAIR_CAP, sampled
         # beyond (the left factor always ranges over everything).
         N = self.ambient_dim
-        if total <= pair_cap:
+        if total <= _PAIR_CAP:
             right = [(j, w) for j in range(d) for w in G]
             self.pair_check_exhaustive = True
         else:
+            rng = np.random.default_rng(0)
             right = [
                 (int(rng.integers(d)), int(rng.integers(m))) for _ in range(24)
             ]

@@ -20,7 +20,6 @@ identities).  The certified maps are:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +46,7 @@ from .matalg import (
 )
 
 DEFAULT_ISO_TOL = 1e-8
+_SIGNATURE_DIM_CAP = 600  # certify_direct_iso skips signatures above this dimension
 
 
 class CertificationFailed(RuntimeError):
@@ -109,44 +109,6 @@ class IsomorphismCertificate:
                 k: (list(v) if isinstance(v, tuple) else v) for k, v in self.extra.items()
             }
         return out
-
-    def raise_for_failure(self):
-        if not self.passed:
-            raise CertificationFailed(
-                f"{self.theorem}: certification failed: {json.dumps(self.as_dict())}"
-            )
-
-
-def _ck_relations_for(
-    graph: DirectedGraph, s_imgs: list, p_imgs: list, ambient: int, tol: float
-) -> float:
-    """Largest violation of the Cuntz-Krieger relations by a candidate family."""
-    err = 0.0
-    ident = sp.identity(ambient, format="csr", dtype=np.complex128)
-    total = sp.csr_matrix((ambient, ambient), dtype=np.complex128)
-    for v in range(graph.n_vertices):
-        pv = p_imgs[v]
-        total = total + pv
-        err = max(err, frobenius(pv @ pv - pv), frobenius(pv.conj().T - pv))
-        if pv.nnz == 0:
-            err = max(err, 1.0)
-    for v in range(graph.n_vertices):
-        for w in range(v + 1, graph.n_vertices):
-            err = max(err, frobenius(p_imgs[v] @ p_imgs[w]))
-    err = max(err, frobenius(total - ident))
-    for e in range(graph.n_edges):
-        se = s_imgs[e]
-        if se.nnz == 0:
-            err = max(err, 1.0)
-        err = max(err, frobenius(se.conj().T @ se - p_imgs[graph.rng[e]]))
-    for v in range(graph.n_vertices):
-        if graph.is_sink(v):
-            continue
-        acc = sp.csr_matrix((ambient, ambient), dtype=np.complex128)
-        for e in graph.out_edges(v):
-            acc = acc + s_imgs[e] @ s_imgs[e].conj().T
-        err = max(err, frobenius(acc - p_imgs[v]))
-    return err
 
 
 def _path_images(fam: CKFamily, edge_imgs: list, vertex_imgs: list) -> list:
@@ -288,7 +250,7 @@ def certify_eqvt_iso(
     # u_r = 1 (x) rho_r implements the dual action.
     edge_imgs, vertex_imgs, theta_u = parts.theta
 
-    ck_err = _ck_relations_for(skew, edge_imgs, vertex_imgs, m, tol)
+    ck_err = graphalg._ck_relations_for(skew, edge_imgs, vertex_imgs)
 
     image_rows = _basis_image_rows(fam_skew, edge_imgs, vertex_imgs, m)
 
@@ -350,7 +312,6 @@ def certify_direct_iso(
     labeling: Labeling,
     tol: float = DEFAULT_ISO_TOL,
     compute_signatures: bool = True,
-    signature_dim_cap: int = 600,
     rng: np.random.Generator | None = None,
     *,
     parts: DualityParts | None = None,
@@ -365,7 +326,7 @@ def certify_direct_iso(
     # Theta on generators.
     theta_edge, theta_vertex, theta_u = parts.theta
 
-    ck_err = _ck_relations_for(skew, theta_edge, theta_vertex, mt, tol)
+    ck_err = graphalg._ck_relations_for(skew, theta_edge, theta_vertex)
     # u_t t_(f,r) = t_(f, r t^-1) u_t: the covariance the universal property needs.
     cov_err = 0.0
     for t in G:
@@ -467,14 +428,11 @@ def certify_direct_iso(
     comp_err = max(comp_err, matalg.max_row_norm(theta_of_ups - h_rows))
 
     signatures = None
-    if compute_signatures:
-        if acp.dim <= signature_dim_cap:
-            signatures = {
-                "lhs": matalg.wedderburn_signature(acp.span, rng=rng),
-                "rhs": matalg.wedderburn_signature(target, rng=rng),
-            }
-        else:
-            signatures = None
+    if compute_signatures and acp.dim <= _SIGNATURE_DIM_CAP:
+        signatures = {
+            "lhs": matalg.wedderburn_signature(acp.span, rng=rng),
+            "rhs": matalg.wedderburn_signature(target, rng=rng),
+        }
 
     dims_ok = acp.dim == fam.dim * G.order**2 == target.dim
     return IsomorphismCertificate(

@@ -38,6 +38,40 @@ def _unit_csr(n: int, entries) -> sp.csr_matrix:
     )
 
 
+def _ck_relations_for(graph: DirectedGraph, s_imgs: list, p_imgs: list) -> float:
+    """Largest violation of the Cuntz-Krieger relations by a candidate family:
+    the p_v are mutually orthogonal nonzero projections summing to 1, each s_f
+    is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
+    out of each non-sink v."""
+    ambient = p_imgs[0].shape[0]
+    err = 0.0
+    ident = sp.identity(ambient, format="csr", dtype=np.complex128)
+    total = sp.csr_matrix((ambient, ambient), dtype=np.complex128)
+    for v in range(graph.n_vertices):
+        pv = p_imgs[v]
+        total = total + pv
+        err = max(err, frobenius(pv @ pv - pv), frobenius(pv.conj().T - pv))
+        if pv.nnz == 0:
+            err = max(err, 1.0)
+    for v in range(graph.n_vertices):
+        for w in range(v + 1, graph.n_vertices):
+            err = max(err, frobenius(p_imgs[v] @ p_imgs[w]))
+    err = max(err, frobenius(total - ident))
+    for e in range(graph.n_edges):
+        se = s_imgs[e]
+        if se.nnz == 0:
+            err = max(err, 1.0)
+        err = max(err, frobenius(se.conj().T @ se - p_imgs[graph.rng[e]]))
+    for v in range(graph.n_vertices):
+        if graph.is_sink(v):
+            continue
+        acc = sp.csr_matrix((ambient, ambient), dtype=np.complex128)
+        for e in graph.out_edges(v):
+            acc = acc + s_imgs[e] @ s_imgs[e].conj().T
+        err = max(err, frobenius(acc - p_imgs[v]))
+    return err
+
+
 class CKFamily:
     """The path-space Cuntz-Krieger family of a finite acyclic graph."""
 
@@ -103,32 +137,10 @@ class CKFamily:
     def verify(self, tol: float = 1e-12):
         """Exhaustively check the Cuntz-Krieger relations and that each
         canonical basis element equals its defining word s_mu p_w s_nu*."""
-        g = self.graph
+        err = _ck_relations_for(self.graph, self.s, self.p)
+        if err > tol:
+            raise CKRelationError(f"Cuntz-Krieger relations fail (error {err:.2e})")
         n = self.ambient_dim
-        ident = sp.identity(n, format="csr", dtype=np.complex128)
-        total = sum(self.p, sp.csr_matrix((n, n), dtype=np.complex128))
-        if frobenius(total - ident) > tol:
-            raise CKRelationError("vertex projections do not sum to the identity")
-        for v in range(g.n_vertices):
-            for w in range(v + 1, g.n_vertices):
-                if frobenius(self.p[v] @ self.p[w]) > tol:
-                    raise CKRelationError(f"p_{v} and p_{w} are not orthogonal")
-        for e in range(g.n_edges):
-            if self.s[e].nnz == 0:
-                raise CKRelationError(f"s for edge {g.edges[e].id!r} is zero")
-            lhs = self.s[e].conj().T @ self.s[e]
-            if frobenius(lhs - self.p[g.rng[e]]) > tol:
-                raise CKRelationError(f"s*s != p_r(f) for edge {g.edges[e].id!r}")
-        for v in range(g.n_vertices):
-            if self.p[v].nnz == 0:
-                raise CKRelationError(f"p for vertex {g.vertices[v]!r} is zero")
-            if g.is_sink(v):
-                continue
-            acc = sp.csr_matrix((n, n), dtype=np.complex128)
-            for e in g.out_edges(v):
-                acc = acc + self.s[e] @ self.s[e].conj().T
-            if frobenius(acc - self.p[v]) > tol:
-                raise CKRelationError(f"sum s s* != p at vertex {g.vertices[v]!r}")
         # Each sink-bound path word s_mu equals the matrix unit e_{mu, w},
         # where w is the length-0 path at the sink; hence every canonical
         # basis element e_{mu,nu} = e_{mu,w} e_{w,nu} equals s_mu s_nu*.
@@ -167,20 +179,7 @@ def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
         raise ValueError(f"|z| must be 1, got {abs(z)}")
     g = fam.graph
     n = fam.ambient_dim
-    ok = True
-    for e in range(g.n_edges):
-        se = z * fam.s[e]
-        if frobenius(se.conj().T @ se - fam.p[g.rng[e]]) > tol:
-            ok = False
-    for v in range(g.n_vertices):
-        if g.is_sink(v):
-            continue
-        acc = sp.csr_matrix((n, n), dtype=np.complex128)
-        for e in g.out_edges(v):
-            se = z * fam.s[e]
-            acc = acc + se @ se.conj().T
-        if frobenius(acc - fam.p[v]) > tol:
-            ok = False
+    ok = _ck_relations_for(g, [z * s for s in fam.s], fam.p) <= tol
 
     # alpha_z on the canonical basis: e_{mu,nu} -> z^(|mu|-|nu|) e_{mu,nu}.
     powers = np.array(

@@ -28,6 +28,8 @@ MAX_AMBIENT_DIM = 256
 PRODUCT_TOL = 1e-9  # equality of single products
 CLOSURE_TOL = 1e-7  # quantities accumulated over span closure
 CHUNK = 16  # factors or elements per batched sparse product; bounds its memory
+_CLOSURE_ROUNDS = 64  # breadth-first rounds before span_closure gives up
+_SIGNATURE_ATTEMPTS = 6  # random central elements wedderburn_signature tries
 
 
 class DimensionMismatch(ValueError):
@@ -44,12 +46,6 @@ class NotSemisimple(RuntimeError):
 
 class NotInSpan(ValueError):
     pass
-
-
-class NotWellDefined(ValueError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def as_sparse(mat) -> sp.csr_matrix:
@@ -282,10 +278,7 @@ def from_orthogonal(mats: Sequence, name: str = "algebra", generators=None) -> A
 
 
 def span_closure(
-    generators: Sequence,
-    tol: float = CLOSURE_TOL,
-    max_rounds: int = 64,
-    name: str = "algebra",
+    generators: Sequence, tol: float = CLOSURE_TOL, name: str = "algebra"
 ) -> AlgebraSpan:
     """Orthonormal basis of the smallest *-subalgebra containing the generators.
 
@@ -327,8 +320,8 @@ def span_closure(
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > max_rounds:
-            raise ClosureDiverged(f"span closure did not stabilize in {max_rounds} rounds")
+        if rounds > _CLOSURE_ROUNDS:
+            raise ClosureDiverged(f"span closure did not stabilize in {_CLOSURE_ROUNDS} rounds")
         if len(basis) > n * n:
             raise ClosureDiverged("basis exceeded ambient dimension; numerical drift")
         candidates = []
@@ -405,16 +398,6 @@ class StarMapReport:
             and self.injective
             and self.surjective is not False
         )
-
-    def raise_for_failure(self, context: str = "star map"):
-        if not self.well_defined:
-            raise NotWellDefined(
-                f"{context}: a linear relation among domain generators is violated "
-                f"in the image (max error {self.max_error:.2e})",
-                witness=self.witness,
-            )
-        if not self.passed:
-            raise ValueError(f"{context}: certification failed: {self}")
 
 
 def check_star_map(
@@ -629,20 +612,20 @@ def star_map_on_basis(
 
 
 def wedderburn_signature(
-    span: AlgebraSpan,
-    tol: float = CLOSURE_TOL,
-    rng: np.random.Generator | None = None,
-    max_retries: int = 6,
+    span: AlgebraSpan, rng: np.random.Generator | None = None
 ) -> tuple[int, ...]:
     """Sorted multiset of matrix-block sizes {n_1, ..., n_k}, Sum n_i^2 = dim.
 
     The center is found as the null space of the commutator Gram matrix
-    against the generators (or the basis); a random self-adjoint central
-    element is diagonalized and its eigenvalue clusters give the minimal
-    central projections.  Two *-closed spans are *-isomorphic iff their
-    signatures match.  Raises :class:`NotSemisimple` if the decomposition
-    does not reconcile, which for a genuine *-closed matrix algebra signals
-    numerical or input error.
+    against the generators (or the basis).  A random self-adjoint central
+    element z, built in coefficient space, is central in A = (+) M_{n_k} as
+    z = (+) z_k 1, so left multiplication by z on A, the Hermitian matrix
+    <b_i, z b_j> / (|b_i| |b_j|), has the eigenvalue z_k with multiplicity
+    n_k^2.  The block sizes are the square roots of its eigenvalue cluster
+    sizes.  Two *-closed spans are *-isomorphic iff their signatures match.
+    Raises :class:`NotSemisimple` if, on every attempt, the cluster count
+    differs from dim Z or a cluster size is not a square, which for a genuine
+    *-closed matrix algebra signals numerical or input error.
     """
     rng = rng or np.random.default_rng(0)
     d = span.dim
@@ -660,61 +643,36 @@ def wedderburn_signature(
         K += (r_t @ r_t.conj().T).toarray()
     w, v = np.linalg.eigh(K)
     scale = max(float(np.max(w)), 1.0)
-    null_mask = w <= tol * scale
+    null_mask = w <= CLOSURE_TOL * scale
     z_dim = int(np.sum(null_mask))
     if z_dim == 0:
         raise NotSemisimple("no central elements found (not even a unit)")
-    center_coeffs = v[:, null_mask]
 
-    # Compress onto the support of the algebra so eigenvalue clusters are
-    # not polluted by the ambient kernel.
-    bmats = span.basis_matrices()
-    N = np.zeros((n, n), dtype=np.complex128)
-    for b in bmats:
-        N += (b.conj().T @ b).toarray() + (b @ b.conj().T).toarray()
-    wn, vn = np.linalg.eigh(N)
-    support = vn[:, wn > tol * max(float(np.max(wn)), 1.0)]
-    r = support.shape[1]
-    compressed = [support.conj().T @ (b @ support) for b in bmats]
+    # Coefficients of the central elements z and of z*: b_i* = Sum_j S_ij b_j,
+    # so z* has the coefficients conj(c) S.  Each z gives the Hermitian parts
+    # (z + z*)/2 and (z - z*)/2i, in this order.
+    center = v[:, null_mask].T
+    star, _ = span.coefficients_rows(star_columns(span.rows, n))
+    adjoint = np.asarray(star.T @ center.conj().T).T
+    parts = np.empty((2 * z_dim, d), dtype=np.complex128)
+    parts[0::2] = (center + adjoint) / 2
+    parts[1::2] = (center - adjoint) / 2j
+    inv_norms = 1.0 / np.sqrt(span.norms2)
 
-    centers = []
-    for k in range(z_dim):
-        z = sum(center_coeffs[i, k] * compressed[i] for i in range(d))
-        centers.append((z + z.conj().T) / 2)
-        centers.append((z - z.conj().T) / 2j)
-
-    for attempt in range(max_retries):
-        zmat = sum(rng.standard_normal() * c for c in centers)
-        if np.linalg.norm(zmat) < tol:
+    for _ in range(_SIGNATURE_ATTEMPTS):
+        coeffs = rng.standard_normal(2 * z_dim) @ parts
+        z = (sp.csr_matrix(coeffs.reshape(1, d)) @ span.rows).reshape(n, n)
+        if frobenius(z) < CLOSURE_TOL:
             continue
-        vals, vecs = np.linalg.eigh(zmat)
-        spread = float(vals[-1] - vals[0]) if r > 1 else 0.0
-        gap = max(1e-8, 1e-6 * max(spread, 1.0))
-        clusters = []
-        start = 0
-        for i in range(1, r):
-            if vals[i] - vals[i - 1] > gap:
-                clusters.append((start, i))
-                start = i
-        clusters.append((start, r))
-        if len(clusters) != z_dim:
-            continue
-        sizes = []
-        ok = True
-        for lo, hi in clusters:
-            vk = vecs[:, lo:hi]
-            stacked = np.array([(vk.conj().T @ c @ vk).reshape(-1) for c in compressed])
-            gram = stacked @ stacked.conj().T
-            ev = np.linalg.eigvalsh(gram)
-            top = float(ev[-1]) if len(ev) else 1.0
-            rank = int(np.sum(ev > tol * max(1.0, top)))
-            nk = int(round(np.sqrt(rank)))
-            if nk * nk != rank:
-                ok = False
-                break
-            sizes.append(nk)
-        if ok and sum(s * s for s in sizes) == d:
-            return tuple(sorted(sizes))
+        left = span.rows @ sp.kron(z.T, eye, format="csr")  # rows vec(z b_j)
+        mult = (span.rows.conj() @ left.T).toarray() * np.outer(inv_norms, inv_norms)
+        vals = np.linalg.eigvalsh(mult)
+        gap = max(1e-8, 1e-6 * max(float(vals[-1] - vals[0]), 1.0))
+        cuts = np.flatnonzero(np.diff(vals) > gap) + 1
+        sizes = np.diff(np.concatenate(([0], cuts, [d])))
+        blocks = np.rint(np.sqrt(sizes)).astype(int)
+        if len(sizes) == z_dim and np.array_equal(blocks**2, sizes):
+            return tuple(sorted(int(b) for b in blocks))
     raise NotSemisimple(
         "center decomposition failed beyond tolerance; the span is either not "
         "*-closed or numerically degenerate"

@@ -164,6 +164,20 @@ class TestRandomizedSmallSuite:
             assert c1.lhs_dim == c1.rhs_dim
             assert c2.signatures["lhs"] == c2.signatures["rhs"]
 
+    def test_signatures_match_sink_path_counts(self, rng):
+        # C*(E) is the sum over sinks w of M_{n_w}, n_w the number of paths
+        # into w, and C*(E x_c G) x_gamma G = C*(E) (x) M_|G| has the blocks
+        # n_w |G|.
+        for _ in range(10):
+            E, G, lab = _random_instance(rng)
+            parts = duality.DualityParts(E, G, lab)
+            for fam in (parts.fam, parts.fam_skew):
+                sizes = tuple(sorted(fam.sink_block_sizes().values()))
+                assert matalg.wedderburn_signature(fam.span, rng=rng) == sizes
+            scaled = tuple(sorted(n * G.order for n in parts.fam.sink_block_sizes().values()))
+            assert matalg.wedderburn_signature(parts.acp.span, rng=rng) == scaled
+            assert matalg.wedderburn_signature(parts.target, rng=rng) == scaled
+
     def test_certificate_serializes(self, e1, z2, e1_z2_labeling):
         import json
 

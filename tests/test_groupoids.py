@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -347,6 +349,42 @@ class TestFullGroupoidTheorem:
         c = gpd.Cocycle(Q, Z3, np.zeros(Q.n_arrows, dtype=np.int64))
         cert = certify_full_groupoid(Q, Z3, c, rng=rng)
         assert cert.passed
+
+
+    def test_signatures_match_component_closed_form(self, rng):
+        # A transitive component with k units and abelian isotropy H (trivial,
+        # Z2 or Z3) gives |H| blocks M_k of C*(Q); both sides of the theorem
+        # have |H| blocks of size k |G| per component.
+        from skewprod.suite import random_cocycle, random_groupoid
+
+        for _ in range(10):
+            Q = random_groupoid(rng)
+            G = Z2 if rng.integers(2) == 0 else Z3
+            blocks = _component_blocks(Q)
+            sizes = tuple(sorted(k for k, h in blocks for _ in range(h)))
+            assert matalg.wedderburn_signature(convolution_algebra(Q).span, rng=rng) == sizes
+            cert = certify_full_groupoid(Q, G, random_cocycle(rng, Q, G), rng=rng)
+            scaled = tuple(sorted(k * G.order for k in sizes))
+            assert cert.signatures == {"lhs": scaled, "rhs": scaled}
+
+
+def _component_blocks(Q):
+    """(k, |H|) for each transitive component of Q, with k units and isotropy
+    H: the units are joined along r(x) ~ s(x), and a component with k units
+    has k^2 |H| arrows."""
+    root = list(range(Q.n_units))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for r, s in zip(Q.r, Q.s):
+        root[find(int(r))] = find(int(s))
+    comp = [find(u) for u in range(Q.n_units)]
+    units = Counter(comp)
+    arrows = Counter(comp[int(r)] for r in Q.r)
+    return [(k, arrows[c] // k**2) for c, k in units.items()]
 
 
 class TestCocycleOnRightConventionFixture:

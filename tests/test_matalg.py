@@ -251,3 +251,11 @@ class TestWedderburn:
         scrambled = [u @ m.toarray() @ u.conj().T for m in mats]
         span = span_closure(scrambled)
         assert wedderburn_signature(span, rng=rng) == (1, 2)
+
+    def test_rejects_span_that_is_not_star_closed(self):
+        # The upper-triangular algebra {E11, E12, E22} has the scalars as its
+        # centre, and left multiplication by a scalar has one eigenvalue of
+        # multiplicity 3, which is not a square.
+        span = from_orthogonal([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1), matrix_unit(2, 1, 1)])
+        with pytest.raises(matalg.NotSemisimple):
+            wedderburn_signature(span)
