@@ -30,22 +30,24 @@ for kind in ("semidirect", "subgroupoid"):
           "(pairs (u, t) with t in c of the arrows into u)")
 
 # ---------------------------------------------------------------------------
-# Inner products.  <delta_x12, delta_x12> is the unit function at the unit 2.
+# Inner products, each evaluated by the general formula and by the graded
+# simplification, which must agree.  <delta_x12, delta_x12> is the unit
+# function at the unit 2.
+evaluator = gpd.InnerProductEvaluator(Q, c)
 a = np.zeros(4); a[Q.arrow_index("x12")] = 1
-val, report = gpd.bimodule_inner_products(Q, c, a, a)
+val, report = evaluator(a, a)
 n_arrows = np.nonzero(c.values == Z2.identity_index)[0]
 print("\n<delta_x12, delta_x12> =",
       {Q.arrows[int(n)]: val[i].real for i, n in enumerate(n_arrows) if abs(val[i])})
 
 # Elements of different degrees are orthogonal: the termwise products vanish.
 b = np.zeros(4); b[Q.arrow_index("x11")] = 1
-val, _ = gpd.bimodule_inner_products(Q, c, a, b)
+val, _ = evaluator(a, b)
 print("<degree g, degree e> =", np.max(np.abs(val)))
 
 # The general formula agrees with sum_t a_t* b_t on random pairs, and the
 # choice of auxiliary element never matters.
 rng = np.random.default_rng(3)
-evaluator = gpd.InnerProductEvaluator(Q, c)
 worst = 0.0
 for _ in range(100):
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -42,6 +42,12 @@ class ActionInvalid(ValueError):
     pass
 
 
+def _conjugates(rows: sp.spmatrix, u_row: sp.spmatrix, n: int) -> sp.csr_matrix:
+    """vec(u X u*) for every row vec(X) of ``rows``, u given as the row vec(u)."""
+    _, right = next(matalg.right_products(rows, matalg.star_columns(u_row, n), n))
+    return next(matalg.left_products(right, u_row, n))[1]
+
+
 class AlgebraAction:
     """A finite-group action by *-automorphisms of an AlgebraSpan.
 
@@ -98,11 +104,9 @@ class AlgebraAction:
                 if frobenius(us[s] @ us[t] - us[G.mul(s, t)]) > tol:
                     raise ActionInvalid(f"{name}: U is not a homomorphism at ({s},{t})")
         mats = []
+        u_rows = matalg.vec_rows(us)
         for t in G:
-            u = us[t]
-            conj_op = sp.kron(u.T, u.conj().T, format="csr")
-            image_rows = span.rows @ conj_op
-            coeffs, resid = span.coefficients_rows(image_rows)
+            coeffs, resid = span.coefficients_rows(_conjugates(span.rows, u_rows[t], n))
             if resid > tol:
                 raise ActionInvalid(f"{name}: Ad(U_{t}) does not preserve the span")
             coeffs.data[np.abs(coeffs.data) < 1e-14] = 0.0
@@ -123,7 +127,7 @@ class AlgebraAction:
                 if frobenius(diff) > tol:
                     raise ActionInvalid(f"{self.name}: composition law fails at ({s},{t})")
         gens = self.span.generators or self.span.basis_matrices()
-        gen_rows = sp.vstack([as_sparse(g).reshape(1, n * n) for g in gens], format="csr")
+        gen_rows = matalg.vec_rows(gens)
         gen_coeffs, resid = self.span.coefficients_rows(gen_rows)
         if resid > tol:
             raise ActionInvalid(f"{self.name}: generators do not lie in the span")
@@ -288,21 +292,21 @@ class ActionCrossedProduct:
 
     def element_rows(self, parts) -> sp.csr_matrix:
         """The rows vec(sum_s pi~(a_s) u~_s) of :meth:`elements`, with one right
-        multiplication by u~_s per s for the whole stack."""
+        product by u~_s per s for the whole stack."""
         N = self.ambient_dim
         out = None
         for s, rows in parts.items():
-            term = self.pi_tilde_rows(rows) @ matalg.right_mult_operator(self.u_mat(s), N)
+            u_row = matalg.vec_rows([self.u_mat(s)])
+            _, term = next(matalg.right_products(self.pi_tilde_rows(rows), u_row, N))
             out = term if out is None else out + term
         return out.tocsr()
 
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
         G = self.group
+        u_rows = matalg.vec_rows([self.u_mat(s) for s in G])
         for s in G:
-            us = self.u_mat(s)
-            conj_op = sp.kron(us.T, us.conj().T, format="csr")
-            lhs = self._pi_rows @ conj_op
+            lhs = _conjugates(self._pi_rows, u_rows[s], self.ambient_dim)
             rhs = self.action.coeff_mats[s] @ self._pi_rows
             if matalg.max_row_norm(lhs - rhs) > tol:
                 raise ActionInvalid(
@@ -313,17 +317,9 @@ class ActionCrossedProduct:
     def dim(self) -> int:
         return self.span.dim
 
-    def conditional_expectation(self, x, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
-        """P(sum_s pi~(a_s) u~_s) = a_e, by trace pairing with the basis.
-
-        Raises :class:`matalg.NotInSpan` if x is not in the crossed product.
-        """
-        n = self.base.ambient_dim
-        row = self.conditional_expectation_rows(matalg.vec_rows([x]), tol=tol)
-        return row.reshape(n, n).tocsr()
-
     def conditional_expectation_rows(self, rows, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
-        """vec(a_e) for every stacked row vec(sum_s pi~(a_s) u~_s); raises
+        """P(sum_s pi~(a_s) u~_s) = a_e by trace pairing with the basis: vec(a_e)
+        for every stacked row vec(sum_s pi~(a_s) u~_s).  Raises
         :class:`matalg.NotInSpan` if any row is farther than ``tol`` from the
         crossed product."""
         coeffs, resid = self.span.coefficients_rows(rows)

@@ -128,18 +128,24 @@ def _path_images(fam: CKFamily, edge_imgs: list, vertex_imgs: list) -> list:
 
 def _basis_image_rows(fam: CKFamily, edge_imgs: list, vertex_imgs: list, m: int,
                       post=None) -> sp.csr_matrix:
-    """Rows vec(T(e_{mu,nu})) with T evaluated as the word s_mu s_nu*
-    (optionally right-multiplied by ``post[s]`` per group coordinate)."""
-    paths = _path_images(fam, edge_imgs, vertex_imgs)
-    rows = []
-    for i, j in fam.pairs:
-        mat = (paths[i] @ paths[j].conj().T).tocsr()
-        if post is None:
-            rows.append(mat.reshape(1, m * m))
-        else:
-            for q in post:
-                rows.append((mat @ q).reshape(1, m * m))
-    return sp.vstack(rows, format="csr")
+    """Rows vec(T(e_{mu,nu})) with T evaluated as the word s_mu s_nu*, in the
+    order of ``fam.pairs``; with ``post``, the row of pair k times ``post[s]``
+    sits at k |post| + s."""
+    words = matalg.vec_rows(_path_images(fam, edge_imgs, vertex_imgs))
+    # Every word times every adjoint word: row j P + i is w_i w_j*, w_i the
+    # word of path i and P the number of paths.
+    prods = sp.vstack([p for _, p in matalg.right_products(
+        words, matalg.star_columns(words, m), m)], format="csr")
+    pairs = np.array(fam.pairs, dtype=np.int64).reshape(-1, 2)
+    rows = prods[pairs[:, 1] * words.shape[0] + pairs[:, 0]]
+    if post is None:
+        return rows
+    # Pair k times post[s] sits at row s K + k, K the number of pairs; move it
+    # to k |post| + s.
+    prods = sp.vstack([p for _, p in matalg.right_products(rows, matalg.vec_rows(post), m)],
+                      format="csr")
+    k, s = np.divmod(np.arange(prods.shape[0]), len(post))
+    return prods[s * rows.shape[0] + k]
 
 
 def _skew_path_lookup(fam_skew: CKFamily, fam: CKFamily, G: FiniteGroup,
@@ -203,6 +209,14 @@ class DualityParts:
         """Theta's images of s_(f,r), p_(v,r) and u_t; see
         :func:`_theta_generator_images`."""
         return _theta_generator_images(self.fam, self.skew, self.G, self.labeling)
+
+    @cached_property
+    def theta_rows(self) -> sp.csr_matrix:
+        """Theta on the basis pi~(e_{mu,nu}) u~_s of ``acp``, as the rows
+        vec(s_mu s_nu* u_s) of the words in Theta's generator images."""
+        theta_edge, theta_vertex, theta_u = self.theta
+        return _basis_image_rows(self.fam_skew, theta_edge, theta_vertex,
+                                 self.fam.ambient_dim * self.G.order, post=theta_u)
 
     @cached_property
     def gact(self) -> GraphAction:
@@ -318,7 +332,7 @@ def certify_direct_iso(
 ) -> IsomorphismCertificate:
     """Certify C*(E x_c G) x_gamma G = C*(E) (x) M_|G| via Theta and Upsilon."""
     parts = _parts_for(parts, graph, G, labeling, tol)
-    fam, skew, fam_skew, gact = parts.fam, parts.skew, parts.fam_skew, parts.gact
+    fam, skew, gact = parts.fam, parts.skew, parts.gact
     acp, target = parts.acp, parts.target
     _, rho, chi = regular_matrices(G)
     mt = target.ambient_dim  # = P |G|
@@ -339,8 +353,7 @@ def certify_direct_iso(
             rhs = theta_vertex[gact.vertex(t, v_idx)] @ theta_u[t]
             cov_err = max(cov_err, frobenius(lhs - rhs))
 
-    # Theta on the crossed-product basis, as words.
-    image_rows = _basis_image_rows(fam_skew, theta_edge, theta_vertex, mt, post=theta_u)
+    image_rows = parts.theta_rows
 
     # Upsilon: y_r = sum_v p_(v,r), w_t = (y x u)(lam_t), t_f, q_v.  The
     # crossed product's generators are pi~(s_e), pi~(p_v) (in the order of
@@ -378,16 +391,10 @@ def certify_direct_iso(
         q_v.append(acc.tocsr())
 
     # Upsilon on the target basis e_{mu,nu} (x) E_{a,b} -> t_mu t_nu* y_a u_{a^-1 b}.
-    t_paths = _path_images(fam, t_f, q_v)
-    ups_rows = []
-    mG = G.order
-    for i, j in fam.pairs:
-        left = (t_paths[i] @ t_paths[j].conj().T).tocsr()
-        for a in G:
-            for b in G:
-                mat = left @ y[a] @ u[G.mul(G.inv(a), b)]
-                ups_rows.append(mat.reshape(1, acp.ambient_dim**2))
-    inverse_rows = sp.vstack(ups_rows, format="csr")
+    inverse_rows = _basis_image_rows(
+        fam, t_f, q_v, acp.ambient_dim,
+        post=[y[a] @ u[G.mul(G.inv(a), b)] for a in G for b in G],
+    )
 
     gen_pairs = list(zip(pi_s, theta_edge)) + list(zip(pi_p, theta_vertex))
     gen_pairs += list(zip(u, theta_u))
@@ -399,11 +406,11 @@ def certify_direct_iso(
     # Generator-level composition identities.
     comp_err = 0.0
     # Upsilon(Theta(g)): expand Theta(g) in the *target* basis, combine Upsilon rows.
-    timgs = sp.vstack([tg.reshape(1, mt * mt) for _, tg in gen_pairs], format="csr")
+    timgs = matalg.vec_rows([tg for _, tg in gen_pairs])
     c_target, resid = target.coefficients_rows(timgs)
     comp_err = max(comp_err, resid)
     ups_of_theta = c_target @ inverse_rows
-    doms = sp.vstack([g.reshape(1, acp.ambient_dim**2) for g, _ in gen_pairs], format="csr")
+    doms = matalg.vec_rows([g for g, _ in gen_pairs])
     comp_err = max(comp_err, matalg.max_row_norm(ups_of_theta - doms))
     # Theta(Upsilon(h)) for the target generators h = s_f (x) chi_r rho_t and
     # p_v (x) chi_r rho_t.
@@ -418,13 +425,10 @@ def certify_direct_iso(
             for t in G:
                 h_mats.append(kron(fam.p[v], chi[r] @ rho[t]))
                 ups_h.append(q_v[v] @ y[r] @ u[t])
-    ups_h_rows = sp.vstack(
-        [x.reshape(1, acp.ambient_dim**2) for x in ups_h], format="csr"
-    )
-    c_dom, resid = acp.span.coefficients_rows(ups_h_rows)
+    c_dom, resid = acp.span.coefficients_rows(matalg.vec_rows(ups_h))
     comp_err = max(comp_err, resid)
     theta_of_ups = c_dom @ image_rows
-    h_rows = sp.vstack([x.reshape(1, mt * mt) for x in h_mats], format="csr")
+    h_rows = matalg.vec_rows(h_mats)
     comp_err = max(comp_err, matalg.max_row_norm(theta_of_ups - h_rows))
 
     signatures = None
@@ -556,12 +560,9 @@ def certify_free_action(
         for s in G:
             basis_map[k * m + s] = int(pair_map[k]) * m + s
 
-    # Theta on the relabeled basis.
+    # Theta on the relabeled basis, as built for the inner certificate.
     theta_edge, theta_vertex, theta_u = parts.theta
-    image_rows_skew = _basis_image_rows(
-        fam_skew, theta_edge, theta_vertex, target.ambient_dim, post=theta_u
-    )
-    image_rows = image_rows_skew[basis_map]
+    image_rows = parts.theta_rows[basis_map]
 
     gen_pairs = []
     for e in range(graph.n_edges):

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import matalg
 from .crossed import GradedSpan, verify_graded_coaction
 from .graphs import DirectedGraph, EmptyGraph, Path, enumerate_sink_paths
-from .groups import FiniteGroup, Labeling, regular_matrices, regular_representations
+from .groups import FiniteGroup, Labeling, regular_matrices
 from .matalg import AlgebraSpan, frobenius, kron
 
 
@@ -250,7 +250,6 @@ class RepresentedCoaction:
     def __init__(self, fam: CKFamily, G: FiniteGroup, labeling: Labeling):
         self.fam = fam
         self.labeling = labeling
-        self.reps = regular_representations(G)
         self.graded = spectral_subspaces(fam, G, labeling)
         self._lam = regular_matrices(G)[0]
 

@@ -417,7 +417,7 @@ class GroupoidAlgebra:
             )
         self.span = AlgebraSpan(
             n,
-            sp.vstack([m.reshape(1, n * n) for m in mats], format="csr"),
+            matalg.vec_rows(mats),
             name="C*(Q)",
             check=True,
         )
@@ -436,9 +436,6 @@ class GroupoidAlgebra:
     def represent_rows(self, fs) -> sp.csr_matrix:
         """vec(pi(f)) for every row f of a stack of coefficient functions."""
         return sp.csr_matrix(np.asarray(fs, dtype=np.complex128)) @ self.span.rows
-
-    def to_function(self, mat, tol: float = matalg.PRODUCT_TOL) -> np.ndarray:
-        return self.to_functions(matalg.vec_rows([mat]), tol=tol)[0]
 
     def to_functions(self, rows, tol: float = matalg.PRODUCT_TOL) -> np.ndarray:
         """The coefficient function of every stacked row vec(pi(f)); raises
@@ -729,7 +726,7 @@ def kernel_embedding_check(
     image = [alg_q.span.basis_matrix(int(k)) for k in keep]
     report = matalg.star_map_on_basis(
         alg_n.span,
-        sp.vstack([m.reshape(1, Q.n_arrows**2) for m in image], format="csr"),
+        matalg.vec_rows(image),
         Q.n_arrows,
         [(alg_n.span.basis_matrix(i), image[i]) for i in range(alg_n.dim)],
         tol=max(tol, 1e-9),
@@ -1415,6 +1412,8 @@ class InnerProductEvaluator:
         return out
 
     def __call__(self, a, b, tol: float = 1e-9, all_y: bool = True):
+        """<a, b> as a coefficient function on the arrows of N = c^-1(e), and a
+        report; raises :class:`FormulaMismatch` if the two formulas disagree."""
         general, ambiguity = self.general_formula(a, b, tol=tol, all_y=all_y)
         simplified = self.simplified_formula(a, b, tol=tol)
         err = float(np.max(np.abs(general - simplified)))
@@ -1424,23 +1423,6 @@ class InnerProductEvaluator:
             "formula_agreement_error": err,
             "y_ambiguity": ambiguity,
         }
-
-
-def bimodule_inner_products(
-    Q: FiniteGroupoid,
-    c: Cocycle,
-    a,
-    b,
-    tol: float = 1e-9,
-) -> tuple[np.ndarray, dict]:
-    """Evaluate <a, b> in C_c(N) by the general equivalence formula and by the
-    graded simplification sum_t a_t* b_t, and assert they agree.
-
-    Returns the inner product as a coefficient function on the arrows of
-    N = c^-1(e), plus a report.  For repeated evaluations on one instance use
-    :class:`InnerProductEvaluator` directly.
-    """
-    return InnerProductEvaluator(Q, c)(a, b, tol=tol)
 
 
 def verify_bimodule_module_structure(

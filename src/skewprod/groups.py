@@ -8,12 +8,10 @@ order is capped at ``MAX_GROUP_ORDER``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from .matalg import as_sparse
+import scipy.sparse as sp
 
 MAX_GROUP_ORDER = 16
 
@@ -175,76 +173,23 @@ def klein_four_group() -> FiniteGroup:
     return make_group(table, elements=["e", "a", "b", "ab"])
 
 
-@dataclass(frozen=True)
-class GroupRepresentation:
-    """One of the three standard representations on C^G.
-
-    kind 'left-regular':  lam_s e_t = e_{st}
-    kind 'right-regular': rho_s e_t = e_{t s^-1}
-    kind 'projection':    chi_r = rank-one projection onto e_r
-
-    The right-regular convention is chosen so that rho_t chi_r = chi_{r t^-1} rho_t
-    holds on the nose.  All matrices have exact 0/1 integer entries.
-    """
-
-    group: FiniteGroup
-    kind: str
-
-    @property
-    def dimension(self) -> int:
-        return self.group.order
-
-    def matrix(self, k: int) -> np.ndarray:
-        G = self.group
-        n = G.order
-        m = np.zeros((n, n), dtype=np.int64)
-        if self.kind == "left-regular":
-            for t in range(n):
-                m[G.mul(k, t), t] = 1
-        elif self.kind == "right-regular":
-            kinv = G.inv(k)
-            for t in range(n):
-                m[G.mul(t, kinv), t] = 1
-        elif self.kind == "projection":
-            m[k, k] = 1
-        else:
-            raise ValueError(f"unknown representation kind {self.kind!r}")
-        return m
-
-
-@dataclass(frozen=True)
-class RegularRepresentations:
-    left: GroupRepresentation
-    right: GroupRepresentation
-    proj: GroupRepresentation
-
-    def lam(self, s: int) -> np.ndarray:
-        return self.left.matrix(s)
-
-    def rho(self, s: int) -> np.ndarray:
-        return self.right.matrix(s)
-
-    def chi(self, r: int) -> np.ndarray:
-        return self.proj.matrix(r)
-
-
-def regular_representations(G: FiniteGroup) -> RegularRepresentations:
-    """The bundle (lam, rho, chi) of regular representations of G."""
-    return RegularRepresentations(
-        GroupRepresentation(G, "left-regular"),
-        GroupRepresentation(G, "right-regular"),
-        GroupRepresentation(G, "projection"),
-    )
-
-
 def regular_matrices(G: FiniteGroup) -> tuple[list, list, list]:
-    """The lam, rho and chi matrices of every element, as sparse complex lists."""
-    reps = regular_representations(G)
-    return (
-        [as_sparse(reps.lam(t)) for t in G],
-        [as_sparse(reps.rho(t)) for t in G],
-        [as_sparse(reps.chi(t)) for t in G],
-    )
+    """The matrices of lam_s e_t = e_(st), rho_s e_t = e_(t s^-1) and chi_r, the
+    projection onto e_r, for every element, as sparse complex 0/1 lists.
+
+    The right-regular convention is chosen so that rho_t chi_r = chi_(r t^-1) rho_t
+    holds on the nose.
+    """
+    n = G.order
+    ones, cols = np.ones(n, dtype=np.complex128), np.arange(n)
+
+    def sends(targets):  # the permutation matrix e_t -> e_(targets[t])
+        return sp.csr_matrix((ones, (targets, cols)), shape=(n, n))
+
+    lam = [sends(G.table[s]) for s in G]
+    rho = [sends(G.table[:, G.inv(s)]) for s in G]
+    chi = [sp.csr_matrix((ones[:1], ([r], [r])), shape=(n, n)) for r in G]
+    return lam, rho, chi
 
 
 class Labeling:

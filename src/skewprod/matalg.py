@@ -2,8 +2,9 @@
 
 Algebras are stored as orthogonal bases under the trace inner product
 <a, b> = Tr(a* b), with matrices kept sparse (CSR) so that the certifiers
-scale to a few hundred ambient dimensions.  Vectorization is row-major, so
-vec(A X B) = (A kron B^T) vec(X).
+scale to a few hundred ambient dimensions.  Vectorization is row-major,
+vec(X)[i n + j] = X[i, j].  Stacked rows vec(X) are multiplied by matrices
+in one way only: :func:`right_products` and :func:`left_products`.
 
 Two routes certify *-maps:
 
@@ -75,7 +76,11 @@ def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:
 def vec_rows(mats: Sequence) -> sp.csr_matrix:
     """Stack vec(m) for each matrix as the rows of one sparse matrix."""
     n = mats[0].shape[0]
-    return sp.vstack([as_sparse(m).reshape(1, n * n) for m in mats], format="csr")
+    coos = [sp.coo_matrix(m) for m in mats]
+    row = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
+    col = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
+    data = np.concatenate([c.data for c in coos]).astype(np.complex128)
+    return sp.csr_matrix((data, (row, col)), shape=(len(coos), n * n))
 
 
 def unvec_rows(rows: sp.csr_matrix, n: int) -> list[sp.csr_matrix]:
@@ -98,18 +103,12 @@ def star_columns(rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
     )
 
 
-def right_mult_operator(g, n: int) -> sp.csr_matrix:
-    """R -> R . M with row R = vec(X) giving vec(X g)."""
-    return kron(sp.identity(n, format="csr", dtype=np.complex128), as_sparse(g))
-
-
 def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
     """vec(X g) for every row vec(X) of ``rows`` and every row vec(g) of
     ``factors``, CHUNK factors to one sparse product.
 
     Yields (k0, prods) per chunk: with d = rows.shape[0], row j d + i of
-    ``prods`` is vec(X_i g_(k0 + j)), the row ``rows[i] @
-    right_mult_operator(g_(k0 + j), n)`` would give.
+    ``prods`` is vec(X_i g_(k0 + j)).
     """
     d = rows.shape[0]
     x = rows.tocoo()
@@ -124,6 +123,14 @@ def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
         p = (tall @ wide).tocoo()
         (i, a), (j, b) = divmod(p.row, n), divmod(p.col, n)
         yield k0, sp.csr_matrix((p.data, (j * d + i, a * n + b)), shape=(c * d, n * n))
+
+
+def left_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
+    """vec(g X) for every row vec(X) of ``rows`` and every row vec(g) of
+    ``factors``, as vec((X* g*)*): :func:`right_products` of the adjoints,
+    with its chunks and its layout (row j d + i is vec(g_(k0 + j) X_i))."""
+    for k0, prods in right_products(star_columns(rows, n), star_columns(factors, n), n):
+        yield k0, star_columns(prods, n)
 
 
 def frobenius(mat) -> float:
@@ -220,9 +227,7 @@ class AlgebraSpan:
         return coeffs, worst
 
     def coefficients(self, mat, tol: float | None = None) -> np.ndarray:
-        n = self.ambient_dim
-        v = as_sparse(mat).reshape(1, n * n)
-        coeffs, resid = self.coefficients_rows(v)
+        coeffs, resid = self.coefficients_rows(vec_rows([mat]))
         if tol is not None and resid > tol:
             raise NotInSpan(f"element is not in {self.name} (residual {resid:.2e})")
         return coeffs.toarray().ravel()
@@ -242,28 +247,6 @@ class AlgebraSpan:
     def random_element(self, rng: np.random.Generator) -> sp.csr_matrix:
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         return self.element(c)
-
-    def unit(self, tol: float = CLOSURE_TOL) -> sp.csr_matrix:
-        """The unit of the algebra (its support projection), found by solving
-        u b_i = b_i for all i within the span."""
-        n = self.ambient_dim
-        # vec(u b_i) depends linearly on the coefficients of u: stack the
-        # right-multiplication images of the whole basis and least-square.
-        blocks = []
-        for i in range(self.dim):
-            b = self.basis_matrix(i)
-            blocks.append((self.rows @ right_mult_operator(b, n)).toarray())
-        A = np.concatenate(blocks, axis=1).T  # (dim*n^2, dim)
-        rhs = np.concatenate([self.rows.getrow(i).toarray().ravel() for i in range(self.dim)])
-        coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        u = self.element(coeffs)
-        err = max(
-            frobenius(u @ self.basis_matrix(i) - self.basis_matrix(i))
-            for i in range(self.dim)
-        )
-        if err > tol * max(1.0, float(np.sqrt(self.norms2.max()))):
-            raise NotInSpan(f"{self.name} has no unit inside the span")
-        return u
 
     def __repr__(self) -> str:
         return f"AlgebraSpan({self.name!r}, dim={self.dim}, ambient={self.ambient_dim})"
@@ -515,9 +498,10 @@ def star_map_on_basis(
     ``image_rows[i]`` is vec(T(b_i)) for the i-th basis element of ``domain``.
     For every generator pair (g, T(g)) the identities T(g b_i) = T(g) T(b_i)
     (and symmetrically on the right) are checked for all i at once by sparse
-    linear algebra; *-preservation is checked on the whole basis.  Since the
-    basis spans the domain and multiplication is bilinear, these checks verify
-    the homomorphism property on the entire algebra.
+    linear algebra, CHUNK generators to one product per side;
+    *-preservation is checked on the whole basis.  Since the basis spans the
+    domain and multiplication is bilinear, these checks verify the
+    homomorphism property on the entire algebra.
 
     If ``inverse_rows`` gives the candidate inverse on the target basis, the
     two coefficient matrices are composed to witness bijectivity; otherwise
@@ -540,35 +524,26 @@ def star_map_on_basis(
     rhs = s_coeffs @ image_rows
     errs["star"] = max_row_norm(lhs - rhs) / img_scale
 
-    # Generator consistency (batched) and multiplicativity (per generator).
+    # Generator consistency and multiplicativity, batched over the generators:
+    # each chunk of products g b_i (and b_i g) is expanded in the basis, pushed
+    # through T and compared with T(g) T(b_i) (and T(b_i) T(g)).
     errs["gen_consistency"] = 0.0
     errs["mult"] = 0.0
     errs["closure"] = 0.0
-    eye_n = sp.identity(n, format="csr", dtype=np.complex128)
-    eye_m = sp.identity(m, format="csr", dtype=np.complex128)
-    gens = [as_sparse(g) for g, _ in gen_pairs]
-    timgs = [as_sparse(tg) for _, tg in gen_pairs]
     if gen_pairs:
-        gen_rows = sp.vstack([g.reshape(1, n * n) for g in gens], format="csr")
-        timg_rows = sp.vstack([tg.reshape(1, m * m) for tg in timgs], format="csr")
+        gen_rows = vec_rows([g for g, _ in gen_pairs])
+        timg_rows = vec_rows([tg for _, tg in gen_pairs])
         coeffs, resid = domain.coefficients_rows(gen_rows)
         errs["closure"] = max(errs["closure"], resid)
         errs["gen_consistency"] = max_row_norm(coeffs @ image_rows - timg_rows) / img_scale
-    for g, tg in zip(gens, timgs):
-        # Left multiplication: rows of vec(g b_i).
-        left = domain.rows @ sp.kron(g.T, eye_n, format="csr")
-        c_left, resid = domain.coefficients_rows(left)
-        errs["closure"] = max(errs["closure"], resid)
-        lhs = image_rows @ sp.kron(tg.T, eye_m, format="csr")
-        rhs = c_left @ image_rows
-        errs["mult"] = max(errs["mult"], max_row_norm(lhs - rhs) / img_scale)
-        if check_right:
-            right = domain.rows @ sp.kron(eye_n, g, format="csr")
-            c_right, resid = domain.coefficients_rows(right)
-            errs["closure"] = max(errs["closure"], resid)
-            lhs = image_rows @ sp.kron(eye_m, tg, format="csr")
-            rhs = c_right @ image_rows
-            errs["mult"] = max(errs["mult"], max_row_norm(lhs - rhs) / img_scale)
+        sides = (left_products, right_products) if check_right else (left_products,)
+        for products in sides:
+            for (_, dom), (_, lhs) in zip(products(domain.rows, gen_rows, n),
+                                          products(image_rows, timg_rows, m)):
+                c_dom, resid = domain.coefficients_rows(dom)
+                errs["closure"] = max(errs["closure"], resid)
+                err = max_row_norm(lhs - c_dom @ image_rows) / img_scale
+                errs["mult"] = max(errs["mult"], err)
 
     # Membership in the target and bijectivity.
     surjective = None
@@ -632,15 +607,19 @@ def wedderburn_signature(
     if d == 0:
         return ()
     n = span.ambient_dim
-    tests = span.generators if span.generators else span.basis_matrices()
+    tests = vec_rows(span.generators) if span.generators else span.rows
 
-    eye = sp.identity(n, format="csr", dtype=np.complex128)
+    # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Each chunk of
+    # commutators, row j d + i, is laid out as the d x (c n^2) matrix whose
+    # row i holds the j-th commutator at columns j n^2 .. (j + 1) n^2 - 1.
     K = np.zeros((d, d), dtype=np.complex128)
-    for t in tests:
-        t = as_sparse(t)
-        op = sp.kron(eye, t, format="csr") - sp.kron(t.T, eye, format="csr")
-        r_t = span.rows @ op
-        K += (r_t @ r_t.conj().T).toarray()
+    for (_, bt), (_, tb) in zip(right_products(span.rows, tests, n),
+                                left_products(span.rows, tests, n)):
+        c = (bt - tb).tocoo()
+        j, i = np.divmod(c.row, d)
+        wide = sp.csr_matrix((c.data, (i, j * n * n + c.col)),
+                             shape=(d, c.shape[0] // d * n * n))
+        K += (wide @ wide.conj().T).toarray()
     w, v = np.linalg.eigh(K)
     scale = max(float(np.max(w)), 1.0)
     null_mask = w <= CLOSURE_TOL * scale
@@ -661,10 +640,10 @@ def wedderburn_signature(
 
     for _ in range(_SIGNATURE_ATTEMPTS):
         coeffs = rng.standard_normal(2 * z_dim) @ parts
-        z = (sp.csr_matrix(coeffs.reshape(1, d)) @ span.rows).reshape(n, n)
+        z = sp.csr_matrix(coeffs.reshape(1, d)) @ span.rows
         if frobenius(z) < CLOSURE_TOL:
             continue
-        left = span.rows @ sp.kron(z.T, eye, format="csr")  # rows vec(z b_j)
+        _, left = next(left_products(span.rows, z, n))  # rows vec(z b_j)
         mult = (span.rows.conj() @ left.T).toarray() * np.outer(inv_norms, inv_norms)
         vals = np.linalg.eigvalsh(mult)
         gap = max(1e-8, 1e-6 * max(float(vals[-1] - vals[0]), 1.0))

@@ -11,7 +11,7 @@ from skewprod.duality import (
 )
 from skewprod.graphalg import ck_representation
 from skewprod.graphs import DirectedGraph, skew_product, translation_action
-from skewprod.groups import regular_representations
+from skewprod.groups import regular_matrices
 
 
 class TestEqvtIso:
@@ -31,10 +31,8 @@ class TestEqvtIso:
     def test_equivariance_generator_display(self, e1, z2, e1_z2_labeling):
         # Phi(gamma_g(s_(f,e))) = (s_f, g) = delta^_g(Phi(s_(f,e))).
         fam = ck_representation(e1)
-        reps = regular_representations(z2)
-        lam = matalg.as_sparse(reps.lam(1))
-        chi = [matalg.as_sparse(reps.chi(t)) for t in z2]
-        rho = matalg.as_sparse(reps.rho(1))
+        lams, rhos, chi = regular_matrices(z2)
+        lam, rho = lams[1], rhos[1]
         phi_fe = matalg.kron(fam.s[0], lam @ chi[0])   # (s_f, e)
         phi_fg = matalg.kron(fam.s[0], lam @ chi[1])   # (s_f, g)
         eye = sp.identity(2, format="csr", dtype=np.complex128)
@@ -58,10 +56,10 @@ class TestDirectIso:
     def test_initial_projection_display(self, e1, z2, e1_z2_labeling):
         # Theta(t_(f,r))* Theta(t_(f,r)) = p_r(f) (x) chi_r.
         fam = ck_representation(e1)
-        reps = regular_representations(z2)
-        lam = matalg.as_sparse(reps.lam(1))
+        lams, _, chi = regular_matrices(z2)
+        lam = lams[1]
         for r in z2:
-            chi_r = matalg.as_sparse(reps.chi(r))
+            chi_r = chi[r]
             t_fr = matalg.kron(fam.s[0], lam @ chi_r)
             lhs = t_fr.conj().T @ t_fr
             rhs = matalg.kron(fam.p[1], chi_r)
@@ -88,8 +86,7 @@ class TestRegularDiagram:
         from skewprod.graphalg import coaction
 
         rc = coaction(fam, z2, e1_z2_labeling)
-        reps = regular_representations(z2)
-        chi = matalg.as_sparse(reps.chi(1))
+        chi = regular_matrices(z2)[2][1]
         eye = sp.identity(2, format="csr", dtype=np.complex128)
         route_b = rc.delta_vertex(0) @ matalg.kron(eye, chi)
         route_a = matalg.kron(fam.p[0], chi)
@@ -115,6 +112,25 @@ class TestDualityParts:
         for certify in (certify_eqvt_iso, certify_direct_iso, certify_regular_diagram):
             shared = certify(chain2, z3, lab, parts=parts)
             assert shared.as_dict() == certify(chain2, z3, lab).as_dict()
+
+    def test_batched_basis_images_are_the_per_pair_words(self):
+        # 5 paths into w, so 20 skew paths over Z4: the word products span two chunks.
+        graph = DirectedGraph(
+            ["u", "v", "w"],
+            [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w"), ("e4", "u", "w")],
+        )
+        G = groups.cyclic_group(4)
+        lab = groups.make_labeling(graph, {"e1": "g", "e2": "g^2", "e3": "g^3", "e4": "e"}, G)
+        parts = duality.DualityParts(graph, G, lab)
+        fam_skew, (edge_imgs, vertex_imgs, theta_u) = parts.fam_skew, parts.theta
+        assert len(fam_skew.paths) > matalg.CHUNK
+        words = duality._path_images(fam_skew, edge_imgs, vertex_imgs)
+        per_pair = [(words[i] @ words[j].conj().T).toarray() for i, j in fam_skew.pairs]
+        m = parts.fam.ambient_dim * G.order
+        plain = duality._basis_image_rows(fam_skew, edge_imgs, vertex_imgs, m)
+        np.testing.assert_array_equal(plain.toarray(), [w.ravel() for w in per_pair])
+        post = [(w @ q.toarray()).ravel() for w in per_pair for q in theta_u]
+        np.testing.assert_array_equal(parts.theta_rows.toarray(), post)
 
 
 class TestFreeAction:

@@ -174,7 +174,7 @@ class TestCoaction:
         lab = groups.Labeling(chain2, z3, rng.integers(0, 3, 2))
         fam = ck_representation(chain2)
         rc = coaction(fam, z3, lab)
-        lam = [rc.reps.lam(t) for t in z3]
+        lam = groups.regular_matrices(z3)[0]
         for k in range(fam.dim):
             t = int(rc.graded.degrees[k])
             b = fam.span.basis_matrix(k)

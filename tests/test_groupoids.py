@@ -16,7 +16,6 @@ from skewprod.groupoids import (
     GroupoidError,
     NotAssociativeGroupoid,
     NotAutomorphism,
-    bimodule_inner_products,
     certify_equivalence,
     certify_full_groupoid,
     certify_gpd_iso,
@@ -298,7 +297,7 @@ class TestBimoduleInnerProducts:
     def test_unit_value(self, pair2, pair2_cocycle):
         a = np.zeros(4)
         a[pair2.arrow_index("x12")] = 1
-        val, rep = bimodule_inner_products(pair2, pair2_cocycle, a, a)
+        val, rep = gpd.InnerProductEvaluator(pair2, pair2_cocycle)(a, a, tol=1e-9)
         # <delta_x12, delta_x12> = delta_x22, a unit function in C_c(N).
         n_keep = np.nonzero(pair2_cocycle.values == 0)[0]
         labels = [pair2.arrows[int(i)] for i in n_keep]
@@ -310,7 +309,7 @@ class TestBimoduleInnerProducts:
         a[pair2.arrow_index("x12")] = 1  # degree g
         b = np.zeros(4)
         b[pair2.arrow_index("x11")] = 1  # degree e
-        val, _ = bimodule_inner_products(pair2, pair2_cocycle, a, b)
+        val, _ = gpd.InnerProductEvaluator(pair2, pair2_cocycle)(a, b, tol=1e-9)
         assert np.max(np.abs(val)) == 0.0
 
     def test_formulas_agree_random(self, pair2, pair2_cocycle, rng):
@@ -539,7 +538,8 @@ def _semi_cross_loops(R, G, action, rng):
             perm[semi.arrow_index((a, G.name(t)))] = i * G.order + t
 
     def rule(span, l):
-        prods = span.rows @ matalg.right_mult_operator(span.basis_matrix(l), span.ambient_dim)
+        g = span.basis_matrix(l).toarray()
+        prods = matalg.vec_rows([b.toarray() @ g for b in span.basis_matrices()])
         coeffs, _ = span.coefficients_rows(prods)
         coeffs.data[np.abs(coeffs.data) < 1e-13] = 0.0
         coeffs.eliminate_zeros()
@@ -574,7 +574,8 @@ def _expectation_loop(R, G, action, n_random, rng):
     for _ in range(n_random):
         b = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
         x = _one_element(R, G, semi, base, acp, b)
-        f_e = base.to_function(acp.conditional_expectation(x, tol=1e-6))
+        f_e = base.to_functions(
+            acp.conditional_expectation_rows(matalg.vec_rows([x]), tol=1e-6))[0]
         lhs = float(np.max(np.abs(b[semi.unit_arrow])))
         err = max(err, abs(lhs - base.unit_sup_norm(f_e)))
     return err

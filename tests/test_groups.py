@@ -14,7 +14,7 @@ from skewprod.groups import (
     klein_four_group,
     make_group,
     make_labeling,
-    regular_representations,
+    regular_matrices,
     trivial_group,
 )
 
@@ -74,48 +74,48 @@ def test_json_round_trip():
 ALL_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group()]
 
 
+def dense_regular(G):
+    """lam, rho and chi of every element as dense arrays."""
+    return [[m.toarray() for m in mats] for mats in regular_matrices(G)]
+
+
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: f"order{g.order}")
 def test_regular_representation_laws(G):
-    reps = regular_representations(G)
+    lam, rho, chi = dense_regular(G)
     n = G.order
-    assert np.array_equal(reps.lam(G.identity_index), np.eye(n, dtype=np.int64))
+    assert np.array_equal(lam[G.identity_index], np.eye(n, dtype=np.int64))
     for s in G:
         for t in G:
-            assert np.array_equal(reps.lam(s) @ reps.lam(t), reps.lam(G.mul(s, t)))
-            assert np.array_equal(reps.rho(s) @ reps.rho(t), reps.rho(G.mul(s, t)))
+            assert np.array_equal(lam[s] @ lam[t], lam[G.mul(s, t)])
+            assert np.array_equal(rho[s] @ rho[t], rho[G.mul(s, t)])
             # lambda and rho commute elementwise.
-            assert np.array_equal(
-                reps.lam(s) @ reps.rho(t), reps.rho(t) @ reps.lam(s)
-            )
+            assert np.array_equal(lam[s] @ rho[t], rho[t] @ lam[s])
             # rho_t chi_r = chi_{r t^-1} rho_t.
-            assert np.array_equal(
-                reps.rho(t) @ reps.chi(s),
-                reps.chi(G.mul(s, G.inv(t))) @ reps.rho(t),
-            )
+            assert np.array_equal(rho[t] @ chi[s], chi[G.mul(s, G.inv(t))] @ rho[t])
 
 
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: f"order{g.order}")
 def test_projections_resolve_identity(G):
-    reps = regular_representations(G)
-    total = sum(reps.chi(r) for r in G)
+    _, _, chi = dense_regular(G)
+    total = sum(chi[r] for r in G)
     assert np.array_equal(total, np.eye(G.order, dtype=np.int64))
     for r in G:
         for r2 in G:
-            prod = reps.chi(r) @ reps.chi(r2)
-            assert np.all(prod == 0) if r != r2 else np.array_equal(prod, reps.chi(r))
+            prod = chi[r] @ chi[r2]
+            assert np.all(prod == 0) if r != r2 else np.array_equal(prod, chi[r])
 
 
 def test_z2_lambda_is_antidiagonal():
     # lam_s e_t = e_{st}, read off the Cayley table.
     G = cyclic_group(2)
-    lam_g = regular_representations(G).lam(1)
+    lam_g = dense_regular(G)[0][1]
     assert lam_g.tolist() == [[0, 1], [1, 0]]
 
 
 def test_z2_chi_covariance_example():
     G = cyclic_group(2)
-    reps = regular_representations(G)
-    assert np.array_equal(reps.rho(1) @ reps.chi(0), reps.chi(1) @ reps.rho(1))
+    _, rho, chi = dense_regular(G)
+    assert np.array_equal(rho[1] @ chi[0], chi[1] @ rho[1])
 
 
 class TestLabeling:

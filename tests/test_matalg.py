@@ -96,12 +96,6 @@ class TestAlgebraOps:
             diag = from_orthogonal([matrix_unit(2, 0, 0)])
             diag.coefficients(matrix_unit(2, 0, 1), tol=1e-9)
 
-    def test_unit(self):
-        span = from_orthogonal([matrix_unit(3, 0, 0), matrix_unit(3, 1, 1)])
-        u = span.unit()
-        expected = matrix_unit(3, 0, 0) + matrix_unit(3, 1, 1)
-        assert matalg.frobenius(u - expected) < 1e-8
-
 
 class TestCheckStarMap:
     def test_unitary_conjugation_passes(self, rng):
@@ -174,19 +168,73 @@ class TestStarMapOnBasis:
         report = star_map_on_basis(fam.span, image_rows, 2, gen_pairs, tol=1e-9)
         assert not report.passed
 
+    def test_detects_defect_seen_only_from_the_right(self):
+        # On M_2 with the one generator E_11, T(E_ij) = E_ij except
+        # T(E_21) = E_22 respects every left product E_11 b (both sides are
+        # 0 on the second row) but not E_21 E_11 = E_21 -> E_22 != E_22 E_11 = 0.
+        m2 = full_matrix_span(2)
+        k21 = 2  # full_matrix_span orders the units E_ij at row 2 i + j
+        image_rows = m2.rows.tolil()
+        image_rows[k21] = m2.rows[3]
+        gen_pairs = [(matrix_unit(2, 0, 0), matrix_unit(2, 0, 0))]
+        left_only = star_map_on_basis(m2, image_rows.tocsr(), 2, gen_pairs, check_right=False)
+        assert left_only.multiplicative
+        report = star_map_on_basis(m2, image_rows.tocsr(), 2, gen_pairs, check_right=True)
+        assert not report.multiplicative
+        assert report.notes["mult"] == 1.0
 
-def test_right_products_match_right_mult_operator():
-    n = 4
-    rows = sp.random(5, n * n, density=0.4, random_state=1, format="csr") * (1 + 2j)
-    factors = sp.random(matalg.CHUNK + 3, n * n, density=0.3, random_state=2, format="csr")
+    def test_detects_defect_in_second_generator_chunk(self):
+        # M_5 has 25 matrix-unit generators, so two chunks; only generator 20,
+        # in the second chunk, has a wrong image: T(g_20) = 2 g_20 while T is
+        # the identity on the basis.
+        m5 = full_matrix_span(5)
+        assert len(m5.generators) > 20 >= matalg.CHUNK
+        gen_pairs = [(g, 2 * g if k == 20 else g) for k, g in enumerate(m5.generators)]
+        for check_right in (False, True):
+            report = star_map_on_basis(m5, m5.rows, 5, gen_pairs, check_right=check_right)
+            assert not report.multiplicative
+            assert report.notes["mult"] == 1.0
+
+
+def test_vec_rows_stacks_row_major_vecs(rng):
+    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+            matrix_unit(3, 2, 1), np.zeros((3, 3)), sp.csr_matrix(np.arange(9.0).reshape(3, 3))]
+    rows = matalg.vec_rows(mats)
+    assert rows.dtype == np.complex128
+    np.testing.assert_array_equal(rows.toarray(), [matalg.as_dense(m).ravel() for m in mats])
+    for back, m in zip(matalg.unvec_rows(rows, 3), mats):
+        np.testing.assert_array_equal(back.toarray(), matalg.as_dense(m))
+
+
+def _complex_rows(k, n, seed):
+    """k random complex rows vec(X) of n x n matrices, no two entries alike."""
+    re = sp.random(k, n * n, density=0.4, random_state=seed, format="csr")
+    im = sp.random(k, n * n, density=0.4, random_state=seed + 1, format="csr")
+    return (re + 1j * im).tocsr()
+
+
+def _check_products(products, dense_product):
+    n, d = 4, 5
+    rows = _complex_rows(d, n, 1)
+    factors = _complex_rows(matalg.CHUNK + 3, n, 3)
     seen = []
-    for k0, prods in matalg.right_products(rows, factors, n):
-        for j in range(prods.shape[0] // rows.shape[0]):
-            g = factors[k0 + j].reshape(n, n)
-            want = (rows @ matalg.right_mult_operator(g, n)).toarray()
-            np.testing.assert_array_equal(prods[j * 5 : (j + 1) * 5].toarray(), want)
+    for k0, prods in products(rows, factors, n):
+        for j in range(prods.shape[0] // d):
+            g = factors[k0 + j].toarray().reshape(n, n)
+            for i in range(d):
+                want = dense_product(rows[i].toarray().reshape(n, n), g).ravel()
+                np.testing.assert_allclose(prods[j * d + i].toarray().ravel(), want,
+                                           rtol=0, atol=1e-14)
             seen.append(k0 + j)
     assert seen == list(range(factors.shape[0]))
+
+
+def test_right_products_match_dense_products():
+    _check_products(matalg.right_products, lambda x, g: x @ g)
+
+
+def test_left_products_match_dense_products():
+    _check_products(matalg.left_products, lambda x, g: g @ x)
 
 
 class TestTensorSpan:
