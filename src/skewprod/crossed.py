@@ -52,27 +52,16 @@ class AlgebraAction:
     """A finite-group action by *-automorphisms of an AlgebraSpan.
 
     Stored as coefficient matrices on the span basis: row i of
-    ``coeff_mats[t]`` expands gamma_t(b_i).  Verification certifies each
-    gamma_t as a bijective *-map (via the structured star-map check) and
-    checks the composition law gamma_s gamma_t = gamma_{st} exactly on
-    coefficients.
+    ``coeff_mats[t]`` expands gamma_t(b_i).  The constructor takes them as
+    given; :meth:`from_unitary_conjugation` builds and verifies them.
     """
 
-    def __init__(
-        self,
-        span: AlgebraSpan,
-        group: FiniteGroup,
-        coeff_mats,
-        tol: float = matalg.PRODUCT_TOL,
-        verify: bool = True,
-        name: str = "action",
-    ):
+    def __init__(self, span: AlgebraSpan, group: FiniteGroup, coeff_mats,
+                 name: str = "action"):
         self.span = span
         self.group = group
         self.coeff_mats = [m.tocsr() for m in coeff_mats]
         self.name = name
-        if verify:
-            self._verify(tol)
 
     @classmethod
     def from_unitary_conjugation(
@@ -112,53 +101,7 @@ class AlgebraAction:
             coeffs.data[np.abs(coeffs.data) < 1e-14] = 0.0
             coeffs.eliminate_zeros()
             mats.append(coeffs.tocsr())
-        return cls(span, group, mats, tol=tol, verify=False, name=name)
-
-    def _verify(self, tol: float):
-        G = self.group
-        d = self.span.dim
-        n = self.span.ambient_dim
-        eye = sp.identity(d, format="csr", dtype=np.complex128)
-        if frobenius(self.coeff_mats[G.identity_index] - eye) > tol:
-            raise ActionInvalid(f"{self.name}: identity element acts nontrivially")
-        for s in G:
-            for t in G:
-                diff = self.coeff_mats[s] @ self.coeff_mats[t] - self.coeff_mats[G.mul(s, t)]
-                if frobenius(diff) > tol:
-                    raise ActionInvalid(f"{self.name}: composition law fails at ({s},{t})")
-        gens = self.span.generators or self.span.basis_matrices()
-        gen_rows = matalg.vec_rows(gens)
-        gen_coeffs, resid = self.span.coefficients_rows(gen_rows)
-        if resid > tol:
-            raise ActionInvalid(f"{self.name}: generators do not lie in the span")
-        for t in G:
-            image_rows = self.coeff_mats[t] @ self.span.rows
-            img_gen_rows = (gen_coeffs @ self.coeff_mats[t]) @ self.span.rows
-            gen_pairs = [
-                (gens[k], img_gen_rows.getrow(k).reshape(n, n).tocsr())
-                for k in range(len(gens))
-            ]
-            report = matalg.star_map_on_basis(
-                self.span,
-                image_rows,
-                self.span.ambient_dim,
-                gen_pairs,
-                tol=tol,
-                target=self.span,
-                inverse_rows=self.coeff_mats[G.inv(t)] @ self.span.rows,
-            )
-            if not (report.passed and report.bijective):
-                raise ActionInvalid(
-                    f"{self.name}: element {t} is not a *-automorphism ({report})"
-                )
-
-    def apply_coeffs(self, t: int, coeffs: np.ndarray) -> np.ndarray:
-        row = sp.csr_matrix(np.asarray(coeffs, dtype=np.complex128).reshape(1, -1))
-        return (row @ self.coeff_mats[t]).toarray().ravel()
-
-    def apply(self, t: int, mat) -> sp.csr_matrix:
-        coeffs = self.span.coefficients(mat)
-        return self.span.element(self.apply_coeffs(t, coeffs))
+        return cls(span, group, mats, name=name)
 
     def image_rows(self, t: int) -> sp.csr_matrix:
         return self.coeff_mats[t] @ self.span.rows
@@ -191,7 +134,7 @@ def ck_action_from_graph_action(fam: CKFamily, action: GraphAction) -> AlgebraAc
     )
     # Batched over generators: row k of gen_rows is s_k for k < n_e, else p_(k - n_e).
     n_e, n_v = fam.graph.n_edges, fam.graph.n_vertices
-    gen_rows = matalg.vec_rows(list(fam.s) + list(fam.p))
+    gen_rows = fam.span.gen_rows
     coeffs, _ = fam.span.coefficients_rows(gen_rows)
     for t in G:
         moved = [action.edge(t, e) for e in range(n_e)]
@@ -245,14 +188,12 @@ class ActionCrossedProduct:
             (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
             shape=(d * m, N * N),
         )
-        self.span = AlgebraSpan(N, rows, name=name or f"{base.name} x G", check=True)
-        e = G.identity_index
-        self._pi_rows = self.span.rows[np.arange(d) * m + e]  # rows of pi~(b_i)
-        if base.generators is not None:
-            coeffs, _ = base.coefficients_rows(matalg.vec_rows(base.generators))
-            self.span.generators = matalg.unvec_rows(coeffs @ self._pi_rows, N) + [
-                self.u_mat(s) for s in G
-            ]
+        self._pi_rows = rows[np.arange(d) * m + G.identity_index]  # rows of pi~(b_i)
+        self._u_rows = matalg.vec_rows([self.u_mat(s) for s in G])
+        # Generators: pi~ of the base generators, then u~_s.
+        gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], format="csr")
+        self.span = AlgebraSpan(N, rows, gen_rows=gen_rows,
+                                name=name or f"{base.name} x G", check=True)
         self._verify_covariance(tol)
 
     def u_mat(self, s: int) -> sp.csr_matrix:
@@ -266,17 +207,8 @@ class ActionCrossedProduct:
         coeffs, _ = self.base.coefficients_rows(rows)
         return coeffs @ self._pi_rows
 
-    def pi_tilde(self, mat) -> sp.csr_matrix:
-        """pi~(a) = sum_t gamma_{t^-1}(a) (x) chi_t as a concrete matrix."""
-        row = self.pi_tilde_rows(matalg.vec_rows([mat]))
-        return row.reshape(self.ambient_dim, self.ambient_dim).tocsr()
-
-    def element(self, coeff_fn) -> sp.csr_matrix:
-        """sum_s pi~(a_s) u~_s for a mapping s -> base-algebra matrix."""
-        return self.elements({s: matalg.vec_rows([a]) for s, a in coeff_fn.items()})[0]
-
     def elements(self, parts) -> list[sp.csr_matrix]:
-        """:meth:`element` for k elements at once: ``parts`` maps s to the k
+        """sum_s pi~(a_s) u~_s for k elements at once: ``parts`` maps s to the k
         stacked rows vec(a_s).  pi~ is one product per s for the whole stack;
         each sum is then assembled term by term in the order of ``parts``."""
         N = self.ambient_dim
@@ -296,17 +228,14 @@ class ActionCrossedProduct:
         N = self.ambient_dim
         out = None
         for s, rows in parts.items():
-            u_row = matalg.vec_rows([self.u_mat(s)])
-            _, term = next(matalg.right_products(self.pi_tilde_rows(rows), u_row, N))
+            _, term = next(matalg.right_products(self.pi_tilde_rows(rows), self._u_rows[s], N))
             out = term if out is None else out + term
         return out.tocsr()
 
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
-        G = self.group
-        u_rows = matalg.vec_rows([self.u_mat(s) for s in G])
-        for s in G:
-            lhs = _conjugates(self._pi_rows, u_rows[s], self.ambient_dim)
+        for s in self.group:
+            lhs = _conjugates(self._pi_rows, self._u_rows[s], self.ambient_dim)
             rhs = self.action.coeff_mats[s] @ self._pi_rows
             if matalg.max_row_norm(lhs - rhs) > tol:
                 raise ActionInvalid(
@@ -378,13 +307,14 @@ class GradedSpan:
         collapse = sp.kron(sp.identity(self.span.dim, format="csr"), ones, format="csr")
         return (collapse @ self.spanning_rows).tocsr()
 
-    def delta(self, mat, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
-        """delta(a) through the basis expansion of a; raises
-        :class:`matalg.NotInSpan` when a is farther than ``tol`` from the span."""
-        coeffs = self.span.coefficients(mat, tol=tol)
-        N = self.span.ambient_dim * self.group.order
-        row = sp.csr_matrix(coeffs.reshape(1, -1)) @ self.delta_rows
-        return row.reshape(N, N).tocsr()
+    def delta(self, rows, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
+        """The rows vec(delta(a)) for every stacked row vec(a), through the basis
+        expansion; raises :class:`matalg.NotInSpan` when a row is farther than
+        ``tol`` from the span."""
+        coeffs, resid = self.span.coefficients_rows(rows)
+        if tol is not None and resid > tol:
+            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
+        return coeffs @ self.delta_rows
 
 
 def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
@@ -392,11 +322,10 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
 
     - delta is injective: the images of the basis are orthogonal and nonzero;
     - the coaction identity (delta (x) id) delta = (id (x) delta_G) delta holds
-      on every generator x (the basis when the span has none).  The C*(G) leg
-      of delta(x) is expanded in the lam basis, delta(x) = sum_t x_t (x) lam_t,
-      each x_t must be the degree-t component of x, and the two sides
-      sum_t delta(x_t) (x) lam_t and sum_t x_t (x) lam_t (x) lam_t must agree
-      at every lam_t of the third leg;
+      on every generator x.  The C*(G) leg of delta(x) is expanded in the lam
+      basis, delta(x) = sum_t x_t (x) lam_t, each x_t must be the degree-t
+      component of x, and the two sides sum_t delta(x_t) (x) lam_t and
+      sum_t x_t (x) lam_t (x) lam_t must agree at every lam_t of the third leg;
     - nondegeneracy, witnessed by delta(x_s)(1 (x) lam_{s^-1 t}) = x_s (x) lam_t.
 
     Returns the errors; raises :class:`ActionInvalid` if any check fails.
@@ -415,13 +344,15 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
     errs["injective"] = bool(np.all(np.abs(np.diag(gram)) > 0.5))
 
     ident_err = nondeg_err = 0.0
-    for x in span.generators or span.basis_matrices():
-        coeffs = span.coefficients(x)
-        dx = graded.delta(x).toarray()
+    all_coeffs = span.coefficients_rows(span.gen_rows)[0].toarray()
+    all_dx = matalg.unvec_rows(graded.delta(span.gen_rows), n * m)
+    for coeffs, dx in zip(all_coeffs, all_dx):
+        dx = dx.toarray()
         dxd = dx.reshape(n, m, n, m)
+        xs = [np.einsum("ab,iajb->ij", lam[t].conj(), dxd) / m for t in G]
+        dxs = matalg.unvec_rows(graded.delta(matalg.vec_rows(xs), tol=None), n * m)
         recon = np.zeros_like(dx)
-        for t in G:
-            x_t = np.einsum("ab,iajb->ij", lam[t].conj(), dxd) / m
+        for t, x_t, dx_t in zip(G, xs, dxs):
             component = span.element(np.where(graded.degrees == t, coeffs, 0)).toarray()
             ident_err = max(ident_err, float(np.linalg.norm(x_t - component)))
             if not x_t.any():
@@ -430,7 +361,6 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
             recon += x_t_lam
             # The lam_t term of the third leg: sum_t delta(x_t) (x) lam_t against
             # sum_t x_t (x) lam_t (x) lam_t.
-            dx_t = graded.delta(x_t, tol=None)
             ident_err = max(ident_err, float(np.linalg.norm(dx_t.toarray() - x_t_lam)))
             for r in G:
                 lhs = (dx_t @ shifts[G.mul(G.inv(t), r)]).toarray()
@@ -467,24 +397,14 @@ class CoactionCrossedProduct:
         G = self.group
         self.ambient_dim = self.base.ambient_dim * G.order
         self._lam, self._rho, self._chi = regular_matrices(G)
+        # Generators: j_A(a) = delta(a) for the base generators a, then j_G(chi_u).
+        gen_rows = sp.vstack([graded.delta(self.base.gen_rows),
+                              matalg.vec_rows([self.j_g(u) for u in G])], format="csr")
         self.span = AlgebraSpan(
-            self.ambient_dim, graded.spanning_rows,
+            self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
             name=f"{self.base.name} x_delta G", check=True,
         )
-        base_gens = self.base.generators or self.base.basis_matrices()
-        self.span.generators = [self.j_a(g) for g in base_gens] + [self.j_g(u) for u in G]
         self._verify_spanning_relations(tol, graded_checked)
-
-    def spanning_matrix(self, i: int, u: int) -> sp.csr_matrix:
-        return (
-            self.span.rows.getrow(i * self.group.order + u)
-            .reshape(self.ambient_dim, self.ambient_dim)
-            .tocsr()
-        )
-
-    def j_a(self, mat, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
-        """j_A = delta, the represented coaction."""
-        return self.graded.delta(mat, tol=tol)
 
     def j_g(self, u: int) -> sp.csr_matrix:
         """j_G(chi_u) = 1 (x) chi_u."""

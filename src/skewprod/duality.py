@@ -211,6 +211,34 @@ class DualityParts:
         return _theta_generator_images(self.fam, self.skew, self.G, self.labeling)
 
     @cached_property
+    def theta_gen_rows(self) -> sp.csr_matrix:
+        """The rows vec of Theta's images of s_(f,r), p_(v,r) and u_t, in this
+        order: the generator order of ``fam_skew`` and then of ``acp``."""
+        theta_edge, theta_vertex, theta_u = self.theta
+        return matalg.vec_rows(theta_edge + theta_vertex + theta_u)
+
+    @cached_property
+    def theta_side_errors(self) -> tuple[float, float]:
+        """(ck_error, covariance_error) of Theta's generator images: the
+        Cuntz-Krieger relations of t_(f,r), q_(v,r), and u_t t_g = t_(t.g) u_t
+        for every generator g of C*(E x_c G), one stacked comparison per t.
+        Since u_t is unitary, the second is also |u_t t_g u_t* - t_(t.g)|, the
+        equivariance error of Phi."""
+        skew, gact = self.skew, self.gact
+        theta_edge, theta_vertex, _ = self.theta
+        ck_err = graphalg._ck_relations_for(skew, theta_edge, theta_vertex)
+        n_e, n_g = skew.n_edges, skew.n_edges + skew.n_vertices
+        gens, us = self.theta_gen_rows[:n_g], self.theta_gen_rows[n_g:]
+        m = self.fam.ambient_dim * self.G.order
+        cov_err = 0.0
+        for t in self.G:
+            moved = np.concatenate([gact.eperm[t], n_e + gact.vperm[t]])
+            _, lhs = next(matalg.left_products(gens, us[t], m))
+            _, rhs = next(matalg.right_products(gens[moved], us[t], m))
+            cov_err = max(cov_err, matalg.max_row_norm(lhs - rhs))
+        return ck_err, cov_err
+
+    @cached_property
     def theta_rows(self) -> sp.csr_matrix:
         """Theta on the basis pi~(e_{mu,nu}) u~_s of ``acp``, as the rows
         vec(s_mu s_nu* u_s) of the words in Theta's generator images."""
@@ -262,9 +290,10 @@ def certify_eqvt_iso(
     # Generator images: s_(f,t) -> (s_f, t) = s_f (x) lam_c(f) chi_t, and
     # p_(v,t) -> (p_v, t) = p_v (x) chi_t, the same as Theta's; Theta's
     # u_r = 1 (x) rho_r implements the dual action.
-    edge_imgs, vertex_imgs, theta_u = parts.theta
-
-    ck_err = graphalg._ck_relations_for(skew, edge_imgs, vertex_imgs)
+    edge_imgs, vertex_imgs, _ = parts.theta
+    # Equivariance Phi gamma_r = delta^_r Phi, exactly on generators: as u_r
+    # is unitary, this is the covariance error of Theta's images.
+    ck_err, eq_err = parts.theta_side_errors
 
     image_rows = _basis_image_rows(fam_skew, edge_imgs, vertex_imgs, m)
 
@@ -281,31 +310,17 @@ def certify_eqvt_iso(
             perm[k * G.order + u] = skew_pair
     inverse_rows = fam_skew.span.rows[perm]
 
-    gen_pairs = list(zip(fam_skew.s, edge_imgs)) + list(zip(fam_skew.p, vertex_imgs))
     report = matalg.star_map_on_basis(
         fam_skew.span,
         image_rows,
         m,
-        gen_pairs,
+        fam_skew.span.gen_rows,
+        parts.theta_gen_rows[:fam_skew.span.gen_rows.shape[0]],
         tol=tol,
         target=ccp.span,
         inverse_rows=inverse_rows,
         check_right=False,
     )
-
-    # Equivariance Phi gamma_r = delta^_r Phi, exactly on generators.
-    gact = parts.gact
-    eq_err = 0.0
-    for r in G:
-        ad = theta_u[r]
-        for e_idx in range(skew.n_edges):
-            lhs = edge_imgs[gact.edge(r, e_idx)]
-            rhs = ad @ edge_imgs[e_idx] @ ad.conj().T
-            eq_err = max(eq_err, frobenius(lhs - rhs))
-        for v_idx in range(skew.n_vertices):
-            lhs = vertex_imgs[gact.vertex(r, v_idx)]
-            rhs = ad @ vertex_imgs[v_idx] @ ad.conj().T
-            eq_err = max(eq_err, frobenius(lhs - rhs))
 
     return IsomorphismCertificate(
         theorem="eqvt-iso",
@@ -332,36 +347,22 @@ def certify_direct_iso(
 ) -> IsomorphismCertificate:
     """Certify C*(E x_c G) x_gamma G = C*(E) (x) M_|G| via Theta and Upsilon."""
     parts = _parts_for(parts, graph, G, labeling, tol)
-    fam, skew, gact = parts.fam, parts.skew, parts.gact
+    fam, skew = parts.fam, parts.skew
     acp, target = parts.acp, parts.target
     _, rho, chi = regular_matrices(G)
     mt = target.ambient_dim  # = P |G|
 
-    # Theta on generators.
-    theta_edge, theta_vertex, theta_u = parts.theta
-
-    ck_err = graphalg._ck_relations_for(skew, theta_edge, theta_vertex)
-    # u_t t_(f,r) = t_(f, r t^-1) u_t: the covariance the universal property needs.
-    cov_err = 0.0
-    for t in G:
-        for e_idx in range(skew.n_edges):
-            lhs = theta_u[t] @ theta_edge[e_idx]
-            rhs = theta_edge[gact.edge(t, e_idx)] @ theta_u[t]
-            cov_err = max(cov_err, frobenius(lhs - rhs))
-        for v_idx in range(skew.n_vertices):
-            lhs = theta_u[t] @ theta_vertex[v_idx]
-            rhs = theta_vertex[gact.vertex(t, v_idx)] @ theta_u[t]
-            cov_err = max(cov_err, frobenius(lhs - rhs))
-
+    # Theta on generators: the Cuntz-Krieger relations, and u_t t_(f,r) =
+    # t_(f, r t^-1) u_t, the covariance the universal property needs.
+    ck_err, cov_err = parts.theta_side_errors
     image_rows = parts.theta_rows
 
     # Upsilon: y_r = sum_v p_(v,r), w_t = (y x u)(lam_t), t_f, q_v.  The
     # crossed product's generators are pi~(s_e), pi~(p_v) (in the order of
     # fam_skew's generators) and then u_t.
     n_se, n_sv = skew.n_edges, skew.n_vertices
-    pi_s = acp.span.generators[:n_se]
-    pi_p = acp.span.generators[n_se:n_se + n_sv]
-    u = acp.span.generators[n_se + n_sv:]
+    acp_gens = matalg.unvec_rows(acp.span.gen_rows, acp.ambient_dim)
+    pi_s, pi_p, u = acp_gens[:n_se], acp_gens[n_se:n_se + n_sv], acp_gens[n_se + n_sv:]
     y = []
     for r in G:
         acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
@@ -396,22 +397,16 @@ def certify_direct_iso(
         post=[y[a] @ u[G.mul(G.inv(a), b)] for a in G for b in G],
     )
 
-    gen_pairs = list(zip(pi_s, theta_edge)) + list(zip(pi_p, theta_vertex))
-    gen_pairs += list(zip(u, theta_u))
     report = matalg.star_map_on_basis(
-        acp.span, image_rows, mt, gen_pairs, tol=tol, target=target,
-        inverse_rows=inverse_rows, check_right=False,
+        acp.span, image_rows, mt, acp.span.gen_rows, parts.theta_gen_rows, tol=tol,
+        target=target, inverse_rows=inverse_rows, check_right=False,
     )
 
     # Generator-level composition identities.
-    comp_err = 0.0
     # Upsilon(Theta(g)): expand Theta(g) in the *target* basis, combine Upsilon rows.
-    timgs = matalg.vec_rows([tg for _, tg in gen_pairs])
-    c_target, resid = target.coefficients_rows(timgs)
-    comp_err = max(comp_err, resid)
+    c_target, comp_err = target.coefficients_rows(parts.theta_gen_rows)
     ups_of_theta = c_target @ inverse_rows
-    doms = matalg.vec_rows([g for g, _ in gen_pairs])
-    comp_err = max(comp_err, matalg.max_row_norm(ups_of_theta - doms))
+    comp_err = max(comp_err, matalg.max_row_norm(ups_of_theta - acp.span.gen_rows))
     # Theta(Upsilon(h)) for the target generators h = s_f (x) chi_r rho_t and
     # p_v (x) chi_r rho_t.
     h_mats, ups_h = [], []
@@ -560,32 +555,27 @@ def certify_free_action(
         for s in G:
             basis_map[k * m + s] = int(pair_map[k]) * m + s
 
-    # Theta on the relabeled basis, as built for the inner certificate.
-    theta_edge, theta_vertex, theta_u = parts.theta
+    # Theta on the relabeled basis and generators, as built for the inner
+    # certificate: the generators of acp_f are pi~(s_e), pi~(p_v), u_t, and
+    # those of the inner crossed product pi~(s_(f,r)), pi~(p_(v,r)), u_t.
     image_rows = parts.theta_rows[basis_map]
-
-    gen_pairs = []
-    for e in range(graph.n_edges):
-        skew_e = fam_skew.graph.edge_index(iso.edge(graph.edges[e].id))
-        gen_pairs.append((acp_f.pi_tilde(fam_f.s[e]), theta_edge[skew_e]))
-    for v in range(graph.n_vertices):
-        skew_v = fam_skew.graph.vertex_index(iso.vertex(graph.vertices[v]))
-        gen_pairs.append((acp_f.pi_tilde(fam_f.p[v]), theta_vertex[skew_v]))
-    for t in G:
-        gen_pairs.append((acp_f.u_mat(t), theta_u[t]))
+    n_se, n_sv = fam_skew.graph.n_edges, fam_skew.graph.n_vertices
+    gen_map = [fam_skew.graph.edge_index(iso.edge(edge.id)) for edge in graph.edges]
+    gen_map += [n_se + fam_skew.graph.vertex_index(iso.vertex(v)) for v in graph.vertices]
+    gen_map += [n_se + n_sv + t for t in G]
 
     report = matalg.star_map_on_basis(
-        acp_f.span, image_rows, target.ambient_dim, gen_pairs, tol=tol, target=target,
-        check_right=False,
+        acp_f.span, image_rows, target.ambient_dim, acp_f.span.gen_rows,
+        parts.theta_gen_rows[gen_map], tol=tol, target=target, check_right=False,
     )
 
     # beta_t(s_f) = s_{t.f} is respected by the transported generators.
+    s_rows = fam_f.span.gen_rows[:graph.n_edges]
+    s_coeffs, _ = fam_f.span.coefficients_rows(s_rows)
     beta_err = 0.0
     for t in G:
-        for e in range(graph.n_edges):
-            lhs = beta.apply(t, fam_f.s[e])
-            rhs = fam_f.s[action.edge(t, e)]
-            beta_err = max(beta_err, frobenius(lhs - rhs))
+        moved = s_coeffs @ beta.coeff_mats[t] @ fam_f.span.rows
+        beta_err = max(beta_err, matalg.max_row_norm(moved - s_rows[action.eperm[t]]))
 
     signatures = None
     if compute_signatures:

@@ -113,7 +113,7 @@ class CKFamily:
             (data, (np.arange(len(self.pairs)), rows)), shape=(len(self.pairs), n * n)
         )
         self._span = AlgebraSpan(
-            n, basis, generators=list(self.s) + list(self.p), name="C*(E)", check=False
+            n, basis, gen_rows=matalg.vec_rows(self.s + self.p), name="C*(E)", check=False
         )
         self.verify()
 
@@ -188,13 +188,14 @@ def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
     scale = np.array([z**int(k) for k in powers], dtype=np.complex128)
     image_rows = sp.diags(scale).tocsr() @ fam.span.rows
     inverse_rows = sp.diags(scale.conj()).tocsr() @ fam.span.rows
-    gen_pairs = [(fam.s[e], z * fam.s[e]) for e in range(g.n_edges)]
-    gen_pairs += [(fam.p[v], fam.p[v]) for v in range(g.n_vertices)]
+    # The generators s_f, then p_v: s_f -> z s_f, p_v -> p_v.
+    gen_scale = np.concatenate([np.full(g.n_edges, z), np.ones(g.n_vertices)])
     report = matalg.star_map_on_basis(
         fam.span,
         image_rows,
         n,
-        gen_pairs,
+        fam.span.gen_rows,
+        sp.diags(gen_scale).tocsr() @ fam.span.gen_rows,
         tol=max(tol, 1e-12),
         target=fam.span,
         inverse_rows=inverse_rows,
@@ -262,12 +263,10 @@ class RepresentedCoaction:
     def verify(self, tol: float = 1e-12) -> dict:
         """The graded delta agrees with the generator formula, and is a
         coaction by :func:`crossed.verify_graded_coaction`."""
-        fam, delta = self.fam, self.graded.delta
-        err = 0.0
-        for e in range(fam.graph.n_edges):
-            err = max(err, frobenius(delta(fam.s[e]) - self.delta_edge(e)))
-        for v in range(fam.graph.n_vertices):
-            err = max(err, frobenius(delta(fam.p[v]) - self.delta_vertex(v)))
+        fam = self.fam
+        formula = matalg.vec_rows([self.delta_edge(e) for e in range(fam.graph.n_edges)]
+                                  + [self.delta_vertex(v) for v in range(fam.graph.n_vertices)])
+        err = matalg.max_row_norm(self.graded.delta(fam.span.gen_rows) - formula)
         if err > tol:
             raise CKRelationError(f"delta disagrees with the generator formula ({err})")
         return {"generator_formula": err, **verify_graded_coaction(self.graded, tol)}

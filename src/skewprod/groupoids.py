@@ -421,7 +421,6 @@ class GroupoidAlgebra:
             name="C*(Q)",
             check=True,
         )
-        self.span.generators = self.span.basis_matrices()
         self._verify(tol)
 
     @property
@@ -723,13 +722,9 @@ def kernel_embedding_check(
     alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
     alg_q = convolution_algebra(Q)
 
-    image = [alg_q.span.basis_matrix(int(k)) for k in keep]
+    image = alg_q.span.rows[keep]
     report = matalg.star_map_on_basis(
-        alg_n.span,
-        matalg.vec_rows(image),
-        Q.n_arrows,
-        [(alg_n.span.basis_matrix(i), image[i]) for i in range(alg_n.dim)],
-        tol=max(tol, 1e-9),
+        alg_n.span, image, Q.n_arrows, alg_n.span.rows, image, tol=max(tol, 1e-9)
     )
     # Once i is a *-homomorphism its image is a *-subalgebra, so the closure
     # of the image has the rank of the image rows: the star-map report's
@@ -932,25 +927,19 @@ def certify_gpd_iso(
     inv_perm = np.argsort(perm)
     inverse_rows = ccp.span.rows[inv_perm]
 
-    gen_pairs = []
-    for i in range(Q.n_arrows):
-        img = sum(
-            skew_alg.span.basis_matrix(int(perm[i * m + u])) for u in G
-        )
-        gen_pairs.append((ccp.j_a(alg.span.basis_matrix(i)), img))
-    for u in G:
-        img = sum(
-            skew_alg.span.basis_matrix(
-                int(perm[int(Q.unit_arrow[v]) * m + u])
-            )
-            for v in range(Q.n_units)
-        )
-        gen_pairs.append((ccp.j_g(u), img))
+    # The generators j_A(delta_x) = sum_u (delta_x, u), then j_G(chi_u) =
+    # sum_v (delta_v, u) over the unit arrows v, as 0/1 sums of spanning
+    # elements; Psi of each is the same sum of their images.
+    units = sp.csr_matrix((np.ones(Q.n_units), (np.zeros(Q.n_units, dtype=np.int64),
+                                                Q.unit_arrow)), shape=(1, Q.n_arrows))
+    sums = sp.vstack([sp.kron(sp.identity(Q.n_arrows), np.ones((1, m))),
+                      sp.kron(units, sp.identity(m))], format="csr")
     report = matalg.star_map_on_basis(
         ccp.span,
         image_rows,
         skew.n_arrows,
-        gen_pairs,
+        ccp.span.gen_rows,
+        sums @ image_rows,
         tol=tol,
         target=skew_alg.span,
         inverse_rows=inverse_rows,

@@ -3,8 +3,9 @@
 Algebras are stored as orthogonal bases under the trace inner product
 <a, b> = Tr(a* b), with matrices kept sparse (CSR) so that the certifiers
 scale to a few hundred ambient dimensions.  Vectorization is row-major,
-vec(X)[i n + j] = X[i, j].  Stacked rows vec(X) are multiplied by matrices
-in one way only: :func:`right_products` and :func:`left_products`.
+vec(X)[i n + j] = X[i, j].  A span's basis and its generators are both kept
+as stacked rows vec(X), and stacked rows are multiplied by matrices in one
+way only: :func:`right_products` and :func:`left_products`.
 
 Two routes certify *-maps:
 
@@ -14,7 +15,8 @@ Two routes certify *-maps:
 * :func:`star_map_on_basis` is the structured route used by the theorem
   certifiers: the domain comes with a known orthogonal basis, the candidate
   map is given by its matrix on that basis, and multiplicativity is checked
-  against every generator by exact linear algebra.  The two routes agree on
+  against the stacked rows of the generators and of their images by exact
+  linear algebra.  The two routes agree on
   small instances (see the tests).
 """
 from __future__ import annotations
@@ -163,16 +165,17 @@ class AlgebraSpan:
     """A *-closed matrix algebra stored as an orthogonal basis.
 
     ``rows`` holds vec(b_i) as sparse rows; ``norms2`` the squared Frobenius
-    norms.  The constructor verifies pairwise orthogonality, which is cheap
-    because the structured builders produce bases with (near-)disjoint
-    supports.
+    norms; ``gen_rows`` the rows vec(g) of the generators, the basis itself
+    when none are given.  The constructor verifies pairwise orthogonality,
+    which is cheap because the structured builders produce bases with
+    (near-)disjoint supports.
     """
 
     def __init__(
         self,
         ambient_dim: int,
         rows: sp.csr_matrix,
-        generators: Sequence | None = None,
+        gen_rows: sp.spmatrix | None = None,
         name: str = "algebra",
         check: bool = True,
         tol: float = PRODUCT_TOL,
@@ -181,7 +184,7 @@ class AlgebraSpan:
         self.rows = rows.tocsr()
         self._rows_h = self.rows.conj().T.tocsc()
         self.name = name
-        self.generators = [as_sparse(g) for g in generators] if generators else None
+        self.gen_rows = self.rows if gen_rows is None else gen_rows.tocsr()
         sq = np.asarray(self.rows.multiply(self.rows.conj()).sum(axis=1)).ravel()
         self.norms2 = np.real(sq)
         if np.any(self.norms2 <= tol):
@@ -200,11 +203,6 @@ class AlgebraSpan:
     def basis_matrix(self, i: int) -> sp.csr_matrix:
         n = self.ambient_dim
         return self.rows.getrow(i).reshape(n, n).tocsr()
-
-    def basis_matrices(self) -> list[sp.csr_matrix]:
-        if not hasattr(self, "_basis_mats"):
-            self._basis_mats = [self.basis_matrix(i) for i in range(self.dim)]
-        return self._basis_mats
 
     def coefficients_rows(self, rows) -> tuple[sp.csr_matrix, float]:
         """Expand stacked vec rows in this basis; return (coeffs, residual).
@@ -252,12 +250,12 @@ class AlgebraSpan:
         return f"AlgebraSpan({self.name!r}, dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def from_orthogonal(mats: Sequence, name: str = "algebra", generators=None) -> AlgebraSpan:
+def from_orthogonal(mats: Sequence, name: str = "algebra") -> AlgebraSpan:
     """Wrap an orthogonal family of matrices as an AlgebraSpan (verified)."""
     if not mats:
         raise ValueError("empty basis")
     n = mats[0].shape[0]
-    return AlgebraSpan(n, vec_rows(mats), generators=generators, name=name)
+    return AlgebraSpan(n, vec_rows(mats), name=name)
 
 
 def span_closure(
@@ -315,28 +313,34 @@ def span_closure(
         frontier = try_add(np.array(candidates))
     rows = sp.csr_matrix(np.array([b for b in basis]))
     rows.eliminate_zeros()
-    return AlgebraSpan(n, rows, generators=generators, name=name, check=False)
+    return AlgebraSpan(n, rows, gen_rows=vec_rows(generators), name=name, check=False)
+
+
+def _kron_rows(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int) -> sp.csr_matrix:
+    """vec(x_i (x) y_j) at row i len(y) + j, for stacked rows x of n_a x n_a and
+    y of n_b x n_b matrices, as one sparse kron of the two row matrices: its
+    column (p n_a + q)(n_b^2) + (r n_b + s) holds the entry ((p, q), (r, s)),
+    which sits at vec index (p n_b + r) N + (q n_b + s) of the N x N kron,
+    N = n_a n_b."""
+    N = na * nb
+    k = sp.kron(x, y, format="coo")
+    ca, cb = divmod(k.col.astype(np.int64), nb * nb)
+    (p, q), (r, s) = divmod(ca, na), divmod(cb, nb)
+    return sp.csr_matrix(
+        (k.data, (k.row, (p * nb + r) * N + (q * nb + s))),
+        shape=(x.shape[0] * y.shape[0], N * N),
+    )
 
 
 def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:
-    """The basis a_i (x) b_j at row i dim(b) + j, as one sparse kron of the two
-    row matrices: its column (p n_a + q)(n_b^2) + (r n_b + s) holds the entry
-    ((p, q), (r, s)), which sits at vec index (p n_b + r) N + (q n_b + s) of the
-    N x N kron, N = n_a n_b."""
+    """The basis a_i (x) b_j at row i dim(b) + j; the generators a_g (x) 1,
+    then 1 (x) b_g."""
     na, nb = a.ambient_dim, b.ambient_dim
-    N = na * nb
-    k = sp.kron(a.rows, b.rows, format="coo")
-    ca, cb = divmod(k.col.astype(np.int64), nb * nb)
-    (p, q), (r, s) = divmod(ca, na), divmod(cb, nb)
-    rows = sp.csr_matrix(
-        (k.data, (k.row, (p * nb + r) * N + (q * nb + s))), shape=(a.dim * b.dim, N * N)
-    )
-    gens = None
-    if a.generators is not None and b.generators is not None:
-        ia = sp.identity(na, format="csr", dtype=np.complex128)
-        ib = sp.identity(nb, format="csr", dtype=np.complex128)
-        gens = [kron(g, ib) for g in a.generators] + [kron(ia, g) for g in b.generators]
-    return AlgebraSpan(N, rows, generators=gens, name=name or f"{a.name} (x) {b.name}")
+    ones_a, ones_b = (vec_rows([sp.identity(n, format="csr")]) for n in (na, nb))
+    gen_rows = sp.vstack([_kron_rows(a.gen_rows, ones_b, na, nb),
+                          _kron_rows(ones_a, b.gen_rows, na, nb)], format="csr")
+    return AlgebraSpan(na * nb, _kron_rows(a.rows, b.rows, na, nb), gen_rows=gen_rows,
+                       name=name or f"{a.name} (x) {b.name}")
 
 
 def direct_sum_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:
@@ -350,7 +354,7 @@ def direct_sum_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> 
 
 def full_matrix_span(m: int, name: str | None = None) -> AlgebraSpan:
     mats = [matrix_unit(m, i, j) for i in range(m) for j in range(m)]
-    return from_orthogonal(mats, name=name or f"M_{m}", generators=mats)
+    return from_orthogonal(mats, name=name or f"M_{m}")
 
 
 @dataclass
@@ -487,7 +491,8 @@ def star_map_on_basis(
     domain: AlgebraSpan,
     image_rows: sp.csr_matrix,
     image_ambient: int,
-    gen_pairs: Sequence[tuple],
+    gen_rows: sp.spmatrix,
+    image_gen_rows: sp.spmatrix,
     tol: float = PRODUCT_TOL,
     target: AlgebraSpan | None = None,
     inverse_rows: sp.csr_matrix | None = None,
@@ -495,8 +500,9 @@ def star_map_on_basis(
 ) -> StarMapReport:
     """Certify a linear map given by its images on an orthogonal basis.
 
-    ``image_rows[i]`` is vec(T(b_i)) for the i-th basis element of ``domain``.
-    For every generator pair (g, T(g)) the identities T(g b_i) = T(g) T(b_i)
+    ``image_rows[i]`` is vec(T(b_i)) for the i-th basis element of ``domain``,
+    and row k of ``image_gen_rows`` is vec(T(g_k)) for the generator row k of
+    ``gen_rows``.  For every generator the identities T(g b_i) = T(g) T(b_i)
     (and symmetrically on the right) are checked for all i at once by sparse
     linear algebra, CHUNK generators to one product per side;
     *-preservation is checked on the whole basis.  Since the basis spans the
@@ -507,6 +513,10 @@ def star_map_on_basis(
     two coefficient matrices are composed to witness bijectivity; otherwise
     injectivity falls back to a Gram-rank computation on the images.
     """
+    if gen_rows.shape[0] != image_gen_rows.shape[0]:
+        raise DimensionMismatch(
+            f"{gen_rows.shape[0]} generators but {image_gen_rows.shape[0]} images"
+        )
     n = domain.ambient_dim
     m = image_ambient
     d = domain.dim
@@ -530,9 +540,8 @@ def star_map_on_basis(
     errs["gen_consistency"] = 0.0
     errs["mult"] = 0.0
     errs["closure"] = 0.0
-    if gen_pairs:
-        gen_rows = vec_rows([g for g, _ in gen_pairs])
-        timg_rows = vec_rows([tg for _, tg in gen_pairs])
+    if gen_rows.shape[0]:
+        gen_rows, timg_rows = gen_rows.tocsr(), image_gen_rows.tocsr()
         coeffs, resid = domain.coefficients_rows(gen_rows)
         errs["closure"] = max(errs["closure"], resid)
         errs["gen_consistency"] = max_row_norm(coeffs @ image_rows - timg_rows) / img_scale
@@ -592,7 +601,7 @@ def wedderburn_signature(
     """Sorted multiset of matrix-block sizes {n_1, ..., n_k}, Sum n_i^2 = dim.
 
     The center is found as the null space of the commutator Gram matrix
-    against the generators (or the basis).  A random self-adjoint central
+    against the generators.  A random self-adjoint central
     element z, built in coefficient space, is central in A = (+) M_{n_k} as
     z = (+) z_k 1, so left multiplication by z on A, the Hermitian matrix
     <b_i, z b_j> / (|b_i| |b_j|), has the eigenvalue z_k with multiplicity
@@ -607,7 +616,7 @@ def wedderburn_signature(
     if d == 0:
         return ()
     n = span.ambient_dim
-    tests = vec_rows(span.generators) if span.generators else span.rows
+    tests = span.gen_rows
 
     # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Each chunk of
     # commutators, row j d + i, is laid out as the d x (c n^2) matrix whose

@@ -8,7 +8,6 @@ transitive components and isotropy, cocycles into Z2/Z3).  All tolerances
 are pinned here, not configured elsewhere.
 """
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,33 +31,19 @@ def _report(criterion: int, ok: bool, detail: str):
 @pytest.fixture(scope="session")
 def graph_cases():
     seeds = [BASE_SEED + i for i in range(GRAPH_CASES)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(
-            pool.map(lambda s: suite.run_graph_case(s, index=s, tol=ISO_TOL), seeds)
-        )
+    return [suite.run_graph_case(s, index=s, tol=ISO_TOL) for s in seeds]
 
 
 @pytest.fixture(scope="session")
 def free_action_cases():
     seeds = [BASE_SEED + 1000 + i for i in range(FREE_ACTION_CASES)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(
-            pool.map(
-                lambda s: suite.run_free_action_case(s, index=s, tol=ISO_TOL), seeds
-            )
-        )
+    return [suite.run_free_action_case(s, index=s, tol=ISO_TOL) for s in seeds]
 
 
 @pytest.fixture(scope="session")
 def groupoid_cases():
     seeds = [BASE_SEED + 2000 + i for i in range(GROUPOID_CASES)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(
-            pool.map(
-                lambda s: suite.run_groupoid_case(s, index=s, tol=ISO_TOL, n_random=100),
-                seeds,
-            )
-        )
+    return [suite.run_groupoid_case(s, index=s, tol=ISO_TOL, n_random=100) for s in seeds]
 
 
 def test_criterion_1_eqvt_iso_suite():
@@ -117,7 +102,7 @@ def test_criterion_3_fixture_expectations(e1, z2, e1_z2_labeling):
     ok = fam.dim == 4
     c1 = duality.certify_eqvt_iso(e1, z2, e1_z2_labeling, tol=ISO_TOL)
     ok &= c1.lhs_dim == c1.rhs_dim == 8
-    ok &= matalg.span_closure(fam.span.generators).dim == 4
+    ok &= matalg.span_closure(fam.s + fam.p).dim == 4
     c2 = duality.certify_direct_iso(e1, z2, e1_z2_labeling, tol=ISO_TOL)
     ok &= c2.lhs_dim == c2.rhs_dim == 16
     ok &= c2.signatures == {"lhs": (4,), "rhs": (4,)}

@@ -29,7 +29,8 @@ class TestCoactionCrossedProduct:
         ccp = CoactionCrossedProduct(rc.graded)
         # dim = (2 + 2) * 2 = 8, confirmed against the span-closure oracle.
         assert ccp.dim == 8
-        assert matalg.span_closure(ccp.span.generators).dim == 8
+        gens = matalg.unvec_rows(ccp.span.gen_rows, ccp.ambient_dim)
+        assert matalg.span_closure(gens).dim == 8
 
     def test_trivial_group(self, e1):
         G1 = groups.trivial_group()
@@ -46,17 +47,19 @@ class TestCoactionCrossedProduct:
         k_f = fam.pair_index[(1, 0)]       # s_f
         k_fstar = fam.pair_index[(0, 1)]   # s_f*
         k_ff = fam.pair_index[(1, 1)]      # s_f s_f*
+        m = z2.order
         for u in z2:
             gu = z2.mul(1, u)
-            lhs = ccp.spanning_matrix(k_f, gu) @ ccp.spanning_matrix(k_fstar, u)
-            rhs = ccp.spanning_matrix(k_ff, u)
+            lhs = ccp.span.basis_matrix(k_f * m + gu) @ ccp.span.basis_matrix(k_fstar * m + u)
+            rhs = ccp.span.basis_matrix(k_ff * m + u)
             assert matalg.frobenius(lhs - rhs) == 0.0
 
     def test_j_maps(self, e1_setup, z2):
         fam, rc, *_ = e1_setup
         ccp = CoactionCrossedProduct(rc.graded)
         # j_A(a) is the represented coaction and j_G resolves the identity.
-        assert matalg.frobenius(ccp.j_a(fam.s[0]) - rc.delta_edge(0)) < 1e-12
+        j_a = matalg.unvec_rows(rc.graded.delta(matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
+        assert matalg.frobenius(j_a[0] - rc.delta_edge(0)) < 1e-12
         total = sum(ccp.j_g(u) for u in z2)
         ident = sp.identity(ccp.ambient_dim, format="csr", dtype=np.complex128)
         assert matalg.frobenius(total - ident) == 0.0
@@ -121,7 +124,8 @@ class TestAlgebraAction:
         # gamma_g(s_(f,e)) = s_(f, e g^-1) = s_(f, g): Equation-level check.
         e_idx = skew.edge_index(("f", "e"))
         g_idx = skew.edge_index(("f", "g"))
-        img = act.apply(1, fam_skew.s[e_idx])
+        coeffs = fam_skew.span.coefficients(fam_skew.s[e_idx]) @ act.coeff_mats[1]
+        img = fam_skew.span.element(coeffs)
         assert matalg.frobenius(img - fam_skew.s[g_idx]) == 0.0
 
     @pytest.mark.parametrize("kind", ["edge", "vertex"])
@@ -140,13 +144,6 @@ class TestAlgebraAction:
         with pytest.raises(ActionInvalid, match=f"^gamma_1\\(.* at {kind} 0$"):
             ck_action_from_graph_action(fam_skew, gact)
 
-    def test_rejects_non_homomorphism(self, e1_setup, z2):
-        fam, *_ = e1_setup
-        eye = sp.identity(fam.dim, format="csr", dtype=np.complex128)
-        bad = sp.csr_matrix(np.diag([1, 1, 1, -1]).astype(np.complex128))
-        with pytest.raises(ActionInvalid):
-            AlgebraAction(fam.span, z2, [eye, bad])  # -1 scaling breaks products
-
     def test_rejects_non_unitary_conjugation(self, e1_setup, z2):
         fam, *_ = e1_setup
         eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
@@ -160,7 +157,8 @@ class TestActionCrossedProduct:
         act = ck_action_from_graph_action(fam_skew, translation_action(skew, z2))
         acp = ActionCrossedProduct(fam_skew.span, z2, act)
         assert acp.dim == 8 * 2 == fam_skew.dim * z2.order
-        assert matalg.span_closure(acp.span.generators).dim == 16
+        gens = matalg.unvec_rows(acp.span.gen_rows, acp.ambient_dim)
+        assert matalg.span_closure(gens).dim == 16
         assert matalg.wedderburn_signature(acp.span) == (4,)
 
     def test_trivial_group(self, e1):
@@ -179,9 +177,15 @@ class TestActionCrossedProduct:
         e_idx = skew.edge_index(("f", "e"))
         g_idx = skew.edge_index(("f", "g"))
         u = acp.u_mat(1)
-        lhs = u @ acp.pi_tilde(fam_skew.s[e_idx]) @ u.conj().T
-        rhs = acp.pi_tilde(fam_skew.s[g_idx])
+        lhs = u @ pi_tilde(acp, fam_skew.s[e_idx]) @ u.conj().T
+        rhs = pi_tilde(acp, fam_skew.s[g_idx])
         assert matalg.frobenius(lhs - rhs) == 0.0
+
+
+def pi_tilde(acp, a):
+    """pi~(a) as a matrix, through the stacked form, for one element."""
+    N = acp.ambient_dim
+    return acp.pi_tilde_rows(matalg.vec_rows([a])).reshape(N, N).tocsr()
 
 
 def expectation(acp, x, **kw):
@@ -199,11 +203,11 @@ class TestConditionalExpectation:
 
     def test_identity_coefficient(self, acp, rng):
         a = acp.base.random_element(rng)
-        assert matalg.frobenius(expectation(acp, acp.pi_tilde(a)) - a) < 1e-9
+        assert matalg.frobenius(expectation(acp, pi_tilde(acp, a)) - a) < 1e-9
 
     def test_kills_nontrivial_coefficients(self, acp, rng):
         a = acp.base.random_element(rng)
-        x = acp.pi_tilde(a) @ acp.u_mat(1)
+        x = pi_tilde(acp, a) @ acp.u_mat(1)
         assert matalg.frobenius(expectation(acp, x)) < 1e-9
 
     def test_not_in_span(self, acp):
@@ -224,6 +228,6 @@ class TestConditionalExpectation:
         for _ in range(10):
             x = acp.span.random_element(rng)
             p = expectation(acp, x)
-            again = expectation(acp, acp.pi_tilde(p))
+            again = expectation(acp, pi_tilde(acp, p))
             assert matalg.frobenius(again - p) < 1e-9
             assert matalg.operator_norm(p) <= matalg.operator_norm(x) + 1e-9

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from skewprod import duality, graphs, groups, matalg
+from skewprod.crossed import CoactionCrossedProduct
 from skewprod.duality import (
     certify_direct_iso,
     certify_eqvt_iso,
@@ -131,6 +132,50 @@ class TestDualityParts:
         np.testing.assert_array_equal(plain.toarray(), [w.ravel() for w in per_pair])
         post = [(w @ q.toarray()).ravel() for w in per_pair for q in theta_u]
         np.testing.assert_array_equal(parts.theta_rows.toarray(), post)
+
+
+    def test_generator_rows_in_the_order_duality_slices(self, e1, z2, e1_z2_labeling):
+        parts = duality.DualityParts(e1, z2, e1_z2_labeling)
+        fam, fam_skew, skew, rc = parts.fam, parts.fam_skew, parts.skew, parts.coaction
+        lam, _, chi = regular_matrices(z2)
+        eye_p, eye_skew = (sp.identity(n, format="csr") for n in (fam.ambient_dim,
+                                                                   fam_skew.ambient_dim))
+
+        def assert_rows(span, mats):
+            got = matalg.unvec_rows(span.gen_rows, span.ambient_dim)
+            assert len(got) == len(mats)
+            for g, want in zip(got, mats):
+                np.testing.assert_array_equal(g.toarray(), matalg.as_dense(want))
+
+        # C*(E x_c G) x_gamma G: pi~(s_e), pi~(p_v), then u_t, with
+        # pi~(a) = sum_t gamma_(t^-1)(a) (x) chi_t and u_t = 1 (x) lam_t.
+        def pi_tilde(a):
+            coeffs = fam_skew.span.coefficients(a)
+            return sum(matalg.kron(fam_skew.span.element(coeffs @ parts.gamma.coeff_mats[
+                z2.inv(t)]), chi[t]) for t in z2)
+
+        assert_rows(parts.acp.span, [pi_tilde(g) for g in fam_skew.s + fam_skew.p]
+                    + [matalg.kron(eye_skew, lam[t]) for t in z2])
+        # C*(E) x_delta G: delta(s_e), delta(p_v), then j_G(chi_u) = 1 (x) chi_u.
+        ccp = CoactionCrossedProduct(rc.graded)
+        assert_rows(ccp.span, [rc.delta_edge(e) for e in range(e1.n_edges)]
+                    + [rc.delta_vertex(v) for v in range(e1.n_vertices)]
+                    + [matalg.kron(eye_p, chi[u]) for u in z2])
+        # C*(E) (x) M_|G|: s_e (x) 1, p_v (x) 1, then 1 (x) E_ij.
+        units = [matalg.matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+        assert_rows(parts.target, [matalg.kron(g, np.eye(2)) for g in fam.s + fam.p]
+                    + [matalg.kron(eye_p, e) for e in units])
+        assert skew.n_edges + skew.n_vertices + z2.order == parts.theta_gen_rows.shape[0]
+
+    def test_covariance_error_sees_a_wrong_generator_image(self, e1, z2, e1_z2_labeling):
+        parts = duality.DualityParts(e1, z2, e1_z2_labeling)
+        assert parts.theta_side_errors == (0.0, 0.0)
+        # Doubling t_(f,e) breaks u_g t_(f,e) = t_(f,g) u_g with error |t_(f,e)| = 1.
+        planted = duality.DualityParts(e1, z2, e1_z2_labeling)
+        edges, vertices, us = planted.theta
+        planted.theta = ([2 * edges[0]] + edges[1:], vertices, us)
+        ck_err, cov_err = planted.theta_side_errors
+        assert ck_err > 0.0 and cov_err == 1.0
 
 
 class TestFreeAction:

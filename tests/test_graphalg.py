@@ -175,11 +175,11 @@ class TestCoaction:
         fam = ck_representation(chain2)
         rc = coaction(fam, z3, lab)
         lam = groups.regular_matrices(z3)[0]
+        deltas = matalg.unvec_rows(rc.graded.delta(fam.span.rows), fam.ambient_dim * z3.order)
         for k in range(fam.dim):
             t = int(rc.graded.degrees[k])
-            b = fam.span.basis_matrix(k)
-            lhs = rc.graded.delta(b)
-            rhs = matalg.kron(b, lam[t])
+            lhs = deltas[k]
+            rhs = matalg.kron(fam.span.basis_matrix(k), lam[t])
             assert matalg.frobenius(lhs - rhs) == 0.0
 
 

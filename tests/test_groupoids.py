@@ -524,7 +524,8 @@ def _one_element(R, G, semi, base, acp, f):
         phi[G.index(tname)][R.arrow_index(a)] = f[k]
     out = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
     for s in G:
-        out = out + acp.pi_tilde(base.represent(phi[s])) @ acp.u_mat(s)
+        pi = acp.pi_tilde_rows(base.represent_rows(phi[s][None, :]))
+        out = out + pi.reshape(acp.ambient_dim, acp.ambient_dim).tocsr() @ acp.u_mat(s)
     return out
 
 
@@ -539,7 +540,8 @@ def _semi_cross_loops(R, G, action, rng):
 
     def rule(span, l):
         g = span.basis_matrix(l).toarray()
-        prods = matalg.vec_rows([b.toarray() @ g for b in span.basis_matrices()])
+        basis = matalg.unvec_rows(span.rows, span.ambient_dim)
+        prods = matalg.vec_rows([b.toarray() @ g for b in basis])
         coeffs, _ = span.coefficients_rows(prods)
         coeffs.data[np.abs(coeffs.data) < 1e-13] = 0.0
         coeffs.eliminate_zeros()

@@ -51,7 +51,7 @@ class TestSpanClosure:
 
     def test_idempotent(self):
         span = span_closure([matrix_unit(2, 0, 1), matrix_unit(2, 1, 0)])
-        again = span_closure(span.basis_matrices())
+        again = span_closure(matalg.unvec_rows(span.rows, 2))
         assert again.dim == span.dim
 
     def test_gram_is_identity(self, rng):
@@ -149,12 +149,12 @@ class TestStarMapOnBasis:
             ]
         )
         gens = list(fam.s) + list(fam.p)
-        gen_pairs = [(g, sp.csr_matrix(u @ g.toarray() @ u.conj().T)) for g in gens]
+        images = [sp.csr_matrix(u @ g.toarray() @ u.conj().T) for g in gens]
         structured = star_map_on_basis(
-            fam.span, image_rows, 2, gen_pairs, tol=1e-9,
+            fam.span, image_rows, 2, fam.span.gen_rows, matalg.vec_rows(images), tol=1e-9,
             target=fam.span,
         )
-        general = check_star_map(gens, [tg for _, tg in gen_pairs], target=fam.span)
+        general = check_star_map(gens, images, target=fam.span)
         assert structured.passed == general.passed is True
         assert structured.injective and general.injective
 
@@ -164,8 +164,8 @@ class TestStarMapOnBasis:
         fam = ck_representation(e1)
         scale = sp.diags([2.0, 1.0, 1.0, 1.0]).tocsr()
         image_rows = scale @ fam.span.rows
-        gen_pairs = [(g, g) for g in list(fam.s) + list(fam.p)]
-        report = star_map_on_basis(fam.span, image_rows, 2, gen_pairs, tol=1e-9)
+        gens = fam.span.gen_rows
+        report = star_map_on_basis(fam.span, image_rows, 2, gens, gens, tol=1e-9)
         assert not report.passed
 
     def test_detects_defect_seen_only_from_the_right(self):
@@ -176,10 +176,10 @@ class TestStarMapOnBasis:
         k21 = 2  # full_matrix_span orders the units E_ij at row 2 i + j
         image_rows = m2.rows.tolil()
         image_rows[k21] = m2.rows[3]
-        gen_pairs = [(matrix_unit(2, 0, 0), matrix_unit(2, 0, 0))]
-        left_only = star_map_on_basis(m2, image_rows.tocsr(), 2, gen_pairs, check_right=False)
+        e11 = matalg.vec_rows([matrix_unit(2, 0, 0)])
+        left_only = star_map_on_basis(m2, image_rows.tocsr(), 2, e11, e11, check_right=False)
         assert left_only.multiplicative
-        report = star_map_on_basis(m2, image_rows.tocsr(), 2, gen_pairs, check_right=True)
+        report = star_map_on_basis(m2, image_rows.tocsr(), 2, e11, e11, check_right=True)
         assert not report.multiplicative
         assert report.notes["mult"] == 1.0
 
@@ -188,12 +188,20 @@ class TestStarMapOnBasis:
         # in the second chunk, has a wrong image: T(g_20) = 2 g_20 while T is
         # the identity on the basis.
         m5 = full_matrix_span(5)
-        assert len(m5.generators) > 20 >= matalg.CHUNK
-        gen_pairs = [(g, 2 * g if k == 20 else g) for k, g in enumerate(m5.generators)]
+        assert m5.gen_rows.shape[0] > 20 >= matalg.CHUNK
+        scale = np.ones(m5.gen_rows.shape[0])
+        scale[20] = 2.0
+        images = sp.diags(scale) @ m5.gen_rows
         for check_right in (False, True):
-            report = star_map_on_basis(m5, m5.rows, 5, gen_pairs, check_right=check_right)
+            report = star_map_on_basis(m5, m5.rows, 5, m5.gen_rows, images,
+                                       check_right=check_right)
             assert not report.multiplicative
             assert report.notes["mult"] == 1.0
+
+    def test_rejects_generator_and_image_counts_that_differ(self):
+        m2 = full_matrix_span(2)
+        with pytest.raises(DimensionMismatch, match="4 generators but 3 images"):
+            star_map_on_basis(m2, m2.rows, 2, m2.gen_rows, m2.gen_rows[:3])
 
 
 def test_vec_rows_stacks_row_major_vecs(rng):
@@ -241,14 +249,16 @@ class TestTensorSpan:
     @staticmethod
     def kron_rows(a, b):
         """The reference: a_i (x) b_j at row i dim(b) + j, one kron at a time."""
-        mats = [kron(a.basis_matrix(i), bj) for i in range(a.dim) for bj in b.basis_matrices()]
+        mats = [kron(ai, bj) for ai in matalg.unvec_rows(a.rows, a.ambient_dim)
+                for bj in matalg.unvec_rows(b.rows, b.ambient_dim)]
         return matalg.vec_rows(mats)
 
     def test_matches_kron_reference(self, rng):
         m2, m3 = full_matrix_span(2), full_matrix_span(3)
         summed = direct_sum_span(m2, full_matrix_span(1))
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        scrambled = span_closure([u @ m.toarray() @ u.conj().T for m in summed.basis_matrices()])
+        scrambled = span_closure([u @ m.toarray() @ u.conj().T
+                                  for m in matalg.unvec_rows(summed.rows, 3)])
         for a, b in [(m2, m3), (summed, m2), (m3, summed), (scrambled, m2), (m2, scrambled)]:
             rows, ref = tensor_span(a, b).rows, self.kron_rows(a, b)
             assert rows.shape == ref.shape
@@ -260,8 +270,9 @@ class TestTensorSpan:
         m2, m3 = full_matrix_span(2), full_matrix_span(3)
         t = tensor_span(m2, m3)
         assert t.name == "M_2 (x) M_3" and t.dim == 36 and t.ambient_dim == 6
-        assert len(t.generators) == m2.dim + m3.dim
-        assert matalg.frobenius(t.generators[0] - kron(m2.generators[0], np.eye(3))) == 0.0
+        assert t.gen_rows.shape[0] == m2.dim + m3.dim
+        first = matalg.unvec_rows(t.gen_rows, 6)[0]
+        assert matalg.frobenius(first - kron(matrix_unit(2, 0, 0), np.eye(3))) == 0.0
 
 
 class TestWedderburn:
