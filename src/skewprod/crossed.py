@@ -332,10 +332,8 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
     """
     G, span = graded.group, graded.span
     n, m = span.ambient_dim, G.order
-    lam_sparse = regular_matrices(G)[0]
-    lam = [mat.toarray() for mat in lam_sparse]
-    eye_n = sp.identity(n, format="csr", dtype=np.complex128)
-    shifts = [kron(eye_n, mat) for mat in lam_sparse]
+    N = n * m
+    lam = matalg.vec_rows(regular_matrices(G)[0])  # row t: vec(lam_t)
     errs = {}
 
     gram = (graded.delta_rows @ graded.delta_rows.conj().T).toarray()
@@ -343,29 +341,45 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
     errs["image_orthogonality"] = float(off.max()) if off.size else 0.0
     errs["injective"] = bool(np.all(np.abs(np.diag(gram)) > 0.5))
 
-    ident_err = nondeg_err = 0.0
-    all_coeffs = span.coefficients_rows(span.gen_rows)[0].toarray()
-    all_dx = matalg.unvec_rows(graded.delta(span.gen_rows), n * m)
-    for coeffs, dx in zip(all_coeffs, all_dx):
-        dx = dx.toarray()
-        dxd = dx.reshape(n, m, n, m)
-        xs = [np.einsum("ab,iajb->ij", lam[t].conj(), dxd) / m for t in G]
-        dxs = matalg.unvec_rows(graded.delta(matalg.vec_rows(xs), tol=None), n * m)
-        recon = np.zeros_like(dx)
-        for t, x_t, dx_t in zip(G, xs, dxs):
-            component = span.element(np.where(graded.degrees == t, coeffs, 0)).toarray()
-            ident_err = max(ident_err, float(np.linalg.norm(x_t - component)))
-            if not x_t.any():
-                continue
-            x_t_lam = np.kron(x_t, lam[t])
-            recon += x_t_lam
-            # The lam_t term of the third leg: sum_t delta(x_t) (x) lam_t against
-            # sum_t x_t (x) lam_t (x) lam_t.
-            ident_err = max(ident_err, float(np.linalg.norm(dx_t.toarray() - x_t_lam)))
-            for r in G:
-                lhs = (dx_t @ shifts[G.mul(G.inv(t), r)]).toarray()
-                nondeg_err = max(nondeg_err, float(np.linalg.norm(lhs - np.kron(x_t, lam[r]))))
-        ident_err = max(ident_err, float(np.linalg.norm(recon - dx)))
+    # All generators x_g at once; x_(g,t) sits at row g |G| + t of the stacks.
+    coeffs, _ = span.coefficients_rows(span.gen_rows)
+    dx = graded.delta(span.gen_rows)
+    k = dx.shape[0]
+    # The lam leg: x_t[i, j] = sum_(a,b) conj(lam_t[a, b]) delta(x)[(i, a), (j, b)] / |G|,
+    # one sparse map from vec(delta(x)) to the vec(x_t) side by side.
+    lc = lam.tocoo()
+    a, b = np.divmod(lc.col, m)
+    i, j = np.divmod(np.arange(n * n), n)
+    expand = sp.csr_matrix(
+        (np.tile(lc.data.conj(), n * n),
+         (((i[:, None] * m + a) * N + j[:, None] * m + b).ravel(),
+          (lc.row * n * n + (i * n + j)[:, None]).ravel())),
+        shape=(N * N, m * n * n),
+    )
+    xs = (dx @ expand).tocoo()
+    x_rows = sp.csr_matrix((xs.data / m, (xs.row * m + xs.col // (n * n), xs.col % (n * n))),
+                           shape=(k * m, n * n))
+    dxs = graded.delta(x_rows, tol=None)
+    # Each x_t must be the degree-t component of x.
+    c = coeffs.tocoo()
+    masked = sp.csr_matrix((c.data, (c.row * m + graded.degrees[c.col], c.col)),
+                           shape=(k * m, span.dim))
+    ident_err = matalg.max_row_norm(x_rows - masked @ span.rows)
+    # x_t (x) lam_r at row (g |G| + t) |G| + r.  The lam_t term of the third leg:
+    # delta(x_t) against x_t (x) lam_t, and their sum over t against delta(x).
+    x_lam = matalg._kron_rows(x_rows, lam, n, m)
+    rows_t = np.arange(k * m)
+    own = x_lam[rows_t * m + rows_t % m]
+    collapse = sp.kron(sp.identity(k, format="csr"), np.ones((1, m)), format="csr")
+    ident_err = max(ident_err, matalg.max_row_norm(dxs - own),
+                    matalg.max_row_norm(collapse @ own - dx))
+    # Nondegeneracy: delta(x_t)(1 (x) lam_s) = x_t (x) lam_(t s), at row s k |G| + g |G| + t.
+    shifts = matalg._kron_rows(matalg.vec_rows([sp.identity(n, format="csr")]), lam, n, m)
+    nondeg_err = 0.0
+    for s0, prods in matalg.right_products(dxs, shifts, N):
+        s, q = np.divmod(np.arange(prods.shape[0]), k * m)
+        want = x_lam[q * m + G.table[q % m, s0 + s]]
+        nondeg_err = max(nondeg_err, matalg.max_row_norm(prods - want))
     errs["coaction_identity"] = ident_err
     errs["nondegeneracy_witness"] = nondeg_err
 
@@ -432,23 +446,24 @@ class CoactionCrossedProduct:
         total = d * m
 
         # Group leg: (lam_s chi_u)(lam_t chi_w) = [u = t w] lam_{st} chi_w and
-        # (lam_t chi_u)* = lam_{t^-1} chi_{t u}; exhaustive over G^4 / G^2.
+        # (lam_t chi_u)* = lam_{t^-1} chi_{t u}; exhaustive over G^4 / G^2, on
+        # the dense stack L[s, u] = lam_s chi_u, one s (|G|^5 entries) at a time.
+        lam = np.array([mat.toarray() for mat in self._lam])
+        L = lam[:, None] @ np.array([mat.toarray() for mat in self._chi])[None]
+        inv = np.array([G.inv(t) for t in G])
+        star = L[inv[:, None], G.table]
+        bad_star = np.abs(L.conj().swapaxes(-1, -2) - star).max(axis=(2, 3)) > tol
+        right = L.transpose(2, 0, 1, 3).reshape(m, m**3)  # column (t, w, c)
+        t_, w_ = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         for s_ in G:
-            for u in G:
-                left = (self._lam[s_] @ self._chi[u]).toarray()
-                star = (self._lam[G.inv(s_)] @ self._chi[G.mul(s_, u)]).toarray()
-                if np.max(np.abs(left.conj().T - star)) > tol:
+            # prods[u, a, t, w, c] = (lam_s chi_u lam_t chi_w)[a, c], less the rule.
+            prods = (L[s_].reshape(m * m, m) @ right).reshape(m, m, m, m, m)
+            prods[G.table[t_, w_], :, t_, w_, :] -= L[G.table[s_, t_], w_]
+            bad = bad_star[s_] | (np.abs(prods).max(axis=(1, 2, 3, 4)) > tol)
+            if bad.any():
+                if bad_star[s_, np.argmax(bad)]:
                     raise ActionInvalid("lam/chi adjoint identity fails")
-                for t in G:
-                    for w in G:
-                        lhs = left @ (self._lam[t] @ self._chi[w]).toarray()
-                        rhs = (
-                            (self._lam[G.mul(s_, t)] @ self._chi[w]).toarray()
-                            if u == G.mul(t, w)
-                            else np.zeros((m, m))
-                        )
-                        if np.max(np.abs(lhs - rhs)) > tol:
-                            raise ActionInvalid("lam/chi multiplication identity fails")
+                raise ActionInvalid("lam/chi multiplication identity fails")
 
         # Base leg: products and adjoints stay in the span with multiplying
         # degrees.  Batched: b_i b_j for all i and a chunk of j per sparse
@@ -525,21 +540,15 @@ class CoactionCrossedProduct:
                 raise ActionInvalid(
                     f"spanning multiplication rule fails against right factor ({j},{w})"
                 )
-        # Adjoints of spanning elements, batched.
+        # Adjoints of spanning elements: row i |G| + u of the rule holds the
+        # coefficients of b_i* at the spanning elements (b_j, deg(b_i) u).
         star_span = matalg.star_columns(self.span.rows, self.ambient_dim)
-        expected_rows = []
-        for i in range(d):
-            t = int(self.degrees[i])
-            row_c = star_coeffs.getrow(i)
-            for u in G:
-                tu = G.mul(t, u)
-                idx = row_c.indices * m + tu
-                expected_rows.append(
-                    sp.csr_matrix(
-                        (row_c.data, (np.zeros_like(idx), idx)), shape=(1, total)
-                    )
-                )
-        expected = sp.vstack(expected_rows, format="csr") @ self.span.rows
+        c = star_coeffs.tocoo()
+        expected = sp.csr_matrix(
+            (np.repeat(c.data, m), ((c.row[:, None] * m + np.arange(m)).ravel(),
+                                    (c.col[:, None] * m + G.table[self.degrees[c.row]]).ravel())),
+            shape=(total, total),
+        ) @ self.span.rows
         if matalg.max_row_norm(star_span - expected) > tol:
             raise ActionInvalid("spanning adjoint rule fails")
 

@@ -111,27 +111,12 @@ class IsomorphismCertificate:
         return out
 
 
-def _path_images(fam: CKFamily, edge_imgs: list, vertex_imgs: list) -> list:
-    """Evaluate the word s_mu for every basis path, in the image algebra."""
-    out = [None] * len(fam.paths)
-    order = sorted(range(len(fam.paths)), key=lambda i: len(fam.paths[i].edges))
-    index = fam.path_index
-    for i in order:
-        p = fam.paths[i]
-        if not p.edges:
-            out[i] = vertex_imgs[p.source].tocsr()
-        else:
-            tail = index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
-            out[i] = (edge_imgs[p.edges[0]] @ out[tail]).tocsr()
-    return out
-
-
 def _basis_image_rows(fam: CKFamily, edge_imgs: list, vertex_imgs: list, m: int,
                       post=None) -> sp.csr_matrix:
     """Rows vec(T(e_{mu,nu})) with T evaluated as the word s_mu s_nu*, in the
-    order of ``fam.pairs``; with ``post``, the row of pair k times ``post[s]``
-    sits at k |post| + s."""
-    words = matalg.vec_rows(_path_images(fam, edge_imgs, vertex_imgs))
+    order of ``fam.pairs``; with the stacked rows ``post``, the row of pair k
+    times post row s sits at k |post| + s."""
+    words = matalg.vec_rows(graphalg._path_images(fam, edge_imgs, vertex_imgs))
     # Every word times every adjoint word: row j P + i is w_i w_j*, w_i the
     # word of path i and P the number of paths.
     prods = sp.vstack([p for _, p in matalg.right_products(
@@ -142,9 +127,9 @@ def _basis_image_rows(fam: CKFamily, edge_imgs: list, vertex_imgs: list, m: int,
         return rows
     # Pair k times post[s] sits at row s K + k, K the number of pairs; move it
     # to k |post| + s.
-    prods = sp.vstack([p for _, p in matalg.right_products(rows, matalg.vec_rows(post), m)],
+    prods = sp.vstack([p for _, p in matalg.right_products(rows, post, m)],
                       format="csr")
-    k, s = np.divmod(np.arange(prods.shape[0]), len(post))
+    k, s = np.divmod(np.arange(prods.shape[0]), post.shape[0])
     return prods[s * rows.shape[0] + k]
 
 
@@ -242,9 +227,11 @@ class DualityParts:
     def theta_rows(self) -> sp.csr_matrix:
         """Theta on the basis pi~(e_{mu,nu}) u~_s of ``acp``, as the rows
         vec(s_mu s_nu* u_s) of the words in Theta's generator images."""
-        theta_edge, theta_vertex, theta_u = self.theta
+        theta_edge, theta_vertex, _ = self.theta
+        n_g = self.skew.n_edges + self.skew.n_vertices
         return _basis_image_rows(self.fam_skew, theta_edge, theta_vertex,
-                                 self.fam.ambient_dim * self.G.order, post=theta_u)
+                                 self.fam.ambient_dim * self.G.order,
+                                 post=self.theta_gen_rows[n_g:])
 
     @cached_property
     def gact(self) -> GraphAction:
@@ -359,42 +346,36 @@ def certify_direct_iso(
 
     # Upsilon: y_r = sum_v p_(v,r), w_t = (y x u)(lam_t), t_f, q_v.  The
     # crossed product's generators are pi~(s_e), pi~(p_v) (in the order of
-    # fam_skew's generators) and then u_t.
-    n_se, n_sv = skew.n_edges, skew.n_vertices
-    acp_gens = matalg.unvec_rows(acp.span.gen_rows, acp.ambient_dim)
-    pi_s, pi_p, u = acp_gens[:n_se], acp_gens[n_se:n_se + n_sv], acp_gens[n_se + n_sv:]
-    y = []
-    for r in G:
-        acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
-        for v_idx, (v, r_name) in enumerate(skew.vertices):
-            if G.index(r_name) == r:
-                acc = acc + pi_p[v_idx]
-        y.append(acc.tocsr())
-    w = []
-    for t in G:
-        acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
-        for r in G:
-            tr = G.mul(t, r)
-            acc = acc + y[tr] @ u[G.mul(G.inv(r), G.mul(G.inv(t), r))]
-        w.append(acc.tocsr())
-    t_f, q_v = [], []
-    for f in range(graph.n_edges):
-        acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
-        for e_idx, edge in enumerate(skew.edges):
-            if graph.edge_index(edge.id[0]) == f:
-                acc = acc + pi_s[e_idx]
-        t_f.append((acc @ w[G.inv(labeling.of(f))]).tocsr())
-    for v in range(graph.n_vertices):
-        acc = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
-        for v_idx, (vv, r_name) in enumerate(skew.vertices):
-            if graph.vertex_index(vv) == v:
-                acc = acc + pi_p[v_idx]
-        q_v.append(acc.tocsr())
+    # fam_skew's generators) and then u_t; y_r, q_v and the sums of the
+    # pi~(s_(f,r)) over r are 0/1 sums of them.
+    n_se, n_sv, n_e, m = skew.n_edges, skew.n_vertices, graph.n_edges, G.order
+    N = acp.ambient_dim
+    gen_rows = acp.span.gen_rows
+    vertex_cols = n_se + np.arange(n_sv)
+    sum_of = ([G.index(r) for _, r in skew.vertices]  # y_r
+              + [m + graph.edge_index(e.id[0]) for e in skew.edges]
+              + [m + n_e + graph.vertex_index(v) for v, _ in skew.vertices])  # q_v
+    sums = sp.csr_matrix(
+        (np.ones(len(sum_of)), (sum_of, np.r_[vertex_cols, np.arange(n_se), vertex_cols])),
+        shape=(m + n_e + graph.n_vertices, gen_rows.shape[0]),
+    ) @ gen_rows
+    y_rows, s_sums, q_rows = sums[:m], sums[m:m + n_e], sums[m + n_e:]
+    # y_a u_b at row b |G| + a.
+    yu = sp.vstack([p for _, p in matalg.right_products(y_rows, gen_rows[n_se + n_sv:], N)],
+                   format="csr")
+    # w_t = sum_r y_(t r) u_(r^-1 t^-1 r); t_f = (sum_r pi~(s_(f,r))) w_(c(f)^-1),
+    # the product at row c(f)^-1 n_e + f.
+    w_rows = sp.csr_matrix(
+        (np.ones(m * m), ([t for t in G for r in G],
+                          [G.mul(G.inv(r), G.mul(G.inv(t), r)) * m + G.mul(t, r)
+                           for t in G for r in G])), shape=(m, m * m)) @ yu
+    sw = sp.vstack([p for _, p in matalg.right_products(s_sums, w_rows, N)], format="csr")
+    t_rows = sw[[G.inv(labeling.of(f)) * n_e + f for f in range(n_e)]]
 
     # Upsilon on the target basis e_{mu,nu} (x) E_{a,b} -> t_mu t_nu* y_a u_{a^-1 b}.
     inverse_rows = _basis_image_rows(
-        fam, t_f, q_v, acp.ambient_dim,
-        post=[y[a] @ u[G.mul(G.inv(a), b)] for a in G for b in G],
+        fam, matalg.unvec_rows(t_rows, N), matalg.unvec_rows(q_rows, N), N,
+        post=yu[[G.mul(G.inv(a), b) * m + a for a in G for b in G]],
     )
 
     report = matalg.star_map_on_basis(
@@ -408,22 +389,17 @@ def certify_direct_iso(
     ups_of_theta = c_target @ inverse_rows
     comp_err = max(comp_err, matalg.max_row_norm(ups_of_theta - acp.span.gen_rows))
     # Theta(Upsilon(h)) for the target generators h = s_f (x) chi_r rho_t and
-    # p_v (x) chi_r rho_t.
-    h_mats, ups_h = [], []
-    for f in range(graph.n_edges):
-        for r in G:
-            for t in G:
-                h_mats.append(kron(fam.s[f], chi[r] @ rho[t]))
-                ups_h.append(t_f[f] @ y[r] @ u[t])
-    for v in range(graph.n_vertices):
-        for r in G:
-            for t in G:
-                h_mats.append(kron(fam.p[v], chi[r] @ rho[t]))
-                ups_h.append(q_v[v] @ y[r] @ u[t])
-    c_dom, resid = acp.span.coefficients_rows(matalg.vec_rows(ups_h))
+    # p_v (x) chi_r rho_t, in this order: Upsilon(h) = t_f (y_r u_t), q_v (y_r u_t).
+    h_rows = matalg._kron_rows(fam.span.gen_rows,
+                               matalg.vec_rows([chi[r] @ rho[t] for r in G for t in G]),
+                               fam.ambient_dim, m)
+    tq_yu = sp.vstack([p for _, p in matalg.right_products(
+        sp.vstack([t_rows, q_rows], format="csr"), yu, N)], format="csr")
+    n_h = fam.span.gen_rows.shape[0]
+    ups_h = tq_yu[[(t * m + r) * n_h + g for g in range(n_h) for r in G for t in G]]
+    c_dom, resid = acp.span.coefficients_rows(ups_h)
     comp_err = max(comp_err, resid)
     theta_of_ups = c_dom @ image_rows
-    h_rows = matalg.vec_rows(h_mats)
     comp_err = max(comp_err, matalg.max_row_norm(theta_of_ups - h_rows))
 
     signatures = None

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from . import matalg
 from .crossed import GradedSpan, verify_graded_coaction
-from .graphs import DirectedGraph, EmptyGraph, Path, enumerate_sink_paths
+from .graphs import DirectedGraph, EmptyGraph, enumerate_sink_paths
 from .groups import FiniteGroup, Labeling, regular_matrices
 from .matalg import AlgebraSpan, frobenius, kron
 
@@ -38,38 +38,63 @@ def _unit_csr(n: int, entries) -> sp.csr_matrix:
     )
 
 
+def _block_norms(diff: sp.spmatrix, n: int, k: int) -> np.ndarray:
+    """The k x k Frobenius norms of the n x n blocks of ``diff``, from one bincount."""
+    c = diff.tocoo()
+    sq = np.bincount(c.row // n * k + c.col // n, weights=np.abs(c.data) ** 2, minlength=k * k)
+    return np.sqrt(sq).reshape(k, k)
+
+
 def _ck_relations_for(graph: DirectedGraph, s_imgs: list, p_imgs: list) -> float:
     """Largest violation of the Cuntz-Krieger relations by a candidate family:
     the p_v are mutually orthogonal nonzero projections summing to 1, each s_f
     is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
-    out of each non-sink v."""
-    ambient = p_imgs[0].shape[0]
-    err = 0.0
-    ident = sp.identity(ambient, format="csr", dtype=np.complex128)
-    total = sp.csr_matrix((ambient, ambient), dtype=np.complex128)
-    for v in range(graph.n_vertices):
-        pv = p_imgs[v]
-        total = total + pv
-        err = max(err, frobenius(pv @ pv - pv), frobenius(pv.conj().T - pv))
-        if pv.nnz == 0:
-            err = max(err, 1.0)
-    for v in range(graph.n_vertices):
-        for w in range(v + 1, graph.n_vertices):
-            err = max(err, frobenius(p_imgs[v] @ p_imgs[w]))
-    err = max(err, frobenius(total - ident))
-    for e in range(graph.n_edges):
-        se = s_imgs[e]
-        if se.nnz == 0:
-            err = max(err, 1.0)
-        err = max(err, frobenius(se.conj().T @ se - p_imgs[graph.rng[e]]))
-    for v in range(graph.n_vertices):
-        if graph.is_sink(v):
-            continue
-        acc = sp.csr_matrix((ambient, ambient), dtype=np.complex128)
-        for e in graph.out_edges(v):
-            acc = acc + s_imgs[e] @ s_imgs[e].conj().T
-        err = max(err, frobenius(acc - p_imgs[v]))
-    return err
+    out of each non-sink v.
+
+    Each relation family is one stacked product: the p_v, s_f and s_f* as
+    block-diagonal matrices, and every p_v p_w as one tall x wide product."""
+    n = p_imgs[0].shape[0]
+    n_v, n_e = graph.n_vertices, graph.n_edges
+    errs = [0.0]
+    if any(m.nnz == 0 for m in list(p_imgs) + list(s_imgs)):
+        errs.append(1.0)
+    P = sp.block_diag(p_imgs, format="csr")
+    errs.append(_block_norms(P @ P - P, n, n_v).max())
+    errs.append(_block_norms(P.conj().T - P, n, n_v).max())
+    # Block (v, w) of the stacked p_v times the p_w side by side is p_v p_w.
+    vw = sp.vstack(p_imgs, format="csr") @ sp.hstack(p_imgs, format="csr")
+    errs.append(np.triu(_block_norms(vw, n, n_v), 1).max())
+    # sum_v p_v - 1: the diagonal blocks of P folded onto one n x n block.
+    p = P.tocoo()
+    total = sp.csr_matrix((p.data, (p.row % n, p.col % n)), shape=(n, n))
+    errs.append(frobenius(total - sp.identity(n, format="csr", dtype=np.complex128)))
+    if n_e:
+        S = sp.block_diag(s_imgs, format="csr")
+        S_h = S.conj().T.tocsr()
+        P_rng = sp.block_diag([p_imgs[r] for r in graph.rng], format="csr")
+        errs.append(_block_norms(S_h @ S - P_rng, n, n_e).max())
+        # sum_f s_f s_f* over the edges out of v: block f of S S* moved to block s(f).
+        ss = (S @ S_h).tocoo()
+        src = graph.src[ss.row // n] * n
+        ranges = sp.csr_matrix((ss.data, (src + ss.row % n, src + ss.col % n)), shape=P.shape)
+        non_sink = [not graph.is_sink(v) for v in range(n_v)]
+        errs.append(np.max(_block_norms(ranges - P, n, n_v).diagonal()[non_sink], initial=0.0))
+    return float(max(errs))
+
+
+def _path_images(fam: CKFamily, edge_imgs: list, vertex_imgs: list) -> list:
+    """Evaluate the word s_mu for every basis path, in the image algebra."""
+    out = [None] * len(fam.paths)
+    order = sorted(range(len(fam.paths)), key=lambda i: len(fam.paths[i].edges))
+    index = fam.path_index
+    for i in order:
+        p = fam.paths[i]
+        if not p.edges:
+            out[i] = vertex_imgs[p.source].tocsr()
+        else:
+            tail = index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
+            out[i] = (edge_imgs[p.edges[0]] @ out[tail]).tocsr()
+    return out
 
 
 class CKFamily:
@@ -125,15 +150,6 @@ class CKFamily:
     def dim(self) -> int:
         return self._span.dim
 
-    def path_matrix(self, path: Path) -> sp.csr_matrix:
-        """s_mu = s_{e_1} ... s_{e_n}; the vertex projection for a length-0 path."""
-        if not path.edges:
-            return self.p[path.source]
-        out = self.s[path.edges[0]]
-        for e in path.edges[1:]:
-            out = out @ self.s[e]
-        return out.tocsr()
-
     def verify(self, tol: float = 1e-12):
         """Exhaustively check the Cuntz-Krieger relations and that each
         canonical basis element equals its defining word s_mu p_w s_nu*."""
@@ -144,10 +160,12 @@ class CKFamily:
         # Each sink-bound path word s_mu equals the matrix unit e_{mu, w},
         # where w is the length-0 path at the sink; hence every canonical
         # basis element e_{mu,nu} = e_{mu,w} e_{w,nu} equals s_mu s_nu*.
-        for i, p in enumerate(self.paths):
-            w = self.path_index[(p.range, ())]
-            if frobenius(self.path_matrix(p) - _unit_csr(n, [(i, w)])) > tol:
-                raise CKRelationError("path word disagrees with its matrix unit")
+        sinks = [self.path_index[(p.range, ())] for p in self.paths]
+        units = sp.csr_matrix((np.ones(n, dtype=np.complex128),
+                               (np.arange(n), np.arange(n) * n + sinks)), shape=(n, n * n))
+        words = matalg.vec_rows(_path_images(self, self.s, self.p))
+        if matalg.max_row_norm(words - units) > tol:
+            raise CKRelationError("path word disagrees with its matrix unit")
 
     def sink_block_sizes(self) -> dict[int, int]:
         counts: dict[int, int] = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewprod import duality, graphs, groups, matalg
+from skewprod import duality, graphalg, graphs, groups, matalg
 from skewprod.crossed import CoactionCrossedProduct
 from skewprod.duality import (
     certify_direct_iso,
@@ -125,7 +125,7 @@ class TestDualityParts:
         parts = duality.DualityParts(graph, G, lab)
         fam_skew, (edge_imgs, vertex_imgs, theta_u) = parts.fam_skew, parts.theta
         assert len(fam_skew.paths) > matalg.CHUNK
-        words = duality._path_images(fam_skew, edge_imgs, vertex_imgs)
+        words = graphalg._path_images(fam_skew, edge_imgs, vertex_imgs)
         per_pair = [(words[i] @ words[j].conj().T).toarray() for i, j in fam_skew.pairs]
         m = parts.fam.ambient_dim * G.order
         plain = duality._basis_image_rows(fam_skew, edge_imgs, vertex_imgs, m)

@@ -1,10 +1,12 @@
 """Planted defects in the graded-coaction layer: each check that layer makes
 is shown to fail on a known error, next to the same call on correct input."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewprod import duality, groups, matalg
+from skewprod import crossed, duality, groups, matalg
 from skewprod.crossed import (
     ActionInvalid,
     CoactionCrossedProduct,
@@ -50,6 +52,66 @@ def test_zeroed_delta_row_fails_injective(e1_z3):
     graded.delta_rows = rows.tocsr()
     with pytest.raises(ActionInvalid, match=r"failed: \[[^\]]*'injective'"):
         verify_graded_coaction(graded)
+
+
+def test_non_multiplicative_lam_fails_only_nondegeneracy(e1_z3, monkeypatch):
+    graded, _ = e1_z3
+    verify_graded_coaction(graded)
+    # lam'_1 = -lam_1 is orthogonal to the other lam'_t like lam_1, so the lam
+    # leg still expands delta'(b) = b (x) lam'_deg(b) exactly; but lam' is no
+    # homomorphism, lam'_1 lam'_2 = -lam_0, which only nondegeneracy sees.
+    real = crossed.regular_matrices
+
+    def signed(G):
+        lam, rho, chi = real(G)
+        return [lam[0], -lam[1]] + lam[2:], rho, chi
+
+    graded.delta_rows = sp.diags(np.where(graded.degrees == 1, -1.0, 1.0)) @ graded.delta_rows
+    monkeypatch.setattr(crossed, "regular_matrices", signed)
+    with pytest.raises(ActionInvalid, match=r"failed: \['nondegeneracy_witness'\]"):
+        verify_graded_coaction(graded)
+
+
+@pytest.mark.parametrize("plant, identity", [
+    (lambda chi: [chi[1], chi[0]] + chi[2:], "multiplication"),
+    (lambda chi: [2 * c for c in chi], "multiplication"),
+    (lambda chi: [1j * chi[0]] + chi[1:], "adjoint"),
+], ids=["swapped chi", "doubled chi", "phased chi"])
+def test_wrong_chi_fails_group_leg(e1_z3, monkeypatch, plant, identity):
+    graded, _ = e1_z3
+    CoactionCrossedProduct(graded)
+    real = crossed.regular_matrices
+    monkeypatch.setattr(crossed, "regular_matrices",
+                        lambda G: (*real(G)[:2], plant(real(G)[2])))
+    with pytest.raises(ActionInvalid, match=f"lam/chi {identity} identity fails"):
+        CoactionCrossedProduct(graded)
+
+
+def test_non_unitary_similarity_fails_only_the_adjoint_rule(e1_z3, z3):
+    graded, _ = e1_z3
+    CoactionCrossedProduct(graded)
+    # Scaling (b_i, u) by f(t u) / f(u), t = deg(b_i), conjugates the group leg
+    # by diag(f): the multiplication rule still holds, and for an f of
+    # varying modulus the adjoint rule does not.
+    f = np.array([2.0, 1.0, 1.0])
+    deg = np.repeat(graded.degrees, z3.order)
+    u = np.tile(np.arange(z3.order), graded.span.dim)
+    graded.spanning_rows = sp.diags(f[z3.table[deg, u]] / f[u]) @ graded.spanning_rows
+    with pytest.raises(ActionInvalid, match="spanning adjoint rule fails"):
+        CoactionCrossedProduct(graded)
+
+
+def test_order_16_group_stays_within_memory(e1):
+    G = groups.cyclic_group(16)
+    graded = spectral_subspaces(ck_representation(e1), G, groups.Labeling(e1, G, [1]))
+    tracemalloc.start()
+    try:
+        assert CoactionCrossedProduct(graded).dim == 4 * 16
+        verify_graded_coaction(graded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_non_cocycle_degrees_fail_crossed_product(z2):
