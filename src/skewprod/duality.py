@@ -37,13 +37,7 @@ from .graphalg import CKFamily, ck_representation
 from .graphs import DirectedGraph, GraphAction, skew_product, translation_action
 from .graphs import quotient_and_gross_tucker
 from .groups import FiniteGroup, Labeling, regular_matrices
-from .matalg import (
-    StarMapReport,
-    frobenius,
-    full_matrix_span,
-    kron,
-    tensor_span,
-)
+from .matalg import StarMapReport, full_matrix_span, tensor_span
 
 DEFAULT_ISO_TOL = 1e-8
 _SIGNATURE_DIM_CAP = 600  # certify_direct_iso skips signatures above this dimension
@@ -111,12 +105,13 @@ class IsomorphismCertificate:
         return out
 
 
-def _basis_image_rows(fam: CKFamily, edge_imgs: list, vertex_imgs: list, m: int,
+def _basis_image_rows(fam: CKFamily, gen_rows: sp.csr_matrix, m: int,
                       post=None) -> sp.csr_matrix:
     """Rows vec(T(e_{mu,nu})) with T evaluated as the word s_mu s_nu*, in the
-    order of ``fam.pairs``; with the stacked rows ``post``, the row of pair k
-    times post row s sits at k |post| + s."""
-    words = matalg.vec_rows(graphalg._path_images(fam, edge_imgs, vertex_imgs))
+    order of ``fam.pairs``, for the m x m generator images T(s_f), T(p_v)
+    given as stacked rows in the generator order of ``fam``; with the stacked
+    rows ``post``, the row of pair k times post row s sits at k |post| + s."""
+    words = graphalg._path_images(fam, gen_rows, m)
     # Every word times every adjoint word: row j P + i is w_i w_j*, w_i the
     # word of path i and P the number of paths.
     prods = sp.vstack([p for _, p in matalg.right_products(
@@ -190,17 +185,11 @@ class DualityParts:
         return ck_representation(self.skew)
 
     @cached_property
-    def theta(self) -> tuple[list, list, list]:
-        """Theta's images of s_(f,r), p_(v,r) and u_t; see
-        :func:`_theta_generator_images`."""
-        return _theta_generator_images(self.fam, self.skew, self.G, self.labeling)
-
-    @cached_property
     def theta_gen_rows(self) -> sp.csr_matrix:
         """The rows vec of Theta's images of s_(f,r), p_(v,r) and u_t, in this
-        order: the generator order of ``fam_skew`` and then of ``acp``."""
-        theta_edge, theta_vertex, theta_u = self.theta
-        return matalg.vec_rows(theta_edge + theta_vertex + theta_u)
+        order: the generator order of ``fam_skew`` and then of ``acp``; see
+        :func:`_theta_generator_images`."""
+        return _theta_generator_images(self.fam, self.skew, self.G, self.labeling)
 
     @cached_property
     def theta_side_errors(self) -> tuple[float, float]:
@@ -210,11 +199,10 @@ class DualityParts:
         Since u_t is unitary, the second is also |u_t t_g u_t* - t_(t.g)|, the
         equivariance error of Phi."""
         skew, gact = self.skew, self.gact
-        theta_edge, theta_vertex, _ = self.theta
-        ck_err = graphalg._ck_relations_for(skew, theta_edge, theta_vertex)
         n_e, n_g = skew.n_edges, skew.n_edges + skew.n_vertices
         gens, us = self.theta_gen_rows[:n_g], self.theta_gen_rows[n_g:]
         m = self.fam.ambient_dim * self.G.order
+        ck_err = graphalg._ck_relations_for(skew, gens, m)
         cov_err = 0.0
         for t in self.G:
             moved = np.concatenate([gact.eperm[t], n_e + gact.vperm[t]])
@@ -227,9 +215,8 @@ class DualityParts:
     def theta_rows(self) -> sp.csr_matrix:
         """Theta on the basis pi~(e_{mu,nu}) u~_s of ``acp``, as the rows
         vec(s_mu s_nu* u_s) of the words in Theta's generator images."""
-        theta_edge, theta_vertex, _ = self.theta
         n_g = self.skew.n_edges + self.skew.n_vertices
-        return _basis_image_rows(self.fam_skew, theta_edge, theta_vertex,
+        return _basis_image_rows(self.fam_skew, self.theta_gen_rows[:n_g],
                                  self.fam.ambient_dim * self.G.order,
                                  post=self.theta_gen_rows[n_g:])
 
@@ -277,12 +264,12 @@ def certify_eqvt_iso(
     # Generator images: s_(f,t) -> (s_f, t) = s_f (x) lam_c(f) chi_t, and
     # p_(v,t) -> (p_v, t) = p_v (x) chi_t, the same as Theta's; Theta's
     # u_r = 1 (x) rho_r implements the dual action.
-    edge_imgs, vertex_imgs, _ = parts.theta
+    gen_imgs = parts.theta_gen_rows[:fam_skew.span.gen_rows.shape[0]]
     # Equivariance Phi gamma_r = delta^_r Phi, exactly on generators: as u_r
     # is unitary, this is the covariance error of Theta's images.
     ck_err, eq_err = parts.theta_side_errors
 
-    image_rows = _basis_image_rows(fam_skew, edge_imgs, vertex_imgs, m)
+    image_rows = _basis_image_rows(fam_skew, gen_imgs, m)
 
     # Inverse on the crossed-product basis: (e_{mu,nu}, u) pulls back to the
     # skew matrix unit over the paths (mu, a), (nu, a) with a = c(nu)^-1 u.
@@ -302,7 +289,7 @@ def certify_eqvt_iso(
         image_rows,
         m,
         fam_skew.span.gen_rows,
-        parts.theta_gen_rows[:fam_skew.span.gen_rows.shape[0]],
+        gen_imgs,
         tol=tol,
         target=ccp.span,
         inverse_rows=inverse_rows,
@@ -373,9 +360,9 @@ def certify_direct_iso(
     t_rows = sw[[G.inv(labeling.of(f)) * n_e + f for f in range(n_e)]]
 
     # Upsilon on the target basis e_{mu,nu} (x) E_{a,b} -> t_mu t_nu* y_a u_{a^-1 b}.
+    tq = sp.vstack([t_rows, q_rows], format="csr")
     inverse_rows = _basis_image_rows(
-        fam, matalg.unvec_rows(t_rows, N), matalg.unvec_rows(q_rows, N), N,
-        post=yu[[G.mul(G.inv(a), b) * m + a for a in G for b in G]],
+        fam, tq, N, post=yu[[G.mul(G.inv(a), b) * m + a for a in G for b in G]],
     )
 
     report = matalg.star_map_on_basis(
@@ -393,8 +380,7 @@ def certify_direct_iso(
     h_rows = matalg._kron_rows(fam.span.gen_rows,
                                matalg.vec_rows([chi[r] @ rho[t] for r in G for t in G]),
                                fam.ambient_dim, m)
-    tq_yu = sp.vstack([p for _, p in matalg.right_products(
-        sp.vstack([t_rows, q_rows], format="csr"), yu, N)], format="csr")
+    tq_yu = sp.vstack([p for _, p in matalg.right_products(tq, yu, N)], format="csr")
     n_h = fam.span.gen_rows.shape[0]
     ups_h = tq_yu[[(t * m + r) * n_h + g for g in range(n_h) for r in G for t in G]]
     c_dom, resid = acp.span.coefficients_rows(ups_h)
@@ -449,21 +435,21 @@ def certify_regular_diagram(
     parts = _parts_for(parts, graph, G, labeling, tol)
     fam, rc, skew = parts.fam, parts.coaction, parts.skew
     _, rho, chi = regular_matrices(G)
-    P = fam.ambient_dim
-    eye_p = sp.identity(P, format="csr", dtype=np.complex128)
-    theta_edge, theta_vertex, theta_u = parts.theta
+    P, n_g = fam.ambient_dim, fam.span.gen_rows.shape[0]
+    ones = matalg.vec_rows([sp.identity(P, format="csr")])
 
-    err = 0.0
-    for e_idx, edge in enumerate(skew.edges):
-        f = graph.edge_index(edge.id[0])
-        r = G.index(edge.id[1])
-        route_b = rc.delta_edge(f) @ kron(eye_p, chi[r])
-        err = max(err, frobenius(theta_edge[e_idx] - route_b))
-    for v_idx, (v, r_name) in enumerate(skew.vertices):
-        route_b = rc.delta_vertex(graph.vertex_index(v)) @ kron(eye_p, chi[G.index(r_name)])
-        err = max(err, frobenius(theta_vertex[v_idx] - route_b))
-    for t in G:
-        err = max(err, frobenius(theta_u[t] - kron(eye_p, rho[t])))
+    # Route B: delta(s_f) (1 (x) chi_r) at row r n_g + f and delta(p_v) (1 (x)
+    # chi_r) at row r n_g + n_e + v, picked in Theta's (f, r), (v, r) order,
+    # then u_t -> 1 (x) rho_t.
+    chi_rows = matalg._kron_rows(ones, matalg.vec_rows(chi), P, G.order)
+    prods = sp.vstack([p for _, p in matalg.right_products(
+        rc.graded.delta(fam.span.gen_rows), chi_rows, P * G.order)], format="csr")
+    picks = ([G.index(r) * n_g + graph.edge_index(f) for f, r in (e.id for e in skew.edges)]
+             + [G.index(r) * n_g + graph.n_edges + graph.vertex_index(v)
+                for v, r in skew.vertices])
+    route_b = sp.vstack([prods[picks],
+                         matalg._kron_rows(ones, matalg.vec_rows(rho), P, G.order)], format="csr")
+    err = matalg.max_row_norm(parts.theta_gen_rows - route_b)
 
     # Finite-scale faithfulness: the regular covariant representation of the
     # crossed product preserves the universal dimension dim(A) |G|.
@@ -578,19 +564,21 @@ def certify_free_action(
     )
 
 
-def _theta_generator_images(fam, skew, G, labeling):
-    """Theta's images s_(f,r) -> s_f (x) lam_c(f) chi_r, p_(v,r) -> p_v (x) chi_r
-    and u_t -> 1 (x) rho_t, inside C*(E) (x) M_|G|."""
+def _theta_generator_images(fam, skew, G, labeling) -> sp.csr_matrix:
+    """The rows vec of Theta's images s_(f,r) -> s_f (x) lam_c(f) chi_r,
+    p_(v,r) -> p_v (x) chi_r and u_t -> 1 (x) rho_t inside C*(E) (x) M_|G|,
+    in the order of ``skew.edges``, ``skew.vertices`` and then G."""
     lam, rho, chi = regular_matrices(G)
-    P = fam.ambient_dim
-    eye_p = sp.identity(P, format="csr", dtype=np.complex128)
-    theta_edge, theta_vertex = [], []
-    graph = fam.graph
-    for edge in skew.edges:
-        f = graph.edge_index(edge.id[0])
-        r = G.index(edge.id[1])
-        theta_edge.append(kron(fam.s[f], lam[labeling.of(f)] @ chi[r]))
-    for v, r_name in skew.vertices:
-        theta_vertex.append(kron(fam.p[graph.vertex_index(v)], chi[G.index(r_name)]))
-    theta_u = [kron(eye_p, rho[t]) for t in G]
-    return theta_edge, theta_vertex, theta_u
+    graph, P, m = fam.graph, fam.ambient_dim, G.order
+    gen_rows, n_e = fam.span.gen_rows, graph.n_edges
+    # s_f (x) lam_t chi_r at row f |G|^2 + t |G| + r, picked at t = c(f).
+    edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(
+        [lam[t] @ chi[r] for t in G for r in G]), P, m)
+    f = np.array([graph.edge_index(e.id[0]) for e in skew.edges], dtype=np.int64)
+    edge_picks = (f * m + labeling.by_edge[f]) * m + [G.index(e.id[1]) for e in skew.edges]
+    # p_v (x) chi_r at row v |G| + r.
+    vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(chi), P, m)
+    vertex_picks = [graph.vertex_index(v) * m + G.index(r) for v, r in skew.vertices]
+    us = matalg._kron_rows(matalg.vec_rows([sp.identity(P, format="csr")]),
+                           matalg.vec_rows(rho), P, m)
+    return sp.vstack([edges[edge_picks], vertices[vertex_picks], us], format="csr")

@@ -45,33 +45,43 @@ def _block_norms(diff: sp.spmatrix, n: int, k: int) -> np.ndarray:
     return np.sqrt(sq).reshape(k, k)
 
 
-def _ck_relations_for(graph: DirectedGraph, s_imgs: list, p_imgs: list) -> float:
-    """Largest violation of the Cuntz-Krieger relations by a candidate family:
+def _diag_blocks(rows: sp.spmatrix, n: int) -> sp.csr_matrix:
+    """The n x n matrices of the stacked rows vec(x_k) as the diagonal blocks
+    of one block-diagonal matrix, by index arithmetic."""
+    c, k = rows.tocoo(), rows.shape[0]
+    return sp.csr_matrix((c.data, (c.row * n + c.col // n, c.row * n + c.col % n)),
+                         shape=(k * n, k * n))
+
+
+def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> float:
+    """Largest violation of the Cuntz-Krieger relations by a candidate family
+    of n x n matrices, given as the stacked rows vec(s_f) and then vec(p_v):
     the p_v are mutually orthogonal nonzero projections summing to 1, each s_f
     is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
     out of each non-sink v.
 
     Each relation family is one stacked product: the p_v, s_f and s_f* as
     block-diagonal matrices, and every p_v p_w as one tall x wide product."""
-    n = p_imgs[0].shape[0]
     n_v, n_e = graph.n_vertices, graph.n_edges
+    p_rows = gen_rows[n_e:n_e + n_v]
+    P, S = _diag_blocks(p_rows, n), _diag_blocks(gen_rows[:n_e], n)
     errs = [0.0]
-    if any(m.nnz == 0 for m in list(p_imgs) + list(s_imgs)):
+    # A zero generator, found by its Frobenius norm.
+    if any(np.any(_block_norms(X, n, k).diagonal() == 0.0) for X, k in ((P, n_v), (S, n_e))):
         errs.append(1.0)
-    P = sp.block_diag(p_imgs, format="csr")
     errs.append(_block_norms(P @ P - P, n, n_v).max())
     errs.append(_block_norms(P.conj().T - P, n, n_v).max())
     # Block (v, w) of the stacked p_v times the p_w side by side is p_v p_w.
-    vw = sp.vstack(p_imgs, format="csr") @ sp.hstack(p_imgs, format="csr")
-    errs.append(np.triu(_block_norms(vw, n, n_v), 1).max())
-    # sum_v p_v - 1: the diagonal blocks of P folded onto one n x n block.
-    p = P.tocoo()
-    total = sp.csr_matrix((p.data, (p.row % n, p.col % n)), shape=(n, n))
+    p = p_rows.tocoo()
+    tall = sp.csr_matrix((p.data, (p.row * n + p.col // n, p.col % n)), shape=(n_v * n, n))
+    wide = sp.csr_matrix((p.data, (p.col // n, p.row * n + p.col % n)), shape=(n, n_v * n))
+    errs.append(np.triu(_block_norms(tall @ wide, n, n_v), 1).max())
+    # sum_v p_v - 1: the p_v rows summed into one.
+    total = sp.csr_matrix((p.data, (p.col // n, p.col % n)), shape=(n, n))
     errs.append(frobenius(total - sp.identity(n, format="csr", dtype=np.complex128)))
     if n_e:
-        S = sp.block_diag(s_imgs, format="csr")
         S_h = S.conj().T.tocsr()
-        P_rng = sp.block_diag([p_imgs[r] for r in graph.rng], format="csr")
+        P_rng = _diag_blocks(p_rows[graph.rng], n)
         errs.append(_block_norms(S_h @ S - P_rng, n, n_e).max())
         # sum_f s_f s_f* over the edges out of v: block f of S S* moved to block s(f).
         ss = (S @ S_h).tocoo()
@@ -82,19 +92,28 @@ def _ck_relations_for(graph: DirectedGraph, s_imgs: list, p_imgs: list) -> float
     return float(max(errs))
 
 
-def _path_images(fam: CKFamily, edge_imgs: list, vertex_imgs: list) -> list:
-    """Evaluate the word s_mu for every basis path, in the image algebra."""
-    out = [None] * len(fam.paths)
-    order = sorted(range(len(fam.paths)), key=lambda i: len(fam.paths[i].edges))
-    index = fam.path_index
-    for i in order:
-        p = fam.paths[i]
-        if not p.edges:
-            out[i] = vertex_imgs[p.source].tocsr()
-        else:
-            tail = index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
-            out[i] = (edge_imgs[p.edges[0]] @ out[tail]).tocsr()
-    return out
+def _path_images(fam: CKFamily, gen_rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
+    """The rows vec(s_mu) of the word of every basis path, in path order, for
+    a family of n x n matrices given as the stacked rows s_f and then p_v.
+
+    A path of length 0 at v has the word p_v, and f mu the word s_f s_mu: one
+    stacked product per path length, of the block-diagonal s_f with the
+    block-diagonal words s_mu of the paths one shorter."""
+    n_e, n_p = fam.graph.n_edges, len(fam.paths)
+    words = gen_rows[[n_e + p.source for p in fam.paths]]
+    for length in range(1, max(len(p.edges) for p in fam.paths) + 1):
+        longer = [i for i, p in enumerate(fam.paths) if len(p.edges) == length]
+        heads = [fam.paths[i].edges[0] for i in longer]
+        tails = [fam.path_index[(int(fam.graph.rng[f]), fam.paths[i].edges[1:])]
+                 for i, f in zip(longer, heads)]
+        # Block k of the product is the word of the k-th path of this length.
+        z = (_diag_blocks(gen_rows[heads], n) @ _diag_blocks(words[tails], n)).tocoo()
+        new = sp.csr_matrix((z.data, (z.row // n, z.row % n * n + z.col % n)),
+                            shape=(len(longer), n * n))
+        order = np.arange(n_p)
+        order[longer] = n_p + np.arange(len(longer))
+        words = sp.vstack([words, new], format="csr")[order]
+    return words
 
 
 class CKFamily:
@@ -153,17 +172,17 @@ class CKFamily:
     def verify(self, tol: float = 1e-12):
         """Exhaustively check the Cuntz-Krieger relations and that each
         canonical basis element equals its defining word s_mu p_w s_nu*."""
-        err = _ck_relations_for(self.graph, self.s, self.p)
+        n = self.ambient_dim
+        err = _ck_relations_for(self.graph, self.span.gen_rows, n)
         if err > tol:
             raise CKRelationError(f"Cuntz-Krieger relations fail (error {err:.2e})")
-        n = self.ambient_dim
         # Each sink-bound path word s_mu equals the matrix unit e_{mu, w},
         # where w is the length-0 path at the sink; hence every canonical
         # basis element e_{mu,nu} = e_{mu,w} e_{w,nu} equals s_mu s_nu*.
         sinks = [self.path_index[(p.range, ())] for p in self.paths]
         units = sp.csr_matrix((np.ones(n, dtype=np.complex128),
                                (np.arange(n), np.arange(n) * n + sinks)), shape=(n, n * n))
-        words = matalg.vec_rows(_path_images(self, self.s, self.p))
+        words = _path_images(self, self.span.gen_rows, n)
         if matalg.max_row_norm(words - units) > tol:
             raise CKRelationError("path word disagrees with its matrix unit")
 
@@ -197,7 +216,10 @@ def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
         raise ValueError(f"|z| must be 1, got {abs(z)}")
     g = fam.graph
     n = fam.ambient_dim
-    ok = _ck_relations_for(g, [z * s for s in fam.s], fam.p) <= tol
+    # The generators s_f, then p_v: s_f -> z s_f, p_v -> p_v.
+    gen_scale = np.concatenate([np.full(g.n_edges, z), np.ones(g.n_vertices)])
+    scaled = sp.diags(gen_scale).tocsr() @ fam.span.gen_rows
+    ok = _ck_relations_for(g, scaled, n) <= tol
 
     # alpha_z on the canonical basis: e_{mu,nu} -> z^(|mu|-|nu|) e_{mu,nu}.
     powers = np.array(
@@ -206,14 +228,12 @@ def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
     scale = np.array([z**int(k) for k in powers], dtype=np.complex128)
     image_rows = sp.diags(scale).tocsr() @ fam.span.rows
     inverse_rows = sp.diags(scale.conj()).tocsr() @ fam.span.rows
-    # The generators s_f, then p_v: s_f -> z s_f, p_v -> p_v.
-    gen_scale = np.concatenate([np.full(g.n_edges, z), np.ones(g.n_vertices)])
     report = matalg.star_map_on_basis(
         fam.span,
         image_rows,
         n,
         fam.span.gen_rows,
-        sp.diags(gen_scale).tocsr() @ fam.span.gen_rows,
+        scaled,
         tol=max(tol, 1e-12),
         target=fam.span,
         inverse_rows=inverse_rows,

@@ -427,11 +427,6 @@ class GroupoidAlgebra:
     def dim(self) -> int:
         return self.span.dim
 
-    def represent(self, f) -> sp.csr_matrix:
-        """pi(f) for a coefficient function on arrows."""
-        n = self.groupoid.n_arrows
-        return self.represent_rows(np.reshape(f, (1, -1))).reshape(n, n).tocsr()
-
     def represent_rows(self, fs) -> sp.csr_matrix:
         """vec(pi(f)) for every row f of a stack of coefficient functions."""
         return sp.csr_matrix(np.asarray(fs, dtype=np.complex128)) @ self.span.rows
@@ -1471,17 +1466,13 @@ def verify_bimodule_module_structure(
     out["adjointability_ok"] = err <= tol * 10
 
     worst = 0.0
+    n, nn = alg.groupoid.n_arrows, alg_n.groupoid.n_arrows
     for _ in range(4):
         elems = [rand_fn() for _ in range(3)]
         k = len(elems)
-        nn = N_sub.n_arrows
-        gram = np.zeros((k * nn, k * nn), dtype=np.complex128)
-        for i in range(k):
-            for j in range(k):
-                val = inner(elems[i], elems[j])
-                gram[i * nn : (i + 1) * nn, j * nn : (j + 1) * nn] = (
-                    alg_n.represent(val).toarray()
-                )
+        # pi(<a_i, a_j>) at row i k + j, moved to block (i, j) of the Gram matrix.
+        vals = alg_n.represent_rows([inner(x, y) for x in elems for y in elems]).toarray()
+        gram = vals.reshape(k, k, nn, nn).transpose(0, 2, 1, 3).reshape(k * nn, k * nn)
         ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         worst = min(worst, float(ev[0]))
     out["gram_min_eigenvalue"] = worst
@@ -1493,9 +1484,9 @@ def verify_bimodule_module_structure(
     for _ in range(8):
         a, b = rand_fn(), rand_fn()
         ab = alg.convolve(a, b)
-        norm_a = matalg.operator_norm(alg.represent(a))
-        lhs = alg_n.represent(inner(ab, ab)).toarray()
-        rhs = norm_a**2 * alg_n.represent(inner(b, b)).toarray()
+        norm_a = matalg.operator_norm(alg.represent_rows([a]).reshape(n, n))
+        lhs, rhs = alg_n.represent_rows([inner(ab, ab), inner(b, b)]).toarray().reshape(2, nn, nn)
+        rhs = norm_a**2 * rhs
         ev = np.linalg.eigvalsh((rhs - lhs + (rhs - lhs).conj().T) / 2)
         worst = min(worst, float(ev[0]) / max(1.0, norm_a**2))
     out["boundedness_min_eigenvalue"] = worst

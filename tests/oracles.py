@@ -1,9 +1,10 @@
-"""Independent loop versions of the batched relation checks.
+"""Independent loop versions of the batched relation checks and constructions.
 
-Each function checks the same relations as its counterpart in ``skewprod``
-one vertex, edge, vertex pair or generator at a time, with one small sparse
-or dense product per relation.  The tests compare the batched checks with
-these on random, gauge-scaled and groupoid inputs and on planted defects.
+Each check tests the same relations as its counterpart in ``skewprod`` one
+vertex, edge, vertex pair or generator at a time, with one small sparse or
+dense product per relation, and each construction builds its matrices one
+at a time.  The tests compare the batched versions with these on random,
+gauge-scaled and groupoid inputs and on planted defects.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +25,7 @@ def ck_relations_loop(graph, s_imgs, p_imgs) -> float:
         pv = p_imgs[v]
         total = total + pv
         err = max(err, frobenius(pv @ pv - pv), frobenius(pv.conj().T - pv))
-        if pv.nnz == 0:
+        if frobenius(pv) == 0.0:
             err = max(err, 1.0)
     for v in range(graph.n_vertices):
         for w in range(v + 1, graph.n_vertices):
@@ -32,7 +33,7 @@ def ck_relations_loop(graph, s_imgs, p_imgs) -> float:
     err = max(err, frobenius(total - ident))
     for e in range(graph.n_edges):
         se = s_imgs[e]
-        if se.nnz == 0:
+        if frobenius(se) == 0.0:
             err = max(err, 1.0)
         err = max(err, frobenius(se.conj().T @ se - p_imgs[graph.rng[e]]))
     for v in range(graph.n_vertices):
@@ -43,6 +44,33 @@ def ck_relations_loop(graph, s_imgs, p_imgs) -> float:
             acc = acc + s_imgs[e] @ s_imgs[e].conj().T
         err = max(err, frobenius(acc - p_imgs[v]))
     return err
+
+
+def theta_generator_images_loop(fam, skew, G, labeling):
+    """Theta's images s_(f,r) -> s_f (x) lam_c(f) chi_r, p_(v,r) -> p_v (x) chi_r
+    and u_t -> 1 (x) rho_t as three matrix lists, one sparse kron each."""
+    lam, rho, chi = regular_matrices(G)
+    eye_p = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
+    graph = fam.graph
+    theta_edge = [kron(fam.s[graph.edge_index(f)], lam[labeling.of(graph.edge_index(f))]
+                       @ chi[G.index(r)]) for f, r in (e.id for e in skew.edges)]
+    theta_vertex = [kron(fam.p[graph.vertex_index(v)], chi[G.index(r)])
+                    for v, r in skew.vertices]
+    theta_u = [kron(eye_p, rho[t]) for t in G]
+    return theta_edge, theta_vertex, theta_u
+
+
+def path_images_loop(fam, edge_imgs, vertex_imgs) -> list:
+    """The word s_mu of every basis path as a matrix, one product per path."""
+    out = [None] * len(fam.paths)
+    for i in sorted(range(len(fam.paths)), key=lambda i: len(fam.paths[i].edges)):
+        p = fam.paths[i]
+        if not p.edges:
+            out[i] = vertex_imgs[p.source].tocsr()
+        else:
+            tail = fam.path_index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
+            out[i] = (edge_imgs[p.edges[0]] @ out[tail]).tocsr()
+    return out
 
 
 def graded_coaction_loop(graded, tol: float = 1e-12) -> dict:

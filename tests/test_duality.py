@@ -114,21 +114,18 @@ class TestDualityParts:
             shared = certify(chain2, z3, lab, parts=parts)
             assert shared.as_dict() == certify(chain2, z3, lab).as_dict()
 
-    def test_batched_basis_images_are_the_per_pair_words(self):
-        # 5 paths into w, so 20 skew paths over Z4: the word products span two chunks.
-        graph = DirectedGraph(
-            ["u", "v", "w"],
-            [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "v", "w"), ("e4", "u", "w")],
-        )
-        G = groups.cyclic_group(4)
-        lab = groups.make_labeling(graph, {"e1": "g", "e2": "g^2", "e3": "g^3", "e4": "e"}, G)
+    def test_batched_basis_images_are_the_per_pair_words(self, two_chunk_instance):
+        # The word products span two chunks.
+        graph, G, lab = two_chunk_instance
         parts = duality.DualityParts(graph, G, lab)
-        fam_skew, (edge_imgs, vertex_imgs, theta_u) = parts.fam_skew, parts.theta
+        fam_skew, m = parts.fam_skew, parts.fam.ambient_dim * G.order
+        n_g = fam_skew.span.gen_rows.shape[0]
+        gen_imgs = parts.theta_gen_rows[:n_g]
+        theta_u = matalg.unvec_rows(parts.theta_gen_rows[n_g:], m)
         assert len(fam_skew.paths) > matalg.CHUNK
-        words = graphalg._path_images(fam_skew, edge_imgs, vertex_imgs)
+        words = matalg.unvec_rows(graphalg._path_images(fam_skew, gen_imgs, m), m)
         per_pair = [(words[i] @ words[j].conj().T).toarray() for i, j in fam_skew.pairs]
-        m = parts.fam.ambient_dim * G.order
-        plain = duality._basis_image_rows(fam_skew, edge_imgs, vertex_imgs, m)
+        plain = duality._basis_image_rows(fam_skew, gen_imgs, m)
         np.testing.assert_array_equal(plain.toarray(), [w.ravel() for w in per_pair])
         post = [(w @ q.toarray()).ravel() for w in per_pair for q in theta_u]
         np.testing.assert_array_equal(parts.theta_rows.toarray(), post)
@@ -172,8 +169,8 @@ class TestDualityParts:
         assert parts.theta_side_errors == (0.0, 0.0)
         # Doubling t_(f,e) breaks u_g t_(f,e) = t_(f,g) u_g with error |t_(f,e)| = 1.
         planted = duality.DualityParts(e1, z2, e1_z2_labeling)
-        edges, vertices, us = planted.theta
-        planted.theta = ([2 * edges[0]] + edges[1:], vertices, us)
+        rows = planted.theta_gen_rows
+        planted.theta_gen_rows = sp.diags(np.r_[2.0, np.ones(rows.shape[0] - 1)]) @ rows
         ck_err, cov_err = planted.theta_side_errors
         assert ck_err > 0.0 and cov_err == 1.0
 

@@ -144,12 +144,29 @@ def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
     true_images = duality._theta_generator_images
 
     def lam_for_rho(fam, skew, G, labeling):
-        edge_imgs, vertex_imgs, _ = true_images(fam, skew, G, labeling)
+        rows = true_images(fam, skew, G, labeling)
         lam = groups.regular_matrices(G)[0]
         eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
-        return edge_imgs, vertex_imgs, [matalg.kron(eye, lam[t]) for t in G]
+        return sp.vstack([rows[:skew.n_edges + skew.n_vertices],
+                          matalg.vec_rows([matalg.kron(eye, lam[t]) for t in G])], format="csr")
 
     monkeypatch.setattr(duality, "_theta_generator_images", lam_for_rho)
     cert = duality.certify_regular_diagram(e1, z3, lab)
+    assert not cert.extra["chase_ok"]
+    assert not cert.passed
+
+
+def test_shifted_chi_in_one_edge_image_fails_chase(e1, e1_z3, z3):
+    _, lab = e1_z3
+    parts = duality.DualityParts(e1, z3, lab)
+    assert duality.certify_regular_diagram(e1, z3, lab, parts=parts).extra["chase_ok"]
+    # t_(f,r) = s_f (x) lam_c(f) chi_r with chi_r replaced by chi_(r+1).
+    lam, _, chi = groups.regular_matrices(z3)
+    f_id, r = parts.skew.edges[0].id
+    f = e1.edge_index(f_id)
+    shifted = matalg.kron(parts.fam.s[f], lam[lab.of(f)] @ chi[z3.mul(z3.index(r), 1)])
+    parts.theta_gen_rows = sp.vstack([matalg.vec_rows([shifted]), parts.theta_gen_rows[1:]],
+                                     format="csr")
+    cert = duality.certify_regular_diagram(e1, z3, lab, parts=parts)
     assert not cert.extra["chase_ok"]
     assert not cert.passed

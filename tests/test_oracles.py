@@ -1,12 +1,18 @@
-"""The batched Cuntz-Krieger and coaction checks against their loop oracles
-(``oracles.py``): equal results on random, gauge-scaled and groupoid inputs,
-and a planted defect per Cuntz-Krieger relation that both versions see."""
+"""The batched Cuntz-Krieger and coaction checks, Theta's generator rows and
+the path words against their loop oracles (``oracles.py``): equal results on
+random, gauge-scaled and groupoid inputs, and a planted defect per
+Cuntz-Krieger relation that both versions see."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import ck_relations_loop, graded_coaction_loop
+from oracles import (
+    ck_relations_loop,
+    graded_coaction_loop,
+    path_images_loop,
+    theta_generator_images_loop,
+)
 
-from skewprod import graphalg, groupoids, suite
+from skewprod import duality, graphalg, groupoids, matalg, suite
 from skewprod.crossed import verify_graded_coaction
 from skewprod.graphalg import ck_representation, spectral_subspaces
 from skewprod.graphs import DirectedGraph
@@ -21,8 +27,31 @@ def test_ck_check_equals_its_loop_oracle():
         fam = ck_representation(E)
         z = np.exp(2j * np.pi * rng.uniform())
         for s_imgs in (fam.s, [z * s for s in fam.s]):
-            assert graphalg._ck_relations_for(E, s_imgs, fam.p) == ck_relations_loop(
+            rows = matalg.vec_rows(s_imgs + fam.p)
+            assert graphalg._ck_relations_for(E, rows, fam.ambient_dim) == ck_relations_loop(
                 E, s_imgs, fam.p)
+
+
+def _assert_same_rows(a, b):
+    assert a.shape == b.shape
+    assert (a != b).nnz == 0
+
+
+def test_theta_rows_and_path_words_equal_their_loop_oracles(two_chunk_instance):
+    rng = np.random.default_rng(123)
+    instances = [suite.random_graph_instance(rng) for _ in range(29)] + [two_chunk_instance]
+    for E, G, lab in instances:
+        parts = duality.DualityParts(E, G, lab)
+        fam, skew, fam_skew = parts.fam, parts.skew, parts.fam_skew
+        edge, vertex, us = theta_generator_images_loop(fam, skew, G, lab)
+        _assert_same_rows(parts.theta_gen_rows, matalg.vec_rows(edge + vertex + us))
+        m, n_g = fam.ambient_dim * G.order, skew.n_edges + skew.n_vertices
+        assert graphalg._ck_relations_for(skew, parts.theta_gen_rows[:n_g], m) == (
+            ck_relations_loop(skew, edge, vertex))
+        _assert_same_rows(graphalg._path_images(fam_skew, parts.theta_gen_rows[:n_g], m),
+                          matalg.vec_rows(path_images_loop(fam_skew, edge, vertex)))
+        _assert_same_rows(graphalg._path_images(fam, fam.span.gen_rows, fam.ambient_dim),
+                          matalg.vec_rows(path_images_loop(fam, fam.s, fam.p)))
 
 
 def test_coaction_check_equals_its_loop_oracle():
@@ -57,12 +86,16 @@ def _pad(m):
 # Each plant maps (graph, s, p) of the fork to a defective (graph, s, p).
 PLANTS = {
     "doubled p_v": lambda E, s, p: (E, s, [2 * p[0]] + p[1:]),
+    "doubled s_e": lambda E, s, p: (E, [2 * s[0]] + s[1:], p),
     "non-self-adjoint p_v": lambda E, s, p: (E, s, [p[0] + sp.csr_matrix(
         ([1j], ([0], [p[0].shape[0] - 1])), shape=p[0].shape)] + p[1:]),
     "overlapping projections": lambda E, s, p: (E, s, [p[0], p[1] + p[0], p[2]]),
     # An isolated extra vertex with p_x = 0: only the nonzero check sees it.
     "zeroed p_v": lambda E, s, p: (DirectedGraph(E.vertices + ("x",), E.edges), s,
                                    p + [_zero(p[0])]),
+    # The same with p_x = 0 p_u, which stores two zeros: zero by value.
+    "zeroed p_v with stored zeros": lambda E, s, p: (
+        DirectedGraph(E.vertices + ("x",), E.edges), s, p + [0 * p[0]]),
     "zero s_e": lambda E, s, p: (E, [_zero(s[0])] + s[1:], p),
     "s_e* for s_e": lambda E, s, p: (E, [s[0].conj().T.tocsr()] + s[1:], p),
     # s_e3 s_e2* has the range of s_e3 and the initial projection p_v, not p_w.
@@ -77,8 +110,9 @@ PLANTS = {
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_planted_ck_defect_is_seen_by_both_versions(fork, plant):
     fam = ck_representation(fork)
-    assert graphalg._ck_relations_for(fork, fam.s, fam.p) == 0.0
+    assert graphalg._ck_relations_for(fork, fam.span.gen_rows, fam.ambient_dim) == 0.0
     graph, s_imgs, p_imgs = PLANTS[plant](fork, list(fam.s), list(fam.p))
-    batched = graphalg._ck_relations_for(graph, s_imgs, p_imgs)
+    batched = graphalg._ck_relations_for(graph, matalg.vec_rows(s_imgs + p_imgs),
+                                         p_imgs[0].shape[0])
     assert batched > PLANTED_MIN
     assert batched == ck_relations_loop(graph, s_imgs, p_imgs)

@@ -101,3 +101,27 @@ def test_suite_run_deterministic_and_ordered():
     s2 = [(c.kind, c.seed, c.passed, repr(sorted(c.summary))) for c in r2.cases]
     assert s1 == s2
     assert r1.passed
+
+
+def _floats(node, key=None):
+    """(key, value) for every float in a nested report, bools and ints excluded."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _floats(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _floats(v, key)
+    elif isinstance(node, float):
+        yield key, node
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_and_free_action_errors_are_exactly_zero(seed):
+    # The graph half certifies 0/1 partial isometries, so every error is
+    # exact: chase, Cuntz-Krieger, composition, equivariance and star-map.
+    floats = []
+    for case in (suite.run_graph_case(seed), suite.run_free_action_case(seed)):
+        floats += [(k, v) for k, v in _floats(case.as_dict()["summary"]) if k != "tolerance"]
+    assert all(v == 0.0 for _, v in floats), floats
+    assert {k for k, _ in floats} >= {"chase_error", "ck_error", "composition_error",
+                                      "equivariance_error", "max_error"}
