@@ -36,7 +36,8 @@ print("gauge automorphisms verified for four sample points")
 # The coaction delta(s_f) = s_f (x) lam_c(f), delta(p_v) = p_v (x) 1 is
 # machine-verified (coaction identity to 1e-12, injectivity, nondegeneracy).
 rc = graphalg.coaction(fam, Z2, labeling)
-print("\ndelta(s_f) =\n", rc.delta_edge(0).toarray().real)
+N = fam.ambient_dim * Z2.order
+print("\ndelta(s_f) =\n", rc.graded.delta(fam.span.gen_rows[:1]).reshape(N, N).toarray().real)
 graded = graphalg.spectral_subspaces(fam, Z2, labeling)
 print("spectral subspace dimensions:",
       {Z2.name(t): d for t, d in graded.subspace_dims().items()})

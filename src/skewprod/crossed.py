@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from . import matalg
 from .graphs import GraphAction
 from .groups import FiniteGroup, regular_matrices
-from .matalg import AlgebraSpan, as_sparse, frobenius, kron
+from .matalg import AlgebraSpan
 
 if TYPE_CHECKING:
     from .graphalg import CKFamily
@@ -42,10 +42,12 @@ class ActionInvalid(ValueError):
     pass
 
 
-def _conjugates(rows: sp.spmatrix, u_row: sp.spmatrix, n: int) -> sp.csr_matrix:
-    """vec(u X u*) for every row vec(X) of ``rows``, u given as the row vec(u)."""
-    _, right = next(matalg.right_products(rows, matalg.star_columns(u_row, n), n))
-    return next(matalg.left_products(right, u_row, n))[1]
+def _ad_perm(rows: sp.spmatrix, perm: np.ndarray, n: int) -> sp.csr_matrix:
+    """vec(U X U*) for every row vec(X) of ``rows``, U the permutation matrix
+    e_i -> e_(perm[i]): entry (i, j) of X moves to (perm[i], perm[j])."""
+    coo = rows.tocoo()
+    i, j = np.divmod(coo.col, n)
+    return sp.csr_matrix((coo.data, (coo.row, perm[i] * n + perm[j])), shape=rows.shape)
 
 
 class AlgebraAction:
@@ -53,7 +55,9 @@ class AlgebraAction:
 
     Stored as coefficient matrices on the span basis: row i of
     ``coeff_mats[t]`` expands gamma_t(b_i).  The constructor takes them as
-    given; :meth:`from_unitary_conjugation` builds and verifies them.
+    given; :meth:`from_permutations` builds and verifies them for an action
+    gamma_t = Ad(U_t) by permutation matrices, the form of every action in
+    the paper: translating paths, permuting arrows, and the dual action.
     """
 
     def __init__(self, span: AlgebraSpan, group: FiniteGroup, coeff_mats,
@@ -64,38 +68,39 @@ class AlgebraAction:
         self.name = name
 
     @classmethod
-    def from_unitary_conjugation(
+    def from_permutations(
         cls,
         span: AlgebraSpan,
         group: FiniteGroup,
-        unitaries,
+        perms,
         tol: float = matalg.PRODUCT_TOL,
         name: str = "action",
     ) -> "AlgebraAction":
-        """Action gamma_t = Ad(U_t) for a unitary representation t -> U_t.
+        """Action gamma_t = Ad(U_t), U_t the permutation matrix sending e_i to
+        e_(perms[t, i]).
 
-        Ad of a unitary is automatically a *-automorphism of the ambient
-        matrix algebra, so the verification burden reduces to exact facts:
-        each U_t is unitary, Ad(U_t) maps the span into itself (expansion
-        residual), U respects the group law, and U_e = 1.
+        Ad of a permutation matrix is a *-automorphism of the ambient matrix
+        algebra, so the verification reduces to exact facts about the integer
+        table: each row is a bijection, U_e = 1 and U_s U_t = U_st; and to
+        one residual gate: Ad(U_t) maps the span into itself.
         """
         G = group
         n = span.ambient_dim
-        eye = sp.identity(n, format="csr", dtype=np.complex128)
-        us = [as_sparse(u) for u in unitaries]
-        if frobenius(us[G.identity_index] - eye) > tol:
+        perms = np.asarray(perms, dtype=np.int64)
+        ident = np.arange(n)
+        if not np.array_equal(perms[G.identity_index], ident):
             raise ActionInvalid(f"{name}: U_e is not the identity")
         for t in G:
-            if frobenius(us[t] @ us[t].conj().T - eye) > tol:
+            if not np.array_equal(np.sort(perms[t]), ident):
                 raise ActionInvalid(f"{name}: U_{t} is not unitary")
-        for s in G:
-            for t in G:
-                if frobenius(us[s] @ us[t] - us[G.mul(s, t)]) > tol:
-                    raise ActionInvalid(f"{name}: U is not a homomorphism at ({s},{t})")
+        # perms[s][perms[t]] for every (s, t) at once, against perms[st].
+        bad = np.any(perms[:, perms] != perms[G.table], axis=2)
+        if bad.any():
+            s, t = np.argwhere(bad)[0]
+            raise ActionInvalid(f"{name}: U is not a homomorphism at ({s},{t})")
         mats = []
-        u_rows = matalg.vec_rows(us)
         for t in G:
-            coeffs, resid = span.coefficients_rows(_conjugates(span.rows, u_rows[t], n))
+            coeffs, resid = span.coefficients_rows(_ad_perm(span.rows, perms[t], n))
             if resid > tol:
                 raise ActionInvalid(f"{name}: Ad(U_{t}) does not preserve the span")
             coeffs.data[np.abs(coeffs.data) < 1e-14] = 0.0
@@ -110,27 +115,19 @@ class AlgebraAction:
 def ck_action_from_graph_action(fam: CKFamily, action: GraphAction) -> AlgebraAction:
     """Lift a graph automorphism action to C*(E): gamma_t(s_f) = s_{t.f}.
 
-    The action is implemented as conjugation by the unitary permuting the
-    path space, which sends the matrix unit e_{mu,nu} to e_{t.mu, t.nu}.
-    The generator formula is verified exactly on every edge and vertex.
+    The action is implemented as conjugation by the permutation of the path
+    space, which sends the matrix unit e_{mu,nu} to e_{t.mu, t.nu}.  The
+    generator formula is verified exactly on every edge and vertex.
     """
     G = action.group
-    P = fam.ambient_dim
-    path_perm = np.zeros((G.order, P), dtype=np.int64)
+    path_perm = np.zeros((G.order, fam.ambient_dim), dtype=np.int64)
     for t in G:
         for i, p in enumerate(fam.paths):
             moved = tuple(int(action.eperm[t][e]) for e in p.edges)
             base = int(action.vperm[t][p.base])
             path_perm[t, i] = fam.path_index[(base, moved)]
-    unitaries = [
-        sp.csr_matrix(
-            (np.ones(P, dtype=np.complex128), (path_perm[t], np.arange(P))),
-            shape=(P, P),
-        )
-        for t in G
-    ]
-    act = AlgebraAction.from_unitary_conjugation(
-        fam.span, G, unitaries, name="graph automorphism action"
+    act = AlgebraAction.from_permutations(
+        fam.span, G, path_perm, name="graph automorphism action"
     )
     # Batched over generators: row k of gen_rows is s_k for k < n_e, else p_(k - n_e).
     n_e, n_v = fam.graph.n_edges, fam.graph.n_vertices
@@ -170,7 +167,9 @@ class ActionCrossedProduct:
         d = base.dim
         self.ambient_dim = n * m
         N = self.ambient_dim
-        self._lam = regular_matrices(G)[0]
+        # u~_s = 1 (x) lam_s sends e_(i, u) to e_(i, s u), index i |G| + u.
+        i, u = np.divmod(np.arange(N), m)
+        self._u_perm = i * m + G.table[:, u]
 
         # Basis row for (i, s): vec(pi~(b_i) u~_s), at index k = i*m + s.
         # pi~(b_i) u~_s = sum_t gamma_{t^-1}(b_i) (x) E_{t, s^-1 t}.
@@ -189,18 +188,16 @@ class ActionCrossedProduct:
             shape=(d * m, N * N),
         )
         self._pi_rows = rows[np.arange(d) * m + G.identity_index]  # rows of pi~(b_i)
-        self._u_rows = matalg.vec_rows([self.u_mat(s) for s in G])
+        self._u_rows = sp.csr_matrix(
+            (np.ones(m * N, dtype=np.complex128),
+             (np.repeat(np.arange(m), N), (self._u_perm * N + np.arange(N)).ravel())),
+            shape=(m, N * N),
+        )
         # Generators: pi~ of the base generators, then u~_s.
         gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], format="csr")
         self.span = AlgebraSpan(N, rows, gen_rows=gen_rows,
                                 name=name or f"{base.name} x G", check=True)
         self._verify_covariance(tol)
-
-    def u_mat(self, s: int) -> sp.csr_matrix:
-        return kron(
-            sp.identity(self.base.ambient_dim, format="csr", dtype=np.complex128),
-            self._lam[s],
-        )
 
     def pi_tilde_rows(self, rows) -> sp.csr_matrix:
         """vec(pi~(a)) for every stacked row vec(a) of base-algebra elements."""
@@ -212,7 +209,8 @@ class ActionCrossedProduct:
         stacked rows vec(a_s).  pi~ is one product per s for the whole stack;
         each sum is then assembled term by term in the order of ``parts``."""
         N = self.ambient_dim
-        terms = [(matalg.unvec_rows(self.pi_tilde_rows(rows), N), self.u_mat(s))
+        us = matalg.unvec_rows(self._u_rows, N)
+        terms = [(matalg.unvec_rows(self.pi_tilde_rows(rows), N), us[s])
                  for s, rows in parts.items()]
         out = []
         for k in range(len(terms[0][0])):
@@ -235,7 +233,7 @@ class ActionCrossedProduct:
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
         for s in self.group:
-            lhs = _conjugates(self._pi_rows, self._u_rows[s], self.ambient_dim)
+            lhs = _ad_perm(self._pi_rows, self._u_perm[s], self.ambient_dim)
             rhs = self.action.coeff_mats[s] @ self._pi_rows
             if matalg.max_row_norm(lhs - rhs) > tol:
                 raise ActionInvalid(
@@ -410,20 +408,18 @@ class CoactionCrossedProduct:
         self.degrees = graded.degrees
         G = self.group
         self.ambient_dim = self.base.ambient_dim * G.order
-        self._lam, self._rho, self._chi = regular_matrices(G)
-        # Generators: j_A(a) = delta(a) for the base generators a, then j_G(chi_u).
-        gen_rows = sp.vstack([graded.delta(self.base.gen_rows),
-                              matalg.vec_rows([self.j_g(u) for u in G])], format="csr")
+        self._lam, _, self._chi = regular_matrices(G)
+        # Generators: j_A(a) = delta(a) for the base generators a, then
+        # j_G(chi_u) = 1 (x) chi_u.
+        n = self.base.ambient_dim
+        j_chi = matalg._kron_rows(matalg.vec_rows([sp.identity(n, format="csr")]),
+                                  matalg.vec_rows(self._chi), n, G.order)
+        gen_rows = sp.vstack([graded.delta(self.base.gen_rows), j_chi], format="csr")
         self.span = AlgebraSpan(
             self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
             name=f"{self.base.name} x_delta G", check=True,
         )
         self._verify_spanning_relations(tol, graded_checked)
-
-    def j_g(self, u: int) -> sp.csr_matrix:
-        """j_G(chi_u) = 1 (x) chi_u."""
-        n = self.base.ambient_dim
-        return kron(sp.identity(n, format="csr", dtype=np.complex128), self._chi[u])
 
     @property
     def dim(self) -> int:
@@ -557,20 +553,20 @@ class CoactionCrossedProduct:
         conjugation by 1 (x) rho_s; both descriptions are verified to agree."""
         G = self.group
         m = G.order
-        d = self.base.dim
-        n = self.base.ambient_dim
-        eye_n = sp.identity(n, format="csr", dtype=np.complex128)
-        act = AlgebraAction.from_unitary_conjugation(
-            self.span, G, [kron(eye_n, self._rho[s]) for s in G],
-            tol=tol, name="dual action",
+        inv = np.array([G.inv(s) for s in G])
+
+        def right_shifts(n):  # row s: index i |G| + u -> i |G| + u s^-1, for i |G| + u < n
+            i, u = np.divmod(np.arange(n), m)
+            return i * m + G.table[u[None, :], inv[:, None]]
+
+        # 1 (x) rho_s sends e_(i, u) to e_(i, u s^-1); the spanning element
+        # (a_t, u) sits at the same kind of index, i |G| + u.
+        act = AlgebraAction.from_permutations(
+            self.span, G, right_shifts(self.ambient_dim), tol=tol, name="dual action",
         )
-        # Ad(1 x rho_s) permutes the spanning set exactly as (a_t, u) -> (a_t, u s^-1).
+        shifts = right_shifts(self.dim)
         for s in G:
-            perm = np.zeros(d * m, dtype=np.int64)
-            for i in range(d):
-                for u in G:
-                    perm[i * m + u] = i * m + G.mul(u, G.inv(s))
-            permuted = self.span.rows[perm]
+            permuted = self.span.rows[shifts[s]]
             if matalg.max_row_norm(act.image_rows(s) - permuted) > tol:
                 raise ActionInvalid(f"dual action does not permute the spanning set at s={s}")
         return act

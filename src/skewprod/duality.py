@@ -195,21 +195,21 @@ class DualityParts:
     def theta_side_errors(self) -> tuple[float, float]:
         """(ck_error, covariance_error) of Theta's generator images: the
         Cuntz-Krieger relations of t_(f,r), q_(v,r), and u_t t_g = t_(t.g) u_t
-        for every generator g of C*(E x_c G), one stacked comparison per t.
-        Since u_t is unitary, the second is also |u_t t_g u_t* - t_(t.g)|, the
-        equivariance error of Phi."""
+        for every t and every generator g of C*(E x_c G), in one stacked
+        comparison.  Since u_t is unitary, the second is also
+        |u_t t_g u_t* - t_(t.g)|, the equivariance error of Phi."""
         skew, gact = self.skew, self.gact
         n_e, n_g = skew.n_edges, skew.n_edges + skew.n_vertices
         gens, us = self.theta_gen_rows[:n_g], self.theta_gen_rows[n_g:]
         m = self.fam.ambient_dim * self.G.order
         ck_err = graphalg._ck_relations_for(skew, gens, m)
-        cov_err = 0.0
-        for t in self.G:
-            moved = np.concatenate([gact.eperm[t], n_e + gact.vperm[t]])
-            _, lhs = next(matalg.left_products(gens, us[t], m))
-            _, rhs = next(matalg.right_products(gens[moved], us[t], m))
-            cov_err = max(cov_err, matalg.max_row_norm(lhs - rhs))
-        return ck_err, cov_err
+        # Row t n_g + i: u_t t_i on the left, t_i u_t on the right, picked at
+        # t n_g + moved_t[i].
+        lhs = sp.vstack([p for _, p in matalg.left_products(gens, us, m)], format="csr")
+        rhs = sp.vstack([p for _, p in matalg.right_products(gens, us, m)], format="csr")
+        moved = np.hstack([gact.eperm, n_e + gact.vperm])
+        picks = (np.arange(self.G.order)[:, None] * n_g + moved).ravel()
+        return ck_err, matalg.max_row_norm(lhs - rhs[picks])
 
     @cached_property
     def theta_rows(self) -> sp.csr_matrix:

@@ -23,7 +23,7 @@ from . import matalg
 from .crossed import GradedSpan, verify_graded_coaction
 from .graphs import DirectedGraph, EmptyGraph, enumerate_sink_paths
 from .groups import FiniteGroup, Labeling, regular_matrices
-from .matalg import AlgebraSpan, frobenius, kron
+from .matalg import AlgebraSpan, frobenius
 
 
 class CKRelationError(ValueError):
@@ -290,21 +290,20 @@ class RepresentedCoaction:
         self.fam = fam
         self.labeling = labeling
         self.graded = spectral_subspaces(fam, G, labeling)
-        self._lam = regular_matrices(G)[0]
-
-    def delta_edge(self, e: int) -> sp.csr_matrix:
-        return kron(self.fam.s[e], self._lam[self.labeling.of(e)])
-
-    def delta_vertex(self, v: int) -> sp.csr_matrix:
-        return kron(self.fam.p[v], sp.identity(len(self._lam), dtype=np.complex128))
 
     def verify(self, tol: float = 1e-12) -> dict:
         """The graded delta agrees with the generator formula, and is a
         coaction by :func:`crossed.verify_graded_coaction`."""
-        fam = self.fam
-        formula = matalg.vec_rows([self.delta_edge(e) for e in range(fam.graph.n_edges)]
-                                  + [self.delta_vertex(v) for v in range(fam.graph.n_vertices)])
-        err = matalg.max_row_norm(self.graded.delta(fam.span.gen_rows) - formula)
+        fam, G = self.fam, self.graded.group
+        P, m, n_e = fam.ambient_dim, G.order, fam.graph.n_edges
+        gen_rows = fam.span.gen_rows
+        # s_f (x) lam_t at row f |G| + t, picked at t = c(f); then p_v (x) 1.
+        edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(regular_matrices(G)[0]), P, m)
+        vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(
+            [sp.identity(m, format="csr")]), P, m)
+        formula = sp.vstack([edges[np.arange(n_e) * m + self.labeling.by_edge], vertices],
+                            format="csr")
+        err = matalg.max_row_norm(self.graded.delta(gen_rows) - formula)
         if err > tol:
             raise CKRelationError(f"delta disagrees with the generator formula ({err})")
         return {"generator_formula": err, **verify_graded_coaction(self.graded, tol)}

@@ -648,27 +648,12 @@ def algebra_action_from_groupoid_action(
     alg: GroupoidAlgebra, action: GroupoidAction
 ) -> AlgebraAction:
     """beta_s(f)(x) = f(s^-1 . x), as conjugation by the arrow permutation."""
-    Q = alg.groupoid
-    G = action.group
-    n = Q.n_arrows
-    unitaries = [
-        sp.csr_matrix(
-            (np.ones(n, dtype=np.complex128), (action.arrow_perm[t], np.arange(n))),
-            shape=(n, n),
-        )
-        for t in G
-    ]
-    act = AlgebraAction.from_unitary_conjugation(
-        alg.span, G, unitaries, name="groupoid automorphism action"
+    act = AlgebraAction.from_permutations(
+        alg.span, action.group, action.arrow_perm, name="groupoid automorphism action"
     )
     # beta_s delta_x = delta_{s.x} exactly.
-    for t in G:
-        perm = sp.csr_matrix(
-            (np.ones(n, dtype=np.complex128),
-             (np.arange(n), action.arrow_perm[t])),
-            shape=(n, n),
-        )
-        if matalg.max_row_norm(act.image_rows(t) - perm @ alg.span.rows) > 1e-12:
+    for t in action.group:
+        if matalg.max_row_norm(act.image_rows(t) - alg.span.rows[action.arrow_perm[t]]) > 1e-12:
             raise NotAutomorphism(f"beta_{t} does not permute the basis as expected")
     return act
 
@@ -913,11 +898,13 @@ def certify_gpd_iso(
     skew_alg = convolution_algebra(skew)
     m = G.order
 
-    # Psi on the spanning set: (delta_x, u) -> delta_(x, u).
+    # Psi on the spanning set: (delta_x, u) -> delta_(x, u), and as a 0/1 matrix.
     perm = np.zeros(ccp.dim, dtype=np.int64)
     for i, a in enumerate(Q.arrows):
         for u in G:
             perm[i * m + u] = skew.arrow_index((a, G.name(u)))
+    psi = sp.csr_matrix((np.ones(ccp.dim), (np.arange(ccp.dim), perm)),
+                        shape=(ccp.dim, skew.n_arrows))
     image_rows = skew_alg.span.rows[perm]
     inv_perm = np.argsort(perm)
     inverse_rows = ccp.span.rows[inv_perm]
@@ -947,13 +934,7 @@ def certify_gpd_iso(
     beta = induced_algebra_action(translation_groupoid_action(skew, G))
     eq_err = 0.0
     for s_ in G:
-        lhs = dual.coeff_mats[s_] @ sp.csr_matrix(
-            (np.ones(ccp.dim), (np.arange(ccp.dim), perm)), shape=(ccp.dim, skew.n_arrows)
-        )
-        rhs = sp.csr_matrix(
-            (np.ones(ccp.dim), (np.arange(ccp.dim), perm)), shape=(ccp.dim, skew.n_arrows)
-        ) @ beta.coeff_mats[s_]
-        eq_err = max(eq_err, frobenius(lhs - rhs))
+        eq_err = max(eq_err, frobenius(dual.coeff_mats[s_] @ psi - psi @ beta.coeff_mats[s_]))
 
     return IsomorphismCertificate(
         theorem="gpd-iso",

@@ -51,24 +51,14 @@ class NotInSpan(ValueError):
     pass
 
 
-def as_sparse(mat) -> sp.csr_matrix:
-    if sp.issparse(mat):
-        return mat.tocsr().astype(np.complex128)
-    return sp.csr_matrix(np.asarray(mat, dtype=np.complex128))
-
-
 def as_dense(mat) -> np.ndarray:
     if sp.issparse(mat):
         return mat.toarray()
     return np.asarray(mat, dtype=np.complex128)
 
 
-def kron(a, b) -> sp.csr_matrix:
-    return sp.kron(as_sparse(a), as_sparse(b), format="csr")
-
-
 def direct_sum(a, b) -> sp.csr_matrix:
-    return sp.block_diag([as_sparse(a), as_sparse(b)], format="csr")
+    return sp.block_diag([a, b], format="csr", dtype=np.complex128)
 
 
 def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:

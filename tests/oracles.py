@@ -3,7 +3,9 @@
 Each check tests the same relations as its counterpart in ``skewprod`` one
 vertex, edge, vertex pair or generator at a time, with one small sparse or
 dense product per relation, and each construction builds its matrices one
-at a time.  The tests compare the batched versions with these on random,
+at a time.  The group actions are built as conjugation by general unitary
+matrices, multiplied out, where ``skewprod`` remaps indices by a permutation
+table.  The tests compare the batched versions with these on random,
 gauge-scaled and groupoid inputs and on planted defects.
 """
 import numpy as np
@@ -12,7 +14,7 @@ import scipy.sparse as sp
 from skewprod import matalg
 from skewprod.crossed import ActionInvalid
 from skewprod.groups import regular_matrices
-from skewprod.matalg import frobenius, kron
+from skewprod.matalg import frobenius
 
 
 def ck_relations_loop(graph, s_imgs, p_imgs) -> float:
@@ -52,11 +54,11 @@ def theta_generator_images_loop(fam, skew, G, labeling):
     lam, rho, chi = regular_matrices(G)
     eye_p = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
     graph = fam.graph
-    theta_edge = [kron(fam.s[graph.edge_index(f)], lam[labeling.of(graph.edge_index(f))]
-                       @ chi[G.index(r)]) for f, r in (e.id for e in skew.edges)]
-    theta_vertex = [kron(fam.p[graph.vertex_index(v)], chi[G.index(r)])
+    theta_edge = [sp.kron(fam.s[graph.edge_index(f)], lam[labeling.of(graph.edge_index(f))]
+                          @ chi[G.index(r)], format="csr") for f, r in (e.id for e in skew.edges)]
+    theta_vertex = [sp.kron(fam.p[graph.vertex_index(v)], chi[G.index(r)], format="csr")
                     for v, r in skew.vertices]
-    theta_u = [kron(eye_p, rho[t]) for t in G]
+    theta_u = [sp.kron(eye_p, rho[t], format="csr") for t in G]
     return theta_edge, theta_vertex, theta_u
 
 
@@ -82,7 +84,7 @@ def graded_coaction_loop(graded, tol: float = 1e-12) -> dict:
     lam_sparse = regular_matrices(G)[0]
     lam = [mat.toarray() for mat in lam_sparse]
     eye_n = sp.identity(n, format="csr", dtype=np.complex128)
-    shifts = [kron(eye_n, mat) for mat in lam_sparse]
+    shifts = [sp.kron(eye_n, mat, format="csr") for mat in lam_sparse]
     errs = {}
 
     gram = (graded.delta_rows @ graded.delta_rows.conj().T).toarray()
@@ -118,3 +120,65 @@ def graded_coaction_loop(graded, tol: float = 1e-12) -> dict:
     if bad:
         raise ActionInvalid(f"coaction verification failed: {bad} ({errs})")
     return errs
+
+
+def unitary_conjugation_coeffs(span, group, unitaries, tol: float = matalg.PRODUCT_TOL) -> list:
+    """The coefficient matrices of gamma_t = Ad(U_t) on the basis of ``span``
+    for unitary matrices U_t: U_t X U_t* multiplied out for every basis
+    element X, after checking that U_e = 1, that each U_t is unitary and
+    that t -> U_t respects the group law."""
+    G = group
+    n = span.ambient_dim
+    eye = sp.identity(n, format="csr", dtype=np.complex128)
+    us = [sp.csr_matrix(u, dtype=np.complex128) for u in unitaries]
+    if frobenius(us[G.identity_index] - eye) > tol:
+        raise ActionInvalid("U_e is not the identity")
+    for t in G:
+        if frobenius(us[t] @ us[t].conj().T - eye) > tol:
+            raise ActionInvalid(f"U_{t} is not unitary")
+    for s in G:
+        for t in G:
+            if frobenius(us[s] @ us[t] - us[G.mul(s, t)]) > tol:
+                raise ActionInvalid(f"U is not a homomorphism at ({s},{t})")
+    mats = []
+    for t, u_row in zip(G, matalg.vec_rows(us)):
+        _, right = next(matalg.right_products(span.rows, matalg.star_columns(u_row, n), n))
+        conj = next(matalg.left_products(right, u_row, n))[1]
+        coeffs, resid = span.coefficients_rows(conj)
+        if resid > tol:
+            raise ActionInvalid(f"Ad(U_{t}) does not preserve the span")
+        coeffs.data[np.abs(coeffs.data) < 1e-14] = 0.0
+        coeffs.eliminate_zeros()
+        mats.append(coeffs.tocsr())
+    return mats
+
+
+def _sends(targets) -> sp.csr_matrix:
+    """The permutation matrix e_i -> e_(targets[i])."""
+    n = len(targets)
+    return sp.csr_matrix((np.ones(n, dtype=np.complex128), (targets, np.arange(n))),
+                         shape=(n, n))
+
+
+def path_unitaries(fam, action) -> list:
+    """U_t e_mu = e_(t.mu) on the path space of ``fam``, one path at a time."""
+    out = []
+    for t in action.group:
+        targets = []
+        for p in fam.paths:
+            moved = tuple(int(action.eperm[t][e]) for e in p.edges)
+            targets.append(fam.path_index[(int(action.vperm[t][p.base]), moved)])
+        out.append(_sends(targets))
+    return out
+
+
+def arrow_unitaries(action) -> list:
+    """U_t delta_x = delta_(t.x) on the arrows of a groupoid."""
+    return [_sends(action.arrow_perm[t]) for t in action.group]
+
+
+def dual_unitaries(ccp) -> list:
+    """1 (x) rho_s on C^n (x) C^|G|, one sparse kron each."""
+    rho = regular_matrices(ccp.group)[1]
+    eye_n = sp.identity(ccp.base.ambient_dim, format="csr", dtype=np.complex128)
+    return [sp.kron(eye_n, r, format="csr") for r in rho]

@@ -11,7 +11,7 @@ from skewprod.crossed import (
     ck_action_from_graph_action,
 )
 from skewprod.graphalg import ck_representation, coaction
-from skewprod.graphs import skew_product, translation_action
+from skewprod.graphs import DirectedGraph, skew_product, translation_action
 
 
 @pytest.fixture
@@ -57,14 +57,19 @@ class TestCoactionCrossedProduct:
     def test_j_maps(self, e1_setup, z2):
         fam, rc, *_ = e1_setup
         ccp = CoactionCrossedProduct(rc.graded)
+        lam, _, chi = groups.regular_matrices(z2)
         # j_A(a) is the represented coaction and j_G resolves the identity.
         j_a = matalg.unvec_rows(rc.graded.delta(matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
-        assert matalg.frobenius(j_a[0] - rc.delta_edge(0)) < 1e-12
-        total = sum(ccp.j_g(u) for u in z2)
+        assert matalg.frobenius(j_a[0] - sp.kron(fam.s[0], lam[1])) < 1e-12
+        # j_G(chi_u) = 1 (x) chi_u, the last |G| generator rows.
+        j_g = matalg.unvec_rows(ccp.span.gen_rows[-z2.order:], ccp.ambient_dim)
+        for u in z2:
+            assert matalg.frobenius(j_g[u] - sp.kron(sp.identity(2), chi[u])) == 0.0
+        total = sum(j_g)
         ident = sp.identity(ccp.ambient_dim, format="csr", dtype=np.complex128)
         assert matalg.frobenius(total - ident) == 0.0
         for u in z2:
-            assert ccp.span.contains(ccp.j_g(u), tol=1e-9)
+            assert ccp.span.contains(j_g[u], tol=1e-9)
 
 
     def test_spanning_check_names_first_failing_right_factor(self, chain2, z3, monkeypatch):
@@ -115,6 +120,22 @@ class TestDualAction:
         power = dual.coeff_mats[1] @ dual.coeff_mats[1] @ dual.coeff_mats[1]
         assert matalg.frobenius(power - eye) == 0.0
 
+    def test_wrong_permutation_fails_the_spanning_set_check(self, chain2, z3, monkeypatch):
+        # 1 (x) rho_(s^-1) in place of 1 (x) rho_s: on Z3 still an action that
+        # preserves the crossed product, but it sends (a_t, u) to (a_t, u s).
+        rc = coaction(ck_representation(chain2), z3, groups.make_labeling(
+            chain2, {"e1": "g", "e2": "g"}, z3))
+        ccp = CoactionCrossedProduct(rc.graded)
+        ccp.dual_action()
+        original = AlgebraAction.from_permutations.__func__
+
+        def inverted(cls, span, group, perms, **kw):
+            return original(cls, span, group, perms[[group.inv(t) for t in group]], **kw)
+
+        monkeypatch.setattr(AlgebraAction, "from_permutations", classmethod(inverted))
+        with pytest.raises(ActionInvalid, match="does not permute the spanning set at s=1$"):
+            ccp.dual_action()
+
 
 class TestAlgebraAction:
     def test_translation_lift(self, e1_setup, z2):
@@ -144,11 +165,40 @@ class TestAlgebraAction:
         with pytest.raises(ActionInvalid, match=f"^gamma_1\\(.* at {kind} 0$"):
             ck_action_from_graph_action(fam_skew, gact)
 
-    def test_rejects_non_unitary_conjugation(self, e1_setup, z2):
+    # e1 has the two paths w and f into its one sink, so C*(E) is M_2 on path
+    # space, and the swap of the two paths is an action of Z2 that preserves it.
+    @pytest.mark.parametrize("table, group, message", [
+        ([[0, 1], [0, 0]], "z2", "U_1 is not unitary"),
+        ([[1, 0], [0, 1]], "z2", "U_e is not the identity"),
+        ([[0, 1], [1, 0], [1, 0]], "z3", r"U is not a homomorphism at \(1,1\)"),
+    ], ids=["non-bijective row", "U_e not 1", "broken group law"])
+    def test_rejects_a_table_that_is_not_a_permutation_action(
+            self, e1_setup, z2, request, table, group, message):
         fam, *_ = e1_setup
-        eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
-        with pytest.raises(ActionInvalid):
-            AlgebraAction.from_unitary_conjugation(fam.span, z2, [eye, 2 * eye])
+        swap = AlgebraAction.from_permutations(fam.span, z2, [[0, 1], [1, 0]])
+        assert swap.coeff_mats[1].nnz == fam.dim
+        with pytest.raises(ActionInvalid, match=f"^test: {message}$"):
+            AlgebraAction.from_permutations(fam.span, request.getfixturevalue(group), table,
+                                            name="test")
+
+    def test_rejects_a_permutation_of_paths_into_different_sinks(self, z2):
+        # u -> v and u -> w: sinks v and w, each with two paths into it.
+        fork = DirectedGraph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "u", "w")])
+        fam = ck_representation(fork)
+        v, w = (fam.path_index[(x, ())] for x in (1, 2))
+        e1, e2 = (fam.path_index[(0, (e,))] for e in (0, 1))
+
+        def swap(*pairs):
+            row = np.arange(fam.ambient_dim)
+            for a, b in pairs:
+                row[[a, b]] = row[[b, a]]
+            return [np.arange(fam.ambient_dim), row]
+
+        # Swapping the two branches is a graph automorphism; swapping only
+        # their sinks sends e_(e1, v) to e_(e1, w), out of C*(E).
+        AlgebraAction.from_permutations(fam.span, z2, swap((v, w), (e1, e2)))
+        with pytest.raises(ActionInvalid, match=r"Ad\(U_1\) does not preserve the span$"):
+            AlgebraAction.from_permutations(fam.span, z2, swap((v, w)))
 
 
 class TestActionCrossedProduct:
@@ -176,10 +226,26 @@ class TestActionCrossedProduct:
         acp = ActionCrossedProduct(fam_skew.span, z2, act)
         e_idx = skew.edge_index(("f", "e"))
         g_idx = skew.edge_index(("f", "g"))
-        u = acp.u_mat(1)
+        u = u_mat(acp, 1)
         lhs = u @ pi_tilde(acp, fam_skew.s[e_idx]) @ u.conj().T
         rhs = pi_tilde(acp, fam_skew.s[g_idx])
         assert matalg.frobenius(lhs - rhs) == 0.0
+
+    def test_covariance_fails_for_a_map_that_is_not_an_action(self, e1_setup, z2):
+        # gamma_e = gamma_g = the translation: pi~(a) = gamma_g(a) (x) 1, and
+        # u~_e pi~(a) u~_e* = pi~(a) != pi~(gamma_e(a)).
+        *_, skew, fam_skew = e1_setup
+        act = ck_action_from_graph_action(fam_skew, translation_action(skew, z2))
+        ActionCrossedProduct(fam_skew.span, z2, act)
+        wrong = AlgebraAction(fam_skew.span, z2, [act.coeff_mats[1], act.coeff_mats[1]])
+        with pytest.raises(ActionInvalid, match=r"pi\(gamma_s\(a\)\) fails at s=0$"):
+            ActionCrossedProduct(fam_skew.span, z2, wrong)
+
+
+def u_mat(acp, s):
+    """u~_s = 1 (x) lam_s as a matrix."""
+    lam = groups.regular_matrices(acp.group)[0]
+    return sp.kron(sp.identity(acp.base.ambient_dim), lam[s], format="csr")
 
 
 def pi_tilde(acp, a):
@@ -207,7 +273,7 @@ class TestConditionalExpectation:
 
     def test_kills_nontrivial_coefficients(self, acp, rng):
         a = acp.base.random_element(rng)
-        x = pi_tilde(acp, a) @ acp.u_mat(1)
+        x = pi_tilde(acp, a) @ u_mat(acp, 1)
         assert matalg.frobenius(expectation(acp, x)) < 1e-9
 
     def test_not_in_span(self, acp):

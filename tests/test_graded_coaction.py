@@ -37,7 +37,7 @@ def test_rho_in_place_of_lam_fails_coaction_identity(e1_z3, z3):
     rho = groups.regular_matrices(z3)[1]
     graded.delta_rows = matalg.vec_rows(
         [
-            matalg.kron(graded.span.basis_matrix(k), rho[int(t)])
+            sp.kron(graded.span.basis_matrix(k), rho[int(t)])
             for k, t in enumerate(graded.degrees)
         ]
     )
@@ -148,7 +148,7 @@ def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
         lam = groups.regular_matrices(G)[0]
         eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
         return sp.vstack([rows[:skew.n_edges + skew.n_vertices],
-                          matalg.vec_rows([matalg.kron(eye, lam[t]) for t in G])], format="csr")
+                          matalg.vec_rows([sp.kron(eye, lam[t]) for t in G])], format="csr")
 
     monkeypatch.setattr(duality, "_theta_generator_images", lam_for_rho)
     cert = duality.certify_regular_diagram(e1, z3, lab)
@@ -164,7 +164,7 @@ def test_shifted_chi_in_one_edge_image_fails_chase(e1, e1_z3, z3):
     lam, _, chi = groups.regular_matrices(z3)
     f_id, r = parts.skew.edges[0].id
     f = e1.edge_index(f_id)
-    shifted = matalg.kron(parts.fam.s[f], lam[lab.of(f)] @ chi[z3.mul(z3.index(r), 1)])
+    shifted = sp.kron(parts.fam.s[f], lam[lab.of(f)] @ chi[z3.mul(z3.index(r), 1)])
     parts.theta_gen_rows = sp.vstack([matalg.vec_rows([shifted]), parts.theta_gen_rows[1:]],
                                      format="csr")
     cert = duality.certify_regular_diagram(e1, z3, lab, parts=parts)

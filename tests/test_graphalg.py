@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from skewprod import graphalg, graphs, groups, matalg
 from skewprod.graphalg import (
@@ -148,20 +149,22 @@ class TestCoaction:
         rc = coaction(fam, z2, e1_z2_labeling)
         # delta(s_f) = s_f (x) lam_g, a 4x4 matrix; delta(p_v) = p_v (x) 1.
         lam_g = np.array([[0, 1], [1, 0]])
+        deltas = rc.graded.delta(fam.span.gen_rows).toarray().real.reshape(-1, 4, 4)
         assert np.array_equal(
-            rc.delta_edge(0).toarray().real, np.kron(fam.s[0].toarray().real, lam_g)
+            deltas[0], sp.kron(fam.s[0].toarray().real, lam_g).toarray()
         )
         assert np.array_equal(
-            rc.delta_vertex(0).toarray().real,
-            np.kron(fam.p[0].toarray().real, np.eye(2)),
+            deltas[e1.n_edges],
+            sp.kron(fam.p[0].toarray().real, np.eye(2)).toarray(),
         )
 
     def test_trivial_group(self, e1):
         G1 = groups.trivial_group()
         fam = ck_representation(e1)
         rc = coaction(fam, G1, groups.constant_labeling(e1, G1))
+        deltas = matalg.unvec_rows(rc.graded.delta(fam.span.gen_rows), fam.ambient_dim)
         for e in range(e1.n_edges):
-            assert matalg.frobenius(rc.delta_edge(e) - fam.s[e]) == 0.0
+            assert matalg.frobenius(deltas[e] - sp.kron(fam.s[e], np.eye(1))) == 0.0
 
     def test_verification_tolerance(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
@@ -179,7 +182,7 @@ class TestCoaction:
         for k in range(fam.dim):
             t = int(rc.graded.degrees[k])
             lhs = deltas[k]
-            rhs = matalg.kron(fam.span.basis_matrix(k), lam[t])
+            rhs = sp.kron(fam.span.basis_matrix(k), lam[t], format="csr")
             assert matalg.frobenius(lhs - rhs) == 0.0
 
 

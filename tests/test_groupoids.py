@@ -157,6 +157,22 @@ class TestSkewProductGroupoid:
             moved = skew.arrows[act.arrow(1, i)]
             assert moved == (x, Z2.name(Z2.mul(a, Z2.inv(1))))
 
+    def test_beta_basis_check_sees_a_wrong_permutation(self, pair2, pair2_cocycle, monkeypatch):
+        # beta built from the identity table is a valid action of Z2 on
+        # C*(Q x_c G), but beta_g delta_x = delta_x, not delta_(g.x).
+        skew = skew_product_groupoid(pair2, Z2, pair2_cocycle)
+        act = translation_groupoid_action(skew, Z2)
+        alg = convolution_algebra(skew)
+        gpd.algebra_action_from_groupoid_action(alg, act)
+        original = gpd.AlgebraAction.from_permutations.__func__
+
+        def identity_table(cls, span, group, perms, **kw):
+            return original(cls, span, group, np.tile(np.arange(perms.shape[1]), (2, 1)), **kw)
+
+        monkeypatch.setattr(gpd.AlgebraAction, "from_permutations", classmethod(identity_table))
+        with pytest.raises(NotAutomorphism, match="^beta_1 does not permute the basis"):
+            gpd.algebra_action_from_groupoid_action(alg, act)
+
     def test_cocycle_validation(self, pair2):
         with pytest.raises(CocycleError):
             Cocycle(pair2, Z2, [0, 0, 1, 0])  # c(x12)=g, c(x21)=e breaks mult
@@ -524,9 +540,11 @@ def _one_element(R, G, semi, base, acp, f):
     for k, (a, tname) in enumerate(semi.arrows):
         phi[G.index(tname)][R.arrow_index(a)] = f[k]
     out = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
+    lam = groups.regular_matrices(G)[0]
     for s in G:
         pi = acp.pi_tilde_rows(base.represent_rows(phi[s][None, :]))
-        out = out + pi.reshape(acp.ambient_dim, acp.ambient_dim).tocsr() @ acp.u_mat(s)
+        u_s = sp.kron(sp.identity(R.n_arrows), lam[s], format="csr")
+        out = out + pi.reshape(acp.ambient_dim, acp.ambient_dim).tocsr() @ u_s
     return out
 
 

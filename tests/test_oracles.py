@@ -1,19 +1,23 @@
-"""The batched Cuntz-Krieger and coaction checks, Theta's generator rows and
-the path words against their loop oracles (``oracles.py``): equal results on
-random, gauge-scaled and groupoid inputs, and a planted defect per
-Cuntz-Krieger relation that both versions see."""
+"""The batched Cuntz-Krieger and coaction checks, Theta's generator rows, the
+path words and the permutation actions against their loop oracles
+(``oracles.py``): equal results on random, gauge-scaled and groupoid inputs,
+and a planted defect per Cuntz-Krieger relation that both versions see."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import (
+    arrow_unitaries,
     ck_relations_loop,
+    dual_unitaries,
     graded_coaction_loop,
     path_images_loop,
+    path_unitaries,
     theta_generator_images_loop,
+    unitary_conjugation_coeffs,
 )
 
 from skewprod import duality, graphalg, groupoids, matalg, suite
-from skewprod.crossed import verify_graded_coaction
+from skewprod.crossed import CoactionCrossedProduct, verify_graded_coaction
 from skewprod.graphalg import ck_representation, spectral_subspaces
 from skewprod.graphs import DirectedGraph
 
@@ -66,6 +70,36 @@ def test_coaction_check_equals_its_loop_oracle():
         c = suite.random_cocycle(rng, Q, G)
         graded = groupoids.graded_convolution(groupoids.convolution_algebra(Q), c)
         assert verify_graded_coaction(graded) == graded_coaction_loop(graded)
+
+
+def _assert_same_action(act, unitaries):
+    want = unitary_conjugation_coeffs(act.span, act.group, unitaries)
+    assert len(act.coeff_mats) == len(want)
+    for got, ref in zip(act.coeff_mats, want):
+        _assert_same_rows(got, ref)
+
+
+def test_permutation_actions_equal_unitary_conjugation():
+    # gamma on C*(E x_c G), the dual action on C*(E) x_delta G, beta on
+    # C*(Q x_c G) and the dual action on C*(Q) x_delta G.
+    rng = np.random.default_rng(10)
+    for _ in range(8):
+        parts = duality.DualityParts(*suite.random_graph_instance(rng))
+        _assert_same_action(parts.gamma, path_unitaries(parts.fam_skew, parts.gact))
+        ccp = CoactionCrossedProduct(parts.coaction.graded)
+        _assert_same_action(ccp.dual_action(), dual_unitaries(ccp))
+    for _ in range(6):
+        Q = suite.random_groupoid(rng, max_units=4, max_arrows=12)
+        G = suite.suite_groups()[int(rng.integers(4))]
+        c = suite.random_cocycle(rng, Q, G)
+        skew = groupoids.skew_product_groupoid(Q, G, c)
+        trans = groupoids.translation_groupoid_action(skew, G)
+        beta = groupoids.algebra_action_from_groupoid_action(
+            groupoids.convolution_algebra(skew), trans)
+        _assert_same_action(beta, arrow_unitaries(trans))
+        ccp = CoactionCrossedProduct(
+            groupoids.graded_convolution(groupoids.convolution_algebra(Q), c))
+        _assert_same_action(ccp.dual_action(), dual_unitaries(ccp))
 
 
 @pytest.fixture
