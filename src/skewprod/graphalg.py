@@ -200,85 +200,89 @@ def ck_representation(graph: DirectedGraph) -> CKFamily:
 
 @dataclass
 class GaugeReport:
+    """The gauge action alpha_z at one z: whether {z s_f, p_v} is again a
+    Cuntz-Krieger family, and whether the length grading passes
+    :func:`_check_path_grading`, which makes alpha_z a *-automorphism."""
     z: complex
     is_ck_family: bool
-    automorphism: matalg.StarMapReport
+    graded: bool
 
     @property
     def passed(self) -> bool:
-        return self.is_ck_family and self.automorphism.passed and self.automorphism.bijective
+        return self.is_ck_family and self.graded
+
+
+def _gauge_degrees(graph: DirectedGraph) -> np.ndarray:
+    """The length degree of each generator, s_f and then p_v: alpha_z scales
+    a generator of degree k by z^k."""
+    return np.repeat(np.array([1, 0]), [graph.n_edges, graph.n_vertices])
 
 
 def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
     """Check that {z s_f, p_v} is again a Cuntz-Krieger family and that
-    s_f -> z s_f, p_v -> p_v induces a *-automorphism of the span."""
+    s_f -> z s_f, p_v -> p_v induces a *-automorphism of the span.
+
+    That map is alpha_z(e_{mu,nu}) = z^(|mu|-|nu|) e_{mu,nu}, the dual of the
+    Z-grading by path length (the labeling c = 1 into Z); it is a
+    *-automorphism for every z on the circle exactly when that grading
+    passes :func:`_check_path_grading`."""
     if abs(abs(z) - 1.0) > tol:
         raise ValueError(f"|z| must be 1, got {abs(z)}")
     g = fam.graph
-    n = fam.ambient_dim
-    # The generators s_f, then p_v: s_f -> z s_f, p_v -> p_v.
-    gen_scale = np.concatenate([np.full(g.n_edges, z), np.ones(g.n_vertices)])
-    scaled = sp.diags(gen_scale).tocsr() @ fam.span.gen_rows
-    ok = _ck_relations_for(g, scaled, n) <= tol
-
-    # alpha_z on the canonical basis: e_{mu,nu} -> z^(|mu|-|nu|) e_{mu,nu}.
-    powers = np.array(
-        [len(fam.paths[i].edges) - len(fam.paths[j].edges) for i, j in fam.pairs]
-    )
-    scale = np.array([z**int(k) for k in powers], dtype=np.complex128)
-    image_rows = sp.diags(scale).tocsr() @ fam.span.rows
-    inverse_rows = sp.diags(scale.conj()).tocsr() @ fam.span.rows
-    report = matalg.star_map_on_basis(
-        fam.span,
-        image_rows,
-        n,
-        fam.span.gen_rows,
-        scaled,
-        tol=max(tol, 1e-12),
-        target=fam.span,
-        inverse_rows=inverse_rows,
-    )
-    return GaugeReport(z=z, is_ck_family=ok, automorphism=report)
+    gen_degrees = _gauge_degrees(g)
+    scaled = sp.diags(z ** gen_degrees).tocsr() @ fam.span.gen_rows
+    lengths = np.array([len(p.edges) for p in fam.paths])
+    pairs = np.array(fam.pairs)
+    fail = _check_path_grading(fam, lengths[pairs[:, 0]] - lengths[pairs[:, 1]],
+                               gen_degrees[:g.n_edges], np.add, np.negative, 0)
+    return GaugeReport(z=z, is_ck_family=_ck_relations_for(g, scaled, fam.ambient_dim) <= tol,
+                       graded=fail is None)
 
 
-def _check_path_grading(fam: CKFamily, labeling: Labeling, degrees: np.ndarray):
-    """The grading is multiplicative and *-compatible, s_f lies in degree c(f)
-    and p_v in degree e: exact index arithmetic on the matrix-unit basis."""
-    G = labeling.group
-    for k, (i, j) in enumerate(fam.pairs):
-        kstar = fam.pair_index[(j, i)]
-        if degrees[kstar] != G.inv(int(degrees[k])):
-            raise ValueError("adjoint degree mismatch")
-    by_left: dict[int, list[int]] = {}
-    for k, (i, j) in enumerate(fam.pairs):
-        by_left.setdefault(i, []).append(k)
-    for k, (i, j) in enumerate(fam.pairs):
-        for k2 in by_left.get(j, []):
-            j2 = fam.pairs[k2][1]
-            prod = fam.pair_index[(i, j2)]
-            expected = G.mul(int(degrees[k]), int(degrees[k2]))
-            if degrees[prod] != expected:
-                raise ValueError("product degree mismatch")
+def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.ndarray,
+                        mul, inv, identity: int) -> str | None:
+    """The first rule that the degrees of the matrix units e_{mu,nu} break, or
+    None: the adjoint inverts a degree, degrees multiply on every nonzero
+    product, p_v lies in degree ``identity`` and s_f in ``edge_degrees[f]``.
+
+    ``mul`` and ``inv`` act elementwise on integer arrays.  Exact index
+    arithmetic, one sink block of degrees (a b x b array) at a time."""
+    # fam.pairs lists the b x b units of each sink block, sinks in order.
+    blocks, start = [], 0
+    for _, b in sorted(fam.sink_block_sizes().items()):
+        blocks.append(degrees[start:start + b * b].reshape(b, b))
+        start += b * b
+    if not all(np.array_equal(d.T, inv(d)) for d in blocks):
+        return "adjoint degree mismatch"
+    # e_{mu,m} e_{m,nu} = e_{mu,nu}: one b x b comparison per middle path m.
+    if not all(np.array_equal(mul(d[:, m, None], d[None, m, :]), d)
+               for d in blocks for m in range(len(d))):
+        return "product degree mismatch"
     # p_v is the sum of the units e_{mu,mu} over paths mu from v, and s_f the
     # sum of the units e_{f nu, nu} over paths nu from r(f).
-    e = G.identity_index
+    if not all(np.all(d.diagonal() == identity) for d in blocks):
+        return "vertex projection off degree e"
+    units, heads = [], []
     for i, p in enumerate(fam.paths):
-        if degrees[fam.pair_index[(i, i)]] != e:
-            raise ValueError("vertex projection off degree e")
         if p.edges:
             tail = fam.path_index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
-            if degrees[fam.pair_index[(i, tail)]] != labeling.of(p.edges[0]):
-                raise ValueError("edge partial isometry off its labeled degree")
+            units.append(fam.pair_index[(i, tail)])
+            heads.append(p.edges[0])
+    if np.any(degrees[units] != edge_degrees[heads]):
+        return "edge partial isometry off its labeled degree"
+    return None
 
 
 def spectral_subspaces(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
     """Grade the canonical basis of C*(E) by deg(e_{mu,nu}) = c(mu) c(nu)^-1."""
-    path_degree = [labeling.of_path(p.edges) for p in fam.paths]
-    degrees = np.array(
-        [G.mul(path_degree[i], G.inv(path_degree[j])) for i, j in fam.pairs],
-        dtype=np.int64,
-    )
-    _check_path_grading(fam, labeling, degrees)
+    path_degree = np.array([labeling.of_path(p.edges) for p in fam.paths])
+    inverse = np.array([G.inv(s) for s in G])
+    pairs = np.array(fam.pairs)
+    degrees = G.table[path_degree[pairs[:, 0]], inverse[path_degree[pairs[:, 1]]]]
+    fail = _check_path_grading(fam, degrees, labeling.by_edge, lambda a, b: G.table[a, b],
+                               lambda a: inverse[a], G.identity_index)
+    if fail:
+        raise ValueError(fail)
     return GradedSpan(fam.span, degrees, G)
 
 

@@ -406,21 +406,15 @@ class GroupoidAlgebra:
     def __init__(self, Q: FiniteGroupoid, tol: float = matalg.PRODUCT_TOL):
         self.groupoid = Q
         n = Q.n_arrows
-        mats = []
-        for y in range(n):
-            zs = np.nonzero(Q.r == Q.s[y])[0]
-            rows = np.array([Q.mult[y, z] for z in zs])
-            mats.append(
-                sp.csr_matrix(
-                    (np.ones(len(zs), dtype=np.complex128), (rows, zs)), shape=(n, n)
-                )
-            )
-        self.span = AlgebraSpan(
-            n,
-            matalg.vec_rows(mats),
-            name="C*(Q)",
-            check=True,
-        )
+        # The composable pairs (y, z) and their products yz; delta_y sends
+        # delta_z to delta_yz, so row y is vec(delta_y) with ones at yz n + z.
+        ys, zs = np.nonzero(Q.mult >= 0)
+        yz = Q.mult[ys, zs]
+        self._conv_triples = (ys, zs, yz)
+        rows = sp.csr_matrix((np.ones(len(ys), dtype=np.complex128), yz * n + zs,
+                              np.searchsorted(ys, np.arange(n + 1))), shape=(n, n * n))
+        rows.sort_indices()
+        self.span = AlgebraSpan(n, rows, name="C*(Q)", check=True)
         self._verify(tol)
 
     @property
@@ -441,14 +435,10 @@ class GroupoidAlgebra:
 
     def convolve(self, f, g) -> np.ndarray:
         """(f g)(x) = sum over r(y) = r(x) of f(y) g(y^-1 x)."""
-        Q = self.groupoid
-        if not hasattr(self, "_conv_triples"):
-            ys, zs = np.nonzero(Q.mult >= 0)
-            self._conv_triples = (ys, zs, Q.mult[ys, zs])
         ys, zs, yz = self._conv_triples
         f = np.asarray(f, dtype=np.complex128)
         g = np.asarray(g, dtype=np.complex128)
-        out = np.zeros(Q.n_arrows, dtype=np.complex128)
+        out = np.zeros(self.groupoid.n_arrows, dtype=np.complex128)
         np.add.at(out, yz, f[ys] * g[zs])
         return out
 

@@ -5,8 +5,10 @@ vertex, edge, vertex pair or generator at a time, with one small sparse or
 dense product per relation, and each construction builds its matrices one
 at a time.  The group actions are built as conjugation by general unitary
 matrices, multiplied out, where ``skewprod`` remaps indices by a permutation
-table.  The tests compare the batched versions with these on random,
-gauge-scaled and groupoid inputs and on planted defects.
+table, and the gauge action is certified as a numerical *-homomorphism,
+where ``skewprod`` checks the length grading by index arithmetic.  The tests
+compare the batched versions with these on random, gauge-scaled and groupoid
+inputs and on planted defects.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -182,3 +184,21 @@ def dual_unitaries(ccp) -> list:
     rho = regular_matrices(ccp.group)[1]
     eye_n = sp.identity(ccp.base.ambient_dim, format="csr", dtype=np.complex128)
     return [sp.kron(eye_n, r, format="csr") for r in rho]
+
+
+def gauge_star_map(fam, z, gen_degrees, tol: float = 1e-12) -> bool:
+    """alpha_z as a numerical certificate: the generators, s_f and then p_v,
+    scaled by z^k in degree k form a Cuntz-Krieger family, and
+    e_{mu,nu} -> z^(|mu|-|nu|) e_{mu,nu}, which must send each generator to
+    its scaled image, is a bijective *-homomorphism by
+    ``matalg.star_map_on_basis``."""
+    n_e = fam.graph.n_edges
+    scaled = [c * m for c, m in zip(z ** np.asarray(gen_degrees), list(fam.s) + list(fam.p))]
+    ok = ck_relations_loop(fam.graph, scaled[:n_e], scaled[n_e:]) <= tol
+    powers = [len(fam.paths[i].edges) - len(fam.paths[j].edges) for i, j in fam.pairs]
+    scale = np.array([z**k for k in powers], dtype=np.complex128)
+    report = matalg.star_map_on_basis(
+        fam.span, sp.diags(scale).tocsr() @ fam.span.rows, fam.ambient_dim,
+        fam.span.gen_rows, matalg.vec_rows(scaled), tol=tol, target=fam.span,
+        inverse_rows=sp.diags(scale.conj()).tocsr() @ fam.span.rows)
+    return ok and report.passed and report.bijective

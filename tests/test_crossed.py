@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewprod import graphalg, graphs, groups, matalg
+from skewprod import groups, matalg
 from skewprod.crossed import (
     ActionCrossedProduct,
     ActionInvalid,

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewprod import graphalg, graphs, groups, matalg
+from skewprod import graphalg, groups, matalg
 from skewprod.graphalg import (
-    CKRelationError,
     ck_representation,
     coaction,
     gauge_check,
@@ -222,3 +221,56 @@ class TestSpectralSubspaces:
             fam = ck_representation(E)
             gb = spectral_subspaces(fam, G, lab)
             assert sum(gb.subspace_dims().values()) == fam.dim
+
+
+class TestPathGrading:
+    """Each rule of ``_check_path_grading`` fails on one planted defect, under
+    the G-grading of a labeling and under the length grading, next to the
+    same call on correct degrees."""
+
+    @pytest.fixture
+    def two_sinks(self):
+        # Sink blocks {s1, f1} and {s2, f3, f2 f3}: the planted pair lies in
+        # the second block, which has a middle path for the product rule.
+        return DirectedGraph(["a", "b", "s1", "s2"],
+                             [("f1", "a", "s1"), ("f2", "a", "b"), ("f3", "b", "s2")])
+
+    @staticmethod
+    def grading(fam, G, lab, kind):
+        """(degrees, edge_degrees, mul, inv, identity) and a non-identity degree."""
+        if kind == "G":
+            inverse = np.array([G.inv(s) for s in G])
+            return ((spectral_subspaces(fam, G, lab).degrees, lab.by_edge,
+                     lambda a, b: G.table[a, b], lambda a: inverse[a], G.identity_index),
+                    (G.identity_index + 1) % G.order)
+        lengths = np.array([len(p.edges) for p in fam.paths])
+        pairs = np.array(fam.pairs)
+        edge_degrees = graphalg._gauge_degrees(fam.graph)[:fam.graph.n_edges]
+        return ((lengths[pairs[:, 0]] - lengths[pairs[:, 1]], edge_degrees,
+                 np.add, np.negative, 0), 1)
+
+    @pytest.mark.parametrize("kind", ["G", "length"])
+    @pytest.mark.parametrize("rule, message", [
+        ("adjoint", "adjoint degree mismatch"),
+        ("product", "product degree mismatch"),
+        ("vertex", "vertex projection off degree e"),
+        ("edge", "edge partial isometry off its labeled degree"),
+    ])
+    def test_planted_defect_breaks_its_rule(self, two_sinks, z3, kind, rule, message):
+        fam = ck_representation(two_sinks)
+        args, g = self.grading(fam, z3, groups.Labeling(two_sinks, z3, [1, 2, 1]), kind)
+        assert graphalg._check_path_grading(fam, *args) is None
+        degrees, edge_degrees, mul, inv, identity = args
+        degrees, edge_degrees = degrees.copy(), np.array(edge_degrees)
+        i, j = fam.pairs[-8]  # two distinct paths into s2
+        k, k_star = fam.pair_index[(i, j)], fam.pair_index[(j, i)]
+        if rule in ("adjoint", "product"):
+            degrees[k] = mul(degrees[k], g)
+        if rule == "product":  # e_{nu,mu} moves with e_{mu,nu}: the adjoint rule holds
+            degrees[k_star] = inv(degrees[k])
+        if rule == "vertex":  # p_v claimed in a degree other than e
+            identity = g
+        if rule == "edge":  # s_f3 one degree off: z^2 s_f under the length grading
+            edge_degrees[2] = mul(edge_degrees[2], g)
+        assert graphalg._check_path_grading(fam, degrees, edge_degrees, mul, inv,
+                                            identity) == message

@@ -12,7 +12,6 @@ from skewprod.groupoids import (
     BadUnits,
     Cocycle,
     CocycleError,
-    FormulaMismatch,
     GroupoidError,
     NotAssociativeGroupoid,
     NotAutomorphism,

@@ -1,7 +1,8 @@
 """The batched Cuntz-Krieger and coaction checks, Theta's generator rows, the
-path words and the permutation actions against their loop oracles
-(``oracles.py``): equal results on random, gauge-scaled and groupoid inputs,
-and a planted defect per Cuntz-Krieger relation that both versions see."""
+path words, the permutation actions and the gauge check against their
+oracles (``oracles.py``): equal results on random, gauge-scaled and groupoid
+inputs, a planted defect per Cuntz-Krieger relation that both versions see,
+and two planted gauge defects that both versions reject."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +10,7 @@ from oracles import (
     arrow_unitaries,
     ck_relations_loop,
     dual_unitaries,
+    gauge_star_map,
     graded_coaction_loop,
     path_images_loop,
     path_unitaries,
@@ -18,7 +20,7 @@ from oracles import (
 
 from skewprod import duality, graphalg, groupoids, matalg, suite
 from skewprod.crossed import CoactionCrossedProduct, verify_graded_coaction
-from skewprod.graphalg import ck_representation, spectral_subspaces
+from skewprod.graphalg import ck_representation, gauge_check, spectral_subspaces
 from skewprod.graphs import DirectedGraph
 
 PLANTED_MIN = 1e-12
@@ -150,3 +152,28 @@ def test_planted_ck_defect_is_seen_by_both_versions(fork, plant):
                                          p_imgs[0].shape[0])
     assert batched > PLANTED_MIN
     assert batched == ck_relations_loop(graph, s_imgs, p_imgs)
+
+
+def test_gauge_check_equals_its_star_map_oracle(monkeypatch):
+    # At each random z: the true generator degrees, s_f in degree 2
+    # (s_f -> z^2 s_f, still a Cuntz-Krieger family, but off the grading)
+    # and p_v in degree 1 (p_v -> z p_v, no longer a projection).
+    rng = np.random.default_rng(11)
+    gauge_degrees = graphalg._gauge_degrees
+    for _ in range(30):
+        E = suite.random_acyclic_graph(rng, max_vertices=6, max_edges=7)
+        fam = ck_representation(E)
+        z = np.exp(2j * np.pi * rng.uniform())
+        true_degrees = gauge_degrees(E)
+        for plant in (None, int(rng.integers(E.n_edges)),
+                      E.n_edges + int(rng.integers(E.n_vertices))):
+            degrees = true_degrees.copy()
+            if plant is not None:
+                degrees[plant] += 1
+            monkeypatch.setattr(graphalg, "_gauge_degrees", lambda graph, d=degrees: d)
+            report = gauge_check(fam, z)
+            assert report.passed == gauge_star_map(fam, z, degrees) == (plant is None)
+            if plant is not None and plant < E.n_edges:
+                assert report.is_ck_family and not report.graded
+            elif plant is not None:
+                assert not report.is_ck_family
