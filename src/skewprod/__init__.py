@@ -23,7 +23,7 @@ from .groupoids import (
     semidirect_product,
     skew_product_groupoid,
 )
-from .matalg import AlgebraSpan, check_star_map, span_closure, wedderburn_signature
+from .matalg import AlgebraSpan, span_closure, wedderburn_signature
 
 def fixture_path(name: str):
     """Path to one of the shipped JSON fixtures (e1, chain2, pair-groupoid,

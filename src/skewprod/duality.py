@@ -129,29 +129,24 @@ def _basis_image_rows(fam: CKFamily, gen_rows: sp.csr_matrix, m: int,
 
 
 def _skew_path_lookup(fam_skew: CKFamily, fam: CKFamily, G: FiniteGroup,
-                      labeling: Labeling, skew: DirectedGraph):
+                      labeling: Labeling):
     """Index map (base-graph path i, terminal group coordinate a) -> skew path.
 
     A path of E x_c G is determined by a path mu of E together with the group
-    coordinate of its terminal vertex.
+    coordinate of its terminal vertex; cell (x, t) of E x_c G sits at x |G| + t.
     """
-    graph = fam.graph
+    m = G.order
     lookup = {}
     for i, p in enumerate(fam.paths):
         for a in G:
             # Walk mu backwards: the coordinate of edge l is c(f_{l+1}) ... c(f_n) a.
-            coords = []
+            edge_ids = []
             acc = a
             for e in reversed(p.edges):
-                coords.append(acc)
+                edge_ids.append(e * m + acc)
                 acc = G.mul(labeling.of(e), acc)
-            coords.reverse()
-            edge_ids = tuple(
-                skew.edge_index((graph.edges[e].id, G.name(t)))
-                for e, t in zip(p.edges, coords)
-            )
-            base = skew.vertex_index((graph.vertices[p.source], G.name(acc)))
-            lookup[(i, a)] = fam_skew.path_index[(base, edge_ids)]
+            edge_ids.reverse()
+            lookup[(i, a)] = fam_skew.path_index[(p.source * m + acc, tuple(edge_ids))]
     return lookup
 
 
@@ -189,7 +184,7 @@ class DualityParts:
         """The rows vec of Theta's images of s_(f,r), p_(v,r) and u_t, in this
         order: the generator order of ``fam_skew`` and then of ``acp``; see
         :func:`_theta_generator_images`."""
-        return _theta_generator_images(self.fam, self.skew, self.G, self.labeling)
+        return _theta_generator_images(self.fam, self.G, self.labeling)
 
     @cached_property
     def theta_side_errors(self) -> tuple[float, float]:
@@ -257,7 +252,7 @@ def certify_eqvt_iso(
 ) -> IsomorphismCertificate:
     """Certify C*(E x_c G) = C*(E) x_delta G via s_(f,t) -> (s_f, t)."""
     parts = _parts_for(parts, graph, G, labeling, tol)
-    fam, skew, fam_skew = parts.fam, parts.skew, parts.fam_skew
+    fam, fam_skew = parts.fam, parts.fam_skew
     ccp = CoactionCrossedProduct(parts.coaction.graded, graded_checked=True)
     m = ccp.ambient_dim
 
@@ -273,7 +268,7 @@ def certify_eqvt_iso(
 
     # Inverse on the crossed-product basis: (e_{mu,nu}, u) pulls back to the
     # skew matrix unit over the paths (mu, a), (nu, a) with a = c(nu)^-1 u.
-    lookup = _skew_path_lookup(fam_skew, fam, G, labeling, skew)
+    lookup = _skew_path_lookup(fam_skew, fam, G, labeling)
     path_degree = [labeling.of_path(p.edges) for p in fam.paths]
     perm = np.zeros(ccp.dim, dtype=np.int64)
     for k, (i, j) in enumerate(fam.pairs):
@@ -338,12 +333,11 @@ def certify_direct_iso(
     n_se, n_sv, n_e, m = skew.n_edges, skew.n_vertices, graph.n_edges, G.order
     N = acp.ambient_dim
     gen_rows = acp.span.gen_rows
-    vertex_cols = n_se + np.arange(n_sv)
-    sum_of = ([G.index(r) for _, r in skew.vertices]  # y_r
-              + [m + graph.edge_index(e.id[0]) for e in skew.edges]
-              + [m + n_e + graph.vertex_index(v) for v, _ in skew.vertices])  # q_v
+    # Skew edge (f, r) sits at f |G| + r and skew vertex (v, r) at v |G| + r.
+    es, vs = np.arange(n_se), np.arange(n_sv)
+    sum_of = np.r_[vs % m, m + es // m, m + n_e + vs // m]  # y_r, sums over r, q_v
     sums = sp.csr_matrix(
-        (np.ones(len(sum_of)), (sum_of, np.r_[vertex_cols, np.arange(n_se), vertex_cols])),
+        (np.ones(len(sum_of)), (sum_of, np.r_[n_se + vs, es, n_se + vs])),
         shape=(m + n_e + graph.n_vertices, gen_rows.shape[0]),
     ) @ gen_rows
     y_rows, s_sums, q_rows = sums[:m], sums[m:m + n_e], sums[m + n_e:]
@@ -444,9 +438,9 @@ def certify_regular_diagram(
     chi_rows = matalg._kron_rows(ones, matalg.vec_rows(chi), P, G.order)
     prods = sp.vstack([p for _, p in matalg.right_products(
         rc.graded.delta(fam.span.gen_rows), chi_rows, P * G.order)], format="csr")
-    picks = ([G.index(r) * n_g + graph.edge_index(f) for f, r in (e.id for e in skew.edges)]
-             + [G.index(r) * n_g + graph.n_edges + graph.vertex_index(v)
-                for v, r in skew.vertices])
+    f, r = np.divmod(np.arange(skew.n_edges), G.order)
+    v, rv = np.divmod(np.arange(skew.n_vertices), G.order)
+    picks = np.r_[r * n_g + f, rv * n_g + graph.n_edges + v]
     route_b = sp.vstack([prods[picks],
                          matalg._kron_rows(ones, matalg.vec_rows(rho), P, G.order)], format="csr")
     err = matalg.max_row_norm(parts.theta_gen_rows - route_b)
@@ -564,21 +558,20 @@ def certify_free_action(
     )
 
 
-def _theta_generator_images(fam, skew, G, labeling) -> sp.csr_matrix:
+def _theta_generator_images(fam, G, labeling) -> sp.csr_matrix:
     """The rows vec of Theta's images s_(f,r) -> s_f (x) lam_c(f) chi_r,
     p_(v,r) -> p_v (x) chi_r and u_t -> 1 (x) rho_t inside C*(E) (x) M_|G|,
-    in the order of ``skew.edges``, ``skew.vertices`` and then G."""
+    in the order of the skew product's edges f |G| + r, its vertices
+    v |G| + r, and then G."""
     lam, rho, chi = regular_matrices(G)
     graph, P, m = fam.graph, fam.ambient_dim, G.order
     gen_rows, n_e = fam.span.gen_rows, graph.n_edges
     # s_f (x) lam_t chi_r at row f |G|^2 + t |G| + r, picked at t = c(f).
     edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(
         [lam[t] @ chi[r] for t in G for r in G]), P, m)
-    f = np.array([graph.edge_index(e.id[0]) for e in skew.edges], dtype=np.int64)
-    edge_picks = (f * m + labeling.by_edge[f]) * m + [G.index(e.id[1]) for e in skew.edges]
+    f, r = np.divmod(np.arange(n_e * m), m)
     # p_v (x) chi_r at row v |G| + r.
     vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(chi), P, m)
-    vertex_picks = [graph.vertex_index(v) * m + G.index(r) for v, r in skew.vertices]
     us = matalg._kron_rows(matalg.vec_rows([sp.identity(P, format="csr")]),
                            matalg.vec_rows(rho), P, m)
-    return sp.vstack([edges[edge_picks], vertices[vertex_picks], us], format="csr")
+    return sp.vstack([edges[(f * m + labeling.by_edge[f]) * m + r], vertices, us], format="csr")

@@ -106,9 +106,6 @@ class DirectedGraph:
         except graphlib.CycleError as err:
             return [int(v) for v in err.args[1]]
 
-    def is_acyclic(self) -> bool:
-        return self.find_cycle() is None
-
     def __repr__(self) -> str:
         return f"DirectedGraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
@@ -229,7 +226,12 @@ def enumerate_sink_paths(graph: DirectedGraph) -> list[Path]:
 def skew_product(
     graph: DirectedGraph, G: FiniteGroup, labeling: Labeling
 ) -> DirectedGraph:
-    """The skew-product graph on vertex set E0 x G and edge set E1 x G."""
+    """The skew-product graph on vertex set E0 x G and edge set E1 x G.
+
+    Vertex (v, t) sits at index v |G| + t and edge (f, t) at f |G| + t, so
+    s(f, t) = s(f) |G| + c(f) t and r(f, t) = r(f) |G| + t.  The names
+    (name of v or id of f, name of t) are for display and JSON only.
+    """
     if labeling.graph is not graph or labeling.group is not G:
         labeling = Labeling(graph, G, labeling.by_edge)
     vertices = [(v, G.name(t)) for v in graph.vertices for t in G]

@@ -86,7 +86,7 @@ class FiniteGroupoid:
     ``unit_arrow[u]`` is the identity arrow at unit u.
     """
 
-    def __init__(self, units, arrows, r, s, mult, inv, validate: bool = True):
+    def __init__(self, units, arrows, r, s, mult, inv):
         self.units = tuple(units)
         self.arrows = tuple(arrows)
         self.r = np.asarray(r, dtype=np.int64)
@@ -94,10 +94,8 @@ class FiniteGroupoid:
         self.mult = np.asarray(mult, dtype=np.int64)
         self.inv = np.asarray(inv, dtype=np.int64)
         self._aindex = {a: i for i, a in enumerate(self.arrows)}
-        self._uindex = {u: i for i, u in enumerate(self.units)}
         self.unit_arrow = self._find_unit_arrows()
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def n_units(self) -> int:
@@ -109,9 +107,6 @@ class FiniteGroupoid:
 
     def arrow_index(self, a) -> int:
         return self._aindex[a]
-
-    def unit_index(self, u) -> int:
-        return self._uindex[u]
 
     def composable(self, i: int, j: int) -> bool:
         return self.s[i] == self.r[j]
@@ -292,14 +287,6 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     return make_groupoid(units, arrows, mult, inv)
 
 
-def group_as_groupoid(G: FiniteGroup) -> FiniteGroupoid:
-    units = ["u"]
-    arrows = [(G.name(t), "u", "u") for t in G]
-    mult = [(G.name(a), G.name(b), G.name(G.mul(a, b))) for a in G for b in G]
-    inv = {G.name(t): G.name(G.inv(t)) for t in G}
-    return make_groupoid(units, arrows, mult, inv)
-
-
 def units_only_groupoid(n: int) -> FiniteGroupoid:
     units = [f"{i+1}" for i in range(n)]
     arrows = [(f"id{i+1}", u, u) for i, u in enumerate(units)]
@@ -368,6 +355,9 @@ class Cocycle:
         self.values = np.asarray(values, dtype=np.int64)
         if len(self.values) != groupoid.n_arrows:
             raise CocycleError("cocycle must assign a value to every arrow")
+        # The skew-product layouts read the values as indices into G's table.
+        if np.any((self.values < 0) | (self.values >= group.order)):
+            raise CocycleError(f"cocycle values must be group indices 0 to {group.order - 1}")
         self._validate()
 
     def _validate(self):
@@ -485,42 +475,29 @@ def convolution_algebra(Q: FiniteGroupoid) -> GroupoidAlgebra:
 
 
 def skew_product_groupoid(Q: FiniteGroupoid, G: FiniteGroup, c: Cocycle) -> FiniteGroupoid:
-    """The skew product Q x_c G: r(x,s) = (r(x), c(x)s), s(x,s) = (s(x), s)."""
+    """The skew product Q x_c G: r(x,s) = (r(x), c(x)s), s(x,s) = (s(x), s).
+
+    Cell (x, t), arrow or unit, sits at index x |G| + t; its name
+    (name of x, name of t) is for display and JSON only.
+    """
     if c.groupoid is not Q or c.group is not G:
         c = Cocycle(Q, G, c.values)
     if hasattr(c, "_skew"):
         return c._skew
-    units = [(u, G.name(t)) for u in Q.units for t in G]
-    arrows = []
-    for i, a in enumerate(Q.arrows):
-        for t in G:
-            arrows.append(
-                (
-                    (a, G.name(t)),
-                    (Q.units[Q.s[i]], G.name(t)),
-                    (Q.units[Q.r[i]], G.name(G.mul(c.of(i), t))),
-                )
-            )
-    mult = []
-    for i in range(Q.n_arrows):
-        for j in range(Q.n_arrows):
-            k = Q.mult[i, j]
-            if k < 0:
-                continue
-            for t in G:
-                # (x, c(y) t)(y, t) = (xy, t)
-                mult.append(
-                    (
-                        (Q.arrows[i], G.name(G.mul(c.of(j), t))),
-                        (Q.arrows[j], G.name(t)),
-                        (Q.arrows[int(k)], G.name(t)),
-                    )
-                )
-    inv = {}
-    for i, a in enumerate(Q.arrows):
-        for t in G:
-            inv[(a, G.name(t))] = (Q.arrows[Q.inv[i]], G.name(G.mul(c.of(i), t)))
-    c._skew = make_groupoid(units, arrows, mult, inv)
+    m, t = G.order, np.arange(G.order)
+    ct = G.table[c.values]  # ct[x, t] = c(x) t
+    # (x, c(y) t)(y, t) = (xy, t): (x, t1) and (y, t) compose when x and y do
+    # and t1 = c(y) t; the entry [x, t1, y, t] is the composite's index.
+    xy = Q.mult[:, None, :, None]
+    composable = (xy >= 0) & (t[None, :, None, None] == ct[None, None, :, :])
+    c._skew = FiniteGroupoid(
+        [(u, G.name(a)) for u in Q.units for a in t],
+        [(x, G.name(a)) for x in Q.arrows for a in t],
+        (Q.r[:, None] * m + ct).ravel(),
+        (Q.s[:, None] * m + t).ravel(),
+        np.where(composable, xy * m + t, -1).reshape(Q.n_arrows * m, -1),
+        (Q.inv[:, None] * m + ct).ravel(),  # (x, t)^-1 = (x^-1, c(x) t)
+    )
     return c._skew
 
 
@@ -576,14 +553,14 @@ class GroupoidAction:
 
 
 def translation_groupoid_action(skew: FiniteGroupoid, G: FiniteGroup) -> GroupoidAction:
-    """s.(x, t) = (x, t s^-1) on a skew-product groupoid."""
+    """s.(x, t) = (x, t s^-1) on a skew product Q x_c G, whose arrow (x, t)
+    sits at index x |G| + t."""
     if hasattr(skew, "_translation_action"):
         return skew._translation_action
-    perm = np.zeros((G.order, skew.n_arrows), dtype=np.int64)
-    for t in G:
-        for i, (x, uname) in enumerate(skew.arrows):
-            a = G.index(uname)
-            perm[t, i] = skew.arrow_index((x, G.name(G.mul(a, G.inv(t)))))
+    m, k = G.order, np.arange(skew.n_arrows)
+    inv = [G.inv(s) for s in G]
+    # perm[s, x |G| + t] = x |G| + t s^-1
+    perm = (k // m * m)[None, :] + G.table[k % m][:, inv].T
     skew._translation_action = GroupoidAction(skew, G, perm)
     return skew._translation_action
 
@@ -591,46 +568,30 @@ def translation_groupoid_action(skew: FiniteGroupoid, G: FiniteGroup) -> Groupoi
 def semidirect_product(
     R: FiniteGroupoid, G: FiniteGroup, action: GroupoidAction
 ) -> FiniteGroupoid:
-    """R x| G with (x,s)(y,t) = (x (s.y), st) and (x,s)^-1 = (s^-1.x^-1, s^-1)."""
+    """R x| G with (x,s)(y,t) = (x (s.y), st) and (x,s)^-1 = (s^-1.x^-1, s^-1).
+
+    Arrow (x, t) sits at index x |G| + t and is named (name of x, name of t);
+    the units are R's, in R's order, named (name of u, name of e).  Names are
+    for display and JSON only.
+    """
     if action.groupoid is not R:
         raise NotAutomorphism("action must act on R")
     if hasattr(action, "_semidirect"):
         return action._semidirect
-    units = [(u, G.name(G.identity_index)) for u in R.units]
-    arrows = []
-    for i, a in enumerate(R.arrows):
-        for t in G:
-            src_unit = R.units[action.unit_perm[G.inv(t), R.s[i]]]
-            arrows.append(
-                (
-                    (a, G.name(t)),
-                    (src_unit, G.name(G.identity_index)),
-                    (R.units[R.r[i]], G.name(G.identity_index)),
-                )
-            )
-    mult = []
-    for i in range(R.n_arrows):
-        for s_ in G:
-            for j in range(R.n_arrows):
-                for t in G:
-                    yj = action.arrow(s_, j)
-                    if R.mult[i, yj] < 0:
-                        continue
-                    mult.append(
-                        (
-                            (R.arrows[i], G.name(s_)),
-                            (R.arrows[j], G.name(t)),
-                            (R.arrows[R.mult[i, yj]], G.name(G.mul(s_, t))),
-                        )
-                    )
-    inv = {}
-    for i, a in enumerate(R.arrows):
-        for t in G:
-            inv[(a, G.name(t))] = (
-                R.arrows[action.arrow(G.inv(t), R.inv[i])],
-                G.name(G.inv(t)),
-            )
-    action._semidirect = make_groupoid(units, arrows, mult, inv)
+    m, e = G.order, G.name(G.identity_index)
+    inv = [G.inv(s) for s in G]
+    # x (s.y) at [x, s, y, 0]; (x, s) and (y, t) compose exactly when it
+    # exists, and the entry [x, s, y, t] is the composite's index.
+    x_sy = R.mult[:, action.arrow_perm][..., None]
+    mult = np.where(x_sy >= 0, x_sy * m + G.table[None, :, None, :], -1)
+    action._semidirect = FiniteGroupoid(
+        [(u, e) for u in R.units],
+        [(x, G.name(s)) for x in R.arrows for s in G],
+        np.repeat(R.r, m),
+        action.unit_perm[inv][:, R.s].T.ravel(),  # s(x, s) = s^-1.s(x)
+        mult.reshape(R.n_arrows * m, -1),
+        (action.arrow_perm[inv][:, R.inv].T * m + inv).ravel(),
+    )
     return action._semidirect
 
 
@@ -733,30 +694,25 @@ def kernel_subgroupoid(Q: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
 
 def subgroupoid_on_arrows(Q: FiniteGroupoid, keep) -> FiniteGroupoid:
     """The subgroupoid on a subset of arrows (must be closed under the
-    operations and contain all unit arrows of the touched units)."""
-    keep = sorted(int(k) for k in keep)
-    kset = set(keep)
-    for i in keep:
-        if int(Q.inv[i]) not in kset:
-            raise GroupoidError("arrow set not closed under inverse")
-        for j in keep:
-            k = Q.mult[i, j]
-            if k >= 0 and int(k) not in kset:
-                raise GroupoidError("arrow set not closed under multiplication")
-    units = sorted({int(Q.r[i]) for i in keep} | {int(Q.s[i]) for i in keep})
-    for u in units:
-        if int(Q.unit_arrow[u]) not in kset:
-            raise GroupoidError("arrow set misses a unit arrow")
-    unit_names = [Q.units[u] for u in units]
-    arrows = [(Q.arrows[i], Q.units[Q.s[i]], Q.units[Q.r[i]]) for i in keep]
-    mult = []
-    for i in keep:
-        for j in keep:
-            k = Q.mult[i, j]
-            if k >= 0:
-                mult.append((Q.arrows[i], Q.arrows[j], Q.arrows[int(k)]))
-    inv = {Q.arrows[i]: Q.arrows[Q.inv[i]] for i in keep}
-    return make_groupoid(unit_names, arrows, mult, inv)
+    operations and contain all unit arrows of the touched units).  Its arrows
+    and units are the kept arrows and the touched units, in Q's order."""
+    keep = np.unique(np.asarray(keep, dtype=np.int64))
+    sub = Q.mult[np.ix_(keep, keep)]
+    if not np.isin(Q.inv[keep], keep).all():
+        raise GroupoidError("arrow set not closed under inverse")
+    if not np.isin(sub[sub >= 0], keep).all():
+        raise GroupoidError("arrow set not closed under multiplication")
+    units = np.unique(np.r_[Q.r[keep], Q.s[keep]])
+    if not np.isin(Q.unit_arrow[units], keep).all():
+        raise GroupoidError("arrow set misses a unit arrow")
+    return FiniteGroupoid(
+        [Q.units[u] for u in units],
+        [Q.arrows[i] for i in keep],
+        np.searchsorted(units, Q.r[keep]),
+        np.searchsorted(units, Q.s[keep]),
+        np.where(sub >= 0, np.searchsorted(keep, sub), -1),
+        np.searchsorted(keep, Q.inv[keep]),
+    )
 
 
 def _right_rule_coeffs(span: AlgebraSpan, factors, tol: float):
@@ -772,23 +728,13 @@ def _right_rule_coeffs(span: AlgebraSpan, factors, tol: float):
         yield coeffs
 
 
-def _crossed_index(R: FiniteGroupoid, G: FiniteGroup, semi: FiniteGroupoid) -> np.ndarray:
-    """The bijection delta_(x,s) -> basis (x, s) of C*(R) x_beta G: arrow k of
-    R x| G goes to crossed-product index i |G| + s, x = arrow i of R."""
-    perm = np.zeros(semi.n_arrows, dtype=np.int64)
-    for i, a in enumerate(R.arrows):
-        for t in G:
-            perm[semi.arrow_index((a, G.name(t)))] = i * G.order + t
-    return perm
-
-
-def _crossed_parts(alg: GroupoidAlgebra, G: FiniteGroup, perm: np.ndarray, fs) -> dict:
+def _crossed_parts(alg: GroupoidAlgebra, G: FiniteGroup, fs) -> dict:
     """Phi(f) = sum_s pi~(f_s) u~_s, f_s(x) = f(x, s), for stacked functions f
-    on R x| G: the stacked rows vec(pi(f_s)) of every f, keyed by s."""
-    coeffs = np.zeros((len(fs), len(perm)), dtype=np.complex128)
-    coeffs[:, perm] = fs
-    d = len(perm) // G.order
-    return {s: alg.represent_rows(coeffs[:, np.arange(d) * G.order + s]) for s in G}
+    on R x| G: the stacked rows vec(pi(f_s)) of every f, keyed by s.  Arrow
+    (x, s) of R x| G and basis element (x, s) of C*(R) x_beta G both sit at
+    index x |G| + s."""
+    d = fs.shape[1] // G.order
+    return {s: alg.represent_rows(fs[:, np.arange(d) * G.order + s]) for s in G}
 
 
 def certify_semi_cross(
@@ -810,22 +756,23 @@ def certify_semi_cross(
     lhs_alg = convolution_algebra(semi)
     base_alg = convolution_algebra(R)
     acp = action_crossed_product(action)
-    perm = _crossed_index(R, G, semi)
     d = semi.n_arrows
+    # Phi matches delta_(x,s) with pi~(delta_x) u~_s: both sit at x |G| + s.
+    layout_ok = d == acp.dim and all(
+        a == (R.arrows[k // G.order], G.name(k % G.order)) for k, a in enumerate(semi.arrows)
+    )
 
     # The right-multiplication rule of each delta_(x,s) against the rule of
-    # its image, transported back through the bijection; a chunk at a time.
+    # its image; a chunk at a time.
     max_err = 0.0
     for c_dom, c_img in zip(
         _right_rule_coeffs(lhs_alg.span, np.arange(d), tol),
-        _right_rule_coeffs(acp.span, perm, tol),
+        _right_rule_coeffs(acp.span, np.arange(d), tol),
     ):
-        blocks = c_dom.shape[0] // d
-        back = (np.arange(blocks)[:, None] * d + perm[None, :]).ravel()
-        diff = (c_dom - c_img[back][:, perm]).tocsr()
-        for j in range(blocks):
+        diff = (c_dom - c_img).tocsr()
+        for j in range(c_dom.shape[0] // d):
             max_err = max(max_err, frobenius(diff[j * d : (j + 1) * d]))
-    # Involutions agree through the bijection.
+    # Involutions agree.
     star_dom, resid = lhs_alg.span.coefficients_rows(
         matalg.star_columns(lhs_alg.span.rows, semi.n_arrows)
     )
@@ -834,7 +781,7 @@ def certify_semi_cross(
         matalg.star_columns(acp.span.rows, acp.ambient_dim)
     )
     max_err = max(max_err, resid)
-    max_err = max(max_err, frobenius(star_dom - star_img[perm][:, perm]))
+    max_err = max(max_err, frobenius(star_dom - star_img))
 
     # Phi(f g) = Phi(f) Phi(g) on four random pairs, drawn first: the rows
     # (f, g, f g) of all pairs go through pi~ together, and each matrix is
@@ -844,7 +791,7 @@ def certify_semi_cross(
         f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         draws += [f, g, lhs_alg.convolve(f, g)]
-    mats = acp.elements(_crossed_parts(base_alg, G, perm, np.array(draws)))
+    mats = acp.elements(_crossed_parts(base_alg, G, np.array(draws)))
     conv_err = 0.0
     for k in range(0, len(mats), 3):
         conv_err = max(conv_err, frobenius(mats[k] @ mats[k + 1] - mats[k + 2]))
@@ -861,7 +808,7 @@ def certify_semi_cross(
             "structure_error": max_err,
             "random_convolution_ok": conv_err <= tol,
             "random_convolution_error": conv_err,
-            "bijection_ok": sorted(perm.tolist()) == list(range(semi.n_arrows)),
+            "bijection_ok": layout_ok,
         },
     )
 
@@ -888,16 +835,9 @@ def certify_gpd_iso(
     skew_alg = convolution_algebra(skew)
     m = G.order
 
-    # Psi on the spanning set: (delta_x, u) -> delta_(x, u), and as a 0/1 matrix.
-    perm = np.zeros(ccp.dim, dtype=np.int64)
-    for i, a in enumerate(Q.arrows):
-        for u in G:
-            perm[i * m + u] = skew.arrow_index((a, G.name(u)))
-    psi = sp.csr_matrix((np.ones(ccp.dim), (np.arange(ccp.dim), perm)),
-                        shape=(ccp.dim, skew.n_arrows))
-    image_rows = skew_alg.span.rows[perm]
-    inv_perm = np.argsort(perm)
-    inverse_rows = ccp.span.rows[inv_perm]
+    # Psi on the spanning set: (delta_x, u) -> delta_(x, u).  Both sit at
+    # x |G| + u, so Psi is the identity on indices.
+    image_rows = skew_alg.span.rows
 
     # The generators j_A(delta_x) = sum_u (delta_x, u), then j_G(chi_u) =
     # sum_v (delta_v, u) over the unit arrows v, as 0/1 sums of spanning
@@ -914,7 +854,7 @@ def certify_gpd_iso(
         sums @ image_rows,
         tol=tol,
         target=skew_alg.span,
-        inverse_rows=inverse_rows,
+        inverse_rows=ccp.span.rows,
         check_right=False,
     )
 
@@ -924,7 +864,7 @@ def certify_gpd_iso(
     beta = induced_algebra_action(translation_groupoid_action(skew, G))
     eq_err = 0.0
     for s_ in G:
-        eq_err = max(eq_err, frobenius(dual.coeff_mats[s_] @ psi - psi @ beta.coeff_mats[s_]))
+        eq_err = max(eq_err, frobenius(dual.coeff_mats[s_] - beta.coeff_mats[s_]))
 
     return IsomorphismCertificate(
         theorem="gpd-iso",
@@ -1015,11 +955,10 @@ def expectations_and_norm_identities(
         rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
         for _ in range(n_random)
     ]
-    perm = _crossed_index(R, G, semi)
     err = 0.0
     for k0 in range(0, n_random, matalg.CHUNK):
         b = np.array(draws[k0 : k0 + matalg.CHUNK])
-        x_rows = acp.element_rows(_crossed_parts(base_alg, G, perm, b))
+        x_rows = acp.element_rows(_crossed_parts(base_alg, G, b))
         f_e = base_alg.to_functions(acp.conditional_expectation_rows(x_rows, tol=1e-6))
         lhs = np.max(np.abs(b[:, semi.unit_arrow]), axis=1)
         rhs = np.max(np.abs(f_e[:, R.unit_arrow]), axis=1)
@@ -1168,89 +1107,64 @@ def certify_equivalence(
     """
     rng = rng or np.random.default_rng(0)
     skew = skew_product_groupoid(Q, G, c)
+    m = G.order
     if kind == "semidirect":
+        inv = np.array([G.inv(t) for t in G])
         trans = translation_groupoid_action(skew, G)
         L = semidirect_product(skew, G, trans)
-        carrier = list(skew.arrows)  # cells (x, s)
-        rho, sigma = [], []
-        for k, (x_name, s_name) in enumerate(carrier):
-            ru = skew.units[skew.r[skew.arrow_index((x_name, s_name))]]
-            rho.append(L.unit_index((ru, G.name(G.identity_index))))
-            sigma.append(Q.s[Q.arrow_index(x_name)])
-        left_act = {}
-        for h in range(L.n_arrows):
-            (y_name, a_name), t_name = L.arrows[h]
-            y = Q.arrow_index(y_name)
-            t = G.index(t_name)
-            for z, (x_name, s_name) in enumerate(carrier):
-                if L.s[h] != rho[z]:
-                    continue
-                x = Q.arrow_index(x_name)
-                s_ = G.index(s_name)
-                w = (Q.arrows[int(Q.mult[y, x])], G.name(G.mul(s_, G.inv(t))))
-                left_act[(h, z)] = carrier.index(w)
-        right_act = {}
-        for z, (x_name, s_name) in enumerate(carrier):
-            x = Q.arrow_index(x_name)
-            s_ = G.index(s_name)
-            for n in range(Q.n_arrows):
-                if sigma[z] != Q.r[n]:
-                    continue
-                w = (
-                    Q.arrows[int(Q.mult[x, n])],
-                    G.name(G.mul(G.inv(int(c.values[n])), s_)),
-                )
-                right_act[(z, n)] = carrier.index(w)
-        bim = EquivalenceBimodule(L, Q, carrier, rho, sigma, left_act, right_act)
+        # Carrier cell z = x |G| + s is the skew arrow (x, s).  L's units are
+        # the skew units in the same order, so rho = r of the skew product.
+        rho, sigma = skew.r, Q.s[np.arange(skew.n_arrows) // m]
+        # Arrow h = (y |G| + a) |G| + t of L is ((y, a), t), and it sends
+        # (x, s) to (y x, s t^-1); the cell n of Q sends (x, s) to
+        # (x n, c(n)^-1 s).
+        hs, zs = np.nonzero(L.s[:, None] == rho[None, :])
+        x, s_ = np.divmod(zs, m)
+        left = Q.mult[hs // (m * m), x] * m + G.table[s_, inv[hs % m]]
+        ns_z, ns = np.nonzero(sigma[:, None] == Q.r[None, :])
+        x, s_ = np.divmod(ns_z, m)
+        right = Q.mult[x, ns] * m + G.table[inv[c.values[ns]], s_]
+        bim = EquivalenceBimodule(
+            L, Q, skew.arrows, rho, sigma,
+            dict(zip(zip(hs.tolist(), zs.tolist()), left.tolist())),
+            dict(zip(zip(ns_z.tolist(), ns.tolist()), right.tolist())),
+        )
         report = bim.verify()
         report["kind"] = kind
-        report.update(_semidirect_properness_sets(Q, G, c, L, bim, rng))
+        report.update(_semidirect_properness_sets(Q, G, c, bim, rng))
         return bim, report
 
     if kind == "subgroupoid":
-        keep = []
-        for k, (x_name, t_name) in enumerate(skew.arrows):
-            x = Q.arrow_index(x_name)
-            t = G.index(t_name)
-            if any(
-                int(c.values[y]) == t
-                for y in Q.arrows_with_range(int(Q.s[x]))
-            ):
-                keep.append(k)
+        # H keeps (x, t) when t = c(y) for some y with r(y) = s(x).
+        into = np.zeros((Q.n_units, m), dtype=bool)
+        into[Q.r, c.values] = True
+        keep = np.nonzero(into[Q.s].ravel())[0]
         H = subgroupoid_on_arrows(skew, keep)
         N_sub = kernel_subgroupoid(Q, c)
-        carrier = list(Q.arrows)
-        rho, sigma = [], []
-        for y in range(Q.n_arrows):
-            rho.append(
-                H.unit_index((Q.units[Q.r[y]], G.name(int(c.values[y]))))
-            )
-            sigma.append(N_sub.unit_index(Q.units[Q.s[y]]))
-        left_act = {}
-        for h in range(H.n_arrows):
-            x_name, t_name = H.arrows[h]
-            x = Q.arrow_index(x_name)
-            for z in range(Q.n_arrows):
-                if H.s[h] != rho[z]:
-                    continue
-                left_act[(h, z)] = int(Q.mult[x, z])
-        right_act = {}
-        for z in range(Q.n_arrows):
-            for n in range(N_sub.n_arrows):
-                if sigma[z] != N_sub.r[n]:
-                    continue
-                right_act[(z, n)] = int(Q.mult[z, Q.arrow_index(N_sub.arrows[n])])
-        bim = EquivalenceBimodule(H, N_sub, carrier, rho, sigma, left_act, right_act)
+        n_keep = np.nonzero(c.values == G.identity_index)[0]
+        # H's units are the skew units it touches, in order.  N holds every
+        # unit arrow, so its units are Q's and sigma = s.
+        rho = np.searchsorted(np.unique(skew.r[keep]), Q.r * m + c.values)
+        sigma = Q.s
+        hs, zs = np.nonzero(H.s[:, None] == rho[None, :])
+        left = Q.mult[keep[hs] // m, zs]
+        ns_z, ns = np.nonzero(sigma[:, None] == N_sub.r[None, :])
+        right = Q.mult[ns_z, n_keep[ns]]
+        bim = EquivalenceBimodule(
+            H, N_sub, Q.arrows, rho, sigma,
+            dict(zip(zip(hs.tolist(), zs.tolist()), left.tolist())),
+            dict(zip(zip(ns_z.tolist(), ns.tolist()), right.tolist())),
+        )
         report = bim.verify()
         report["kind"] = kind
         report["h_units"] = H.n_units
-        report.update(_subgroupoid_properness_sets(Q, G, c, H, bim, rng))
+        report.update(_subgroupoid_properness_sets(Q, G, c, keep, bim, rng))
         return bim, report
 
     raise ValueError(f"unknown equivalence kind {kind!r}")
 
 
-def _semidirect_properness_sets(Q, G, c, L, bim, rng):
+def _semidirect_properness_sets(Q, G, c, bim, rng):
     """The compact-set containments behind properness, on random windows:
     if (h.(y,r), (y,r)) lands in (Lset x F)^2 then the parts of h satisfy
     x in Lset Lset^-1, s in c(Lset) F F^-1 F, t in F^-1 F."""
@@ -1261,26 +1175,20 @@ def _semidirect_properness_sets(Q, G, c, L, bim, rng):
     cL = {int(c.values[i]) for i in Lset}
     FFinv = {G.mul(a, G.inv(b)) for a in F for b in F}
     cLFFF = {G.mul(x, G.mul(y, z)) for x in cL for y in FFinv for z in F}
+    m = G.order
     ok = True
     for (h, z), w in bim.left_act.items():
-        (y_name, a_name), t_name = L.arrows[h]
-        x_cell, s_cell = bim.carrier[z]
-        wx, ws = bim.carrier[w]
-        in_window = (
-            Q.arrow_index(x_cell) in Lset and G.index(s_cell) in F
-            and Q.arrow_index(wx) in Lset and G.index(ws) in F
-        )
-        if not in_window:
+        # Carrier cells z, w = x |G| + s; h = (y |G| + a) |G| + t.
+        if not (z // m in Lset and z % m in F and w // m in Lset and w % m in F):
             continue
-        y = Q.arrow_index(y_name)
-        if y not in LLinv or G.index(a_name) not in cLFFF or G.index(t_name) not in FFinv:
+        if h // (m * m) not in LLinv or h // m % m not in cLFFF or h % m not in FFinv:
             ok = False
     return {"properness_window_ok": ok}
 
 
-def _subgroupoid_properness_sets(Q, G, c, H, bim, rng):
+def _subgroupoid_properness_sets(Q, G, c, keep, bim, rng):
     """If ((x,t).y, y) lands in Lset x Lset then x in Lset Lset^-1 and
-    t in c(Lset)."""
+    t in c(Lset); arrow h of H is the skew arrow keep[h] = x |G| + t."""
     arrows = list(range(Q.n_arrows))
     Lset = set(rng.choice(arrows, size=max(1, Q.n_arrows // 2), replace=False).tolist())
     LLinv = {int(Q.mult[i, Q.inv[j]]) for i in Lset for j in Lset if Q.s[i] == Q.s[j]}
@@ -1289,8 +1197,8 @@ def _subgroupoid_properness_sets(Q, G, c, H, bim, rng):
     for (h, z), w in bim.left_act.items():
         if z not in Lset or w not in Lset:
             continue
-        x_name, t_name = H.arrows[h]
-        if Q.arrow_index(x_name) not in LLinv or G.index(t_name) not in cL:
+        x, t = divmod(int(keep[h]), G.order)
+        if x not in LLinv or t not in cL:
             ok = False
     return {"properness_window_ok": ok}
 

@@ -7,17 +7,11 @@ vec(X)[i n + j] = X[i, j].  A span's basis and its generators are both kept
 as stacked rows vec(X), and stacked rows are multiplied by matrices in one
 way only: :func:`right_products` and :func:`left_products`.
 
-Two routes certify *-maps:
-
-* :func:`check_star_map` is the general small-scale oracle.  It closes the
-  graph of the generator assignment (as block-diagonal matrices) and reads
-  well-definedness and injectivity off dimension counts.
-* :func:`star_map_on_basis` is the structured route used by the theorem
-  certifiers: the domain comes with a known orthogonal basis, the candidate
-  map is given by its matrix on that basis, and multiplicativity is checked
-  against the stacked rows of the generators and of their images by exact
-  linear algebra.  The two routes agree on
-  small instances (see the tests).
+The theorem certifiers certify *-maps through :func:`star_map_on_basis`: the
+domain comes with a known orthogonal basis, the candidate map is given by its
+matrix on that basis, and multiplicativity is checked against the stacked rows
+of the generators and of their images by exact linear algebra.  The tests
+compare it with a general closure-based oracle on small instances.
 """
 from __future__ import annotations
 
@@ -55,10 +49,6 @@ def as_dense(mat) -> np.ndarray:
     if sp.issparse(mat):
         return mat.toarray()
     return np.asarray(mat, dtype=np.complex128)
-
-
-def direct_sum(a, b) -> sp.csr_matrix:
-    return sp.block_diag([a, b], format="csr", dtype=np.complex128)
 
 
 def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:
@@ -333,15 +323,6 @@ def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> Alge
                        name=name or f"{a.name} (x) {b.name}")
 
 
-def direct_sum_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:
-    na, nb = a.ambient_dim, b.ambient_dim
-    zeros_a = sp.csr_matrix((na, na), dtype=np.complex128)
-    zeros_b = sp.csr_matrix((nb, nb), dtype=np.complex128)
-    mats = [direct_sum(a.basis_matrix(i), zeros_b) for i in range(a.dim)]
-    mats += [direct_sum(zeros_a, b.basis_matrix(j)) for j in range(b.dim)]
-    return from_orthogonal(mats, name=name or f"{a.name} (+) {b.name}")
-
-
 def full_matrix_span(m: int, name: str | None = None) -> AlgebraSpan:
     mats = [matrix_unit(m, i, j) for i in range(m) for j in range(m)]
     return from_orthogonal(mats, name=name or f"M_{m}")
@@ -375,106 +356,6 @@ class StarMapReport:
             and self.injective
             and self.surjective is not False
         )
-
-
-def check_star_map(
-    domain_generators: Sequence,
-    image_assignment: Sequence,
-    tol: float = CLOSURE_TOL,
-    target: AlgebraSpan | None = None,
-    n_samples: int = 8,
-    rng: np.random.Generator | None = None,
-) -> StarMapReport:
-    """Certify the map generator -> image as a *-homomorphism of spans.
-
-    Works by closing the span of the block-diagonal pairs diag(g, T(g)): the
-    result is the graph of the induced map on words, so the assignment is
-    well-defined exactly when the pair span has the same dimension as the
-    domain span, and injective exactly when it matches the image span.
-    Multiplicativity and *-preservation of the induced linear map are spot
-    checked on random elements.
-    """
-    if len(domain_generators) != len(image_assignment):
-        raise DimensionMismatch("assignment must cover every generator")
-    doms = [as_dense(g) for g in domain_generators]
-    imgs = [as_dense(g) for g in image_assignment]
-    n = doms[0].shape[0]
-    m = imgs[0].shape[0]
-    for g in doms:
-        if g.shape != (n, n):
-            raise DimensionMismatch("domain generators have mixed dimensions")
-    for g in imgs:
-        if g.shape != (m, m):
-            raise DimensionMismatch("image matrices have mixed dimensions")
-
-    pair_span = span_closure(
-        [direct_sum(d, i) for d, i in zip(doms, imgs)], tol=tol, name="pair"
-    )
-    dom_span = span_closure(doms, tol=tol, name="domain")
-    img_span = span_closure(imgs, tol=tol, name="image")
-
-    well_defined = pair_span.dim == dom_span.dim
-    injective = pair_span.dim == img_span.dim
-
-    witness = None
-    if not well_defined:
-        # Find a combination of pair-basis elements with vanishing domain
-        # part; its image part witnesses the violated relation.
-        pairs = [pair_span.basis_matrix(i).toarray() for i in range(pair_span.dim)]
-        dom_parts = np.array([p[:n, :n].reshape(-1) for p in pairs])
-        u, s, _ = np.linalg.svd(dom_parts)
-        rank = int(np.sum(s > tol * max(1.0, float(s[0]) if len(s) else 1.0)))
-        if rank < pair_span.dim:
-            c = u[:, rank].conj()
-            witness = sum(c[i] * pairs[i][n:, n:] for i in range(pair_span.dim))
-
-    # The induced map, via least squares against the pair basis.
-    def apply(x: np.ndarray) -> np.ndarray:
-        dom_parts = np.array(
-            [
-                pair_span.basis_matrix(i).toarray()[:n, :n].reshape(-1)
-                for i in range(pair_span.dim)
-            ]
-        )
-        coeff, *_ = np.linalg.lstsq(dom_parts.T, x.reshape(-1), rcond=None)
-        out = np.zeros((m, m), dtype=np.complex128)
-        for i in range(pair_span.dim):
-            out += coeff[i] * pair_span.basis_matrix(i).toarray()[n:, n:]
-        return out
-
-    max_err = 0.0
-    multiplicative = well_defined
-    star_preserving = well_defined
-    if well_defined:
-        rng = rng or np.random.default_rng(0)
-        for _ in range(n_samples):
-            x = as_dense(dom_span.random_element(rng))
-            y = as_dense(dom_span.random_element(rng))
-            scale = max(1.0, np.linalg.norm(x) * np.linalg.norm(y))
-            err = np.linalg.norm(apply(x @ y) - apply(x) @ apply(y)) / scale
-            max_err = max(max_err, err)
-            err = np.linalg.norm(apply(x.conj().T) - apply(x).conj().T) / max(
-                1.0, np.linalg.norm(x)
-            )
-            max_err = max(max_err, err)
-        multiplicative = star_preserving = max_err <= max(tol, 100 * CLOSURE_TOL)
-
-    surjective = None
-    if target is not None:
-        member = all(target.contains(g, tol=tol) for g in imgs)
-        surjective = member and img_span.dim == target.dim
-
-    return StarMapReport(
-        well_defined=well_defined,
-        multiplicative=multiplicative,
-        star_preserving=star_preserving,
-        injective=injective,
-        surjective=surjective,
-        domain_dim=dom_span.dim,
-        image_dim=img_span.dim,
-        max_error=float(max_err),
-        witness=witness,
-    )
 
 
 def star_map_on_basis(

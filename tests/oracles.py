@@ -1,4 +1,5 @@
-"""Independent loop versions of the batched relation checks and constructions.
+"""Independent loop versions of the batched relation checks and constructions,
+and the reference versions of the index-built groupoid products.
 
 Each check tests the same relations as its counterpart in ``skewprod`` one
 vertex, edge, vertex pair or generator at a time, with one small sparse or
@@ -6,15 +7,22 @@ dense product per relation, and each construction builds its matrices one
 at a time.  The group actions are built as conjugation by general unitary
 matrices, multiplied out, where ``skewprod`` remaps indices by a permutation
 table, and the gauge action is certified as a numerical *-homomorphism,
-where ``skewprod`` checks the length grading by index arithmetic.  The tests
-compare the batched versions with these on random, gauge-scaled and groupoid
-inputs and on planted defects.
+where ``skewprod`` checks the length grading by index arithmetic.  The skew
+and semidirect products, the translation action and the subgroupoids are
+built here from arrow names through ``make_groupoid``, where ``skewprod``
+computes their tables from integer arrays.  *-maps on matrix lists are
+certified by closing the graph of the map, where ``skewprod`` certifies them
+on a known basis.  The tests compare the batched versions with these on
+random, gauge-scaled and groupoid inputs and on planted defects.
 """
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse as sp
 
 from skewprod import matalg
 from skewprod.crossed import ActionInvalid
+from skewprod.groupoids import GroupoidAction, GroupoidError, make_groupoid
 from skewprod.groups import regular_matrices
 from skewprod.matalg import frobenius
 
@@ -202,3 +210,193 @@ def gauge_star_map(fam, z, gen_degrees, tol: float = 1e-12) -> bool:
         fam.span.gen_rows, matalg.vec_rows(scaled), tol=tol, target=fam.span,
         inverse_rows=sp.diags(scale.conj()).tocsr() @ fam.span.rows)
     return ok and report.passed and report.bijective
+
+
+def direct_sum(a, b) -> sp.csr_matrix:
+    return sp.block_diag([a, b], format="csr", dtype=np.complex128)
+
+
+def check_star_map(
+    domain_generators: Sequence,
+    image_assignment: Sequence,
+    tol: float = matalg.CLOSURE_TOL,
+    target: matalg.AlgebraSpan | None = None,
+    n_samples: int = 8,
+    rng: np.random.Generator | None = None,
+) -> matalg.StarMapReport:
+    """Certify the map generator -> image as a *-homomorphism of spans.
+
+    Works by closing the span of the block-diagonal pairs diag(g, T(g)): the
+    result is the graph of the induced map on words, so the assignment is
+    well-defined exactly when the pair span has the same dimension as the
+    domain span, and injective exactly when it matches the image span.
+    Multiplicativity and *-preservation of the induced linear map are spot
+    checked on random elements.
+    """
+    if len(domain_generators) != len(image_assignment):
+        raise matalg.DimensionMismatch("assignment must cover every generator")
+    doms = [matalg.as_dense(g) for g in domain_generators]
+    imgs = [matalg.as_dense(g) for g in image_assignment]
+    n = doms[0].shape[0]
+    m = imgs[0].shape[0]
+    for g in doms:
+        if g.shape != (n, n):
+            raise matalg.DimensionMismatch("domain generators have mixed dimensions")
+    for g in imgs:
+        if g.shape != (m, m):
+            raise matalg.DimensionMismatch("image matrices have mixed dimensions")
+
+    pair_span = matalg.span_closure(
+        [direct_sum(d, i) for d, i in zip(doms, imgs)], tol=tol, name="pair"
+    )
+    dom_span = matalg.span_closure(doms, tol=tol, name="domain")
+    img_span = matalg.span_closure(imgs, tol=tol, name="image")
+
+    well_defined = pair_span.dim == dom_span.dim
+    injective = pair_span.dim == img_span.dim
+
+    witness = None
+    if not well_defined:
+        # Find a combination of pair-basis elements with vanishing domain
+        # part; its image part witnesses the violated relation.
+        pairs = [pair_span.basis_matrix(i).toarray() for i in range(pair_span.dim)]
+        dom_parts = np.array([p[:n, :n].reshape(-1) for p in pairs])
+        u, s, _ = np.linalg.svd(dom_parts)
+        rank = int(np.sum(s > tol * max(1.0, float(s[0]) if len(s) else 1.0)))
+        if rank < pair_span.dim:
+            c = u[:, rank].conj()
+            witness = sum(c[i] * pairs[i][n:, n:] for i in range(pair_span.dim))
+
+    # The induced map, via least squares against the pair basis.
+    def apply(x: np.ndarray) -> np.ndarray:
+        dom_parts = np.array(
+            [
+                pair_span.basis_matrix(i).toarray()[:n, :n].reshape(-1)
+                for i in range(pair_span.dim)
+            ]
+        )
+        coeff, *_ = np.linalg.lstsq(dom_parts.T, x.reshape(-1), rcond=None)
+        out = np.zeros((m, m), dtype=np.complex128)
+        for i in range(pair_span.dim):
+            out += coeff[i] * pair_span.basis_matrix(i).toarray()[n:, n:]
+        return out
+
+    max_err = 0.0
+    multiplicative = well_defined
+    star_preserving = well_defined
+    if well_defined:
+        rng = rng or np.random.default_rng(0)
+        for _ in range(n_samples):
+            x = matalg.as_dense(dom_span.random_element(rng))
+            y = matalg.as_dense(dom_span.random_element(rng))
+            scale = max(1.0, np.linalg.norm(x) * np.linalg.norm(y))
+            err = np.linalg.norm(apply(x @ y) - apply(x) @ apply(y)) / scale
+            max_err = max(max_err, err)
+            err = np.linalg.norm(apply(x.conj().T) - apply(x).conj().T) / max(
+                1.0, np.linalg.norm(x)
+            )
+            max_err = max(max_err, err)
+        multiplicative = star_preserving = max_err <= max(tol, 100 * matalg.CLOSURE_TOL)
+
+    surjective = None
+    if target is not None:
+        member = all(target.contains(g, tol=tol) for g in imgs)
+        surjective = member and img_span.dim == target.dim
+
+    return matalg.StarMapReport(
+        well_defined=well_defined,
+        multiplicative=multiplicative,
+        star_preserving=star_preserving,
+        injective=injective,
+        surjective=surjective,
+        domain_dim=dom_span.dim,
+        image_dim=img_span.dim,
+        max_error=float(max_err),
+        witness=witness,
+    )
+
+
+def skew_product_by_names(Q, G, c):
+    """Q x_c G from the names ((x, t) for arrows and units) through
+    ``make_groupoid``: r(x,s) = (r(x), c(x)s), s(x,s) = (s(x), s)."""
+    units = [(u, G.name(t)) for u in Q.units for t in G]
+    arrows = []
+    for i, a in enumerate(Q.arrows):
+        for t in G:
+            arrows.append(((a, G.name(t)), (Q.units[Q.s[i]], G.name(t)),
+                           (Q.units[Q.r[i]], G.name(G.mul(c.of(i), t)))))
+    mult = []
+    for i in range(Q.n_arrows):
+        for j in range(Q.n_arrows):
+            k = Q.mult[i, j]
+            if k < 0:
+                continue
+            for t in G:
+                # (x, c(y) t)(y, t) = (xy, t)
+                mult.append(((Q.arrows[i], G.name(G.mul(c.of(j), t))),
+                             (Q.arrows[j], G.name(t)), (Q.arrows[int(k)], G.name(t))))
+    inv = {}
+    for i, a in enumerate(Q.arrows):
+        for t in G:
+            inv[(a, G.name(t))] = (Q.arrows[Q.inv[i]], G.name(G.mul(c.of(i), t)))
+    return make_groupoid(units, arrows, mult, inv)
+
+
+def translation_action_by_names(skew, G):
+    """s.(x, t) = (x, t s^-1), found by the name of each translated arrow."""
+    perm = np.zeros((G.order, skew.n_arrows), dtype=np.int64)
+    for t in G:
+        for i, (x, uname) in enumerate(skew.arrows):
+            a = G.index(uname)
+            perm[t, i] = skew.arrow_index((x, G.name(G.mul(a, G.inv(t)))))
+    return GroupoidAction(skew, G, perm)
+
+
+def semidirect_product_by_names(R, G, action):
+    """R x| G with (x,s)(y,t) = (x (s.y), st) and (x,s)^-1 = (s^-1.x^-1, s^-1),
+    from the names through ``make_groupoid``."""
+    e = G.name(G.identity_index)
+    units = [(u, e) for u in R.units]
+    arrows = []
+    for i, a in enumerate(R.arrows):
+        for t in G:
+            src_unit = R.units[action.unit_perm[G.inv(t), R.s[i]]]
+            arrows.append(((a, G.name(t)), (src_unit, e), (R.units[R.r[i]], e)))
+    mult = []
+    for i in range(R.n_arrows):
+        for s_ in G:
+            for j in range(R.n_arrows):
+                for t in G:
+                    yj = action.arrow(s_, j)
+                    if R.mult[i, yj] < 0:
+                        continue
+                    mult.append(((R.arrows[i], G.name(s_)), (R.arrows[j], G.name(t)),
+                                 (R.arrows[R.mult[i, yj]], G.name(G.mul(s_, t)))))
+    inv = {}
+    for i, a in enumerate(R.arrows):
+        for t in G:
+            inv[(a, G.name(t))] = (R.arrows[action.arrow(G.inv(t), R.inv[i])], G.name(G.inv(t)))
+    return make_groupoid(units, arrows, mult, inv)
+
+
+def subgroupoid_by_names(Q, keep):
+    """The subgroupoid on the arrows ``keep``, closed under the operations,
+    from the names through ``make_groupoid``."""
+    keep = sorted(int(k) for k in keep)
+    kset = set(keep)
+    for i in keep:
+        if int(Q.inv[i]) not in kset:
+            raise GroupoidError("arrow set not closed under inverse")
+        for j in keep:
+            k = Q.mult[i, j]
+            if k >= 0 and int(k) not in kset:
+                raise GroupoidError("arrow set not closed under multiplication")
+    units = sorted({int(Q.r[i]) for i in keep} | {int(Q.s[i]) for i in keep})
+    for u in units:
+        if int(Q.unit_arrow[u]) not in kset:
+            raise GroupoidError("arrow set misses a unit arrow")
+    arrows = [(Q.arrows[i], Q.units[Q.s[i]], Q.units[Q.r[i]]) for i in keep]
+    mult = [(Q.arrows[i], Q.arrows[j], Q.arrows[int(Q.mult[i, j])])
+            for i in keep for j in keep if Q.mult[i, j] >= 0]
+    inv = {Q.arrows[i]: Q.arrows[Q.inv[i]] for i in keep}
+    return make_groupoid([Q.units[u] for u in units], arrows, mult, inv)

@@ -143,11 +143,11 @@ def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
     assert duality.certify_regular_diagram(e1, z3, lab).extra["chase_ok"]
     true_images = duality._theta_generator_images
 
-    def lam_for_rho(fam, skew, G, labeling):
-        rows = true_images(fam, skew, G, labeling)
+    def lam_for_rho(fam, G, labeling):
+        rows = true_images(fam, G, labeling)
         lam = groups.regular_matrices(G)[0]
         eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
-        return sp.vstack([rows[:skew.n_edges + skew.n_vertices],
+        return sp.vstack([rows[:-G.order],
                           matalg.vec_rows([sp.kron(eye, lam[t]) for t in G])], format="csr")
 
     monkeypatch.setattr(duality, "_theta_generator_images", lam_for_rho)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import check_star_map
 
 from skewprod import graphalg, groups, matalg
 from skewprod.graphalg import (
@@ -138,7 +139,7 @@ class TestGauge:
         fam = ck_representation(e1)
         gens = list(fam.s) + list(fam.p)
         imgs = [(-1) * fam.s[0], fam.p[0], fam.p[1]]
-        general = matalg.check_star_map(gens, imgs, target=fam.span)
+        general = check_star_map(gens, imgs, target=fam.span)
         assert general.passed == gauge_check(fam, -1.0).passed is True
 
 

@@ -23,7 +23,6 @@ from skewprod.groupoids import (
     convolution_algebra,
     disjoint_union,
     expectations_and_norm_identities,
-    group_as_groupoid,
     kernel_embedding_check,
     make_groupoid,
     pair_groupoid,
@@ -40,6 +39,14 @@ from skewprod.groupoids import (
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
+
+
+def group_as_groupoid(G):
+    """G as a groupoid with one unit."""
+    arrows = [(G.name(t), "u", "u") for t in G]
+    mult = [(G.name(a), G.name(b), G.name(G.mul(a, b))) for a in G for b in G]
+    inv = {G.name(t): G.name(G.inv(t)) for t in G}
+    return make_groupoid(["u"], arrows, mult, inv)
 
 
 @pytest.fixture

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import check_star_map, direct_sum
 
 from skewprod import matalg
 from skewprod.matalg import (
     DimensionMismatch,
     NotInSpan,
-    check_star_map,
-    direct_sum_span,
     from_orthogonal,
     full_matrix_span,
     matrix_unit,
@@ -16,6 +15,16 @@ from skewprod.matalg import (
     tensor_span,
     wedderburn_signature,
 )
+
+
+def direct_sum_span(a, b):
+    """a (+) b as block-diagonal matrices, the basis of a and then of b."""
+    na, nb = a.ambient_dim, b.ambient_dim
+    zeros_a = sp.csr_matrix((na, na), dtype=np.complex128)
+    zeros_b = sp.csr_matrix((nb, nb), dtype=np.complex128)
+    mats = [direct_sum(a.basis_matrix(i), zeros_b) for i in range(a.dim)]
+    mats += [direct_sum(zeros_a, b.basis_matrix(j)) for j in range(b.dim)]
+    return from_orthogonal(mats, name=f"{a.name} (+) {b.name}")
 
 
 def brute_force_word_dim(gens, max_len=6):
