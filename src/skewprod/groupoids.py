@@ -78,6 +78,47 @@ class IdentityViolated(GroupoidError):
     pass
 
 
+def _over_fibres(keys, fibre_of, n_fibres: int):
+    """(p, i) for every position p of ``keys`` and every i with
+    fibre_of[i] = keys[p]: the positions repeated once per member of their
+    fibre, and the members in order."""
+    by_fibre = np.argsort(fibre_of, kind="stable")
+    sizes = np.bincount(fibre_of, minlength=n_fibres)
+    reps = sizes[keys]
+    ends = np.cumsum(reps)
+    offset = np.repeat((np.cumsum(sizes) - sizes)[keys] - ends + reps, reps)
+    return np.repeat(np.arange(len(keys)), reps), by_fibre[offset + np.arange(len(offset))]
+
+
+def _left_action_fault(mult, r, s, unit_arrow, table, anchor, other) -> str | None:
+    """The first rule that a partial left action of a groupoid breaks, or None.
+
+    The groupoid has multiplication ``mult``, range ``r``, source ``s`` and
+    unit arrows ``unit_arrow``; ``table[h, z]`` is h . z, -1 where undefined.
+    The rules: h . z is defined exactly when s(h) = anchor(z) (domain); it
+    has anchor r(h) and the same ``other`` as z (moment); the unit arrow at
+    anchor(z) fixes z (unit); and (h1 h2) . z = h1 . (h2 . z) (associativity).
+    A groupoid's multiplication is its left action on its own arrows, with
+    anchor r and other s; a right action is a left action of the opposite
+    groupoid (mult.T, s, r).  Exact index arithmetic on every triple.
+    """
+    if not np.array_equal(table >= 0, s[:, None] == anchor[None, :]):
+        return "domain"
+    hs, zs = np.nonzero(table >= 0)
+    ws = table[hs, zs]
+    if (np.any(ws >= len(anchor)) or np.any(anchor[ws] != r[hs])
+            or np.any(other[ws] != other[zs])):
+        return "moment"
+    cells = np.arange(len(anchor))
+    if np.any(table[unit_arrow[anchor], cells] != cells):
+        return "unit"
+    # Each defined h2 . z = w, once for every h1 with s(h1) = r(h2).
+    p, h1 = _over_fibres(r[hs], s, len(unit_arrow))
+    if np.any(table[h1, ws[p]] != table[mult[h1, hs[p]], zs[p]]):
+        return "associativity"
+    return None
+
+
 class FiniteGroupoid:
     """Units and arrows with range/source, partial multiplication, inverse.
 
@@ -108,84 +149,44 @@ class FiniteGroupoid:
     def arrow_index(self, a) -> int:
         return self._aindex[a]
 
-    def composable(self, i: int, j: int) -> bool:
-        return self.s[i] == self.r[j]
-
-    def compose(self, i: int, j: int) -> int:
-        k = int(self.mult[i, j])
-        if k < 0:
-            raise GroupoidError(f"arrows {i} and {j} are not composable")
-        return k
-
     def _find_unit_arrows(self):
+        if self.mult.shape != (self.n_arrows, self.n_arrows):
+            raise GroupoidError("multiplication table has wrong shape")
+        # A unit arrow is a loop x = x x with x y = y wherever r(y) = r(x)
+        # and y x = y wherever s(y) = s(x), when the product is defined.
+        k, mult = np.arange(self.n_arrows), self.mult
+        left_ok = np.all((mult == k) | (mult < 0) | (self.r[:, None] != self.r), axis=1)
+        right_ok = np.all((mult == k[:, None]) | (mult < 0) | (self.s[:, None] != self.s),
+                          axis=0)
+        found = np.nonzero((self.r == self.s) & (mult[k, k] == k) & left_ok & right_ok)[0]
+        us = self.r[found]
+        _, first = np.unique(us, return_index=True)
+        if len(first) < len(us):
+            u = us[np.setdiff1d(np.arange(len(us)), first)[0]]
+            raise BadUnits(f"two identity arrows at unit {self.units[u]!r}")
         out = np.full(self.n_units, -1, dtype=np.int64)
-        for i in range(self.n_arrows):
-            if self.r[i] != self.s[i]:
-                continue
-            u = int(self.r[i])
-            # A unit acts as a two-sided identity on every composable arrow.
-            left_ok = all(
-                self.mult[i, j] == j
-                for j in range(self.n_arrows)
-                if self.r[j] == u and self.mult[i, j] >= 0
-            )
-            right_ok = all(
-                self.mult[j, i] == j
-                for j in range(self.n_arrows)
-                if self.s[j] == u and self.mult[j, i] >= 0
-            )
-            if left_ok and right_ok and self.mult[i, i] == i:
-                if out[u] >= 0:
-                    raise BadUnits(f"two identity arrows at unit {self.units[u]!r}")
-                out[u] = i
+        out[us] = found
         return out
 
     def _validate(self):
-        n = self.n_arrows
-        if self.mult.shape != (n, n):
-            raise GroupoidError("multiplication table has wrong shape")
         if np.any(self.unit_arrow < 0):
             missing = [self.units[u] for u in np.nonzero(self.unit_arrow < 0)[0]]
             raise BadUnits(f"units without identity arrows: {missing}")
-        comp = self.s[:, None] == self.r[None, :]
-        defined = self.mult >= 0
-        if not np.array_equal(comp, defined):
-            i, j = np.argwhere(comp != defined)[0]
-            raise GroupoidError(
-                f"multiplication defined exactly on composable pairs fails at ({i},{j})"
-            )
-        prods = self.mult[comp]
-        ii, jj = np.nonzero(comp)
-        if np.any(self.r[prods] != self.r[ii]) or np.any(self.s[prods] != self.s[jj]):
-            raise GroupoidError("r(xy) = r(x), s(xy) = s(y) fails")
+        # The multiplication is the left action of the groupoid on its arrows.
+        fault = _left_action_fault(self.mult, self.r, self.s, self.unit_arrow,
+                                   self.mult, self.r, self.s)
+        if fault == "associativity":
+            raise NotAssociativeGroupoid("multiplication is not associative")
+        if fault:
+            raise GroupoidError(f"multiplication fails the {fault} rule of a left action")
         # Inverses: x x^-1 = id_r(x), x^-1 x = id_s(x).
-        inv = self.inv
-        if np.any(self.r[inv] != self.s[np.arange(n)]) or np.any(
-            self.s[inv] != self.r[np.arange(n)]
-        ):
+        inv, k = self.inv, np.arange(self.n_arrows)
+        if np.any(self.r[inv] != self.s) or np.any(self.s[inv] != self.r):
             raise BadInverse("inverse map does not swap range and source")
-        for i in range(n):
-            if self.mult[i, inv[i]] != self.unit_arrow[self.r[i]]:
-                raise BadInverse(f"x x^-1 != id at arrow {self.arrows[i]!r}")
-            if self.mult[inv[i], i] != self.unit_arrow[self.s[i]]:
-                raise BadInverse(f"x^-1 x != id at arrow {self.arrows[i]!r}")
-        # Associativity on all composable triples, vectorized per left arrow.
-        all_k = np.arange(n)
-        for i in range(n):
-            js = np.nonzero(self.r == self.s[i])[0]
-            if not len(js):
-                continue
-            m_ij = self.mult[i, js]
-            k_mask = self.s[js][:, None] == self.r[None, :]
-            lhs = np.where(k_mask, self.mult[m_ij[:, None], all_k[None, :]], -1)
-            m_jk = np.where(k_mask, self.mult[js[:, None], all_k[None, :]], -1)
-            rhs = np.where(k_mask, self.mult[i, np.maximum(m_jk, 0)], -1)
-            if not np.array_equal(lhs, rhs):
-                a, b = np.argwhere(lhs != rhs)[0]
-                raise NotAssociativeGroupoid(
-                    f"associativity fails at ({self.arrows[i]!r}, "
-                    f"{self.arrows[js[a]]!r}, {self.arrows[b]!r})"
-                )
+        for side, bad in (("x x^-1", self.mult[k, inv] != self.unit_arrow[self.r]),
+                          ("x^-1 x", self.mult[inv, k] != self.unit_arrow[self.s])):
+            if np.any(bad):
+                raise BadInverse(f"{side} != id at arrow {self.arrows[np.argmax(bad)]!r}")
 
     def arrows_with_range(self, u: int) -> np.ndarray:
         return np.nonzero(self.r == u)[0]
@@ -509,44 +510,46 @@ class GroupoidAction:
         self.groupoid = Q
         self.group = group
         self.arrow_perm = np.asarray(arrow_perm, dtype=np.int64)
-        self.unit_perm = np.zeros((group.order, Q.n_units), dtype=np.int64)
-        self._validate()
+        self.unit_perm = self._validate()
 
-    def _validate(self):
-        Q, G = self.groupoid, self.group
+    def _validate(self) -> np.ndarray:
+        """Check every axiom, one array test per axiom over all of G, naming
+        the first failing element; returns the induced unit permutations."""
+        Q, G, p = self.groupoid, self.group, self.arrow_perm
         n = Q.n_arrows
-        if self.arrow_perm.shape != (G.order, n):
+        if p.shape != (G.order, n):
             raise NotAutomorphism("arrow permutation table has wrong shape")
-        if not np.array_equal(
-            self.arrow_perm[G.identity_index], np.arange(n)
-        ):
+        if not np.array_equal(p[G.identity_index], np.arange(n)):
             raise NotAutomorphism("identity element acts nontrivially")
-        for t in G:
-            p = self.arrow_perm[t]
-            if sorted(p) != list(range(n)):
-                raise NotAutomorphism(f"element {t} does not permute arrows")
-            # Unit arrows map to unit arrows; this induces the unit permutation.
-            for u in range(Q.n_units):
-                img = p[Q.unit_arrow[u]]
-                if img not in Q.unit_arrow:
-                    raise NotAutomorphism(f"element {t} moves a unit off the units")
-                self.unit_perm[t, u] = np.nonzero(Q.unit_arrow == img)[0][0]
-            if np.any(self.unit_perm[t][Q.r] != Q.r[p]) or np.any(
-                self.unit_perm[t][Q.s] != Q.s[p]
-            ):
-                raise NotAutomorphism(f"element {t} does not respect r and s")
-            ii, jj = np.nonzero(Q.mult >= 0)
-            if np.any(p[Q.mult[ii, jj]] != Q.mult[p[ii], p[jj]]):
-                raise NotAutomorphism(f"element {t} is not multiplicative")
-            if np.any(p[Q.inv] != Q.inv[p]):
-                raise NotAutomorphism(f"element {t} does not respect inverses")
-        for a in G:
-            for b in G:
-                if not np.array_equal(
-                    self.arrow_perm[G.mul(a, b)],
-                    self.arrow_perm[a][self.arrow_perm[b]],
-                ):
-                    raise NotAutomorphism(f"action law fails at ({a},{b})")
+
+        def first(bad):
+            return int(np.argmax(np.any(bad.reshape(len(bad), -1), axis=1)))
+
+        bad = np.sort(p, axis=1) != np.arange(n)
+        if np.any(bad):
+            raise NotAutomorphism(f"element {first(bad)} does not permute arrows")
+        # Unit arrows map to unit arrows; this induces the unit permutation.
+        unit_of = np.full(n, -1, dtype=np.int64)
+        unit_of[Q.unit_arrow] = np.arange(Q.n_units)
+        unit_perm = unit_of[p[:, Q.unit_arrow]]
+        if np.any(unit_perm < 0):
+            raise NotAutomorphism(f"element {first(unit_perm < 0)} moves a unit off the units")
+        bad = (unit_perm[:, Q.r] != Q.r[p]) | (unit_perm[:, Q.s] != Q.s[p])
+        if np.any(bad):
+            raise NotAutomorphism(f"element {first(bad)} does not respect r and s")
+        ii, jj = np.nonzero(Q.mult >= 0)
+        bad = p[:, Q.mult[ii, jj]] != Q.mult[p[:, ii], p[:, jj]]
+        if np.any(bad):
+            raise NotAutomorphism(f"element {first(bad)} is not multiplicative")
+        bad = p[:, Q.inv] != Q.inv[p]
+        if np.any(bad):
+            raise NotAutomorphism(f"element {first(bad)} does not respect inverses")
+        # perm[a, perm[b, i]] = perm[ab, i].
+        bad = np.any(p[:, p] != p[G.table], axis=2)
+        if np.any(bad):
+            a, b = np.argwhere(bad)[0]
+            raise NotAutomorphism(f"action law fails at ({a},{b})")
+        return unit_perm
 
     def arrow(self, t: int, i: int) -> int:
         return int(self.arrow_perm[t, i])
@@ -983,107 +986,70 @@ class EquivalenceBimodule:
     """A groupoid equivalence: a carrier with commuting free left and right
     actions whose moment maps induce bijections onto the opposite unit spaces.
 
-    ``left_act[(h, z)]`` is defined exactly when the left source of arrow h
-    matches rho(z); similarly ``right_act[(z, n)]`` when sigma(z) matches the
-    range of n.  All axioms are verified exhaustively over the (finite)
-    carrier; properness is automatic and recorded as such.
+    ``left_table[h, z]`` is h . z, defined (not -1) exactly when the source
+    of arrow h is rho(z); ``right_table[z, n]`` is z . n, defined exactly when
+    sigma(z) is the range of n.  All axioms are verified exhaustively over the
+    (finite) carrier; properness is automatic and recorded as such.
     """
 
     def __init__(self, left: FiniteGroupoid, right: FiniteGroupoid, carrier,
-                 rho, sigma, left_act: dict, right_act: dict):
+                 rho, sigma, left_table, right_table):
         self.left = left
         self.right = right
         self.carrier = list(carrier)
         self.rho = np.asarray(rho, dtype=np.int64)
         self.sigma = np.asarray(sigma, dtype=np.int64)
-        self.left_act = dict(left_act)
-        self.right_act = dict(right_act)
+        self.left_table = np.asarray(left_table, dtype=np.int64)
+        self.right_table = np.asarray(right_table, dtype=np.int64)
 
     def verify(self) -> dict:
         L, N = self.left, self.right
+        A, B, rho, sigma = self.left_table, self.right_table, self.rho, self.sigma
         nz = len(self.carrier)
         out = {"carrier_size": nz, "properness": "automatic (finite carrier)"}
-        if set(self.rho.tolist()) != set(range(L.n_units)):
+        if not np.array_equal(np.unique(rho), np.arange(L.n_units)):
             raise AxiomFailed("left moment map is not surjective")
-        if set(self.sigma.tolist()) != set(range(N.n_units)):
+        if not np.array_equal(np.unique(sigma), np.arange(N.n_units)):
             raise AxiomFailed("right moment map is not surjective")
         out["moment_maps_surjective"] = True
 
-        expected_left = {
-            (h, z) for h in range(L.n_arrows) for z in range(nz)
-            if L.s[h] == self.rho[z]
-        }
-        if set(self.left_act.keys()) != expected_left:
-            raise AxiomFailed("left action domain mismatch")
-        expected_right = {
-            (z, n) for z in range(nz) for n in range(N.n_arrows)
-            if self.sigma[z] == N.r[n]
-        }
-        if set(self.right_act.keys()) != expected_right:
-            raise AxiomFailed("right action domain mismatch")
-        out["domains_ok"] = True
+        # The right action is a left action of the opposite groupoid.
+        for side, fault in (
+            ("left", _left_action_fault(L.mult, L.r, L.s, L.unit_arrow, A, rho, sigma)),
+            ("right", _left_action_fault(N.mult.T, N.s, N.r, N.unit_arrow, B.T, sigma, rho)),
+        ):
+            if fault:
+                raise AxiomFailed(f"{side} action fails the {fault} rule")
+        out.update(domains_ok=True, moment_compatibility_ok=True, unit_actions_ok=True,
+                   associativity_ok=True)
 
-        for (h, z), w in self.left_act.items():
-            if self.rho[w] != L.r[h] or self.sigma[w] != self.sigma[z]:
-                raise AxiomFailed(f"left action breaks moment maps at ({h},{z})")
-        for (z, n), w in self.right_act.items():
-            if self.sigma[w] != N.s[n] or self.rho[w] != self.rho[z]:
-                raise AxiomFailed(f"right action breaks moment maps at ({z},{n})")
-        out["moment_compatibility_ok"] = True
-
-        for z in range(nz):
-            h = int(L.unit_arrow[self.rho[z]])
-            if self.left_act[(h, z)] != z:
-                raise AxiomFailed(f"left unit moves carrier cell {z}")
-            n = int(N.unit_arrow[self.sigma[z]])
-            if self.right_act[(z, n)] != z:
-                raise AxiomFailed(f"right unit moves carrier cell {z}")
-        out["unit_actions_ok"] = True
-
-        for (h2, z), w in self.left_act.items():
-            for h1 in range(L.n_arrows):
-                if L.s[h1] != L.r[h2]:
-                    continue
-                if self.left_act[(h1, w)] != self.left_act[(int(L.mult[h1, h2]), z)]:
-                    raise AxiomFailed("left action is not associative")
-        for (z, n1), w in self.right_act.items():
-            for n2 in range(N.n_arrows):
-                if N.r[n2] != N.s[n1]:
-                    continue
-                if self.right_act[(w, n2)] != self.right_act[(z, int(N.mult[n1, n2]))]:
-                    raise AxiomFailed("right action is not associative")
-        out["associativity_ok"] = True
-
-        for (h, z), w in self.left_act.items():
-            for n in range(N.n_arrows):
-                if self.sigma[z] != N.r[n]:
-                    continue
-                if self.right_act[(w, n)] != self.left_act[(h, self.right_act[(z, n)])]:
-                    raise AxiomFailed("actions do not commute")
+        # (h . z) . n = h . (z . n) for every defined h . z and n into sigma(z).
+        hs, zs = np.nonzero(A >= 0)
+        ws = A[hs, zs]
+        p, n = _over_fibres(sigma[zs], N.r, N.n_units)
+        if np.any(B[ws[p], n] != A[hs[p], B[zs[p], n]]):
+            raise AxiomFailed("actions do not commute")
         out["commuting_ok"] = True
 
-        for (h, z), w in self.left_act.items():
-            if w == z and h != int(L.unit_arrow[L.r[h]]):
-                raise AxiomFailed(f"left action is not free: arrow {h} fixes {z}")
-        for (z, n), w in self.right_act.items():
-            if w == z and n != int(N.unit_arrow[N.r[n]]):
-                raise AxiomFailed(f"right action is not free: arrow {n} fixes {z}")
+        # Arrow k moves cell z to w, on every defined cell of either table.
+        zn, ns = np.nonzero(B >= 0)
+        left, right = (hs, zs, ws), (ns, zn, B[zn, ns])
+        for side, Gd, (ks, z, w) in (("left", L, left), ("right", N, right)):
+            fixed = (w == z) & (ks != Gd.unit_arrow[Gd.r[ks]])
+            if np.any(fixed):
+                k = np.argmax(fixed)
+                raise AxiomFailed(f"{side} action is not free: arrow {ks[k]} fixes {z[k]}")
         out["freeness_ok"] = True
 
         # rho factors through carrier / right-orbits onto the left units, and
-        # sigma through left-orbits \ carrier onto the right units.
-        for z in range(nz):
-            for z2 in range(nz):
-                if self.rho[z] == self.rho[z2]:
-                    if not any(
-                        self.right_act.get((z, n)) == z2 for n in range(N.n_arrows)
-                    ):
-                        raise AxiomFailed("rho does not separate right orbits")
-                if self.sigma[z] == self.sigma[z2]:
-                    if not any(
-                        self.left_act.get((h, z)) == z2 for h in range(L.n_arrows)
-                    ):
-                        raise AxiomFailed("sigma does not separate left orbits")
+        # sigma through left-orbits \ carrier onto the right units: cells with
+        # the same moment lie in one orbit of the other side.
+        for name, moment, (_, z, w), orbits in (("rho", rho, right, "right"),
+                                                ("sigma", sigma, left, "left")):
+            reach = np.zeros((nz, nz), dtype=bool)
+            reach[z, w] = True
+            if np.any((moment[:, None] == moment) & ~reach):
+                raise AxiomFailed(f"{name} does not separate {orbits} orbits")
         out["orbit_bijections_ok"] = True
         return out
 
@@ -1116,19 +1082,14 @@ def certify_equivalence(
         # the skew units in the same order, so rho = r of the skew product.
         rho, sigma = skew.r, Q.s[np.arange(skew.n_arrows) // m]
         # Arrow h = (y |G| + a) |G| + t of L is ((y, a), t), and it sends
-        # (x, s) to (y x, s t^-1); the cell n of Q sends (x, s) to
+        # (x, s) to (y x, s t^-1); the arrow n of Q sends (x, s) to
         # (x n, c(n)^-1 s).
-        hs, zs = np.nonzero(L.s[:, None] == rho[None, :])
-        x, s_ = np.divmod(zs, m)
-        left = Q.mult[hs // (m * m), x] * m + G.table[s_, inv[hs % m]]
-        ns_z, ns = np.nonzero(sigma[:, None] == Q.r[None, :])
-        x, s_ = np.divmod(ns_z, m)
-        right = Q.mult[x, ns] * m + G.table[inv[c.values[ns]], s_]
-        bim = EquivalenceBimodule(
-            L, Q, skew.arrows, rho, sigma,
-            dict(zip(zip(hs.tolist(), zs.tolist()), left.tolist())),
-            dict(zip(zip(ns_z.tolist(), ns.tolist()), right.tolist())),
-        )
+        h, (x, s_) = np.arange(L.n_arrows)[:, None], np.divmod(np.arange(skew.n_arrows), m)
+        left = np.where(L.s[:, None] == rho,
+                        Q.mult[h // (m * m), x] * m + G.table[s_, inv[h % m]], -1)
+        right = np.where(sigma[:, None] == Q.r,
+                         Q.mult[x] * m + G.table[inv[c.values], s_[:, None]], -1)
+        bim = EquivalenceBimodule(L, Q, skew.arrows, rho, sigma, left, right)
         report = bim.verify()
         report["kind"] = kind
         report.update(_semidirect_properness_sets(Q, G, c, bim, rng))
@@ -1143,18 +1104,14 @@ def certify_equivalence(
         N_sub = kernel_subgroupoid(Q, c)
         n_keep = np.nonzero(c.values == G.identity_index)[0]
         # H's units are the skew units it touches, in order.  N holds every
-        # unit arrow, so its units are Q's and sigma = s.
+        # unit arrow, so its units are Q's and sigma = s.  Arrow h of H is the
+        # skew arrow (x, t), keep[h] = x |G| + t, and sends y to x y; the
+        # arrow n of N sends y to y n.
         rho = np.searchsorted(np.unique(skew.r[keep]), Q.r * m + c.values)
         sigma = Q.s
-        hs, zs = np.nonzero(H.s[:, None] == rho[None, :])
-        left = Q.mult[keep[hs] // m, zs]
-        ns_z, ns = np.nonzero(sigma[:, None] == N_sub.r[None, :])
-        right = Q.mult[ns_z, n_keep[ns]]
-        bim = EquivalenceBimodule(
-            H, N_sub, Q.arrows, rho, sigma,
-            dict(zip(zip(hs.tolist(), zs.tolist()), left.tolist())),
-            dict(zip(zip(ns_z.tolist(), ns.tolist()), right.tolist())),
-        )
+        left = np.where(H.s[:, None] == rho, Q.mult[keep // m], -1)
+        right = np.where(sigma[:, None] == N_sub.r, Q.mult[:, n_keep], -1)
+        bim = EquivalenceBimodule(H, N_sub, Q.arrows, rho, sigma, left, right)
         report = bim.verify()
         report["kind"] = kind
         report["h_units"] = H.n_units
@@ -1162,6 +1119,10 @@ def certify_equivalence(
         return bim, report
 
     raise ValueError(f"unknown equivalence kind {kind!r}")
+
+
+def _within(values, allowed) -> np.ndarray:
+    return np.isin(values, list(allowed))
 
 
 def _semidirect_properness_sets(Q, G, c, bim, rng):
@@ -1176,14 +1137,14 @@ def _semidirect_properness_sets(Q, G, c, bim, rng):
     FFinv = {G.mul(a, G.inv(b)) for a in F for b in F}
     cLFFF = {G.mul(x, G.mul(y, z)) for x in cL for y in FFinv for z in F}
     m = G.order
-    ok = True
-    for (h, z), w in bim.left_act.items():
-        # Carrier cells z, w = x |G| + s; h = (y |G| + a) |G| + t.
-        if not (z // m in Lset and z % m in F and w // m in Lset and w % m in F):
-            continue
-        if h // (m * m) not in LLinv or h // m % m not in cLFFF or h % m not in FFinv:
-            ok = False
-    return {"properness_window_ok": ok}
+    # Carrier cells z, w = h . z = x |G| + s; h = (y |G| + a) |G| + t.
+    h, z = np.nonzero(bim.left_table >= 0)
+    w = bim.left_table[h, z]
+    inside = (_within(z // m, Lset) & _within(z % m, F)
+              & _within(w // m, Lset) & _within(w % m, F))
+    parts_ok = (_within(h // (m * m), LLinv) & _within(h // m % m, cLFFF)
+                & _within(h % m, FFinv))
+    return {"properness_window_ok": not np.any(inside & ~parts_ok)}
 
 
 def _subgroupoid_properness_sets(Q, G, c, keep, bim, rng):
@@ -1193,14 +1154,10 @@ def _subgroupoid_properness_sets(Q, G, c, keep, bim, rng):
     Lset = set(rng.choice(arrows, size=max(1, Q.n_arrows // 2), replace=False).tolist())
     LLinv = {int(Q.mult[i, Q.inv[j]]) for i in Lset for j in Lset if Q.s[i] == Q.s[j]}
     cL = {int(c.values[i]) for i in Lset}
-    ok = True
-    for (h, z), w in bim.left_act.items():
-        if z not in Lset or w not in Lset:
-            continue
-        x, t = divmod(int(keep[h]), G.order)
-        if x not in LLinv or t not in cL:
-            ok = False
-    return {"properness_window_ok": ok}
+    h, z = np.nonzero(bim.left_table >= 0)
+    w, (x, t) = bim.left_table[h, z], np.divmod(keep[h], G.order)
+    inside = _within(z, Lset) & _within(w, Lset)
+    return {"properness_window_ok": not np.any(inside & ~(_within(x, LLinv) & _within(t, cL)))}
 
 
 class InnerProductEvaluator:

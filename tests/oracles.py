@@ -12,17 +12,21 @@ and semidirect products, the translation action and the subgroupoids are
 built here from arrow names through ``make_groupoid``, where ``skewprod``
 computes their tables from integer arrays.  *-maps on matrix lists are
 certified by closing the graph of the map, where ``skewprod`` certifies them
-on a known basis.  The tests compare the batched versions with these on
-random, gauge-scaled and groupoid inputs and on planted defects.
+on a known basis.  The equivalence-bimodule axioms are checked pair by pair
+on dicts, where ``skewprod`` checks index tables.  S3, the non-abelian group
+of the random draws, is built from permutations.  The tests compare the
+batched versions with these on random, gauge-scaled and groupoid inputs and
+on planted defects.
 """
+import itertools
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from skewprod import matalg
+from skewprod import groups, matalg
 from skewprod.crossed import ActionInvalid
-from skewprod.groupoids import GroupoidAction, GroupoidError, make_groupoid
+from skewprod.groupoids import AxiomFailed, GroupoidAction, GroupoidError, make_groupoid
 from skewprod.groups import regular_matrices
 from skewprod.matalg import frobenius
 
@@ -316,6 +320,13 @@ def check_star_map(
     )
 
 
+def symmetric_group_3() -> groups.FiniteGroup:
+    """S3 as permutations of {0, 1, 2}, (p q)(i) = p(q(i))."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return groups.make_group(table, elements=["".join(map(str, p)) for p in perms])
+
+
 def skew_product_by_names(Q, G, c):
     """Q x_c G from the names ((x, t) for arrows and units) through
     ``make_groupoid``: r(x,s) = (r(x), c(x)s), s(x,s) = (s(x), s)."""
@@ -400,3 +411,94 @@ def subgroupoid_by_names(Q, keep):
             for i in keep for j in keep if Q.mult[i, j] >= 0]
     inv = {Q.arrows[i]: Q.arrows[Q.inv[i]] for i in keep}
     return make_groupoid([Q.units[u] for u in units], arrows, mult, inv)
+
+
+def equivalence_axioms_loop(L, N, rho, sigma, left_table, right_table) -> dict:
+    """``EquivalenceBimodule.verify`` pair by pair: the two tables (h . z at
+    [h, z], z . n at [z, n], -1 where undefined) are read into dicts keyed by
+    (h, z) and (z, n), and every axiom walks them; the orbit check searches
+    every pair of carrier cells.  Same report, or AxiomFailed."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    left_act = {(int(h), int(z)): int(left_table[h, z])
+                for h, z in zip(*np.nonzero(np.asarray(left_table) >= 0))}
+    right_act = {(int(z), int(n)): int(right_table[z, n])
+                 for z, n in zip(*np.nonzero(np.asarray(right_table) >= 0))}
+    nz = len(rho)
+    out = {"carrier_size": nz, "properness": "automatic (finite carrier)"}
+    if set(rho.tolist()) != set(range(L.n_units)):
+        raise AxiomFailed("left moment map is not surjective")
+    if set(sigma.tolist()) != set(range(N.n_units)):
+        raise AxiomFailed("right moment map is not surjective")
+    out["moment_maps_surjective"] = True
+
+    expected_left = {
+        (h, z) for h in range(L.n_arrows) for z in range(nz) if L.s[h] == rho[z]
+    }
+    if set(left_act.keys()) != expected_left:
+        raise AxiomFailed("left action domain mismatch")
+    expected_right = {
+        (z, n) for z in range(nz) for n in range(N.n_arrows) if sigma[z] == N.r[n]
+    }
+    if set(right_act.keys()) != expected_right:
+        raise AxiomFailed("right action domain mismatch")
+    out["domains_ok"] = True
+
+    for (h, z), w in left_act.items():
+        if not 0 <= w < nz or rho[w] != L.r[h] or sigma[w] != sigma[z]:
+            raise AxiomFailed(f"left action breaks moment maps at ({h},{z})")
+    for (z, n), w in right_act.items():
+        if not 0 <= w < nz or sigma[w] != N.s[n] or rho[w] != rho[z]:
+            raise AxiomFailed(f"right action breaks moment maps at ({z},{n})")
+    out["moment_compatibility_ok"] = True
+
+    for z in range(nz):
+        h = int(L.unit_arrow[rho[z]])
+        if left_act[(h, z)] != z:
+            raise AxiomFailed(f"left unit moves carrier cell {z}")
+        n = int(N.unit_arrow[sigma[z]])
+        if right_act[(z, n)] != z:
+            raise AxiomFailed(f"right unit moves carrier cell {z}")
+    out["unit_actions_ok"] = True
+
+    for (h2, z), w in left_act.items():
+        for h1 in range(L.n_arrows):
+            if L.s[h1] != L.r[h2]:
+                continue
+            if left_act[(h1, w)] != left_act[(int(L.mult[h1, h2]), z)]:
+                raise AxiomFailed("left action is not associative")
+    for (z, n1), w in right_act.items():
+        for n2 in range(N.n_arrows):
+            if N.r[n2] != N.s[n1]:
+                continue
+            if right_act[(w, n2)] != right_act[(z, int(N.mult[n1, n2]))]:
+                raise AxiomFailed("right action is not associative")
+    out["associativity_ok"] = True
+
+    for (h, z), w in left_act.items():
+        for n in range(N.n_arrows):
+            if sigma[z] != N.r[n]:
+                continue
+            if right_act[(w, n)] != left_act[(h, right_act[(z, n)])]:
+                raise AxiomFailed("actions do not commute")
+    out["commuting_ok"] = True
+
+    for (h, z), w in left_act.items():
+        if w == z and h != int(L.unit_arrow[L.r[h]]):
+            raise AxiomFailed(f"left action is not free: arrow {h} fixes {z}")
+    for (z, n), w in right_act.items():
+        if w == z and n != int(N.unit_arrow[N.r[n]]):
+            raise AxiomFailed(f"right action is not free: arrow {n} fixes {z}")
+    out["freeness_ok"] = True
+
+    # rho factors through carrier / right-orbits onto the left units, and
+    # sigma through left-orbits \ carrier onto the right units.
+    for z in range(nz):
+        for z2 in range(nz):
+            if rho[z] == rho[z2]:
+                if not any(right_act.get((z, n)) == z2 for n in range(N.n_arrows)):
+                    raise AxiomFailed("rho does not separate right orbits")
+            if sigma[z] == sigma[z2]:
+                if not any(left_act.get((h, z)) == z2 for h in range(L.n_arrows)):
+                    raise AxiomFailed("sigma does not separate left orbits")
+    out["orbit_bijections_ok"] = True
+    return out

@@ -3,15 +3,17 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import equivalence_axioms_loop, symmetric_group_3
 
 from skewprod import groupoids as gpd
-from skewprod import groups, matalg
+from skewprod import groups, matalg, suite
 from skewprod.groupoids import (
     AxiomFailed,
     BadInverse,
     BadUnits,
     Cocycle,
     CocycleError,
+    EquivalenceBimodule,
     GroupoidError,
     NotAssociativeGroupoid,
     NotAutomorphism,
@@ -39,6 +41,7 @@ from skewprod.groupoids import (
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
+S3 = symmetric_group_3()
 
 
 def group_as_groupoid(G):
@@ -96,6 +99,29 @@ class TestMakeGroupoid:
         mult = Q.mult.copy()
         mult[1, 1] = 0  # g*g = e is inconsistent with the rest
         with pytest.raises((NotAssociativeGroupoid, BadInverse, GroupoidError)):
+            gpd.FiniteGroupoid(Q.units, Q.arrows, Q.r, Q.s, mult, Q.inv)
+
+    def test_two_identity_arrows_rejected(self):
+        # Two idempotent loops that never compose both pass as identities.
+        with pytest.raises(BadUnits, match="^two identity arrows at unit 'u'$"):
+            make_groupoid(["u"], [("e1", "u", "u"), ("e2", "u", "u")],
+                          [("e1", "e1", "e1"), ("e2", "e2", "e2")], {"e1": "e1", "e2": "e2"})
+
+    # One entry of pair2's table (arrows x11, x12, x21, x22; x12 x21 = x11)
+    # or of Z4's, changed: the rule of a left action that it breaks.
+    @pytest.mark.parametrize("on, entry, value, error, rule", [
+        ("pair2", (1, 2), -1, GroupoidError, "domain"),
+        ("pair2", (1, 2), 3, GroupoidError, "moment"),
+        ("pair2", (1, 2), 4, GroupoidError, "moment"),
+        ("Z4", (1, 1), 0, NotAssociativeGroupoid, "associativity"),
+    ])
+    def test_multiplication_is_checked_as_a_left_action(self, pair2, on, entry, value,
+                                                         error, rule):
+        Q = pair2 if on == "pair2" else group_as_groupoid(groups.cyclic_group(4))
+        mult = Q.mult.copy()
+        mult[entry] = value
+        assert gpd._left_action_fault(mult, Q.r, Q.s, Q.unit_arrow, mult, Q.r, Q.s) == rule
+        with pytest.raises(error):
             gpd.FiniteGroupoid(Q.units, Q.arrows, Q.r, Q.s, mult, Q.inv)
 
     def test_json_round_trip(self, pair2):
@@ -198,6 +224,21 @@ class TestSemidirect:
         semi = semidirect_product(R, Z2, act)
         assert semi.n_arrows == 4
         assert matalg.wedderburn_signature(convolution_algebra(semi).span) == (2,)
+
+    # Tables on pair2 (arrows x11, x12, x21, x22) or on Z4 as a one-unit
+    # groupoid, each breaking one axiom of an action by automorphisms.
+    @pytest.mark.parametrize("on, group, perms, message", [
+        ("pair2", Z2, [[3, 2, 1, 0], [3, 2, 1, 0]], "identity element acts nontrivially"),
+        ("pair2", Z2, [[0, 1, 2, 3], [3, 3, 1, 0]], "element 1 does not permute arrows"),
+        ("pair2", Z2, [[0, 1, 2, 3], [1, 0, 3, 2]], "element 1 moves a unit off the units"),
+        ("pair2", Z2, [[0, 1, 2, 3], [0, 2, 1, 3]], "element 1 does not respect r and s"),
+        ("Z4", Z2, [[0, 1, 2, 3], [0, 2, 1, 3]], "element 1 is not multiplicative"),
+        ("pair2", Z3, [[0, 1, 2, 3], [3, 2, 1, 0], [3, 2, 1, 0]], r"action law fails at \(1,1\)"),
+    ])
+    def test_action_defects_name_the_element(self, pair2, on, group, perms, message):
+        Q = pair2 if on == "pair2" else group_as_groupoid(groups.cyclic_group(4))
+        with pytest.raises(NotAutomorphism, match=f"^{message}$"):
+            gpd.GroupoidAction(Q, group, np.array(perms))
 
     def test_skew_semidirect_arrow_count(self, pair2, pair2_cocycle):
         skew = skew_product_groupoid(pair2, Z2, pair2_cocycle)
@@ -304,16 +345,167 @@ class TestEquivalences:
     def test_freeness_detects_fixed_points(self, pair2, pair2_cocycle):
         bim, rep = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
         # Tamper: redirect a non-unit left arrow to act as the identity.
-        L = bim.left
-        non_unit = next(
-            h for h in range(L.n_arrows)
-            if h not in set(int(x) for x in L.unit_arrow)
-            and any((h, z) in bim.left_act for z in range(len(bim.carrier)))
-        )
-        z = next(z for z in range(len(bim.carrier)) if (non_unit, z) in bim.left_act)
-        bim.left_act[(non_unit, z)] = z
+        hs, zs = np.nonzero(bim.left_table >= 0)
+        k = np.nonzero(~np.isin(hs, bim.left.unit_arrow))[0][0]
+        bim.left_table[hs[k], zs[k]] = zs[k]
         with pytest.raises(AxiomFailed):
             bim.verify()
+
+
+def _verdict(check):
+    try:
+        return check()
+    except GroupoidError as err:
+        return type(err)
+
+
+def _same_verdict(bim):
+    """The array verify and the dict-walking oracle agree: the same report,
+    or the same exception class; returns the verdict."""
+    oracle = _verdict(lambda: equivalence_axioms_loop(
+        bim.left, bim.right, bim.rho, bim.sigma, bim.left_table, bim.right_table))
+    assert _verdict(bim.verify) == oracle
+    return oracle
+
+
+def _side(bim, side):
+    """(r, s, unit arrows) of the acting groupoid, the table as a left action
+    (a view) and the anchor and other moment maps: the right action is a
+    left action of the opposite groupoid."""
+    if side == "left":
+        L = bim.left
+        return L.r, L.s, L.unit_arrow, bim.left_table, bim.rho, bim.sigma
+    N = bim.right
+    return N.s, N.r, N.unit_arrow, bim.right_table.T, bim.sigma, bim.rho
+
+
+def _plant_domain(bim, side):
+    T = _side(bim, side)[3]
+    h, z = np.argwhere(T >= 0)[0]
+    T[h, z] = -1
+    return bim
+
+
+def _plant_moment(bim, side):
+    # The first defined h . z moves to a cell off r(h) or off z's other moment.
+    r, _, _, T, anchor, other = _side(bim, side)
+    h, z = np.argwhere(T >= 0)[0]
+    T[h, z] = np.nonzero((anchor != r[h]) | (other != other[z]))[0][0]
+    return bim
+
+
+def _plant_unit(bim, side):
+    # The unit at anchor(0) moves cell 0, to a cell with the same moments if
+    # there is one.
+    _, _, units, T, anchor, other = _side(bim, side)
+    twins = (anchor == anchor[0]) & (other == other[0])
+    twins[0] = False
+    T[units[anchor[0]], 0] = np.argmax(twins) if twins.any() else 1
+    return bim
+
+
+def _plant_associativity(bim, side):
+    # A non-unit arrow sends its first cell where it sends a second one, with
+    # the same other moment if there is one.
+    r, _, units, T, _, other = _side(bim, side)
+    h = next(h for h in range(len(r)) if h not in units and np.sum(T[h] >= 0) > 1)
+    zs = np.nonzero(T[h] >= 0)[0]
+    twins = zs[1:][other[zs[1:]] == other[zs[0]]]
+    T[h, zs[0]] = T[h, twins[0] if len(twins) else zs[1]]
+    return bim
+
+
+def _plant_commuting(bim, side):
+    # The right arrows fix every cell of one rho-fibre.
+    fibre = np.nonzero(bim.rho == bim.rho[0])[0]
+    B = bim.right_table
+    B[fibre] = np.where(B[fibre] >= 0, fibre[:, None], -1)
+    return bim
+
+
+def _plant_orbit(bim, side):
+    """Two copies of the carrier.  The groupoid of ``side`` is doubled too, so
+    its orbits stay in one copy, while the other side's moment map cannot
+    tell the copies apart."""
+    nz, A, B = len(bim.carrier), bim.left_table, bim.right_table
+
+    def shift(T):
+        return np.where(T >= 0, T + nz, -1)
+
+    def diag(T):
+        return np.block([[T, np.full_like(T, -1)], [np.full_like(T, -1), shift(T)]])
+
+    L, N, rho, sigma = bim.left, bim.right, bim.rho, bim.sigma
+    if side == "right":
+        return EquivalenceBimodule(L, disjoint_union([N, N]), bim.carrier * 2,
+                                   np.r_[rho, rho], np.r_[sigma, sigma + N.n_units],
+                                   np.c_[A, shift(A)], diag(B))
+    return EquivalenceBimodule(disjoint_union([L, L]), N, bim.carrier * 2,
+                               np.r_[rho, rho + L.n_units], np.r_[sigma, sigma],
+                               diag(A), np.r_[B, shift(B)])
+
+
+def _plant_freeness(bim, side):
+    # Arrows with the same range and source act alike, as the first of them.
+    r, s, _, T, _, _ = _side(bim, side)
+    first = {}
+    for h in range(len(r)):
+        T[h] = T[first.setdefault((r[h], s[h]), h)]
+    return bim
+
+
+# (plant, side) -> what the array verify reports when the plant breaks only
+# its own rule.
+PLANTS = {
+    **{(rule, side): (plant, f"{side} action fails the {rule} rule")
+       for rule, plant in (("domain", _plant_domain), ("moment", _plant_moment),
+                           ("unit", _plant_unit), ("associativity", _plant_associativity))
+       for side in ("left", "right")},
+    ("commuting", "both"): (_plant_commuting, "actions do not commute"),
+    ("orbit", "right"): (_plant_orbit, "rho does not separate right orbits"),
+    ("orbit", "left"): (_plant_orbit, "sigma does not separate left orbits"),
+}
+# On a principal groupoid such as pair2, arrows with the same range and
+# source are equal, so this plant needs isotropy.
+ISOTROPY_PLANTS = {**PLANTS, **{
+    ("freeness", side): (_plant_freeness, f"{side} action is not free")
+    for side in ("left", "right")}}
+
+
+class TestPlantedEquivalenceDefects:
+    """One planted defect per axiom of ``EquivalenceBimodule.verify`` and per
+    side.  On pair2/Z2 the moment maps (rho, sigma) tell every carrier cell
+    apart, so a table edit may already break the moment rule; on Z2 as a
+    one-unit groupoid with the trivial cocycle they do not, and each plant
+    breaks only its own rule."""
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_pair2(self, pair2, pair2_cocycle, plant):
+        bim, _ = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
+        planted = PLANTS[plant][0](bim, plant[1])
+        with pytest.raises(AxiomFailed):
+            planted.verify()
+        assert _same_verdict(planted) is AxiomFailed
+
+    @pytest.mark.parametrize("plant", sorted(ISOTROPY_PLANTS))
+    def test_isotropy_breaks_only_the_planted_rule(self, plant):
+        Q = group_as_groupoid(Z2)
+        bim, _ = certify_equivalence("semidirect", Q, Z2, Cocycle(Q, Z2, [0, 0]))
+        plant_fn, message = ISOTROPY_PLANTS[plant]
+        planted = plant_fn(bim, plant[1])
+        with pytest.raises(AxiomFailed, match=f"^{message}"):
+            planted.verify()
+        assert _same_verdict(planted) is AxiomFailed
+
+
+@pytest.mark.parametrize("kind", ["semidirect", "subgroupoid"])
+def test_array_verify_equals_the_dict_oracle(kind):
+    rng = np.random.default_rng(6161)
+    for k in range(18):
+        G = (Z2, Z3, S3)[k % 3]
+        Q = suite.random_groupoid(rng, max_units=4, max_arrows=12)
+        bim, _ = certify_equivalence(kind, Q, G, suite.random_cocycle(rng, Q, G))
+        assert isinstance(_same_verdict(bim), dict)
 
 
 class TestBimoduleInnerProducts:

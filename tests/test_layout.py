@@ -6,7 +6,6 @@ on random draws, S3 among them; each index is checked against the name it
 carries; a left/right slip planted in the skew multiplication shows why the
 non-abelian draws are there; and the CLI prints the reference groupoids."""
 import inspect
-import itertools
 import json
 import textwrap
 
@@ -16,6 +15,7 @@ from oracles import (
     semidirect_product_by_names,
     skew_product_by_names,
     subgroupoid_by_names,
+    symmetric_group_3,
     translation_action_by_names,
 )
 
@@ -23,13 +23,6 @@ from skewprod import cli, fixture_path, graphs, groupoids, groups, suite
 from skewprod.groupoids import Cocycle, CocycleError, GroupoidError
 
 FIELDS = ("units", "arrows", "r", "s", "mult", "inv", "unit_arrow")
-
-
-def symmetric_group_3() -> groups.FiniteGroup:
-    """S3 as permutations of {0, 1, 2}, (p q)(i) = p(q(i))."""
-    perms = list(itertools.permutations(range(3)))
-    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
-    return groups.make_group(table, elements=["".join(map(str, p)) for p in perms])
 
 
 S3 = symmetric_group_3()
