@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from . import matalg
 from .graphs import GraphAction
-from .groups import FiniteGroup, regular_matrices
+from .groups import FiniteGroup, action_law_failure, regular_matrices
 from .matalg import AlgebraSpan
 
 if TYPE_CHECKING:
@@ -87,17 +87,14 @@ class AlgebraAction:
         G = group
         n = span.ambient_dim
         perms = np.asarray(perms, dtype=np.int64)
-        ident = np.arange(n)
-        if not np.array_equal(perms[G.identity_index], ident):
-            raise ActionInvalid(f"{name}: U_e is not the identity")
-        for t in G:
-            if not np.array_equal(np.sort(perms[t]), ident):
-                raise ActionInvalid(f"{name}: U_{t} is not unitary")
-        # perms[s][perms[t]] for every (s, t) at once, against perms[st].
-        bad = np.any(perms[:, perms] != perms[G.table], axis=2)
-        if bad.any():
-            s, t = np.argwhere(bad)[0]
-            raise ActionInvalid(f"{name}: U is not a homomorphism at ({s},{t})")
+        if perms.shape != (G.order, n):
+            raise ActionInvalid(f"{name}: permutation table has wrong shape")
+        fail = action_law_failure(G, perms)
+        if fail:
+            rule, witness = fail
+            raise ActionInvalid(f"{name}: " + {
+                "identity": "U_e is not the identity", "bijection": "U_{} is not unitary",
+                "law": "U is not a homomorphism at ({},{})"}[rule].format(*witness))
         mats = []
         for t in G:
             coeffs, resid = span.coefficients_rows(_ad_perm(span.rows, perms[t], n))
@@ -115,19 +112,14 @@ class AlgebraAction:
 def ck_action_from_graph_action(fam: CKFamily, action: GraphAction) -> AlgebraAction:
     """Lift a graph automorphism action to C*(E): gamma_t(s_f) = s_{t.f}.
 
-    The action is implemented as conjugation by the permutation of the path
-    space, which sends the matrix unit e_{mu,nu} to e_{t.mu, t.nu}.  The
-    generator formula is verified exactly on every edge and vertex.
+    The action is conjugation by the path permutation mu -> t.mu, which
+    sends the matrix unit e_{mu,nu} to e_{t.mu, t.nu}.  The generator
+    formula is verified exactly on every edge and vertex.
     """
     G = action.group
-    path_perm = np.zeros((G.order, fam.ambient_dim), dtype=np.int64)
-    for t in G:
-        for i, p in enumerate(fam.paths):
-            moved = tuple(int(action.eperm[t][e]) for e in p.edges)
-            base = int(action.vperm[t][p.base])
-            path_perm[t, i] = fam.path_index[(base, moved)]
     act = AlgebraAction.from_permutations(
-        fam.span, G, path_perm, name="graph automorphism action"
+        fam.span, G, fam.map_paths(action.eperm, action.vperm),
+        name="graph automorphism action"
     )
     # Batched over generators: row k of gen_rows is s_k for k < n_e, else p_(k - n_e).
     n_e, n_v = fam.graph.n_edges, fam.graph.n_vertices

@@ -128,26 +128,23 @@ def _basis_image_rows(fam: CKFamily, gen_rows: sp.csr_matrix, m: int,
     return prods[s * rows.shape[0] + k]
 
 
-def _skew_path_lookup(fam_skew: CKFamily, fam: CKFamily, G: FiniteGroup,
-                      labeling: Labeling):
-    """Index map (base-graph path i, terminal group coordinate a) -> skew path.
+def _skew_lift(fam: CKFamily, fam_skew: CKFamily, G: FiniteGroup,
+               degree: np.ndarray) -> np.ndarray:
+    """lift[i, a]: the index in ``fam_skew`` of the path of E x_c G over path
+    i of E whose range has group coordinate a, given the path degrees c(mu).
 
-    A path of E x_c G is determined by a path mu of E together with the group
-    coordinate of its terminal vertex; cell (x, t) of E x_c G sits at x |G| + t.
-    """
-    m = G.order
-    lookup = {}
-    for i, p in enumerate(fam.paths):
-        for a in G:
-            # Walk mu backwards: the coordinate of edge l is c(f_{l+1}) ... c(f_n) a.
-            edge_ids = []
-            acc = a
-            for e in reversed(p.edges):
-                edge_ids.append(e * m + acc)
-                acc = G.mul(labeling.of(e), acc)
-            edge_ids.reverse()
-            lookup[(i, a)] = fam_skew.path_index[(p.source * m + acc, tuple(edge_ids))]
-    return lookup
+    Edge (f, t) of E x_c G sits at f |G| + t and has range (r(f), t), so the
+    length-0 path at w lifts to the one at (w, a), and f nu to the edge
+    (f, c(nu) a) followed by the lift of nu at a: one pass per level."""
+    m, coords = G.order, np.arange(G.order)
+    lift = np.empty((fam.ambient_dim, m), dtype=np.int64)
+    empty = np.flatnonzero(fam.length == 0)
+    lift[empty] = fam_skew.start[fam.sink[empty, None] * m + coords]
+    for level in fam.levels:
+        tail = fam.tail[level]
+        edges = fam.head[level, None] * m + G.table[degree[tail, None], coords]
+        lift[level] = fam_skew.prepend[edges, lift[tail]]
+    return lift
 
 
 class DualityParts:
@@ -267,16 +264,12 @@ def certify_eqvt_iso(
     image_rows = _basis_image_rows(fam_skew, gen_imgs, m)
 
     # Inverse on the crossed-product basis: (e_{mu,nu}, u) pulls back to the
-    # skew matrix unit over the paths (mu, a), (nu, a) with a = c(nu)^-1 u.
-    lookup = _skew_path_lookup(fam_skew, fam, G, labeling)
-    path_degree = [labeling.of_path(p.edges) for p in fam.paths]
-    perm = np.zeros(ccp.dim, dtype=np.int64)
-    for k, (i, j) in enumerate(fam.pairs):
-        cnu = path_degree[j]
-        for u in G:
-            a = G.mul(G.inv(cnu), u)
-            skew_pair = fam_skew.pair_index[(lookup[(i, a)], lookup[(j, a)])]
-            perm[k * G.order + u] = skew_pair
+    # skew matrix unit over the lifts of mu and nu at a = c(nu)^-1 u.
+    degree = fam.path_degrees(G, labeling.by_edge)
+    lift = _skew_lift(fam, fam_skew, G, degree)
+    mu, nu = fam.pairs[:, :1], fam.pairs[:, 1:]
+    a = G.table[np.array([G.inv(s) for s in G])[degree[nu]], np.arange(G.order)]
+    perm = fam_skew.pair(lift[mu, a], lift[nu, a]).ravel()
     inverse_rows = fam_skew.span.rows[perm]
 
     report = matalg.star_map_on_basis(
@@ -494,31 +487,20 @@ def certify_free_action(
     if not (inner.star_report.passed and inner.star_report.bijective):
         raise CertificationFailed("inner direct isomorphism failed", witness=inner)
 
-    # Transport: relabel F-paths as skew paths through the graph isomorphism.
-    path_map = np.zeros(fam_f.ambient_dim, dtype=np.int64)
-    for i, p in enumerate(fam_f.paths):
-        edges = tuple(
-            fam_skew.graph.edge_index(iso.edge(graph.edges[e].id)) for e in p.edges
-        )
-        base = fam_skew.graph.vertex_index(iso.vertex(graph.vertices[p.base]))
-        path_map[i] = fam_skew.path_index[(base, edges)]
-    pair_map = np.zeros(fam_f.dim, dtype=np.int64)
-    for k, (i, j) in enumerate(fam_f.pairs):
-        pair_map[k] = fam_skew.pair_index[(int(path_map[i]), int(path_map[j]))]
-    m = G.order
-    basis_map = np.zeros(acp_f.dim, dtype=np.int64)
-    for k in range(fam_f.dim):
-        for s in G:
-            basis_map[k * m + s] = int(pair_map[k]) * m + s
+    # Transport: relabel F-paths as skew paths through the graph isomorphism,
+    # and the basis (e_{mu,nu}, s) of acp_f as (e_{iso mu, iso nu}, s).
+    n_se, n_sv, m = fam_skew.graph.n_edges, fam_skew.graph.n_vertices, G.order
+    edge_map = np.array([fam_skew.graph.edge_index(iso.edge(e.id)) for e in graph.edges], dtype=int)
+    vertex_map = np.array([fam_skew.graph.vertex_index(iso.vertex(v)) for v in graph.vertices])
+    path_map = fam_f.map_paths(edge_map, vertex_map, target=fam_skew)
+    pair_map = fam_skew.pair(path_map[fam_f.pairs[:, 0]], path_map[fam_f.pairs[:, 1]])
+    basis_map = (pair_map[:, None] * m + np.arange(m)).ravel()
 
     # Theta on the relabeled basis and generators, as built for the inner
     # certificate: the generators of acp_f are pi~(s_e), pi~(p_v), u_t, and
     # those of the inner crossed product pi~(s_(f,r)), pi~(p_(v,r)), u_t.
     image_rows = parts.theta_rows[basis_map]
-    n_se, n_sv = fam_skew.graph.n_edges, fam_skew.graph.n_vertices
-    gen_map = [fam_skew.graph.edge_index(iso.edge(edge.id)) for edge in graph.edges]
-    gen_map += [n_se + fam_skew.graph.vertex_index(iso.vertex(v)) for v in graph.vertices]
-    gen_map += [n_se + n_sv + t for t in G]
+    gen_map = np.r_[edge_map, n_se + vertex_map, n_se + n_sv + np.arange(m)]
 
     report = matalg.star_map_on_basis(
         acp_f.span, image_rows, target.ambient_dim, acp_f.span.gen_rows,

@@ -21,21 +21,13 @@ import scipy.sparse as sp
 
 from . import matalg
 from .crossed import GradedSpan, verify_graded_coaction
-from .graphs import DirectedGraph, EmptyGraph, enumerate_sink_paths
+from .graphs import DirectedGraph, EmptyGraph, GraphError, enumerate_sink_paths
 from .groups import FiniteGroup, Labeling, regular_matrices
 from .matalg import AlgebraSpan, frobenius
 
 
 class CKRelationError(ValueError):
     pass
-
-
-def _unit_csr(n: int, entries) -> sp.csr_matrix:
-    rows = [r for r, _ in entries]
-    cols = [c for _, c in entries]
-    return sp.csr_matrix(
-        (np.ones(len(entries), dtype=np.complex128), (rows, cols)), shape=(n, n)
-    )
 
 
 def _block_norms(diff: sp.spmatrix, n: int, k: int) -> np.ndarray:
@@ -60,35 +52,52 @@ def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> 
     is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
     out of each non-sink v.
 
-    Each relation family is one stacked product: the p_v, s_f and s_f* as
-    block-diagonal matrices, and every p_v p_w as one tall x wide product."""
+    Every matrix below is built from the one COO of ``gen_rows``, split by
+    row: the s_f and s_f* as block-diagonal matrices, the p_v stacked tall
+    and side by side, so that one product holds every p_v p_w, and each
+    difference as one matrix of its two sides' entries."""
     n_v, n_e = graph.n_vertices, graph.n_edges
-    p_rows = gen_rows[n_e:n_e + n_v]
-    P, S = _diag_blocks(p_rows, n), _diag_blocks(gen_rows[:n_e], n)
+    c = gen_rows.tocoo()
+    i, j = np.divmod(c.col, n)
+    is_p = c.row >= n_e
+    v, pi, pj, pd = c.row[is_p] - n_e, i[is_p], j[is_p], c.data[is_p]
+
+    def entries(data, rows, cols, shape):
+        return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=shape)
+
     errs = [0.0]
     # A zero generator, found by its Frobenius norm.
-    if any(np.any(_block_norms(X, n, k).diagonal() == 0.0) for X, k in ((P, n_v), (S, n_e))):
+    if np.any(np.bincount(c.row, np.abs(c.data) ** 2, minlength=n_e + n_v) == 0.0):
         errs.append(1.0)
-    errs.append(_block_norms(P @ P - P, n, n_v).max())
-    errs.append(_block_norms(P.conj().T - P, n, n_v).max())
-    # Block (v, w) of the stacked p_v times the p_w side by side is p_v p_w.
-    p = p_rows.tocoo()
-    tall = sp.csr_matrix((p.data, (p.row * n + p.col // n, p.col % n)), shape=(n_v * n, n))
-    wide = sp.csr_matrix((p.data, (p.col // n, p.row * n + p.col % n)), shape=(n, n_v * n))
-    errs.append(np.triu(_block_norms(tall @ wide, n, n_v), 1).max())
-    # sum_v p_v - 1: the p_v rows summed into one.
-    total = sp.csr_matrix((p.data, (p.col // n, p.col % n)), shape=(n, n))
-    errs.append(frobenius(total - sp.identity(n, format="csr", dtype=np.complex128)))
+    # Block (v, w) of the stacked p_v times the p_w side by side is p_v p_w:
+    # less p_v on the diagonal blocks, p_v^2 - p_v there and p_v p_w above.
+    tall = sp.csr_matrix((pd, (v * n + pi, pj)), shape=(n_v * n, n))
+    wide = sp.csr_matrix((pd, (pi, v * n + pj)), shape=(n, n_v * n))
+    pv_i, pv_j, shape = v * n + pi, v * n + pj, (n_v * n, n_v * n)
+    pp = (tall @ wide).tocoo()
+    pp = _block_norms(entries([pp.data, -pd], [pp.row, pv_i], [pp.col, pv_j], shape), n, n_v)
+    errs += [pp.diagonal().max(), np.triu(pp, 1).max()]
+    errs.append(_block_norms(entries([pd.conj(), -pd], [pv_j, pv_i], [pv_i, pv_j], shape),
+                             n, n_v).max())
+    # sum_v p_v - 1: the p_v entries and -1 on the diagonal in one matrix.
+    errs.append(frobenius(entries([pd, -np.ones(n)], [pi, np.arange(n)], [pj, np.arange(n)],
+                                  (n, n))))
     if n_e:
-        S_h = S.conj().T.tocsr()
-        P_rng = _diag_blocks(p_rows[graph.rng], n)
-        errs.append(_block_norms(S_h @ S - P_rng, n, n_e).max())
+        f, si, sj, sd = c.row[~is_p], i[~is_p], j[~is_p], c.data[~is_p]
+        S = sp.csr_matrix((sd, (f * n + si, f * n + sj)), shape=(n_e * n, n_e * n))
+        S_h = sp.csr_matrix((sd.conj(), (f * n + sj, f * n + si)), shape=S.shape)
+        # s_f* s_f - p_r(f), with the entries of p_r(f) moved to block f.
+        ss, pr = (S_h @ S).tocoo(), gen_rows[n_e + graph.rng].tocoo()
+        errs.append(_block_norms(entries([ss.data, -pr.data], [ss.row, pr.row * n + pr.col // n],
+                                         [ss.col, pr.row * n + pr.col % n], S.shape),
+                                 n, n_e).max())
         # sum_f s_f s_f* over the edges out of v: block f of S S* moved to block s(f).
         ss = (S @ S_h).tocoo()
         src = graph.src[ss.row // n] * n
-        ranges = sp.csr_matrix((ss.data, (src + ss.row % n, src + ss.col % n)), shape=P.shape)
+        ranges = entries([ss.data, -pd], [src + ss.row % n, pv_i], [src + ss.col % n, pv_j], shape)
         non_sink = [not graph.is_sink(v) for v in range(n_v)]
-        errs.append(np.max(_block_norms(ranges - P, n, n_v).diagonal()[non_sink], initial=0.0))
+        errs.append(np.max(_block_norms(ranges, n, n_v).diagonal()[non_sink], initial=0.0))
     return float(max(errs))
 
 
@@ -97,77 +106,120 @@ def _path_images(fam: CKFamily, gen_rows: sp.csr_matrix, n: int) -> sp.csr_matri
     a family of n x n matrices given as the stacked rows s_f and then p_v.
 
     A path of length 0 at v has the word p_v, and f mu the word s_f s_mu: one
-    stacked product per path length, of the block-diagonal s_f with the
+    stacked product per level of ``fam``, of the block-diagonal s_f with the
     block-diagonal words s_mu of the paths one shorter."""
-    n_e, n_p = fam.graph.n_edges, len(fam.paths)
-    words = gen_rows[[n_e + p.source for p in fam.paths]]
-    for length in range(1, max(len(p.edges) for p in fam.paths) + 1):
-        longer = [i for i, p in enumerate(fam.paths) if len(p.edges) == length]
-        heads = [fam.paths[i].edges[0] for i in longer]
-        tails = [fam.path_index[(int(fam.graph.rng[f]), fam.paths[i].edges[1:])]
-                 for i, f in zip(longer, heads)]
-        # Block k of the product is the word of the k-th path of this length.
-        z = (_diag_blocks(gen_rows[heads], n) @ _diag_blocks(words[tails], n)).tocoo()
+    n_p = fam.ambient_dim
+    words = gen_rows[fam.graph.n_edges + fam.source]
+    for level in fam.levels:
+        # Block k of the product is the word of the k-th path of this level.
+        z = (_diag_blocks(gen_rows[fam.head[level]], n)
+             @ _diag_blocks(words[fam.tail[level]], n)).tocoo()
         new = sp.csr_matrix((z.data, (z.row // n, z.row % n * n + z.col % n)),
-                            shape=(len(longer), n * n))
+                            shape=(len(level), n * n))
         order = np.arange(n_p)
-        order[longer] = n_p + np.arange(len(longer))
+        order[level] = n_p + np.arange(len(level))
         words = sp.vstack([words, new], format="csr")[order]
     return words
 
 
 class CKFamily:
-    """The path-space Cuntz-Krieger family of a finite acyclic graph."""
+    """The path-space Cuntz-Krieger family of a finite acyclic graph.
+
+    Path i of ``paths`` is also held as integers: ``source``, ``sink`` and
+    ``length``, its first edge ``head`` and its ``tail``, the index of the
+    rest of the path (both -1 at length 0).  ``prepend[f, j]`` is the index
+    of f j, or -1 where r(f) is not the source of path j.  Paths are grouped
+    by sink and then ordered by length, so tail[i] < i, and ``levels[k]``
+    lists the paths of length k + 1: a recursion on (first edge, tail) is
+    one vectorized pass per level.  The paths into sink w are
+    start[w]:start[w + 1], the length-0 path at w first, and the matrix units
+    e_{i,j} over them are the basis rows pair_start[w]:pair_start[w + 1], in
+    the order of ``pairs``.
+    """
 
     def __init__(self, graph: DirectedGraph):
         if graph.n_vertices == 0:
             raise EmptyGraph("graph has no vertices")
         self.graph = graph
         self.paths = enumerate_sink_paths(graph)
-        self.path_index = {p.key(): i for i, p in enumerate(self.paths)}
-        n = len(self.paths)
-        self.ambient_dim = n
+        n = self.ambient_dim = len(self.paths)
+        self.source = np.array([p.source for p in self.paths], dtype=np.int64)
+        self.sink = np.array([p.range for p in self.paths], dtype=np.int64)
+        self.length = np.array([len(p) for p in self.paths], dtype=np.int64)
+        self.head = np.array([p.edges[0] if p.edges else -1 for p in self.paths], dtype=np.int64)
+        at = {(p.base, p.edges): i for i, p in enumerate(self.paths)}
+        self.tail = np.array([at[(int(graph.rng[p.edges[0]]), p.edges[1:])] if p.edges else -1
+                              for p in self.paths], dtype=np.int64)
+        self.levels = [np.flatnonzero(self.length == k) for k in range(1, self.length.max() + 1)]
+        longer = np.flatnonzero(self.length)
+        self.prepend = np.full((graph.n_edges, n), -1, dtype=np.int64)
+        self.prepend[self.head[longer], self.tail[longer]] = longer
 
-        self.s = []
-        for e in range(graph.n_edges):
-            entries = []
-            for i, p in enumerate(self.paths):
-                if p.source == graph.rng[e]:
-                    entries.append((self.path_index[p.prepend(e).key()], i))
-            self.s.append(_unit_csr(n, entries))
-        self.p = []
-        for v in range(graph.n_vertices):
-            entries = [(i, i) for i, p in enumerate(self.paths) if p.source == v]
-            self.p.append(_unit_csr(n, entries))
+        self.start = np.searchsorted(self.sink, np.arange(graph.n_vertices + 1))
+        sizes = np.diff(self.start)
+        self.pair_start = np.r_[0, np.cumsum(sizes**2)]
+        w = np.repeat(np.arange(graph.n_vertices), sizes**2)
+        k = np.arange(self.pair_start[-1]) - self.pair_start[w]
+        self.pairs = np.stack([self.start[w] + k // sizes[w], self.start[w] + k % sizes[w]], axis=1)
 
-        # Canonical basis: matrix units over path pairs into a common sink.
-        self.pairs = []
-        by_sink: dict[int, list[int]] = {}
-        for i, p in enumerate(self.paths):
-            by_sink.setdefault(p.range, []).append(i)
-        for w in sorted(by_sink):
-            for i in by_sink[w]:
-                for j in by_sink[w]:
-                    self.pairs.append((i, j))
-        self.pair_index = {pr: k for k, pr in enumerate(self.pairs)}
-
-        rows = np.array([i * n + j for i, j in self.pairs], dtype=np.int64)
-        data = np.ones(len(self.pairs), dtype=np.complex128)
-        basis = sp.csr_matrix(
-            (data, (np.arange(len(self.pairs)), rows)), shape=(len(self.pairs), n * n)
-        )
-        self._span = AlgebraSpan(
-            n, basis, gen_rows=matalg.vec_rows(self.s + self.p), name="C*(E)", check=False
-        )
+        # vec(s_f) has a 1 at (f j) n + j for every path j from r(f), and
+        # vec(p_v) at i n + i for every path i from v.
+        gen_rows = sp.csr_matrix(
+            (np.ones(len(longer) + n, dtype=np.complex128),
+             (np.r_[self.head[longer], graph.n_edges + self.source],
+              np.r_[longer * n + self.tail[longer], np.arange(n) * (n + 1)])),
+            shape=(graph.n_edges + graph.n_vertices, n * n))
+        n_pairs = len(self.pairs)
+        basis = sp.csr_matrix((np.ones(n_pairs, dtype=np.complex128),
+                               (np.arange(n_pairs), self.pairs[:, 0] * n + self.pairs[:, 1])),
+                              shape=(n_pairs, n * n))
+        self.span = AlgebraSpan(n, basis, gen_rows=gen_rows, name="C*(E)", check=False)
         self.verify()
 
     @property
-    def span(self) -> AlgebraSpan:
-        return self._span
+    def dim(self) -> int:
+        return self.span.dim
 
     @property
-    def dim(self) -> int:
-        return self._span.dim
+    def s(self) -> list[sp.csr_matrix]:  # the s_f as matrices, from their rows
+        return matalg.unvec_rows(self.span.gen_rows[:self.graph.n_edges], self.ambient_dim)
+
+    @property
+    def p(self) -> list[sp.csr_matrix]:  # the p_v as matrices, from their rows
+        return matalg.unvec_rows(self.span.gen_rows[self.graph.n_edges:], self.ambient_dim)
+
+    def pair(self, i, j):
+        """The basis index of e_{i,j}, elementwise, for paths i and j into one sink."""
+        w = self.sink[i]
+        lo = self.start[w]
+        return self.pair_start[w] + (i - lo) * (self.start[w + 1] - lo) + j - lo
+
+    def path_degrees(self, G: FiniteGroup, by_edge: np.ndarray) -> np.ndarray:
+        """c(mu) = c(f_1) ... c(f_n) for every path, e at length 0, for the
+        edge labels ``by_edge``: c(f nu) = c(f) c(nu), one pass per level."""
+        deg = np.full(self.ambient_dim, G.identity_index, dtype=np.int64)
+        for level in self.levels:
+            deg[level] = G.table[by_edge[self.head[level]], deg[self.tail[level]]]
+        return deg
+
+    def map_paths(self, edge_map, vertex_map, target: CKFamily | None = None) -> np.ndarray:
+        """The index in ``target`` (this family by default) of the image of
+        every path under the graph morphism with these edge and vertex index
+        maps, from f nu -> f' nu'; leading axes of the maps, one per morphism,
+        are kept.  Raises :class:`GraphError` if an image is not a path into
+        a sink of the target."""
+        target = self if target is None else target
+        edge_map, vertex_map = np.asarray(edge_map), np.asarray(vertex_map)
+        out = np.empty(vertex_map.shape[:-1] + (self.ambient_dim,), dtype=np.int64)
+        empty = np.flatnonzero(self.length == 0)
+        v = vertex_map[..., self.source[empty]]
+        out[..., empty] = np.where(target.start[v + 1] > target.start[v], target.start[v], -1)
+        for level in self.levels:
+            out[..., level] = target.prepend[edge_map[..., self.head[level]],
+                                             out[..., self.tail[level]]]
+        if np.any(out < 0):
+            raise GraphError("a path does not map to a path into a sink")
+        return out
 
     def verify(self, tol: float = 1e-12):
         """Exhaustively check the Cuntz-Krieger relations and that each
@@ -179,18 +231,16 @@ class CKFamily:
         # Each sink-bound path word s_mu equals the matrix unit e_{mu, w},
         # where w is the length-0 path at the sink; hence every canonical
         # basis element e_{mu,nu} = e_{mu,w} e_{w,nu} equals s_mu s_nu*.
-        sinks = [self.path_index[(p.range, ())] for p in self.paths]
         units = sp.csr_matrix((np.ones(n, dtype=np.complex128),
-                               (np.arange(n), np.arange(n) * n + sinks)), shape=(n, n * n))
+                               (np.arange(n), np.arange(n) * n + self.start[self.sink])),
+                              shape=(n, n * n))
         words = _path_images(self, self.span.gen_rows, n)
         if matalg.max_row_norm(words - units) > tol:
             raise CKRelationError("path word disagrees with its matrix unit")
 
     def sink_block_sizes(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for p in self.paths:
-            counts[p.range] = counts.get(p.range, 0) + 1
-        return counts
+        sizes = np.diff(self.start)
+        return {int(w): int(sizes[w]) for w in np.flatnonzero(sizes)}
 
 
 def ck_representation(graph: DirectedGraph) -> CKFamily:
@@ -231,9 +281,8 @@ def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
     g = fam.graph
     gen_degrees = _gauge_degrees(g)
     scaled = sp.diags(z ** gen_degrees).tocsr() @ fam.span.gen_rows
-    lengths = np.array([len(p.edges) for p in fam.paths])
-    pairs = np.array(fam.pairs)
-    fail = _check_path_grading(fam, lengths[pairs[:, 0]] - lengths[pairs[:, 1]],
+    lengths = fam.length[fam.pairs]
+    fail = _check_path_grading(fam, lengths[:, 0] - lengths[:, 1],
                                gen_degrees[:g.n_edges], np.add, np.negative, 0)
     return GaugeReport(z=z, is_ck_family=_ck_relations_for(g, scaled, fam.ambient_dim) <= tol,
                        graded=fail is None)
@@ -247,11 +296,9 @@ def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.nda
 
     ``mul`` and ``inv`` act elementwise on integer arrays.  Exact index
     arithmetic, one sink block of degrees (a b x b array) at a time."""
-    # fam.pairs lists the b x b units of each sink block, sinks in order.
-    blocks, start = [], 0
-    for _, b in sorted(fam.sink_block_sizes().items()):
-        blocks.append(degrees[start:start + b * b].reshape(b, b))
-        start += b * b
+    # The b x b units of the sink block of w are pair_start[w]:pair_start[w + 1].
+    blocks = [degrees[k:k + b * b].reshape(b, b)
+              for k, b in zip(fam.pair_start, np.diff(fam.start)) if b]
     if not all(np.array_equal(d.T, inv(d)) for d in blocks):
         return "adjoint degree mismatch"
     # e_{mu,m} e_{m,nu} = e_{mu,nu}: one b x b comparison per middle path m.
@@ -262,23 +309,17 @@ def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.nda
     # sum of the units e_{f nu, nu} over paths nu from r(f).
     if not all(np.all(d.diagonal() == identity) for d in blocks):
         return "vertex projection off degree e"
-    units, heads = [], []
-    for i, p in enumerate(fam.paths):
-        if p.edges:
-            tail = fam.path_index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
-            units.append(fam.pair_index[(i, tail)])
-            heads.append(p.edges[0])
-    if np.any(degrees[units] != edge_degrees[heads]):
+    longer = np.flatnonzero(fam.length)
+    if np.any(degrees[fam.pair(longer, fam.tail[longer])] != edge_degrees[fam.head[longer]]):
         return "edge partial isometry off its labeled degree"
     return None
 
 
 def spectral_subspaces(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
     """Grade the canonical basis of C*(E) by deg(e_{mu,nu}) = c(mu) c(nu)^-1."""
-    path_degree = np.array([labeling.of_path(p.edges) for p in fam.paths])
+    path_degree = fam.path_degrees(G, labeling.by_edge)[fam.pairs]
     inverse = np.array([G.inv(s) for s in G])
-    pairs = np.array(fam.pairs)
-    degrees = G.table[path_degree[pairs[:, 0]], inverse[path_degree[pairs[:, 1]]]]
+    degrees = G.table[path_degree[:, 0], inverse[path_degree[:, 1]]]
     fail = _check_path_grading(fam, degrees, labeling.by_edge, lambda a, b: G.table[a, b],
                                lambda a: inverse[a], G.identity_index)
     if fail:

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, Labeling, make_labeling
+from .groups import FiniteGroup, Labeling, action_law_failure, make_labeling
 
 
 class GraphError(ValueError):
@@ -171,12 +171,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def prepend(self, e: int) -> "Path":
-        return Path(self.graph, (e,) + self.edges, int(self.graph.src[e]))
-
-    def key(self):
-        return (self.base, self.edges)
-
 
 def _out_neighbours_first(graph: DirectedGraph) -> list[int]:
     """The vertices, each after all its out-neighbours; raises
@@ -265,31 +259,22 @@ class GraphAction:
 
     def _validate(self):
         g, G = self.graph, self.group
-        if self.vperm.shape != (G.order, g.n_vertices):
-            raise GraphError("vertex permutation table has wrong shape")
-        if self.eperm.shape != (G.order, g.n_edges):
-            raise GraphError("edge permutation table has wrong shape")
-        ident = np.arange(g.n_vertices)
-        for t in G:
-            if sorted(self.vperm[t]) != list(range(g.n_vertices)):
-                raise GraphError(f"element {t} does not permute vertices")
-            if sorted(self.eperm[t]) != list(range(g.n_edges)):
-                raise GraphError(f"element {t} does not permute edges")
-            # Automorphism: commutes with source and range maps.
-            if not np.array_equal(g.src[self.eperm[t]], self.vperm[t][g.src]):
-                raise GraphError(f"element {t} does not respect sources")
-            if not np.array_equal(g.rng[self.eperm[t]], self.vperm[t][g.rng]):
-                raise GraphError(f"element {t} does not respect ranges")
-        if not np.array_equal(self.vperm[self.group.identity_index], ident):
-            raise GraphError("identity element acts nontrivially on vertices")
-        # Homomorphism into automorphisms: (st).x = s.(t.x).
-        for s in G:
-            for t in G:
-                st = G.mul(s, t)
-                if not np.array_equal(self.vperm[st], self.vperm[s][self.vperm[t]]):
-                    raise GraphError(f"vertex action breaks at ({s},{t})")
-                if not np.array_equal(self.eperm[st], self.eperm[s][self.eperm[t]]):
-                    raise GraphError(f"edge action breaks at ({s},{t})")
+        for perm, kind, cells, n in ((self.vperm, "vertex", "vertices", g.n_vertices),
+                                     (self.eperm, "edge", "edges", g.n_edges)):
+            if perm.shape != (G.order, n):
+                raise GraphError(f"{kind} permutation table has wrong shape")
+            fail = action_law_failure(G, perm)
+            if fail:
+                rule, witness = fail
+                raise GraphError({
+                    "identity": f"identity element acts nontrivially on {cells}",
+                    "bijection": "element {} does not permute " + cells,
+                    "law": kind + " action breaks at ({},{})"}[rule].format(*witness))
+        # Automorphisms: each t commutes with the source and range maps.
+        for ends, name in ((g.src, "sources"), (g.rng, "ranges")):
+            bad = np.any(ends[self.eperm] != self.vperm[:, ends], axis=1)
+            if bad.any():
+                raise GraphError(f"element {int(np.argmax(bad))} does not respect {name}")
 
     def vertex(self, t: int, vidx: int) -> int:
         return int(self.vperm[t, vidx])
@@ -298,18 +283,24 @@ class GraphAction:
         return int(self.eperm[t, eidx])
 
 
-def is_free(action: GraphAction) -> bool:
-    """True iff no non-identity element fixes a vertex or an edge."""
-    n_v = action.graph.n_vertices
-    n_e = action.graph.n_edges
+def _fixed_cell(action: GraphAction) -> str | None:
+    """The first non-identity element that fixes a vertex or an edge, named
+    with the cell it fixes, or None when the action is free."""
+    g = action.graph
     for t in action.group:
         if t == action.group.identity_index:
             continue
-        if np.any(action.vperm[t] == np.arange(n_v)):
-            return False
-        if n_e and np.any(action.eperm[t] == np.arange(n_e)):
-            return False
-    return True
+        for perm, kind, names in ((action.vperm[t], "vertex", g.vertices),
+                                  (action.eperm[t], "edge", [e.id for e in g.edges])):
+            fixed = np.flatnonzero(perm == np.arange(len(perm)))
+            if fixed.size:
+                return f"element {t} fixes {kind} {names[fixed[0]]!r}"
+    return None
+
+
+def is_free(action: GraphAction) -> bool:
+    """True iff no non-identity element fixes a vertex or an edge."""
+    return _fixed_cell(action) is None
 
 
 def translation_action(skew: DirectedGraph, G: FiniteGroup) -> GraphAction:
@@ -401,35 +392,18 @@ def quotient_and_gross_tucker(
     given action to right translation.  The section is the least-index orbit
     representative per orbit, which makes the output deterministic.
     """
-    if not is_free(action):
-        for t in action.group:
-            if t == action.group.identity_index:
-                continue
-            fixed_v = np.nonzero(action.vperm[t] == np.arange(graph.n_vertices))[0]
-            if len(fixed_v):
-                raise ActionNotFree(
-                    f"element {t} fixes vertex {graph.vertices[fixed_v[0]]!r}"
-                )
-            fixed_e = np.nonzero(action.eperm[t] == np.arange(graph.n_edges))[0]
-            if len(fixed_e):
-                raise ActionNotFree(
-                    f"element {t} fixes edge {graph.edges[fixed_e[0]].id!r}"
-                )
+    fixed = _fixed_cell(action)
+    if fixed:
+        raise ActionNotFree(fixed)
     G = action.group
 
     def orbit_data(perm_rows, count):
         # rep[i]: least-index orbit representative; shift[i]: the unique t
         # with i = t.rep[i] (unique because the action is free).
-        rep = np.full(count, -1, dtype=np.int64)
-        shift = np.full(count, -1, dtype=np.int64)
-        for i in range(count):
-            if rep[i] >= 0:
-                continue
-            orbit = [(int(perm_rows[t, i]), t) for t in G]
-            r = min(o for o, _ in orbit)
-            for o, t in [(int(perm_rows[t, r]), t) for t in G]:
-                rep[o] = r
-                shift[o] = t
+        rep = perm_rows.min(axis=0)
+        shift = np.empty(count, dtype=np.int64)
+        t, i = np.nonzero(perm_rows[:, rep] == np.arange(count))
+        shift[i] = t
         return rep, shift
 
     vrep, vshift = orbit_data(action.vperm, graph.n_vertices)
@@ -468,21 +442,20 @@ def quotient_and_gross_tucker(
         edge_map[e.id] = (("orbit", graph.edges[int(erep[i])].id), G.name(coord))
     iso = GraphIso(graph, skew, vertex_map, edge_map)
 
-    # The isomorphism must carry the action to right translation.
+    # The isomorphism must carry the action to right translation: iso t.x =
+    # t.(iso x) for every t and cell x, as index tables.
     translated = translation_action(skew, G)
-    skew_vindex = {v: i for i, v in enumerate(skew.vertices)}
-    skew_eindex = {e.id: i for i, e in enumerate(skew.edges)}
-    for t in G:
-        for i, v in enumerate(graph.vertices):
-            lhs = vertex_map[graph.vertices[action.vertex(t, i)]]
-            rhs = skew.vertices[translated.vertex(t, skew_vindex[vertex_map[v]])]
-            if lhs != rhs:
-                raise GraphError(f"vertex equivariance fails at t={t}, v={v!r}")
-        for i, e in enumerate(graph.edges):
-            lhs = edge_map[graph.edges[action.edge(t, i)].id]
-            rhs = skew.edges[translated.edge(t, skew_eindex[edge_map[e.id]])].id
-            if lhs != rhs:
-                raise GraphError(f"edge equivariance fails at t={t}, e={e.id!r}")
+    edge_ids = [e.id for e in graph.edges]
+    for kind, cells, to, perm, moved in (
+            ("vertex", graph.vertices, [skew.vertex_index(vertex_map[v]) for v in graph.vertices],
+             action.vperm, translated.vperm),
+            ("edge", edge_ids, [skew.edge_index(edge_map[e]) for e in edge_ids],
+             action.eperm, translated.eperm)):
+        to = np.asarray(to, dtype=np.int64)
+        bad = np.argwhere(to[perm] != moved[:, to])
+        if bad.size:
+            raise GraphError(f"{kind} equivariance fails at t={bad[0][0]}, "
+                             f"{kind[0]}={cells[bad[0][1]]!r}")
     return quotient, labeling, iso
 
 

@@ -34,7 +34,7 @@ from .crossed import (
     verify_graded_coaction,
 )
 from .duality import IsomorphismCertificate
-from .groups import FiniteGroup
+from .groups import FiniteGroup, action_law_failure
 from .matalg import AlgebraSpan, frobenius
 
 
@@ -519,15 +519,17 @@ class GroupoidAction:
         n = Q.n_arrows
         if p.shape != (G.order, n):
             raise NotAutomorphism("arrow permutation table has wrong shape")
-        if not np.array_equal(p[G.identity_index], np.arange(n)):
-            raise NotAutomorphism("identity element acts nontrivially")
+        fail = action_law_failure(G, p)
+        if fail:
+            rule, witness = fail
+            raise NotAutomorphism({
+                "identity": "identity element acts nontrivially",
+                "bijection": "element {} does not permute arrows",
+                "law": "action law fails at ({},{})"}[rule].format(*witness))
 
         def first(bad):
             return int(np.argmax(np.any(bad.reshape(len(bad), -1), axis=1)))
 
-        bad = np.sort(p, axis=1) != np.arange(n)
-        if np.any(bad):
-            raise NotAutomorphism(f"element {first(bad)} does not permute arrows")
         # Unit arrows map to unit arrows; this induces the unit permutation.
         unit_of = np.full(n, -1, dtype=np.int64)
         unit_of[Q.unit_arrow] = np.arange(Q.n_units)
@@ -544,11 +546,6 @@ class GroupoidAction:
         bad = p[:, Q.inv] != Q.inv[p]
         if np.any(bad):
             raise NotAutomorphism(f"element {first(bad)} does not respect inverses")
-        # perm[a, perm[b, i]] = perm[ab, i].
-        bad = np.any(p[:, p] != p[G.table], axis=2)
-        if np.any(bad):
-            a, b = np.argwhere(bad)[0]
-            raise NotAutomorphism(f"action law fails at ({a},{b})")
         return unit_perm
 
     def arrow(self, t: int, i: int) -> int:

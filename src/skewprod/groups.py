@@ -192,6 +192,25 @@ def regular_matrices(G: FiniteGroup) -> tuple[list, list, list]:
     return lam, rho, chi
 
 
+def action_law_failure(G: FiniteGroup, perms) -> tuple[str, tuple] | None:
+    """The first rule that the table perms[t, i] = t.i breaks as a left
+    action of G by permutations, with its witness, or None: ("identity", ())
+    when perms[e] moves a point, ("bijection", (t,)) for the first row that
+    is not a permutation, and ("law", (s, t)) for the first pair with
+    perms[s][perms[t]] != perms[st], all pairs at once."""
+    perms = np.asarray(perms)
+    ident = np.arange(perms.shape[1])
+    if not np.array_equal(perms[G.identity_index], ident):
+        return "identity", ()
+    bad = np.any(np.sort(perms, axis=1) != ident, axis=1)
+    if bad.any():
+        return "bijection", (int(np.argmax(bad)),)
+    bad = np.any(perms[:, perms] != perms[G.table], axis=2)
+    if bad.any():
+        return "law", tuple(int(x) for x in np.argwhere(bad)[0])
+    return None
+
+
 class Labeling:
     """An assignment of a group element to every edge of a directed graph."""
 
@@ -207,13 +226,6 @@ class Labeling:
 
     def of(self, edge_index: int) -> int:
         return int(self.by_edge[edge_index])
-
-    def of_path(self, edge_indices: Sequence[int]) -> int:
-        """Product c(e_1) c(e_2) ... c(e_n); identity for the empty path."""
-        out = self.group.identity_index
-        for e in edge_indices:
-            out = self.group.mul(out, self.of(e))
-        return out
 
     def __repr__(self) -> str:
         vals = [self.group.name(v) for v in self.by_edge]

@@ -13,7 +13,10 @@ built here from arrow names through ``make_groupoid``, where ``skewprod``
 computes their tables from integer arrays.  *-maps on matrix lists are
 certified by closing the graph of the map, where ``skewprod`` certifies them
 on a known basis.  The equivalence-bimodule axioms are checked pair by pair
-on dicts, where ``skewprod`` checks index tables.  S3, the non-abelian group
+on dicts, where ``skewprod`` checks index tables.  Paths are looked up by
+their (source, edge tuple) keys and walked edge by edge, for the path
+degrees, gamma's path permutation and the lift into E x_c G, where
+``skewprod`` reads the head/tail table of ``CKFamily``.  S3, the non-abelian group
 of the random draws, is built from permutations.  The tests compare the
 batched versions with these on random, gauge-scaled and groupoid inputs and
 on planted defects.
@@ -76,15 +79,53 @@ def theta_generator_images_loop(fam, skew, G, labeling):
     return theta_edge, theta_vertex, theta_u
 
 
+def path_lookup(fam) -> dict:
+    """The index of every basis path by its (source, edge tuple) key."""
+    return {(p.base, p.edges): i for i, p in enumerate(fam.paths)}
+
+
+def path_label_loop(labeling, edges) -> int:
+    """c(e_1) c(e_2) ... c(e_n) by a left-to-right loop; e for no edges."""
+    G, out = labeling.group, labeling.group.identity_index
+    for e in edges:
+        out = G.mul(out, labeling.of(e))
+    return out
+
+
+def skew_lift_loop(fam, fam_skew, G, labeling) -> dict:
+    """(path i of E, range coordinate a) -> the path of E x_c G over it,
+    walking each path backwards from its range: edge l of the lift is
+    (f_l, c(f_(l+1)) ... c(f_n) a), at index f_l |G| + that coordinate."""
+    m, at = G.order, path_lookup(fam_skew)
+    lookup = {}
+    for i, p in enumerate(fam.paths):
+        for a in G:
+            edge_ids, acc = [], a
+            for e in reversed(p.edges):
+                edge_ids.append(e * m + acc)
+                acc = G.mul(labeling.of(e), acc)
+            lookup[(i, a)] = at[(p.source * m + acc, tuple(reversed(edge_ids)))]
+    return lookup
+
+
+def path_permutation_loop(fam, action) -> np.ndarray:
+    """perm[t, i]: the index of t.mu for path i = mu, one path at a time."""
+    at = path_lookup(fam)
+    return np.array([[at[(int(action.vperm[t][p.base]),
+                          tuple(int(action.eperm[t][e]) for e in p.edges))]
+                      for p in fam.paths] for t in action.group])
+
+
 def path_images_loop(fam, edge_imgs, vertex_imgs) -> list:
     """The word s_mu of every basis path as a matrix, one product per path."""
+    at = path_lookup(fam)
     out = [None] * len(fam.paths)
     for i in sorted(range(len(fam.paths)), key=lambda i: len(fam.paths[i].edges)):
         p = fam.paths[i]
         if not p.edges:
             out[i] = vertex_imgs[p.source].tocsr()
         else:
-            tail = fam.path_index[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
+            tail = at[(int(fam.graph.rng[p.edges[0]]), p.edges[1:])]
             out[i] = (edge_imgs[p.edges[0]] @ out[tail]).tocsr()
     return out
 
@@ -176,14 +217,7 @@ def _sends(targets) -> sp.csr_matrix:
 
 def path_unitaries(fam, action) -> list:
     """U_t e_mu = e_(t.mu) on the path space of ``fam``, one path at a time."""
-    out = []
-    for t in action.group:
-        targets = []
-        for p in fam.paths:
-            moved = tuple(int(action.eperm[t][e]) for e in p.edges)
-            targets.append(fam.path_index[(int(action.vperm[t][p.base]), moved)])
-        out.append(_sends(targets))
-    return out
+    return [_sends(targets) for targets in path_permutation_loop(fam, action)]
 
 
 def arrow_unitaries(action) -> list:

@@ -44,9 +44,9 @@ class TestCoactionCrossedProduct:
         # at matching indices.
         fam, rc, *_ = e1_setup
         ccp = CoactionCrossedProduct(rc.graded)
-        k_f = fam.pair_index[(1, 0)]       # s_f
-        k_fstar = fam.pair_index[(0, 1)]   # s_f*
-        k_ff = fam.pair_index[(1, 1)]      # s_f s_f*
+        k_f = fam.pair(1, 0)       # s_f
+        k_fstar = fam.pair(0, 1)   # s_f*
+        k_ff = fam.pair(1, 1)      # s_f s_f*
         m = z2.order
         for u in z2:
             gu = z2.mul(1, u)
@@ -171,7 +171,8 @@ class TestAlgebraAction:
         ([[0, 1], [0, 0]], "z2", "U_1 is not unitary"),
         ([[1, 0], [0, 1]], "z2", "U_e is not the identity"),
         ([[0, 1], [1, 0], [1, 0]], "z3", r"U is not a homomorphism at \(1,1\)"),
-    ], ids=["non-bijective row", "U_e not 1", "broken group law"])
+        ([[0, 1, 2], [1, 0, 2]], "z2", "permutation table has wrong shape"),
+    ], ids=["non-bijective row", "U_e not 1", "broken group law", "wider than the space"])
     def test_rejects_a_table_that_is_not_a_permutation_action(
             self, e1_setup, z2, request, table, group, message):
         fam, *_ = e1_setup
@@ -185,8 +186,8 @@ class TestAlgebraAction:
         # u -> v and u -> w: sinks v and w, each with two paths into it.
         fork = DirectedGraph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "u", "w")])
         fam = ck_representation(fork)
-        v, w = (fam.path_index[(x, ())] for x in (1, 2))
-        e1, e2 = (fam.path_index[(0, (e,))] for e in (0, 1))
+        v, w = fam.start[[1, 2]]  # the length-0 paths at v and w
+        e1, e2 = fam.prepend[[0, 1], [v, w]]
 
         def swap(*pairs):
             row = np.arange(fam.ambient_dim)

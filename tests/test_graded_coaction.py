@@ -127,13 +127,10 @@ def test_wrong_path_degree_fails_spectral_subspaces(chain2, z3, monkeypatch):
     lab = groups.Labeling(chain2, z3, [1, 1])
     fam = ck_representation(chain2)
     spectral_subspaces(fam, z3, lab)
-    # Shift the degree of the one length-2 path, e1 e2.
-    true_of_path = lab.of_path
-    monkeypatch.setattr(
-        lab,
-        "of_path",
-        lambda edges: z3.mul(true_of_path(edges), 1) if len(edges) == 2 else true_of_path(edges),
-    )
+    # Shift the degree of the one length-2 path, e1 e2, in the degree table.
+    true_degrees = fam.path_degrees
+    monkeypatch.setattr(fam, "path_degrees", lambda G, by_edge: np.where(
+        fam.length == 2, G.table[true_degrees(G, by_edge), 1], true_degrees(G, by_edge)))
     with pytest.raises(ValueError, match="off its labeled degree"):
         spectral_subspaces(fam, z3, lab)
 

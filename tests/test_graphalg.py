@@ -201,10 +201,10 @@ class TestSpectralSubspaces:
         fam = ck_representation(e1)
         gb = spectral_subspaces(fam, z2, e1_z2_labeling)
         # s_f s_f* lands in degree c(f) c(f)^-1 = e.
-        k_f = fam.pair_index[(1, 0)]
-        k_fstar = fam.pair_index[(0, 1)]
+        k_f = fam.pair(1, 0)
+        k_fstar = fam.pair(0, 1)
         assert gb.degrees[k_f] == 1 and gb.degrees[k_fstar] == 1
-        prod = fam.pair_index[(1, 1)]
+        prod = fam.pair(1, 1)
         assert gb.degrees[prod] == 0
 
     def test_subspace_dims_sum(self, rng):
@@ -264,7 +264,7 @@ class TestPathGrading:
         degrees, edge_degrees, mul, inv, identity = args
         degrees, edge_degrees = degrees.copy(), np.array(edge_degrees)
         i, j = fam.pairs[-8]  # two distinct paths into s2
-        k, k_star = fam.pair_index[(i, j)], fam.pair_index[(j, i)]
+        k, k_star = fam.pair(i, j), fam.pair(j, i)
         if rule in ("adjoint", "product"):
             degrees[k] = mul(degrees[k], g)
         if rule == "product":  # e_{nu,mu} moves with e_{mu,nu}: the adjoint rule holds

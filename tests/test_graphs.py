@@ -153,6 +153,53 @@ def test_gross_tucker_rejects_non_free(e1, z2):
         quotient_and_gross_tucker(e1, act)
 
 
+def test_gross_tucker_names_the_fixed_cell(z2):
+    # Element 1 swaps the two copies' vertices v but fixes both edges' range w.
+    fork = DirectedGraph(["v0", "v1", "w"], [("f0", "v0", "w"), ("f1", "v1", "w")])
+    act = graphs.GraphAction(fork, z2, [[0, 1, 2], [1, 0, 2]], [[0, 1], [1, 0]])
+    assert not is_free(act)
+    with pytest.raises(ActionNotFree, match="^element 1 fixes vertex 'w'$"):
+        quotient_and_gross_tucker(fork, act)
+
+
+def test_gross_tucker_rejects_a_non_equivariant_factorization(e1, z3, monkeypatch):
+    # Right translation by t^-1 in place of t: the factorization no longer
+    # carries the action to the translation action.
+    skew = skew_product(e1, z3, groups.make_labeling(e1, {"f": "g"}, z3))
+    act = translation_action(skew, z3)
+    quotient_and_gross_tucker(skew, act)
+    inv = [z3.inv(t) for t in z3]
+
+    def inverse_translation(graph, G):
+        true = translation_action(graph, G)
+        return graphs.GraphAction(graph, G, true.vperm[inv], true.eperm[inv])
+
+    monkeypatch.setattr(graphs, "translation_action", inverse_translation)
+    with pytest.raises(graphs.GraphError, match="^vertex equivariance fails at t=1, v="):
+        quotient_and_gross_tucker(skew, act)
+
+
+TWO_COPIES = DirectedGraph(["v0", "w0", "v1", "w1"], [("f0", "v0", "w0"), ("f1", "v1", "w1")])
+
+
+@pytest.mark.parametrize("vperm, eperm, group, message", [
+    ([[2, 3, 0, 1], [0, 1, 2, 3]], [[1, 0], [0, 1]], 2,
+     "identity element acts nontrivially on vertices"),
+    ([[0, 1, 2, 3], [2, 2, 0, 1]], [[0, 1], [1, 0]], 2, "element 1 does not permute vertices"),
+    ([[0, 1, 2, 3], [2, 3, 0, 1]], [[0, 1], [0, 0]], 2, "element 1 does not permute edges"),
+    ([[0, 1, 2, 3], [2, 3, 0, 1], [2, 3, 0, 1]], [[0, 1], [1, 0], [1, 0]], 3,
+     r"vertex action breaks at \(1,1\)"),
+    ([[0, 1, 2, 3]] * 3, [[0, 1], [1, 0], [1, 0]], 3,
+     r"edge action breaks at \(1,1\)"),
+    ([[0, 1, 2, 3], [2, 3, 0, 1]], [[0, 1], [0, 1]], 2, "element 1 does not respect sources"),
+    ([[0, 1, 2, 3], [0, 3, 2, 1]], [[0, 1], [0, 1]], 2, "element 1 does not respect ranges"),
+])
+def test_graph_action_names_its_first_broken_rule(vperm, eperm, group, message):
+    G = groups.cyclic_group(group)
+    with pytest.raises(graphs.GraphError, match=f"^{message}$"):
+        graphs.GraphAction(TWO_COPIES, G, vperm, eperm)
+
+
 def test_gross_tucker_random_round_trips(rng):
     for _ in range(5):
         n_v = int(rng.integers(2, 5))

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from skewprod import groups
+from skewprod.graphalg import ck_representation
 from skewprod.groups import (
     GroupError,
     MissingEdge,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
+    action_law_failure,
     cyclic_group,
     klein_four_group,
     make_group,
@@ -135,6 +137,21 @@ class TestLabeling:
 
     def test_path_product_order(self, chain2, z3):
         lab = make_labeling(chain2, {"e1": "g", "e2": "g^2"}, z3)
-        # c(e1 e2) = c(e1) c(e2) = g g^2 = e.
-        assert lab.of_path([0, 1]) == z3.identity_index
-        assert lab.of_path([]) == z3.identity_index
+        fam = ck_representation(chain2)
+        degrees = fam.path_degrees(z3, lab.by_edge)
+        # The sink paths e2 and e1 e2: c(e2) = g^2, c(e1 e2) = c(e1) c(e2) = g g^2 = e.
+        assert [p.edges for p in fam.paths if p.edges] == [(1,), (0, 1)]
+        assert degrees[fam.length > 0].tolist() == [z3.index("g^2"), z3.identity_index]
+        assert np.all(degrees[fam.length == 0] == z3.identity_index)
+
+
+@pytest.mark.parametrize("table, want", [
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], None),
+    ([[1, 0, 2], [0, 1, 2], [0, 1, 2]], ("identity", ())),
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], ("bijection", (1,))),
+    ([[0, 1, 2], [1, 0, 2], [1, 0, 2]], ("law", (1, 1))),
+])
+def test_action_law_failure_names_the_first_rule_and_witness(table, want):
+    # Z3 acting on three points: the rotation is an action; each other table
+    # breaks one rule, and a table breaking several reports the first.
+    assert action_law_failure(cyclic_group(3), np.array(table)) == want
