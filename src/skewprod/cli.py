@@ -121,11 +121,18 @@ def _human_summary(report: dict, indent: str = ""):
             print(f"{indent}{key}: {value}")
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cases", type=int, default=20)
+    common.add_argument("--cases", type=_count, default=20)
     common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -335,13 +342,9 @@ def _dispatch_verify(args, t0, G, graph, labeling, Q, c) -> int:
             passed = passed and all(v for k, v in rep.items() if k.endswith("_ok"))
         return _emit(args, {"equivalence": report, "seed": args.seed}, passed, t0)
     if args.subcommand == "bimodule":
-        evaluator = groupoids.InnerProductEvaluator(Q, c)
-        err = 0.0
-        for k in range(args.cases):
-            a = rng.standard_normal(Q.n_arrows) + 1j * rng.standard_normal(Q.n_arrows)
-            b = rng.standard_normal(Q.n_arrows) + 1j * rng.standard_normal(Q.n_arrows)
-            _, rep = evaluator(a, b, tol=max(tol, 1e-9), all_y=(k < 3))
-            err = max(err, rep["formula_agreement_error"])
+        a, b = groupoids.random_functions(rng, args.cases, Q.n_arrows, Q.n_arrows)
+        _, rep = groupoids.InnerProductEvaluator(Q, c)(a, b, tol=max(tol, 1e-9))
+        err = rep["formula_agreement_error"]
         module_rep = groupoids.verify_bimodule_module_structure(
             Q, c, tol=max(tol, 1e-9), n_random=args.cases, rng=rng
         )

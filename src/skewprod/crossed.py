@@ -196,25 +196,10 @@ class ActionCrossedProduct:
         coeffs, _ = self.base.coefficients_rows(rows)
         return coeffs @ self._pi_rows
 
-    def elements(self, parts) -> list[sp.csr_matrix]:
-        """sum_s pi~(a_s) u~_s for k elements at once: ``parts`` maps s to the k
-        stacked rows vec(a_s).  pi~ is one product per s for the whole stack;
-        each sum is then assembled term by term in the order of ``parts``."""
-        N = self.ambient_dim
-        us = matalg.unvec_rows(self._u_rows, N)
-        terms = [(matalg.unvec_rows(self.pi_tilde_rows(rows), N), us[s])
-                 for s, rows in parts.items()]
-        out = []
-        for k in range(len(terms[0][0])):
-            x = sp.csr_matrix((N, N), dtype=np.complex128)
-            for pis, u in terms:
-                x = x + pis[k] @ u
-            out.append(x.tocsr())
-        return out
-
     def element_rows(self, parts) -> sp.csr_matrix:
-        """The rows vec(sum_s pi~(a_s) u~_s) of :meth:`elements`, with one right
-        product by u~_s per s for the whole stack."""
+        """The rows vec(sum_s pi~(a_s) u~_s) for k elements at once: ``parts``
+        maps s to the k stacked rows vec(a_s); one right product by u~_s per
+        s for the whole stack."""
         N = self.ambient_dim
         out = None
         for s, rows in parts.items():

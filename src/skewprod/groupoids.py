@@ -90,6 +90,15 @@ def _over_fibres(keys, fibre_of, n_fibres: int):
     return np.repeat(np.arange(len(keys)), reps), by_fibre[offset + np.arange(len(offset))]
 
 
+def random_functions(rng: np.random.Generator, count: int, *sizes: int) -> list[np.ndarray]:
+    """``count`` draws of one random complex function per size, each drawn as
+    rng.standard_normal(size) + 1j * rng.standard_normal(size) in turn: one
+    (count, size) stack per size, from the stream a loop of draws would use."""
+    z = np.split(rng.standard_normal((count, 2 * sum(sizes))),
+                 np.cumsum(np.repeat(sizes, 2))[:-1], axis=1)
+    return [re + 1j * im for re, im in zip(z[::2], z[1::2])]
+
+
 def _left_action_fault(mult, r, s, unit_arrow, table, anchor, other) -> str | None:
     """The first rule that a partial left action of a groupoid breaks, or None.
 
@@ -187,9 +196,6 @@ class FiniteGroupoid:
                           ("x^-1 x", self.mult[inv, k] != self.unit_arrow[self.s])):
             if np.any(bad):
                 raise BadInverse(f"{side} != id at arrow {self.arrows[np.argmax(bad)]!r}")
-
-    def arrows_with_range(self, u: int) -> np.ndarray:
-        return np.nonzero(self.r == u)[0]
 
     def __repr__(self):
         return f"FiniteGroupoid({self.n_units} units, {self.n_arrows} arrows)"
@@ -425,24 +431,27 @@ class GroupoidAlgebra:
         return coeffs.toarray()
 
     def convolve(self, f, g) -> np.ndarray:
-        """(f g)(x) = sum over r(y) = r(x) of f(y) g(y^-1 x)."""
+        """(f g)(x) = sum over r(y) = r(x) of f(y) g(y^-1 x), for stacks of
+        functions on the last axis; each sum adds its terms in the order of
+        the composable pairs."""
         ys, zs, yz = self._conv_triples
         f = np.asarray(f, dtype=np.complex128)
-        g = np.asarray(g, dtype=np.complex128)
-        out = np.zeros(self.groupoid.n_arrows, dtype=np.complex128)
-        np.add.at(out, yz, f[ys] * g[zs])
+        terms = f[..., ys] * np.asarray(g, dtype=np.complex128)[..., zs]
+        out = np.zeros(terms.shape[:-1] + (self.groupoid.n_arrows,), dtype=np.complex128)
+        np.add.at(out, (..., yz), terms)
         return out
 
     def star(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.complex128)
-        return np.conj(f[self.groupoid.inv])
+        return np.conj(np.asarray(f, dtype=np.complex128)[..., self.groupoid.inv])
 
     def restrict_to_units(self, f) -> np.ndarray:
         """f|_{Q^0}: values at the unit arrows (the expectation P onto C0(Q^0))."""
-        return np.asarray(f, dtype=np.complex128)[self.groupoid.unit_arrow]
+        return np.asarray(f, dtype=np.complex128)[..., self.groupoid.unit_arrow]
 
-    def unit_sup_norm(self, f) -> float:
-        return float(np.max(np.abs(self.restrict_to_units(f)))) if self.groupoid.n_units else 0.0
+    def unit_sup_norm(self, f):
+        """sup |f| over the units: a float for one function, an array for a stack."""
+        norm = np.max(np.abs(self.restrict_to_units(f)), axis=-1, initial=0.0)
+        return norm if norm.ndim else float(norm)
 
     def _verify(self, tol: float):
         """The representation is a faithful *-homomorphism: checked against
@@ -666,14 +675,11 @@ def kernel_embedding_check(
         "injective": report.injective,
         "star_hom_ok": report.passed,
     }
-    err = 0.0
-    for _ in range(n_random):
-        f = rng.standard_normal(alg_n.dim) + 1j * rng.standard_normal(alg_n.dim)
-        lhs = alg_n.restrict_to_units(f)
-        big = np.zeros(Q.n_arrows, dtype=np.complex128)
-        big[keep] = f
-        rhs = alg_q.restrict_to_units(big)
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
+    f, = random_functions(rng, n_random, alg_n.dim)
+    big = np.zeros((n_random, Q.n_arrows), dtype=np.complex128)
+    big[:, keep] = f
+    err = float(np.max(np.abs(alg_n.restrict_to_units(f) - alg_q.restrict_to_units(big)),
+                       initial=0.0))
     out["expectation_error"] = err
     out["expectation_ok"] = err <= tol
     if not all(v for k, v in out.items() if k.endswith("_ok") or isinstance(v, bool)):
@@ -783,18 +789,12 @@ def certify_semi_cross(
     max_err = max(max_err, resid)
     max_err = max(max_err, frobenius(star_dom - star_img))
 
-    # Phi(f g) = Phi(f) Phi(g) on four random pairs, drawn first: the rows
-    # (f, g, f g) of all pairs go through pi~ together, and each matrix is
-    # assembled as acp.element assembles one, so its products round the same.
-    draws = []
-    for _ in range(4):
-        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        draws += [f, g, lhs_alg.convolve(f, g)]
-    mats = acp.elements(_crossed_parts(base_alg, G, np.array(draws)))
-    conv_err = 0.0
-    for k in range(0, len(mats), 3):
-        conv_err = max(conv_err, frobenius(mats[k] @ mats[k + 1] - mats[k + 2]))
+    # Phi(f g) = Phi(f) Phi(g) on four random pairs: the rows (f, g, f g) of
+    # all pairs go through Phi together.
+    f, g = random_functions(rng, 4, d, d)
+    fgs = np.stack([f, g, lhs_alg.convolve(f, g)], axis=1).reshape(12, d)
+    mats = matalg.unvec_rows(acp.element_rows(_crossed_parts(base_alg, G, fgs)), acp.ambient_dim)
+    conv_err = max(frobenius(x @ y - xy) for x, y, xy in zip(mats[::3], mats[1::3], mats[2::3]))
 
     return IsomorphismCertificate(
         theorem="semi-cross",
@@ -933,14 +933,11 @@ def expectations_and_norm_identities(
     acp = action_crossed_product(action)
     out = {}
 
-    err = 0.0
-    for _ in range(max(8, n_random // 10)):
-        f = rng.standard_normal(R.n_arrows) + 1j * rng.standard_normal(R.n_arrows)
-        norm_f = base_alg.unit_sup_norm(f)
-        for s_ in G:
-            moved = np.zeros_like(f)
-            moved[action.arrow_perm[s_]] = f  # beta_s(f)(x) = f(s^-1 . x)
-            err = max(err, abs(base_alg.unit_sup_norm(moved) - norm_f))
+    # beta_s(f)(x) = f(s^-1 . x) for every draw f and every s.
+    f, = random_functions(rng, max(8, n_random // 10), R.n_arrows)
+    moved = f[:, action.arrow_perm[[G.inv(s_) for s_ in G]]]
+    err = float(np.max(np.abs(base_alg.unit_sup_norm(moved)
+                              - base_alg.unit_sup_norm(f)[:, None])))
     out["translation_norm_error"] = err
     out["translation_norm_ok"] = err == 0.0
 
@@ -951,13 +948,10 @@ def expectations_and_norm_identities(
 
     # (ii) on all draws, a chunk of stacked rows Phi(b) at a time; every row
     # must lie in the crossed product (1e-6) and its expectation in C*(R).
-    draws = [
-        rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        for _ in range(n_random)
-    ]
+    draws, = random_functions(rng, n_random, semi.n_arrows)
     err = 0.0
     for k0 in range(0, n_random, matalg.CHUNK):
-        b = np.array(draws[k0 : k0 + matalg.CHUNK])
+        b = draws[k0 : k0 + matalg.CHUNK]
         x_rows = acp.element_rows(_crossed_parts(base_alg, G, b))
         f_e = base_alg.to_functions(acp.conditional_expectation_rows(x_rows, tol=1e-6))
         lhs = np.max(np.abs(b[:, semi.unit_arrow]), axis=1)
@@ -966,12 +960,10 @@ def expectations_and_norm_identities(
     out["red_semi_cross_error"] = err
     out["red_semi_cross_ok"] = err <= tol
 
-    min_norm = np.inf
-    for _ in range(n_random):
-        f = rng.standard_normal(R.n_arrows) + 1j * rng.standard_normal(R.n_arrows)
-        pos = base_alg.convolve(base_alg.star(f), f)
-        min_norm = min(min_norm, base_alg.unit_sup_norm(pos))
-    out["faithfulness_min_norm"] = float(min_norm)
+    f, = random_functions(rng, n_random, R.n_arrows)
+    pos = base_alg.convolve(base_alg.star(f), f)
+    min_norm = float(np.min(base_alg.unit_sup_norm(pos), initial=np.inf))
+    out["faithfulness_min_norm"] = min_norm
     out["faithfulness_ok"] = min_norm > 1e-6
     bad = [k for k, v in out.items() if k.endswith("_ok") and not v]
     if bad:
@@ -1160,86 +1152,91 @@ def _subgroupoid_properness_sets(Q, G, c, keep, bim, rng):
 class InnerProductEvaluator:
     """Evaluates <a, b> in C_c(N) both ways: by the general equivalence
     formula over the auxiliary groupoid H, and by the graded simplification
-    sum_t a_t* b_t.  The H-sum index arrays are precomputed so repeated
-    evaluations are cheap; the general formula is evaluated for every
-    admissible auxiliary element y, whose choice must not affect the value.
+    sum_t a_t* b_t, for stacks of functions on the last axis.
+
+    The general formula at an arrow n of N is sum conj(a(z)) b(z n) over the
+    H-arrows (x, t) with r_H(x, t) = rho(y) = (r(y), c(y)), z = x^-1 y, for
+    any y with s(y) = r(n).  Every x with r(x) = r(y) gives one: t = c(z),
+    and z ends at s(x).  One flat table holds the terms (z, z n) of every
+    (n, y) pair; the formula is evaluated for every y, and the choice of y
+    must not affect the value.
     """
 
     def __init__(self, Q: FiniteGroupoid, c: Cocycle):
         self.groupoid = Q
         self.cocycle = c
         self.group = c.group
-        G = c.group
         self.algebra = convolution_algebra(Q)
-        self.n_keep = np.nonzero(c.values == G.identity_index)[0]
-        # H-arrows (x, t): t lies in c of the arrows into s(x).
-        h_arrows = []
-        for x in range(Q.n_arrows):
-            seen = {int(c.values[y]) for y in Q.arrows_with_range(int(Q.s[x]))}
-            h_arrows.extend((x, t) for t in seen)
-        # For each n in N and each admissible y, the term list (z, z n).
-        self._terms = {}
-        for n in self.n_keep:
-            per_y = []
-            for y in np.nonzero(Q.s == Q.r[n])[0]:
-                zs, zns = [], []
-                for x, t in h_arrows:
-                    # r_H(x, t) = (r(x), c(x) t) must equal rho(y) = (r(y), c(y)).
-                    if Q.r[x] != Q.r[y]:
-                        continue
-                    if G.mul(int(c.values[x]), t) != int(c.values[y]):
-                        continue
-                    z = int(Q.mult[Q.inv[x], y])
-                    zs.append(z)
-                    zns.append(int(Q.mult[z, n]))
-                per_y.append((np.array(zs, dtype=np.int64), np.array(zns, dtype=np.int64)))
-            self._terms[int(n)] = per_y
+        self.n_keep = np.nonzero(c.values == c.group.identity_index)[0]
+        # The (n, y) pairs, y in order for each n of N in order; the term
+        # lists, x in order for each pair.
+        p, ys = _over_fibres(Q.r[self.n_keep], Q.s, Q.n_units)
+        pair, xs = _over_fibres(Q.r[ys], Q.r, Q.n_units)
+        self.z = Q.mult[Q.inv[xs], ys[pair]]
+        self.zn = Q.mult[self.z, self.n_keep[p[pair]]]
+        self._n_of_pair = p
+        self._first_pair = np.searchsorted(p, np.arange(len(self.n_keep)))
+        # Pairs with term lists of one length sum as one block, so that each
+        # list adds up as np.sum adds it alone.
+        lengths = np.bincount(pair, minlength=len(p))
+        self._blocks = [
+            (np.nonzero(lengths == k)[0], np.nonzero(lengths[pair] == k)[0].reshape(-1, k))
+            for k in np.unique(lengths)
+        ]
 
-    def general_formula(self, a, b, tol: float = 1e-9, all_y: bool = True):
-        a = np.asarray(a, dtype=np.complex128)
-        b = np.asarray(b, dtype=np.complex128)
-        out = np.zeros(self.groupoid.n_arrows, dtype=np.complex128)
-        ambiguity = 0.0
-        for n in self.n_keep:
-            per_y = self._terms[int(n)] if all_y else self._terms[int(n)][:1]
-            vals = [
-                complex(np.sum(np.conj(a[zs]) * b[zns])) for zs, zns in per_y
-            ]
-            out[int(n)] = vals[0]
-            ambiguity = max(ambiguity, max(abs(v - vals[0]) for v in vals))
+    def general_formula(self, a, b, tol: float = 1e-9):
+        terms = (np.take(np.conj(np.asarray(a, dtype=np.complex128)), self.z, axis=-1)
+                 * np.take(np.asarray(b, dtype=np.complex128), self.zn, axis=-1))
+        vals = np.empty(terms.shape[:-1] + (len(self._n_of_pair),), dtype=np.complex128)
+        for pairs, at in self._blocks:
+            vals[..., pairs] = np.take(terms, at, axis=-1).sum(axis=-1)
+        first = vals[..., self._first_pair]
+        ambiguity = float(np.max(np.abs(vals - first[..., self._n_of_pair]), initial=0.0))
         if ambiguity > tol:
             raise FormulaMismatch(
                 f"general inner-product formula depends on the choice of y ({ambiguity:.2e})"
             )
+        out = np.zeros(vals.shape[:-1] + (self.groupoid.n_arrows,), dtype=np.complex128)
+        out[..., self.n_keep] = first
         return out, ambiguity
 
     def simplified_formula(self, a, b, tol: float = 1e-9):
-        G = self.group
-        alg = self.algebra
-        a = np.asarray(a, dtype=np.complex128)
-        b = np.asarray(b, dtype=np.complex128)
-        out = np.zeros(self.groupoid.n_arrows, dtype=np.complex128)
-        for t in G:
-            mask = self.cocycle.values == t
-            out += alg.convolve(alg.star(np.where(mask, a, 0)), np.where(mask, b, 0))
+        alg, degrees = self.algebra, self.cocycle.values
+        out = sum(alg.convolve(alg.star(np.where(degrees == t, a, 0)),
+                               np.where(degrees == t, b, 0)) for t in self.group)
         off_n = out.copy()
-        off_n[self.n_keep] = 0
-        if np.max(np.abs(off_n)) > tol:
+        off_n[..., self.n_keep] = 0
+        if np.max(np.abs(off_n), initial=0.0) > tol:
             raise FormulaMismatch("sum_t a_t* b_t is not supported in N")
         return out
 
-    def __call__(self, a, b, tol: float = 1e-9, all_y: bool = True):
+    def __call__(self, a, b, tol: float = 1e-9):
         """<a, b> as a coefficient function on the arrows of N = c^-1(e), and a
-        report; raises :class:`FormulaMismatch` if the two formulas disagree."""
-        general, ambiguity = self.general_formula(a, b, tol=tol, all_y=all_y)
+        report; raises :class:`FormulaMismatch` if the two formulas disagree.
+        Stacks of a and b broadcast against each other."""
+        general, ambiguity = self.general_formula(a, b, tol=tol)
         simplified = self.simplified_formula(a, b, tol=tol)
-        err = float(np.max(np.abs(general - simplified)))
+        err = float(np.max(np.abs(general - simplified), initial=0.0))
         if err > tol:
             raise FormulaMismatch(f"inner-product formulas disagree by {err:.2e}")
-        return general[self.n_keep], {
+        return general[..., self.n_keep], {
             "formula_agreement_error": err,
             "y_ambiguity": ambiguity,
         }
+
+
+def _module_action(Q: FiniteGroupoid, keep, a, f) -> np.ndarray:
+    """(a . f)(x) = sum over n in N with r(n) = s(x) of a(x n) f(n^-1), for
+    stacks of functions a on Q and f on Q supported in N = ``keep``.  Each
+    product is formed from real and imaginary parts, as a scalar complex
+    product is, where numpy's vectorized complex product may fuse
+    multiply-adds; each sum adds its terms in order of n."""
+    xs, j = _over_fibres(Q.s, Q.r[keep], Q.n_units)
+    u, v = a[..., Q.mult[xs, keep[j]]], f[..., Q.inv[keep[j]]]
+    terms = (u.real * v.real - u.imag * v.imag) + 1j * (u.real * v.imag + u.imag * v.real)
+    out = np.zeros(terms.shape[:-1] + (Q.n_arrows,), dtype=np.complex128)
+    np.add.at(out, (..., xs), terms)
+    return out
 
 
 def verify_bimodule_module_structure(
@@ -1255,73 +1252,54 @@ def verify_bimodule_module_structure(
     - <a b, c> = <b, a* c> (adjointability);
     - Gram matrices [<a_i, a_j>] are positive semidefinite in C*(N);
     - <a b, a b> <= ||a||^2 <b, b> as operators in C*(N).
+
+    Each check draws all its elements first and runs them as one stack.
     """
     rng = rng or np.random.default_rng(0)
-    G = c.group
     evaluator = InnerProductEvaluator(Q, c)
     alg = evaluator.algebra
-    N_keep = evaluator.n_keep
-    N_sub = kernel_subgroupoid(Q, c)
-    alg_n = convolution_algebra(N_sub)
+    keep = evaluator.n_keep
+    alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
+    n, nn = Q.n_arrows, len(keep)
     out = {}
 
-    def rand_fn():
-        return rng.standard_normal(Q.n_arrows) + 1j * rng.standard_normal(Q.n_arrows)
-
     def inner(x, y):
-        val, _ = evaluator(x, y, tol=tol, all_y=False)
-        return val
+        return evaluator(x, y, tol=tol)[0]
 
-    # Module action: a . f = a * f for f supported in N.
-    err = 0.0
-    for _ in range(8):
-        a = rand_fn()
-        f_small = rng.standard_normal(len(N_keep)) + 1j * rng.standard_normal(len(N_keep))
-        f = np.zeros(Q.n_arrows, dtype=np.complex128)
-        f[N_keep] = f_small
-        action = np.zeros(Q.n_arrows, dtype=np.complex128)
-        for x in range(Q.n_arrows):
-            for n in N_keep:
-                if Q.r[n] != Q.s[x]:
-                    continue
-                action[x] += a[int(Q.mult[x, n])] * f[int(Q.inv[n])]
-        err = max(err, float(np.max(np.abs(action - alg.convolve(a, f)))))
+    # Module action: a . f against a * f, for f supported in N.
+    a, f_small = random_functions(rng, 8, n, nn)
+    f = np.zeros((8, n), dtype=np.complex128)
+    f[:, keep] = f_small
+    err = float(np.max(np.abs(_module_action(Q, keep, a, f) - alg.convolve(a, f))))
     out["module_action_error"] = err
     out["module_action_ok"] = err <= tol
 
-    err = 0.0
-    for _ in range(n_random):
-        x, y, z = rand_fn(), rand_fn(), rand_fn()
-        lhs = inner(alg.convolve(x, y), z)
-        rhs = inner(y, alg.convolve(alg.star(x), z))
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
+    x, y, z = random_functions(rng, n_random, n, n, n)
+    lhs = inner(alg.convolve(x, y), z)
+    rhs = inner(y, alg.convolve(alg.star(x), z))
+    err = float(np.max(np.abs(lhs - rhs), initial=0.0))
     out["adjointability_error"] = err
     out["adjointability_ok"] = err <= tol * 10
 
-    worst = 0.0
-    n, nn = alg.groupoid.n_arrows, alg_n.groupoid.n_arrows
-    for _ in range(4):
-        elems = [rand_fn() for _ in range(3)]
-        k = len(elems)
-        # pi(<a_i, a_j>) at row i k + j, moved to block (i, j) of the Gram matrix.
-        vals = alg_n.represent_rows([inner(x, y) for x in elems for y in elems]).toarray()
-        gram = vals.reshape(k, k, nn, nn).transpose(0, 2, 1, 3).reshape(k * nn, k * nn)
-        ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-        worst = min(worst, float(ev[0]))
+    # Four Gram matrices of three elements each: pi(<a_i, a_j>) in block (i, j).
+    elems = random_functions(rng, 12, n)[0].reshape(4, 3, n)
+    vals = alg_n.represent_rows(inner(elems[:, :, None], elems[:, None]).reshape(-1, nn))
+    gram = vals.toarray().reshape(4, 3, 3, nn, nn).transpose(0, 1, 3, 2, 4).reshape(4, 3 * nn, -1)
+    ev = np.linalg.eigvalsh((gram + np.conj(gram.transpose(0, 2, 1))) / 2)
+    worst = min(0.0, float(np.min(ev[:, 0])))
     out["gram_min_eigenvalue"] = worst
     if worst < -tol * 100:
         raise PositivityFailed(f"Gram matrix has negative eigenvalue {worst:.2e}")
     out["gram_psd_ok"] = True
 
-    worst = 0.0
-    for _ in range(8):
-        a, b = rand_fn(), rand_fn()
-        ab = alg.convolve(a, b)
-        norm_a = matalg.operator_norm(alg.represent_rows([a]).reshape(n, n))
-        lhs, rhs = alg_n.represent_rows([inner(ab, ab), inner(b, b)]).toarray().reshape(2, nn, nn)
-        rhs = norm_a**2 * rhs
-        ev = np.linalg.eigvalsh((rhs - lhs + (rhs - lhs).conj().T) / 2)
-        worst = min(worst, float(ev[0]) / max(1.0, norm_a**2))
+    a, b = random_functions(rng, 16, n)[0].reshape(8, 2, n).transpose(1, 0, 2)
+    ab_b = np.stack([alg.convolve(a, b), b], axis=1)
+    norm_a = np.linalg.norm(alg.represent_rows(a).toarray().reshape(8, n, n), 2, axis=(1, 2))
+    lhs, rhs = (alg_n.represent_rows(inner(ab_b, ab_b).reshape(16, nn)).toarray()
+                .reshape(8, 2, nn, nn).transpose(1, 0, 2, 3))
+    gap = norm_a[:, None, None] ** 2 * rhs - lhs
+    ev = np.linalg.eigvalsh((gap + np.conj(gap.transpose(0, 2, 1))) / 2)
+    worst = min(0.0, float(np.min(ev[:, 0] / np.maximum(1.0, norm_a**2))))
     out["boundedness_min_eigenvalue"] = worst
     if worst < -tol * 100:
         raise PositivityFailed(f"||pi(a)|| <= ||a|| bound fails by {worst:.2e}")

@@ -154,6 +154,9 @@ def make_group(table, elements: Sequence[str] | None = None) -> FiniteGroup:
         elements[identity] = "e"
     elif len(elements) != n:
         raise GroupError("element name list does not match table size")
+    dups = [a for i, a in enumerate(elements) if a in elements[:i]]
+    if dups:
+        raise GroupError(f"duplicate element name {dups[0]!r}")
     return FiniteGroup(elements, t, identity)
 
 
@@ -178,18 +181,20 @@ def regular_matrices(G: FiniteGroup) -> tuple[list, list, list]:
     projection onto e_r, for every element, as sparse complex 0/1 lists.
 
     The right-regular convention is chosen so that rho_t chi_r = chi_(r t^-1) rho_t
-    holds on the nose.
+    holds on the nose.  Groups are immutable: the lists are built once and
+    cached on G, and callers must not mutate them.
     """
-    n = G.order
-    ones, cols = np.ones(n, dtype=np.complex128), np.arange(n)
+    if not hasattr(G, "_regular"):
+        n = G.order
+        ones, cols = np.ones(n, dtype=np.complex128), np.arange(n)
 
-    def sends(targets):  # the permutation matrix e_t -> e_(targets[t])
-        return sp.csr_matrix((ones, (targets, cols)), shape=(n, n))
+        def sends(targets):  # the permutation matrix e_t -> e_(targets[t])
+            return sp.csr_matrix((ones, (targets, cols)), shape=(n, n))
 
-    lam = [sends(G.table[s]) for s in G]
-    rho = [sends(G.table[:, G.inv(s)]) for s in G]
-    chi = [sp.csr_matrix((ones[:1], ([r], [r])), shape=(n, n)) for r in G]
-    return lam, rho, chi
+        G._regular = ([sends(G.table[s]) for s in G],
+                      [sends(G.table[:, G.inv(s)]) for s in G],
+                      [sp.csr_matrix((ones[:1], ([r], [r])), shape=(n, n)) for r in G])
+    return G._regular
 
 
 def action_law_failure(G: FiniteGroup, perms) -> tuple[str, tuple] | None:

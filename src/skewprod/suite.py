@@ -303,13 +303,9 @@ def run_groupoid_case(seed: int, index: int = 0, tol: float = 1e-8,
         skew, G, trans, tol=1e-9, n_random=n_random, rng=rng
     )
 
-    evaluator = groupoids.InnerProductEvaluator(Q, c)
-    evaluator_err = 0.0
-    for k in range(n_random):
-        a = rng.standard_normal(Q.n_arrows) + 1j * rng.standard_normal(Q.n_arrows)
-        b = rng.standard_normal(Q.n_arrows) + 1j * rng.standard_normal(Q.n_arrows)
-        _, rep = evaluator(a, b, tol=1e-9, all_y=(k < 3))
-        evaluator_err = max(evaluator_err, rep["formula_agreement_error"])
+    a, b = groupoids.random_functions(rng, n_random, Q.n_arrows, Q.n_arrows)
+    _, rep = groupoids.InnerProductEvaluator(Q, c)(a, b, tol=1e-9)
+    evaluator_err = rep["formula_agreement_error"]
     module_rep = groupoids.verify_bimodule_module_structure(
         Q, c, tol=1e-9, n_random=min(n_random, 40), rng=rng
     )

@@ -17,7 +17,11 @@ on dicts, where ``skewprod`` checks index tables.  Paths are looked up by
 their (source, edge tuple) keys and walked edge by edge, for the path
 degrees, gamma's path permutation and the lift into E x_c G, where
 ``skewprod`` reads the head/tail table of ``CKFamily``.  S3, the non-abelian group
-of the random draws, is built from permutations.  The tests compare the
+of the random draws, is built from permutations.  The groupoid's randomized
+identities (the bimodule's inner products and module action, convolutions,
+the expectation checks) run one draw, one (n, y) pair and one arrow at a
+time, where ``skewprod`` runs stacks of draws and reads the inner product's
+terms from one flat table.  The tests compare the
 batched versions with these on random, gauge-scaled and groupoid inputs and
 on planted defects.
 """
@@ -29,7 +33,15 @@ import scipy.sparse as sp
 
 from skewprod import groups, matalg
 from skewprod.crossed import ActionInvalid
-from skewprod.groupoids import AxiomFailed, GroupoidAction, GroupoidError, make_groupoid
+from skewprod.groupoids import (
+    AxiomFailed,
+    FormulaMismatch,
+    GroupoidAction,
+    GroupoidError,
+    convolution_algebra,
+    kernel_subgroupoid,
+    make_groupoid,
+)
 from skewprod.groups import regular_matrices
 from skewprod.matalg import frobenius
 
@@ -536,3 +548,180 @@ def equivalence_axioms_loop(L, N, rho, sigma, left_table, right_table) -> dict:
                     raise AxiomFailed("sigma does not separate left orbits")
     out["orbit_bijections_ok"] = True
     return out
+
+
+def inner_product_terms_loop(Q, c) -> dict:
+    """The term lists of the general inner-product formula, one H-arrow at a
+    time: for every arrow n of N = c^-1(e) and every y with s(y) = r(n), the
+    pair of arrays (z, z n), z = x^-1 y, over the H-arrows (x, t) with
+    r_H(x, t) = (r(x), c(x) t) equal to rho(y) = (r(y), c(y)), in order of x."""
+    G = c.group
+    h_arrows = []
+    for x in range(Q.n_arrows):
+        seen = {int(c.values[y]) for y in range(Q.n_arrows) if Q.r[y] == Q.s[x]}
+        h_arrows.extend((x, t) for t in sorted(seen))
+    terms = {}
+    for n in np.nonzero(c.values == G.identity_index)[0]:
+        per_y = []
+        for y in np.nonzero(Q.s == Q.r[n])[0]:
+            zs, zns = [], []
+            for x, t in h_arrows:
+                if Q.r[x] == Q.r[y] and G.mul(int(c.values[x]), t) == int(c.values[y]):
+                    z = int(Q.mult[Q.inv[x], y])
+                    zs.append(z)
+                    zns.append(int(Q.mult[z, n]))
+            per_y.append((np.array(zs, dtype=np.int64), np.array(zns, dtype=np.int64)))
+        terms[int(n)] = per_y
+    return terms
+
+
+def convolve_loop(Q, f, g) -> np.ndarray:
+    """(f g)(x) = sum over r(y) = r(x) of f(y) g(y^-1 x), one arrow at a time."""
+    out = np.zeros(Q.n_arrows, dtype=np.complex128)
+    for x in range(Q.n_arrows):
+        for y in range(Q.n_arrows):
+            if Q.r[y] == Q.r[x]:
+                out[x] += f[y] * g[int(Q.mult[Q.inv[y], x])]
+    return out
+
+
+def inner_product_loop(Q, c, terms, a, b, tol: float = 1e-9) -> np.ndarray:
+    """<a, b> on the arrows of N for one pair: the general formula over every
+    y from ``terms`` (see :func:`inner_product_terms_loop`), one sum per
+    (n, y), against sum_t a_t* b_t convolved one arrow at a time.  Raises
+    FormulaMismatch as the evaluator does."""
+    keep = sorted(terms)
+    general = []
+    for n in keep:
+        vals = [complex(np.sum(np.conj(a[zs]) * b[zns])) for zs, zns in terms[n]]
+        if max(abs(v - vals[0]) for v in vals) > tol:
+            raise FormulaMismatch("general inner-product formula depends on the choice of y")
+        general.append(vals[0])
+    general = np.array(general)
+    simplified = np.zeros(Q.n_arrows, dtype=np.complex128)
+    for t in c.group:
+        a_t, b_t = np.where(c.values == t, a, 0), np.where(c.values == t, b, 0)
+        simplified += convolve_loop(Q, np.conj(a_t[Q.inv]), b_t)
+    off = np.delete(simplified, keep)
+    if np.max(np.abs(general - simplified[keep])) > tol or np.any(np.abs(off) > tol):
+        raise FormulaMismatch("inner-product formulas disagree")
+    return general
+
+
+def module_action_loop(Q, keep, a, f) -> np.ndarray:
+    """(a . f)(x) = sum over n in N with r(n) = s(x) of a(x n) f(n^-1), one
+    (x, n) pair at a time; f is a function on Q supported in N = keep."""
+    out = np.zeros(Q.n_arrows, dtype=np.complex128)
+    for x in range(Q.n_arrows):
+        for n in keep:
+            if Q.r[n] == Q.s[x]:
+                out[x] += a[int(Q.mult[x, n])] * f[int(Q.inv[n])]
+    return out
+
+
+def module_structure_loop(Q, c, tol: float = 1e-9, n_random: int = 100, rng=None) -> dict:
+    """``verify_bimodule_module_structure`` one draw at a time, with the same
+    draws, through the loop versions above: the same report, or
+    FormulaMismatch, or the report with ``adjointability_ok`` False."""
+    rng = rng or np.random.default_rng(0)
+    n = Q.n_arrows
+    keep = np.nonzero(c.values == c.group.identity_index)[0]
+    terms = inner_product_terms_loop(Q, c)
+    alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
+    nn = len(keep)
+
+    def rand(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    def conv(f, g):
+        return convolve_loop(Q, f, g)
+
+    def inner(x, y):
+        return inner_product_loop(Q, c, terms, x, y, tol=tol)
+
+    out = {}
+    err = 0.0
+    for _ in range(8):
+        a, f = rand(n), np.zeros(n, dtype=np.complex128)
+        f[keep] = rand(nn)
+        err = max(err, float(np.max(np.abs(module_action_loop(Q, keep, a, f) - conv(a, f)))))
+    out["module_action_error"] = err
+    out["module_action_ok"] = err <= tol
+
+    err = 0.0
+    for _ in range(n_random):
+        x, y, z = rand(n), rand(n), rand(n)
+        lhs, rhs = inner(conv(x, y), z), inner(y, conv(np.conj(x[Q.inv]), z))
+        err = max(err, float(np.max(np.abs(lhs - rhs))))
+    out["adjointability_error"] = err
+    out["adjointability_ok"] = err <= tol * 10
+
+    def matrix(f):
+        return alg_n.represent_rows([f]).toarray().reshape(nn, nn)
+
+    def matrix_q(f):
+        return convolution_algebra(Q).represent_rows([f]).toarray().reshape(n, n)
+
+    worst = 0.0
+    for _ in range(4):
+        elems = [rand(n) for _ in range(3)]
+        gram = np.block([[matrix(inner(x, y)) for y in elems] for x in elems])
+        worst = min(worst, float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0]))
+    out["gram_min_eigenvalue"] = worst
+    out["gram_psd_ok"] = worst >= -tol * 100
+
+    worst = 0.0
+    for _ in range(8):
+        a, b = rand(n), rand(n)
+        ab = conv(a, b)
+        norm_a = np.linalg.norm(matrix_q(a), 2)
+        gap = norm_a**2 * matrix(inner(b, b)) - matrix(inner(ab, ab))
+        ev = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
+        worst = min(worst, float(ev[0]) / max(1.0, norm_a**2))
+    out["boundedness_min_eigenvalue"] = worst
+    out["boundedness_ok"] = worst >= -tol * 100
+    return out
+
+
+def expectation_draws_loop(R, G, action, n_random: int = 100, rng=None) -> dict:
+    """The translation-norm and faithfulness checks of
+    ``expectations_and_norm_identities``, one draw and one group element at
+    a time, with the same draws (those of the crossed-product check are
+    drawn and skipped)."""
+    rng = rng or np.random.default_rng(0)
+    alg = convolution_algebra(R)
+
+    def rand(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    err = 0.0
+    for _ in range(max(8, n_random // 10)):
+        f = rand(R.n_arrows)
+        for s in G:
+            moved = np.zeros_like(f)
+            moved[action.arrow_perm[s]] = f  # beta_s(f)(x) = f(s^-1 . x)
+            err = max(err, abs(alg.unit_sup_norm(moved) - alg.unit_sup_norm(f)))
+    n_semi = R.n_arrows * G.order
+    for _ in range(n_random):
+        rand(n_semi)
+    low = np.inf
+    for _ in range(n_random):
+        f = rand(R.n_arrows)
+        low = min(low, alg.unit_sup_norm(alg.convolve(alg.star(f), f)))
+    return {"translation_norm_error": err, "faithfulness_min_norm": float(low)}
+
+
+def kernel_expectation_loop(Q, c, n_random: int = 100, rng=None) -> float:
+    """``kernel_embedding_check``'s expectation_error, P_N(f) against
+    P_Q(i(f)), one draw at a time."""
+    rng = rng or np.random.default_rng(0)
+    keep = np.nonzero(c.values == c.group.identity_index)[0]
+    alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
+    err = 0.0
+    for _ in range(n_random):
+        f = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+        big = np.zeros(Q.n_arrows, dtype=np.complex128)
+        big[keep] = f
+        err = max(err, float(np.max(np.abs(alg_n.restrict_to_units(f)
+                                           - convolution_algebra(Q).restrict_to_units(big)))))
+    return err

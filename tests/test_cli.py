@@ -149,6 +149,33 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "skew", "-g", fx("e1")],
+    ["verify", "eqvt-iso", "-g", fx("e1")],
+    ["gpd", "skew", "-q", fx("pair-groupoid")],
+    ["verify", "bimodule", "-q", fx("pair-groupoid")],
+], ids=["graph skew", "verify eqvt-iso", "gpd skew", "verify bimodule"])
+def test_exit_code_2_on_duplicate_element_names(capsys, tmp_path, argv):
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"elements": ["e", "g", "g"],
+                               "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    assert cli.main(argv + ["-G", str(dup)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "duplicate element name 'g'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "run"],
+    ["verify", "bimodule", "-q", fx("pair-groupoid"), "-G", fx("z2")],
+])
+def test_exit_code_2_on_negative_case_count(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--cases", "-1"])
+    assert exit_.value.code == 2
+    assert "--cases: must be 0 or more, got -1" in capsys.readouterr().err
+
+
 def test_max_dim_refuses_larger_inputs(capsys):
     # chain2 has 3 paths ending at its sink; with Z3 the crossed product of
     # the skew product acts on 3 * 3**2 = 27 dimensions.

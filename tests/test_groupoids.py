@@ -743,7 +743,8 @@ def _one_element(R, G, semi, base, acp, f):
         pi = acp.pi_tilde_rows(base.represent_rows(phi[s][None, :]))
         u_s = sp.kron(sp.identity(R.n_arrows), lam[s], format="csr")
         out = out + pi.reshape(acp.ambient_dim, acp.ambient_dim).tocsr() @ u_s
-    return out
+    # Canonical index order: a sparse product adds its terms in stored order.
+    return out.sorted_indices()
 
 
 def _semi_cross_loops(R, G, action, rng):

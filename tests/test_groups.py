@@ -58,6 +58,18 @@ def test_non_associative_rejected():
         make_group(table)
 
 
+def test_duplicate_element_names_rejected():
+    with pytest.raises(GroupError, match="duplicate element name 'a'"):
+        make_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]], elements=["e", "a", "a"])
+
+
+def test_regular_matrices_are_built_once_per_group():
+    G = cyclic_group(3)
+    first, second = regular_matrices(G), regular_matrices(G)
+    assert all(a is b for a, b in zip(first, second))
+    assert regular_matrices(cyclic_group(3))[0] is not first[0]
+
+
 def test_order_cap():
     n = groups.MAX_GROUP_ORDER + 1
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n

@@ -53,7 +53,7 @@ def h_arrows_by_names(Q, G, c, skew):
     keep = []
     for k, (x_name, t_name) in enumerate(skew.arrows):
         x = Q.arrow_index(x_name)
-        if any(c.of(y) == G.index(t_name) for y in Q.arrows_with_range(int(Q.s[x]))):
+        if any(c.of(y) == G.index(t_name) for y in np.nonzero(Q.r == Q.s[x])[0]):
             keep.append(k)
     return keep
 
