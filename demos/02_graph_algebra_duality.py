@@ -28,17 +28,15 @@ print("dim C*(E1) =", fam.dim, "=",
       matalg.span_closure(list(fam.s) + list(fam.p)).dim, "(span-closure oracle)")
 
 # The gauge action scales each s_f by a unit-modulus z.
-for z in (1.0, -1.0, 1j, np.exp(2j * np.pi / 7)):
-    assert graphalg.gauge_check(fam, z).passed
+assert graphalg.gauge_check(fam, (1.0, -1.0, 1j, np.exp(2j * np.pi / 7))).passed
 print("gauge automorphisms verified for four sample points")
 
 # ---------------------------------------------------------------------------
 # The coaction delta(s_f) = s_f (x) lam_c(f), delta(p_v) = p_v (x) 1 is
 # machine-verified (coaction identity to 1e-12, injectivity, nondegeneracy).
-rc = graphalg.coaction(fam, Z2, labeling)
+graded = graphalg.coaction(fam, Z2, labeling)
 N = fam.ambient_dim * Z2.order
-print("\ndelta(s_f) =\n", rc.graded.delta(fam.span.gen_rows[:1]).reshape(N, N).toarray().real)
-graded = graphalg.spectral_subspaces(fam, Z2, labeling)
+print("\ndelta(s_f) =\n", graded.delta(fam.span.gen_rows[:1]).reshape(N, N).toarray().real)
 print("spectral subspace dimensions:",
       {Z2.name(t): d for t, d in graded.subspace_dims().items()})
 

@@ -128,9 +128,16 @@ def _count(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return tol
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--cases", type=_count, default=20)
     common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)

@@ -238,7 +238,9 @@ class GradedSpan:
     """A G-grading of an AlgebraSpan: basis element b_i has degree ``degrees[i]``.
 
     The grading is the coaction delta(b_i) = b_i (x) lam_{degrees[i]} inside
-    A (x) M_|G|.  Whether it is multiplicative and *-compatible is checked by
+    A (x) M_|G|, and the one coaction type of both halves:
+    ``graphalg.coaction`` and ``groupoids.graded_convolution`` return one.
+    Whether it is multiplicative and *-compatible is checked by
     ``graphalg.spectral_subspaces`` or by :class:`CoactionCrossedProduct`, and
     whether delta is a coaction by :func:`verify_graded_coaction`.
     """

@@ -31,6 +31,7 @@ from .crossed import (
     ActionCrossedProduct,
     AlgebraAction,
     CoactionCrossedProduct,
+    GradedSpan,
     ck_action_from_graph_action,
 )
 from .graphalg import CKFamily, ck_representation
@@ -165,7 +166,7 @@ class DualityParts:
         return ck_representation(self.graph)
 
     @cached_property
-    def coaction(self) -> graphalg.RepresentedCoaction:
+    def coaction(self) -> GradedSpan:
         return graphalg.coaction(self.fam, self.G, self.labeling)
 
     @cached_property
@@ -250,7 +251,7 @@ def certify_eqvt_iso(
     """Certify C*(E x_c G) = C*(E) x_delta G via s_(f,t) -> (s_f, t)."""
     parts = _parts_for(parts, graph, G, labeling, tol)
     fam, fam_skew = parts.fam, parts.fam_skew
-    ccp = CoactionCrossedProduct(parts.coaction.graded, graded_checked=True)
+    ccp = CoactionCrossedProduct(parts.coaction, graded_checked=True)
     m = ccp.ambient_dim
 
     # Generator images: s_(f,t) -> (s_f, t) = s_f (x) lam_c(f) chi_t, and
@@ -420,7 +421,7 @@ def certify_regular_diagram(
     representation of the crossed product is faithful.
     """
     parts = _parts_for(parts, graph, G, labeling, tol)
-    fam, rc, skew = parts.fam, parts.coaction, parts.skew
+    fam, delta, skew = parts.fam, parts.coaction.delta, parts.skew
     _, rho, chi = regular_matrices(G)
     P, n_g = fam.ambient_dim, fam.span.gen_rows.shape[0]
     ones = matalg.vec_rows([sp.identity(P, format="csr")])
@@ -430,7 +431,7 @@ def certify_regular_diagram(
     # then u_t -> 1 (x) rho_t.
     chi_rows = matalg._kron_rows(ones, matalg.vec_rows(chi), P, G.order)
     prods = sp.vstack([p for _, p in matalg.right_products(
-        rc.graded.delta(fam.span.gen_rows), chi_rows, P * G.order)], format="csr")
+        delta(fam.span.gen_rows), chi_rows, P * G.order)], format="csr")
     f, r = np.divmod(np.arange(skew.n_edges), G.order)
     v, rv = np.divmod(np.arange(skew.n_vertices), G.order)
     picks = np.r_[r * n_g + f, rv * n_g + graph.n_edges + v]

@@ -250,10 +250,9 @@ def ck_representation(graph: DirectedGraph) -> CKFamily:
 
 @dataclass
 class GaugeReport:
-    """The gauge action alpha_z at one z: whether {z s_f, p_v} is again a
-    Cuntz-Krieger family, and whether the length grading passes
-    :func:`_check_path_grading`, which makes alpha_z a *-automorphism."""
-    z: complex
+    """The gauge action alpha_z at the sampled z: whether every {z s_f, p_v}
+    is again a Cuntz-Krieger family, and whether the length grading passes
+    :func:`_check_path_grading`, which makes each alpha_z a *-automorphism."""
     is_ck_family: bool
     graded: bool
 
@@ -268,24 +267,27 @@ def _gauge_degrees(graph: DirectedGraph) -> np.ndarray:
     return np.repeat(np.array([1, 0]), [graph.n_edges, graph.n_vertices])
 
 
-def gauge_check(fam: CKFamily, z: complex, tol: float = 1e-12) -> GaugeReport:
-    """Check that {z s_f, p_v} is again a Cuntz-Krieger family and that
-    s_f -> z s_f, p_v -> p_v induces a *-automorphism of the span.
+def gauge_check(fam: CKFamily, zs, tol: float = 1e-12) -> GaugeReport:
+    """Check, at every z of the sequence ``zs``, that {z s_f, p_v} is again a
+    Cuntz-Krieger family and that s_f -> z s_f, p_v -> p_v induces a
+    *-automorphism of the span.
 
     That map is alpha_z(e_{mu,nu}) = z^(|mu|-|nu|) e_{mu,nu}, the dual of the
     Z-grading by path length (the labeling c = 1 into Z); it is a
     *-automorphism for every z on the circle exactly when that grading
-    passes :func:`_check_path_grading`."""
-    if abs(abs(z) - 1.0) > tol:
-        raise ValueError(f"|z| must be 1, got {abs(z)}")
+    passes :func:`_check_path_grading`, which does not depend on z and so
+    runs once."""
+    for z in zs:
+        if abs(abs(z) - 1.0) > tol:
+            raise ValueError(f"|z| must be 1, got {abs(z)}")
     g = fam.graph
     gen_degrees = _gauge_degrees(g)
-    scaled = sp.diags(z ** gen_degrees).tocsr() @ fam.span.gen_rows
     lengths = fam.length[fam.pairs]
     fail = _check_path_grading(fam, lengths[:, 0] - lengths[:, 1],
                                gen_degrees[:g.n_edges], np.add, np.negative, 0)
-    return GaugeReport(z=z, is_ck_family=_ck_relations_for(g, scaled, fam.ambient_dim) <= tol,
-                       graded=fail is None)
+    is_ck = all(_ck_relations_for(g, sp.diags(z ** gen_degrees).tocsr() @ fam.span.gen_rows,
+                                  fam.ambient_dim) <= tol for z in zs)
+    return GaugeReport(is_ck_family=is_ck, graded=fail is None)
 
 
 def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.ndarray,
@@ -327,35 +329,24 @@ def spectral_subspaces(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> Gra
     return GradedSpan(fam.span, degrees, G)
 
 
-class RepresentedCoaction:
-    """The coaction s_f -> s_f (x) lam_{c(f)}, p_v -> p_v (x) 1, realized in
-    C*(E) (x) M_|G| through the left regular representation."""
+def coaction(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
+    """The coaction s_f -> s_f (x) lam_{c(f)}, p_v -> p_v (x) 1 attached to a
+    labeling, realized in C*(E) (x) M_|G| through the left regular
+    representation as the grading of :func:`spectral_subspaces`.
 
-    def __init__(self, fam: CKFamily, G: FiniteGroup, labeling: Labeling):
-        self.fam = fam
-        self.labeling = labeling
-        self.graded = spectral_subspaces(fam, G, labeling)
-
-    def verify(self, tol: float = 1e-12) -> dict:
-        """The graded delta agrees with the generator formula, and is a
-        coaction by :func:`crossed.verify_graded_coaction`."""
-        fam, G = self.fam, self.graded.group
-        P, m, n_e = fam.ambient_dim, G.order, fam.graph.n_edges
-        gen_rows = fam.span.gen_rows
-        # s_f (x) lam_t at row f |G| + t, picked at t = c(f); then p_v (x) 1.
-        edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(regular_matrices(G)[0]), P, m)
-        vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(
-            [sp.identity(m, format="csr")]), P, m)
-        formula = sp.vstack([edges[np.arange(n_e) * m + self.labeling.by_edge], vertices],
-                            format="csr")
-        err = matalg.max_row_norm(self.graded.delta(gen_rows) - formula)
-        if err > tol:
-            raise CKRelationError(f"delta disagrees with the generator formula ({err})")
-        return {"generator_formula": err, **verify_graded_coaction(self.graded, tol)}
-
-
-def coaction(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> RepresentedCoaction:
-    """Build and machine-verify the coaction attached to a labeling."""
-    rc = RepresentedCoaction(fam, G, labeling)
-    rc.verify()
-    return rc
+    Its delta is checked against that generator formula, raising
+    :class:`CKRelationError`, and is a coaction by
+    :func:`crossed.verify_graded_coaction`; the verified grading is returned."""
+    graded = spectral_subspaces(fam, G, labeling)
+    P, m, n_e = fam.ambient_dim, G.order, fam.graph.n_edges
+    gen_rows = fam.span.gen_rows
+    # s_f (x) lam_t at row f |G| + t, picked at t = c(f); then p_v (x) 1.
+    edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(regular_matrices(G)[0]), P, m)
+    vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(
+        [sp.identity(m, format="csr")]), P, m)
+    formula = sp.vstack([edges[np.arange(n_e) * m + labeling.by_edge], vertices], format="csr")
+    err = matalg.max_row_norm(graded.delta(gen_rows) - formula)
+    if err > 1e-12:
+        raise CKRelationError(f"delta disagrees with the generator formula ({err})")
+    verify_graded_coaction(graded)
+    return graded

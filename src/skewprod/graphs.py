@@ -91,9 +91,6 @@ class DirectedGraph:
     def is_sink(self, vidx: int) -> bool:
         return not self._out[vidx]
 
-    def sinks(self) -> list[int]:
-        return [i for i in range(self.n_vertices) if not self._out[i]]
-
     def find_cycle(self):
         """Return a list of vertex indices forming a cycle, or None."""
         ts = graphlib.TopologicalSorter(

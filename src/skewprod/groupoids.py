@@ -1198,7 +1198,7 @@ class InnerProductEvaluator:
             )
         out = np.zeros(vals.shape[:-1] + (self.groupoid.n_arrows,), dtype=np.complex128)
         out[..., self.n_keep] = first
-        return out, ambiguity
+        return out
 
     def simplified_formula(self, a, b, tol: float = 1e-9):
         alg, degrees = self.algebra, self.cocycle.values
@@ -1214,15 +1214,12 @@ class InnerProductEvaluator:
         """<a, b> as a coefficient function on the arrows of N = c^-1(e), and a
         report; raises :class:`FormulaMismatch` if the two formulas disagree.
         Stacks of a and b broadcast against each other."""
-        general, ambiguity = self.general_formula(a, b, tol=tol)
+        general = self.general_formula(a, b, tol=tol)
         simplified = self.simplified_formula(a, b, tol=tol)
         err = float(np.max(np.abs(general - simplified), initial=0.0))
         if err > tol:
             raise FormulaMismatch(f"inner-product formulas disagree by {err:.2e}")
-        return general[..., self.n_keep], {
-            "formula_agreement_error": err,
-            "y_ambiguity": ambiguity,
-        }
+        return general[..., self.n_keep], {"formula_agreement_error": err}
 
 
 def _module_action(Q: FiniteGroupoid, keep, a, f) -> np.ndarray:

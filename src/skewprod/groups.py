@@ -166,10 +166,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return make_group(table, elements=names)
 
 
-def trivial_group() -> FiniteGroup:
-    return make_group([[0]], elements=["e"])
-
-
 def klein_four_group() -> FiniteGroup:
     # Z2 x Z2 with elements e, a, b, ab.
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
@@ -260,9 +256,3 @@ def make_labeling(graph, assignment: Mapping, G: FiniteGroup) -> Labeling:
     if lab.by_edge.size and (lab.by_edge.min() < 0 or lab.by_edge.max() >= G.order):
         raise GroupError("label out of range")
     return lab
-
-
-def constant_labeling(graph, G: FiniteGroup, value: int | None = None) -> Labeling:
-    if value is None:
-        value = G.identity_index
-    return Labeling(graph, G, [value] * len(graph.edges))

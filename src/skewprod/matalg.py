@@ -121,13 +121,6 @@ def frobenius(mat) -> float:
     return float(np.linalg.norm(mat))
 
 
-def operator_norm(mat) -> float:
-    d = as_dense(mat)
-    if d.size == 0:
-        return 0.0
-    return float(np.linalg.norm(d, 2))
-
-
 def row_norms(rows: sp.spmatrix) -> np.ndarray:
     """Frobenius norm of each row of a sparse stacked vec matrix."""
     sq = np.asarray(rows.multiply(rows.conj()).sum(axis=1)).ravel()
@@ -180,10 +173,6 @@ class AlgebraSpan:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def basis_matrix(self, i: int) -> sp.csr_matrix:
-        n = self.ambient_dim
-        return self.rows.getrow(i).reshape(n, n).tocsr()
-
     def coefficients_rows(self, rows) -> tuple[sp.csr_matrix, float]:
         """Expand stacked vec rows in this basis; return (coeffs, residual).
 
@@ -203,28 +192,6 @@ class AlgebraSpan:
         if len(errs):
             worst = float(np.max(errs / np.maximum(norms, 1.0)))
         return coeffs, worst
-
-    def coefficients(self, mat, tol: float | None = None) -> np.ndarray:
-        coeffs, resid = self.coefficients_rows(vec_rows([mat]))
-        if tol is not None and resid > tol:
-            raise NotInSpan(f"element is not in {self.name} (residual {resid:.2e})")
-        return coeffs.toarray().ravel()
-
-    def contains(self, mat, tol: float = PRODUCT_TOL) -> bool:
-        try:
-            self.coefficients(mat, tol=tol)
-            return True
-        except NotInSpan:
-            return False
-
-    def element(self, coeffs) -> sp.csr_matrix:
-        n = self.ambient_dim
-        row = sp.csr_matrix(np.asarray(coeffs, dtype=np.complex128).reshape(1, -1))
-        return (row @ self.rows).reshape(n, n).tocsr()
-
-    def random_element(self, rng: np.random.Generator) -> sp.csr_matrix:
-        c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return self.element(c)
 
     def __repr__(self) -> str:
         return f"AlgebraSpan({self.name!r}, dim={self.dim}, ambient={self.ambient_dim})"

@@ -176,6 +176,20 @@ def test_exit_code_2_on_negative_case_count(capsys, argv):
     assert "--cases: must be 0 or more, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "eqvt-iso", "-g", fx("e1"), "-G", fx("z2")],
+    ["suite", "run", "--cases", "1", "--kinds", "graph"],
+], ids=["verify eqvt-iso", "suite run"])
+def test_exit_code_2_on_bad_tolerance(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--tol", tol, "--json"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--tol: must be finite and above 0, got {tol}" in captured.err
+    assert captured.out == ""
+
+
 def test_max_dim_refuses_larger_inputs(capsys):
     # chain2 has 3 paths ending at its sink; with Z3 the crossed product of
     # the skew product acts on 3 * 3**2 = 27 dimensions.

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import (
+    basis_matrix,
+    coefficients,
+    constant_labeling,
+    contains,
+    element,
+    operator_norm,
+    random_element,
+    trivial_group,
+)
 
 from skewprod import groups, matalg
 from skewprod.crossed import (
@@ -17,49 +27,49 @@ from skewprod.graphs import DirectedGraph, skew_product, translation_action
 @pytest.fixture
 def e1_setup(e1, z2, e1_z2_labeling):
     fam = ck_representation(e1)
-    rc = coaction(fam, z2, e1_z2_labeling)
+    graded = coaction(fam, z2, e1_z2_labeling)
     skew = skew_product(e1, z2, e1_z2_labeling)
     fam_skew = ck_representation(skew)
-    return fam, rc, skew, fam_skew
+    return fam, graded, skew, fam_skew
 
 
 class TestCoactionCrossedProduct:
     def test_dimension(self, e1_setup, z2):
-        fam, rc, *_ = e1_setup
-        ccp = CoactionCrossedProduct(rc.graded)
+        fam, graded, *_ = e1_setup
+        ccp = CoactionCrossedProduct(graded)
         # dim = (2 + 2) * 2 = 8, confirmed against the span-closure oracle.
         assert ccp.dim == 8
         gens = matalg.unvec_rows(ccp.span.gen_rows, ccp.ambient_dim)
         assert matalg.span_closure(gens).dim == 8
 
     def test_trivial_group(self, e1):
-        G1 = groups.trivial_group()
+        G1 = trivial_group()
         fam = ck_representation(e1)
-        rc = coaction(fam, G1, groups.constant_labeling(e1, G1))
-        ccp = CoactionCrossedProduct(rc.graded)
+        graded = coaction(fam, G1, constant_labeling(e1, G1))
+        ccp = CoactionCrossedProduct(graded)
         assert ccp.dim == fam.dim == 4
 
     def test_spanning_product_display(self, e1_setup, z2):
         # ((s_f), g u) ((s_f*), u) = (s_f s_f*, u): the multiplication rule
         # at matching indices.
-        fam, rc, *_ = e1_setup
-        ccp = CoactionCrossedProduct(rc.graded)
+        fam, graded, *_ = e1_setup
+        ccp = CoactionCrossedProduct(graded)
         k_f = fam.pair(1, 0)       # s_f
         k_fstar = fam.pair(0, 1)   # s_f*
         k_ff = fam.pair(1, 1)      # s_f s_f*
         m = z2.order
         for u in z2:
             gu = z2.mul(1, u)
-            lhs = ccp.span.basis_matrix(k_f * m + gu) @ ccp.span.basis_matrix(k_fstar * m + u)
-            rhs = ccp.span.basis_matrix(k_ff * m + u)
+            lhs = basis_matrix(ccp.span, k_f * m + gu) @ basis_matrix(ccp.span, k_fstar * m + u)
+            rhs = basis_matrix(ccp.span, k_ff * m + u)
             assert matalg.frobenius(lhs - rhs) == 0.0
 
     def test_j_maps(self, e1_setup, z2):
-        fam, rc, *_ = e1_setup
-        ccp = CoactionCrossedProduct(rc.graded)
+        fam, graded, *_ = e1_setup
+        ccp = CoactionCrossedProduct(graded)
         lam, _, chi = groups.regular_matrices(z2)
         # j_A(a) is the represented coaction and j_G resolves the identity.
-        j_a = matalg.unvec_rows(rc.graded.delta(matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
+        j_a = matalg.unvec_rows(graded.delta(matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
         assert matalg.frobenius(j_a[0] - sp.kron(fam.s[0], lam[1])) < 1e-12
         # j_G(chi_u) = 1 (x) chi_u, the last |G| generator rows.
         j_g = matalg.unvec_rows(ccp.span.gen_rows[-z2.order:], ccp.ambient_dim)
@@ -69,15 +79,15 @@ class TestCoactionCrossedProduct:
         ident = sp.identity(ccp.ambient_dim, format="csr", dtype=np.complex128)
         assert matalg.frobenius(total - ident) == 0.0
         for u in z2:
-            assert ccp.span.contains(j_g[u], tol=1e-9)
+            assert contains(ccp.span, j_g[u], tol=1e-9)
 
 
     def test_spanning_check_names_first_failing_right_factor(self, chain2, z3, monkeypatch):
         # 9 basis elements x 3 group elements = 27 right factors, so two chunks;
         # factor 20 = (6, 2) sits in the second, with the same rule checked.
-        rc = coaction(ck_representation(chain2), z3, groups.make_labeling(
+        graded = coaction(ck_representation(chain2), z3, groups.make_labeling(
             chain2, {"e1": "g", "e2": "g"}, z3))
-        assert CoactionCrossedProduct(rc.graded).pair_check_exhaustive
+        assert CoactionCrossedProduct(graded).pair_check_exhaustive
         original = matalg.right_products
 
         def planted(rows, factors, n):
@@ -91,17 +101,17 @@ class TestCoactionCrossedProduct:
 
         monkeypatch.setattr(matalg, "right_products", planted)
         with pytest.raises(ActionInvalid, match=r"against right factor \(6,2\)$"):
-            CoactionCrossedProduct(rc.graded)
+            CoactionCrossedProduct(graded)
 
 
 class TestDualAction:
     def test_swaps_and_involution(self, e1_setup, z2):
-        fam, rc, *_ = e1_setup
-        ccp = CoactionCrossedProduct(rc.graded)
+        fam, graded, *_ = e1_setup
+        ccp = CoactionCrossedProduct(graded)
         dual = ccp.dual_action()
         m = z2.order
         # delta^_g swaps (p_v, e) <-> (p_v, g) for every basis element.
-        pv_coeffs = fam.span.coefficients(fam.p[0])
+        pv_coeffs = coefficients(fam.span, fam.p[0])
         i = int(np.nonzero(np.abs(pv_coeffs) > 0)[0][0])
         row = dual.coeff_mats[1].getrow(i * m + 0).toarray().ravel()
         assert row[i * m + 1] == 1.0
@@ -113,8 +123,8 @@ class TestDualAction:
     def test_order_divides_group_order(self, chain2, z3, rng):
         lab = groups.Labeling(chain2, z3, rng.integers(0, 3, 2))
         fam = ck_representation(chain2)
-        rc = coaction(fam, z3, lab)
-        ccp = CoactionCrossedProduct(rc.graded)
+        graded = coaction(fam, z3, lab)
+        ccp = CoactionCrossedProduct(graded)
         dual = ccp.dual_action()
         eye = sp.identity(ccp.dim, format="csr", dtype=np.complex128)
         power = dual.coeff_mats[1] @ dual.coeff_mats[1] @ dual.coeff_mats[1]
@@ -123,9 +133,9 @@ class TestDualAction:
     def test_wrong_permutation_fails_the_spanning_set_check(self, chain2, z3, monkeypatch):
         # 1 (x) rho_(s^-1) in place of 1 (x) rho_s: on Z3 still an action that
         # preserves the crossed product, but it sends (a_t, u) to (a_t, u s).
-        rc = coaction(ck_representation(chain2), z3, groups.make_labeling(
+        graded = coaction(ck_representation(chain2), z3, groups.make_labeling(
             chain2, {"e1": "g", "e2": "g"}, z3))
-        ccp = CoactionCrossedProduct(rc.graded)
+        ccp = CoactionCrossedProduct(graded)
         ccp.dual_action()
         original = AlgebraAction.from_permutations.__func__
 
@@ -145,8 +155,8 @@ class TestAlgebraAction:
         # gamma_g(s_(f,e)) = s_(f, e g^-1) = s_(f, g): Equation-level check.
         e_idx = skew.edge_index(("f", "e"))
         g_idx = skew.edge_index(("f", "g"))
-        coeffs = fam_skew.span.coefficients(fam_skew.s[e_idx]) @ act.coeff_mats[1]
-        img = fam_skew.span.element(coeffs)
+        coeffs = coefficients(fam_skew.span, fam_skew.s[e_idx]) @ act.coeff_mats[1]
+        img = element(fam_skew.span, coeffs)
         assert matalg.frobenius(img - fam_skew.s[g_idx]) == 0.0
 
     @pytest.mark.parametrize("kind", ["edge", "vertex"])
@@ -213,7 +223,7 @@ class TestActionCrossedProduct:
         assert matalg.wedderburn_signature(acp.span) == (4,)
 
     def test_trivial_group(self, e1):
-        G1 = groups.trivial_group()
+        G1 = trivial_group()
         fam = ck_representation(e1)
         eye = sp.identity(fam.dim, format="csr", dtype=np.complex128)
         act = AlgebraAction(fam.span, G1, [eye])
@@ -269,11 +279,11 @@ class TestConditionalExpectation:
         return ActionCrossedProduct(fam_skew.span, z2, act)
 
     def test_identity_coefficient(self, acp, rng):
-        a = acp.base.random_element(rng)
+        a = random_element(acp.base, rng)
         assert matalg.frobenius(expectation(acp, pi_tilde(acp, a)) - a) < 1e-9
 
     def test_kills_nontrivial_coefficients(self, acp, rng):
-        a = acp.base.random_element(rng)
+        a = random_element(acp.base, rng)
         x = pi_tilde(acp, a) @ u_mat(acp, 1)
         assert matalg.frobenius(expectation(acp, x)) < 1e-9
 
@@ -286,15 +296,15 @@ class TestConditionalExpectation:
         # P(x* x) has positive norm for 100 random nonzero x.
         low = np.inf
         for _ in range(100):
-            x = acp.span.random_element(rng)
+            x = random_element(acp.span, rng)
             p = expectation(acp, (x.conj().T @ x).tocsr(), tol=1e-6)
-            low = min(low, matalg.operator_norm(p))
+            low = min(low, operator_norm(p))
         assert low > 1e-6
 
     def test_idempotent_and_contractive(self, acp, rng):
         for _ in range(10):
-            x = acp.span.random_element(rng)
+            x = random_element(acp.span, rng)
             p = expectation(acp, x)
             again = expectation(acp, pi_tilde(acp, p))
             assert matalg.frobenius(again - p) < 1e-9
-            assert matalg.operator_norm(p) <= matalg.operator_norm(x) + 1e-9
+            assert operator_norm(p) <= operator_norm(x) + 1e-9

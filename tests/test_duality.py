@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import coefficients, constant_labeling, element, trivial_group
 
 from skewprod import duality, graphalg, graphs, groups, matalg
 from skewprod.crossed import CoactionCrossedProduct
@@ -24,8 +25,8 @@ class TestEqvtIso:
         assert cert.star_report.bijective
 
     def test_trivial_group(self, e1):
-        G1 = groups.trivial_group()
-        cert = certify_eqvt_iso(e1, G1, groups.constant_labeling(e1, G1))
+        G1 = trivial_group()
+        cert = certify_eqvt_iso(e1, G1, constant_labeling(e1, G1))
         assert cert.passed
         assert cert.lhs_dim == cert.rhs_dim == 4
 
@@ -50,8 +51,8 @@ class TestDirectIso:
         assert cert.extra["composition_ok"]
 
     def test_trivial_group(self, e1):
-        G1 = groups.trivial_group()
-        cert = certify_direct_iso(e1, G1, groups.constant_labeling(e1, G1))
+        G1 = trivial_group()
+        cert = certify_direct_iso(e1, G1, constant_labeling(e1, G1))
         assert cert.passed and cert.lhs_dim == 4
 
     def test_initial_projection_display(self, e1, z2, e1_z2_labeling):
@@ -86,7 +87,7 @@ class TestRegularDiagram:
         fam = ck_representation(e1)
         from skewprod.graphalg import coaction
 
-        rc = coaction(fam, z2, e1_z2_labeling)
+        graded = coaction(fam, z2, e1_z2_labeling)
         chi = regular_matrices(z2)[2][1]
         eye = sp.identity(2, format="csr", dtype=np.complex128)
         delta_p = sp.kron(fam.p[0], eye, format="csr")
@@ -95,14 +96,14 @@ class TestRegularDiagram:
         assert matalg.frobenius(route_a - route_b) == 0.0
 
     def test_trivial_group(self, e1):
-        G1 = groups.trivial_group()
-        cert = certify_regular_diagram(e1, G1, groups.constant_labeling(e1, G1))
+        G1 = trivial_group()
+        cert = certify_regular_diagram(e1, G1, constant_labeling(e1, G1))
         assert cert.passed
 
 
 class TestDualityParts:
     def test_rejects_parts_of_another_instance(self, e1, z2, e1_z2_labeling):
-        parts = duality.DualityParts(e1, z2, groups.constant_labeling(e1, z2))
+        parts = duality.DualityParts(e1, z2, constant_labeling(e1, z2))
         for certify in (certify_eqvt_iso, certify_direct_iso, certify_regular_diagram):
             with pytest.raises(ValueError, match="different"):
                 certify(e1, z2, e1_z2_labeling, parts=parts)
@@ -134,7 +135,7 @@ class TestDualityParts:
 
     def test_generator_rows_in_the_order_duality_slices(self, e1, z2, e1_z2_labeling):
         parts = duality.DualityParts(e1, z2, e1_z2_labeling)
-        fam, fam_skew, skew, rc = parts.fam, parts.fam_skew, parts.skew, parts.coaction
+        fam, fam_skew, skew, graded = parts.fam, parts.fam_skew, parts.skew, parts.coaction
         lam, _, chi = regular_matrices(z2)
         eye_p, eye_skew = (sp.identity(n, format="csr") for n in (fam.ambient_dim,
                                                                    fam_skew.ambient_dim))
@@ -148,14 +149,14 @@ class TestDualityParts:
         # C*(E x_c G) x_gamma G: pi~(s_e), pi~(p_v), then u_t, with
         # pi~(a) = sum_t gamma_(t^-1)(a) (x) chi_t and u_t = 1 (x) lam_t.
         def pi_tilde(a):
-            coeffs = fam_skew.span.coefficients(a)
-            return sum(sp.kron(fam_skew.span.element(coeffs @ parts.gamma.coeff_mats[
+            coeffs = coefficients(fam_skew.span, a)
+            return sum(sp.kron(element(fam_skew.span, coeffs @ parts.gamma.coeff_mats[
                 z2.inv(t)]), chi[t], format="csr") for t in z2)
 
         assert_rows(parts.acp.span, [pi_tilde(g) for g in fam_skew.s + fam_skew.p]
                     + [sp.kron(eye_skew, lam[t]) for t in z2])
         # C*(E) x_delta G: delta(s_e), delta(p_v), then j_G(chi_u) = 1 (x) chi_u.
-        ccp = CoactionCrossedProduct(rc.graded)
+        ccp = CoactionCrossedProduct(graded)
         lab = parts.labeling
         assert_rows(ccp.span, [sp.kron(fam.s[e], lam[lab.of(e)]) for e in range(e1.n_edges)]
                     + [sp.kron(fam.p[v], np.eye(2)) for v in range(e1.n_vertices)]
@@ -190,7 +191,7 @@ class TestFreeAction:
         assert cert.signatures["lhs"] == cert.signatures["rhs"] == (4,)
 
     def test_trivial_group_on_e1(self, e1):
-        G1 = groups.trivial_group()
+        G1 = trivial_group()
         act = graphs.GraphAction(
             e1, G1, np.arange(2).reshape(1, 2), np.arange(1).reshape(1, 1)
         )

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import basis_matrix
 
 from skewprod import crossed, duality, groups, matalg
 from skewprod.crossed import (
@@ -37,7 +38,7 @@ def test_rho_in_place_of_lam_fails_coaction_identity(e1_z3, z3):
     rho = groups.regular_matrices(z3)[1]
     graded.delta_rows = matalg.vec_rows(
         [
-            sp.kron(graded.span.basis_matrix(k), rho[int(t)])
+            sp.kron(basis_matrix(graded.span, k), rho[int(t)])
             for k, t in enumerate(graded.degrees)
         ]
     )

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import check_star_map
+from oracles import basis_matrix, check_star_map, constant_labeling, trivial_group
 
-from skewprod import graphalg, groups, matalg
+from skewprod import graphalg, groups, matalg, suite
+from skewprod.crossed import verify_graded_coaction
 from skewprod.graphalg import (
     ck_representation,
     coaction,
@@ -111,12 +112,12 @@ def brute_force_sink_paths_from(graph, start):
 class TestGauge:
     def test_identity(self, e1):
         fam = ck_representation(e1)
-        rep = gauge_check(fam, 1.0)
+        rep = gauge_check(fam, [1.0])
         assert rep.passed
 
     def test_minus_one_on_e1(self, e1):
         fam = ck_representation(e1)
-        rep = gauge_check(fam, -1.0)
+        rep = gauge_check(fam, [-1.0])
         assert rep.passed and rep.is_ck_family
         # alpha_{-1} fixes p_v and p_w and negates s_f: the scaled family
         # satisfies the relations directly.
@@ -127,29 +128,43 @@ class TestGauge:
     @pytest.mark.parametrize("z", [1j, np.exp(2j * np.pi / 7)])
     def test_unit_circle_samples(self, chain2, z):
         fam = ck_representation(chain2)
-        rep = gauge_check(fam, z)
+        rep = gauge_check(fam, [z])
         assert rep.passed
 
     def test_rejects_non_unit_modulus(self, e1):
         fam = ck_representation(e1)
         with pytest.raises(ValueError):
-            gauge_check(fam, 2.0)
+            gauge_check(fam, [2.0])
 
     def test_cross_check_against_pair_closure(self, e1):
         fam = ck_representation(e1)
         gens = list(fam.s) + list(fam.p)
         imgs = [(-1) * fam.s[0], fam.p[0], fam.p[1]]
         general = check_star_map(gens, imgs, target=fam.span)
-        assert general.passed == gauge_check(fam, -1.0).passed is True
+        assert general.passed == gauge_check(fam, [-1.0]).passed is True
+
+    def test_grades_once_for_all_samples(self, chain2, monkeypatch):
+        # The length grading does not depend on z; the relations do.
+        fam = ck_representation(chain2)
+        calls = {"_check_path_grading": 0, "_ck_relations_for": 0}
+        for name in calls:
+            def counted(*args, original=getattr(graphalg, name), name=name):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(graphalg, name, counted)
+        assert gauge_check(fam, suite.GAUGE_SAMPLES).passed
+        assert calls == {"_check_path_grading": 1, "_ck_relations_for": len(suite.GAUGE_SAMPLES)}
+        with pytest.raises(ValueError):
+            gauge_check(fam, suite.GAUGE_SAMPLES + (2.0,))
 
 
 class TestCoaction:
     def test_e1_z2_displayed_matrix(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
-        rc = coaction(fam, z2, e1_z2_labeling)
+        graded = coaction(fam, z2, e1_z2_labeling)
         # delta(s_f) = s_f (x) lam_g, a 4x4 matrix; delta(p_v) = p_v (x) 1.
         lam_g = np.array([[0, 1], [1, 0]])
-        deltas = rc.graded.delta(fam.span.gen_rows).toarray().real.reshape(-1, 4, 4)
+        deltas = graded.delta(fam.span.gen_rows).toarray().real.reshape(-1, 4, 4)
         assert np.array_equal(
             deltas[0], sp.kron(fam.s[0].toarray().real, lam_g).toarray()
         )
@@ -159,30 +174,29 @@ class TestCoaction:
         )
 
     def test_trivial_group(self, e1):
-        G1 = groups.trivial_group()
+        G1 = trivial_group()
         fam = ck_representation(e1)
-        rc = coaction(fam, G1, groups.constant_labeling(e1, G1))
-        deltas = matalg.unvec_rows(rc.graded.delta(fam.span.gen_rows), fam.ambient_dim)
+        graded = coaction(fam, G1, constant_labeling(e1, G1))
+        deltas = matalg.unvec_rows(graded.delta(fam.span.gen_rows), fam.ambient_dim)
         for e in range(e1.n_edges):
             assert matalg.frobenius(deltas[e] - sp.kron(fam.s[e], np.eye(1))) == 0.0
 
     def test_verification_tolerance(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
-        rc = graphalg.RepresentedCoaction(fam, z2, e1_z2_labeling)
-        errs = rc.verify(tol=1e-12)
+        errs = verify_graded_coaction(spectral_subspaces(fam, z2, e1_z2_labeling), tol=1e-12)
         assert errs["coaction_identity"] <= 1e-12
         assert errs["injective"]
 
     def test_degree_revealing(self, chain2, z3, rng):
         lab = groups.Labeling(chain2, z3, rng.integers(0, 3, 2))
         fam = ck_representation(chain2)
-        rc = coaction(fam, z3, lab)
+        graded = coaction(fam, z3, lab)
         lam = groups.regular_matrices(z3)[0]
-        deltas = matalg.unvec_rows(rc.graded.delta(fam.span.rows), fam.ambient_dim * z3.order)
+        deltas = matalg.unvec_rows(graded.delta(fam.span.rows), fam.ambient_dim * z3.order)
         for k in range(fam.dim):
-            t = int(rc.graded.degrees[k])
+            t = int(graded.degrees[k])
             lhs = deltas[k]
-            rhs = sp.kron(fam.span.basis_matrix(k), lam[t], format="csr")
+            rhs = sp.kron(basis_matrix(fam.span, k), lam[t], format="csr")
             assert matalg.frobenius(lhs - rhs) == 0.0
 
 
@@ -194,7 +208,7 @@ class TestSpectralSubspaces:
 
     def test_trivial_labeling_all_degree_e(self, chain2, z2):
         fam = ck_representation(chain2)
-        gb = spectral_subspaces(fam, z2, groups.constant_labeling(chain2, z2))
+        gb = spectral_subspaces(fam, z2, constant_labeling(chain2, z2))
         assert gb.subspace_dims() == {0: fam.dim, 1: 0}
 
     def test_degrees_multiply_to_e(self, e1, z2, e1_z2_labeling):

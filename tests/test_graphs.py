@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import constant_labeling, trivial_group
 
 from skewprod import graphs, groups
 from skewprod.graphs import (
@@ -46,14 +47,14 @@ def test_skew_product_formulas(e1, z2, e1_z2_labeling):
 
 
 def test_skew_product_trivial_group_isomorphic(e1):
-    G1 = groups.trivial_group()
-    lab = groups.constant_labeling(e1, G1)
+    G1 = trivial_group()
+    lab = constant_labeling(e1, G1)
     skew = skew_product(e1, G1, lab)
     assert find_graph_isomorphism(skew, e1) is not None
 
 
 def test_skew_product_constant_labeling_disjoint_copies(e1, z2):
-    lab = groups.constant_labeling(e1, z2)
+    lab = constant_labeling(e1, z2)
     skew = skew_product(e1, z2, lab)
     two_copies = DirectedGraph(
         ["v0", "w0", "v1", "w1"], [("f0", "v0", "w0"), ("f1", "v1", "w1")]
@@ -125,8 +126,8 @@ def test_gross_tucker_round_trip(e1, z2, e1_z2_labeling):
 
 
 def test_gross_tucker_trivial_group(e1):
-    G1 = groups.trivial_group()
-    lab = groups.constant_labeling(e1, G1)
+    G1 = trivial_group()
+    lab = constant_labeling(e1, G1)
     skew = skew_product(e1, G1, lab)
     act = translation_action(skew, G1)
     quotient, labeling, iso = quotient_and_gross_tucker(skew, act)
@@ -232,8 +233,8 @@ def test_convention_iso_pullback_example(e1, z2, e1_z2_labeling):
 
 
 def test_convention_iso_trivial_group(e1):
-    G1 = groups.trivial_group()
-    lab = groups.constant_labeling(e1, G1)
+    G1 = trivial_group()
+    lab = constant_labeling(e1, G1)
     other, iso = convention_iso(e1, G1, lab, "range-twisted")
     assert iso.vertex(("v", "e")) == ("v", "e")
 

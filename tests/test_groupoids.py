@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import equivalence_axioms_loop, symmetric_group_3
+from oracles import basis_matrix, equivalence_axioms_loop, symmetric_group_3, trivial_group
 
 from skewprod import groupoids as gpd
 from skewprod import groups, matalg, suite
@@ -212,7 +212,7 @@ class TestSkewProductGroupoid:
 
 class TestSemidirect:
     def test_trivial_group_is_identity(self, pair2):
-        G1 = groups.trivial_group()
+        G1 = trivial_group()
         act = gpd.GroupoidAction(pair2, G1, np.arange(4).reshape(1, 4))
         semi = semidirect_product(pair2, G1, act)
         assert semi.n_arrows == pair2.n_arrows
@@ -256,7 +256,7 @@ class TestCertifySemiCross:
         assert cert.lhs_dim == cert.rhs_dim == 4
 
     def test_trivial_group(self, pair2):
-        G1 = groups.trivial_group()
+        G1 = trivial_group()
         act = gpd.GroupoidAction(pair2, G1, np.arange(4).reshape(1, 4))
         cert = certify_semi_cross(pair2, G1, act)
         assert cert.passed
@@ -280,6 +280,15 @@ class TestCertifyGpdIso:
         c = Cocycle(pair2, Z2, [0, 0, 0, 0])
         cert = certify_gpd_iso(pair2, Z2, c)
         assert cert.passed
+
+    def test_random_draws_into_s3(self):
+        # Over a non-abelian G the dual action's u s^-1 differs from s^-1 u.
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            Q = suite.random_groupoid(rng)
+            cert = certify_gpd_iso(Q, S3, suite.random_cocycle(rng, Q, S3))
+            assert cert.passed
+            assert cert.equivariance_error == 0.0
 
     def test_coaction_checks(self, pair2, pair2_cocycle):
         alg = convolution_algebra(pair2)
@@ -757,7 +766,7 @@ def _semi_cross_loops(R, G, action, rng):
             perm[semi.arrow_index((a, G.name(t)))] = i * G.order + t
 
     def rule(span, l):
-        g = span.basis_matrix(l).toarray()
+        g = basis_matrix(span, l).toarray()
         basis = matalg.unvec_rows(span.rows, span.ambient_dim)
         prods = matalg.vec_rows([b.toarray() @ g for b in basis])
         coeffs, _ = span.coefficients_rows(prods)

@@ -88,7 +88,7 @@ def test_permutation_actions_equal_unitary_conjugation():
     for _ in range(8):
         parts = duality.DualityParts(*suite.random_graph_instance(rng))
         _assert_same_action(parts.gamma, path_unitaries(parts.fam_skew, parts.gact))
-        ccp = CoactionCrossedProduct(parts.coaction.graded)
+        ccp = CoactionCrossedProduct(parts.coaction)
         _assert_same_action(ccp.dual_action(), dual_unitaries(ccp))
     for _ in range(6):
         Q = suite.random_groupoid(rng, max_units=4, max_arrows=12)
@@ -171,7 +171,7 @@ def test_gauge_check_equals_its_star_map_oracle(monkeypatch):
             if plant is not None:
                 degrees[plant] += 1
             monkeypatch.setattr(graphalg, "_gauge_degrees", lambda graph, d=degrees: d)
-            report = gauge_check(fam, z)
+            report = gauge_check(fam, [z])
             assert report.passed == gauge_star_map(fam, z, degrees) == (plant is None)
             if plant is not None and plant < E.n_edges:
                 assert report.is_ck_family and not report.graded

@@ -15,12 +15,13 @@ from oracles import (
     path_permutation_loop,
     skew_lift_loop,
     symmetric_group_3,
+    trivial_group,
 )
 
 from skewprod import duality, suite
 from skewprod.graphalg import CKFamily, ck_representation, spectral_subspaces
 from skewprod.graphs import DirectedGraph, GraphError, skew_product
-from skewprod.groups import Labeling, action_law_failure, cyclic_group, trivial_group
+from skewprod.groups import Labeling, action_law_failure, cyclic_group
 
 S3 = symmetric_group_3()
 
