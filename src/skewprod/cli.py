@@ -138,7 +138,7 @@ def _tolerance(text: str) -> float:
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_count, default=0)
     common.add_argument("--cases", type=_count, default=20)
     common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     common.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -474,7 +474,6 @@ def certify_free_action(
     """
     G = action.group
     quotient, labeling, iso = quotient_and_gross_tucker(graph, action)
-    skew = iso.b
 
     fam_f = ck_representation(graph)
     beta = ck_action_from_graph_action(fam_f, action)
@@ -489,11 +488,11 @@ def certify_free_action(
         raise CertificationFailed("inner direct isomorphism failed", witness=inner)
 
     # Transport: relabel F-paths as skew paths through the graph isomorphism,
-    # and the basis (e_{mu,nu}, s) of acp_f as (e_{iso mu, iso nu}, s).
+    # and the basis (e_{mu,nu}, s) of acp_f as (e_{iso mu, iso nu}, s).  The
+    # isomorphism's codomain and fam_skew's graph are both skew_product(
+    # quotient, G, labeling), so iso's index maps index fam_skew's cells.
     n_se, n_sv, m = fam_skew.graph.n_edges, fam_skew.graph.n_vertices, G.order
-    edge_map = np.array([fam_skew.graph.edge_index(iso.edge(e.id)) for e in graph.edges], dtype=int)
-    vertex_map = np.array([fam_skew.graph.vertex_index(iso.vertex(v)) for v in graph.vertices])
-    path_map = fam_f.map_paths(edge_map, vertex_map, target=fam_skew)
+    path_map = fam_f.map_paths(iso.emap, iso.vmap, target=fam_skew)
     pair_map = fam_skew.pair(path_map[fam_f.pairs[:, 0]], path_map[fam_f.pairs[:, 1]])
     basis_map = (pair_map[:, None] * m + np.arange(m)).ravel()
 
@@ -501,7 +500,7 @@ def certify_free_action(
     # certificate: the generators of acp_f are pi~(s_e), pi~(p_v), u_t, and
     # those of the inner crossed product pi~(s_(f,r)), pi~(p_(v,r)), u_t.
     image_rows = parts.theta_rows[basis_map]
-    gen_map = np.r_[edge_map, n_se + vertex_map, n_se + n_sv + np.arange(m)]
+    gen_map = np.r_[iso.emap, n_se + iso.vmap, n_se + n_sv + np.arange(m)]
 
     report = matalg.star_map_on_basis(
         acp_f.span, image_rows, target.ambient_dim, acp_f.span.gen_rows,

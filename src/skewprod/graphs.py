@@ -340,43 +340,44 @@ def translation_action(skew: DirectedGraph, G: FiniteGroup) -> GraphAction:
 
 
 class GraphIso:
-    """A pair of bijections between two graphs intertwining source and range."""
+    """A pair of bijections between two graphs intertwining source and range:
+    vertex i of ``a`` goes to vertex vmap[i] of ``b``, and edge i to edge
+    emap[i].  The name views ``vertex``, ``edge``, ``vertex_map`` and
+    ``edge_map`` are for display and JSON."""
 
-    def __init__(self, a: DirectedGraph, b: DirectedGraph, vertex_map: dict, edge_map: dict):
+    def __init__(self, a: DirectedGraph, b: DirectedGraph, vmap, emap):
         self.a = a
         self.b = b
-        self.vertex_map = dict(vertex_map)
-        self.edge_map = dict(edge_map)
+        self.vmap = np.asarray(vmap, dtype=np.int64)
+        self.emap = np.asarray(emap, dtype=np.int64)
         self.verify()
 
     def verify(self):
         a, b = self.a, self.b
-        if sorted(map(repr, self.vertex_map.keys())) != sorted(map(repr, a.vertices)):
-            raise GraphError("vertex map is not total on the domain")
-        if sorted(map(repr, self.vertex_map.values())) != sorted(map(repr, b.vertices)):
-            raise GraphError("vertex map is not a bijection onto the codomain")
-        if sorted(map(repr, self.edge_map.keys())) != sorted(repr(e.id) for e in a.edges):
-            raise GraphError("edge map is not total on the domain edges")
-        if sorted(map(repr, self.edge_map.values())) != sorted(repr(e.id) for e in b.edges):
-            raise GraphError("edge map is not a bijection onto the codomain edges")
-        for e in a.edges:
-            img = b.edges[b.edge_index(self.edge_map[e.id])]
-            if img.src != self.vertex_map[e.src] or img.rng != self.vertex_map[e.rng]:
-                raise GraphError(f"edge {e.id!r} does not intertwine s and r")
+        for cells, to, n_a, n_b in (("vertex", self.vmap, a.n_vertices, b.n_vertices),
+                                    ("edge", self.emap, a.n_edges, b.n_edges)):
+            if to.shape != (n_a,) or not np.array_equal(np.sort(to), np.arange(n_b)):
+                raise GraphError(f"{cells} map is not a bijection onto the codomain")
+        bad = (b.src[self.emap] != self.vmap[a.src]) | (b.rng[self.emap] != self.vmap[a.rng])
+        if np.any(bad):
+            raise GraphError(f"edge {a.edges[np.argmax(bad)].id!r} does not intertwine s and r")
 
     def vertex(self, v):
-        return self.vertex_map[v]
+        return self.b.vertices[self.vmap[self.a.vertex_index(v)]]
 
     def edge(self, eid):
-        return self.edge_map[eid]
+        return self.b.edges[self.emap[self.a.edge_index(eid)]].id
+
+    @property
+    def vertex_map(self) -> dict:
+        return {v: self.b.vertices[w] for v, w in zip(self.a.vertices, self.vmap)}
+
+    @property
+    def edge_map(self) -> dict:
+        return {e.id: self.b.edges[f].id for e, f in zip(self.a.edges, self.emap)}
 
     def inverse(self) -> "GraphIso":
-        return GraphIso(
-            self.b,
-            self.a,
-            {w: v for v, w in self.vertex_map.items()},
-            {fid: eid for eid, fid in self.edge_map.items()},
-        )
+        return GraphIso(self.b, self.a, np.argsort(self.vmap), np.argsort(self.emap))
 
 
 def quotient_and_gross_tucker(
@@ -392,67 +393,47 @@ def quotient_and_gross_tucker(
     fixed = _fixed_cell(action)
     if fixed:
         raise ActionNotFree(fixed)
-    G = action.group
+    G, m = action.group, action.group.order
+    inverse = np.array([G.inv(t) for t in G])
 
-    def orbit_data(perm_rows, count):
+    def orbit_data(perm_rows):
         # rep[i]: least-index orbit representative; shift[i]: the unique t
-        # with i = t.rep[i] (unique because the action is free).
+        # with i = t.rep[i] (unique because the action is free); orbit[i]:
+        # the place of rep[i] among the representatives.
         rep = perm_rows.min(axis=0)
-        shift = np.empty(count, dtype=np.int64)
-        t, i = np.nonzero(perm_rows[:, rep] == np.arange(count))
+        shift = np.empty(len(rep), dtype=np.int64)
+        t, i = np.nonzero(perm_rows[:, rep] == np.arange(len(rep)))
         shift[i] = t
-        return rep, shift
+        reps = np.unique(rep)
+        return reps, shift, np.searchsorted(reps, rep)
 
-    vrep, vshift = orbit_data(action.vperm, graph.n_vertices)
-    erep, eshift = orbit_data(action.eperm, graph.n_edges)
-
-    vreps = sorted(set(int(r) for r in vrep))
-    ereps = sorted(set(int(r) for r in erep))
-    qvertex_of = {r: ("orbit", graph.vertices[r]) for r in vreps}
-    qedges = []
-    labels = []
-    for r in ereps:
-        e = graph.edges[r]
-        src_rep = int(vrep[graph.src[r]])
-        rng_rep = int(vrep[graph.rng[r]])
-        qedges.append(
-            Edge(("orbit", e.id), qvertex_of[src_rep], qvertex_of[rng_rep])
-        )
-        # s(rep edge) = sigma . (source rep vertex); r(rep edge) = rho . (range rep)
-        sigma = int(vshift[graph.src[r]])
-        rho = int(vshift[graph.rng[r]])
-        labels.append(G.mul(G.inv(sigma), rho))
-    quotient = DirectedGraph([qvertex_of[r] for r in vreps], qedges)
-    labeling = Labeling(quotient, G, labels)
+    vreps, vshift, vorbit = orbit_data(action.vperm)
+    ereps, eshift, eorbit = orbit_data(action.eperm)
+    # s(rep edge) = sigma . (source rep vertex); r(rep edge) = rho . (range rep).
+    sigma, rho = vshift[graph.src], vshift[graph.rng]
+    qvertices = [("orbit", graph.vertices[r]) for r in vreps]
+    quotient = DirectedGraph(qvertices, [
+        Edge(("orbit", graph.edges[r].id), qvertices[vorbit[graph.src[r]]],
+             qvertices[vorbit[graph.rng[r]]]) for r in ereps])
+    labeling = Labeling(quotient, G, G.table[inverse[sigma[ereps]], rho[ereps]])
     skew = skew_product(quotient, G, labeling)
 
-    vertex_map = {}
-    for i, v in enumerate(graph.vertices):
-        t = int(vshift[i])  # v = t . rep
-        vertex_map[v] = (qvertex_of[int(vrep[i])], G.name(G.inv(t)))
-    edge_map = {}
-    for i, e in enumerate(graph.edges):
-        t = int(eshift[i])  # e = t . rep
-        rho = int(vshift[graph.rng[int(erep[i])]])
-        # Representative edge maps to group coordinate rho^-1; translate by t.
-        coord = G.mul(G.inv(rho), G.inv(t))
-        edge_map[e.id] = (("orbit", graph.edges[int(erep[i])].id), G.name(coord))
-    iso = GraphIso(graph, skew, vertex_map, edge_map)
+    # Vertex t . rep goes to (orbit, t^-1); edge t . rep to (orbit,
+    # rho^-1 t^-1), rho the range shift of the representative edge.
+    vmap = vorbit * m + inverse[vshift]
+    emap = eorbit * m + G.table[inverse[rho[ereps[eorbit]]], inverse[eshift]]
+    iso = GraphIso(graph, skew, vmap, emap)
 
     # The isomorphism must carry the action to right translation: iso t.x =
     # t.(iso x) for every t and cell x, as index tables.
     translated = translation_action(skew, G)
-    edge_ids = [e.id for e in graph.edges]
-    for kind, cells, to, perm, moved in (
-            ("vertex", graph.vertices, [skew.vertex_index(vertex_map[v]) for v in graph.vertices],
-             action.vperm, translated.vperm),
-            ("edge", edge_ids, [skew.edge_index(edge_map[e]) for e in edge_ids],
-             action.eperm, translated.eperm)):
-        to = np.asarray(to, dtype=np.int64)
+    for kind, names, to, perm, moved in (
+            ("vertex", graph.vertices, vmap, action.vperm, translated.vperm),
+            ("edge", [e.id for e in graph.edges], emap, action.eperm, translated.eperm)):
         bad = np.argwhere(to[perm] != moved[:, to])
         if bad.size:
             raise GraphError(f"{kind} equivariance fails at t={bad[0][0]}, "
-                             f"{kind[0]}={cells[bad[0][1]]!r}")
+                             f"{kind[0]}={names[bad[0][1]]!r}")
     return quotient, labeling, iso
 
 
@@ -469,7 +450,7 @@ def convention_iso(
     Either way the isomorphism onto our source-twisted skew product sends the
     vertex cell to (v, t^-1) and the edge cell to (f, c(f)^-1 t^-1).
     """
-    skew = skew_product(graph, G, labeling)
+    skew, m = skew_product(graph, G, labeling), G.order
     if which == "group-first":
         mk_v = lambda v, t: (G.name(t), v)
         mk_e = lambda f, t: (G.name(t), f)
@@ -485,15 +466,12 @@ def convention_iso(
         for t in G:
             edges.append(Edge(mk_e(e.id, t), mk_v(e.src, t), mk_v(e.rng, G.mul(t, c))))
     other = DirectedGraph(vertices, edges)
-    vertex_map = {
-        mk_v(v, t): (v, G.name(G.inv(t))) for v in graph.vertices for t in G
-    }
-    edge_map = {}
-    for i, e in enumerate(graph.edges):
-        c = labeling.of(i)
-        for t in G:
-            edge_map[mk_e(e.id, t)] = (e.id, G.name(G.mul(G.inv(c), G.inv(t))))
-    return other, GraphIso(other, skew, vertex_map, edge_map)
+    # In either graph the cell (v, t) or (f, t) sits at v |G| + t or f |G| + t.
+    inverse = np.array([G.inv(t) for t in G])
+    vmap = (np.arange(graph.n_vertices)[:, None] * m + inverse).ravel()
+    emap = (np.arange(graph.n_edges)[:, None] * m
+            + G.table[inverse[labeling.by_edge][:, None], inverse]).ravel()
+    return other, GraphIso(other, skew, vmap, emap)
 
 
 def find_graph_isomorphism(a: DirectedGraph, b: DirectedGraph, cell_cap: int = 64):
@@ -557,15 +535,14 @@ def find_graph_isomorphism(a: DirectedGraph, b: DirectedGraph, cell_cap: int = 6
 
     if not rec(0):
         return None
-    vertex_map = {a.vertices[i]: b.vertices[assign[i]] for i in range(a.n_vertices)}
     # Match edges greedily within (src, rng) classes.
-    edge_map = {}
     buckets: dict[tuple, list] = {}
-    for e in b.edges:
-        buckets.setdefault((e.src, e.rng), []).append(e.id)
-    for e in a.edges:
-        key = (vertex_map[e.src], vertex_map[e.rng])
+    for f in range(b.n_edges):
+        buckets.setdefault((int(b.src[f]), int(b.rng[f])), []).append(f)
+    emap = []
+    for e in range(a.n_edges):
+        key = (assign[a.src[e]], assign[a.rng[e]])
         if not buckets.get(key):
             return None
-        edge_map[e.id] = buckets[key].pop()
-    return GraphIso(a, b, vertex_map, edge_map)
+        emap.append(buckets[key].pop())
+    return GraphIso(a, b, assign, emap)

@@ -22,6 +22,8 @@ product R x| G of an action twists multiplication by (x,s)(y,t) = (x (s.y), st).
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -282,75 +284,60 @@ def json_key_parse(key: str):
     return key
 
 
+def _transitive_tables(n: int, table, inverse):
+    """(r, s, mult, inv) of the transitive groupoid on n units whose isotropy
+    group has Cayley table ``table`` and inverses ``inverse``: arrow (i, j, h)
+    sits at (i n + j) |H| + h, runs from unit j to unit i, composes by
+    (i,j,h)(j,k,h') = (i,k,hh') and inverts to (j,i,h^-1)."""
+    m = len(inverse)
+    i, j, h = (a.ravel() for a in np.indices((n, n, m)))
+    mult = np.where(j[:, None] == i, (i[:, None] * n + j) * m + table[h[:, None], h], -1)
+    return i, j, mult, (j * n + i) * m + np.asarray(inverse)[h]
+
+
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    units = [f"{i+1}" for i in range(n)]
-    arrows = [(f"x{i+1}{j+1}", units[j], units[i]) for i in range(n) for j in range(n)]
-    mult = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                mult.append((f"x{i+1}{j+1}", f"x{j+1}{k+1}", f"x{i+1}{k+1}"))
-    inv = {f"x{i+1}{j+1}": f"x{j+1}{i+1}" for i in range(n) for j in range(n)}
-    return make_groupoid(units, arrows, mult, inv)
+    """The pair groupoid on units 1..n: arrow x_ij from j to i at index i n + j."""
+    names = range(1, n + 1)
+    return FiniteGroupoid([f"{i}" for i in names], [f"x{i}{j}" for i in names for j in names],
+                          *_transitive_tables(n, np.zeros((1, 1), dtype=np.int64), [0]))
 
 
 def units_only_groupoid(n: int) -> FiniteGroupoid:
-    units = [f"{i+1}" for i in range(n)]
-    arrows = [(f"id{i+1}", u, u) for i, u in enumerate(units)]
-    mult = [(f"id{i+1}", f"id{i+1}", f"id{i+1}") for i in range(n)]
-    inv = {f"id{i+1}": f"id{i+1}" for i in range(n)}
-    return make_groupoid(units, arrows, mult, inv)
+    """n units and their identity arrows id1..idn, nothing else."""
+    k = np.arange(n)
+    return FiniteGroupoid([f"{i}" for i in range(1, n + 1)], [f"id{i}" for i in range(1, n + 1)],
+                          k, k, np.where(k[:, None] == k, k, -1), k)
 
 
 def transitive_groupoid(n_units: int, isotropy: FiniteGroup, tag: str = "") -> FiniteGroupoid:
     """The transitive groupoid on n units with the given isotropy group:
     arrows (i, j, h) composing by (i,j,h)(j,k,h') = (i,k,hh')."""
-    units = [f"{tag}u{i}" for i in range(n_units)]
-    arrows = []
-    for i in range(n_units):
-        for j in range(n_units):
-            for h in isotropy:
-                arrows.append(((f"{tag}", i, j, isotropy.name(h)), units[j], units[i]))
-    mult = []
-    for i in range(n_units):
-        for j in range(n_units):
-            for k in range(n_units):
-                for h1 in isotropy:
-                    for h2 in isotropy:
-                        mult.append(
-                            (
-                                (f"{tag}", i, j, isotropy.name(h1)),
-                                (f"{tag}", j, k, isotropy.name(h2)),
-                                (f"{tag}", i, k, isotropy.name(isotropy.mul(h1, h2))),
-                            )
-                        )
-    inv = {}
-    for i in range(n_units):
-        for j in range(n_units):
-            for h in isotropy:
-                inv[(f"{tag}", i, j, isotropy.name(h))] = (
-                    f"{tag}", j, i, isotropy.name(isotropy.inv(h)),
-                )
-    return make_groupoid(units, arrows, mult, inv)
+    return FiniteGroupoid(
+        [f"{tag}u{i}" for i in range(n_units)],
+        [(tag, i, j, name) for i, j, name in
+         itertools.product(range(n_units), range(n_units), isotropy.elements)],
+        *_transitive_tables(n_units, isotropy.table, [isotropy.inv(h) for h in isotropy]),
+    )
 
 
 def disjoint_union(parts: list[FiniteGroupoid]) -> FiniteGroupoid:
-    units, arrows, mult, inv = [], [], [], {}
-    for idx, Q in enumerate(parts):
-        rename_u = {u: (idx, u) for u in Q.units}
-        rename_a = {a: (idx, a) for a in Q.arrows}
-        units.extend(rename_u[u] for u in Q.units)
-        for i, a in enumerate(Q.arrows):
-            arrows.append((rename_a[a], rename_u[Q.units[Q.s[i]]], rename_u[Q.units[Q.r[i]]]))
-            inv[rename_a[a]] = rename_a[Q.arrows[Q.inv[i]]]
-        for i in range(Q.n_arrows):
-            for j in range(Q.n_arrows):
-                if Q.mult[i, j] >= 0:
-                    mult.append(
-                        (rename_a[Q.arrows[i]], rename_a[Q.arrows[j]],
-                         rename_a[Q.arrows[Q.mult[i, j]]])
-                    )
-    return make_groupoid(units, arrows, mult, inv)
+    """The parts side by side: unit u and arrow x of part k are named (k, u)
+    and (k, x) and sit after those of the parts before k; the multiplication
+    table is block diagonal."""
+    u_off = np.cumsum([0] + [Q.n_units for Q in parts])
+    a_off = np.cumsum([0] + [Q.n_arrows for Q in parts])
+    mult = np.full((a_off[-1], a_off[-1]), -1, dtype=np.int64)
+    for k, Q in enumerate(parts):
+        mult[a_off[k]:a_off[k + 1], a_off[k]:a_off[k + 1]] = np.where(Q.mult >= 0,
+                                                                      Q.mult + a_off[k], -1)
+    return FiniteGroupoid(
+        [(k, u) for k, Q in enumerate(parts) for u in Q.units],
+        [(k, x) for k, Q in enumerate(parts) for x in Q.arrows],
+        np.concatenate([Q.r + u_off[k] for k, Q in enumerate(parts)]),
+        np.concatenate([Q.s + u_off[k] for k, Q in enumerate(parts)]),
+        mult,
+        np.concatenate([Q.inv + a_off[k] for k, Q in enumerate(parts)]),
+    )
 
 
 class Cocycle:
@@ -368,21 +355,15 @@ class Cocycle:
         self._validate()
 
     def _validate(self):
-        Q, G = self.groupoid, self.group
-        for u in range(Q.n_units):
-            if self.values[Q.unit_arrow[u]] != G.identity_index:
-                raise CocycleError(f"c is not e at unit {Q.units[u]!r}")
+        Q, G, c = self.groupoid, self.group, self.values
+        bad = c[Q.unit_arrow] != G.identity_index
+        if np.any(bad):
+            raise CocycleError(f"c is not e at unit {Q.units[np.argmax(bad)]!r}")
         ii, jj = np.nonzero(Q.mult >= 0)
-        prods = Q.mult[ii, jj]
-        expected = np.array(
-            [G.mul(int(self.values[i]), int(self.values[j])) for i, j in zip(ii, jj)]
-        )
-        bad = np.nonzero(self.values[prods] != expected)[0]
-        if len(bad):
-            i, j = ii[bad[0]], jj[bad[0]]
-            raise CocycleError(
-                f"c(xy) != c(x)c(y) at ({Q.arrows[i]!r}, {Q.arrows[j]!r})"
-            )
+        bad = c[Q.mult[ii, jj]] != G.table[c[ii], c[jj]]
+        if np.any(bad):
+            k = np.argmax(bad)
+            raise CocycleError(f"c(xy) != c(x)c(y) at ({Q.arrows[ii[k]]!r}, {Q.arrows[jj[k]]!r})")
 
     def of(self, arrow: int) -> int:
         return int(self.values[arrow])

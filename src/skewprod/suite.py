@@ -16,14 +16,17 @@ import numpy as np
 from . import duality, graphalg, groupoids
 from .graphs import (
     DirectedGraph,
+    GraphError,
     GraphHasCycle,
     enumerate_sink_paths,
     skew_product,
     translation_action,
 )
-from .groups import FiniteGroup, Labeling, cyclic_group, klein_four_group
+from .groups import FiniteGroup, Labeling, cyclic_group, klein_four_group, make_group
 
 GAUGE_SAMPLES = (1.0, -1.0, 1j, np.exp(2j * np.pi / 7))
+# The fewest vertices and edges of a random acyclic graph.
+MIN_VERTICES, MIN_EDGES = 2, 1
 
 
 def suite_groups() -> list[FiniteGroup]:
@@ -34,8 +37,8 @@ def random_acyclic_graph(
     rng: np.random.Generator, max_vertices: int = 8, max_edges: int = 12
 ) -> DirectedGraph:
     """A random DAG: edges only go from lower to higher vertex index."""
-    n_v = int(rng.integers(2, max_vertices + 1))
-    n_e = int(rng.integers(1, max_edges + 1))
+    n_v = int(rng.integers(MIN_VERTICES, max_vertices + 1))
+    n_e = int(rng.integers(MIN_EDGES, max_edges + 1))
     vertices = [f"v{i}" for i in range(n_v)]
     edges = []
     for k in range(n_e):
@@ -43,6 +46,17 @@ def random_acyclic_graph(
         j = int(rng.integers(i + 1, n_v))
         edges.append((f"e{k}", vertices[i], vertices[j]))
     return DirectedGraph(vertices, edges)
+
+
+def min_graph_dim(groups: list[FiniteGroup] | None = None) -> int:
+    """The least ambient dimension paths(E) |G|^2 of a graph instance.
+
+    In a finite acyclic graph each edge starts a path into a sink and each
+    sink is a path of length 0, so E has at least MIN_EDGES + 1 sink paths,
+    and exactly that many when its MIN_VERTICES = 2 vertices are joined by
+    MIN_EDGES edges.
+    """
+    return (MIN_EDGES + 1) * min(G.order for G in groups or suite_groups()) ** 2
 
 
 def random_graph_instance(
@@ -58,6 +72,9 @@ def random_graph_instance(
     paths, and its dimension the sum over sinks w of (paths into w)^2.
     """
     groups = groups or suite_groups()
+    if max_dim < min_graph_dim(groups):
+        raise GraphError(f"max_dim {max_dim} is below {min_graph_dim(groups)}, "
+                         f"the least ambient dimension of a graph instance")
     while True:
         G = groups[int(rng.integers(len(groups)))]
         E = random_acyclic_graph(rng)
@@ -138,71 +155,29 @@ def random_cocycle(
 ) -> groupoids.Cocycle:
     """A random cocycle Q -> G: on each transitive component, a vertex
     potential twisted by a homomorphism of the isotropy group,
-    c(x) = phi(r(x)) psi(iso(x)) phi(s(x))^-1."""
-    phi = rng.integers(0, G.order, Q.n_units)
-    # Isotropy subgroup at each unit: arrows with r = s = u.
-    values = np.zeros(Q.n_arrows, dtype=np.int64)
-    # Choose one homomorphism per component by brute force on the isotropy
-    # group at a base unit; transport along a spanning forest.
-    visited = np.full(Q.n_units, -1, dtype=np.int64)
-    comp = 0
-    for u0 in range(Q.n_units):
-        if visited[u0] >= 0:
-            continue
-        stack = [u0]
-        visited[u0] = comp
-        while stack:
-            u = stack.pop()
-            for x in range(Q.n_arrows):
-                for v in (int(Q.r[x]), int(Q.s[x])):
-                    if (Q.r[x] == u or Q.s[x] == u) and visited[v] < 0:
-                        visited[v] = comp
-                        stack.append(v)
-        comp += 1
-    # Isotropy group at the base unit of each component, as a FiniteGroup.
-    psi_of_arrow = {}
-    for c_idx in range(comp):
-        base = int(np.nonzero(visited == c_idx)[0][0])
-        iso_arrows = [
-            x for x in range(Q.n_arrows) if Q.r[x] == base and Q.s[x] == base
-        ]
-        table = np.zeros((len(iso_arrows), len(iso_arrows)), dtype=np.int64)
-        index = {x: i for i, x in enumerate(iso_arrows)}
-        for i, x in enumerate(iso_arrows):
-            for j, y in enumerate(iso_arrows):
-                table[i, j] = index[int(Q.mult[x, y])]
-        from .groups import make_group
+    c(x) = phi(r(x)) psi(h(x)) phi(s(x))^-1.
 
-        H = make_group(table)
-        homs = _group_homomorphisms(H, G)
-        psi = homs[int(rng.integers(len(homs)))]
-        # Transport: pick a reference arrow from the base to every unit.
-        ref = {base: int(Q.unit_arrow[base])}
-        frontier = [base]
-        while frontier:
-            u = frontier.pop()
-            for x in range(Q.n_arrows):
-                if Q.s[x] == u and int(Q.r[x]) not in ref:
-                    ref[int(Q.r[x])] = int(Q.mult[x, ref[u]])
-                    frontier.append(int(Q.r[x]))
-        for x in range(Q.n_arrows):
-            if visited[Q.r[x]] != c_idx:
-                continue
-            # x = ref[r(x)] h ref[s(x)]^-1 with h in the base isotropy.
-            h = int(
-                Q.mult[
-                    int(Q.mult[Q.inv[ref[int(Q.r[x])]], x]), ref[int(Q.s[x])]
-                ]
-            )
-            psi_of_arrow[x] = int(psi[index[h]]) if h in index else None
-            if psi_of_arrow[x] is None:
-                raise groupoids.GroupoidError("isotropy transport failed")
-    for x in range(Q.n_arrows):
-        r_, s_ = int(Q.r[x]), int(Q.s[x])
-        values[x] = G.mul(
-            int(phi[r_]), G.mul(psi_of_arrow[x], G.inv(int(phi[s_])))
-        )
-    return groupoids.Cocycle(Q, G, values)
+    The base of a component is its least unit; ref[u] is the least arrow from
+    the base to u (the unit arrow at the base), and h(x) = ref[r(x)]^-1 x
+    ref[s(x)] lies in the isotropy group at the base.  phi is drawn first,
+    then psi for each component in the order of the bases.
+    """
+    phi = rng.integers(0, G.order, Q.n_units)
+    # base[u] = the least unit of u's orbit {r(x) : s(x) = u}.
+    base = np.full(Q.n_units, Q.n_units)
+    np.minimum.at(base, Q.s, Q.r)
+    units = np.arange(Q.n_units)
+    from_base = np.nonzero(Q.s == base[Q.r])[0]
+    _, first = np.unique(Q.r[from_base], return_index=True)
+    ref = np.where(base == units, Q.unit_arrow, from_base[first])
+    h = Q.mult[Q.mult[Q.inv[ref[Q.r]], np.arange(Q.n_arrows)], ref[Q.s]]
+    psi = np.empty(Q.n_arrows, dtype=np.int64)
+    for b in units[base == units]:
+        iso = np.nonzero((Q.r == b) & (Q.s == b))[0]
+        homs = _group_homomorphisms(make_group(np.searchsorted(iso, Q.mult[np.ix_(iso, iso)])), G)
+        psi[iso] = homs[int(rng.integers(len(homs)))]
+    inverse = np.array([G.inv(t) for t in G])
+    return groupoids.Cocycle(Q, G, G.table[G.table[phi[Q.r], psi[h]], inverse[phi[Q.s]]])
 
 
 @dataclass

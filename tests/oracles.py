@@ -10,7 +10,11 @@ table, and the gauge action is certified as a numerical *-homomorphism,
 where ``skewprod`` checks the length grading by index arithmetic.  The skew
 and semidirect products, the translation action and the subgroupoids are
 built here from arrow names through ``make_groupoid``, where ``skewprod``
-computes their tables from integer arrays.  *-maps on matrix lists are
+computes their tables from integer arrays; so are the transitive, pair and
+units-only groupoids and the disjoint unions.  The random cocycle finds its
+components and reference arrows by search, and the Gross-Tucker
+isomorphism is built as name dicts, where ``skewprod`` uses index
+arithmetic and index arrays.  *-maps on matrix lists are
 certified by closing the graph of the map, where ``skewprod`` certifies them
 on a known basis.  The equivalence-bimodule axioms are checked pair by pair
 on dicts, where ``skewprod`` checks index tables.  Paths are looked up by
@@ -39,6 +43,7 @@ from skewprod import groups, matalg
 from skewprod.crossed import ActionInvalid
 from skewprod.groupoids import (
     AxiomFailed,
+    Cocycle,
     FormulaMismatch,
     GroupoidAction,
     GroupoidError,
@@ -509,6 +514,159 @@ def subgroupoid_by_names(Q, keep):
             for i in keep for j in keep if Q.mult[i, j] >= 0]
     inv = {Q.arrows[i]: Q.arrows[Q.inv[i]] for i in keep}
     return make_groupoid([Q.units[u] for u in units], arrows, mult, inv)
+
+
+def pair_groupoid_by_names(n: int):
+    """The pair groupoid on units 1..n from its arrow names x_ij."""
+    units = [f"{i+1}" for i in range(n)]
+    arrows = [(f"x{i+1}{j+1}", units[j], units[i]) for i in range(n) for j in range(n)]
+    mult = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                mult.append((f"x{i+1}{j+1}", f"x{j+1}{k+1}", f"x{i+1}{k+1}"))
+    inv = {f"x{i+1}{j+1}": f"x{j+1}{i+1}" for i in range(n) for j in range(n)}
+    return make_groupoid(units, arrows, mult, inv)
+
+
+def units_only_groupoid_by_names(n: int):
+    units = [f"{i+1}" for i in range(n)]
+    arrows = [(f"id{i+1}", u, u) for i, u in enumerate(units)]
+    mult = [(f"id{i+1}", f"id{i+1}", f"id{i+1}") for i in range(n)]
+    inv = {f"id{i+1}": f"id{i+1}" for i in range(n)}
+    return make_groupoid(units, arrows, mult, inv)
+
+
+def transitive_groupoid_by_names(n_units: int, isotropy, tag: str = ""):
+    """Arrows (tag, i, j, h) composing by (i,j,h)(j,k,h') = (i,k,hh'), one
+    name triple per composable pair."""
+    units = [f"{tag}u{i}" for i in range(n_units)]
+    arrows = []
+    for i in range(n_units):
+        for j in range(n_units):
+            for h in isotropy:
+                arrows.append(((f"{tag}", i, j, isotropy.name(h)), units[j], units[i]))
+    mult = []
+    for i in range(n_units):
+        for j in range(n_units):
+            for k in range(n_units):
+                for h1 in isotropy:
+                    for h2 in isotropy:
+                        mult.append(
+                            (
+                                (f"{tag}", i, j, isotropy.name(h1)),
+                                (f"{tag}", j, k, isotropy.name(h2)),
+                                (f"{tag}", i, k, isotropy.name(isotropy.mul(h1, h2))),
+                            )
+                        )
+    inv = {}
+    for i in range(n_units):
+        for j in range(n_units):
+            for h in isotropy:
+                inv[(f"{tag}", i, j, isotropy.name(h))] = (
+                    f"{tag}", j, i, isotropy.name(isotropy.inv(h)),
+                )
+    return make_groupoid(units, arrows, mult, inv)
+
+
+def disjoint_union_by_names(parts):
+    """The parts renamed (k, name) and joined through ``make_groupoid``."""
+    units, arrows, mult, inv = [], [], [], {}
+    for idx, Q in enumerate(parts):
+        rename_u = {u: (idx, u) for u in Q.units}
+        rename_a = {a: (idx, a) for a in Q.arrows}
+        units.extend(rename_u[u] for u in Q.units)
+        for i, a in enumerate(Q.arrows):
+            arrows.append((rename_a[a], rename_u[Q.units[Q.s[i]]], rename_u[Q.units[Q.r[i]]]))
+            inv[rename_a[a]] = rename_a[Q.arrows[Q.inv[i]]]
+        for i in range(Q.n_arrows):
+            for j in range(Q.n_arrows):
+                if Q.mult[i, j] >= 0:
+                    mult.append(
+                        (rename_a[Q.arrows[i]], rename_a[Q.arrows[j]],
+                         rename_a[Q.arrows[Q.mult[i, j]]])
+                    )
+    return make_groupoid(units, arrows, mult, inv)
+
+
+def random_cocycle_by_search(rng, Q, G):
+    """``suite.random_cocycle`` by search: the components by depth-first
+    search, and the reference arrows from each component's base unit by a
+    second search that transports the unit arrow along the arrows."""
+    from skewprod.suite import _group_homomorphisms
+
+    phi = rng.integers(0, G.order, Q.n_units)
+    values = np.zeros(Q.n_arrows, dtype=np.int64)
+    visited = np.full(Q.n_units, -1, dtype=np.int64)
+    comp = 0
+    for u0 in range(Q.n_units):
+        if visited[u0] >= 0:
+            continue
+        stack = [u0]
+        visited[u0] = comp
+        while stack:
+            u = stack.pop()
+            for x in range(Q.n_arrows):
+                for v in (int(Q.r[x]), int(Q.s[x])):
+                    if (Q.r[x] == u or Q.s[x] == u) and visited[v] < 0:
+                        visited[v] = comp
+                        stack.append(v)
+        comp += 1
+    psi_of_arrow = {}
+    for c_idx in range(comp):
+        base = int(np.nonzero(visited == c_idx)[0][0])
+        iso_arrows = [
+            x for x in range(Q.n_arrows) if Q.r[x] == base and Q.s[x] == base
+        ]
+        table = np.zeros((len(iso_arrows), len(iso_arrows)), dtype=np.int64)
+        index = {x: i for i, x in enumerate(iso_arrows)}
+        for i, x in enumerate(iso_arrows):
+            for j, y in enumerate(iso_arrows):
+                table[i, j] = index[int(Q.mult[x, y])]
+        homs = _group_homomorphisms(groups.make_group(table), G)
+        psi = homs[int(rng.integers(len(homs)))]
+        ref = {base: int(Q.unit_arrow[base])}
+        frontier = [base]
+        while frontier:
+            u = frontier.pop()
+            for x in range(Q.n_arrows):
+                if Q.s[x] == u and int(Q.r[x]) not in ref:
+                    ref[int(Q.r[x])] = int(Q.mult[x, ref[u]])
+                    frontier.append(int(Q.r[x]))
+        for x in range(Q.n_arrows):
+            if visited[Q.r[x]] != c_idx:
+                continue
+            # x = ref[r(x)] h ref[s(x)]^-1 with h in the base isotropy.
+            h = int(Q.mult[int(Q.mult[Q.inv[ref[int(Q.r[x])]], x]), ref[int(Q.s[x])]])
+            psi_of_arrow[x] = int(psi[index[h]])
+    for x in range(Q.n_arrows):
+        r_, s_ = int(Q.r[x]), int(Q.s[x])
+        values[x] = G.mul(int(phi[r_]), G.mul(psi_of_arrow[x], G.inv(int(phi[s_]))))
+    return Cocycle(Q, G, values)
+
+
+def gross_tucker_maps_by_names(graph, action):
+    """The name dicts of the Gross-Tucker isomorphism F -> (F/G) x_c G: a
+    cell that is t . rep goes to (orbit of rep, coordinate), the coordinate
+    t^-1 for a vertex and rho^-1 t^-1 for an edge, with rho . rep(r(e)) the
+    range of the representative edge.  Representatives are least indices."""
+    G = action.group
+    vrep, erep = action.vperm.min(axis=0), action.eperm.min(axis=0)
+
+    def shift(perm, rep, i):
+        return next(t for t in G if perm[t, rep[i]] == i)
+
+    vertex_map, edge_map = {}, {}
+    for i, v in enumerate(graph.vertices):
+        t = shift(action.vperm, vrep, i)
+        vertex_map[v] = (("orbit", graph.vertices[int(vrep[i])]), G.name(G.inv(t)))
+    for i, e in enumerate(graph.edges):
+        t = shift(action.eperm, erep, i)
+        r = int(graph.rng[int(erep[i])])
+        rho = shift(action.vperm, vrep, r)
+        coord = G.mul(G.inv(rho), G.inv(t))
+        edge_map[e.id] = (("orbit", graph.edges[int(erep[i])].id), G.name(coord))
+    return vertex_map, edge_map
 
 
 def equivalence_axioms_loop(L, N, rho, sigma, left_table, right_table) -> dict:

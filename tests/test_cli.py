@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from skewprod import cli, crossed, fixture_path, graphalg
+import skewprod
+from skewprod import cli, crossed, fixture_path, graphalg, suite
 
 
 def fx(name: str) -> str:
@@ -174,6 +178,34 @@ def test_exit_code_2_on_negative_case_count(capsys, argv):
         cli.main(argv + ["--cases", "-1"])
     assert exit_.value.code == 2
     assert "--cases: must be 0 or more, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "run", "--cases", "1"],
+    ["verify", "direct-iso", "-g", fx("e1"), "-G", fx("z2")],
+], ids=["suite run", "verify direct-iso"])
+def test_exit_code_2_on_negative_seed(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--seed", "-1", "--json"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "--seed: must be 0 or more, got -1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["graph", "free-action"])
+def test_suite_run_refuses_a_max_dim_no_graph_case_fits(kind):
+    # In a subprocess with a timeout, so that a sampler that never finds an
+    # instance fails the test instead of hanging it.
+    least = suite.min_graph_dim()
+    src = os.path.dirname(os.path.dirname(skewprod.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "skewprod.cli", "suite", "run", "--max-dim", str(least - 1),
+         "--cases", "2", "--kinds", kind, "--json"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: max_dim {least - 1} is below {least}, "
+                           "the least ambient dimension of a graph instance\n")
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

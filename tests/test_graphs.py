@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from oracles import constant_labeling, trivial_group
+from oracles import (
+    constant_labeling,
+    gross_tucker_maps_by_names,
+    symmetric_group_3,
+    trivial_group,
+)
 
-from skewprod import graphs, groups
+from skewprod import graphs, groups, suite
 from skewprod.graphs import (
     ActionNotFree,
     DirectedGraph,
+    GraphAction,
+    GraphError,
+    GraphIso,
     GraphHasCycle,
     NotSkewProduct,
     convention_iso,
@@ -16,6 +24,8 @@ from skewprod.graphs import (
     skew_product,
     translation_action,
 )
+
+S3 = symmetric_group_3()
 
 
 def test_sink_paths_e1(e1):
@@ -265,3 +275,67 @@ def test_iso_search_cap():
     big = DirectedGraph([f"v{i}" for i in range(40)], [])
     with pytest.raises(graphs.GraphError):
         find_graph_isomorphism(big, big, cell_cap=30)
+
+
+def shuffled(F, action, rng):
+    """F with its vertices and edges listed in a random order, and the action
+    carried along."""
+    pv, pe = rng.permutation(F.n_vertices), rng.permutation(F.n_edges)
+    to_v, to_e = np.argsort(pv), np.argsort(pe)
+    F2 = DirectedGraph([F.vertices[v] for v in pv], [F.edges[e] for e in pe])
+    return F2, GraphAction(F2, action.group, to_v[action.vperm[:, pv]],
+                           to_e[action.eperm[:, pe]])
+
+
+def free_actions(rng):
+    """400 suite free actions, then 100 translation actions of S3."""
+    for _ in range(400):
+        yield suite.random_free_action_instance(rng)
+    for _ in range(100):
+        E, G, lab = suite.random_graph_instance(rng, dim_budget=360, groups=[S3])
+        F = skew_product(E, G, lab)
+        yield F, translation_action(F, G)
+
+
+def test_gross_tucker_maps_equal_the_name_built_ones():
+    rng = np.random.default_rng(404)
+    for F, action in free_actions(rng):
+        for graph, act in ((F, action), shuffled(F, action, rng)):
+            _, _, iso = quotient_and_gross_tucker(graph, act)
+            assert (iso.vertex_map, iso.edge_map) == gross_tucker_maps_by_names(graph, act)
+
+
+def e1_z2_iso(e1, z2, e1_z2_labeling):
+    other, iso = convention_iso(e1, z2, e1_z2_labeling, "range-twisted")
+    return other, iso.b, iso.vmap, iso.emap
+
+
+def test_graph_iso_refuses_a_vertex_map_that_is_not_a_bijection(e1, z2, e1_z2_labeling):
+    a, b, vmap, emap = e1_z2_iso(e1, z2, e1_z2_labeling)
+    for bad in (np.r_[vmap[:-1], vmap[0]], vmap[:-1], np.r_[vmap[:-1], b.n_vertices]):
+        with pytest.raises(GraphError, match="vertex map is not a bijection"):
+            GraphIso(a, b, bad, emap)
+    with pytest.raises(GraphError, match="edge map is not a bijection"):
+        GraphIso(a, b, vmap, np.zeros_like(emap))
+
+
+@pytest.mark.parametrize("ends", [("u", "w", "v", "w"), ("u", "v", "u", "w")],
+                         ids=["sources", "ranges"])
+def test_graph_iso_refuses_an_edge_map_that_breaks_intertwining(ends):
+    # Swapping the two edges keeps one end of each and moves the other.
+    g = DirectedGraph(["u", "v", "w"], [("f", *ends[:2]), ("h", *ends[2:])])
+    GraphIso(g, g, [0, 1, 2], [0, 1])
+    with pytest.raises(GraphError, match="edge 'f' does not intertwine s and r"):
+        GraphIso(g, g, [0, 1, 2], [1, 0])
+
+
+def test_graph_iso_inverse_twice_is_the_iso(e1, z2, e1_z2_labeling):
+    rng = np.random.default_rng(5)
+    for graph, G, lab in [(e1, z2, e1_z2_labeling)] + [
+            suite.random_graph_instance(rng, groups=groups_) for groups_ in [None, [S3]] * 5]:
+        for which in ("group-first", "range-twisted"):
+            _, iso = convention_iso(graph, G, lab, which)
+            back = iso.inverse().inverse()
+            assert back.a is iso.a and back.b is iso.b
+            assert np.array_equal(back.vmap, iso.vmap) and np.array_equal(back.emap, iso.emap)
+            assert iso.inverse().vertex_map == {w: v for v, w in iso.vertex_map.items()}

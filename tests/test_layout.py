@@ -4,7 +4,11 @@ The index-built skew product, semidirect product, translation action and
 subgroupoids are compared with their name-built references (``oracles.py``)
 on random draws, S3 among them; each index is checked against the name it
 carries; a left/right slip planted in the skew multiplication shows why the
-non-abelian draws are there; and the CLI prints the reference groupoids."""
+non-abelian draws are there; and the CLI prints the reference groupoids.
+The index-built transitive, pair, units-only and disjoint-union groupoids
+are compared with their name-built references, and ``random_cocycle`` with
+its search-built reference: equal values, and the rng left in the same
+state, also on groupoids whose units and arrows are shuffled."""
 import inspect
 import json
 import textwrap
@@ -12,11 +16,17 @@ import textwrap
 import numpy as np
 import pytest
 from oracles import (
+    disjoint_union_by_names,
+    pair_groupoid_by_names,
+    random_cocycle_by_search,
     semidirect_product_by_names,
     skew_product_by_names,
     subgroupoid_by_names,
     symmetric_group_3,
+    transitive_groupoid_by_names,
     translation_action_by_names,
+    trivial_group,
+    units_only_groupoid_by_names,
 )
 
 from skewprod import cli, fixture_path, graphs, groupoids, groups, suite
@@ -46,6 +56,15 @@ DRAWS = draws()
 def same_tables(a, b) -> bool:
     return all(np.array_equal(np.asarray(getattr(a, f), dtype=object),
                               np.asarray(getattr(b, f), dtype=object)) for f in FIELDS)
+
+
+def same_groupoid(a, b) -> bool:
+    """Equal tables, and names equal down to the Python type of each part."""
+    def types(names):
+        return [tuple(map(type, x)) if isinstance(x, tuple) else type(x) for x in names]
+
+    return (same_tables(a, b) and types(a.units) == types(b.units)
+            and types(a.arrows) == types(b.arrows) and a.to_json() == b.to_json())
 
 
 def h_arrows_by_names(Q, G, c, skew):
@@ -173,3 +192,69 @@ def test_cli_prints_the_reference_groupoids(capsys):
                                "-G", str(fixture_path("z2")), "--json")
         assert code == 0
         assert json.loads(out)[key] == json.loads(reference.to_json())
+
+
+ISOTROPY = (trivial_group(), groups.cyclic_group(2), groups.cyclic_group(3),
+            groups.klein_four_group(), S3)
+
+
+@pytest.mark.parametrize("H", ISOTROPY, ids=["Z1", "Z2", "Z3", "Klein", "S3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transitive_groupoid_equals_the_name_built_one(n, H):
+    for tag in ("", "c1"):
+        assert same_groupoid(groupoids.transitive_groupoid(n, H, tag=tag),
+                             transitive_groupoid_by_names(n, H, tag=tag))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_and_units_only_groupoids_equal_the_name_built_ones(n):
+    assert same_groupoid(groupoids.pair_groupoid(n), pair_groupoid_by_names(n))
+    assert same_groupoid(groupoids.units_only_groupoid(n), units_only_groupoid_by_names(n))
+
+
+def test_disjoint_unions_equal_the_name_built_ones():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        parts = [suite.random_groupoid(rng, max_units=4, max_arrows=12)
+                 for _ in range(int(rng.integers(1, 4)))]
+        assert same_groupoid(groupoids.disjoint_union(parts), disjoint_union_by_names(parts))
+
+
+def shuffled_groupoid(Q, rng):
+    """Q with its units and arrows listed in a random order."""
+    pu, pa = rng.permutation(Q.n_units), rng.permutation(Q.n_arrows)
+    to_u, to_a = np.argsort(pu), np.argsort(pa)
+    mult = Q.mult[np.ix_(pa, pa)]
+    return groupoids.FiniteGroupoid(
+        [Q.units[u] for u in pu], [Q.arrows[x] for x in pa], to_u[Q.r[pa]], to_u[Q.s[pa]],
+        np.where(mult >= 0, to_a[mult], -1), to_a[Q.inv[pa]])
+
+
+def assert_same_cocycle_draw(seed, Q, G):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(suite.random_cocycle(fast, Q, G).values,
+                          random_cocycle_by_search(slow, Q, G).values)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("G", [groups.cyclic_group(2), groups.cyclic_group(3), S3,
+                               groups.klein_four_group()], ids=["Z2", "Z3", "S3", "Klein"])
+def test_random_cocycle_equals_its_search_reference(G):
+    rng = np.random.default_rng(31)
+    for seed in range(750):
+        Q = suite.random_groupoid(np.random.default_rng(seed))
+        assert_same_cocycle_draw(seed, Q, G)
+        if seed % 5 == 0:
+            assert_same_cocycle_draw(seed, shuffled_groupoid(Q, rng), G)
+
+
+def test_random_cocycle_equals_its_search_reference_on_products():
+    rng = np.random.default_rng(32)
+    for seed in range(200):
+        G, target = DRAW_GROUPS[seed % 4], DRAW_GROUPS[(seed // 4) % len(DRAW_GROUPS)]
+        Q = suite.random_groupoid(rng, max_units=3, max_arrows=8)
+        skew = groupoids.skew_product_groupoid(Q, G, suite.random_cocycle(rng, Q, G))
+        semi = groupoids.semidirect_product(
+            skew, G, groupoids.translation_groupoid_action(skew, G))
+        for P in (skew, semi):
+            assert_same_cocycle_draw(seed, P, target)

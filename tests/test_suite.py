@@ -1,8 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from skewprod import crossed, duality, graphalg, groupoids, suite
+from skewprod.graphs import GraphError
 
 
 def test_random_acyclic_graph_is_acyclic(rng):
@@ -125,3 +127,11 @@ def test_graph_and_free_action_errors_are_exactly_zero(seed):
     assert all(v == 0.0 for _, v in floats), floats
     assert {k for k, _ in floats} >= {"chase_error", "ck_error", "composition_error",
                                       "equivariance_error", "max_error"}
+
+
+def test_the_least_graph_dimension_is_drawn():
+    rng = np.random.default_rng(3)
+    E, G, _ = suite.random_graph_instance(rng, max_dim=suite.min_graph_dim())
+    assert (E.n_vertices, E.n_edges, G.order) == (suite.MIN_VERTICES, suite.MIN_EDGES, 2)
+    with pytest.raises(GraphError, match="below 8"):
+        suite.random_graph_instance(rng, max_dim=suite.min_graph_dim() - 1)
