@@ -280,6 +280,9 @@ def _dispatch(args, t0) -> int:
 
     if args.command == "suite" and args.subcommand == "run":
         kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+        if not kinds or not set(kinds) <= suite.RUNNERS.keys():
+            raise InputError(f"--kinds must name one or more of {', '.join(suite.RUNNERS)}, "
+                             f"got {args.kinds!r}")
         report = suite.suite_run(
             seed=args.seed,
             cases=args.cases,

@@ -188,7 +188,7 @@ class ActionCrossedProduct:
         # Generators: pi~ of the base generators, then u~_s.
         gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], format="csr")
         self.span = AlgebraSpan(N, rows, gen_rows=gen_rows,
-                                name=name or f"{base.name} x G", check=True)
+                                name=name or f"{base.name} x G")
         self._verify_covariance(tol)
 
     def pi_tilde_rows(self, rows) -> sp.csr_matrix:
@@ -394,10 +394,8 @@ class CoactionCrossedProduct:
         j_chi = matalg._kron_rows(matalg.vec_rows([sp.identity(n, format="csr")]),
                                   matalg.vec_rows(self._chi), n, G.order)
         gen_rows = sp.vstack([graded.delta(self.base.gen_rows), j_chi], format="csr")
-        self.span = AlgebraSpan(
-            self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
-            name=f"{self.base.name} x_delta G", check=True,
-        )
+        self.span = AlgebraSpan(self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
+                                name=f"{self.base.name} x_delta G")
         self._verify_spanning_relations(tol, graded_checked)
 
     @property

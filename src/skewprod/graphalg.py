@@ -173,7 +173,7 @@ class CKFamily:
         basis = sp.csr_matrix((np.ones(n_pairs, dtype=np.complex128),
                                (np.arange(n_pairs), self.pairs[:, 0] * n + self.pairs[:, 1])),
                               shape=(n_pairs, n * n))
-        self.span = AlgebraSpan(n, basis, gen_rows=gen_rows, name="C*(E)", check=False)
+        self.span = AlgebraSpan(n, basis, gen_rows=gen_rows, name="C*(E)")
         self.verify()
 
     @property

@@ -392,7 +392,7 @@ class GroupoidAlgebra:
         rows = sp.csr_matrix((np.ones(len(ys), dtype=np.complex128), yz * n + zs,
                               np.searchsorted(ys, np.arange(n + 1))), shape=(n, n * n))
         rows.sort_indices()
-        self.span = AlgebraSpan(n, rows, name="C*(Q)", check=True)
+        self.span = AlgebraSpan(n, rows, name="C*(Q)")
         self._verify(tol)
 
     @property

@@ -16,6 +16,7 @@ compare it with a general closure-based oracle on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ MAX_AMBIENT_DIM = 256
 PRODUCT_TOL = 1e-9  # equality of single products
 CLOSURE_TOL = 1e-7  # quantities accumulated over span closure
 CHUNK = 16  # factors or elements per batched sparse product; bounds its memory
+UNIT_PHASES = (1, -1, 1j, -1j)  # entries whose products are exact
 _CLOSURE_ROUNDS = 64  # breadth-first rounds before span_closure gives up
 _SIGNATURE_ATTEMPTS = 6  # random central elements wedderburn_signature tries
 
@@ -90,16 +92,38 @@ def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
     ``factors``, CHUNK factors to one sparse product.
 
     Yields (k0, prods) per chunk: with d = rows.shape[0], row j d + i of
-    ``prods`` is vec(X_i g_(k0 + j)).
+    ``prods`` is vec(X_i g_(k0 + j)).  A chunk of partial permutations with
+    phases in UNIT_PHASES (no two entries of a factor share a matrix row or
+    column) takes an index path: X[a, m] goes to (X g)[a, sigma(m)] as the
+    one exact product X[a, m] phi_m, bit for bit what sparse products give.
     """
     d = rows.shape[0]
     x = rows.tocoo()
-    # Each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix.
-    tall = sp.csr_matrix((x.data, (x.row * n + x.col // n, x.col % n)), shape=(d * n, n))
+    xa, xm = np.divmod(x.col.astype(np.int64), n)
+    order = np.argsort(xm, kind="stable")  # the entries X[a, m] by m
+    start = np.searchsorted(xm[order], np.arange(n + 1))
+    tall = None
     factors = factors.tocsr()
     for k0 in range(0, factors.shape[0], CHUNK):
-        f = factors[k0 : k0 + CHUNK].tocoo()
-        c = f.shape[0]
+        c = min(CHUNK, factors.shape[0] - k0)
+        lo, hi = factors.indptr[k0], factors.indptr[k0 + c]
+        j = np.repeat(np.arange(c), np.diff(factors.indptr[k0 : k0 + c + 1]))
+        fm, fb = np.divmod(factors.indices[lo:hi].astype(np.int64), n)
+        if (np.isin(factors.data[lo:hi], UNIT_PHASES).all()
+                and np.bincount(np.r_[j * n + fm, (c + j) * n + fb]).max(initial=0) <= 1):
+            # Join each factor entry (m, b, phi) with the entries of X in column m.
+            count = start[fm + 1] - start[fm]
+            e = np.repeat(np.arange(hi - lo), count)
+            src = order[np.arange(len(e)) + np.repeat(start[fm] - np.cumsum(count) + count, count)]
+            data = 0 + x.data[src] * factors.data[lo:hi][e]  # the sum 0 + x phi, signed zeros too
+            keep = data != 0
+            yield k0, sp.csr_matrix(
+                (data[keep], ((j[e] * d + x.row[src])[keep], (xa[src] * n + fb[e])[keep])),
+                shape=(c * d, n * n))
+            continue
+        if tall is None:  # each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix
+            tall = sp.csr_matrix((x.data, (x.row * n + xa, xm)), shape=(d * n, n))
+        f = factors[k0 : k0 + c].tocoo()
         # Each factor g_j as the block columns j n .. j n + n - 1 of one n x (c n) matrix.
         wide = sp.csr_matrix((f.data, (f.col // n, f.row * n + f.col % n)), shape=(n, c * n))
         p = (tall @ wide).tocoo()
@@ -139,9 +163,11 @@ class AlgebraSpan:
 
     ``rows`` holds vec(b_i) as sparse rows; ``norms2`` the squared Frobenius
     norms; ``gen_rows`` the rows vec(g) of the generators, the basis itself
-    when none are given.  The constructor verifies pairwise orthogonality,
-    which is cheap because the structured builders produce bases with
-    (near-)disjoint supports.
+    when none are given.  When the rows have entries in UNIT_PHASES and no
+    column in common, ``support`` indexes them: the sorted support columns,
+    the row owning each and the conjugate entry there (None otherwise).  Such
+    a basis is orthogonal by its supports; any other basis has its pairwise
+    orthogonality verified by the constructor.
     """
 
     def __init__(
@@ -155,14 +181,19 @@ class AlgebraSpan:
     ):
         self.ambient_dim = int(ambient_dim)
         self.rows = rows.tocsr()
-        self._rows_h = self.rows.conj().T.tocsc()
         self.name = name
         self.gen_rows = self.rows if gen_rows is None else gen_rows.tocsr()
         sq = np.asarray(self.rows.multiply(self.rows.conj()).sum(axis=1)).ravel()
         self.norms2 = np.real(sq)
         if np.any(self.norms2 <= tol):
             raise ValueError("zero basis row")
-        if check:
+        self.support = None
+        b = self.rows
+        if b.nnz and np.bincount(b.indices).max() <= 1 and np.isin(b.data, UNIT_PHASES).all():
+            at = np.argsort(b.indices)
+            owner = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+            self.support = b.indices[at], owner[at], b.data[at].conj()
+        elif check:
             gram = (self.rows @ self.rows.conj().T).toarray()
             off = gram - np.diag(np.diag(gram))
             scale = np.sqrt(np.outer(self.norms2, self.norms2))
@@ -173,13 +204,51 @@ class AlgebraSpan:
     def dim(self) -> int:
         return self.rows.shape[0]
 
+    @cached_property
+    def _rows_h(self) -> sp.csc_matrix:
+        return self.rows.conj().T.tocsc()
+
     def coefficients_rows(self, rows) -> tuple[sp.csr_matrix, float]:
         """Expand stacked vec rows in this basis; return (coeffs, residual).
 
         The residual is the largest row-wise Frobenius error of the
-        reconstruction, relative to the row norm.
+        reconstruction, relative to the row norm.  On an indexed basis the
+        coefficient of b_k in x is the sum of x_c conj(b_k)_c over its owned
+        columns c, in the stored order of x, times 1/norms2[k], as sparse
+        multiplication sums it; the squared error of a row is the sum of
+        |x_c - a_k (b_k)_c|^2 over owned columns, |x_c|^2 over unowned ones
+        and |a_k|^2 for each support column of b_k that x misses.
         """
         rows = rows.tocsr() if sp.issparse(rows) else sp.csr_matrix(rows)
+        m, d = rows.shape[0], self.dim
+        r = np.repeat(np.arange(m), np.diff(rows.indptr))
+        if self.support is None or not rows.has_canonical_format and (
+                np.unique(r * rows.shape[1] + rows.indices).size < rows.nnz):
+            return self._sparse_coefficients_rows(rows)
+        cols, owner, phase = self.support
+        at = np.minimum(np.searchsorted(cols, rows.indices), len(cols) - 1)
+        hit = cols[at] == rows.indices
+        at, x = at[hit], rows.data[hit]
+        keys, group, hits = np.unique(r[hit] * d + owner[at], return_inverse=True,
+                                      return_counts=True)
+        k = keys % d
+        prod = x * phase[at]
+        raw = np.empty(len(keys), dtype=np.complex128)
+        raw.real = np.bincount(group, prod.real, len(keys))
+        raw.imag = np.bincount(group, prod.imag, len(keys))
+        a = raw * (1.0 / self.norms2)[k]
+        off = rows.data.copy()  # x - a b on owned columns, x elsewhere
+        off[hit] -= a[group] * phase[at].conj()
+        err2 = (np.bincount(r, (off * off.conj()).real, m)
+                + np.bincount(keys // d, (a * a.conj()).real * (self.norms2[k] - hits), m))
+        norms = np.sqrt(np.bincount(r, (rows.data * rows.data.conj()).real, m))
+        worst = float(np.max(np.sqrt(err2) / np.maximum(norms, 1.0))) if m else 0.0
+        nz = a != 0
+        indptr = np.searchsorted(keys[nz], np.arange(m + 1) * d)
+        return sp.csr_matrix((a[nz], k[nz], indptr), shape=(m, d)), worst
+
+    def _sparse_coefficients_rows(self, rows: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
+        """:meth:`coefficients_rows` by sparse products, for any basis."""
         raw = rows @ self._rows_h
         coeffs = raw.multiply(1.0 / self.norms2[None, :]).tocsr()
         recon = coeffs @ self.rows

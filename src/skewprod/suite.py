@@ -27,6 +27,8 @@ from .groups import FiniteGroup, Labeling, cyclic_group, klein_four_group, make_
 GAUGE_SAMPLES = (1.0, -1.0, 1j, np.exp(2j * np.pi / 7))
 # The fewest vertices and edges of a random acyclic graph.
 MIN_VERTICES, MIN_EDGES = 2, 1
+# The least |Q| |G|^2 of a groupoid case: one unit over Z2.
+MIN_GROUPOID_DIM = 4
 
 
 def suite_groups() -> list[FiniteGroup]:
@@ -255,14 +257,22 @@ def run_free_action_case(seed: int, index: int = 0, tol: float = 1e-8,
 
 
 def run_groupoid_case(seed: int, index: int = 0, tol: float = 1e-8,
-                      n_random: int = 100) -> CaseResult:
+                      n_random: int = 100, max_dim: int = 256) -> CaseResult:
     """One groupoid-suite case: skew/semidirect duality, the full theorem by
     signature comparison, both equivalence bimodules, inner products, and the
-    expectation identities."""
+    expectation identities.  The groupoid Q and the group G, Z2 or Z3, are
+    drawn again while the ambient dimension |Q| |G|^2 is over ``max_dim``."""
+    if max_dim < MIN_GROUPOID_DIM:
+        raise groupoids.GroupoidError(
+            f"max_dim {max_dim} is below {MIN_GROUPOID_DIM}, "
+            "the least ambient dimension of a groupoid instance")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    Q = random_groupoid(rng)
-    G = cyclic_group(2) if rng.integers(2) == 0 else cyclic_group(3)
+    while True:
+        Q = random_groupoid(rng)
+        G = cyclic_group(2) if rng.integers(2) == 0 else cyclic_group(3)
+        if Q.n_arrows * G.order**2 <= max_dim:
+            break
     c = random_cocycle(rng, Q, G)
 
     cert_iso = groupoids.certify_gpd_iso(Q, G, c, tol=tol)
@@ -311,6 +321,10 @@ def run_groupoid_case(seed: int, index: int = 0, tol: float = 1e-8,
     return CaseResult(index, "groupoid", seed, passed, time.perf_counter() - t0, summary)
 
 
+RUNNERS = {"graph": run_graph_case, "free-action": run_free_action_case,
+           "groupoid": run_groupoid_case}
+
+
 @dataclass
 class SuiteReport:
     seed: int
@@ -340,17 +354,8 @@ def suite_run(
 ) -> SuiteReport:
     """Run a mixed certification suite, one case after another; case i is of
     kind ``kinds[i % len(kinds)]`` and draws from its own child seed."""
-    runners = {
-        "graph": run_graph_case,
-        "free-action": run_free_action_case,
-        "groupoid": run_groupoid_case,
-    }
     results = []
     for i in range(cases):
-        kind = kinds[i % len(kinds)]
         child = seed * 1_000_003 + i
-        if kind in ("graph", "free-action"):
-            results.append(runners[kind](child, index=i, tol=tol, max_dim=max_dim))
-        else:
-            results.append(runners[kind](child, index=i, tol=tol))
+        results.append(RUNNERS[kinds[i % len(kinds)]](child, index=i, tol=tol, max_dim=max_dim))
     return SuiteReport(seed=seed, tolerance=tol, cases=results)

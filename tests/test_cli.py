@@ -208,6 +208,32 @@ def test_suite_run_refuses_a_max_dim_no_graph_case_fits(kind):
                            "the least ambient dimension of a graph instance\n")
 
 
+@pytest.mark.parametrize("kinds", ["foo", ",", "graph,foo"])
+def test_suite_run_refuses_unknown_or_empty_kinds(capsys, kinds):
+    assert cli.main(["suite", "run", "--cases", "1", "--kinds", kinds, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --kinds must name one or more of graph, free-action, "
+                            f"groupoid, got {kinds!r}\n")
+
+
+def test_suite_run_draws_groupoid_cases_under_max_dim():
+    src = os.path.dirname(os.path.dirname(skewprod.__file__))
+    argv = [sys.executable, "-m", "skewprod.cli", "suite", "run", "--cases", "1",
+            "--kinds", "groupoid", "--json", "--max-dim"]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv + ["8"], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0
+    summary = json.loads(done.stdout)["cases"][0]["summary"]
+    assert summary["groupoid"]["arrows"] * summary["group_order"] ** 2 <= 8
+    least = suite.MIN_GROUPOID_DIM
+    done = subprocess.run(argv + [str(least - 1)], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: max_dim {least - 1} is below {least}, "
+                           "the least ambient dimension of a groupoid instance\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["verify", "eqvt-iso", "-g", fx("e1"), "-G", fx("z2")],

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import basis_matrix, check_star_map, coefficients, contains, direct_sum
 
-from skewprod import matalg
+from skewprod import groupoids, matalg, suite
 from skewprod.matalg import (
     DimensionMismatch,
     NotInSpan,
@@ -327,3 +329,133 @@ class TestWedderburn:
         span = from_orthogonal([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1), matrix_unit(2, 1, 1)])
         with pytest.raises(matalg.NotSemisimple):
             wedderburn_signature(span)
+
+
+@pytest.fixture(scope="module")
+def case_spans():
+    """Every AlgebraSpan that one graph, one free-action and one groupoid case
+    build, by kind."""
+    spans = {}
+    original = matalg.AlgebraSpan.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        for kind, run in (("graph", suite.run_graph_case),
+                          ("free-action", suite.run_free_action_case),
+                          ("groupoid", suite.run_groupoid_case)):
+            built = spans[kind] = []
+
+            def recording(self, *args, **kwargs):
+                original(self, *args, **kwargs)
+                built.append(self)
+
+            mp.setattr(matalg.AlgebraSpan, "__init__", recording)
+            assert run(1).passed
+    return spans
+
+
+def test_every_span_a_case_builds_is_indexed(case_spans):
+    # A basis that loses its support index drops every expansion to the
+    # sparse products, which the reports cannot show.
+    for kind, spans in case_spans.items():
+        assert len(spans) >= 3, kind
+        assert [s.name for s in spans if s.support is None] == [], kind
+
+
+def _expansion_inputs(span, rng):
+    """Members of the span to expand: its generators, the adjoints of its
+    basis, one chunk of products on each side and random combinations."""
+    n = span.ambient_dim
+    combos = sp.csr_matrix(rng.standard_normal((3, span.dim))
+                           + 1j * rng.standard_normal((3, span.dim))) @ span.rows
+    return [span.gen_rows, matalg.star_columns(span.rows, n),
+            next(matalg.right_products(span.rows, span.gen_rows, n))[1],
+            next(matalg.left_products(span.rows, span.gen_rows, n))[1], combos]
+
+
+def test_indexed_expansion_equals_the_sparse_path(case_spans, rng):
+    for spans in case_spans.values():
+        for span in spans:
+            for rows in _expansion_inputs(span, rng):
+                fast, fast_resid = span.coefficients_rows(rows)
+                slow, slow_resid = span._sparse_coefficients_rows(rows)
+                assert fast.shape == slow.shape and fast.nnz == slow.nnz
+                assert (fast != slow).nnz == 0, span.name
+                assert fast_resid == pytest.approx(slow_resid, rel=0, abs=1e-15)
+                assert slow_resid <= 1e-12
+
+
+def test_planted_non_members_fail_both_paths():
+    # pair_groupoid(4): each delta_x has four ones, and half of the columns
+    # of M_16 lie off the support of C*(Q).
+    span = groupoids.GroupoidAlgebra(groupoids.pair_groupoid(4)).span
+    assert span.support is not None
+    x = span.rows[5].tocoo()
+    assert x.nnz == 4
+    off = np.setdiff1d(np.arange(span.rows.shape[1]), span.support[0])[0]
+    moved_col = x.col.copy()
+    moved_col[0] = off
+    moved = sp.csr_matrix((x.data, (x.row, moved_col)), shape=x.shape)
+    scaled = sp.csr_matrix((x.data * [2, 2, 1, 1], (x.row, x.col)), shape=x.shape)
+    # 2 delta at the first column, none at the second: four entries on the
+    # support of delta_x, which the gather alone would take for delta_x.
+    twice = sp.csr_matrix((x.data, x.col[[0, 0, 2, 3]], [0, 4]), shape=x.shape)
+    for rows in (moved, scaled, twice):
+        fast, fast_resid = span.coefficients_rows(rows)
+        slow, slow_resid = span._sparse_coefficients_rows(rows)
+        assert (fast != slow).nnz == 0
+        assert fast_resid == pytest.approx(slow_resid, rel=1e-12) and slow_resid > 1e-8
+
+
+def test_overlapping_supports_take_the_sparse_path():
+    # diag(1, 1) and diag(1, -1) are orthogonal with unit entries, but share
+    # both columns, so no column has one owner.
+    span = from_orthogonal([sp.identity(2, format="csr"), sp.diags([1.0, -1.0]).tocsr()])
+    assert span.support is None
+    coeffs, resid = span.coefficients_rows(matalg.vec_rows([matrix_unit(2, 0, 0)]))
+    np.testing.assert_array_equal(coeffs.toarray(), [[0.5, 0.5]])
+    assert resid == 0.0
+
+
+def _partial_permutations(rng, n, count):
+    """``count`` rows vec(g), each g with at most one entry in any matrix row
+    or column, each entry one of the unit phases 1, -1, i, -i."""
+    rows, cols, data = [], [], []
+    for k in range(count):
+        size = int(rng.integers(0, n + 1))
+        rows += [k] * size
+        cols += list(rng.choice(n, size, replace=False) * n + rng.choice(n, size, replace=False))
+        data += list(rng.choice(matalg.UNIT_PHASES, size))
+    return sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)), shape=(count, n * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), d=st.integers(1, 4), count=st.integers(1, matalg.CHUNK - 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_partial_permutation_products_equal_the_sparse_products(n, d, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = _complex_rows(d, n, int(rng.integers(1000)))
+    perms = _partial_permutations(rng, n, count)
+    # Either spoiler sends its chunk to the sparse products: two entries in
+    # one matrix row, or one entry that is not a unit phase.
+    spoilers = [sp.csr_matrix(([1.0, 1j], ([0, 0], [0, 1])), shape=(1, n * n)),
+                sp.csr_matrix(([np.exp(0.3j)], ([0], [n + 1])), shape=(1, n * n))]
+    for products, dense_product in ((matalg.right_products, lambda x, g: x @ g),
+                                    (matalg.left_products, lambda x, g: g @ x)):
+        for spoiler in spoilers:
+            with pytest.MonkeyPatch.context() as mp:
+                sparse_products = []
+                original = sp.csr_matrix.__matmul__
+                mp.setattr(sp.csr_matrix, "__matmul__",
+                           lambda a, b: sparse_products.append(1) or original(a, b))
+                (_, fast), = products(rows, perms, n)
+                assert sparse_products == []
+                (_, mixed), = products(rows, sp.vstack([perms, spoiler], format="csr"), n)
+                assert sparse_products == [1]
+            slow = mixed[:count * d]
+            for got, want in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
+                              (fast.data.view(np.int64), slow.data.view(np.int64))):
+                np.testing.assert_array_equal(got, want)  # the data bit for bit
+            g = spoiler.toarray().reshape(n, n)
+            for i in range(d):
+                want = dense_product(rows[i].toarray().reshape(n, n), g).ravel()
+                np.testing.assert_allclose(mixed[count * d + i].toarray().ravel(), want,
+                                           rtol=0, atol=1e-14)
