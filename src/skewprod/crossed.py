@@ -198,14 +198,14 @@ class ActionCrossedProduct:
 
     def element_rows(self, parts) -> sp.csr_matrix:
         """The rows vec(sum_s pi~(a_s) u~_s) for k elements at once: ``parts``
-        maps s to the k stacked rows vec(a_s); one right product by u~_s per
-        s for the whole stack."""
-        N = self.ambient_dim
-        out = None
-        for s, rows in parts.items():
-            _, term = next(matalg.right_products(self.pi_tilde_rows(rows), self._u_rows[s], N))
-            out = term if out is None else out + term
-        return out.tocsr()
+        maps s to the k stacked rows vec(a_s).  The coefficient of b_i in a_s
+        is that of the basis element pi~(b_i) u~_s, at i |G| + s, so one
+        expansion in the base and one sparse product serve every s."""
+        s = np.fromiter(parts, dtype=np.int64)
+        coeffs, _ = self.base.coefficients_rows(sp.vstack(list(parts.values()), format="csr"))
+        c, k = coeffs.tocoo(), coeffs.shape[0] // len(s)
+        return (sp.csr_matrix((c.data, (c.row % k, c.col * self.group.order + s[c.row // k])),
+                              shape=(k, self.dim)) @ self.span.rows).sorted_indices()
 
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""

@@ -158,6 +158,42 @@ def max_row_norm(rows) -> float:
     return float(np.max(np.linalg.norm(rows, axis=1))) if len(rows) else 0.0
 
 
+def _block_eigh(mat: sp.spmatrix, vectors: bool = False):
+    """Eigenvalues of the Hermitian sparse ``mat`` in the order of its blocks,
+    and with ``vectors`` the matching eigenvectors as columns.  Rows i and j
+    share a block when (i, j) or (j, i) is stored, so ``mat`` is
+    block-diagonal after a permutation: its spectrum is the union of the
+    blocks' and a block's eigenvector, padded with zeros, is one of ``mat``.
+    A block keeps its rows' relative order, so LAPACK reads the lower
+    triangle of ``mat``; the blocks of one size go to one batched call."""
+    h = sp.coo_matrix(mat)
+    d = h.shape[0]
+    label = np.arange(d)  # the least row of each block: min-label propagation, pointer jumping
+    while True:
+        low = label.copy()
+        np.minimum.at(low, np.r_[h.row, h.col], label[np.r_[h.col, h.row]])
+        if np.array_equal(low[low], label):
+            break
+        label = low[low]
+    size = np.bincount(label, minlength=d)[label]
+    order = np.lexsort((label, size))  # by block size, then block, then row
+    sizes, first, many = np.unique(size[order], return_index=True, return_counts=True)
+    pos = np.empty(d, dtype=np.int64)  # the rank of a row among the rows in blocks of its size
+    pos[order] = np.arange(d) - np.repeat(first, many)
+    w, v = np.zeros(d), np.zeros((d, d) if vectors else (0, 0), dtype=h.dtype)
+    for s, f, n_rows in zip(sizes, first, many):
+        e = size[h.row] == s
+        blocks = np.zeros((n_rows // s, s, s), dtype=h.dtype)
+        np.add.at(blocks, (pos[h.row[e]] // s, pos[h.row[e]] % s, pos[h.col[e]] % s), h.data[e])
+        if not vectors:
+            w[f : f + n_rows] = np.linalg.eigvalsh(blocks).ravel()
+            continue
+        vals, vecs = np.linalg.eigh(blocks)  # vecs[b, :, c] goes with vals[b, c]
+        b, p, c = np.indices(vecs.shape).reshape(3, -1)
+        w[f : f + n_rows], v[order[f + b * s + p], f + b * s + c] = vals.ravel(), vecs.ravel()
+    return (w, v) if vectors else w
+
+
 class AlgebraSpan:
     """A *-closed matrix algebra stored as an orthogonal basis.
 
@@ -482,8 +518,8 @@ def star_map_on_basis(
         injective = errs["compose_id_domain"] <= tol
         surjective = errs["compose_id_target"] <= tol and errs["target_membership"] <= tol
     else:
-        gram = (image_rows @ image_rows.conj().T).toarray()
-        rank = int(np.sum(np.linalg.eigvalsh(gram) > tol * max(1.0, img_scale**2)))
+        gram = image_rows @ image_rows.conj().T
+        rank = int(np.sum(_block_eigh(gram) > tol * max(1.0, img_scale**2)))
         injective = rank == d
         if target is not None:
             surjective = injective and rank == target.dim and errs["target_membership"] <= tol
@@ -514,8 +550,11 @@ def wedderburn_signature(
     <b_i, z b_j> / (|b_i| |b_j|), has the eigenvalue z_k with multiplicity
     n_k^2.  The block sizes are the square roots of its eigenvalue cluster
     sizes.  Two *-closed spans are *-isomorphic iff their signatures match.
-    Raises :class:`NotSemisimple` if, on every attempt, the cluster count
-    differs from dim Z or a cluster size is not a square, which for a genuine
+    Both Hermitian matrices stay sparse and are solved block by block, which
+    is exact: after a permutation each is block-diagonal, so its eigenvalues
+    are the blocks' and its null space the sum of theirs.  Raises
+    :class:`NotSemisimple` if, on every attempt, the cluster count differs
+    from dim Z or a cluster size is not a square, which for a genuine
     *-closed matrix algebra signals numerical or input error.
     """
     rng = rng or np.random.default_rng(0)
@@ -528,15 +567,15 @@ def wedderburn_signature(
     # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Each chunk of
     # commutators, row j d + i, is laid out as the d x (c n^2) matrix whose
     # row i holds the j-th commutator at columns j n^2 .. (j + 1) n^2 - 1.
-    K = np.zeros((d, d), dtype=np.complex128)
+    K = sp.csr_matrix((d, d), dtype=np.complex128)
     for (_, bt), (_, tb) in zip(right_products(span.rows, tests, n),
                                 left_products(span.rows, tests, n)):
         c = (bt - tb).tocoo()
         j, i = np.divmod(c.row, d)
         wide = sp.csr_matrix((c.data, (i, j * n * n + c.col)),
                              shape=(d, c.shape[0] // d * n * n))
-        K += (wide @ wide.conj().T).toarray()
-    w, v = np.linalg.eigh(K)
+        K = K + wide @ wide.conj().T
+    w, v = _block_eigh(K, vectors=True)
     scale = max(float(np.max(w)), 1.0)
     null_mask = w <= CLOSURE_TOL * scale
     z_dim = int(np.sum(null_mask))
@@ -560,8 +599,9 @@ def wedderburn_signature(
         if frobenius(z) < CLOSURE_TOL:
             continue
         _, left = next(left_products(span.rows, z, n))  # rows vec(z b_j)
-        mult = (span.rows.conj() @ left.T).toarray() * np.outer(inv_norms, inv_norms)
-        vals = np.linalg.eigvalsh(mult)
+        mult = (span.rows.conj() @ left.T).tocoo()
+        mult.data *= inv_norms[mult.row] * inv_norms[mult.col]
+        vals = np.sort(_block_eigh(mult))
         gap = max(1e-8, 1e-6 * max(float(vals[-1] - vals[0]), 1.0))
         cuts = np.flatnonzero(np.diff(vals) > gap) + 1
         sizes = np.diff(np.concatenate(([0], cuts, [d])))

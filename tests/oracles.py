@@ -29,6 +29,9 @@ terms from one flat table.  The tests compare the
 batched versions with these on random, gauge-scaled and groupoid inputs and
 on planted defects.
 
+The Wedderburn signature is computed on dense d x d matrices, where
+``skewprod`` solves their sparse components block by block.
+
 The module also holds the small helpers that only tests call: the trivial
 group, constant labelings, the operator norm, and the basis matrices,
 expansions, membership and random elements of an ``AlgebraSpan``.
@@ -935,3 +938,78 @@ def kernel_expectation_loop(Q, c, n_random: int = 100, rng=None) -> float:
         err = max(err, float(np.max(np.abs(alg_n.restrict_to_units(f)
                                            - convolution_algebra(Q).restrict_to_units(big)))))
     return err
+
+
+def wedderburn_signature_dense(
+    span: matalg.AlgebraSpan, rng: np.random.Generator | None = None
+) -> tuple[int, ...]:
+    """``matalg.wedderburn_signature`` with the commutator Gram matrix K and
+    the multiplication matrix dense d x d, one ``eigh`` / ``eigvalsh`` each:
+    the same centre, draws and clusters.  Sorted multiset of matrix-block
+    sizes {n_1, ..., n_k}, Sum n_i^2 = dim.
+
+    The center is found as the null space of the commutator Gram matrix
+    against the generators.  A random self-adjoint central
+    element z, built in coefficient space, is central in A = (+) M_{n_k} as
+    z = (+) z_k 1, so left multiplication by z on A, the Hermitian matrix
+    <b_i, z b_j> / (|b_i| |b_j|), has the eigenvalue z_k with multiplicity
+    n_k^2.  The block sizes are the square roots of its eigenvalue cluster
+    sizes.  Two *-closed spans are *-isomorphic iff their signatures match.
+    Raises :class:`NotSemisimple` if, on every attempt, the cluster count
+    differs from dim Z or a cluster size is not a square, which for a genuine
+    *-closed matrix algebra signals numerical or input error.
+    """
+    rng = rng or np.random.default_rng(0)
+    d = span.dim
+    if d == 0:
+        return ()
+    n = span.ambient_dim
+    tests = span.gen_rows
+
+    # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Each chunk of
+    # commutators, row j d + i, is laid out as the d x (c n^2) matrix whose
+    # row i holds the j-th commutator at columns j n^2 .. (j + 1) n^2 - 1.
+    K = np.zeros((d, d), dtype=np.complex128)
+    for (_, bt), (_, tb) in zip(matalg.right_products(span.rows, tests, n),
+                                matalg.left_products(span.rows, tests, n)):
+        c = (bt - tb).tocoo()
+        j, i = np.divmod(c.row, d)
+        wide = sp.csr_matrix((c.data, (i, j * n * n + c.col)),
+                             shape=(d, c.shape[0] // d * n * n))
+        K += (wide @ wide.conj().T).toarray()
+    w, v = np.linalg.eigh(K)
+    scale = max(float(np.max(w)), 1.0)
+    null_mask = w <= matalg.CLOSURE_TOL * scale
+    z_dim = int(np.sum(null_mask))
+    if z_dim == 0:
+        raise matalg.NotSemisimple("no central elements found (not even a unit)")
+
+    # Coefficients of the central elements z and of z*: b_i* = Sum_j S_ij b_j,
+    # so z* has the coefficients conj(c) S.  Each z gives the Hermitian parts
+    # (z + z*)/2 and (z - z*)/2i, in this order.
+    center = v[:, null_mask].T
+    star, _ = span.coefficients_rows(matalg.star_columns(span.rows, n))
+    adjoint = np.asarray(star.T @ center.conj().T).T
+    parts = np.empty((2 * z_dim, d), dtype=np.complex128)
+    parts[0::2] = (center + adjoint) / 2
+    parts[1::2] = (center - adjoint) / 2j
+    inv_norms = 1.0 / np.sqrt(span.norms2)
+
+    for _ in range(matalg._SIGNATURE_ATTEMPTS):
+        coeffs = rng.standard_normal(2 * z_dim) @ parts
+        z = sp.csr_matrix(coeffs.reshape(1, d)) @ span.rows
+        if matalg.frobenius(z) < matalg.CLOSURE_TOL:
+            continue
+        _, left = next(matalg.left_products(span.rows, z, n))  # rows vec(z b_j)
+        mult = (span.rows.conj() @ left.T).toarray() * np.outer(inv_norms, inv_norms)
+        vals = np.linalg.eigvalsh(mult)
+        gap = max(1e-8, 1e-6 * max(float(vals[-1] - vals[0]), 1.0))
+        cuts = np.flatnonzero(np.diff(vals) > gap) + 1
+        sizes = np.diff(np.concatenate(([0], cuts, [d])))
+        blocks = np.rint(np.sqrt(sizes)).astype(int)
+        if len(sizes) == z_dim and np.array_equal(blocks**2, sizes):
+            return tuple(sorted(int(b) for b in blocks))
+    raise matalg.NotSemisimple(
+        "center decomposition failed beyond tolerance; the span is either not "
+        "*-closed or numerically degenerate"
+    )

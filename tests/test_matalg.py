@@ -3,9 +3,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import basis_matrix, check_star_map, coefficients, contains, direct_sum
+from oracles import (
+    basis_matrix,
+    check_star_map,
+    coefficients,
+    contains,
+    direct_sum,
+    symmetric_group_3,
+    wedderburn_signature_dense,
+)
 
-from skewprod import groupoids, matalg, suite
+from skewprod import groupoids, groups, matalg, suite
 from skewprod.matalg import (
     DimensionMismatch,
     NotInSpan,
@@ -358,6 +366,55 @@ def test_every_span_a_case_builds_is_indexed(case_spans):
     for kind, spans in case_spans.items():
         assert len(spans) >= 3, kind
         assert [s.name for s in spans if s.support is None] == [], kind
+
+
+def test_signatures_match_the_dense_oracle(case_spans, rng):
+    # Both draw from one seed but pick different bases of the centre, so the
+    # verdicts are compared, not the draws; a signature has dim Z entries.
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    gens = (np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.eye(3)[[1, 0, 2]])  # M_2 (+) M_1
+    scrambled = span_closure([u @ g @ u.conj().T for g in gens])
+    assert scrambled.rows.nnz == scrambled.dim * 9  # dense basis rows: K is one block
+    s3 = from_orthogonal(groups.regular_matrices(symmetric_group_3())[0], name="C*(S3)")
+    spans = [span for spans in case_spans.values() for span in spans] + [scrambled, s3]
+    for span in spans:
+        fast = wedderburn_signature(span, rng=np.random.default_rng(0))
+        dense = wedderburn_signature_dense(span, rng=np.random.default_rng(0))
+        assert fast == dense, span.name
+        assert len(fast) == len(dense) and sum(b * b for b in fast) == span.dim
+    assert wedderburn_signature(s3) == (1, 1, 2)
+    assert wedderburn_signature(scrambled) == (1, 2)
+    plant = from_orthogonal([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1), matrix_unit(2, 1, 1)])
+    for signature in (wedderburn_signature, wedderburn_signature_dense):
+        with pytest.raises(matalg.NotSemisimple):
+            signature(plant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6), lower=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_eigh_equals_dense_eigh(sizes, lower, seed):
+    # Permuted Hermitian blocks, two of them 1 x 1, and two blocks joined by
+    # one entry stored in one triangle only: LAPACK reads the lower triangle,
+    # so that entry counts when it lies there and is ignored otherwise.
+    r = np.random.default_rng(seed)
+    sizes = [1, *sizes, 1]
+    d = sum(sizes)
+    mat = np.zeros((d, d), dtype=np.complex128)
+    at = np.cumsum([0, *sizes])
+    for lo, hi in zip(at[:-1], at[1:]):
+        x = r.standard_normal((hi - lo,) * 2) + 1j * r.standard_normal((hi - lo,) * 2)
+        mat[lo:hi, lo:hi] = x + x.conj().T
+    perm = r.permutation(d)
+    mat = mat[np.ix_(perm, perm)]
+    w, v = matalg._block_eigh(sp.csr_matrix(mat), vectors=True)
+    np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(mat), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mat @ v, v * w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(d), rtol=0, atol=1e-12)
+    i, j = sorted(np.flatnonzero(np.isin(perm, at[:2])))[::-1 if lower else 1]
+    mat[i, j] = 0.5 + 0.25j
+    np.testing.assert_allclose(np.sort(matalg._block_eigh(sp.csr_matrix(mat))),
+                               np.linalg.eigvalsh(mat), rtol=0, atol=1e-12)
 
 
 def _expansion_inputs(span, rng):

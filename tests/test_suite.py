@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import skewprod
 from skewprod import crossed, duality, graphalg, groupoids, suite
 from skewprod.graphs import GraphError
 
@@ -135,3 +139,17 @@ def test_the_least_graph_dimension_is_drawn():
     assert (E.n_vertices, E.n_edges, G.order) == (suite.MIN_VERTICES, suite.MIN_EDGES, 2)
     with pytest.raises(GraphError, match="below 8"):
         suite.random_graph_instance(rng, max_dim=suite.min_graph_dim() - 1)
+
+
+def test_cases_leave_scipy_csgraph_unimported():
+    # Importing scipy.sparse.csgraph adds about 9 MB of resident memory; the
+    # Wedderburn signatures find their blocks by numpy label propagation.
+    src = os.path.dirname(os.path.dirname(skewprod.__file__))
+    code = ("import sys\n"
+            "from skewprod import suite\n"
+            "assert suite.run_graph_case(1).passed and suite.run_groupoid_case(1).passed\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
