@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from . import matalg
 from .graphs import GraphAction
-from .groups import FiniteGroup, action_law_failure, regular_matrices
+from .groups import FiniteGroup, action_law_failure, regular_rows
 from .matalg import AlgebraSpan
 
 if TYPE_CHECKING:
@@ -164,27 +164,13 @@ class ActionCrossedProduct:
         self._u_perm = i * m + G.table[:, u]
 
         # Basis row for (i, s): vec(pi~(b_i) u~_s), at index k = i*m + s.
-        # pi~(b_i) u~_s = sum_t gamma_{t^-1}(b_i) (x) E_{t, s^-1 t}.
-        rows_idx, cols_idx, data = [], [], []
-        for t in G:
-            g = action.image_rows(G.inv(t)).tocoo()
-            a_i, a_j = g.col // n, g.col % n
-            for s in G:
-                u = G.mul(G.inv(s), t)
-                big = (a_i * m + t) * N + (a_j * m + u)
-                rows_idx.append(g.row * m + s)
-                cols_idx.append(big)
-                data.append(g.data)
-        rows = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(d * m, N * N),
-        )
+        # pi~(b_i) u~_s = sum_t gamma_{t^-1}(b_i) (x) chi_t lam_s.
+        lam, _, chi = regular_rows(G)
+        chi_lam = sp.vstack([p for _, p in matalg.right_products(chi, lam, m)], format="csr")
+        rows = sum(matalg._kron_rows(action.image_rows(G.inverse[t]), chi_lam[t::m], n, m)
+                   for t in G)
         self._pi_rows = rows[np.arange(d) * m + G.identity_index]  # rows of pi~(b_i)
-        self._u_rows = sp.csr_matrix(
-            (np.ones(m * N, dtype=np.complex128),
-             (np.repeat(np.arange(m), N), (self._u_perm * N + np.arange(N)).ravel())),
-            shape=(m, N * N),
-        )
+        self._u_rows = matalg._kron_rows(matalg.identity_row(n), lam, n, m)
         # Generators: pi~ of the base generators, then u~_s.
         gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], format="csr")
         self.span = AlgebraSpan(N, rows, gen_rows=gen_rows,
@@ -258,23 +244,13 @@ class GradedSpan:
     @cached_property
     def spanning_rows(self) -> sp.csr_matrix:
         """Rows vec(b_i (x) lam_t chi_u), t = deg(b_i), at index k = i |G| + u."""
-        G = self.group
-        m = G.order
-        n = self.span.ambient_dim
-        N = n * m
-        coo = self.span.rows.tocoo()
-        a_i, a_j = coo.col // n, coo.col % n
-        deg = self.degrees[coo.row]
-        rows_idx, cols_idx, data = [], [], []
-        for u in G:
-            tu = G.table[deg, u]
-            rows_idx.append(coo.row * m + u)
-            cols_idx.append((a_i * m + tu) * N + (a_j * m + u))
-            data.append(coo.data)
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(self.span.dim * m, N * N),
-        )
+        m = self.group.order
+        lam, _, chi = regular_rows(self.group)
+        # lam_t chi_u at row u |G| + t, so b_i (x) lam_t chi_u at (i |G| + u) |G| + t.
+        lam_chi = sp.vstack([p for _, p in matalg.right_products(lam, chi, m)], format="csr")
+        k = np.arange(self.span.dim * m)
+        return matalg._kron_rows(self.span.rows, lam_chi, self.span.ambient_dim, m)[
+            k * m + self.degrees[k // m]]
 
     @cached_property
     def delta_rows(self) -> sp.csr_matrix:
@@ -310,7 +286,7 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
     G, span = graded.group, graded.span
     n, m = span.ambient_dim, G.order
     N = n * m
-    lam = matalg.vec_rows(regular_matrices(G)[0])  # row t: vec(lam_t)
+    lam = regular_rows(G)[0]  # row t: vec(lam_t)
     errs = {}
 
     gram = (graded.delta_rows @ graded.delta_rows.conj().T).toarray()
@@ -323,18 +299,11 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
     dx = graded.delta(span.gen_rows)
     k = dx.shape[0]
     # The lam leg: x_t[i, j] = sum_(a,b) conj(lam_t[a, b]) delta(x)[(i, a), (j, b)] / |G|,
-    # one sparse map from vec(delta(x)) to the vec(x_t) side by side.
-    lc = lam.tocoo()
-    a, b = np.divmod(lc.col, m)
-    i, j = np.divmod(np.arange(n * n), n)
-    expand = sp.csr_matrix(
-        (np.tile(lc.data.conj(), n * n),
-         (((i[:, None] * m + a) * N + j[:, None] * m + b).ravel(),
-          (lc.row * n * n + (i * n + j)[:, None]).ravel())),
-        shape=(N * N, m * n * n),
-    )
+    # the pairing of vec(delta(x)) with vec(E_ij (x) lam_t), column (i n + j) |G| + t
+    # of one sparse map (row i n + j of the identity is vec(E_ij)).
+    expand = matalg._kron_rows(sp.identity(n * n, format="csr"), lam, n, m).conj().T
     xs = (dx @ expand).tocoo()
-    x_rows = sp.csr_matrix((xs.data / m, (xs.row * m + xs.col // (n * n), xs.col % (n * n))),
+    x_rows = sp.csr_matrix((xs.data / m, (xs.row * m + xs.col % m, xs.col // m)),
                            shape=(k * m, n * n))
     dxs = graded.delta(x_rows, tol=None)
     # Each x_t must be the degree-t component of x.
@@ -351,7 +320,7 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
     ident_err = max(ident_err, matalg.max_row_norm(dxs - own),
                     matalg.max_row_norm(collapse @ own - dx))
     # Nondegeneracy: delta(x_t)(1 (x) lam_s) = x_t (x) lam_(t s), at row s k |G| + g |G| + t.
-    shifts = matalg._kron_rows(matalg.vec_rows([sp.identity(n, format="csr")]), lam, n, m)
+    shifts = matalg._kron_rows(matalg.identity_row(n), lam, n, m)
     nondeg_err = 0.0
     for s0, prods in matalg.right_products(dxs, shifts, N):
         s, q = np.divmod(np.arange(prods.shape[0]), k * m)
@@ -387,12 +356,11 @@ class CoactionCrossedProduct:
         self.degrees = graded.degrees
         G = self.group
         self.ambient_dim = self.base.ambient_dim * G.order
-        self._lam, _, self._chi = regular_matrices(G)
+        self._lam, _, self._chi = regular_rows(G)
         # Generators: j_A(a) = delta(a) for the base generators a, then
         # j_G(chi_u) = 1 (x) chi_u.
         n = self.base.ambient_dim
-        j_chi = matalg._kron_rows(matalg.vec_rows([sp.identity(n, format="csr")]),
-                                  matalg.vec_rows(self._chi), n, G.order)
+        j_chi = matalg._kron_rows(matalg.identity_row(n), self._chi, n, G.order)
         gen_rows = sp.vstack([graded.delta(self.base.gen_rows), j_chi], format="csr")
         self.span = AlgebraSpan(self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
                                 name=f"{self.base.name} x_delta G")
@@ -421,10 +389,9 @@ class CoactionCrossedProduct:
         # Group leg: (lam_s chi_u)(lam_t chi_w) = [u = t w] lam_{st} chi_w and
         # (lam_t chi_u)* = lam_{t^-1} chi_{t u}; exhaustive over G^4 / G^2, on
         # the dense stack L[s, u] = lam_s chi_u, one s (|G|^5 entries) at a time.
-        lam = np.array([mat.toarray() for mat in self._lam])
-        L = lam[:, None] @ np.array([mat.toarray() for mat in self._chi])[None]
-        inv = np.array([G.inv(t) for t in G])
-        star = L[inv[:, None], G.table]
+        L = (self._lam.toarray().reshape(m, m, m)[:, None]
+             @ self._chi.toarray().reshape(m, m, m)[None])
+        star = L[G.inverse[:, None], G.table]
         bad_star = np.abs(L.conj().swapaxes(-1, -2) - star).max(axis=(2, 3)) > tol
         right = L.transpose(2, 0, 1, 3).reshape(m, m**3)  # column (t, w, c)
         t_, w_ = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -471,8 +438,7 @@ class CoactionCrossedProduct:
             raise ActionInvalid("base algebra is not *-closed")
         coo = star_coeffs.tocoo()
         keep = np.abs(coo.data) > tol
-        inv_map = np.array([G.inv(t) for t in range(m)])
-        if np.any(self.degrees[coo.col[keep]] != inv_map[self.degrees[coo.row[keep]]]):
+        if np.any(self.degrees[coo.col[keep]] != G.inverse[self.degrees[coo.row[keep]]]):
             raise ActionInvalid("adjoint degree mismatch in the graded base")
         self._star_coeffs = star_coeffs
 
@@ -530,11 +496,10 @@ class CoactionCrossedProduct:
         conjugation by 1 (x) rho_s; both descriptions are verified to agree."""
         G = self.group
         m = G.order
-        inv = np.array([G.inv(s) for s in G])
 
         def right_shifts(n):  # row s: index i |G| + u -> i |G| + u s^-1, for i |G| + u < n
             i, u = np.divmod(np.arange(n), m)
-            return i * m + G.table[u[None, :], inv[:, None]]
+            return i * m + G.table[u[None, :], G.inverse[:, None]]
 
         # 1 (x) rho_s sends e_(i, u) to e_(i, u s^-1); the spanning element
         # (a_t, u) sits at the same kind of index, i |G| + u.

@@ -37,7 +37,7 @@ from .crossed import (
 from .graphalg import CKFamily, ck_representation
 from .graphs import DirectedGraph, GraphAction, skew_product, translation_action
 from .graphs import quotient_and_gross_tucker
-from .groups import FiniteGroup, Labeling, regular_matrices
+from .groups import FiniteGroup, Labeling, regular_rows
 from .matalg import StarMapReport, full_matrix_span, tensor_span
 
 DEFAULT_ISO_TOL = 1e-8
@@ -269,7 +269,7 @@ def certify_eqvt_iso(
     degree = fam.path_degrees(G, labeling.by_edge)
     lift = _skew_lift(fam, fam_skew, G, degree)
     mu, nu = fam.pairs[:, :1], fam.pairs[:, 1:]
-    a = G.table[np.array([G.inv(s) for s in G])[degree[nu]], np.arange(G.order)]
+    a = G.table[G.inverse[degree[nu]], np.arange(G.order)]
     perm = fam_skew.pair(lift[mu, a], lift[nu, a]).ravel()
     inverse_rows = fam_skew.span.rows[perm]
 
@@ -312,7 +312,7 @@ def certify_direct_iso(
     parts = _parts_for(parts, graph, G, labeling, tol)
     fam, skew = parts.fam, parts.skew
     acp, target = parts.acp, parts.target
-    _, rho, chi = regular_matrices(G)
+    _, rho, chi = regular_rows(G)
     mt = target.ambient_dim  # = P |G|
 
     # Theta on generators: the Cuntz-Krieger relations, and u_t t_(f,r) =
@@ -340,18 +340,17 @@ def certify_direct_iso(
                    format="csr")
     # w_t = sum_r y_(t r) u_(r^-1 t^-1 r); t_f = (sum_r pi~(s_(f,r))) w_(c(f)^-1),
     # the product at row c(f)^-1 n_e + f.
+    inv, (t, r) = G.inverse, np.divmod(np.arange(m * m), m)
     w_rows = sp.csr_matrix(
-        (np.ones(m * m), ([t for t in G for r in G],
-                          [G.mul(G.inv(r), G.mul(G.inv(t), r)) * m + G.mul(t, r)
-                           for t in G for r in G])), shape=(m, m * m)) @ yu
+        (np.ones(m * m), (t, G.table[inv[r], G.table[inv[t], r]] * m + G.table[t, r])),
+        shape=(m, m * m)) @ yu
     sw = sp.vstack([p for _, p in matalg.right_products(s_sums, w_rows, N)], format="csr")
-    t_rows = sw[[G.inv(labeling.of(f)) * n_e + f for f in range(n_e)]]
+    t_rows = sw[inv[labeling.by_edge] * n_e + np.arange(n_e)]
 
-    # Upsilon on the target basis e_{mu,nu} (x) E_{a,b} -> t_mu t_nu* y_a u_{a^-1 b}.
+    # Upsilon on the target basis e_{mu,nu} (x) E_{a,b} -> t_mu t_nu* y_a u_{a^-1 b},
+    # with (a, b) = (t, r).
     tq = sp.vstack([t_rows, q_rows], format="csr")
-    inverse_rows = _basis_image_rows(
-        fam, tq, N, post=yu[[G.mul(G.inv(a), b) * m + a for a in G for b in G]],
-    )
+    inverse_rows = _basis_image_rows(fam, tq, N, post=yu[G.table[inv[t], r] * m + t])
 
     report = matalg.star_map_on_basis(
         acp.span, image_rows, mt, acp.span.gen_rows, parts.theta_gen_rows, tol=tol,
@@ -364,13 +363,14 @@ def certify_direct_iso(
     ups_of_theta = c_target @ inverse_rows
     comp_err = max(comp_err, matalg.max_row_norm(ups_of_theta - acp.span.gen_rows))
     # Theta(Upsilon(h)) for the target generators h = s_f (x) chi_r rho_t and
-    # p_v (x) chi_r rho_t, in this order: Upsilon(h) = t_f (y_r u_t), q_v (y_r u_t).
-    h_rows = matalg._kron_rows(fam.span.gen_rows,
-                               matalg.vec_rows([chi[r] @ rho[t] for r in G for t in G]),
-                               fam.ambient_dim, m)
+    # p_v (x) chi_r rho_t, in this order, at row g |G|^2 + t |G| + r:
+    # Upsilon(h) = t_f (y_r u_t), q_v (y_r u_t), row (t |G| + r) n_h + g of tq yu.
+    chi_rho = sp.vstack([p for _, p in matalg.right_products(chi, rho, m)], format="csr")
+    h_rows = matalg._kron_rows(fam.span.gen_rows, chi_rho, fam.ambient_dim, m)
     tq_yu = sp.vstack([p for _, p in matalg.right_products(tq, yu, N)], format="csr")
     n_h = fam.span.gen_rows.shape[0]
-    ups_h = tq_yu[[(t * m + r) * n_h + g for g in range(n_h) for r in G for t in G]]
+    g, tr = np.divmod(np.arange(n_h * m * m), m * m)
+    ups_h = tq_yu[tr * n_h + g]
     c_dom, resid = acp.span.coefficients_rows(ups_h)
     comp_err = max(comp_err, resid)
     theta_of_ups = c_dom @ image_rows
@@ -422,21 +422,21 @@ def certify_regular_diagram(
     """
     parts = _parts_for(parts, graph, G, labeling, tol)
     fam, delta, skew = parts.fam, parts.coaction.delta, parts.skew
-    _, rho, chi = regular_matrices(G)
+    _, rho, chi = regular_rows(G)
     P, n_g = fam.ambient_dim, fam.span.gen_rows.shape[0]
-    ones = matalg.vec_rows([sp.identity(P, format="csr")])
+    ones = matalg.identity_row(P)
 
     # Route B: delta(s_f) (1 (x) chi_r) at row r n_g + f and delta(p_v) (1 (x)
     # chi_r) at row r n_g + n_e + v, picked in Theta's (f, r), (v, r) order,
     # then u_t -> 1 (x) rho_t.
-    chi_rows = matalg._kron_rows(ones, matalg.vec_rows(chi), P, G.order)
+    chi_rows = matalg._kron_rows(ones, chi, P, G.order)
     prods = sp.vstack([p for _, p in matalg.right_products(
         delta(fam.span.gen_rows), chi_rows, P * G.order)], format="csr")
     f, r = np.divmod(np.arange(skew.n_edges), G.order)
     v, rv = np.divmod(np.arange(skew.n_vertices), G.order)
     picks = np.r_[r * n_g + f, rv * n_g + graph.n_edges + v]
     route_b = sp.vstack([prods[picks],
-                         matalg._kron_rows(ones, matalg.vec_rows(rho), P, G.order)], format="csr")
+                         matalg._kron_rows(ones, rho, P, G.order)], format="csr")
     err = matalg.max_row_norm(parts.theta_gen_rows - route_b)
 
     # Finite-scale faithfulness: the regular covariant representation of the
@@ -545,15 +545,14 @@ def _theta_generator_images(fam, G, labeling) -> sp.csr_matrix:
     p_(v,r) -> p_v (x) chi_r and u_t -> 1 (x) rho_t inside C*(E) (x) M_|G|,
     in the order of the skew product's edges f |G| + r, its vertices
     v |G| + r, and then G."""
-    lam, rho, chi = regular_matrices(G)
+    lam, rho, chi = regular_rows(G)
     graph, P, m = fam.graph, fam.ambient_dim, G.order
     gen_rows, n_e = fam.span.gen_rows, graph.n_edges
-    # s_f (x) lam_t chi_r at row f |G|^2 + t |G| + r, picked at t = c(f).
-    edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(
-        [lam[t] @ chi[r] for t in G for r in G]), P, m)
+    # s_f (x) lam_t chi_r at row f |G|^2 + r |G| + t, picked at t = c(f).
+    lam_chi = sp.vstack([p for _, p in matalg.right_products(lam, chi, m)], format="csr")
+    edges = matalg._kron_rows(gen_rows[:n_e], lam_chi, P, m)
     f, r = np.divmod(np.arange(n_e * m), m)
     # p_v (x) chi_r at row v |G| + r.
-    vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(chi), P, m)
-    us = matalg._kron_rows(matalg.vec_rows([sp.identity(P, format="csr")]),
-                           matalg.vec_rows(rho), P, m)
-    return sp.vstack([edges[(f * m + labeling.by_edge[f]) * m + r], vertices, us], format="csr")
+    vertices = matalg._kron_rows(gen_rows[n_e:], chi, P, m)
+    us = matalg._kron_rows(matalg.identity_row(P), rho, P, m)
+    return sp.vstack([edges[(f * m + r) * m + labeling.by_edge[f]], vertices, us], format="csr")

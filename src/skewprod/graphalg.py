@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import matalg
 from .crossed import GradedSpan, verify_graded_coaction
 from .graphs import DirectedGraph, EmptyGraph, GraphError, enumerate_sink_paths
-from .groups import FiniteGroup, Labeling, regular_matrices
+from .groups import FiniteGroup, Labeling, regular_rows
 from .matalg import AlgebraSpan, frobenius
 
 
@@ -320,10 +320,9 @@ def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.nda
 def spectral_subspaces(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
     """Grade the canonical basis of C*(E) by deg(e_{mu,nu}) = c(mu) c(nu)^-1."""
     path_degree = fam.path_degrees(G, labeling.by_edge)[fam.pairs]
-    inverse = np.array([G.inv(s) for s in G])
-    degrees = G.table[path_degree[:, 0], inverse[path_degree[:, 1]]]
+    degrees = G.table[path_degree[:, 0], G.inverse[path_degree[:, 1]]]
     fail = _check_path_grading(fam, degrees, labeling.by_edge, lambda a, b: G.table[a, b],
-                               lambda a: inverse[a], G.identity_index)
+                               lambda a: G.inverse[a], G.identity_index)
     if fail:
         raise ValueError(fail)
     return GradedSpan(fam.span, degrees, G)
@@ -341,9 +340,8 @@ def coaction(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
     P, m, n_e = fam.ambient_dim, G.order, fam.graph.n_edges
     gen_rows = fam.span.gen_rows
     # s_f (x) lam_t at row f |G| + t, picked at t = c(f); then p_v (x) 1.
-    edges = matalg._kron_rows(gen_rows[:n_e], matalg.vec_rows(regular_matrices(G)[0]), P, m)
-    vertices = matalg._kron_rows(gen_rows[n_e:], matalg.vec_rows(
-        [sp.identity(m, format="csr")]), P, m)
+    edges = matalg._kron_rows(gen_rows[:n_e], regular_rows(G)[0], P, m)
+    vertices = matalg._kron_rows(gen_rows[n_e:], matalg.identity_row(m), P, m)
     formula = sp.vstack([edges[np.arange(n_e) * m + labeling.by_edge], vertices], format="csr")
     err = matalg.max_row_norm(graded.delta(gen_rows) - formula)
     if err > 1e-12:

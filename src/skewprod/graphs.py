@@ -394,7 +394,6 @@ def quotient_and_gross_tucker(
     if fixed:
         raise ActionNotFree(fixed)
     G, m = action.group, action.group.order
-    inverse = np.array([G.inv(t) for t in G])
 
     def orbit_data(perm_rows):
         # rep[i]: least-index orbit representative; shift[i]: the unique t
@@ -415,13 +414,13 @@ def quotient_and_gross_tucker(
     quotient = DirectedGraph(qvertices, [
         Edge(("orbit", graph.edges[r].id), qvertices[vorbit[graph.src[r]]],
              qvertices[vorbit[graph.rng[r]]]) for r in ereps])
-    labeling = Labeling(quotient, G, G.table[inverse[sigma[ereps]], rho[ereps]])
+    labeling = Labeling(quotient, G, G.table[G.inverse[sigma[ereps]], rho[ereps]])
     skew = skew_product(quotient, G, labeling)
 
     # Vertex t . rep goes to (orbit, t^-1); edge t . rep to (orbit,
     # rho^-1 t^-1), rho the range shift of the representative edge.
-    vmap = vorbit * m + inverse[vshift]
-    emap = eorbit * m + G.table[inverse[rho[ereps[eorbit]]], inverse[eshift]]
+    vmap = vorbit * m + G.inverse[vshift]
+    emap = eorbit * m + G.table[G.inverse[rho[ereps[eorbit]]], G.inverse[eshift]]
     iso = GraphIso(graph, skew, vmap, emap)
 
     # The isomorphism must carry the action to right translation: iso t.x =
@@ -467,10 +466,9 @@ def convention_iso(
             edges.append(Edge(mk_e(e.id, t), mk_v(e.src, t), mk_v(e.rng, G.mul(t, c))))
     other = DirectedGraph(vertices, edges)
     # In either graph the cell (v, t) or (f, t) sits at v |G| + t or f |G| + t.
-    inverse = np.array([G.inv(t) for t in G])
-    vmap = (np.arange(graph.n_vertices)[:, None] * m + inverse).ravel()
+    vmap = (np.arange(graph.n_vertices)[:, None] * m + G.inverse).ravel()
     emap = (np.arange(graph.n_edges)[:, None] * m
-            + G.table[inverse[labeling.by_edge][:, None], inverse]).ravel()
+            + G.table[G.inverse[labeling.by_edge][:, None], G.inverse]).ravel()
     return other, GraphIso(other, skew, vmap, emap)
 
 

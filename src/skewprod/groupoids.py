@@ -316,7 +316,7 @@ def transitive_groupoid(n_units: int, isotropy: FiniteGroup, tag: str = "") -> F
         [f"{tag}u{i}" for i in range(n_units)],
         [(tag, i, j, name) for i, j, name in
          itertools.product(range(n_units), range(n_units), isotropy.elements)],
-        *_transitive_tables(n_units, isotropy.table, [isotropy.inv(h) for h in isotropy]),
+        *_transitive_tables(n_units, isotropy.table, isotropy.inverse),
     )
 
 
@@ -548,9 +548,8 @@ def translation_groupoid_action(skew: FiniteGroupoid, G: FiniteGroup) -> Groupoi
     if hasattr(skew, "_translation_action"):
         return skew._translation_action
     m, k = G.order, np.arange(skew.n_arrows)
-    inv = [G.inv(s) for s in G]
     # perm[s, x |G| + t] = x |G| + t s^-1
-    perm = (k // m * m)[None, :] + G.table[k % m][:, inv].T
+    perm = (k // m * m)[None, :] + G.table[k % m][:, G.inverse].T
     skew._translation_action = GroupoidAction(skew, G, perm)
     return skew._translation_action
 
@@ -568,8 +567,7 @@ def semidirect_product(
         raise NotAutomorphism("action must act on R")
     if hasattr(action, "_semidirect"):
         return action._semidirect
-    m, e = G.order, G.name(G.identity_index)
-    inv = [G.inv(s) for s in G]
+    m, e, inv = G.order, G.name(G.identity_index), G.inverse
     # x (s.y) at [x, s, y, 0]; (x, s) and (y, t) compose exactly when it
     # exists, and the entry [x, s, y, t] is the composite's index.
     x_sy = R.mult[:, action.arrow_perm][..., None]
@@ -916,7 +914,7 @@ def expectations_and_norm_identities(
 
     # beta_s(f)(x) = f(s^-1 . x) for every draw f and every s.
     f, = random_functions(rng, max(8, n_random // 10), R.n_arrows)
-    moved = f[:, action.arrow_perm[[G.inv(s_) for s_ in G]]]
+    moved = f[:, action.arrow_perm[G.inverse]]
     err = float(np.max(np.abs(base_alg.unit_sup_norm(moved)
                               - base_alg.unit_sup_norm(f)[:, None])))
     out["translation_norm_error"] = err
@@ -1045,7 +1043,7 @@ def certify_equivalence(
     skew = skew_product_groupoid(Q, G, c)
     m = G.order
     if kind == "semidirect":
-        inv = np.array([G.inv(t) for t in G])
+        inv = G.inverse
         trans = translation_groupoid_action(skew, G)
         L = semidirect_product(skew, G, trans)
         # Carrier cell z = x |G| + s is the skew arrow (x, s).  L's units are

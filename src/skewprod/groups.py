@@ -1,6 +1,11 @@
 """Finite groups given by Cayley tables, their regular representations, and
 group-valued edge labelings.
 
+The regular representation is one object, :func:`regular_rows`: lam, rho and
+chi of every element as stacked rows vec(X), written from the table, the
+form in which the crossed products use them as the group leg of
+A (x) M_|G|.
+
 Group elements are indices into an ordered element list; human-readable names
 are kept only for I/O.  All group-law checks are exhaustive, which is why the
 order is capped at ``MAX_GROUP_ORDER``.
@@ -43,7 +48,8 @@ class MissingEdge(ValueError):
 class FiniteGroup:
     """A finite group: ordered element names plus a validated Cayley table.
 
-    ``table[i, j]`` is the index of the product (element i) * (element j).
+    ``table[i, j]`` is the index of the product (element i) * (element j),
+    and ``inverse[i]`` the index of the inverse of element i.
     Instances are immutable; construct through :func:`make_group` (or the
     named constructors) so the group laws are checked exhaustively.
     """
@@ -53,10 +59,8 @@ class FiniteGroup:
         self.table = np.asarray(table, dtype=np.int64)
         self.table.setflags(write=False)
         self.identity_index = int(identity_index)
-        self._inverse = np.empty(len(self.elements), dtype=np.int64)
-        for i in range(len(self.elements)):
-            self._inverse[i] = int(np.nonzero(self.table[i] == self.identity_index)[0][0])
-        self._inverse.setflags(write=False)
+        self.inverse = np.argmax(self.table == self.identity_index, axis=1)
+        self.inverse.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -72,7 +76,7 @@ class FiniteGroup:
         return int(self.table[i, j])
 
     def inv(self, i: int) -> int:
-        return int(self._inverse[i])
+        return int(self.inverse[i])
 
     def name(self, i: int) -> str:
         return self.elements[i]
@@ -172,25 +176,24 @@ def klein_four_group() -> FiniteGroup:
     return make_group(table, elements=["e", "a", "b", "ab"])
 
 
-def regular_matrices(G: FiniteGroup) -> tuple[list, list, list]:
-    """The matrices of lam_s e_t = e_(st), rho_s e_t = e_(t s^-1) and chi_r, the
-    projection onto e_r, for every element, as sparse complex 0/1 lists.
+def regular_rows(G: FiniteGroup) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """lam, rho and chi as three (|G|, |G|^2) stacks of rows, row s holding
+    vec(lam_s), vec(rho_s) or vec(chi_s): lam_s e_t = e_(st), rho_s e_t =
+    e_(t s^-1) and chi_r the projection onto e_r, complex 0/1 entries.
 
     The right-regular convention is chosen so that rho_t chi_r = chi_(r t^-1) rho_t
-    holds on the nose.  Groups are immutable: the lists are built once and
+    holds on the nose.  Groups are immutable: the rows are built once and
     cached on G, and callers must not mutate them.
     """
-    if not hasattr(G, "_regular"):
-        n = G.order
-        ones, cols = np.ones(n, dtype=np.complex128), np.arange(n)
-
-        def sends(targets):  # the permutation matrix e_t -> e_(targets[t])
-            return sp.csr_matrix((ones, (targets, cols)), shape=(n, n))
-
-        G._regular = ([sends(G.table[s]) for s in G],
-                      [sends(G.table[:, G.inv(s)]) for s in G],
-                      [sp.csr_matrix((ones[:1], ([r], [r])), shape=(n, n)) for r in G])
-    return G._regular
+    if not hasattr(G, "_regular_rows"):
+        m = G.order
+        s, t = np.divmod(np.arange(m * m), m)
+        ones = np.ones(m * m, dtype=np.complex128)
+        lam = sp.csr_matrix((ones, (s, G.table[s, t] * m + t)), shape=(m, m * m))
+        rho = sp.csr_matrix((ones, (s, G.table[t, G.inverse[s]] * m + t)), shape=(m, m * m))
+        chi = sp.csr_matrix((ones[:m], (t[:m], t[:m] * (m + 1))), shape=(m, m * m))  # vec(E_rr)
+        G._regular_rows = lam, rho, chi
+    return G._regular_rows
 
 
 def action_law_failure(G: FiniteGroup, perms) -> tuple[str, tuple] | None:

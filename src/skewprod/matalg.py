@@ -53,10 +53,6 @@ def as_dense(mat) -> np.ndarray:
     return np.asarray(mat, dtype=np.complex128)
 
 
-def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:
-    return sp.csr_matrix(([1.0 + 0j], ([i], [j])), shape=(n, n))
-
-
 def vec_rows(mats: Sequence) -> sp.csr_matrix:
     """Stack vec(m) for each matrix as the rows of one sparse matrix."""
     n = mats[0].shape[0]
@@ -65,6 +61,12 @@ def vec_rows(mats: Sequence) -> sp.csr_matrix:
     col = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
     data = np.concatenate([c.data for c in coos]).astype(np.complex128)
     return sp.csr_matrix((data, (row, col)), shape=(len(coos), n * n))
+
+
+def identity_row(n: int) -> sp.csr_matrix:
+    """vec(1_n) as one sparse row."""
+    i = np.arange(n)
+    return sp.csr_matrix((np.ones(n, dtype=np.complex128), (0 * i, i * (n + 1))), shape=(1, n * n))
 
 
 def unvec_rows(rows: sp.csr_matrix, n: int) -> list[sp.csr_matrix]:
@@ -145,10 +147,17 @@ def frobenius(mat) -> float:
     return float(np.linalg.norm(mat))
 
 
+def row_sq_norms(rows: sp.spmatrix) -> np.ndarray:
+    """Squared Frobenius norm of each row of a sparse stacked vec matrix: the
+    |x|^2 of its entries summed per row, in stored order."""
+    rows = rows.tocsr()
+    return np.bincount(np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
+                       (rows.data * rows.data.conj()).real, rows.shape[0])
+
+
 def row_norms(rows: sp.spmatrix) -> np.ndarray:
     """Frobenius norm of each row of a sparse stacked vec matrix."""
-    sq = np.asarray(rows.multiply(rows.conj()).sum(axis=1)).ravel()
-    return np.sqrt(np.real(sq))
+    return np.sqrt(row_sq_norms(rows))
 
 
 def max_row_norm(rows) -> float:
@@ -219,8 +228,7 @@ class AlgebraSpan:
         self.rows = rows.tocsr()
         self.name = name
         self.gen_rows = self.rows if gen_rows is None else gen_rows.tocsr()
-        sq = np.asarray(self.rows.multiply(self.rows.conj()).sum(axis=1)).ravel()
-        self.norms2 = np.real(sq)
+        self.norms2 = row_sq_norms(self.rows)
         if np.any(self.norms2 <= tol):
             raise ValueError("zero basis row")
         self.support = None
@@ -277,7 +285,7 @@ class AlgebraSpan:
         off[hit] -= a[group] * phase[at].conj()
         err2 = (np.bincount(r, (off * off.conj()).real, m)
                 + np.bincount(keys // d, (a * a.conj()).real * (self.norms2[k] - hits), m))
-        norms = np.sqrt(np.bincount(r, (rows.data * rows.data.conj()).real, m))
+        norms = np.sqrt(row_sq_norms(rows))
         worst = float(np.max(np.sqrt(err2) / np.maximum(norms, 1.0))) if m else 0.0
         nz = a != 0
         indptr = np.searchsorted(keys[nz], np.arange(m + 1) * d)
@@ -288,26 +296,15 @@ class AlgebraSpan:
         raw = rows @ self._rows_h
         coeffs = raw.multiply(1.0 / self.norms2[None, :]).tocsr()
         recon = coeffs @ self.rows
-        diff = rows - recon
         worst = 0.0
-        norms = np.sqrt(
-            np.maximum(np.asarray(rows.multiply(rows.conj()).sum(axis=1)).ravel().real, 1e-300)
-        )
-        errs = np.sqrt(np.asarray(diff.multiply(diff.conj()).sum(axis=1)).ravel().real)
+        norms = np.sqrt(np.maximum(row_sq_norms(rows), 1e-300))
+        errs = np.sqrt(row_sq_norms(rows - recon))
         if len(errs):
             worst = float(np.max(errs / np.maximum(norms, 1.0)))
         return coeffs, worst
 
     def __repr__(self) -> str:
         return f"AlgebraSpan({self.name!r}, dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def from_orthogonal(mats: Sequence, name: str = "algebra") -> AlgebraSpan:
-    """Wrap an orthogonal family of matrices as an AlgebraSpan (verified)."""
-    if not mats:
-        raise ValueError("empty basis")
-    n = mats[0].shape[0]
-    return AlgebraSpan(n, vec_rows(mats), name=name)
 
 
 def span_closure(
@@ -388,7 +385,7 @@ def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> Alge
     """The basis a_i (x) b_j at row i dim(b) + j; the generators a_g (x) 1,
     then 1 (x) b_g."""
     na, nb = a.ambient_dim, b.ambient_dim
-    ones_a, ones_b = (vec_rows([sp.identity(n, format="csr")]) for n in (na, nb))
+    ones_a, ones_b = identity_row(na), identity_row(nb)
     gen_rows = sp.vstack([_kron_rows(a.gen_rows, ones_b, na, nb),
                           _kron_rows(ones_a, b.gen_rows, na, nb)], format="csr")
     return AlgebraSpan(na * nb, _kron_rows(a.rows, b.rows, na, nb), gen_rows=gen_rows,
@@ -396,8 +393,9 @@ def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> Alge
 
 
 def full_matrix_span(m: int, name: str | None = None) -> AlgebraSpan:
-    mats = [matrix_unit(m, i, j) for i in range(m) for j in range(m)]
-    return from_orthogonal(mats, name=name or f"M_{m}")
+    """M_m on its matrix units: row i m + j of the identity is vec(E_ij)."""
+    return AlgebraSpan(m, sp.identity(m * m, dtype=np.complex128, format="csr"),
+                       name=name or f"M_{m}")
 
 
 @dataclass

@@ -178,8 +178,7 @@ def random_cocycle(
         iso = np.nonzero((Q.r == b) & (Q.s == b))[0]
         homs = _group_homomorphisms(make_group(np.searchsorted(iso, Q.mult[np.ix_(iso, iso)])), G)
         psi[iso] = homs[int(rng.integers(len(homs)))]
-    inverse = np.array([G.inv(t) for t in G])
-    return groupoids.Cocycle(Q, G, G.table[G.table[phi[Q.r], psi[h]], inverse[phi[Q.s]]])
+    return groupoids.Cocycle(Q, G, G.table[G.table[phi[Q.r], psi[h]], G.inverse[phi[Q.s]]])
 
 
 @dataclass

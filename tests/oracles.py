@@ -32,9 +32,17 @@ on planted defects.
 The Wedderburn signature is computed on dense d x d matrices, where
 ``skewprod`` solves their sparse components block by block.
 
+The regular representation is built as lists of |G| x |G| matrices
+(``regular_matrices``), where ``skewprod`` writes lam, rho and chi as vec rows
+from the Cayley table; the spanning rows of a coaction crossed product, the
+basis of an action crossed product and its rows u~_s are written here entry by
+entry from the index layout ((p, q), (r, s)) -> (p |G| + r) N + (q |G| + s) of
+A (x) M_|G|, where ``skewprod`` takes one ``_kron_rows`` of group-leg rows.
+
 The module also holds the small helpers that only tests call: the trivial
-group, constant labelings, the operator norm, and the basis matrices,
-expansions, membership and random elements of an ``AlgebraSpan``.
+group, constant labelings, the operator norm, matrix units, spans of
+orthogonal matrix lists, and the basis matrices, expansions, membership and
+random elements of an ``AlgebraSpan``.
 """
 import itertools
 from typing import Sequence
@@ -54,7 +62,6 @@ from skewprod.groupoids import (
     kernel_subgroupoid,
     make_groupoid,
 )
-from skewprod.groups import regular_matrices
 from skewprod.matalg import frobenius
 
 
@@ -66,6 +73,98 @@ def constant_labeling(graph, G: groups.FiniteGroup, value: int | None = None) ->
     if value is None:
         value = G.identity_index
     return groups.Labeling(graph, G, [value] * len(graph.edges))
+
+
+def regular_matrices(G: groups.FiniteGroup) -> tuple[list, list, list]:
+    """The matrices of lam_s e_t = e_(st), rho_s e_t = e_(t s^-1) and chi_r, the
+    projection onto e_r, for every element, as sparse complex 0/1 lists.
+
+    The right-regular convention is chosen so that rho_t chi_r = chi_(r t^-1) rho_t
+    holds on the nose.  Groups are immutable: the lists are built once and
+    cached on G, and callers must not mutate them.
+    """
+    if not hasattr(G, "_regular"):
+        n = G.order
+        ones, cols = np.ones(n, dtype=np.complex128), np.arange(n)
+
+        def sends(targets):  # the permutation matrix e_t -> e_(targets[t])
+            return sp.csr_matrix((ones, (targets, cols)), shape=(n, n))
+
+        G._regular = ([sends(G.table[s]) for s in G],
+                      [sends(G.table[:, G.inv(s)]) for s in G],
+                      [sp.csr_matrix((ones[:1], ([r], [r])), shape=(n, n)) for r in G])
+    return G._regular
+
+
+def spanning_rows_by_index(graded) -> sp.csr_matrix:
+    """Rows vec(b_i (x) lam_t chi_u), t = deg(b_i), at index k = i |G| + u,
+    entry by entry from the index layout."""
+    G = graded.group
+    m = G.order
+    n = graded.span.ambient_dim
+    N = n * m
+    coo = graded.span.rows.tocoo()
+    a_i, a_j = coo.col // n, coo.col % n
+    deg = graded.degrees[coo.row]
+    rows_idx, cols_idx, data = [], [], []
+    for u in G:
+        tu = G.table[deg, u]
+        rows_idx.append(coo.row * m + u)
+        cols_idx.append((a_i * m + tu) * N + (a_j * m + u))
+        data.append(coo.data)
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+        shape=(graded.span.dim * m, N * N),
+    )
+
+
+def action_basis_rows_by_index(action) -> sp.csr_matrix:
+    """The basis rows vec(pi~(b_i) u~_s) of the crossed product by ``action``,
+    at index i |G| + s, entry by entry: pi~(b_i) u~_s =
+    sum_t gamma_{t^-1}(b_i) (x) E_{t, s^-1 t}."""
+    G, n, d = action.group, action.span.ambient_dim, action.span.dim
+    m = G.order
+    N = n * m
+    rows_idx, cols_idx, data = [], [], []
+    for t in G:
+        g = action.image_rows(G.inv(t)).tocoo()
+        a_i, a_j = g.col // n, g.col % n
+        for s in G:
+            u = G.mul(G.inv(s), t)
+            big = (a_i * m + t) * N + (a_j * m + u)
+            rows_idx.append(g.row * m + s)
+            cols_idx.append(big)
+            data.append(g.data)
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+        shape=(d * m, N * N),
+    )
+
+
+def u_rows_by_index(G: groups.FiniteGroup, n: int) -> sp.csr_matrix:
+    """The rows vec(u~_s), u~_s = 1_n (x) lam_s sending e_(i, u) to e_(i, s u),
+    index i |G| + u, entry by entry."""
+    m = G.order
+    N = n * m
+    i, u = np.divmod(np.arange(N), m)
+    u_perm = i * m + G.table[:, u]
+    return sp.csr_matrix(
+        (np.ones(m * N, dtype=np.complex128),
+         (np.repeat(np.arange(m), N), (u_perm * N + np.arange(N)).ravel())),
+        shape=(m, N * N),
+    )
+
+
+def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:
+    return sp.csr_matrix(([1.0 + 0j], ([i], [j])), shape=(n, n))
+
+
+def from_orthogonal(mats: Sequence, name: str = "algebra") -> matalg.AlgebraSpan:
+    """Wrap an orthogonal family of matrices as an AlgebraSpan (verified)."""
+    if not mats:
+        raise ValueError("empty basis")
+    n = mats[0].shape[0]
+    return matalg.AlgebraSpan(n, matalg.vec_rows(mats), name=name)
 
 
 def operator_norm(mat) -> float:

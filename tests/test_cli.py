@@ -4,9 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from oracles import symmetric_group_3
 
 import skewprod
-from skewprod import cli, crossed, fixture_path, graphalg, suite
+from skewprod import cli, crossed, fixture_path, graphalg, graphs, groups, suite
 
 
 def fx(name: str) -> str:
@@ -35,6 +36,21 @@ def test_verify_eqvt_iso_fixture(capsys):
     code, out = run(capsys, "verify", "eqvt-iso", "-g", fx("e1"), "-G", fx("z2"))
     assert code == 0
     assert "passed: True" in out
+
+
+def test_s3_fixtures_are_non_abelian():
+    G = groups.FiniteGroup.from_json(fixture_path("s3").read_text())
+    assert G == symmetric_group_3()
+    graph, lab = graphs.labeled_graph_from_json(fixture_path("chain-s3").read_text(), G)
+    a, b = lab.of(graph.edge_index("e1")), lab.of(graph.edge_index("e2"))
+    assert G.mul(a, b) != G.mul(b, a)
+
+
+@pytest.mark.parametrize("kind", ["eqvt-iso", "direct-iso", "diagram"])
+def test_verify_on_the_s3_chain_fixture(capsys, kind):
+    code, out = run(capsys, "verify", kind, "-g", fx("chain-s3"), "-G", fx("s3"), "--json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_graph_skew_trivial_group_isomorphic(capsys, tmp_path, e1):

@@ -9,6 +9,7 @@ from oracles import (
     element,
     operator_norm,
     random_element,
+    regular_matrices,
     trivial_group,
 )
 
@@ -67,7 +68,7 @@ class TestCoactionCrossedProduct:
     def test_j_maps(self, e1_setup, z2):
         fam, graded, *_ = e1_setup
         ccp = CoactionCrossedProduct(graded)
-        lam, _, chi = groups.regular_matrices(z2)
+        lam, _, chi = regular_matrices(z2)
         # j_A(a) is the represented coaction and j_G resolves the identity.
         j_a = matalg.unvec_rows(graded.delta(matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
         assert matalg.frobenius(j_a[0] - sp.kron(fam.s[0], lam[1])) < 1e-12
@@ -255,7 +256,7 @@ class TestActionCrossedProduct:
 
 def u_mat(acp, s):
     """u~_s = 1 (x) lam_s as a matrix."""
-    lam = groups.regular_matrices(acp.group)[0]
+    lam = regular_matrices(acp.group)[0]
     return sp.kron(sp.identity(acp.base.ambient_dim), lam[s], format="csr")
 
 

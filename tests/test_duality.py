@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import coefficients, constant_labeling, element, trivial_group
+from oracles import (
+    coefficients,
+    constant_labeling,
+    element,
+    matrix_unit,
+    regular_matrices,
+    trivial_group,
+)
 
 from skewprod import duality, graphalg, graphs, groups, matalg
 from skewprod.crossed import CoactionCrossedProduct
@@ -13,7 +20,6 @@ from skewprod.duality import (
 )
 from skewprod.graphalg import ck_representation
 from skewprod.graphs import DirectedGraph, skew_product, translation_action
-from skewprod.groups import regular_matrices
 
 
 class TestEqvtIso:
@@ -162,7 +168,7 @@ class TestDualityParts:
                     + [sp.kron(fam.p[v], np.eye(2)) for v in range(e1.n_vertices)]
                     + [sp.kron(eye_p, chi[u]) for u in z2])
         # C*(E) (x) M_|G|: s_e (x) 1, p_v (x) 1, then 1 (x) E_ij.
-        units = [matalg.matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+        units = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
         assert_rows(parts.target, [sp.kron(g, np.eye(2)) for g in fam.s + fam.p]
                     + [sp.kron(eye_p, e) for e in units])
         assert skew.n_edges + skew.n_vertices + z2.order == parts.theta_gen_rows.shape[0]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import basis_matrix
+from oracles import basis_matrix, regular_matrices
 
 from skewprod import crossed, duality, groups, matalg
 from skewprod.crossed import (
@@ -35,7 +35,7 @@ def test_rho_in_place_of_lam_fails_coaction_identity(e1_z3, z3):
     # For an abelian group rho_t = lam_{t^-1}: delta(b) = b (x) rho_deg(b) is
     # still a coaction, but of the inverse grading, so only the identity's
     # check of the lam-expansion against the degree components sees it.
-    rho = groups.regular_matrices(z3)[1]
+    rho = regular_matrices(z3)[1]
     graded.delta_rows = matalg.vec_rows(
         [
             sp.kron(basis_matrix(graded.span, k), rho[int(t)])
@@ -61,28 +61,28 @@ def test_non_multiplicative_lam_fails_only_nondegeneracy(e1_z3, monkeypatch):
     # lam'_1 = -lam_1 is orthogonal to the other lam'_t like lam_1, so the lam
     # leg still expands delta'(b) = b (x) lam'_deg(b) exactly; but lam' is no
     # homomorphism, lam'_1 lam'_2 = -lam_0, which only nondegeneracy sees.
-    real = crossed.regular_matrices
+    real = crossed.regular_rows
 
     def signed(G):
         lam, rho, chi = real(G)
-        return [lam[0], -lam[1]] + lam[2:], rho, chi
+        return sp.diags(np.where(np.arange(G.order) == 1, -1.0, 1.0)) @ lam, rho, chi
 
     graded.delta_rows = sp.diags(np.where(graded.degrees == 1, -1.0, 1.0)) @ graded.delta_rows
-    monkeypatch.setattr(crossed, "regular_matrices", signed)
+    monkeypatch.setattr(crossed, "regular_rows", signed)
     with pytest.raises(ActionInvalid, match=r"failed: \['nondegeneracy_witness'\]"):
         verify_graded_coaction(graded)
 
 
 @pytest.mark.parametrize("plant, identity", [
-    (lambda chi: [chi[1], chi[0]] + chi[2:], "multiplication"),
-    (lambda chi: [2 * c for c in chi], "multiplication"),
-    (lambda chi: [1j * chi[0]] + chi[1:], "adjoint"),
+    (lambda chi: chi[np.r_[1, 0, 2:chi.shape[0]]], "multiplication"),
+    (lambda chi: 2 * chi, "multiplication"),
+    (lambda chi: sp.diags(np.r_[1j, np.ones(chi.shape[0] - 1)]) @ chi, "adjoint"),
 ], ids=["swapped chi", "doubled chi", "phased chi"])
 def test_wrong_chi_fails_group_leg(e1_z3, monkeypatch, plant, identity):
     graded, _ = e1_z3
     CoactionCrossedProduct(graded)
-    real = crossed.regular_matrices
-    monkeypatch.setattr(crossed, "regular_matrices",
+    real = crossed.regular_rows
+    monkeypatch.setattr(crossed, "regular_rows",
                         lambda G: (*real(G)[:2], plant(real(G)[2])))
     with pytest.raises(ActionInvalid, match=f"lam/chi {identity} identity fails"):
         CoactionCrossedProduct(graded)
@@ -143,7 +143,7 @@ def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
 
     def lam_for_rho(fam, G, labeling):
         rows = true_images(fam, G, labeling)
-        lam = groups.regular_matrices(G)[0]
+        lam = regular_matrices(G)[0]
         eye = sp.identity(fam.ambient_dim, format="csr", dtype=np.complex128)
         return sp.vstack([rows[:-G.order],
                           matalg.vec_rows([sp.kron(eye, lam[t]) for t in G])], format="csr")
@@ -159,7 +159,7 @@ def test_shifted_chi_in_one_edge_image_fails_chase(e1, e1_z3, z3):
     parts = duality.DualityParts(e1, z3, lab)
     assert duality.certify_regular_diagram(e1, z3, lab, parts=parts).extra["chase_ok"]
     # t_(f,r) = s_f (x) lam_c(f) chi_r with chi_r replaced by chi_(r+1).
-    lam, _, chi = groups.regular_matrices(z3)
+    lam, _, chi = regular_matrices(z3)
     f_id, r = parts.skew.edges[0].id
     f = e1.edge_index(f_id)
     shifted = sp.kron(parts.fam.s[f], lam[lab.of(f)] @ chi[z3.mul(z3.index(r), 1)])

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import basis_matrix, check_star_map, constant_labeling, trivial_group
+from oracles import (
+    basis_matrix,
+    check_star_map,
+    constant_labeling,
+    regular_matrices,
+    trivial_group,
+)
 
 from skewprod import graphalg, groups, matalg, suite
 from skewprod.crossed import verify_graded_coaction
@@ -191,7 +197,7 @@ class TestCoaction:
         lab = groups.Labeling(chain2, z3, rng.integers(0, 3, 2))
         fam = ck_representation(chain2)
         graded = coaction(fam, z3, lab)
-        lam = groups.regular_matrices(z3)[0]
+        lam = regular_matrices(z3)[0]
         deltas = matalg.unvec_rows(graded.delta(fam.span.rows), fam.ambient_dim * z3.order)
         for k in range(fam.dim):
             t = int(graded.degrees[k])

@@ -3,7 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import basis_matrix, equivalence_axioms_loop, symmetric_group_3, trivial_group
+from oracles import (
+    basis_matrix,
+    equivalence_axioms_loop,
+    regular_matrices,
+    symmetric_group_3,
+    trivial_group,
+)
 
 from skewprod import groupoids as gpd
 from skewprod import groups, matalg, suite
@@ -747,7 +753,7 @@ def _one_element(R, G, semi, base, acp, f):
     for k, (a, tname) in enumerate(semi.arrows):
         phi[G.index(tname)][R.arrow_index(a)] = f[k]
     out = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
-    lam = groups.regular_matrices(G)[0]
+    lam = regular_matrices(G)[0]
     for s in G:
         pi = acp.pi_tilde_rows(base.represent_rows(phi[s][None, :]))
         u_s = sp.kron(sp.identity(R.n_arrows), lam[s], format="csr")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracles import constant_labeling, trivial_group
+from oracles import constant_labeling, regular_matrices, symmetric_group_3, trivial_group
 
-from skewprod import groups
+from skewprod import groups, matalg, suite
 from skewprod.graphalg import ck_representation
 from skewprod.groups import (
     GroupError,
@@ -15,7 +15,7 @@ from skewprod.groups import (
     klein_four_group,
     make_group,
     make_labeling,
-    regular_matrices,
+    regular_rows,
 )
 
 
@@ -63,11 +63,29 @@ def test_duplicate_element_names_rejected():
         make_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]], elements=["e", "a", "a"])
 
 
-def test_regular_matrices_are_built_once_per_group():
+def test_regular_rows_are_built_once_per_group():
     G = cyclic_group(3)
-    first, second = regular_matrices(G), regular_matrices(G)
+    first, second = regular_rows(G), regular_rows(G)
     assert all(a is b for a, b in zip(first, second))
-    assert regular_matrices(cyclic_group(3))[0] is not first[0]
+    assert regular_rows(cyclic_group(3))[0] is not first[0]
+
+
+@pytest.mark.parametrize("G", suite.suite_groups() + [symmetric_group_3(), cyclic_group(16)],
+                         ids=lambda g: f"order{g.order}")
+def test_regular_rows_are_the_vec_rows_of_the_regular_matrices(G):
+    # Exactly the CSR of vec_rows of the matrix lists, indptr, indices and data.
+    for rows, mats in zip(regular_rows(G), regular_matrices(G)):
+        want = matalg.vec_rows(mats)
+        assert rows.shape == want.shape
+        for a, b in ((rows.indptr, want.indptr), (rows.indices, want.indices),
+                     (rows.data, want.data)):
+            assert np.array_equal(a, b)
+
+
+def test_inverse_table():
+    for G in suite.suite_groups() + [symmetric_group_3()]:
+        assert G.inverse.tolist() == [G.inv(t) for t in G]
+        assert np.all(G.table[np.arange(G.order), G.inverse] == G.identity_index)
 
 
 def test_order_cap():
@@ -83,12 +101,13 @@ def test_json_round_trip():
     assert back == G
 
 
-ALL_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group()]
+ALL_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group(),
+              symmetric_group_3()]
 
 
 def dense_regular(G):
     """lam, rho and chi of every element as dense arrays."""
-    return [[m.toarray() for m in mats] for mats in regular_matrices(G)]
+    return [rows.toarray().reshape(G.order, G.order, G.order) for rows in regular_rows(G)]
 
 
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: f"order{g.order}")

@@ -9,17 +9,18 @@ from oracles import (
     coefficients,
     contains,
     direct_sum,
+    from_orthogonal,
+    matrix_unit,
+    regular_matrices,
     symmetric_group_3,
     wedderburn_signature_dense,
 )
 
-from skewprod import groupoids, groups, matalg, suite
+from skewprod import groupoids, matalg, suite
 from skewprod.matalg import (
     DimensionMismatch,
     NotInSpan,
-    from_orthogonal,
     full_matrix_span,
-    matrix_unit,
     span_closure,
     star_map_on_basis,
     tensor_span,
@@ -375,7 +376,7 @@ def test_signatures_match_the_dense_oracle(case_spans, rng):
     gens = (np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.eye(3)[[1, 0, 2]])  # M_2 (+) M_1
     scrambled = span_closure([u @ g @ u.conj().T for g in gens])
     assert scrambled.rows.nnz == scrambled.dim * 9  # dense basis rows: K is one block
-    s3 = from_orthogonal(groups.regular_matrices(symmetric_group_3())[0], name="C*(S3)")
+    s3 = from_orthogonal(regular_matrices(symmetric_group_3())[0], name="C*(S3)")
     spans = [span for spans in case_spans.values() for span in spans] + [scrambled, s3]
     for span in spans:
         fast = wedderburn_signature(span, rng=np.random.default_rng(0))

@@ -1,12 +1,14 @@
 """The batched Cuntz-Krieger and coaction checks, Theta's generator rows, the
-path words, the permutation actions and the gauge check against their
-oracles (``oracles.py``): equal results on random, gauge-scaled and groupoid
-inputs, a planted defect per Cuntz-Krieger relation that both versions see,
-and two planted gauge defects that both versions reject."""
+path words, the group legs of the crossed products, the permutation actions
+and the gauge check against their oracles (``oracles.py``): equal results on
+random, gauge-scaled and groupoid inputs, a planted defect per Cuntz-Krieger
+relation that both versions see, and two planted gauge defects that both
+versions reject."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import (
+    action_basis_rows_by_index,
     arrow_unitaries,
     ck_relations_loop,
     dual_unitaries,
@@ -14,14 +16,19 @@ from oracles import (
     graded_coaction_loop,
     path_images_loop,
     path_unitaries,
+    spanning_rows_by_index,
+    symmetric_group_3,
     theta_generator_images_loop,
+    u_rows_by_index,
     unitary_conjugation_coeffs,
 )
+from test_paths import noncommuting_chains
 
 from skewprod import duality, graphalg, groupoids, matalg, suite
 from skewprod.crossed import CoactionCrossedProduct, verify_graded_coaction
 from skewprod.graphalg import ck_representation, gauge_check, spectral_subspaces
 from skewprod.graphs import DirectedGraph
+from skewprod.groups import Labeling, cyclic_group
 
 PLANTED_MIN = 1e-12
 
@@ -72,6 +79,44 @@ def test_coaction_check_equals_its_loop_oracle():
         c = suite.random_cocycle(rng, Q, G)
         graded = groupoids.graded_convolution(groupoids.convolution_algebra(Q), c)
         assert verify_graded_coaction(graded) == graded_coaction_loop(graded)
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert np.array_equal(x, y)
+
+
+def _assert_group_legs_by_index(graded, acp):
+    """The spanning rows of the coaction crossed product of ``graded`` and the
+    basis and u~_s rows of ``acp``, CSR for CSR, against the index builders."""
+    _assert_same_csr(graded.spanning_rows, spanning_rows_by_index(graded))
+    _assert_same_csr(acp.span.rows, action_basis_rows_by_index(acp.action))
+    _assert_same_csr(acp._u_rows, u_rows_by_index(acp.group, acp.base.ambient_dim))
+
+
+def test_group_legs_equal_their_index_builders(two_chunk_instance):
+    # Graph-suite draws, non-abelian chains over S3 and one edge over C16, then
+    # groupoids with S3 cocycles and with the suite groups.
+    rng = np.random.default_rng(20)
+    e1 = DirectedGraph(["v", "w"], [("f", "v", "w")])
+    c16 = cyclic_group(16)
+    instances = ([suite.random_graph_instance(rng) for _ in range(10)]
+                 + noncommuting_chains(rng, count=4)
+                 + [two_chunk_instance, (e1, c16, Labeling(e1, c16, [3]))])
+    for E, G, lab in instances:
+        parts = duality.DualityParts(E, G, lab)
+        _assert_group_legs_by_index(parts.coaction, parts.acp)
+    S3 = symmetric_group_3()
+    for k in range(8):
+        Q = suite.random_groupoid(rng, max_units=3, max_arrows=8)
+        G = S3 if k % 2 == 0 else suite.suite_groups()[int(rng.integers(4))]
+        c = suite.random_cocycle(rng, Q, G)
+        trans = groupoids.translation_groupoid_action(
+            groupoids.skew_product_groupoid(Q, G, c), G)
+        _assert_group_legs_by_index(
+            groupoids.graded_convolution(groupoids.convolution_algebra(Q), c),
+            groupoids.action_crossed_product(trans))
 
 
 def _assert_same_action(act, unitaries):
