@@ -53,9 +53,9 @@ print("C*(E x_c G) x_gamma G = C*(E) (x) M_2:", c2.passed,
       f"(dims {c2.lhs_dim} = {c2.rhs_dim}, signatures {c2.signatures})")
 
 c3 = duality.certify_regular_diagram(E1, Z2, labeling)
+checks = {c.name: c.passed for c in c3.extra.checks}
 print("duality-composite route equals Theta on every generator:",
-      c3.extra["chase_ok"], f"(regular representation faithful: "
-      f"{c3.extra['regular_rep_dim_ok']})")
+      checks["chase"], f"(regular representation faithful: {checks['regular_rep_dim']})")
 
 # ---------------------------------------------------------------------------
 # Free actions: two disjoint copies of E1 swapped by Z2.  The crossed product

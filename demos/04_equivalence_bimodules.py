@@ -23,10 +23,9 @@ c = gpd.cocycle_from_names(Q, Z2, {"x11": "e", "x22": "e", "x12": "g", "x21": "g
 # Both equivalences, every axiom checked over the whole (finite) carrier.
 for kind in ("semidirect", "subgroupoid"):
     bim, report = gpd.certify_equivalence(kind, Q, Z2, c)
-    print(f"{kind} equivalence:",
-          {k: v for k, v in report.items() if k.endswith("_ok")})
+    print(f"{kind} equivalence:", {c.name: c.passed for c in report.checks})
     if kind == "subgroupoid":
-        print("  H unit space size:", report["h_units"],
+        print("  H unit space size:", report.data["h_units"],
           "(pairs (u, t) with t in c of the arrows into u)")
 
 # ---------------------------------------------------------------------------
@@ -35,7 +34,7 @@ for kind in ("semidirect", "subgroupoid"):
 # function at the unit 2.
 evaluator = gpd.InnerProductEvaluator(Q, c)
 a = np.zeros(4); a[Q.arrow_index("x12")] = 1
-val, report = evaluator(a, a)
+val, _ = evaluator(a, a)
 n_arrows = np.nonzero(c.values == Z2.identity_index)[0]
 print("\n<delta_x12, delta_x12> =",
       {Q.arrows[int(n)]: val[i].real for i, n in enumerate(n_arrows) if abs(val[i])})
@@ -49,11 +48,11 @@ print("<degree g, degree e> =", np.max(np.abs(val)))
 # evaluated as one stack, and the choice of auxiliary element never matters.
 rng = np.random.default_rng(3)
 x, y = gpd.random_functions(rng, 100, 4, 4)
-_, rep = evaluator(x, y)
-print("worst disagreement over 100 random pairs:", rep["formula_agreement_error"])
+_, agreement = evaluator(x, y)
+print("worst disagreement over 100 random pairs:", agreement.error)
 
 # Module structure: adjointability, Gram positivity, the operator bound
 # <a b, a b> <= ||a||^2 <b, b> in C*(N).
 report = gpd.verify_bimodule_module_structure(Q, c, n_random=50, rng=rng)
-print("module structure:", {k: v for k, v in report.items() if k.endswith("_ok")})
-print("Gram minimum eigenvalue:", report["gram_min_eigenvalue"])
+print("module structure:", {c.name: c.passed for c in report.checks})
+print("Gram minimum eigenvalue:", report.data["gram_min_eigenvalue"])

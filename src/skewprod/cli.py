@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import crossed, duality, graphalg, graphs, groupoids, groups, matalg, suite
+from .matalg import Check, Report
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DIM = 256
@@ -89,15 +90,17 @@ def _load_inputs(args):
     return G, graph, labeling, Q, c
 
 
-def _emit(args, report: dict, passed: bool, t0: float) -> int:
-    report = dict(report)
-    report["passed"] = bool(passed)
-    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
+def _emit(args, report, t0: float) -> int:
+    """Print ``report`` (a :class:`matalg.Report` or a suite report) with its
+    verdict, which is whether all its checks pass, and exit on that."""
+    body = report.as_dict()
+    body["passed"] = report.passed
+    body["wall_time_s"] = round(time.perf_counter() - t0, 6)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+        print(json.dumps(body, indent=2, sort_keys=True, default=_json_default))
     else:
-        _human_summary(report)
-    return 0 if passed else 1
+        _human_summary(body)
+    return 0 if report.passed else 1
 
 
 def _json_default(x):
@@ -238,7 +241,7 @@ def _dispatch(args, t0) -> int:
     if args.command == "graph":
         if args.subcommand == "skew":
             skew = graphs.skew_product(graph, G, labeling)
-            return _emit(args, {"skew_product": _graph_to_obj(skew)}, True, t0)
+            return _emit(args, Report({"skew_product": _graph_to_obj(skew)}), t0)
         # quotient and gross-tucker act on a skew-product-shaped graph via
         # the right-translation action.
         action = graphs.translation_action(graph, G)
@@ -252,7 +255,7 @@ def _dispatch(args, t0) -> int:
         if args.subcommand == "gross-tucker":
             report["vertex_map"] = {str(k): list(v) for k, v in iso.vertex_map.items()}
             report["edge_map"] = {str(k): list(v) for k, v in iso.edge_map.items()}
-        return _emit(args, report, True, t0)
+        return _emit(args, Report(report), t0)
 
     if args.command == "algebra" and args.subcommand == "ck":
         fam = graphalg.ck_representation(graph)
@@ -265,15 +268,16 @@ def _dispatch(args, t0) -> int:
             "sink_blocks": {str(graph.vertices[w]): n for w, n in blocks.items()},
             "signature": list(matalg.wedderburn_signature(fam.span)),
         }
-        return _emit(args, report, closure.dim == fam.dim, t0)
+        generated = Check("generated_dim", float(abs(closure.dim - fam.dim)), exact=True)
+        return _emit(args, Report(report, [generated], flags=False), t0)
 
     if args.command == "gpd":
         skew = groupoids.skew_product_groupoid(Q, G, c)
         if args.subcommand == "skew":
-            return _emit(args, {"skew_product": json.loads(skew.to_json())}, True, t0)
+            return _emit(args, Report({"skew_product": json.loads(skew.to_json())}), t0)
         trans = groupoids.translation_groupoid_action(skew, G)
         semi = groupoids.semidirect_product(skew, G, trans)
-        return _emit(args, {"semidirect": json.loads(semi.to_json())}, True, t0)
+        return _emit(args, Report({"semidirect": json.loads(semi.to_json())}), t0)
 
     if args.command == "verify":
         return _dispatch_verify(args, t0, G, graph, labeling, Q, c)
@@ -290,7 +294,6 @@ def _dispatch(args, t0) -> int:
             max_dim=args.max_dim,
             kinds=kinds,
         )
-        body = report.as_dict()
         if not args.json:
             lines = [
                 f"case {c.index} [{c.kind}] seed={c.seed} "
@@ -300,7 +303,7 @@ def _dispatch(args, t0) -> int:
             print("\n".join(lines))
             print(f"{sum(c.passed for c in report.cases)}/{len(report.cases)} pass")
             return 0 if report.passed else 1
-        return _emit(args, body, report.passed, t0)
+        return _emit(args, report, t0)
 
     if args.command == "convert":
         other, iso = graphs.convention_iso(graph, G, labeling, which=args.to)
@@ -310,7 +313,7 @@ def _dispatch(args, t0) -> int:
             "vertex_map": {str(k): list(v) for k, v in iso.vertex_map.items()},
             "edge_map": {str(k): list(v) for k, v in iso.edge_map.items()},
         }
-        return _emit(args, report, True, t0)
+        return _emit(args, Report(report), t0)
 
     raise InputError(f"unknown command {args.command}")
 
@@ -331,43 +334,35 @@ def _dispatch_verify(args, t0, G, graph, labeling, Q, c) -> int:
             cert = duality.certify_free_action(
                 graph, action, tol=tol, rng=np.random.default_rng(args.seed)
             )
-        return _emit(args, {"certificate": cert.as_dict(), "seed": args.seed}, cert.passed, t0)
+        return _emit(args, Report({"seed": args.seed}, parts={"certificate": cert}), t0)
 
     rng = np.random.default_rng(args.seed)
     if args.subcommand == "gpd-iso":
         cert = groupoids.certify_gpd_iso(Q, G, c, tol=tol)
-        return _emit(args, {"certificate": cert.as_dict(), "seed": args.seed}, cert.passed, t0)
+        return _emit(args, Report({"seed": args.seed}, parts={"certificate": cert}), t0)
     if args.subcommand == "semi-cross":
         skew = groupoids.skew_product_groupoid(Q, G, c)
         trans = groupoids.translation_groupoid_action(skew, G)
         cert = groupoids.certify_semi_cross(skew, G, trans, tol=tol, rng=rng)
-        return _emit(args, {"certificate": cert.as_dict(), "seed": args.seed}, cert.passed, t0)
+        return _emit(args, Report({"seed": args.seed}, parts={"certificate": cert}), t0)
     if args.subcommand == "equivalence":
         kinds = ("semidirect", "subgroupoid") if args.kind == "both" else (args.kind,)
         report = {}
-        passed = True
         for kind in kinds:
-            _, rep = groupoids.certify_equivalence(kind, Q, G, c, rng=rng)
-            report[kind] = rep
-            passed = passed and all(v for k, v in rep.items() if k.endswith("_ok"))
-        return _emit(args, {"equivalence": report, "seed": args.seed}, passed, t0)
+            _, report[kind] = groupoids.certify_equivalence(kind, Q, G, c, rng=rng)
+            report[kind].data["kind"] = kind
+        return _emit(args, Report({"seed": args.seed},
+                                  parts={"equivalence": Report(parts=report)}), t0)
     if args.subcommand == "bimodule":
         a, b = groupoids.random_functions(rng, args.cases, Q.n_arrows, Q.n_arrows)
-        _, rep = groupoids.InnerProductEvaluator(Q, c)(a, b, tol=max(tol, 1e-9))
-        err = rep["formula_agreement_error"]
+        _, inner = groupoids.InnerProductEvaluator(Q, c)(a, b, tol=max(tol, 1e-9))
         module_rep = groupoids.verify_bimodule_module_structure(
             Q, c, tol=max(tol, 1e-9), n_random=args.cases, rng=rng
         )
-        passed = err <= max(tol, 1e-9) and all(
-            v for k, v in module_rep.items() if k.endswith("_ok")
-        )
-        report = {
-            "inner_product_max_error": err,
-            "module_structure": module_rep,
-            "seed": args.seed,
-            "pairs": args.cases,
-        }
-        return _emit(args, report, passed, t0)
+        report = Report({"seed": args.seed, "pairs": args.cases}, [inner],
+                        {"formula_agreement": "inner_product_max_error"},
+                        parts={"module_structure": module_rep}, flags=False)
+        return _emit(args, report, t0)
     raise InputError(f"unknown verify subcommand {args.subcommand}")
 
 

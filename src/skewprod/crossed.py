@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from . import matalg
 from .graphs import GraphAction
 from .groups import FiniteGroup, action_law_failure, regular_rows
-from .matalg import AlgebraSpan
+from .matalg import AlgebraSpan, Check
 
 if TYPE_CHECKING:
     from .graphalg import CKFamily
@@ -164,11 +164,14 @@ class ActionCrossedProduct:
         self._u_perm = i * m + G.table[:, u]
 
         # Basis row for (i, s): vec(pi~(b_i) u~_s), at index k = i*m + s.
-        # pi~(b_i) u~_s = sum_t gamma_{t^-1}(b_i) (x) chi_t lam_s.
+        # pi~(b_i) u~_s = sum_t gamma_{t^-1}(b_i) (x) chi_t lam_s; the terms
+        # sit in disjoint rows t of the G leg, so one CSR of all their
+        # entries is the sum.
         lam, _, chi = regular_rows(G)
         chi_lam = sp.vstack([p for _, p in matalg.right_products(chi, lam, m)], format="csr")
-        rows = sum(matalg._kron_rows(action.image_rows(G.inverse[t]), chi_lam[t::m], n, m)
-                   for t in G)
+        data, row, col = (np.concatenate(a) for a in zip(*(
+            matalg._kron_coo(action.image_rows(G.inverse[t]), chi_lam[t::m], n, m) for t in G)))
+        rows = sp.csr_matrix((data, (row, col)), shape=(d * m, N * N))
         self._pi_rows = rows[np.arange(d) * m + G.identity_index]  # rows of pi~(b_i)
         self._u_rows = matalg._kron_rows(matalg.identity_row(n), lam, n, m)
         # Generators: pi~ of the base generators, then u~_s.
@@ -270,7 +273,7 @@ class GradedSpan:
         return coeffs @ self.delta_rows
 
 
-def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
+def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> list[Check]:
     """Machine-check delta(a_t) = a_t (x) lam_t as a coaction of G.
 
     - delta is injective: the images of the basis are orthogonal and nonzero;
@@ -281,18 +284,17 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
       sum_t x_t (x) lam_t (x) lam_t must agree at every lam_t of the third leg;
     - nondegeneracy, witnessed by delta(x_s)(1 (x) lam_{s^-1 t}) = x_s (x) lam_t.
 
-    Returns the errors; raises :class:`ActionInvalid` if any check fails.
+    Returns the checks; raises :class:`ActionInvalid` if any fails.
     """
     G, span = graded.group, graded.span
     n, m = span.ambient_dim, G.order
     N = n * m
     lam = regular_rows(G)[0]  # row t: vec(lam_t)
-    errs = {}
 
     gram = (graded.delta_rows @ graded.delta_rows.conj().T).toarray()
     off = np.abs(gram - np.diag(np.diag(gram)))
-    errs["image_orthogonality"] = float(off.max()) if off.size else 0.0
-    errs["injective"] = bool(np.all(np.abs(np.diag(gram)) > 0.5))
+    checks = [Check("image_orthogonality", float(off.max()) if off.size else 0.0, tol),
+              Check.holds("injective", np.all(np.abs(np.diag(gram)) > 0.5))]
 
     # All generators x_g at once; x_(g,t) sits at row g |G| + t of the stacks.
     coeffs, _ = span.coefficients_rows(span.gen_rows)
@@ -326,13 +328,10 @@ def verify_graded_coaction(graded: GradedSpan, tol: float = 1e-12) -> dict:
         s, q = np.divmod(np.arange(prods.shape[0]), k * m)
         want = x_lam[q * m + G.table[q % m, s0 + s]]
         nondeg_err = max(nondeg_err, matalg.max_row_norm(prods - want))
-    errs["coaction_identity"] = ident_err
-    errs["nondegeneracy_witness"] = nondeg_err
-
-    bad = [k for k, v in errs.items() if (isinstance(v, float) and v > tol) or v is False]
-    if bad:
-        raise ActionInvalid(f"coaction verification failed: {bad} ({errs})")
-    return errs
+    checks += [Check("coaction_identity", ident_err, tol),
+               Check("nondegeneracy_witness", nondeg_err, tol)]
+    matalg.require(checks, ActionInvalid, "coaction verification")
+    return checks
 
 
 class CoactionCrossedProduct:

@@ -38,20 +38,24 @@ from .graphalg import CKFamily, ck_representation
 from .graphs import DirectedGraph, GraphAction, skew_product, translation_action
 from .graphs import quotient_and_gross_tucker
 from .groups import FiniteGroup, Labeling, regular_rows
-from .matalg import StarMapReport, full_matrix_span, tensor_span
+from .matalg import Check, Report, StarMapReport, full_matrix_span, tensor_span
 
 DEFAULT_ISO_TOL = 1e-8
 _SIGNATURE_DIM_CAP = 600  # certify_direct_iso skips signatures above this dimension
 
 
 class CertificationFailed(RuntimeError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 @dataclass
 class IsomorphismCertificate:
+    """Both sides of an isomorphism and the checks it was certified by.
+
+    It passes when every check passes: lhs_dim == rhs_dim, the star map's
+    checks, exact equivariance and equal signatures (each when computed) and
+    the checks of ``extra``, whose data, flags and errors render as "extra"."""
+
     theorem: str
     lhs_name: str
     rhs_name: str
@@ -61,19 +65,22 @@ class IsomorphismCertificate:
     star_report: StarMapReport | None = None
     equivariance_error: float | None = None
     signatures: dict | None = None
-    extra: dict = field(default_factory=dict)
+    extra: Report = field(default_factory=Report)
+
+    def every_check(self) -> list[Check]:
+        checks = [Check.holds("dims", self.lhs_dim == self.rhs_dim)]
+        if self.star_report is not None:
+            checks += self.star_report.checks
+        if self.equivariance_error is not None:
+            checks.append(Check("equivariance", self.equivariance_error, exact=True))
+        if self.signatures is not None:
+            checks.append(Check.holds("signatures",
+                                      self.signatures["lhs"] == self.signatures["rhs"]))
+        return [*checks, *self.extra.every_check()]
 
     @property
     def passed(self) -> bool:
-        checks = [self.lhs_dim == self.rhs_dim]
-        if self.star_report is not None:
-            checks.append(self.star_report.passed and self.star_report.bijective)
-        if self.equivariance_error is not None:
-            checks.append(self.equivariance_error <= self.tolerance)
-        if self.signatures is not None:
-            checks.append(self.signatures.get("lhs") == self.signatures.get("rhs"))
-        checks.extend(bool(v) for k, v in self.extra.items() if k.endswith("_ok"))
-        return all(checks)
+        return all(c.passed for c in self.every_check())
 
     def as_dict(self) -> dict:
         out = {
@@ -84,14 +91,8 @@ class IsomorphismCertificate:
             "tolerance": self.tolerance,
         }
         if self.star_report is not None:
-            out["star_map"] = {
-                "well_defined": self.star_report.well_defined,
-                "multiplicative": self.star_report.multiplicative,
-                "star_preserving": self.star_report.star_preserving,
-                "injective": self.star_report.injective,
-                "surjective": self.star_report.surjective,
-                "max_error": self.star_report.max_error,
-            }
+            out["star_map"] = {c.name: c.passed for c in self.star_report.checks}
+            out["star_map"]["max_error"] = self.star_report.max_error
         if self.equivariance_error is not None:
             out["equivariance_error"] = self.equivariance_error
         if self.signatures is not None:
@@ -99,10 +100,9 @@ class IsomorphismCertificate:
                 k: list(v) if isinstance(v, tuple) else v
                 for k, v in self.signatures.items()
             }
-        if self.extra:
-            out["extra"] = {
-                k: (list(v) if isinstance(v, tuple) else v) for k, v in self.extra.items()
-            }
+        extra = self.extra.as_dict()
+        if extra:
+            out["extra"] = extra
         return out
 
 
@@ -294,7 +294,7 @@ def certify_eqvt_iso(
         tolerance=tol,
         star_report=report,
         equivariance_error=eq_err,
-        extra={"ck_family_ok": ck_err <= tol, "ck_error": ck_err},
+        extra=Report(checks=[Check("ck_family", ck_err, tol)], errors={"ck_family": "ck_error"}),
     )
 
 
@@ -393,14 +393,12 @@ def certify_direct_iso(
         tolerance=tol,
         star_report=report,
         signatures=signatures,
-        extra={
-            "ck_family_ok": ck_err <= tol,
-            "ck_error": ck_err,
-            "covariance_ok": cov_err <= tol,
-            "composition_ok": comp_err <= tol,
-            "composition_error": comp_err,
-            "dim_arithmetic_ok": dims_ok,
-        },
+        extra=Report(
+            checks=[Check("ck_family", ck_err, tol), Check("covariance", cov_err, tol),
+                    Check("composition", comp_err, tol),
+                    Check.holds("dim_arithmetic", dims_ok)],
+            errors={"ck_family": "ck_error", "composition": "composition_error"},
+        ),
     )
 
 
@@ -451,11 +449,8 @@ def certify_regular_diagram(
         lhs_dim=acp.dim,
         rhs_dim=fam_skew.dim * G.order,
         tolerance=tol,
-        extra={
-            "chase_ok": err <= tol,
-            "chase_error": err,
-            "regular_rep_dim_ok": dims_ok,
-        },
+        extra=Report(checks=[Check("chase", err, tol), Check.holds("regular_rep_dim", dims_ok)],
+                     errors={"chase": "chase_error"}),
     )
 
 
@@ -484,8 +479,8 @@ def certify_free_action(
     inner = certify_direct_iso(
         quotient, G, labeling, tol=tol, compute_signatures=False, parts=parts
     )
-    if not (inner.star_report.passed and inner.star_report.bijective):
-        raise CertificationFailed("inner direct isomorphism failed", witness=inner)
+    if not all(c.passed for c in inner.star_report.checks):
+        raise CertificationFailed("inner direct isomorphism failed")
 
     # Transport: relabel F-paths as skew paths through the graph isomorphism,
     # and the basis (e_{mu,nu}, s) of acp_f as (e_{iso mu, iso nu}, s).  The
@@ -531,12 +526,10 @@ def certify_free_action(
         tolerance=tol,
         star_report=report,
         signatures=signatures,
-        extra={
-            "beta_ok": beta_err <= tol,
-            "quotient_vertices": quotient.n_vertices,
-            "quotient_edges": quotient.n_edges,
-            "inner_direct_iso_ok": inner.passed,
-        },
+        extra=Report(
+            {"quotient_vertices": quotient.n_vertices, "quotient_edges": quotient.n_edges},
+            [Check("beta", beta_err, tol), Check.holds("inner_direct_iso", inner.passed)],
+        ),
     )
 
 

@@ -37,7 +37,7 @@ from .crossed import (
 )
 from .duality import IsomorphismCertificate
 from .groups import FiniteGroup, action_law_failure
-from .matalg import AlgebraSpan, frobenius
+from .matalg import AlgebraSpan, Check, Report, frobenius, require
 
 
 class GroupoidError(ValueError):
@@ -370,9 +370,17 @@ class Cocycle:
 
 
 def cocycle_from_names(Q: FiniteGroupoid, G: FiniteGroup, mapping) -> Cocycle:
+    """The cocycle with c(x) = ``mapping[x]`` (keyed by the arrow or its
+    name), given as an element name or an index; raises
+    :class:`CocycleError` naming the first arrow with no value or with a
+    name that is not an element of G."""
     vals = []
     for a in Q.arrows:
-        v = mapping[a] if a in mapping else mapping[str(a)]
+        v = mapping.get(a, mapping.get(str(a)))
+        if v is None:
+            raise CocycleError(f"arrow {str(a)!r} has no cocycle value")
+        if isinstance(v, str) and v not in G.elements:
+            raise CocycleError(f"label {v!r} on arrow {str(a)!r} is not an element of the group")
         vals.append(G.index(v) if isinstance(v, str) else int(v))
     return Cocycle(Q, G, vals)
 
@@ -628,12 +636,12 @@ def kernel_embedding_check(
     tol: float = 1e-12,
     n_random: int = 100,
     rng: np.random.Generator | None = None,
-) -> dict:
+) -> Report:
     """The canonical map i : C*(N) -> C*(Q), N = c^-1(e), is a faithful
     *-homomorphism at finite scale, with P_N = P_Q o i.
 
     A failure here signals an implementation bug: every finite groupoid
-    passes.
+    passes, and any other raises :class:`GroupoidError`.
     """
     rng = rng or np.random.default_rng(0)
     G = c.group
@@ -648,22 +656,17 @@ def kernel_embedding_check(
     # Once i is a *-homomorphism its image is a *-subalgebra, so the closure
     # of the image has the rank of the image rows: the star-map report's
     # injectivity is dim i(C*(N)) = dim C*(N).
-    out = {
-        "n_arrows": int(len(keep)),
-        "dim_preserved": report.injective,
-        "injective": report.injective,
-        "star_hom_ok": report.passed,
-    }
+    injective = next(c.passed for c in report.checks if c.name == "injective")
     f, = random_functions(rng, n_random, alg_n.dim)
     big = np.zeros((n_random, Q.n_arrows), dtype=np.complex128)
     big[:, keep] = f
     err = float(np.max(np.abs(alg_n.restrict_to_units(f) - alg_q.restrict_to_units(big)),
                        initial=0.0))
-    out["expectation_error"] = err
-    out["expectation_ok"] = err <= tol
-    if not all(v for k, v in out.items() if k.endswith("_ok") or isinstance(v, bool)):
-        raise GroupoidError(f"kernel embedding check failed: {out}")
-    return out
+    checks = [Check.holds("star_hom", all(c.passed for c in report.checks)),
+              Check("expectation", err, tol)]
+    require(checks, GroupoidError, "kernel embedding check")
+    return Report({"n_arrows": int(len(keep)), "dim_preserved": injective,
+                   "injective": injective}, checks, {"expectation": "expectation_error"})
 
 
 def kernel_subgroupoid(Q: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
@@ -782,13 +785,13 @@ def certify_semi_cross(
         lhs_dim=lhs_alg.dim,
         rhs_dim=acp.dim,
         tolerance=tol,
-        extra={
-            "structure_constants_ok": max_err <= tol,
-            "structure_error": max_err,
-            "random_convolution_ok": conv_err <= tol,
-            "random_convolution_error": conv_err,
-            "bijection_ok": layout_ok,
-        },
+        extra=Report(
+            checks=[Check("structure_constants", max_err, tol),
+                    Check("random_convolution", conv_err, tol),
+                    Check.holds("bijection", layout_ok)],
+            errors={"structure_constants": "structure_error",
+                    "random_convolution": "random_convolution_error"},
+        ),
     )
 
 
@@ -805,10 +808,10 @@ def certify_gpd_iso(
     the skew-product convolution algebra, equivariantly for the dual action
     and right translation.
     """
-    kernel_report = kernel_embedding_check(Q, c)
+    kernel = kernel_embedding_check(Q, c)
     alg = convolution_algebra(Q)
     graded = graded_convolution(alg, c)
-    coaction_report = verify_graded_coaction(graded)
+    coaction = verify_graded_coaction(graded)
     ccp = CoactionCrossedProduct(graded, graded_checked=False)
     skew = skew_product_groupoid(Q, G, c)
     skew_alg = convolution_algebra(skew)
@@ -854,10 +857,8 @@ def certify_gpd_iso(
         tolerance=tol,
         star_report=report,
         equivariance_error=eq_err,
-        extra={
-            "kernel_embedding_ok": bool(kernel_report["dim_preserved"]),
-            "coaction_ok": coaction_report["injective"],
-        },
+        extra=Report(checks=[Check.holds("kernel_embedding", kernel.passed),
+                             Check.holds("coaction", all(c.passed for c in coaction))]),
     )
 
 
@@ -877,8 +878,8 @@ def certify_full_groupoid(
     target = matalg.tensor_span(
         alg.span, matalg.full_matrix_span(G.order), name="C*(Q) (x) M_G"
     )
-    sig_l = matalg.wedderburn_signature(acp.span, rng=rng)
-    sig_r = matalg.wedderburn_signature(target, rng=rng)
+    signatures = {"lhs": matalg.wedderburn_signature(acp.span, rng=rng),
+                  "rhs": matalg.wedderburn_signature(target, rng=rng)}
     return IsomorphismCertificate(
         theorem="full-gpd",
         lhs_name="C*(Q x_c G) x_beta G",
@@ -886,8 +887,8 @@ def certify_full_groupoid(
         lhs_dim=acp.dim,
         rhs_dim=target.dim,
         tolerance=tol,
-        signatures={"lhs": sig_l, "rhs": sig_r},
-        extra={"dim_arithmetic_ok": acp.dim == Q.n_arrows * G.order**2},
+        signatures=signatures,
+        extra=Report(checks=[Check.holds("dim_arithmetic", acp.dim == Q.n_arrows * G.order**2)]),
     )
 
 
@@ -898,32 +899,32 @@ def expectations_and_norm_identities(
     tol: float = 1e-9,
     n_random: int = 100,
     rng: np.random.Generator | None = None,
-) -> dict:
+) -> Report:
     """Conditional-expectation identities for the semidirect product.
 
     (i)   || P_R(beta_s(f)) || = || P_R(f) || exactly (sup over units);
     (ii)  || P_{R x| G}(b) || = || P_R(P_{C*(R) x G}(Phi(b))) || on random b;
     (iii) P_R is faithful on positives: P_R(f* f) has positive sup norm for
           random nonzero f.
+
+    Raises :class:`IdentityViolated` if any check fails.
     """
     rng = rng or np.random.default_rng(0)
     base_alg = convolution_algebra(R)
     semi = semidirect_product(R, G, action)
     acp = action_crossed_product(action)
-    out = {}
 
     # beta_s(f)(x) = f(s^-1 . x) for every draw f and every s.
     f, = random_functions(rng, max(8, n_random // 10), R.n_arrows)
     moved = f[:, action.arrow_perm[G.inverse]]
     err = float(np.max(np.abs(base_alg.unit_sup_norm(moved)
                               - base_alg.unit_sup_norm(f)[:, None])))
-    out["translation_norm_error"] = err
-    out["translation_norm_ok"] = err == 0.0
+    checks = [Check("translation_norm", err, exact=True)]
 
     # f supported off the units has P_R(f) = 0.
     off = np.ones(R.n_arrows, dtype=np.complex128)
     off[R.unit_arrow] = 0.0
-    out["off_units_ok"] = base_alg.unit_sup_norm(off) == 0.0
+    checks.append(Check("off_units", base_alg.unit_sup_norm(off), exact=True))
 
     # (ii) on all draws, a chunk of stacked rows Phi(b) at a time; every row
     # must lie in the crossed product (1e-6) and its expectation in C*(R).
@@ -936,18 +937,16 @@ def expectations_and_norm_identities(
         lhs = np.max(np.abs(b[:, semi.unit_arrow]), axis=1)
         rhs = np.max(np.abs(f_e[:, R.unit_arrow]), axis=1)
         err = max(err, float(np.max(np.abs(lhs - rhs))))
-    out["red_semi_cross_error"] = err
-    out["red_semi_cross_ok"] = err <= tol
+    checks.append(Check("red_semi_cross", err, tol))
 
     f, = random_functions(rng, n_random, R.n_arrows)
     pos = base_alg.convolve(base_alg.star(f), f)
     min_norm = float(np.min(base_alg.unit_sup_norm(pos), initial=np.inf))
-    out["faithfulness_min_norm"] = min_norm
-    out["faithfulness_ok"] = min_norm > 1e-6
-    bad = [k for k, v in out.items() if k.endswith("_ok") and not v]
-    if bad:
-        raise IdentityViolated(f"expectation identities failed: {bad} ({out})")
-    return out
+    checks.append(Check.holds("faithfulness", min_norm > 1e-6))
+    require(checks, IdentityViolated, "expectation identities")
+    return Report({"faithfulness_min_norm": min_norm}, checks,
+                  {"translation_norm": "translation_norm_error",
+                   "red_semi_cross": "red_semi_cross_error"})
 
 
 class EquivalenceBimodule:
@@ -970,16 +969,16 @@ class EquivalenceBimodule:
         self.left_table = np.asarray(left_table, dtype=np.int64)
         self.right_table = np.asarray(right_table, dtype=np.int64)
 
-    def verify(self) -> dict:
+    def verify(self) -> Report:
+        """Check every axiom, raising :class:`AxiomFailed` at the first that
+        fails; the report records each as an exact check."""
         L, N = self.left, self.right
         A, B, rho, sigma = self.left_table, self.right_table, self.rho, self.sigma
         nz = len(self.carrier)
-        out = {"carrier_size": nz, "properness": "automatic (finite carrier)"}
         if not np.array_equal(np.unique(rho), np.arange(L.n_units)):
             raise AxiomFailed("left moment map is not surjective")
         if not np.array_equal(np.unique(sigma), np.arange(N.n_units)):
             raise AxiomFailed("right moment map is not surjective")
-        out["moment_maps_surjective"] = True
 
         # The right action is a left action of the opposite groupoid.
         for side, fault in (
@@ -988,8 +987,6 @@ class EquivalenceBimodule:
         ):
             if fault:
                 raise AxiomFailed(f"{side} action fails the {fault} rule")
-        out.update(domains_ok=True, moment_compatibility_ok=True, unit_actions_ok=True,
-                   associativity_ok=True)
 
         # (h . z) . n = h . (z . n) for every defined h . z and n into sigma(z).
         hs, zs = np.nonzero(A >= 0)
@@ -997,7 +994,6 @@ class EquivalenceBimodule:
         p, n = _over_fibres(sigma[zs], N.r, N.n_units)
         if np.any(B[ws[p], n] != A[hs[p], B[zs[p], n]]):
             raise AxiomFailed("actions do not commute")
-        out["commuting_ok"] = True
 
         # Arrow k moves cell z to w, on every defined cell of either table.
         zn, ns = np.nonzero(B >= 0)
@@ -1007,7 +1003,6 @@ class EquivalenceBimodule:
             if np.any(fixed):
                 k = np.argmax(fixed)
                 raise AxiomFailed(f"{side} action is not free: arrow {ks[k]} fixes {z[k]}")
-        out["freeness_ok"] = True
 
         # rho factors through carrier / right-orbits onto the left units, and
         # sigma through left-orbits \ carrier onto the right units: cells with
@@ -1018,8 +1013,11 @@ class EquivalenceBimodule:
             reach[z, w] = True
             if np.any((moment[:, None] == moment) & ~reach):
                 raise AxiomFailed(f"{name} does not separate {orbits} orbits")
-        out["orbit_bijections_ok"] = True
-        return out
+        axioms = ("domains", "moment_compatibility", "unit_actions", "associativity",
+                  "commuting", "freeness", "orbit_bijections")
+        return Report({"carrier_size": nz, "properness": "automatic (finite carrier)",
+                       "moment_maps_surjective": True},
+                      [Check(name, 0.0, exact=True) for name in axioms])
 
 
 def certify_equivalence(
@@ -1028,7 +1026,7 @@ def certify_equivalence(
     G: FiniteGroup,
     c: Cocycle,
     rng: np.random.Generator | None = None,
-) -> tuple[EquivalenceBimodule, dict]:
+) -> tuple[EquivalenceBimodule, Report]:
     """Build and exhaustively verify one of the two equivalence bimodules.
 
     kind 'semidirect':  (Q x_c G x| G) -- Q on the carrier Q x_c G, with
@@ -1059,8 +1057,7 @@ def certify_equivalence(
                          Q.mult[x] * m + G.table[inv[c.values], s_[:, None]], -1)
         bim = EquivalenceBimodule(L, Q, skew.arrows, rho, sigma, left, right)
         report = bim.verify()
-        report["kind"] = kind
-        report.update(_semidirect_properness_sets(Q, G, c, bim, rng))
+        report.checks.append(_semidirect_properness_window(Q, G, c, bim, rng))
         return bim, report
 
     if kind == "subgroupoid":
@@ -1081,9 +1078,8 @@ def certify_equivalence(
         right = np.where(sigma[:, None] == N_sub.r, Q.mult[:, n_keep], -1)
         bim = EquivalenceBimodule(H, N_sub, Q.arrows, rho, sigma, left, right)
         report = bim.verify()
-        report["kind"] = kind
-        report["h_units"] = H.n_units
-        report.update(_subgroupoid_properness_sets(Q, G, c, keep, bim, rng))
+        report.data["h_units"] = H.n_units
+        report.checks.append(_subgroupoid_properness_window(Q, G, c, keep, bim, rng))
         return bim, report
 
     raise ValueError(f"unknown equivalence kind {kind!r}")
@@ -1093,10 +1089,11 @@ def _within(values, allowed) -> np.ndarray:
     return np.isin(values, list(allowed))
 
 
-def _semidirect_properness_sets(Q, G, c, bim, rng):
+def _semidirect_properness_window(Q, G, c, bim, rng) -> Check:
     """The compact-set containments behind properness, on random windows:
     if (h.(y,r), (y,r)) lands in (Lset x F)^2 then the parts of h satisfy
-    x in Lset Lset^-1, s in c(Lset) F F^-1 F, t in F^-1 F."""
+    x in Lset Lset^-1, s in c(Lset) F F^-1 F, t in F^-1 F.  The check's
+    error counts the cells that break it."""
     arrows = list(range(Q.n_arrows))
     Lset = set(rng.choice(arrows, size=max(1, Q.n_arrows // 2), replace=False).tolist())
     F = set(rng.choice(G.order, size=max(1, G.order // 2 + 1), replace=False).tolist())
@@ -1112,10 +1109,10 @@ def _semidirect_properness_sets(Q, G, c, bim, rng):
               & _within(w // m, Lset) & _within(w % m, F))
     parts_ok = (_within(h // (m * m), LLinv) & _within(h // m % m, cLFFF)
                 & _within(h % m, FFinv))
-    return {"properness_window_ok": not np.any(inside & ~parts_ok)}
+    return Check("properness_window", float(np.count_nonzero(inside & ~parts_ok)), exact=True)
 
 
-def _subgroupoid_properness_sets(Q, G, c, keep, bim, rng):
+def _subgroupoid_properness_window(Q, G, c, keep, bim, rng) -> Check:
     """If ((x,t).y, y) lands in Lset x Lset then x in Lset Lset^-1 and
     t in c(Lset); arrow h of H is the skew arrow keep[h] = x |G| + t."""
     arrows = list(range(Q.n_arrows))
@@ -1125,7 +1122,8 @@ def _subgroupoid_properness_sets(Q, G, c, keep, bim, rng):
     h, z = np.nonzero(bim.left_table >= 0)
     w, (x, t) = bim.left_table[h, z], np.divmod(keep[h], G.order)
     inside = _within(z, Lset) & _within(w, Lset)
-    return {"properness_window_ok": not np.any(inside & ~(_within(x, LLinv) & _within(t, cL)))}
+    outside = inside & ~(_within(x, LLinv) & _within(t, cL))
+    return Check("properness_window", float(np.count_nonzero(outside)), exact=True)
 
 
 class InnerProductEvaluator:
@@ -1190,15 +1188,15 @@ class InnerProductEvaluator:
         return out
 
     def __call__(self, a, b, tol: float = 1e-9):
-        """<a, b> as a coefficient function on the arrows of N = c^-1(e), and a
-        report; raises :class:`FormulaMismatch` if the two formulas disagree.
-        Stacks of a and b broadcast against each other."""
+        """<a, b> as a coefficient function on the arrows of N = c^-1(e), and
+        the check that both formulas agree; raises :class:`FormulaMismatch`
+        if they do not.  Stacks of a and b broadcast against each other."""
         general = self.general_formula(a, b, tol=tol)
         simplified = self.simplified_formula(a, b, tol=tol)
         err = float(np.max(np.abs(general - simplified), initial=0.0))
         if err > tol:
             raise FormulaMismatch(f"inner-product formulas disagree by {err:.2e}")
-        return general[..., self.n_keep], {"formula_agreement_error": err}
+        return general[..., self.n_keep], Check("formula_agreement", err, tol)
 
 
 def _module_action(Q: FiniteGroupoid, keep, a, f) -> np.ndarray:
@@ -1221,7 +1219,7 @@ def verify_bimodule_module_structure(
     tol: float = 1e-9,
     n_random: int = 100,
     rng: np.random.Generator | None = None,
-) -> dict:
+) -> Report:
     """Randomized verification of the pre-Hilbert module structure on C_c(Q):
 
     - the module action a . f (f in C_c(N)) agrees with convolution;
@@ -1237,7 +1235,6 @@ def verify_bimodule_module_structure(
     keep = evaluator.n_keep
     alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
     n, nn = Q.n_arrows, len(keep)
-    out = {}
 
     def inner(x, y):
         return evaluator(x, y, tol=tol)[0]
@@ -1247,26 +1244,23 @@ def verify_bimodule_module_structure(
     f = np.zeros((8, n), dtype=np.complex128)
     f[:, keep] = f_small
     err = float(np.max(np.abs(_module_action(Q, keep, a, f) - alg.convolve(a, f))))
-    out["module_action_error"] = err
-    out["module_action_ok"] = err <= tol
+    checks = [Check("module_action", err, tol)]
 
     x, y, z = random_functions(rng, n_random, n, n, n)
     lhs = inner(alg.convolve(x, y), z)
     rhs = inner(y, alg.convolve(alg.star(x), z))
     err = float(np.max(np.abs(lhs - rhs), initial=0.0))
-    out["adjointability_error"] = err
-    out["adjointability_ok"] = err <= tol * 10
+    checks.append(Check("adjointability", err, tol * 10))
 
     # Four Gram matrices of three elements each: pi(<a_i, a_j>) in block (i, j).
     elems = random_functions(rng, 12, n)[0].reshape(4, 3, n)
     vals = alg_n.represent_rows(inner(elems[:, :, None], elems[:, None]).reshape(-1, nn))
     gram = vals.toarray().reshape(4, 3, 3, nn, nn).transpose(0, 1, 3, 2, 4).reshape(4, 3 * nn, -1)
     ev = np.linalg.eigvalsh((gram + np.conj(gram.transpose(0, 2, 1))) / 2)
-    worst = min(0.0, float(np.min(ev[:, 0])))
-    out["gram_min_eigenvalue"] = worst
-    if worst < -tol * 100:
-        raise PositivityFailed(f"Gram matrix has negative eigenvalue {worst:.2e}")
-    out["gram_psd_ok"] = True
+    gram_worst = min(0.0, float(np.min(ev[:, 0])))
+    if gram_worst < -tol * 100:
+        raise PositivityFailed(f"Gram matrix has negative eigenvalue {gram_worst:.2e}")
+    checks.append(Check("gram_psd", -gram_worst, tol * 100))
 
     a, b = random_functions(rng, 16, n)[0].reshape(8, 2, n).transpose(1, 0, 2)
     ab_b = np.stack([alg.convolve(a, b), b], axis=1)
@@ -1276,8 +1270,9 @@ def verify_bimodule_module_structure(
     gap = norm_a[:, None, None] ** 2 * rhs - lhs
     ev = np.linalg.eigvalsh((gap + np.conj(gap.transpose(0, 2, 1))) / 2)
     worst = min(0.0, float(np.min(ev[:, 0] / np.maximum(1.0, norm_a**2))))
-    out["boundedness_min_eigenvalue"] = worst
     if worst < -tol * 100:
         raise PositivityFailed(f"||pi(a)|| <= ||a|| bound fails by {worst:.2e}")
-    out["boundedness_ok"] = True
-    return out
+    checks.append(Check("boundedness", -worst, tol * 100))
+    return Report({"gram_min_eigenvalue": gram_worst, "boundedness_min_eigenvalue": worst},
+                  checks, {"module_action": "module_action_error",
+                           "adjointability": "adjointability_error"})

@@ -365,20 +365,22 @@ def span_closure(
     return AlgebraSpan(n, rows, gen_rows=vec_rows(generators), name=name, check=False)
 
 
-def _kron_rows(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int) -> sp.csr_matrix:
-    """vec(x_i (x) y_j) at row i len(y) + j, for stacked rows x of n_a x n_a and
-    y of n_b x n_b matrices, as one sparse kron of the two row matrices: its
-    column (p n_a + q)(n_b^2) + (r n_b + s) holds the entry ((p, q), (r, s)),
-    which sits at vec index (p n_b + r) N + (q n_b + s) of the N x N kron,
-    N = n_a n_b."""
-    N = na * nb
+def _kron_coo(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int):
+    """The entries (data, row, col) of :func:`_kron_rows`, from one sparse
+    kron of the two row matrices: its column (p n_a + q)(n_b^2) + (r n_b + s)
+    holds the entry ((p, q), (r, s)), which sits at vec index
+    (p n_b + r) N + (q n_b + s) of the N x N kron, N = n_a n_b."""
     k = sp.kron(x, y, format="coo")
     ca, cb = divmod(k.col.astype(np.int64), nb * nb)
     (p, q), (r, s) = divmod(ca, na), divmod(cb, nb)
-    return sp.csr_matrix(
-        (k.data, (k.row, (p * nb + r) * N + (q * nb + s))),
-        shape=(x.shape[0] * y.shape[0], N * N),
-    )
+    return k.data, k.row, (p * nb + r) * (na * nb) + (q * nb + s)
+
+
+def _kron_rows(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int) -> sp.csr_matrix:
+    """vec(x_i (x) y_j) at row i len(y) + j, for stacked rows x of n_a x n_a and
+    y of n_b x n_b matrices."""
+    data, row, col = _kron_coo(x, y, na, nb)
+    return sp.csr_matrix((data, (row, col)), shape=(x.shape[0] * y.shape[0], (na * nb) ** 2))
 
 
 def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:
@@ -398,34 +400,75 @@ def full_matrix_span(m: int, name: str | None = None) -> AlgebraSpan:
                        name=name or f"M_{m}")
 
 
-@dataclass
-class StarMapReport:
-    """Outcome of certifying a generator assignment as a *-homomorphism."""
+@dataclass(frozen=True)
+class Check:
+    """One identity a verdict rests on.  An exact check passes on ``error``
+    == 0, any other on ``error`` <= ``tol``; a report or certificate passes
+    when all its checks do."""
 
-    well_defined: bool
-    multiplicative: bool
-    star_preserving: bool
-    injective: bool
-    surjective: bool | None
-    domain_dim: int
-    image_dim: int
-    max_error: float = 0.0
-    witness: object = None
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def bijective(self) -> bool:
-        return bool(self.injective and self.surjective)
+    name: str
+    error: float
+    tol: float = 0.0
+    exact: bool = False
 
     @property
     def passed(self) -> bool:
-        return (
-            self.well_defined
-            and self.multiplicative
-            and self.star_preserving
-            and self.injective
-            and self.surjective is not False
-        )
+        return bool(self.error == 0 if self.exact else self.error <= self.tol)
+
+    @classmethod
+    def holds(cls, name: str, fact) -> Check:
+        """The exact check of a yes-or-no fact: error 0 when it holds, else 1."""
+        return cls(name, 0.0 if fact else 1.0, exact=True)
+
+
+def require(checks, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming every failed check of ``checks``."""
+    failed = [c.name for c in checks if not c.passed]
+    if failed:
+        raise error(f"{what} failed: {failed} ({ {c.name: c.error for c in checks} })")
+
+
+@dataclass
+class Report:
+    """Data, the checks it was judged by, and nested reports or certificates
+    in ``parts``; it passes when every check in it and in its parts passes.
+
+    It renders as the data and the rendered parts, then per check a
+    ``{name}_ok`` flag (unless ``flags`` is False) and, for a check named in
+    ``errors``, its error under the key given there."""
+
+    data: dict = field(default_factory=dict)
+    checks: list[Check] = field(default_factory=list)
+    errors: dict[str, str] = field(default_factory=dict)
+    parts: dict = field(default_factory=dict)
+    flags: bool = True
+
+    def every_check(self) -> list[Check]:
+        return [*self.checks, *(c for p in self.parts.values() for c in p.every_check())]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.every_check())
+
+    def as_dict(self) -> dict:
+        out = {**self.data, **{k: p.as_dict() for k, p in self.parts.items()}}
+        for c in self.checks:
+            if self.flags:
+                out[f"{c.name}_ok"] = c.passed
+            if c.name in self.errors:
+                out[self.errors[c.name]] = c.error
+        return out
+
+
+@dataclass
+class StarMapReport:
+    """Outcome of certifying a generator assignment as a *-homomorphism: the
+    checks well_defined, multiplicative, star_preserving, injective and, with
+    a target, surjective; the largest error, and every error by name."""
+
+    checks: list[Check]
+    max_error: float = 0.0
+    notes: dict = field(default_factory=dict)
 
 
 def star_map_on_basis(
@@ -495,10 +538,12 @@ def star_map_on_basis(
                 err = max_row_norm(lhs - c_dom @ image_rows) / img_scale
                 errs["mult"] = max(errs["mult"], err)
 
+    checks = [
+        Check("well_defined", float(np.maximum(errs["closure"], errs["gen_consistency"])), tol),
+        Check("multiplicative", errs["mult"], tol),
+        Check("star_preserving", errs["star"], tol),
+    ]
     # Membership in the target and bijectivity.
-    surjective = None
-    injective = False
-    c_t = None
     if target is not None:
         c_t, resid = target.coefficients_rows(image_rows)
         errs["target_membership"] = resid
@@ -513,27 +558,18 @@ def star_map_on_basis(
         errs["compose_id_target"] = float(
             np.max(np.abs(comp2 - np.eye(target.dim))) if comp2.size else 0.0
         )
-        injective = errs["compose_id_domain"] <= tol
-        surjective = errs["compose_id_target"] <= tol and errs["target_membership"] <= tol
+        onto = np.maximum(errs["compose_id_target"], errs["target_membership"])
+        checks += [Check("injective", errs["compose_id_domain"], tol),
+                   Check("surjective", float(onto), tol)]
     else:
         gram = image_rows @ image_rows.conj().T
         rank = int(np.sum(_block_eigh(gram) > tol * max(1.0, img_scale**2)))
-        injective = rank == d
+        checks.append(Check("injective", float(d - rank), exact=True))
         if target is not None:
-            surjective = injective and rank == target.dim and errs["target_membership"] <= tol
+            onto = errs["target_membership"] if rank == d == target.dim else np.inf
+            checks.append(Check("surjective", onto, tol))
 
-    max_err = max(errs.values())
-    return StarMapReport(
-        well_defined=errs["closure"] <= tol and errs["gen_consistency"] <= tol,
-        multiplicative=errs["mult"] <= tol,
-        star_preserving=errs["star"] <= tol,
-        injective=bool(injective),
-        surjective=surjective,
-        domain_dim=d,
-        image_dim=target.dim if target is not None else image_rows.shape[0],
-        max_error=float(max_err),
-        notes=errs,
-    )
+    return StarMapReport(checks, max_error=float(max(errs.values())), notes=errs)
 
 
 def wedderburn_signature(

@@ -9,7 +9,7 @@ byte-identical for a fixed suite seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .graphs import (
     translation_action,
 )
 from .groups import FiniteGroup, Labeling, cyclic_group, klein_four_group, make_group
+from .matalg import Check, Report
 
 GAUGE_SAMPLES = (1.0, -1.0, 1j, np.exp(2j * np.pi / 7))
 # The fewest vertices and edges of a random acyclic graph.
@@ -183,12 +184,22 @@ def random_cocycle(
 
 @dataclass
 class CaseResult:
+    """One case; it passes when every check of ``report`` does, and its
+    summary is ``report`` rendered."""
+
     index: int
     kind: str
     seed: int
-    passed: bool
     wall_time_s: float
-    summary: dict = field(default_factory=dict)
+    report: Report
+
+    @property
+    def passed(self) -> bool:
+        return self.report.passed
+
+    @property
+    def summary(self) -> dict:
+        return self.report.as_dict()
 
     def as_dict(self) -> dict:
         return {
@@ -210,34 +221,26 @@ def run_graph_case(seed: int, index: int = 0, tol: float = 1e-8,
     parts = duality.DualityParts(E, G, labeling, tol)
     fam = parts.fam
     graded = parts.coaction  # verifies at 1e-12
-    gauge_ok = graphalg.gauge_check(fam, GAUGE_SAMPLES).passed
+    gauge = graphalg.gauge_check(fam, GAUGE_SAMPLES)
     c1 = duality.certify_eqvt_iso(E, G, labeling, tol=tol, parts=parts)
     c2 = duality.certify_direct_iso(E, G, labeling, tol=tol, rng=rng, parts=parts)
     c3 = duality.certify_regular_diagram(E, G, labeling, tol=tol, parts=parts)
-    passed = (
-        gauge_ok
-        and c1.passed
-        and c1.equivariance_error == 0.0
-        and c2.passed
-        and c3.passed
-    )
-    summary = {
-        "graph": {"vertices": E.n_vertices, "edges": E.n_edges},
-        "group_order": G.order,
-        "dims": {
-            "C*(E)": fam.dim,
-            "C*(ExG)": c1.lhs_dim,
-            "coaction_crossed": c1.rhs_dim,
-            "action_crossed": c2.lhs_dim,
+    report = Report(
+        {
+            "graph": {"vertices": E.n_vertices, "edges": E.n_edges},
+            "group_order": G.order,
+            "dims": {
+                "C*(E)": fam.dim,
+                "C*(ExG)": c1.lhs_dim,
+                "coaction_crossed": c1.rhs_dim,
+                "action_crossed": c2.lhs_dim,
+            },
         },
         # graphalg.coaction would have raised on any violation above 1e-12.
-        "coaction_ok": graded is not None,
-        "gauge_ok": gauge_ok,
-        "eqvt_iso": c1.as_dict(),
-        "direct_iso": c2.as_dict(),
-        "diagram": c3.as_dict(),
-    }
-    return CaseResult(index, "graph", seed, passed, time.perf_counter() - t0, summary)
+        [Check.holds("coaction", graded is not None), Check.holds("gauge", gauge.passed)],
+        parts={"eqvt_iso": c1, "direct_iso": c2, "diagram": c3},
+    )
+    return CaseResult(index, "graph", seed, time.perf_counter() - t0, report)
 
 
 def run_free_action_case(seed: int, index: int = 0, tol: float = 1e-8,
@@ -246,13 +249,9 @@ def run_free_action_case(seed: int, index: int = 0, tol: float = 1e-8,
     t0 = time.perf_counter()
     F, action = random_free_action_instance(rng, max_dim=max_dim)
     cert = duality.certify_free_action(F, action, tol=tol, rng=rng)
-    summary = {
-        "graph": {"vertices": F.n_vertices, "edges": F.n_edges},
-        "group_order": action.group.order,
-        "free_action": cert.as_dict(),
-    }
-    return CaseResult(index, "free-action", seed, cert.passed,
-                      time.perf_counter() - t0, summary)
+    report = Report({"graph": {"vertices": F.n_vertices, "edges": F.n_edges},
+                     "group_order": action.group.order}, parts={"free_action": cert})
+    return CaseResult(index, "free-action", seed, time.perf_counter() - t0, report)
 
 
 def run_groupoid_case(seed: int, index: int = 0, tol: float = 1e-8,
@@ -286,38 +285,20 @@ def run_groupoid_case(seed: int, index: int = 0, tol: float = 1e-8,
     )
 
     a, b = groupoids.random_functions(rng, n_random, Q.n_arrows, Q.n_arrows)
-    _, rep = groupoids.InnerProductEvaluator(Q, c)(a, b, tol=1e-9)
-    evaluator_err = rep["formula_agreement_error"]
+    _, inner = groupoids.InnerProductEvaluator(Q, c)(a, b, tol=1e-9)
     module_rep = groupoids.verify_bimodule_module_structure(
         Q, c, tol=1e-9, n_random=min(n_random, 40), rng=rng
     )
-
-    passed = all(
-        [
-            cert_iso.passed,
-            cert_iso.equivariance_error == 0.0,
-            cert_semi.passed,
-            cert_full.passed,
-            all(v for k, v in eq_semi.items() if k.endswith("_ok")),
-            all(v for k, v in eq_sub.items() if k.endswith("_ok")),
-            all(v for k, v in expectations.items() if k.endswith("_ok")),
-            evaluator_err <= 1e-9,
-            all(v for k, v in module_rep.items() if k.endswith("_ok")),
-        ]
+    report = Report(
+        {"groupoid": {"units": Q.n_units, "arrows": Q.n_arrows}, "group_order": G.order},
+        [inner],
+        {"formula_agreement": "inner_product_max_error"},
+        parts={"gpd_iso": cert_iso, "semi_cross": cert_semi, "full_gpd": cert_full,
+               "equivalence_semidirect": eq_semi, "equivalence_subgroupoid": eq_sub,
+               "expectations": expectations, "module_structure": module_rep},
+        flags=False,
     )
-    summary = {
-        "groupoid": {"units": Q.n_units, "arrows": Q.n_arrows},
-        "group_order": G.order,
-        "gpd_iso": cert_iso.as_dict(),
-        "semi_cross": cert_semi.as_dict(),
-        "full_gpd": cert_full.as_dict(),
-        "equivalence_semidirect": {k: v for k, v in eq_semi.items() if k != "kind"},
-        "equivalence_subgroupoid": {k: v for k, v in eq_sub.items() if k != "kind"},
-        "expectations": expectations,
-        "inner_product_max_error": evaluator_err,
-        "module_structure": module_rep,
-    }
-    return CaseResult(index, "groupoid", seed, passed, time.perf_counter() - t0, summary)
+    return CaseResult(index, "groupoid", seed, time.perf_counter() - t0, report)
 
 
 RUNNERS = {"graph": run_graph_case, "free-action": run_free_action_case,

@@ -45,6 +45,7 @@ orthogonal matrix lists, and the basis matrices, expansions, membership and
 random elements of an ``AlgebraSpan``.
 """
 import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -418,11 +419,36 @@ def gauge_star_map(fam, z, gen_degrees, tol: float = 1e-12) -> bool:
         fam.span, sp.diags(scale).tocsr() @ fam.span.rows, fam.ambient_dim,
         fam.span.gen_rows, matalg.vec_rows(scaled), tol=tol, target=fam.span,
         inverse_rows=sp.diags(scale.conj()).tocsr() @ fam.span.rows)
-    return ok and report.passed and report.bijective
+    return ok and all(c.passed for c in report.checks)
 
 
 def direct_sum(a, b) -> sp.csr_matrix:
     return sp.block_diag([a, b], format="csr", dtype=np.complex128)
+
+
+@dataclass
+class ClosureStarMap:
+    """The verdicts of :func:`check_star_map`; ``witness`` is the image part
+    of a relation the assignment breaks, when it is not well defined."""
+
+    well_defined: bool
+    multiplicative: bool
+    star_preserving: bool
+    injective: bool
+    surjective: bool | None
+    domain_dim: int
+    image_dim: int
+    max_error: float
+    witness: object = None
+
+    @property
+    def bijective(self) -> bool:
+        return bool(self.injective and self.surjective)
+
+    @property
+    def passed(self) -> bool:
+        return (self.well_defined and self.multiplicative and self.star_preserving
+                and self.injective and self.surjective is not False)
 
 
 def check_star_map(
@@ -432,7 +458,7 @@ def check_star_map(
     target: matalg.AlgebraSpan | None = None,
     n_samples: int = 8,
     rng: np.random.Generator | None = None,
-) -> matalg.StarMapReport:
+) -> ClosureStarMap:
     """Certify the map generator -> image as a *-homomorphism of spans.
 
     Works by closing the span of the block-diagonal pairs diag(g, T(g)): the
@@ -512,7 +538,7 @@ def check_star_map(
         member = all(contains(target, g, tol=tol) for g in imgs)
         surjective = member and img_span.dim == target.dim
 
-    return matalg.StarMapReport(
+    return ClosureStarMap(
         well_defined=well_defined,
         multiplicative=multiplicative,
         star_preserving=star_preserving,

@@ -51,13 +51,13 @@ def test_stacks_equal_their_loop_oracles():
         val, rep = ev(f, g)
         loop = [inner_product_loop(Q, c, terms, x, y) for x, y in zip(f, g)]
         assert np.max(np.abs(val - loop)) <= 1e-12
-        assert rep["formula_agreement_error"] <= 1e-12
+        assert rep.error <= 1e-12
 
 
 def test_module_structure_equals_its_loop_oracle():
     for k, (Q, c, _) in enumerate(random_cases(72, count=6)):
         rep = groupoids.verify_bimodule_module_structure(
-            Q, c, n_random=6, rng=np.random.default_rng(k))
+            Q, c, n_random=6, rng=np.random.default_rng(k)).as_dict()
         loop = module_structure_loop(Q, c, n_random=6, rng=np.random.default_rng(k))
         assert rep.keys() == loop.keys()
         for key, value in rep.items():
@@ -73,10 +73,11 @@ def test_expectation_checks_equal_their_loop_oracles():
         skew = groupoids.skew_product_groupoid(Q, G, c)
         trans = groupoids.translation_groupoid_action(skew, G)
         rep = groupoids.expectations_and_norm_identities(
-            skew, G, trans, n_random=20, rng=np.random.default_rng(k))
+            skew, G, trans, n_random=20, rng=np.random.default_rng(k)).as_dict()
         loop = expectation_draws_loop(skew, G, trans, n_random=20, rng=np.random.default_rng(k))
         assert {key: rep[key] for key in loop} == loop
-        rep = groupoids.kernel_embedding_check(Q, c, n_random=20, rng=np.random.default_rng(k))
+        rep = groupoids.kernel_embedding_check(
+            Q, c, n_random=20, rng=np.random.default_rng(k)).as_dict()
         assert rep["expectation_error"] == kernel_expectation_loop(
             Q, c, n_random=20, rng=np.random.default_rng(k))
 
@@ -93,7 +94,7 @@ def test_one_function_is_one_row_of_a_stack():
     assert type(norm) is float and norm == alg.unit_sup_norm(f)[1]
     val, rep = ev(f[1], g[1])
     assert val.shape == (len(ev.n_keep),)
-    assert type(rep["formula_agreement_error"]) is float
+    assert type(rep.error) is float
     # The value today's one-pair formula gives, term list by term list.
     terms = inner_product_terms_loop(Q, c)
     assert np.array_equal(val, inner_product_loop(Q, c, terms, f[1], g[1]))
@@ -103,7 +104,8 @@ def _fails(check) -> bool:
     """True when a module-structure check sees the defect: the two inner
     product formulas disagree, or adjointability fails."""
     try:
-        return not check()["adjointability_ok"]
+        report = check()
+        return not (report if isinstance(report, dict) else report.as_dict())["adjointability_ok"]
     except FormulaMismatch:
         return True
 

@@ -7,7 +7,7 @@ import pytest
 from oracles import symmetric_group_3
 
 import skewprod
-from skewprod import cli, crossed, fixture_path, graphalg, graphs, groups, suite
+from skewprod import cli, crossed, fixture_path, graphalg, graphs, groups, matalg, suite
 
 
 def fx(name: str) -> str:
@@ -283,6 +283,20 @@ def test_exit_code_2_on_unknown_label(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cocycle, message", [
+    ({"x11": "e", "x12": "h", "x21": "g", "x22": "e"},
+     "label 'h' on arrow 'x12' is not an element of the group"),
+    ({"x12": "g", "x21": "g", "x22": "e"}, "arrow 'x11' has no cocycle value"),
+], ids=["unknown label", "missing arrow"])
+def test_exit_code_2_on_bad_cocycle(capsys, tmp_path, cocycle, message):
+    body = json.loads(fixture_path("pair-groupoid").read_text())
+    body["cocycle"] = cocycle
+    bad = tmp_path / "bad-cocycle.json"
+    bad.write_text(json.dumps(body))
+    assert cli.main(["gpd", "skew", "-q", str(bad), "-G", fx("z2")]) == 2
+    assert capsys.readouterr().err == f"error: bad groupoid file {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("error", [crossed.ActionInvalid, graphalg.CKRelationError])
 def test_exit_code_1_on_failed_construction_check(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
@@ -301,5 +315,6 @@ def test_exit_code_1_on_failed_report(capsys):
     import argparse, time
 
     args = argparse.Namespace(json=True)
-    assert cli._emit(args, {"theorem": "x"}, False, time.perf_counter()) == 1
+    failed = matalg.Report({"theorem": "x"}, [matalg.Check("x", 1.0, 0.5)])
+    assert cli._emit(args, failed, time.perf_counter()) == 1
     capsys.readouterr()

@@ -138,7 +138,7 @@ def test_wrong_path_degree_fails_spectral_subspaces(chain2, z3, monkeypatch):
 
 def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
     _, lab = e1_z3
-    assert duality.certify_regular_diagram(e1, z3, lab).extra["chase_ok"]
+    assert duality.certify_regular_diagram(e1, z3, lab).as_dict()["extra"]["chase_ok"]
     true_images = duality._theta_generator_images
 
     def lam_for_rho(fam, G, labeling):
@@ -150,14 +150,14 @@ def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):
 
     monkeypatch.setattr(duality, "_theta_generator_images", lam_for_rho)
     cert = duality.certify_regular_diagram(e1, z3, lab)
-    assert not cert.extra["chase_ok"]
+    assert not cert.as_dict()["extra"]["chase_ok"]
     assert not cert.passed
 
 
 def test_shifted_chi_in_one_edge_image_fails_chase(e1, e1_z3, z3):
     _, lab = e1_z3
     parts = duality.DualityParts(e1, z3, lab)
-    assert duality.certify_regular_diagram(e1, z3, lab, parts=parts).extra["chase_ok"]
+    assert duality.certify_regular_diagram(e1, z3, lab, parts=parts).as_dict()["extra"]["chase_ok"]
     # t_(f,r) = s_f (x) lam_c(f) chi_r with chi_r replaced by chi_(r+1).
     lam, _, chi = regular_matrices(z3)
     f_id, r = parts.skew.edges[0].id
@@ -166,5 +166,5 @@ def test_shifted_chi_in_one_edge_image_fails_chase(e1, e1_z3, z3):
     parts.theta_gen_rows = sp.vstack([matalg.vec_rows([shifted]), parts.theta_gen_rows[1:]],
                                      format="csr")
     cert = duality.certify_regular_diagram(e1, z3, lab, parts=parts)
-    assert not cert.extra["chase_ok"]
+    assert not cert.as_dict()["extra"]["chase_ok"]
     assert not cert.passed

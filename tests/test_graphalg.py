@@ -124,7 +124,7 @@ class TestGauge:
     def test_minus_one_on_e1(self, e1):
         fam = ck_representation(e1)
         rep = gauge_check(fam, [-1.0])
-        assert rep.passed and rep.is_ck_family
+        assert rep.passed and rep.checks[0].name == "ck_family" and rep.checks[0].passed
         # alpha_{-1} fixes p_v and p_w and negates s_f: the scaled family
         # satisfies the relations directly.
         s_f = -1.0 * fam.s[0]
@@ -189,9 +189,10 @@ class TestCoaction:
 
     def test_verification_tolerance(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
-        errs = verify_graded_coaction(spectral_subspaces(fam, z2, e1_z2_labeling), tol=1e-12)
-        assert errs["coaction_identity"] <= 1e-12
-        assert errs["injective"]
+        checks = verify_graded_coaction(spectral_subspaces(fam, z2, e1_z2_labeling), tol=1e-12)
+        errs = {c.name: c for c in checks}
+        assert errs["coaction_identity"].error <= 1e-12
+        assert errs["injective"].passed
 
     def test_degree_revealing(self, chain2, z3, rng):
         lab = groups.Labeling(chain2, z3, rng.integers(0, 3, 2))
