@@ -73,7 +73,6 @@ class AlgebraAction:
         span: AlgebraSpan,
         group: FiniteGroup,
         perms,
-        tol: float = matalg.PRODUCT_TOL,
         name: str = "action",
     ) -> "AlgebraAction":
         """Action gamma_t = Ad(U_t), U_t the permutation matrix sending e_i to
@@ -98,7 +97,7 @@ class AlgebraAction:
         mats = []
         for t in G:
             coeffs, resid = span.coefficients_rows(_ad_perm(span.rows, perms[t], n))
-            if resid > tol:
+            if resid > matalg.PRODUCT_TOL:
                 raise ActionInvalid(f"{name}: Ad(U_{t}) does not preserve the span")
             coeffs.data[np.abs(coeffs.data) < 1e-14] = 0.0
             coeffs.eliminate_zeros()
@@ -146,7 +145,6 @@ class ActionCrossedProduct:
         group: FiniteGroup,
         action: AlgebraAction,
         tol: float = matalg.PRODUCT_TOL,
-        name: str | None = None,
     ):
         if action.span is not base:
             raise ActionInvalid("action must act on the base span")
@@ -176,8 +174,7 @@ class ActionCrossedProduct:
         self._u_rows = matalg._kron_rows(matalg.identity_row(n), lam, n, m)
         # Generators: pi~ of the base generators, then u~_s.
         gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], format="csr")
-        self.span = AlgebraSpan(N, rows, gen_rows=gen_rows,
-                                name=name or f"{base.name} x G")
+        self.span = AlgebraSpan(N, rows, gen_rows=gen_rows, name=f"{base.name} x G")
         self._verify_covariance(tol)
 
     def pi_tilde_rows(self, rows) -> sp.csr_matrix:
@@ -229,9 +226,11 @@ class GradedSpan:
     The grading is the coaction delta(b_i) = b_i (x) lam_{degrees[i]} inside
     A (x) M_|G|, and the one coaction type of both halves:
     ``graphalg.coaction`` and ``groupoids.graded_convolution`` return one.
-    Whether it is multiplicative and *-compatible is checked by
-    ``graphalg.spectral_subspaces`` or by :class:`CoactionCrossedProduct`, and
-    whether delta is a coaction by :func:`verify_graded_coaction`.
+    Degrees multiply by the labeling's path grading (checked by
+    ``graphalg.spectral_subspaces``) or by the cocycle law (checked by
+    ``groupoids.Cocycle``); adjoints and spanning pairs are checked by
+    :class:`CoactionCrossedProduct`, and whether delta is a coaction by
+    :func:`verify_graded_coaction`.
     """
 
     span: AlgebraSpan
@@ -347,8 +346,7 @@ class CoactionCrossedProduct:
     sampled beyond it).
     """
 
-    def __init__(self, graded: GradedSpan, tol: float = matalg.PRODUCT_TOL,
-                 graded_checked: bool = False):
+    def __init__(self, graded: GradedSpan):
         self.graded = graded
         self.group: FiniteGroup = graded.group
         self.base: AlgebraSpan = graded.span
@@ -363,22 +361,23 @@ class CoactionCrossedProduct:
         gen_rows = sp.vstack([graded.delta(self.base.gen_rows), j_chi], format="csr")
         self.span = AlgebraSpan(self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
                                 name=f"{self.base.name} x_delta G")
-        self._verify_spanning_relations(tol, graded_checked)
+        self._verify_spanning_relations()
 
     @property
     def dim(self) -> int:
         return self.span.dim
 
-    def _verify_spanning_relations(self, tol, graded_checked):
+    def _verify_spanning_relations(self):
         """Verify (a_r, s)(a_t, u) = (a_r a_t, u) [s = t u] and
         (a_t, u)* = (a_t*, t u) on the spanning set.
 
-        Exhaustively checked in three exact layers: the lam/chi identity on
-        the group leg, the grading of products and adjoints in the base
-        algebra (skipped when the caller has already verified the grading
-        exhaustively), and concrete spanning-pair products (all pairs up to
-        ``_PAIR_CAP`` spanning elements, a fixed-seed random sample beyond).
+        Checked in three layers: the lam/chi identity on the group leg, the
+        degrees of adjoints in the base algebra, and concrete spanning-pair
+        products (all pairs up to ``_PAIR_CAP`` spanning elements, a
+        fixed-seed random sample beyond).  That degrees multiply is the
+        grading's own law, checked where the grading is made.
         """
+        tol = matalg.PRODUCT_TOL
         G = self.group
         m = G.order
         d = self.base.dim
@@ -404,33 +403,7 @@ class CoactionCrossedProduct:
                     raise ActionInvalid("lam/chi adjoint identity fails")
                 raise ActionInvalid("lam/chi multiplication identity fails")
 
-        # Base leg: products and adjoints stay in the span with multiplying
-        # degrees.  Batched: b_i b_j for all i and a chunk of j per sparse
-        # product; the expansions are kept for the spanning-pair check below.
-        cache_cj: dict[int, tuple] = {}
-
-        def expand_products(js):
-            todo = sorted(set(js) - cache_cj.keys())
-            for k0, prods in matalg.right_products(self.base.rows, self.base.rows[todo], n):
-                coeffs, resid = self.base.coefficients_rows(prods)
-                if resid > tol:
-                    raise ActionInvalid("base algebra is not closed under products")
-                coo = coeffs.tocoo()
-                keep = np.abs(coo.data) > 1e-14
-                block, row = np.divmod(coo.row[keep], d)
-                col, val = coo.col[keep], coo.data[keep]
-                for q, j in enumerate(todo[k0 : k0 + coeffs.shape[0] // d]):
-                    sel = block == q
-                    cache_cj[j] = (row[sel], col[sel], val[sel])
-
-        if not graded_checked:
-            expand_products(range(d))
-            for j in range(d):
-                r_idx, c_idx, vals = cache_cj[j]
-                keep = np.abs(vals) > tol
-                expected = G.table[self.degrees[r_idx[keep]], int(self.degrees[j])]
-                if np.any(self.degrees[c_idx[keep]] != expected):
-                    raise ActionInvalid("product degree mismatch in the graded base")
+        # Base leg: adjoints stay in the span with inverse degrees.
         star_rows = matalg.star_columns(self.base.rows, n)
         star_coeffs, resid = self.base.coefficients_rows(star_rows)
         if resid > tol:
@@ -444,7 +417,9 @@ class CoactionCrossedProduct:
         # Concrete spanning pairs: multiply the whole spanning set by the right
         # factors (j, w), a chunk of them per sparse product, and compare with
         # the rule.  Exhaustive over right factors up to _PAIR_CAP, sampled
-        # beyond (the left factor always ranges over everything).
+        # beyond (the left factor always ranges over everything).  The rule
+        # needs b_i b_j in the base for every i and each right j: a chunk of
+        # j per sparse product, expanded in the base basis.
         N = self.ambient_dim
         if total <= _PAIR_CAP:
             right = [(j, w) for j in range(d) for w in G]
@@ -455,7 +430,19 @@ class CoactionCrossedProduct:
                 (int(rng.integers(d)), int(rng.integers(m))) for _ in range(24)
             ]
             self.pair_check_exhaustive = False
-        expand_products(j for j, _ in right)
+        cache_cj: dict[int, tuple] = {}
+        todo = sorted({j for j, _ in right})
+        for k0, prods in matalg.right_products(self.base.rows, self.base.rows[todo], n):
+            coeffs, resid = self.base.coefficients_rows(prods)
+            if resid > tol:
+                raise ActionInvalid("base algebra is not closed under products")
+            coo = coeffs.tocoo()
+            keep = np.abs(coo.data) > 1e-14
+            block, row = np.divmod(coo.row[keep], d)
+            col, val = coo.col[keep], coo.data[keep]
+            for q, j in enumerate(todo[k0 : k0 + coeffs.shape[0] // d]):
+                sel = block == q
+                cache_cj[j] = (row[sel], col[sel], val[sel])
         factors = self.span.rows[[j * m + w for j, w in right]]
         for k0, lhs in matalg.right_products(self.span.rows, factors, N):
             chunk = right[k0 : k0 + lhs.shape[0] // total]
@@ -490,7 +477,7 @@ class CoactionCrossedProduct:
         if matalg.max_row_norm(star_span - expected) > tol:
             raise ActionInvalid("spanning adjoint rule fails")
 
-    def dual_action(self, tol: float = matalg.PRODUCT_TOL) -> AlgebraAction:
+    def dual_action(self) -> AlgebraAction:
         """The dual action: delta^_s(a_t, u) = (a_t, u s^-1), implemented as
         conjugation by 1 (x) rho_s; both descriptions are verified to agree."""
         G = self.group
@@ -503,11 +490,11 @@ class CoactionCrossedProduct:
         # 1 (x) rho_s sends e_(i, u) to e_(i, u s^-1); the spanning element
         # (a_t, u) sits at the same kind of index, i |G| + u.
         act = AlgebraAction.from_permutations(
-            self.span, G, right_shifts(self.ambient_dim), tol=tol, name="dual action",
+            self.span, G, right_shifts(self.ambient_dim), name="dual action",
         )
         shifts = right_shifts(self.dim)
         for s in G:
             permuted = self.span.rows[shifts[s]]
-            if matalg.max_row_norm(act.image_rows(s) - permuted) > tol:
+            if matalg.max_row_norm(act.image_rows(s) - permuted) > matalg.PRODUCT_TOL:
                 raise ActionInvalid(f"dual action does not permute the spanning set at s={s}")
         return act

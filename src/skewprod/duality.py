@@ -251,7 +251,7 @@ def certify_eqvt_iso(
     """Certify C*(E x_c G) = C*(E) x_delta G via s_(f,t) -> (s_f, t)."""
     parts = _parts_for(parts, graph, G, labeling, tol)
     fam, fam_skew = parts.fam, parts.fam_skew
-    ccp = CoactionCrossedProduct(parts.coaction, graded_checked=True)
+    ccp = CoactionCrossedProduct(parts.coaction)
     m = ccp.ambient_dim
 
     # Generator images: s_(f,t) -> (s_f, t) = s_f (x) lam_c(f) chi_t, and
@@ -282,7 +282,6 @@ def certify_eqvt_iso(
         tol=tol,
         target=ccp.span,
         inverse_rows=inverse_rows,
-        check_right=False,
     )
 
     return IsomorphismCertificate(
@@ -354,7 +353,7 @@ def certify_direct_iso(
 
     report = matalg.star_map_on_basis(
         acp.span, image_rows, mt, acp.span.gen_rows, parts.theta_gen_rows, tol=tol,
-        target=target, inverse_rows=inverse_rows, check_right=False,
+        target=target, inverse_rows=inverse_rows,
     )
 
     # Generator-level composition identities.
@@ -458,7 +457,6 @@ def certify_free_action(
     graph: DirectedGraph,
     action: GraphAction,
     tol: float = DEFAULT_ISO_TOL,
-    compute_signatures: bool = True,
     rng: np.random.Generator | None = None,
 ) -> IsomorphismCertificate:
     """Certify C*(F) x_beta G = C*(F/G) (x) M_|G| for a free action.
@@ -499,7 +497,7 @@ def certify_free_action(
 
     report = matalg.star_map_on_basis(
         acp_f.span, image_rows, target.ambient_dim, acp_f.span.gen_rows,
-        parts.theta_gen_rows[gen_map], tol=tol, target=target, check_right=False,
+        parts.theta_gen_rows[gen_map], tol=tol, target=target,
     )
 
     # beta_t(s_f) = s_{t.f} is respected by the transported generators.
@@ -510,12 +508,10 @@ def certify_free_action(
         moved = s_coeffs @ beta.coeff_mats[t] @ fam_f.span.rows
         beta_err = max(beta_err, matalg.max_row_norm(moved - s_rows[action.eperm[t]]))
 
-    signatures = None
-    if compute_signatures:
-        signatures = {
-            "lhs": matalg.wedderburn_signature(acp_f.span, rng=rng),
-            "rhs": matalg.wedderburn_signature(target, rng=rng),
-        }
+    signatures = {
+        "lhs": matalg.wedderburn_signature(acp_f.span, rng=rng),
+        "rhs": matalg.wedderburn_signature(target, rng=rng),
+    }
 
     return IsomorphismCertificate(
         theorem="free-action",

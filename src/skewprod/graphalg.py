@@ -219,12 +219,12 @@ class CKFamily:
             raise GraphError("a path does not map to a path into a sink")
         return out
 
-    def verify(self, tol: float = 1e-12):
+    def verify(self):
         """Exhaustively check the Cuntz-Krieger relations and that each
         canonical basis element equals its defining word s_mu p_w s_nu*."""
         n = self.ambient_dim
         err = _ck_relations_for(self.graph, self.span.gen_rows, n)
-        if err > tol:
+        if err > 1e-12:
             raise CKRelationError(f"Cuntz-Krieger relations fail (error {err:.2e})")
         # Each sink-bound path word s_mu equals the matrix unit e_{mu, w},
         # where w is the length-0 path at the sink; hence every canonical
@@ -233,7 +233,7 @@ class CKFamily:
                                (np.arange(n), np.arange(n) * n + self.start[self.sink])),
                               shape=(n, n * n))
         words = _path_images(self, self.span.gen_rows, n)
-        if matalg.max_row_norm(words - units) > tol:
+        if matalg.max_row_norm(words - units) > 1e-12:
             raise CKRelationError("path word disagrees with its matrix unit")
 
     def sink_block_sizes(self) -> dict[int, int]:
@@ -252,7 +252,7 @@ def _gauge_degrees(graph: DirectedGraph) -> np.ndarray:
     return np.repeat(np.array([1, 0]), [graph.n_edges, graph.n_vertices])
 
 
-def gauge_check(fam: CKFamily, zs, tol: float = 1e-12) -> Report:
+def gauge_check(fam: CKFamily, zs) -> Report:
     """Check, at every z of the sequence ``zs``, that {z s_f, p_v} is again a
     Cuntz-Krieger family and that s_f -> z s_f, p_v -> p_v induces a
     *-automorphism of the span.
@@ -264,7 +264,7 @@ def gauge_check(fam: CKFamily, zs, tol: float = 1e-12) -> Report:
     runs once.  The report's checks are "ck_family", the largest relation
     error over the z, and the exact "graded"."""
     for z in zs:
-        if abs(abs(z) - 1.0) > tol:
+        if abs(abs(z) - 1.0) > 1e-12:
             raise ValueError(f"|z| must be 1, got {abs(z)}")
     g = fam.graph
     gen_degrees = _gauge_degrees(g)
@@ -273,7 +273,8 @@ def gauge_check(fam: CKFamily, zs, tol: float = 1e-12) -> Report:
                                gen_degrees[:g.n_edges], np.add, np.negative, 0)
     err = np.max([_ck_relations_for(g, sp.diags(z ** gen_degrees).tocsr() @ fam.span.gen_rows,
                                     fam.ambient_dim) for z in zs], initial=0.0)
-    return Report(checks=[Check("ck_family", float(err), tol), Check.holds("graded", fail is None)])
+    return Report(checks=[Check("ck_family", float(err), 1e-12),
+                          Check.holds("graded", fail is None)])
 
 
 def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.ndarray,

@@ -72,10 +72,6 @@ class FormulaMismatch(GroupoidError):
     pass
 
 
-class PositivityFailed(GroupoidError):
-    pass
-
-
 class IdentityViolated(GroupoidError):
     pass
 
@@ -389,7 +385,7 @@ class GroupoidAlgebra:
     """The convolution *-algebra of a finite groupoid in its regular
     representation on the arrow space."""
 
-    def __init__(self, Q: FiniteGroupoid, tol: float = matalg.PRODUCT_TOL):
+    def __init__(self, Q: FiniteGroupoid):
         self.groupoid = Q
         n = Q.n_arrows
         # The composable pairs (y, z) and their products yz; delta_y sends
@@ -401,7 +397,7 @@ class GroupoidAlgebra:
                               np.searchsorted(ys, np.arange(n + 1))), shape=(n, n * n))
         rows.sort_indices()
         self.span = AlgebraSpan(n, rows, name="C*(Q)")
-        self._verify(tol)
+        self._read_back()
 
     @property
     def dim(self) -> int:
@@ -411,11 +407,11 @@ class GroupoidAlgebra:
         """vec(pi(f)) for every row f of a stack of coefficient functions."""
         return sp.csr_matrix(np.asarray(fs, dtype=np.complex128)) @ self.span.rows
 
-    def to_functions(self, rows, tol: float = matalg.PRODUCT_TOL) -> np.ndarray:
+    def to_functions(self, rows) -> np.ndarray:
         """The coefficient function of every stacked row vec(pi(f)); raises
-        :class:`matalg.NotInSpan` if a row is farther than ``tol`` from C*(Q)."""
+        :class:`matalg.NotInSpan` if a row is farther than PRODUCT_TOL from C*(Q)."""
         coeffs, resid = self.span.coefficients_rows(rows)
-        if tol is not None and resid > tol:
+        if resid > matalg.PRODUCT_TOL:
             raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
         return coeffs.toarray()
 
@@ -442,28 +438,20 @@ class GroupoidAlgebra:
         norm = np.max(np.abs(self.restrict_to_units(f)), axis=-1, initial=0.0)
         return norm if norm.ndim else float(norm)
 
-    def _verify(self, tol: float):
-        """The representation is a faithful *-homomorphism: checked against
-        the convolution formula on every basis pair and adjoint."""
-        Q = self.groupoid
+    def _read_back(self):
+        """Decode the stored rows into the table z -> yz and require it to be
+        Q.mult, with every stored entry 1.  The representation is then the
+        regular one, so delta_x delta_y = delta_(xy) and delta_y* =
+        delta_(y^-1) are Q's associativity and inverse laws, which
+        :class:`FiniteGroupoid` checks exactly on every composable triple."""
+        Q, rows = self.groupoid, self.span.rows
         n = Q.n_arrows
-        rows = self.span.rows
-        for y0, lhs in matalg.right_products(rows, rows, n):
-            ys = np.arange(y0, y0 + lhs.shape[0] // n)
-            # Block j: delta_x delta_y = delta_(xy) if s(x) = r(y), else 0; y = ys[j].
-            j, x = np.nonzero(Q.s[None, :] == Q.r[ys][:, None])
-            rule = sp.csr_matrix(
-                (np.ones(len(x), dtype=np.complex128), (j * n + x, Q.mult[x, ys[j]])),
-                shape=(len(ys) * n, n),
-            )
-            if matalg.max_row_norm(lhs - rule @ rows) > tol:
-                raise GroupoidError("regular representation breaks the convolution")
-        star_rows = matalg.star_columns(rows, n)
-        perm = sp.csr_matrix(
-            (np.ones(n, dtype=np.complex128), (np.arange(n), Q.inv)), shape=(n, n)
-        )
-        if matalg.max_row_norm(star_rows - perm @ rows) > tol:
-            raise GroupoidError("regular representation breaks the involution")
+        table = np.full((n, n), -1, dtype=np.int64)
+        yz, z = np.divmod(rows.indices, n)
+        table[np.repeat(np.arange(n), np.diff(rows.indptr)), z] = yz
+        if (rows.nnz != np.count_nonzero(Q.mult >= 0) or not np.array_equal(table, Q.mult)
+                or np.any(rows.data != 1)):
+            raise GroupoidError("regular representation does not match the multiplication table")
 
 
 def convolution_algebra(Q: FiniteGroupoid) -> GroupoidAlgebra:
@@ -633,15 +621,14 @@ def graded_convolution(alg: GroupoidAlgebra, c: Cocycle) -> GradedSpan:
 def kernel_embedding_check(
     Q: FiniteGroupoid,
     c: Cocycle,
-    tol: float = 1e-12,
     n_random: int = 100,
     rng: np.random.Generator | None = None,
 ) -> Report:
     """The canonical map i : C*(N) -> C*(Q), N = c^-1(e), is a faithful
     *-homomorphism at finite scale, with P_N = P_Q o i.
 
-    A failure here signals an implementation bug: every finite groupoid
-    passes, and any other raises :class:`GroupoidError`.
+    Every finite groupoid passes: a failed check signals an implementation
+    bug, and :func:`certify_gpd_iso` fails with it.
     """
     rng = rng or np.random.default_rng(0)
     G = c.group
@@ -650,9 +637,7 @@ def kernel_embedding_check(
     alg_q = convolution_algebra(Q)
 
     image = alg_q.span.rows[keep]
-    report = matalg.star_map_on_basis(
-        alg_n.span, image, Q.n_arrows, alg_n.span.rows, image, tol=max(tol, 1e-9)
-    )
+    report = matalg.star_map_on_basis(alg_n.span, image, Q.n_arrows, alg_n.span.rows, image)
     # Once i is a *-homomorphism its image is a *-subalgebra, so the closure
     # of the image has the rank of the image rows: the star-map report's
     # injectivity is dim i(C*(N)) = dim C*(N).
@@ -663,8 +648,7 @@ def kernel_embedding_check(
     err = float(np.max(np.abs(alg_n.restrict_to_units(f) - alg_q.restrict_to_units(big)),
                        initial=0.0))
     checks = [Check.holds("star_hom", all(c.passed for c in report.checks)),
-              Check("expectation", err, tol)]
-    require(checks, GroupoidError, "kernel embedding check")
+              Check("expectation", err, 1e-12)]
     return Report({"n_arrows": int(len(keep)), "dim_preserved": injective,
                    "injective": injective}, checks, {"expectation": "expectation_error"})
 
@@ -803,8 +787,8 @@ def certify_gpd_iso(
 ) -> IsomorphismCertificate:
     """Certify C*(Q) x_delta G = C*(Q x_c G) via Psi(f, t) = f at coordinate t.
 
-    Builds the cocycle grading of C*(Q), verifies the coaction, requires the
-    kernel embedding check to pass, and certifies Psi as a *-isomorphism onto
+    Builds the cocycle grading of C*(Q), verifies the coaction, checks the
+    kernel embedding, and certifies Psi as a *-isomorphism onto
     the skew-product convolution algebra, equivariantly for the dual action
     and right translation.
     """
@@ -812,7 +796,7 @@ def certify_gpd_iso(
     alg = convolution_algebra(Q)
     graded = graded_convolution(alg, c)
     coaction = verify_graded_coaction(graded)
-    ccp = CoactionCrossedProduct(graded, graded_checked=False)
+    ccp = CoactionCrossedProduct(graded)
     skew = skew_product_groupoid(Q, G, c)
     skew_alg = convolution_algebra(skew)
     m = G.order
@@ -837,7 +821,6 @@ def certify_gpd_iso(
         tol=tol,
         target=skew_alg.span,
         inverse_rows=ccp.span.rows,
-        check_right=False,
     )
 
     # Equivariance: Psi delta^_s = beta_s Psi on the spanning set, with both
@@ -1258,8 +1241,6 @@ def verify_bimodule_module_structure(
     gram = vals.toarray().reshape(4, 3, 3, nn, nn).transpose(0, 1, 3, 2, 4).reshape(4, 3 * nn, -1)
     ev = np.linalg.eigvalsh((gram + np.conj(gram.transpose(0, 2, 1))) / 2)
     gram_worst = min(0.0, float(np.min(ev[:, 0])))
-    if gram_worst < -tol * 100:
-        raise PositivityFailed(f"Gram matrix has negative eigenvalue {gram_worst:.2e}")
     checks.append(Check("gram_psd", -gram_worst, tol * 100))
 
     a, b = random_functions(rng, 16, n)[0].reshape(8, 2, n).transpose(1, 0, 2)
@@ -1270,8 +1251,6 @@ def verify_bimodule_module_structure(
     gap = norm_a[:, None, None] ** 2 * rhs - lhs
     ev = np.linalg.eigvalsh((gap + np.conj(gap.transpose(0, 2, 1))) / 2)
     worst = min(0.0, float(np.min(ev[:, 0] / np.maximum(1.0, norm_a**2))))
-    if worst < -tol * 100:
-        raise PositivityFailed(f"||pi(a)|| <= ||a|| bound fails by {worst:.2e}")
     checks.append(Check("boundedness", -worst, tol * 100))
     return Report({"gram_min_eigenvalue": gram_worst, "boundedness_min_eigenvalue": worst},
                   checks, {"module_action": "module_action_error",

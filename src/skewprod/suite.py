@@ -93,12 +93,11 @@ def random_graph_instance(
         return E, G, labeling
 
 
-def random_free_action_instance(
-    rng: np.random.Generator, max_dim: int = 256, dim_budget: int = 360
-):
+def random_free_action_instance(rng: np.random.Generator, max_dim: int = 256):
     """A free action, generated as the translation action on a random skew
-    product (every free action arises this way up to isomorphism)."""
-    E, G, labeling = random_graph_instance(rng, max_dim=max_dim, dim_budget=dim_budget)
+    product (every free action arises this way up to isomorphism), whose
+    double crossed product has linear dimension at most 360."""
+    E, G, labeling = random_graph_instance(rng, max_dim=max_dim, dim_budget=360)
     F = skew_product(E, G, labeling)
     return F, translation_action(F, G)
 

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from oracles import symmetric_group_3
 
 import skewprod
-from skewprod import cli, crossed, fixture_path, graphalg, graphs, groups, matalg, suite
+from skewprod import cli, crossed, fixture_path, graphalg, graphs, groupoids, groups, matalg, suite
 
 
 def fx(name: str) -> str:
@@ -51,6 +52,56 @@ def test_verify_on_the_s3_chain_fixture(capsys, kind):
     code, out = run(capsys, "verify", kind, "-g", fx("chain-s3"), "-G", fx("s3"), "--json")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("kind", ["gpd-iso", "semi-cross", "equivalence", "bimodule"])
+def test_verify_on_the_s3_groupoid_fixture(capsys, kind):
+    code, out = run(capsys, "verify", kind, "-q", fx("s3-groupoid"), "-G", fx("s3"), "--json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def _reversed_arrows(Q):
+    """Q with its arrows listed in reverse order."""
+    p = np.arange(Q.n_arrows)[::-1]
+    mult = Q.mult[np.ix_(p, p)]
+    return groupoids.FiniteGroupoid(Q.units, [Q.arrows[i] for i in p], Q.r[p], Q.s[p],
+                                    np.where(mult >= 0, p[mult], -1), p[Q.inv[p]])
+
+
+_INNER = groupoids.InnerProductEvaluator.__call__
+_REPRESENT = groupoids.GroupoidAlgebra.represent_rows
+_KERNEL = groupoids.kernel_subgroupoid
+
+
+def _negated_inner(self, a, b, tol):
+    values, check = _INNER(self, a, b, tol=tol)
+    return -values, check
+
+
+@pytest.mark.parametrize("target, name, plant, command, failed", [
+    # <a, b> negated: the Gram matrices are negative and <ab, ab> exceeds ||a||^2 <b, b>.
+    (groupoids.InnerProductEvaluator, "__call__", _negated_inner,
+     "bimodule", {"gram_psd_ok", "boundedness_ok"}),
+    # pi(f) halved: ||pi(a)||^2 <b, b> falls below <ab, ab>.
+    (groupoids.GroupoidAlgebra, "represent_rows", lambda self, fs: 0.5 * _REPRESENT(self, fs),
+     "bimodule", {"boundedness_ok"}),
+    # N's arrows in reverse order: i(delta_n) is the wrong arrow, so P_N != P_Q o i.
+    (groupoids, "kernel_subgroupoid", lambda Q, c: _reversed_arrows(_KERNEL(Q, c)),
+     "gpd-iso", {"kernel_embedding_ok"}),
+], ids=["gram_psd", "boundedness", "kernel_embedding"])
+def test_planted_defect_fails_the_report_with_exit_1(capsys, monkeypatch, target, name, plant,
+                                                     command, failed):
+    monkeypatch.setattr(target, name, plant)
+    code, out = run(capsys, "verify", command, "-q", fx("pair-groupoid"), "-G", fx("z2"),
+                    "--json")
+    body = json.loads(out)
+    assert code == 1 and body["passed"] is False
+    flags = {}
+    for part in body.values():
+        if isinstance(part, dict):
+            flags |= part | part.get("extra", {})
+    assert {key for key, value in flags.items() if key.endswith("_ok") and not value} == failed
 
 
 def test_graph_skew_trivial_group_isomorphic(capsys, tmp_path, e1):

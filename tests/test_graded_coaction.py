@@ -1,5 +1,6 @@
 """Planted defects in the graded-coaction layer: each check that layer makes
 is shown to fail on a known error, next to the same call on correct input."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from skewprod.crossed import (
 )
 from skewprod.graphalg import ck_representation, spectral_subspaces
 from skewprod.groupoids import (
-    cocycle_from_names,
+    Cocycle,
+    CocycleError,
     convolution_algebra,
     graded_convolution,
     pair_groupoid,
@@ -116,12 +118,23 @@ def test_order_16_group_stays_within_memory(e1):
 
 
 def test_non_cocycle_degrees_fail_crossed_product(z2):
+    # All 16 degree tables on the arrows x11, x12, x21, x22 of the pair
+    # groupoid: the 2 cocycles give the crossed product, and each of the 14
+    # others is refused by the adjoint-degree check or the spanning-pair rule.
     pair2 = pair_groupoid(2)
     alg = convolution_algebra(pair2)
-    c = cocycle_from_names(pair2, z2, {"x11": "e", "x22": "e", "x12": "g", "x21": "g"})
-    assert CoactionCrossedProduct(graded_convolution(alg, c)).dim == 8
-    with pytest.raises(ActionInvalid, match="product degree mismatch"):
-        CoactionCrossedProduct(GradedSpan(alg.span, [0, 0, 1, 0], z2))
+    refused = []
+    for degrees in itertools.product(range(2), repeat=4):
+        try:
+            c = Cocycle(pair2, z2, degrees)
+        except CocycleError:
+            with pytest.raises(ActionInvalid, match="^(adjoint degree mismatch|spanning "
+                                                    "multiplication rule fails)") as info:
+                CoactionCrossedProduct(GradedSpan(alg.span, degrees, z2))
+            refused.append(str(info.value).split()[0])
+        else:
+            assert CoactionCrossedProduct(graded_convolution(alg, c)).dim == 8
+    assert len(refused) == 14 and set(refused) == {"adjoint", "spanning"}
 
 
 def test_wrong_path_degree_fails_spectral_subspaces(chain2, z3, monkeypatch):

@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from skewprod import groupoids as gpd
-from skewprod import groups, matalg, suite
+from skewprod import fixture_path, groups, matalg, suite
 from skewprod.groupoids import (
     AxiomFailed,
     BadInverse,
@@ -163,6 +163,31 @@ class TestConvolutionAlgebra:
         assert alg.dim == Q.n_arrows == 8
         # Transitive with Z2 isotropy: blocks |orbit| x (isotropy irrep dims).
         assert matalg.wedderburn_signature(alg.span) == (2, 2)
+
+    @pytest.mark.parametrize("plant", [
+        lambda rows, n: matalg.star_columns(rows, n),  # entries at z n + yz, not yz n + z
+        lambda rows, n: sp.diags([1.0, 2.0, 1.0, 1.0]) @ rows,  # row x12 doubled
+    ], ids=["transposed rows", "scaled row"])
+    def test_read_back_sees_a_planted_row_builder(self, pair2, monkeypatch, plant):
+        real = gpd.AlgebraSpan
+        monkeypatch.setattr(gpd, "AlgebraSpan",
+                            lambda n, rows, **kwargs: real(n, plant(rows, n), **kwargs))
+        with pytest.raises(GroupoidError, match="does not match the multiplication table"):
+            gpd.GroupoidAlgebra(pair2)
+
+    def test_building_makes_no_sparse_product(self, monkeypatch):
+        calls = Counter()
+        for name in ("right_products", "left_products"):
+            def counted(*args, _real=getattr(matalg, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(matalg, name, counted)
+        for seed in range(5):
+            alg = gpd.GroupoidAlgebra(suite.random_groupoid(np.random.default_rng(seed)))
+        assert not calls
+        matalg.wedderburn_signature(alg.span)  # the counters see the calls that are made
+        assert calls["right_products"] and calls["left_products"]
 
     def test_star_matches_function_involution(self, pair2, rng):
         alg = convolution_algebra(pair2)
@@ -579,6 +604,14 @@ class TestFullGroupoidTheorem:
         cert = certify_full_groupoid(Q, Z3, c, rng=rng)
         assert cert.passed
 
+    def test_s3_fixture_is_non_abelian(self, rng):
+        # S3 as a one-unit groupoid with the identity cocycle: C*(S3) is
+        # C + C + M_2, so both sides are that tensored with M_6.
+        G = groups.FiniteGroup.from_json(fixture_path("s3").read_text())
+        Q, names = gpd.groupoid_from_json(fixture_path("s3-groupoid").read_text())
+        cert = certify_full_groupoid(Q, G, cocycle_from_names(Q, G, names), rng=rng)
+        assert cert.passed
+        assert cert.signatures == {"lhs": (6, 6, 12), "rhs": (6, 6, 12)}
 
     def test_signatures_match_component_closed_form(self, rng):
         # A transitive component with k units and abelian isotropy H (trivial,

@@ -188,20 +188,21 @@ class TestStarMapOnBasis:
         report = star_map_on_basis(fam.span, image_rows, 2, gens, gens, tol=1e-9)
         assert not all(c.passed for c in report.checks)
 
-    def test_detects_defect_seen_only_from_the_right(self):
-        # On M_2 with the one generator E_11, T(E_ij) = E_ij except
-        # T(E_21) = E_22 respects every left product E_11 b (both sides are
-        # 0 on the second row) but not E_21 E_11 = E_21 -> E_22 != E_22 E_11 = 0.
+    @pytest.mark.parametrize("entry, value, error", [((0, 1), 0.5, 0.5), ((3, 3), 0.0, 1.0)],
+                             ids=["off-diagonal entry", "missing diagonal entry"])
+    def test_composite_that_is_not_the_identity_fails_bijectivity(self, entry, value, error):
+        # T is the identity of M_2 and its candidate inverse has one wrong
+        # coefficient, so both composites differ from 1 there by 0.5 or 1;
+        # a missing diagonal entry is an implicit zero of the sparse composite.
         m2 = full_matrix_span(2)
-        k21 = 2  # full_matrix_span orders the units E_ij at row 2 i + j
-        image_rows = m2.rows.tolil()
-        image_rows[k21] = m2.rows[3]
-        e11 = matalg.vec_rows([matrix_unit(2, 0, 0)])
-        left_only = star_map_on_basis(m2, image_rows.tocsr(), 2, e11, e11, check_right=False)
-        assert {c.name: c.passed for c in left_only.checks}["multiplicative"]
-        report = star_map_on_basis(m2, image_rows.tocsr(), 2, e11, e11, check_right=True)
-        assert not {c.name: c.passed for c in report.checks}["multiplicative"]
-        assert report.notes["mult"] == 1.0
+        inverse = m2.rows.tolil()
+        inverse[entry] = value
+        report = star_map_on_basis(m2, m2.rows, 2, m2.gen_rows, m2.gen_rows, target=m2,
+                                   inverse_rows=inverse.tocsr())
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert not verdicts["injective"] and not verdicts["surjective"]
+        assert report.notes["compose_id_domain"] == report.notes["compose_id_target"] == error
+        assert verdicts["multiplicative"] and verdicts["star_preserving"]
 
     def test_detects_defect_in_second_generator_chunk(self):
         # M_5 has 25 matrix-unit generators, so two chunks; only generator 20,
@@ -212,11 +213,9 @@ class TestStarMapOnBasis:
         scale = np.ones(m5.gen_rows.shape[0])
         scale[20] = 2.0
         images = sp.diags(scale) @ m5.gen_rows
-        for check_right in (False, True):
-            report = star_map_on_basis(m5, m5.rows, 5, m5.gen_rows, images,
-                                       check_right=check_right)
-            assert not {c.name: c.passed for c in report.checks}["multiplicative"]
-            assert report.notes["mult"] == 1.0
+        report = star_map_on_basis(m5, m5.rows, 5, m5.gen_rows, images)
+        assert not {c.name: c.passed for c in report.checks}["multiplicative"]
+        assert report.notes["mult"] == 1.0
 
     def test_rejects_generator_and_image_counts_that_differ(self):
         m2 = full_matrix_span(2)
