@@ -13,7 +13,7 @@ product is faithful.
 """
 import numpy as np
 
-from skewprod import duality, graphalg, graphs, groups, matalg
+from skewprod import crossed, duality, graphalg, graphs, groups, matalg
 
 E1 = graphs.DirectedGraph(["v", "w"], [("f", "v", "w")])
 Z2 = groups.cyclic_group(2)
@@ -32,9 +32,11 @@ assert graphalg.gauge_check(fam, (1.0, -1.0, 1j, np.exp(2j * np.pi / 7))).passed
 print("gauge automorphisms verified for four sample points")
 
 # ---------------------------------------------------------------------------
-# The coaction delta(s_f) = s_f (x) lam_c(f), delta(p_v) = p_v (x) 1 is
-# machine-verified (coaction identity to 1e-12, injectivity, nondegeneracy).
+# The coaction delta(s_f) = s_f (x) lam_c(f), delta(p_v) = p_v (x) 1 is the
+# grading deg(e_mu,nu) = c(mu) c(nu)^-1 of the canonical basis, and delta is
+# compared with that formula on the generators, to 1e-12.
 graded = graphalg.coaction(fam, Z2, labeling)
+assert crossed.coaction_check(graded, graphalg.generator_degrees(labeling)).passed
 N = fam.ambient_dim * Z2.order
 print("\ndelta(s_f) =\n", graded.delta(fam.span.gen_rows[:1]).reshape(N, N).toarray().real)
 print("spectral subspace dimensions:",

@@ -10,7 +10,7 @@ from .duality import (
     certify_free_action,
     certify_regular_diagram,
 )
-from .graphalg import ck_representation, coaction, gauge_check, spectral_subspaces
+from .graphalg import ck_representation, coaction, gauge_check
 from .graphs import DirectedGraph, enumerate_sink_paths, skew_product, translation_action
 from .groups import FiniteGroup, cyclic_group, klein_four_group, make_group, make_labeling
 from .groupoids import (

@@ -18,9 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import matalg
-from .crossed import GradedSpan, verify_graded_coaction
+from .crossed import GradedSpan
 from .graphs import DirectedGraph, EmptyGraph, GraphError, enumerate_sink_paths
-from .groups import FiniteGroup, Labeling, regular_rows
+from .groups import FiniteGroup, Labeling
 from .matalg import AlgebraSpan, Check, Report, frobenius
 
 
@@ -252,6 +252,13 @@ def _gauge_degrees(graph: DirectedGraph) -> np.ndarray:
     return np.repeat(np.array([1, 0]), [graph.n_edges, graph.n_vertices])
 
 
+def generator_degrees(labeling: Labeling) -> np.ndarray:
+    """The degree of each generator under a labeling, s_f and then p_v, as
+    for the length labeling: c(f), then e."""
+    return np.r_[labeling.by_edge,
+                 np.full(labeling.graph.n_vertices, labeling.group.identity_index)]
+
+
 def gauge_check(fam: CKFamily, zs) -> Report:
     """Check, at every z of the sequence ``zs``, that {z s_f, p_v} is again a
     Cuntz-Krieger family and that s_f -> z s_f, p_v -> p_v induces a
@@ -304,8 +311,15 @@ def _check_path_grading(fam: CKFamily, degrees: np.ndarray, edge_degrees: np.nda
     return None
 
 
-def spectral_subspaces(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
-    """Grade the canonical basis of C*(E) by deg(e_{mu,nu}) = c(mu) c(nu)^-1."""
+def coaction(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
+    """The coaction s_f -> s_f (x) lam_{c(f)}, p_v -> p_v (x) 1 attached to a
+    labeling, realized in C*(E) (x) M_|G| through the left regular
+    representation as the grading deg(e_{mu,nu}) = c(mu) c(nu)^-1 of the
+    canonical basis.
+
+    Raises ValueError naming the first grading rule the degrees break; that
+    delta is the generator formula is :func:`crossed.coaction_check` with
+    the degrees of :func:`generator_degrees`."""
     path_degree = fam.path_degrees(G, labeling.by_edge)[fam.pairs]
     degrees = G.table[path_degree[:, 0], G.inverse[path_degree[:, 1]]]
     fail = _check_path_grading(fam, degrees, labeling.by_edge, lambda a, b: G.table[a, b],
@@ -313,25 +327,3 @@ def spectral_subspaces(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> Gra
     if fail:
         raise ValueError(fail)
     return GradedSpan(fam.span, degrees, G)
-
-
-def coaction(fam: CKFamily, G: FiniteGroup, labeling: Labeling) -> GradedSpan:
-    """The coaction s_f -> s_f (x) lam_{c(f)}, p_v -> p_v (x) 1 attached to a
-    labeling, realized in C*(E) (x) M_|G| through the left regular
-    representation as the grading of :func:`spectral_subspaces`.
-
-    Its delta is checked against that generator formula, raising
-    :class:`CKRelationError`, and is a coaction by
-    :func:`crossed.verify_graded_coaction`; the verified grading is returned."""
-    graded = spectral_subspaces(fam, G, labeling)
-    P, m, n_e = fam.ambient_dim, G.order, fam.graph.n_edges
-    gen_rows = fam.span.gen_rows
-    # s_f (x) lam_t at row f |G| + t, picked at t = c(f); then p_v (x) 1.
-    edges = matalg._kron_rows(gen_rows[:n_e], regular_rows(G)[0], P, m)
-    vertices = matalg._kron_rows(gen_rows[n_e:], matalg.identity_row(m), P, m)
-    formula = sp.vstack([edges[np.arange(n_e) * m + labeling.by_edge], vertices], format="csr")
-    err = matalg.max_row_norm(graded.delta(gen_rows) - formula)
-    if err > 1e-12:
-        raise CKRelationError(f"delta disagrees with the generator formula ({err})")
-    verify_graded_coaction(graded)
-    return graded

@@ -33,11 +33,11 @@ from .crossed import (
     AlgebraAction,
     CoactionCrossedProduct,
     GradedSpan,
-    verify_graded_coaction,
+    coaction_check,
 )
 from .duality import IsomorphismCertificate
 from .groups import FiniteGroup, action_law_failure
-from .matalg import AlgebraSpan, Check, Report, frobenius, require
+from .matalg import AlgebraSpan, Check, Report, frobenius
 
 
 class GroupoidError(ValueError):
@@ -69,10 +69,6 @@ class AxiomFailed(GroupoidError):
 
 
 class FormulaMismatch(GroupoidError):
-    pass
-
-
-class IdentityViolated(GroupoidError):
     pass
 
 
@@ -631,24 +627,26 @@ def kernel_embedding_check(
     bug, and :func:`certify_gpd_iso` fails with it.
     """
     rng = rng or np.random.default_rng(0)
-    G = c.group
-    keep = np.nonzero(c.values == G.identity_index)[0]
-    alg_n = convolution_algebra(kernel_subgroupoid(Q, c))
+    keep = np.nonzero(c.values == c.group.identity_index)[0]
+    N = kernel_subgroupoid(Q, c)
+    alg_n = convolution_algebra(N)
     alg_q = convolution_algebra(Q)
 
-    image = alg_q.span.rows[keep]
-    report = matalg.star_map_on_basis(alg_n.span, image, Q.n_arrows, alg_n.span.rows, image)
-    # Once i is a *-homomorphism its image is a *-subalgebra, so the closure
-    # of the image has the rank of the image rows: the star-map report's
-    # injectivity is dim i(C*(N)) = dim C*(N).
-    injective = next(c.passed for c in report.checks if c.name == "injective")
+    # Both algebras read their rows back against their tables, so
+    # delta_x -> delta_keep[x] is a *-homomorphism when keep carries N's
+    # products (-1, no product, onto -1) and inverses onto Q's, and it is
+    # injective when no two arrows share an image.
+    injective = len(keep) == N.n_arrows and len(np.unique(keep)) == len(keep)
+    star_hom = (injective
+                and np.array_equal(np.where(N.mult >= 0, keep[N.mult], -1),
+                                   Q.mult[np.ix_(keep, keep)])
+                and np.array_equal(keep[N.inv], Q.inv[keep]))
     f, = random_functions(rng, n_random, alg_n.dim)
     big = np.zeros((n_random, Q.n_arrows), dtype=np.complex128)
     big[:, keep] = f
     err = float(np.max(np.abs(alg_n.restrict_to_units(f) - alg_q.restrict_to_units(big)),
                        initial=0.0))
-    checks = [Check.holds("star_hom", all(c.passed for c in report.checks)),
-              Check("expectation", err, 1e-12)]
+    checks = [Check.holds("star_hom", star_hom), Check("expectation", err, 1e-12)]
     return Report({"n_arrows": int(len(keep)), "dim_preserved": injective,
                    "injective": injective}, checks, {"expectation": "expectation_error"})
 
@@ -787,15 +785,15 @@ def certify_gpd_iso(
 ) -> IsomorphismCertificate:
     """Certify C*(Q) x_delta G = C*(Q x_c G) via Psi(f, t) = f at coordinate t.
 
-    Builds the cocycle grading of C*(Q), verifies the coaction, checks the
-    kernel embedding, and certifies Psi as a *-isomorphism onto
-    the skew-product convolution algebra, equivariantly for the dual action
-    and right translation.
+    Builds the cocycle grading of C*(Q), checks the coaction on its
+    generators delta_x (degree c(x)), checks the kernel embedding, and
+    certifies Psi as a *-isomorphism onto the skew-product convolution
+    algebra, equivariantly for the dual action and right translation.
     """
     kernel = kernel_embedding_check(Q, c)
     alg = convolution_algebra(Q)
     graded = graded_convolution(alg, c)
-    coaction = verify_graded_coaction(graded)
+    coaction = coaction_check(graded, c.values)
     ccp = CoactionCrossedProduct(graded)
     skew = skew_product_groupoid(Q, G, c)
     skew_alg = convolution_algebra(skew)
@@ -840,8 +838,7 @@ def certify_gpd_iso(
         tolerance=tol,
         star_report=report,
         equivariance_error=eq_err,
-        extra=Report(checks=[Check.holds("kernel_embedding", kernel.passed),
-                             Check.holds("coaction", all(c.passed for c in coaction))]),
+        extra=Report(checks=[Check.holds("kernel_embedding", kernel.passed), coaction]),
     )
 
 
@@ -889,8 +886,6 @@ def expectations_and_norm_identities(
     (ii)  || P_{R x| G}(b) || = || P_R(P_{C*(R) x G}(Phi(b))) || on random b;
     (iii) P_R is faithful on positives: P_R(f* f) has positive sup norm for
           random nonzero f.
-
-    Raises :class:`IdentityViolated` if any check fails.
     """
     rng = rng or np.random.default_rng(0)
     base_alg = convolution_algebra(R)
@@ -926,7 +921,6 @@ def expectations_and_norm_identities(
     pos = base_alg.convolve(base_alg.star(f), f)
     min_norm = float(np.min(base_alg.unit_sup_norm(pos), initial=np.inf))
     checks.append(Check.holds("faithfulness", min_norm > 1e-6))
-    require(checks, IdentityViolated, "expectation identities")
     return Report({"faithfulness_min_norm": min_norm}, checks,
                   {"translation_norm": "translation_norm_error",
                    "red_semi_cross": "red_semi_cross_error"})

@@ -419,13 +419,6 @@ class Check:
         return cls(name, 0.0 if fact else 1.0, exact=True)
 
 
-def require(checks, error: type[Exception], what: str) -> None:
-    """Raise ``error`` naming every failed check of ``checks``."""
-    failed = [c.name for c in checks if not c.passed]
-    if failed:
-        raise error(f"{what} failed: {failed} ({ {c.name: c.error for c in checks} })")
-
-
 @dataclass
 class Report:
     """Data, the checks it was judged by, and nested reports or certificates

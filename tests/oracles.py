@@ -303,9 +303,12 @@ def path_images_loop(fam, edge_imgs, vertex_imgs) -> list:
 
 
 def graded_coaction_loop(graded, tol: float = 1e-12) -> dict:
-    """The coaction identity and nondegeneracy of a grading, generator by
-    generator with dense (n|G|)^2 matrices; the same keys as
-    ``crossed.verify_graded_coaction``."""
+    """Whether delta(b_i) = b_i (x) lam_deg(b_i) is a coaction: injective on
+    the basis, and the coaction identity and nondegeneracy generator by
+    generator with dense (n|G|)^2 matrices; raises :class:`ActionInvalid`
+    naming every fact past ``tol``.  They hold for every degree table on an
+    orthogonal basis, so ``crossed.coaction_check`` compares delta with its
+    generator formula only, and the tests keep these facts through this loop."""
     G, span = graded.group, graded.span
     n, m = span.ambient_dim, G.order
     lam_sparse = regular_matrices(G)[0]

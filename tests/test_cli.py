@@ -104,6 +104,45 @@ def test_planted_defect_fails_the_report_with_exit_1(capsys, monkeypatch, target
     assert {key for key, value in flags.items() if key.endswith("_ok") and not value} == failed
 
 
+def _rho_delta_rows(graded):
+    """delta(b_i) = b_i (x) rho_deg(b_i): rho in place of lam in every delta row."""
+    m = graded.group.order
+    rho = groups.regular_rows(graded.group)[1]
+    rows = matalg._kron_rows(graded.span.rows, rho, graded.span.ambient_dim, m)
+    return rows[np.arange(graded.span.dim) * m + graded.degrees]
+
+
+def _false_flags(body: dict, prefix: str = "") -> set:
+    """The dotted path of every false value nested in a report body."""
+    out = set()
+    for key, value in body.items():
+        if isinstance(value, dict):
+            out |= _false_flags(value, f"{prefix}{key}.")
+        elif value is False:
+            out.add(prefix + key)
+    return out
+
+
+@pytest.mark.parametrize("argv, part, failed", [
+    # Case 0 of seed 5 labels an edge by an element t of Z4 with t != t^-1.
+    (["suite", "run", "--seed", "5", "--cases", "1", "--kinds", "graph"],
+     lambda body: body["cases"][0]["summary"],
+     {"coaction_ok", "diagram.passed", "diagram.extra.chase_ok"}),
+    # Over S3 rho_t is neither lam_t nor lam_(t^-1).
+    (["verify", "gpd-iso", "-q", fx("s3-groupoid"), "-G", fx("s3")],
+     lambda body: body["certificate"],
+     {"passed", "extra.coaction_ok", "star_map.well_defined", "star_map.multiplicative"}),
+], ids=["graph-case", "gpd-iso"])
+def test_planted_delta_row_fails_coaction_with_exit_1(capsys, monkeypatch, argv, part, failed):
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0 and not _false_flags(json.loads(out))
+    monkeypatch.setattr(crossed.GradedSpan, "delta_rows", property(_rho_delta_rows))
+    code, out = run(capsys, *argv, "--json")
+    body = json.loads(out)
+    assert code == 1 and body["passed"] is False
+    assert _false_flags(part(body)) == failed
+
+
 def test_graph_skew_trivial_group_isomorphic(capsys, tmp_path, e1):
     # With the trivial group every labeling is constant; drop the labels.
     plain = tmp_path / "plain.json"

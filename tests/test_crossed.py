@@ -83,25 +83,31 @@ class TestCoactionCrossedProduct:
             assert contains(ccp.span, j_g[u], tol=1e-9)
 
 
-    def test_spanning_check_names_first_failing_right_factor(self, chain2, z3, monkeypatch):
-        # 9 basis elements x 3 group elements = 27 right factors, so two chunks;
-        # factor 20 = (6, 2) sits in the second, with the same rule checked.
-        graded = coaction(ck_representation(chain2), z3, groups.make_labeling(
-            chain2, {"e1": "g", "e2": "g"}, z3))
+    def test_product_degree_check_names_first_failing_pair(self, z3, monkeypatch):
+        # A chain of 4 edges has 5 paths into its sink, 25 basis elements: the
+        # base products b_i b_j come in two chunks of right factors j, 0-15
+        # and 16-24.  Two planted terms of the wrong degree sit in the second.
+        chain4 = DirectedGraph(["a", "b", "c", "d", "w"], [
+            ("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"), ("e4", "d", "w")])
+        fam = ck_representation(chain4)
+        graded = coaction(fam, z3, constant_labeling(chain4, z3, 1))
+        assert fam.dim == 25
         assert CoactionCrossedProduct(graded).pair_check_exhaustive
+        deg, d = graded.degrees, fam.dim
         original = matalg.right_products
 
         def planted(rows, factors, n):
             for k0, prods in original(rows, factors, n):
-                d = rows.shape[0]
-                if k0 <= 20 < k0 + prods.shape[0] // d:
+                if rows is fam.span.rows and k0 == 16:
                     prods = prods.tolil()
-                    prods[(20 - k0) * d, 0] += 1.0
+                    for i, j in [(5, 21), (2, 18)]:
+                        k = np.flatnonzero(deg != z3.mul(int(deg[i]), int(deg[j])))[0]
+                        prods[(j - k0) * d + i, fam.span.rows[k].indices[0]] += 1.0
                     prods = prods.tocsr()
                 yield k0, prods
 
         monkeypatch.setattr(matalg, "right_products", planted)
-        with pytest.raises(ActionInvalid, match=r"against right factor \(6,2\)$"):
+        with pytest.raises(ActionInvalid, match=r"^product degree law fails at pair \(2,18\)$"):
             CoactionCrossedProduct(graded)
 
 

@@ -9,13 +9,8 @@ import scipy.sparse as sp
 from oracles import basis_matrix, regular_matrices
 
 from skewprod import crossed, duality, groups, matalg
-from skewprod.crossed import (
-    ActionInvalid,
-    CoactionCrossedProduct,
-    GradedSpan,
-    verify_graded_coaction,
-)
-from skewprod.graphalg import ck_representation, spectral_subspaces
+from skewprod.crossed import ActionInvalid, CoactionCrossedProduct, GradedSpan, coaction_check
+from skewprod.graphalg import ck_representation, coaction, generator_degrees
 from skewprod.groupoids import (
     Cocycle,
     CocycleError,
@@ -28,15 +23,20 @@ from skewprod.groupoids import (
 @pytest.fixture
 def e1_z3(e1, z3):
     lab = groups.Labeling(e1, z3, [1])
-    return spectral_subspaces(ck_representation(e1), z3, lab), lab
+    return coaction(ck_representation(e1), z3, lab), lab
 
 
-def test_rho_in_place_of_lam_fails_coaction_identity(e1_z3, z3):
+def _coaction(e1_z3) -> matalg.Check:
+    graded, lab = e1_z3
+    return coaction_check(graded, generator_degrees(lab))
+
+
+def test_rho_in_place_of_lam_fails_coaction_check(e1_z3, z3):
     graded, _ = e1_z3
-    verify_graded_coaction(graded)
+    assert _coaction(e1_z3).error == 0.0
     # For an abelian group rho_t = lam_{t^-1}: delta(b) = b (x) rho_deg(b) is
-    # still a coaction, but of the inverse grading, so only the identity's
-    # check of the lam-expansion against the degree components sees it.
+    # still a coaction, but of the inverse grading, so s_f (x) lam_1 reads
+    # s_f (x) lam_2, |lam_2 - lam_1| = 6^(1/2).
     rho = regular_matrices(z3)[1]
     graded.delta_rows = matalg.vec_rows(
         [
@@ -44,35 +44,28 @@ def test_rho_in_place_of_lam_fails_coaction_identity(e1_z3, z3):
             for k, t in enumerate(graded.degrees)
         ]
     )
-    with pytest.raises(ActionInvalid, match=r"failed: \['coaction_identity'\]"):
-        verify_graded_coaction(graded)
+    check = _coaction(e1_z3)
+    assert not check.passed and check.error == pytest.approx(6 ** 0.5, abs=1e-12)
 
 
-def test_zeroed_delta_row_fails_injective(e1_z3):
+def test_zeroed_delta_row_fails_coaction_check(e1_z3):
     graded, _ = e1_z3
     rows = graded.delta_rows.tolil()
     rows[0, :] = 0
     graded.delta_rows = rows.tocsr()
-    with pytest.raises(ActionInvalid, match=r"failed: \[[^\]]*'injective'"):
-        verify_graded_coaction(graded)
+    # Row 0 is p_w = e_(w,w), so delta(p_w) = 0 against p_w (x) 1 = e_(w,w) (x) 1_3.
+    check = _coaction(e1_z3)
+    assert not check.passed and check.error == pytest.approx(3 ** 0.5, abs=1e-12)
 
 
-def test_non_multiplicative_lam_fails_only_nondegeneracy(e1_z3, monkeypatch):
+def test_signed_lam_fails_coaction_check(e1_z3):
     graded, _ = e1_z3
-    verify_graded_coaction(graded)
-    # lam'_1 = -lam_1 is orthogonal to the other lam'_t like lam_1, so the lam
-    # leg still expands delta'(b) = b (x) lam'_deg(b) exactly; but lam' is no
-    # homomorphism, lam'_1 lam'_2 = -lam_0, which only nondegeneracy sees.
-    real = crossed.regular_rows
-
-    def signed(G):
-        lam, rho, chi = real(G)
-        return sp.diags(np.where(np.arange(G.order) == 1, -1.0, 1.0)) @ lam, rho, chi
-
+    # delta'(b) = b (x) lam'_deg(b) with lam'_1 = -lam_1: lam' is no
+    # homomorphism (lam'_1 lam'_2 = -lam_0), and s_f (x) -lam_1 is 2 3^(1/2)
+    # from s_f (x) lam_1.
     graded.delta_rows = sp.diags(np.where(graded.degrees == 1, -1.0, 1.0)) @ graded.delta_rows
-    monkeypatch.setattr(crossed, "regular_rows", signed)
-    with pytest.raises(ActionInvalid, match=r"failed: \['nondegeneracy_witness'\]"):
-        verify_graded_coaction(graded)
+    check = _coaction(e1_z3)
+    assert not check.passed and check.error == pytest.approx(12 ** 0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("plant, identity", [
@@ -90,27 +83,29 @@ def test_wrong_chi_fails_group_leg(e1_z3, monkeypatch, plant, identity):
         CoactionCrossedProduct(graded)
 
 
-def test_non_unitary_similarity_fails_only_the_adjoint_rule(e1_z3, z3):
+def test_non_unitary_similarity_fails_the_spanning_read_back(e1_z3, z3):
     graded, _ = e1_z3
     CoactionCrossedProduct(graded)
     # Scaling (b_i, u) by f(t u) / f(u), t = deg(b_i), conjugates the group leg
     # by diag(f): the multiplication rule still holds, and for an f of
-    # varying modulus the adjoint rule does not.
+    # varying modulus the adjoint rule does not; the rows no longer read back
+    # as b_i (x) lam_t chi_u.
     f = np.array([2.0, 1.0, 1.0])
     deg = np.repeat(graded.degrees, z3.order)
     u = np.tile(np.arange(z3.order), graded.span.dim)
     graded.spanning_rows = sp.diags(f[z3.table[deg, u]] / f[u]) @ graded.spanning_rows
-    with pytest.raises(ActionInvalid, match="spanning adjoint rule fails"):
+    with pytest.raises(ActionInvalid, match=r"^spanning row \d+ is not b_i \(x\) lam_t chi_u$"):
         CoactionCrossedProduct(graded)
 
 
 def test_order_16_group_stays_within_memory(e1):
     G = groups.cyclic_group(16)
-    graded = spectral_subspaces(ck_representation(e1), G, groups.Labeling(e1, G, [1]))
+    lab = groups.Labeling(e1, G, [1])
+    graded = coaction(ck_representation(e1), G, lab)
     tracemalloc.start()
     try:
         assert CoactionCrossedProduct(graded).dim == 4 * 16
-        verify_graded_coaction(graded)
+        assert coaction_check(graded, generator_degrees(lab)).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -120,7 +115,7 @@ def test_order_16_group_stays_within_memory(e1):
 def test_non_cocycle_degrees_fail_crossed_product(z2):
     # All 16 degree tables on the arrows x11, x12, x21, x22 of the pair
     # groupoid: the 2 cocycles give the crossed product, and each of the 14
-    # others is refused by the adjoint-degree check or the spanning-pair rule.
+    # others is refused by the adjoint-degree check or the product-degree law.
     pair2 = pair_groupoid(2)
     alg = convolution_algebra(pair2)
     refused = []
@@ -128,25 +123,25 @@ def test_non_cocycle_degrees_fail_crossed_product(z2):
         try:
             c = Cocycle(pair2, z2, degrees)
         except CocycleError:
-            with pytest.raises(ActionInvalid, match="^(adjoint degree mismatch|spanning "
-                                                    "multiplication rule fails)") as info:
+            with pytest.raises(ActionInvalid, match="^(adjoint degree mismatch|product "
+                                                    "degree law fails)") as info:
                 CoactionCrossedProduct(GradedSpan(alg.span, degrees, z2))
             refused.append(str(info.value).split()[0])
         else:
             assert CoactionCrossedProduct(graded_convolution(alg, c)).dim == 8
-    assert len(refused) == 14 and set(refused) == {"adjoint", "spanning"}
+    assert len(refused) == 14 and set(refused) == {"adjoint", "product"}
 
 
-def test_wrong_path_degree_fails_spectral_subspaces(chain2, z3, monkeypatch):
+def test_wrong_path_degree_fails_coaction(chain2, z3, monkeypatch):
     lab = groups.Labeling(chain2, z3, [1, 1])
     fam = ck_representation(chain2)
-    spectral_subspaces(fam, z3, lab)
+    coaction(fam, z3, lab)
     # Shift the degree of the one length-2 path, e1 e2, in the degree table.
     true_degrees = fam.path_degrees
     monkeypatch.setattr(fam, "path_degrees", lambda G, by_edge: np.where(
         fam.length == 2, G.table[true_degrees(G, by_edge), 1], true_degrees(G, by_edge)))
     with pytest.raises(ValueError, match="off its labeled degree"):
-        spectral_subspaces(fam, z3, lab)
+        coaction(fam, z3, lab)
 
 
 def test_lam_in_place_of_rho_in_theta_fails_chase(e1, e1_z3, z3, monkeypatch):

@@ -10,13 +10,8 @@ from oracles import (
 )
 
 from skewprod import graphalg, groups, matalg, suite
-from skewprod.crossed import verify_graded_coaction
-from skewprod.graphalg import (
-    ck_representation,
-    coaction,
-    gauge_check,
-    spectral_subspaces,
-)
+from skewprod.crossed import coaction_check
+from skewprod.graphalg import ck_representation, coaction, gauge_check, generator_degrees
 from skewprod.graphs import DirectedGraph, EmptyGraph, GraphHasCycle
 
 
@@ -189,10 +184,10 @@ class TestCoaction:
 
     def test_verification_tolerance(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
-        checks = verify_graded_coaction(spectral_subspaces(fam, z2, e1_z2_labeling), tol=1e-12)
-        errs = {c.name: c for c in checks}
-        assert errs["coaction_identity"].error <= 1e-12
-        assert errs["injective"].passed
+        check = coaction_check(coaction(fam, z2, e1_z2_labeling),
+                               generator_degrees(e1_z2_labeling))
+        assert check.name == "coaction" and check.tol == 1e-12
+        assert check.error == 0.0 and check.passed
 
     def test_degree_revealing(self, chain2, z3, rng):
         lab = groups.Labeling(chain2, z3, rng.integers(0, 3, 2))
@@ -210,17 +205,17 @@ class TestCoaction:
 class TestSpectralSubspaces:
     def test_e1_z2_dims(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
-        gb = spectral_subspaces(fam, z2, e1_z2_labeling)
+        gb = coaction(fam, z2, e1_z2_labeling)
         assert gb.subspace_dims() == {0: 2, 1: 2}
 
     def test_trivial_labeling_all_degree_e(self, chain2, z2):
         fam = ck_representation(chain2)
-        gb = spectral_subspaces(fam, z2, constant_labeling(chain2, z2))
+        gb = coaction(fam, z2, constant_labeling(chain2, z2))
         assert gb.subspace_dims() == {0: fam.dim, 1: 0}
 
     def test_degrees_multiply_to_e(self, e1, z2, e1_z2_labeling):
         fam = ck_representation(e1)
-        gb = spectral_subspaces(fam, z2, e1_z2_labeling)
+        gb = coaction(fam, z2, e1_z2_labeling)
         # s_f s_f* lands in degree c(f) c(f)^-1 = e.
         k_f = fam.pair(1, 0)
         k_fstar = fam.pair(0, 1)
@@ -241,7 +236,7 @@ class TestSpectralSubspaces:
             G = groups.klein_four_group()
             lab = groups.Labeling(E, G, rng.integers(0, 4, E.n_edges))
             fam = ck_representation(E)
-            gb = spectral_subspaces(fam, G, lab)
+            gb = coaction(fam, G, lab)
             assert sum(gb.subspace_dims().values()) == fam.dim
 
 
@@ -262,7 +257,7 @@ class TestPathGrading:
         """(degrees, edge_degrees, mul, inv, identity) and a non-identity degree."""
         if kind == "G":
             inverse = np.array([G.inv(s) for s in G])
-            return ((spectral_subspaces(fam, G, lab).degrees, lab.by_edge,
+            return ((coaction(fam, G, lab).degrees, lab.by_edge,
                      lambda a, b: G.table[a, b], lambda a: inverse[a], G.identity_index),
                     (G.identity_index + 1) % G.order)
         lengths = np.array([len(p.edges) for p in fam.paths])

@@ -41,9 +41,9 @@ from skewprod.groupoids import (
     transitive_groupoid,
     units_only_groupoid,
     verify_bimodule_module_structure,
-    verify_graded_coaction,
     graded_convolution,
 )
+from skewprod.crossed import coaction_check
 
 Z2 = groups.cyclic_group(2)
 Z3 = groups.cyclic_group(3)
@@ -324,9 +324,8 @@ class TestCertifyGpdIso:
     def test_coaction_checks(self, pair2, pair2_cocycle):
         alg = convolution_algebra(pair2)
         graded = graded_convolution(alg, pair2_cocycle)
-        errs = {c.name: c for c in verify_graded_coaction(graded, tol=1e-12)}
-        assert errs["coaction_identity"].error <= 1e-12
-        assert errs["injective"].passed
+        check = coaction_check(graded, pair2_cocycle.values)
+        assert check.error == 0.0 and check.passed
 
 
 class TestKernelEmbedding:
@@ -340,6 +339,40 @@ class TestKernelEmbedding:
         c = Cocycle(pair2, Z2, [0, 0, 0, 0])
         rep = kernel_embedding_check(pair2, c)
         assert rep.data["n_arrows"] == 4
+
+    @staticmethod
+    def relabeled(Q, p):
+        """Q with its arrows listed in the order p, an involution."""
+        p = np.asarray(p)
+        mult = Q.mult[np.ix_(p, p)]
+        return gpd.FiniteGroupoid(Q.units, [Q.arrows[i] for i in p], Q.r[p], Q.s[p],
+                                  np.where(mult >= 0, p[mult], -1), p[Q.inv[p]])
+
+    def test_arrow_map_that_is_no_functor_fails_star_hom(self, pair2, monkeypatch):
+        # c trivial, so N = Q and i is the identity on indices.  N with x12 and
+        # x21 swapped keeps its units in place, but i no longer preserves
+        # products: x12 x21 = x11 in N goes to x21 x12 = x22 in Q.
+        c = Cocycle(pair2, Z2, [0, 0, 0, 0])
+        assert kernel_embedding_check(pair2, c).passed
+        monkeypatch.setattr(gpd, "kernel_subgroupoid",
+                            lambda Q, c: self.relabeled(Q, [0, 2, 1, 3]))
+        rep = kernel_embedding_check(pair2, c)
+        body = rep.as_dict()
+        assert not rep.passed and not body["star_hom_ok"]
+        assert body["expectation_ok"] and body["injective"]
+
+    def test_units_in_other_order_fail_expectation(self, pair2, pair2_cocycle, monkeypatch):
+        # N is the two unit arrows.  Listed in reverse order, i is still a
+        # *-homomorphism (it swaps the two units of N), but P_N(f) at unit 1
+        # reads f at x22, and P_Q(i(f)) at unit 1 reads it at x11.
+        assert kernel_embedding_check(pair2, pair2_cocycle).passed
+        kernel = gpd.kernel_subgroupoid(pair2, pair2_cocycle)
+        monkeypatch.setattr(gpd, "kernel_subgroupoid",
+                            lambda Q, c: self.relabeled(kernel, [1, 0]))
+        rep = kernel_embedding_check(pair2, pair2_cocycle)
+        body = rep.as_dict()
+        assert not rep.passed and not body["expectation_ok"]
+        assert body["star_hom_ok"] and body["expectation_error"] > 1e-12
 
     def test_subgroupoid_closure_guard(self, pair2):
         with pytest.raises(GroupoidError):
@@ -758,8 +791,26 @@ class TestBatchedChecks:
             gpd.GroupoidAction(other, Z2, np.tile(np.arange(other.n_arrows), (2, 1)))
         )
         monkeypatch.setattr(gpd, "action_crossed_product", lambda action: other_acp)
-        with pytest.raises((gpd.IdentityViolated, matalg.NotInSpan)):
-            expectations_and_norm_identities(skew, Z2, trans, n_random=20)
+        rep = expectations_and_norm_identities(skew, Z2, trans, n_random=20)
+        body = rep.as_dict()
+        assert not rep.passed and not body["red_semi_cross_ok"]
+        assert body["red_semi_cross_error"] > 1e-9
+        assert body["translation_norm_ok"] and body["off_units_ok"] and body["faithfulness_ok"]
+
+    def test_norm_changing_translation_fails_translation_norm(self, setup, monkeypatch):
+        skew, trans = setup
+        assert expectations_and_norm_identities(skew, Z2, trans, n_random=20).passed
+        # beta_g read through a cyclic shift of the arrows, which carries unit
+        # arrows off the units: sup |P_R(beta_g f)| is no longer sup |P_R(f)|.
+        # The semidirect and crossed products stay the ones built above.
+        shifted = trans.arrow_perm.copy()
+        shifted[1] = np.roll(shifted[1], 1)
+        monkeypatch.setattr(trans, "arrow_perm", shifted)
+        rep = expectations_and_norm_identities(skew, Z2, trans, n_random=20)
+        body = rep.as_dict()
+        assert not rep.passed and not body["translation_norm_ok"]
+        assert body["translation_norm_error"] > 0
+        assert body["red_semi_cross_ok"] and body["off_units_ok"] and body["faithfulness_ok"]
 
     def test_errors_equal_the_per_element_loops(self, setup):
         skew, trans = setup

@@ -22,11 +22,12 @@ from oracles import (
     u_rows_by_index,
     unitary_conjugation_coeffs,
 )
+from test_layout import draws
 from test_paths import noncommuting_chains
 
 from skewprod import duality, graphalg, groupoids, matalg, suite
-from skewprod.crossed import CoactionCrossedProduct, verify_graded_coaction
-from skewprod.graphalg import ck_representation, gauge_check, spectral_subspaces
+from skewprod.crossed import CoactionCrossedProduct, coaction_check
+from skewprod.graphalg import ck_representation, coaction, gauge_check, generator_degrees
 from skewprod.graphs import DirectedGraph
 from skewprod.groups import Labeling, cyclic_group
 
@@ -67,24 +68,24 @@ def test_theta_rows_and_path_words_equal_their_loop_oracles(two_chunk_instance):
                           matalg.vec_rows(path_images_loop(fam, fam.s, fam.p)))
 
 
-def _coaction_errors(graded) -> dict:
-    """The coaction checks as the loop oracle reports them: the exact
-    injectivity check as its verdict, the others as their errors."""
-    return {c.name: c.passed if c.exact else c.error for c in verify_graded_coaction(graded)}
+def _assert_coaction(graded, gen_degrees):
+    """``coaction_check`` passes, and the loop oracle finds delta injective,
+    with the coaction identity and nondegeneracy within 1e-12."""
+    assert coaction_check(graded, gen_degrees).passed
+    errs = graded_coaction_loop(graded, tol=1e-12)
+    assert errs.pop("injective") is True
+    assert max(errs.values()) <= 1e-12
 
 
 def test_coaction_check_equals_its_loop_oracle():
     rng = np.random.default_rng(9)
     for _ in range(8):
         E, G, lab = suite.random_graph_instance(rng, max_dim=128, dim_budget=256)
-        graded = spectral_subspaces(ck_representation(E), G, lab)
-        assert _coaction_errors(graded) == graded_coaction_loop(graded)
-    for _ in range(8):
-        Q = suite.random_groupoid(rng, max_units=4, max_arrows=12)
-        G = suite.suite_groups()[int(rng.integers(4))]
-        c = suite.random_cocycle(rng, Q, G)
-        graded = groupoids.graded_convolution(groupoids.convolution_algebra(Q), c)
-        assert _coaction_errors(graded) == graded_coaction_loop(graded)
+        _assert_coaction(coaction(ck_representation(E), G, lab), generator_degrees(lab))
+    # Groupoid gradings, a third of them over S3.
+    for Q, G, c in draws(12, seed=9):
+        _assert_coaction(groupoids.graded_convolution(groupoids.convolution_algebra(Q), c),
+                         c.values)
 
 
 def _assert_same_csr(a, b):

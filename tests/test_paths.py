@@ -19,7 +19,7 @@ from oracles import (
 )
 
 from skewprod import duality, suite
-from skewprod.graphalg import CKFamily, ck_representation, spectral_subspaces
+from skewprod.graphalg import CKFamily, ck_representation, coaction
 from skewprod.graphs import DirectedGraph, GraphError, skew_product
 from skewprod.groups import Labeling, action_law_failure, cyclic_group
 
@@ -124,19 +124,19 @@ def test_reversed_product_fails_on_s3_only(monkeypatch):
     rng = np.random.default_rng(32)
     for E, G, lab in noncommuting_chains(rng):
         fam = ck_representation(E)
-        spectral_subspaces(fam, G, lab)
+        coaction(fam, G, lab)
         monkeypatch.setattr(fam, "path_degrees", _reversed_degrees(fam))
         assert fam.path_degrees(G, lab.by_edge).tolist() != [
             path_label_loop(lab, p.edges) for p in fam.paths]
         with pytest.raises(ValueError, match="off its labeled degree"):
-            spectral_subspaces(fam, G, lab)
+            coaction(fam, G, lab)
     # Over an abelian group the two orders agree, and the plant goes unseen.
     E = noncommuting_chains(rng, 1)[0][0]
     z3 = cyclic_group(3)
     lab = Labeling(E, z3, rng.integers(3, size=E.n_edges))
     fam = ck_representation(E)
     monkeypatch.setattr(fam, "path_degrees", _reversed_degrees(fam))
-    spectral_subspaces(fam, z3, lab)
+    coaction(fam, z3, lab)
 
 
 def test_reversed_product_fails_eqvt_iso(monkeypatch):
