@@ -258,10 +258,14 @@ class GradedSpan:
     @cached_property
     def delta_rows(self) -> sp.csr_matrix:
         """Rows vec(delta(b_i)): lam_t = sum_u lam_t chi_u, so row i is the sum
-        of the spanning rows i |G| + u over u."""
-        ones = np.ones((1, self.group.order))
-        collapse = sp.kron(sp.identity(self.span.dim, format="csr"), ones, format="csr")
-        return (collapse @ self.spanning_rows).tocsr()
+        of the spanning rows i |G| + u over u, by index arithmetic: the
+        spanning rows of one i have disjoint supports, and each entry x is
+        0 + x with zeros dropped, as a sparse product sums it."""
+        k, col, x = matalg._entries(self.spanning_rows)
+        x = 0 + x
+        keep = x != 0
+        return sp.csr_matrix((x[keep], (k[keep] // self.group.order, col[keep])),
+                             shape=(self.span.dim, self.spanning_rows.shape[1]))
 
     def delta(self, rows, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
         """The rows vec(delta(a)) for every stacked row vec(a), through the basis

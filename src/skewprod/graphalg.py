@@ -21,18 +21,29 @@ from . import matalg
 from .crossed import GradedSpan
 from .graphs import DirectedGraph, EmptyGraph, GraphError, enumerate_sink_paths
 from .groups import FiniteGroup, Labeling
-from .matalg import AlgebraSpan, Check, Report, frobenius
+from .matalg import AlgebraSpan, Check, Report
 
 
 class CKRelationError(ValueError):
     pass
 
 
-def _block_norms(diff: sp.spmatrix, n: int, k: int) -> np.ndarray:
-    """The k x k Frobenius norms of the n x n blocks of ``diff``, from one bincount."""
-    c = diff.tocoo()
-    sq = np.bincount(c.row // n * k + c.col // n, weights=np.abs(c.data) ** 2, minlength=k * k)
-    return np.sqrt(sq).reshape(k, k)
+def _summed(data, rows, cols, width: int):
+    """The entry lists of one matrix with ``width`` columns, duplicates summed
+    in the order given, as a CSR matrix of them sums them: (keys, values),
+    keys row * width + col in row-major order."""
+    keys, at = np.unique(np.concatenate(rows) * width + np.concatenate(cols), return_inverse=True)
+    values = np.zeros(len(keys), dtype=np.complex128)
+    np.add.at(values, at, np.concatenate(data))
+    return keys, values
+
+
+def _block_norms(data, rows, cols, n: int, k: int) -> np.ndarray:
+    """The k x k Frobenius norms of the n x n blocks of the (k n) x (k n)
+    matrix with these entry lists, squares summed in row-major order."""
+    keys, values = _summed(data, rows, cols, k * n)
+    r, c = np.divmod(keys, k * n)
+    return np.sqrt(np.bincount(r // n * k + c // n, np.abs(values) ** 2, k * k)).reshape(k, k)
 
 
 def _diag_blocks(rows: sp.spmatrix, n: int) -> sp.csr_matrix:
@@ -43,6 +54,38 @@ def _diag_blocks(rows: sp.spmatrix, n: int) -> sp.csr_matrix:
                          shape=(k * n, k * n))
 
 
+def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int):
+    """The entries (data, row, col) of three block matrices: block (v, w) of
+    the first is p_v p_w, block (f, f) of the second s_f* s_f and of the third
+    s_f s_f*.  For partial permutations (``matalg._monomial``) each is one
+    product of two entries, by index arithmetic; else by sparse products."""
+    i, c, data = matalg._entries(gen_rows)
+    a, b = np.divmod(c, n)
+    p, s = i >= n_e, i < n_e
+    mono = matalg._monomial(gen_rows, n)
+    if mono is not None:
+        # p_v[a, b] p_w[b, col_w[b]] at (v n + a, w n + col_w[b]); s_f[a, b]
+        # gives the diagonal entries (b, b) of s_f* s_f and (a, a) of s_f s_f*.
+        col, val = mono[0][n_e:, b[p]], mono[1][n_e:, b[p]]
+        x = matalg._times(data[p], val)
+        keep = (col >= 0) & (x != 0)
+        pp = x[keep], np.broadcast_to((i[p] - n_e) * n + a[p], x.shape)[keep], (
+            np.arange(n_v)[:, None] * n + col)[keep]
+        ss = matalg._times(data[s].conj(), data[s])
+        f, keep = i[s] * n, ss != 0
+        return pp, (ss[keep], (f + b[s])[keep], (f + b[s])[keep]), (
+            ss[keep], (f + a[s])[keep], (f + a[s])[keep])
+    # The p_v stacked tall and side by side; the s_f and the s_f* block-diagonal.
+    v = i[p] - n_e
+    tall = sp.csr_matrix((data[p], (v * n + a[p], b[p])), shape=(n_v * n, n))
+    wide = sp.csr_matrix((data[p], (a[p], v * n + b[p])), shape=(n, n_v * n))
+    f = i[s] * n
+    S = sp.csr_matrix((data[s], (f + a[s], f + b[s])), shape=(n_e * n, n_e * n))
+    S_h = sp.csr_matrix((data[s].conj(), (f + b[s], f + a[s])), shape=S.shape)
+    return [(m.data, m.row, m.col) for m in ((tall @ wide).tocoo(), (S_h @ S).tocoo(),
+                                             (S @ S_h).tocoo())]
+
+
 def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> float:
     """Largest violation of the Cuntz-Krieger relations by a candidate family
     of n x n matrices, given as the stacked rows vec(s_f) and then vec(p_v):
@@ -50,52 +93,41 @@ def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> 
     is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
     out of each non-sink v.
 
-    Every matrix below is built from the one COO of ``gen_rows``, split by
-    row: the s_f and s_f* as block-diagonal matrices, the p_v stacked tall
-    and side by side, so that one product holds every p_v p_w, and each
-    difference as one matrix of its two sides' entries."""
+    The products come from :func:`_ck_products`; each difference is the
+    entry lists of its two sides in one block matrix, and its norms are those
+    of a CSR matrix of them."""
     n_v, n_e = graph.n_vertices, graph.n_edges
-    c = gen_rows.tocoo()
-    i, j = np.divmod(c.col, n)
-    is_p = c.row >= n_e
-    v, pi, pj, pd = c.row[is_p] - n_e, i[is_p], j[is_p], c.data[is_p]
-
-    def entries(data, rows, cols, shape):
-        return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=shape)
+    gen_rows = gen_rows.tocsr()
+    r, c, data = matalg._entries(gen_rows)
+    i, j = np.divmod(c, n)
+    is_p = r >= n_e
+    v, pi, pj, pd = r[is_p] - n_e, i[is_p], j[is_p], data[is_p]
+    pp, ss, ranges = _ck_products(gen_rows, n, n_e, n_v)
 
     errs = [0.0]
     # A zero generator, found by its Frobenius norm.
-    if np.any(np.bincount(c.row, np.abs(c.data) ** 2, minlength=n_e + n_v) == 0.0):
+    if np.any(np.bincount(r, np.abs(data) ** 2, minlength=n_e + n_v) == 0.0):
         errs.append(1.0)
-    # Block (v, w) of the stacked p_v times the p_w side by side is p_v p_w:
-    # less p_v on the diagonal blocks, p_v^2 - p_v there and p_v p_w above.
-    tall = sp.csr_matrix((pd, (v * n + pi, pj)), shape=(n_v * n, n))
-    wide = sp.csr_matrix((pd, (pi, v * n + pj)), shape=(n, n_v * n))
-    pv_i, pv_j, shape = v * n + pi, v * n + pj, (n_v * n, n_v * n)
-    pp = (tall @ wide).tocoo()
-    pp = _block_norms(entries([pp.data, -pd], [pp.row, pv_i], [pp.col, pv_j], shape), n, n_v)
+    # Block (v, w) of pp is p_v p_w: less p_v on the diagonal blocks, p_v^2 -
+    # p_v there and p_v p_w above.
+    pv_i, pv_j = v * n + pi, v * n + pj
+    pp = _block_norms([pp[0], -pd], [pp[1], pv_i], [pp[2], pv_j], n, n_v)
     errs += [pp.diagonal().max(), np.triu(pp, 1).max()]
-    errs.append(_block_norms(entries([pd.conj(), -pd], [pv_j, pv_i], [pv_i, pv_j], shape),
-                             n, n_v).max())
+    errs.append(_block_norms([pd.conj(), -pd], [pv_j, pv_i], [pv_i, pv_j], n, n_v).max())
     # sum_v p_v - 1: the p_v entries and -1 on the diagonal in one matrix.
-    errs.append(frobenius(entries([pd, -np.ones(n)], [pi, np.arange(n)], [pj, np.arange(n)],
-                                  (n, n))))
+    _, total = _summed([pd, -np.ones(n)], [pi, np.arange(n)], [pj, np.arange(n)], n)
+    errs.append(float(np.sqrt((np.abs(total) ** 2).sum())))
     if n_e:
-        f, si, sj, sd = c.row[~is_p], i[~is_p], j[~is_p], c.data[~is_p]
-        S = sp.csr_matrix((sd, (f * n + si, f * n + sj)), shape=(n_e * n, n_e * n))
-        S_h = sp.csr_matrix((sd.conj(), (f * n + sj, f * n + si)), shape=S.shape)
         # s_f* s_f - p_r(f), with the entries of p_r(f) moved to block f.
-        ss, pr = (S_h @ S).tocoo(), gen_rows[n_e + graph.rng].tocoo()
-        errs.append(_block_norms(entries([ss.data, -pr.data], [ss.row, pr.row * n + pr.col // n],
-                                         [ss.col, pr.row * n + pr.col % n], S.shape),
-                                 n, n_e).max())
-        # sum_f s_f s_f* over the edges out of v: block f of S S* moved to block s(f).
-        ss = (S @ S_h).tocoo()
-        src = graph.src[ss.row // n] * n
-        ranges = entries([ss.data, -pd], [src + ss.row % n, pv_i], [src + ss.col % n, pv_j], shape)
+        pr = gen_rows[n_e + graph.rng].tocoo()
+        errs.append(_block_norms([ss[0], -pr.data], [ss[1], pr.row * n + pr.col // n],
+                                 [ss[2], pr.row * n + pr.col % n], n, n_e).max())
+        # sum_f s_f s_f* over the edges out of v: block f of s s* moved to block s(f).
+        src = graph.src[ranges[1] // n] * n
+        ranges = _block_norms([ranges[0], -pd], [src + ranges[1] % n, pv_i],
+                              [src + ranges[2] % n, pv_j], n, n_v)
         non_sink = [not graph.is_sink(v) for v in range(n_v)]
-        errs.append(np.max(_block_norms(ranges, n, n_v).diagonal()[non_sink], initial=0.0))
+        errs.append(np.max(ranges.diagonal()[non_sink], initial=0.0))
     return float(max(errs))
 
 
@@ -104,10 +136,25 @@ def _path_images(fam: CKFamily, gen_rows: sp.csr_matrix, n: int) -> sp.csr_matri
     a family of n x n matrices given as the stacked rows s_f and then p_v.
 
     A path of length 0 at v has the word p_v, and f mu the word s_f s_mu: one
-    stacked product per level of ``fam``, of the block-diagonal s_f with the
+    pass per level of ``fam``.  For partial permutations each word is index
+    arrays (``matalg._monomial``), and row a of s_f s_mu has the one entry
+    s_f[a, b] s_mu[b, col[b]] for b the column of row a of s_f; otherwise each
+    level is one sparse product of the block-diagonal s_f with the
     block-diagonal words s_mu of the paths one shorter."""
-    n_p = fam.ambient_dim
-    words = gen_rows[fam.graph.n_edges + fam.source]
+    n_p, n_e = fam.ambient_dim, fam.graph.n_edges
+    mono = matalg._monomial(gen_rows, n)
+    if mono is not None:
+        col, val = mono[0][n_e + fam.source], mono[1][n_e + fam.source]
+        for level in fam.levels:
+            b, tail = mono[0][fam.head[level]], fam.tail[level]
+            at = np.maximum(b, 0)
+            x = matalg._times(mono[1][fam.head[level]], np.take_along_axis(val[tail], at, axis=1))
+            c = np.take_along_axis(col[tail], at, axis=1)
+            col[level] = np.where((b >= 0) & (c >= 0) & (x != 0), c, -1)
+            val[level] = x
+        k, a = np.nonzero(col >= 0)
+        return sp.csr_matrix((val[k, a], (k, a * n + col[k, a])), shape=(n_p, n * n))
+    words = gen_rows[n_e + fam.source]
     for level in fam.levels:
         # Block k of the product is the word of the k-th path of this level.
         z = (_diag_blocks(gen_rows[fam.head[level]], n)
@@ -278,8 +325,13 @@ def gauge_check(fam: CKFamily, zs) -> Report:
     lengths = fam.length[fam.pairs]
     fail = _check_path_grading(fam, lengths[:, 0] - lengths[:, 1],
                                gen_degrees[:g.n_edges], np.add, np.negative, 0)
-    err = np.max([_ck_relations_for(g, sp.diags(z ** gen_degrees).tocsr() @ fam.span.gen_rows,
-                                    fam.ambient_dim) for z in zs], initial=0.0)
+    # {z^k x}: the entries of a generator of degree k times z^k, as a sparse
+    # product by the diagonal matrix of the z^k forms them.
+    rows = fam.span.gen_rows
+    entry_degrees = np.repeat(gen_degrees, np.diff(rows.indptr))
+    err = np.max([_ck_relations_for(g, sp.csr_matrix(
+        (matalg._times(rows.data, z ** entry_degrees), rows.indices, rows.indptr), rows.shape),
+        fam.ambient_dim) for z in zs], initial=0.0)
     return Report(checks=[Check("ck_family", float(err), 1e-12),
                           Check.holds("graded", fail is None)])
 

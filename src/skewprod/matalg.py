@@ -4,8 +4,14 @@ Algebras are stored as orthogonal bases under the trace inner product
 <a, b> = Tr(a* b), with matrices kept sparse (CSR) so that the certifiers
 scale to a few hundred ambient dimensions.  Vectorization is row-major,
 vec(X)[i n + j] = X[i, j].  A span's basis and its generators are both kept
-as stacked rows vec(X), and stacked rows are multiplied by matrices in one
-way only: :func:`right_products` and :func:`left_products`.
+as stacked rows vec(X), and stacked rows are multiplied by matrices through
+:func:`right_products` and :func:`left_products`, in one of two ways.  Factors
+that are partial permutations, at most one entry in each matrix row and
+column (read as index arrays by :func:`_monomial`), are multiplied by index
+arithmetic, as :func:`_kron_rows` forms every kron: each entry is the one
+product a sparse product would form, bit for bit.  Any other factor, such as
+a :func:`span_closure` basis or a random central element, goes through
+sparse products.
 
 The theorem certifiers certify *-maps through :func:`star_map_on_basis`: the
 domain comes with a known orthogonal basis, the candidate map is given by its
@@ -25,7 +31,7 @@ import scipy.sparse as sp
 MAX_AMBIENT_DIM = 256
 PRODUCT_TOL = 1e-9  # equality of single products
 CLOSURE_TOL = 1e-7  # quantities accumulated over span closure
-CHUNK = 16  # factors or elements per batched sparse product; bounds its memory
+CHUNK = 16  # factors or elements per batched product; bounds its memory
 UNIT_PHASES = (1, -1, 1j, -1j)  # entries whose products are exact
 _CLOSURE_ROUNDS = 64  # breadth-first rounds before span_closure gives up
 _SIGNATURE_ATTEMPTS = 6  # random central elements wedderburn_signature tries
@@ -89,42 +95,70 @@ def star_columns(rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
     )
 
 
-def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
-    """vec(X g) for every row vec(X) of ``rows`` and every row vec(g) of
-    ``factors``, CHUNK factors to one sparse product.
+def _entries(rows: sp.csr_matrix):
+    """(row, col, data) of the stored entries of a CSR matrix, in stored order."""
+    return (np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
+            rows.indices.astype(np.int64), rows.data)
 
-    Yields (k0, prods) per chunk: with d = rows.shape[0], row j d + i of
-    ``prods`` is vec(X_i g_(k0 + j)).  A chunk of partial permutations with
-    phases in UNIT_PHASES (no two entries of a factor share a matrix row or
-    column) takes an index path: X[a, m] goes to (X g)[a, sigma(m)] as the
-    one exact product X[a, m] phi_m, bit for bit what sparse products give.
-    """
+
+def _monomial(rows: sp.spmatrix, n: int, by_column: bool = False):
+    """Stacked rows vec(g_k) of n x n matrices as (col, val) arrays of shape
+    (k, n): row a of g_k has its one entry val[k, a] at column col[k, a], or
+    col[k, a] = -1 and val[k, a] = 0 for none; ``by_column`` reads g_k^T, so
+    col[k, b] is the row of the entry in column b.  None unless no two
+    entries of any g_k share a matrix row or column."""
+    rows = rows.tocsr()
+    k, (r, c, data) = rows.shape[0], _entries(rows)
+    a, b = np.divmod(c, n)
+    if np.bincount(np.r_[r * n + a, (k + r) * n + b]).max(initial=0) > 1:
+        return None
+    if by_column:
+        a, b = b, a
+    col, val = np.full((k, n), -1, dtype=np.int64), np.zeros((k, n), dtype=np.complex128)
+    col[r, a], val[r, a] = b, data
+    return col, val
+
+
+def _times(x, y) -> np.ndarray:
+    """x y elementwise as a sparse product stores a one-term sum:
+    0 + (x.r y.r - x.i y.i) + i (x.r y.i + x.i y.r), every product rounded
+    (numpy's complex multiply may fuse them), so -0 reads +0."""
+    x, y = np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = 0.0 + (x.real * y.real - x.imag * y.imag)
+    out.imag = 0.0 + (x.real * y.imag + x.imag * y.real)
+    return out
+
+
+def _products(rows: sp.spmatrix, factors: sp.spmatrix, n: int, left: bool):
+    """:func:`right_products`, or with ``left`` :func:`left_products`."""
     d = rows.shape[0]
-    x = rows.tocoo()
-    xa, xm = np.divmod(x.col.astype(np.int64), n)
-    order = np.argsort(xm, kind="stable")  # the entries X[a, m] by m
-    start = np.searchsorted(xm[order], np.arange(n + 1))
-    tall = None
     factors = factors.tocsr()
+    mono = _monomial(factors, n, by_column=left)
+    if mono is None and left:  # vec((X* g*)*), by the sparse products
+        for k0, prods in _products(star_columns(rows, n), star_columns(factors, n), n, False):
+            yield k0, star_columns(prods, n)
+        return
+    xr, xc, x = _entries(rows.tocsr())
+    xa, xb = np.divmod(xc, n)
+    tall = None
     for k0 in range(0, factors.shape[0], CHUNK):
         c = min(CHUNK, factors.shape[0] - k0)
-        lo, hi = factors.indptr[k0], factors.indptr[k0 + c]
-        j = np.repeat(np.arange(c), np.diff(factors.indptr[k0 : k0 + c + 1]))
-        fm, fb = np.divmod(factors.indices[lo:hi].astype(np.int64), n)
-        if (np.isin(factors.data[lo:hi], UNIT_PHASES).all()
-                and np.bincount(np.r_[j * n + fm, (c + j) * n + fb]).max(initial=0) <= 1):
-            # Join each factor entry (m, b, phi) with the entries of X in column m.
-            count = start[fm + 1] - start[fm]
-            e = np.repeat(np.arange(hi - lo), count)
-            src = order[np.arange(len(e)) + np.repeat(start[fm] - np.cumsum(count) + count, count)]
-            data = 0 + x.data[src] * factors.data[lo:hi][e]  # the sum 0 + x phi, signed zeros too
-            keep = data != 0
-            yield k0, sp.csr_matrix(
-                (data[keep], ((j[e] * d + x.row[src])[keep], (xa[src] * n + fb[e])[keep])),
-                shape=(c * d, n * n))
+        if mono is not None:
+            # Right: X[a, m] goes to (X g)[a, col[m]] as X[a, m] val[m].  Left:
+            # X[m, b] goes to (g X)[col[m], b] as conj(0 + conj(X[m, b] val[m])),
+            # the adjoint of the right product of the adjoints.
+            m = xa if left else xb
+            j, e = np.nonzero(mono[0][k0 : k0 + c][:, m] >= 0)  # factor j meets entry e
+            col, val = mono[0][k0 + j, m[e]], mono[1][k0 + j, m[e]]
+            data = _times(x[e].conj(), val.conj()).conj() if left else _times(x[e], val)
+            keep = data != 0  # the entries a sparse product keeps
+            pos = col * n + xb[e] if left else xa[e] * n + col
+            yield k0, sp.csr_matrix((data[keep], ((j * d + xr[e])[keep], pos[keep])),
+                                    shape=(c * d, n * n))
             continue
         if tall is None:  # each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix
-            tall = sp.csr_matrix((x.data, (x.row * n + xa, xm)), shape=(d * n, n))
+            tall = sp.csr_matrix((x, (xr * n + xa, xb)), shape=(d * n, n))
         f = factors[k0 : k0 + c].tocoo()
         # Each factor g_j as the block columns j n .. j n + n - 1 of one n x (c n) matrix.
         wide = sp.csr_matrix((f.data, (f.col // n, f.row * n + f.col % n)), shape=(n, c * n))
@@ -133,12 +167,26 @@ def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
         yield k0, sp.csr_matrix((p.data, (j * d + i, a * n + b)), shape=(c * d, n * n))
 
 
+def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
+    """vec(X g) for every row vec(X) of ``rows`` and every row vec(g) of
+    ``factors``, CHUNK factors to one product.
+
+    Yields (k0, prods) per chunk: with d = rows.shape[0], row j d + i of
+    ``prods`` is vec(X_i g_(k0 + j)).  When every factor is a partial
+    permutation (:func:`_monomial`), each entry of a product is one product
+    of two entries, formed by index arithmetic bit for bit as a sparse
+    product forms it; otherwise the chunks are sparse products.
+    """
+    return _products(rows, factors, n, left=False)
+
+
 def left_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
     """vec(g X) for every row vec(X) of ``rows`` and every row vec(g) of
-    ``factors``, as vec((X* g*)*): :func:`right_products` of the adjoints,
-    with its chunks and its layout (row j d + i is vec(g_(k0 + j) X_i))."""
-    for k0, prods in right_products(star_columns(rows, n), star_columns(factors, n), n):
-        yield k0, star_columns(prods, n)
+    ``factors``, with the chunks and the layout of :func:`right_products`
+    (row j d + i is vec(g_(k0 + j) X_i)) and its index path for partial
+    permutations; other factors go through vec((X* g*)*), the sparse right
+    products of the adjoints."""
+    return _products(rows, factors, n, left=True)
 
 
 def frobenius(mat) -> float:
@@ -365,14 +413,15 @@ def span_closure(
 
 
 def _kron_coo(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int):
-    """The entries (data, row, col) of :func:`_kron_rows`, from one sparse
-    kron of the two row matrices: its column (p n_a + q)(n_b^2) + (r n_b + s)
-    holds the entry ((p, q), (r, s)), which sits at vec index
-    (p n_b + r) N + (q n_b + s) of the N x N kron, N = n_a n_b."""
-    k = sp.kron(x, y, format="coo")
-    ca, cb = divmod(k.col.astype(np.int64), nb * nb)
-    (p, q), (r, s) = divmod(ca, na), divmod(cb, nb)
-    return k.data, k.row, (p * nb + r) * (na * nb) + (q * nb + s)
+    """The entries (data, row, col) of :func:`_kron_rows` by index arithmetic,
+    each x entry times each y entry as a sparse kron multiplies them: entry
+    ((p, q), (r, s)) of x_i (x) y_j sits at vec index (p n_b + r) N + (q n_b + s)
+    of the N x N kron, N = n_a n_b."""
+    (xi, xc, xd), (yj, yc, yd) = _entries(x.tocsr()), _entries(y.tocsr())
+    (p, q), (r, s) = np.divmod(xc[:, None], na), np.divmod(yc, nb)
+    data = xd.repeat(len(yd)).reshape(len(xd), len(yd)) * yd
+    col = (p * nb + r) * (na * nb) + (q * nb + s)
+    return data.ravel(), (xi[:, None] * y.shape[0] + yj).ravel(), col.ravel()
 
 
 def _kron_rows(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int) -> sp.csr_matrix:

@@ -38,6 +38,10 @@ from the Cayley table; the spanning rows of a coaction crossed product, the
 basis of an action crossed product and its rows u~_s are written here entry by
 entry from the index layout ((p, q), (r, s)) -> (p |G| + r) N + (q |G| + s) of
 A (x) M_|G|, where ``skewprod`` takes one ``_kron_rows`` of group-leg rows.
+``_kron_rows`` itself multiplies entry lists by index arithmetic, and its
+reference here is one sparse kron (``kron_rows_by_sparse_kron``); the
+coaction's delta rows are the spanning rows summed over u by one sparse
+product (``delta_rows_by_collapse``), where ``skewprod`` relabels rows.
 
 The module also holds the small helpers that only tests call: the trivial
 group, constant labelings, the operator norm, matrix units, spans of
@@ -154,6 +158,26 @@ def u_rows_by_index(G: groups.FiniteGroup, n: int) -> sp.csr_matrix:
          (np.repeat(np.arange(m), N), (u_perm * N + np.arange(N)).ravel())),
         shape=(m, N * N),
     )
+
+
+def kron_rows_by_sparse_kron(x, y, na: int, nb: int) -> sp.csr_matrix:
+    """vec(x_i (x) y_j) at row i len(y) + j from one sparse kron of the two
+    row matrices: its column (p n_a + q)(n_b^2) + (r n_b + s) holds the entry
+    ((p, q), (r, s)), which sits at vec index (p n_b + r) N + (q n_b + s) of
+    the N x N kron, N = n_a n_b."""
+    k = sp.kron(x, y, format="coo")
+    ca, cb = divmod(k.col.astype(np.int64), nb * nb)
+    (p, q), (r, s) = divmod(ca, na), divmod(cb, nb)
+    return sp.csr_matrix((k.data, (k.row, (p * nb + r) * (na * nb) + (q * nb + s))),
+                         shape=(x.shape[0] * y.shape[0], (na * nb) ** 2))
+
+
+def delta_rows_by_collapse(graded) -> sp.csr_matrix:
+    """Row i is the sum of the spanning rows i |G| + u over u, as one sparse
+    product by 1_d (x) (1 ... 1), its indices sorted."""
+    ones = np.ones((1, graded.group.order))
+    collapse = sp.kron(sp.identity(graded.span.dim, format="csr"), ones, format="csr")
+    return (collapse @ graded.spanning_rows).tocsr().sorted_indices()
 
 
 def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:

@@ -9,7 +9,7 @@ from oracles import (
     trivial_group,
 )
 
-from skewprod import graphalg, groups, matalg, suite
+from skewprod import duality, graphalg, groups, matalg, suite
 from skewprod.crossed import coaction_check
 from skewprod.graphalg import ck_representation, coaction, gauge_check, generator_degrees
 from skewprod.graphs import DirectedGraph, EmptyGraph, GraphHasCycle
@@ -291,3 +291,26 @@ class TestPathGrading:
             edge_degrees[2] = mul(edge_degrees[2], g)
         assert graphalg._check_path_grading(fam, degrees, edge_degrees, mul, inv,
                                             identity) == message
+
+
+def test_ck_family_gauge_and_theta_checks_make_no_sparse_product(two_chunk_instance,
+                                                                  monkeypatch):
+    # Every family here is a partial permutation, so the relation checks, the
+    # path words and the covariance products run on index arrays.  With no
+    # family read as one, the same calls fall back to sparse products.
+    E, G, lab = two_chunk_instance
+    sparse_products = []
+    original = sp.csr_matrix.__matmul__
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__",
+                        lambda a, b: sparse_products.append(1) or original(a, b))
+
+    def run():
+        fam = ck_representation(E)
+        parts = duality.DualityParts(E, G, lab)
+        return gauge_check(fam, suite.GAUGE_SAMPLES).passed, parts.theta_side_errors
+
+    assert run() == (True, (0.0, 0.0))
+    assert sparse_products == []
+    monkeypatch.setattr(matalg, "_monomial", lambda rows, n, by_column=False: None)
+    assert run() == (True, (0.0, 0.0))
+    assert sparse_products

@@ -10,6 +10,7 @@ from oracles import (
     contains,
     direct_sum,
     from_orthogonal,
+    kron_rows_by_sparse_kron,
     matrix_unit,
     regular_matrices,
     symmetric_group_3,
@@ -474,13 +475,15 @@ def test_overlapping_supports_take_the_sparse_path():
 
 def _partial_permutations(rng, n, count):
     """``count`` rows vec(g), each g with at most one entry in any matrix row
-    or column, each entry one of the unit phases 1, -1, i, -i."""
+    or column; half the entries are the unit phases 1, -1, i, -i, the others
+    random complex numbers, whose products are inexact."""
     rows, cols, data = [], [], []
     for k in range(count):
         size = int(rng.integers(0, n + 1))
         rows += [k] * size
         cols += list(rng.choice(n, size, replace=False) * n + rng.choice(n, size, replace=False))
-        data += list(rng.choice(matalg.UNIT_PHASES, size))
+        data += [complex(rng.choice(matalg.UNIT_PHASES)) if rng.integers(2)
+                 else complex(*rng.standard_normal(2)) for _ in range(size)]
     return sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)), shape=(count, n * n))
 
 
@@ -491,10 +494,10 @@ def test_partial_permutation_products_equal_the_sparse_products(n, d, count, see
     rng = np.random.default_rng(seed)
     rows = _complex_rows(d, n, int(rng.integers(1000)))
     perms = _partial_permutations(rng, n, count)
-    # Either spoiler sends its chunk to the sparse products: two entries in
-    # one matrix row, or one entry that is not a unit phase.
+    # Either spoiler sends its chunk to the sparse products (for left products
+    # the star round trip): two entries in one matrix row, or in one column.
     spoilers = [sp.csr_matrix(([1.0, 1j], ([0, 0], [0, 1])), shape=(1, n * n)),
-                sp.csr_matrix(([np.exp(0.3j)], ([0], [n + 1])), shape=(1, n * n))]
+                sp.csr_matrix(([np.exp(0.3j), 2.0], ([0, 0], [1, n + 1])), shape=(1, n * n))]
     for products, dense_product in ((matalg.right_products, lambda x, g: x @ g),
                                     (matalg.left_products, lambda x, g: g @ x)):
         for spoiler in spoilers:
@@ -516,3 +519,30 @@ def test_partial_permutation_products_equal_the_sparse_products(n, d, count, see
                 want = dense_product(rows[i].toarray().reshape(n, n), g).ravel()
                 np.testing.assert_allclose(mixed[count * d + i].toarray().ravel(), want,
                                            rtol=0, atol=1e-14)
+
+
+def _signed_rows(rng, k, n):
+    """k rows vec(X) of n x n matrices with random complex entries, stored
+    zeros and components -0.0 among them, and some rows empty."""
+    dense = (rng.standard_normal((k, n * n)) + 1j * rng.standard_normal((k, n * n)))
+    dense[rng.random((k, n * n)) < 0.5] = 0
+    rows = sp.csr_matrix(dense * (rng.random((k, 1)) < 0.8))
+    pick = rng.random(rows.nnz)
+    rows.data[pick < 0.1] = 0.0  # stored zeros
+    rows.data[(pick >= 0.1) & (pick < 0.3)] = complex(-0.0, -0.0)
+    rows.data.imag[(pick >= 0.3) & (pick < 0.5)] = -0.0
+    return rows
+
+
+def test_kron_rows_equal_the_sparse_kron(rng):
+    # Index arithmetic against one sparse kron, the data compared as int64
+    # views, so that every bit, the sign of a zero too, must agree.
+    for _ in range(40):
+        na, nb = (int(v) for v in rng.integers(1, 5, 2))
+        x, y = _signed_rows(rng, int(rng.integers(0, 4)), na), _signed_rows(rng, 3, nb)
+        got = matalg._kron_rows(x, y, na, nb)
+        want = kron_rows_by_sparse_kron(x, y, na, nb)
+        assert got.shape == want.shape
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data.view(np.int64), want.data.view(np.int64))):
+            np.testing.assert_array_equal(a, b)

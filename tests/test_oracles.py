@@ -3,7 +3,9 @@ path words, the group legs of the crossed products, the permutation actions
 and the gauge check against their oracles (``oracles.py``): equal results on
 random, gauge-scaled and groupoid inputs, a planted defect per Cuntz-Krieger
 relation that both versions see, and two planted gauge defects that both
-versions reject."""
+versions reject.  The relation check and the path words of partial
+permutations (index arithmetic) equal their sparse fallbacks bit for bit,
+and planted partial permutations take the index path."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,9 +13,12 @@ from oracles import (
     action_basis_rows_by_index,
     arrow_unitaries,
     ck_relations_loop,
+    delta_rows_by_collapse,
     dual_unitaries,
+    from_orthogonal,
     gauge_star_map,
     graded_coaction_loop,
+    matrix_unit,
     path_images_loop,
     path_unitaries,
     spanning_rows_by_index,
@@ -26,7 +31,7 @@ from test_layout import draws
 from test_paths import noncommuting_chains
 
 from skewprod import duality, graphalg, groupoids, matalg, suite
-from skewprod.crossed import CoactionCrossedProduct, coaction_check
+from skewprod.crossed import CoactionCrossedProduct, GradedSpan, coaction_check
 from skewprod.graphalg import ck_representation, coaction, gauge_check, generator_degrees
 from skewprod.graphs import DirectedGraph
 from skewprod.groups import Labeling, cyclic_group
@@ -49,6 +54,45 @@ def test_ck_check_equals_its_loop_oracle():
 def _assert_same_rows(a, b):
     assert a.shape == b.shape
     assert (a != b).nnz == 0
+
+
+def _assert_same_bits(a, b):
+    """Two CSR matrices with the same arrays, the data compared bit for bit."""
+    assert a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                 (a.data.view(np.int64), b.data.view(np.int64))):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_index_paths_equal_the_sparse_paths(monkeypatch):
+    # The families of C*(E) scaled by z on and off the circle (inexact
+    # products), the same with one stored zero in an s_f (a zero product,
+    # which a sparse product drops) and Theta's generator images, through the
+    # index path and, with no family read as partial permutations, the
+    # sparse fallback.
+    rng = np.random.default_rng(24)
+    cases = []
+    for _ in range(12):
+        parts = duality.DualityParts(*suite.random_graph_instance(rng))
+        fam, skew = parts.fam, parts.skew
+        rows = fam.span.gen_rows.copy()
+        edge_entries = rows.indptr[fam.graph.n_edges]
+        rows.data[:edge_entries] *= np.exp(2j * np.pi * rng.uniform()) * rng.choice([1, 1.25])
+        zeroed = rows.copy()
+        zeroed.data[rng.integers(edge_entries)] = 0
+        n_g = skew.n_edges + skew.n_vertices
+        cases += [(fam, rows, fam.ambient_dim), (fam, zeroed, fam.ambient_dim),
+                  (parts.fam_skew, parts.theta_gen_rows[:n_g], fam.ambient_dim * parts.G.order)]
+
+    def run():
+        return [(graphalg._ck_relations_for(f.graph, rows, n), graphalg._path_images(f, rows, n))
+                for f, rows, n in cases]
+
+    index = run()
+    monkeypatch.setattr(matalg, "_monomial", lambda rows, n, by_column=False: None)
+    for (err, words), (sparse_err, sparse_words) in zip(index, run()):
+        assert err == sparse_err
+        _assert_same_bits(words, sparse_words)
 
 
 def test_theta_rows_and_path_words_equal_their_loop_oracles(two_chunk_instance):
@@ -98,6 +142,7 @@ def _assert_group_legs_by_index(graded, acp):
     """The spanning rows of the coaction crossed product of ``graded`` and the
     basis and u~_s rows of ``acp``, CSR for CSR, against the index builders."""
     _assert_same_csr(graded.spanning_rows, spanning_rows_by_index(graded))
+    _assert_same_bits(graded.delta_rows, delta_rows_by_collapse(graded))
     _assert_same_csr(acp.span.rows, action_basis_rows_by_index(acp.action))
     _assert_same_csr(acp._u_rows, u_rows_by_index(acp.group, acp.base.ambient_dim))
 
@@ -124,6 +169,15 @@ def test_group_legs_equal_their_index_builders(two_chunk_instance):
         _assert_group_legs_by_index(
             groupoids.graded_convolution(groupoids.convolution_algebra(Q), c),
             groupoids.action_crossed_product(trans))
+
+
+def test_delta_rows_sum_as_the_sparse_collapse():
+    # Entries -1 - 0j: their spanning rows carry the component -0.0, which
+    # the sparse product's sum 0 + x turns into +0.0.
+    span = from_orthogonal([-matrix_unit(2, 0, 0) - 0j, matrix_unit(2, 1, 1), matrix_unit(2, 0, 1)])
+    graded = GradedSpan(span, [0, 0, 1], cyclic_group(2))
+    assert np.signbit(graded.spanning_rows.data.imag).any()
+    _assert_same_bits(graded.delta_rows, delta_rows_by_collapse(graded))
 
 
 def _assert_same_action(act, unitaries):
@@ -204,6 +258,44 @@ def test_planted_ck_defect_is_seen_by_both_versions(fork, plant):
                                          p_imgs[0].shape[0])
     assert batched > PLANTED_MIN
     assert batched == ck_relations_loop(graph, s_imgs, p_imgs)
+
+
+def _edited(m, k, value=None, col=None, drop=False):
+    """m with its k-th stored entry set to ``value``, moved to column ``col``
+    or dropped."""
+    c = m.tocoo()
+    data, cols = c.data.astype(np.complex128), c.col.copy()
+    if value is not None:
+        data[k] = value
+    if col is not None:
+        cols[k] = col
+    keep = np.arange(c.nnz) != k if drop else np.ones(c.nnz, dtype=bool)
+    return sp.csr_matrix((data[keep], (c.row[keep], cols[keep])), shape=m.shape)
+
+
+# Plants that keep every matrix a partial permutation.  On the fork, p[0] is
+# p_u (the paths e1 e2 and e3), s[0] = s_e1 has one entry and s[2] = s_e3
+# sends the path w to e3; p[1] = p_v keeps the path e2.
+MONOMIAL_PLANTS = {
+    "negated p_v entry": lambda E, s, p: (E, s, [_edited(p[0], 0, value=-1)] + p[1:]),
+    "s_e phase off the circle": lambda E, s, p: (E, [1.5 * np.exp(0.7j) * s[0]] + s[1:], p),
+    "s_e entry on a path from another vertex": lambda E, s, p: (
+        E, s[:2] + [_edited(s[2], 0, col=p[1].indices[0])], p),
+    "dropped p_v diagonal entry": lambda E, s, p: (E, s, [_edited(p[0], 0, drop=True)] + p[1:]),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(MONOMIAL_PLANTS))
+def test_planted_monomial_ck_defect_takes_the_index_path(fork, plant, monkeypatch):
+    fam = ck_representation(fork)
+    graph, s_imgs, p_imgs = MONOMIAL_PLANTS[plant](fork, list(fam.s), list(fam.p))
+    rows, n = matalg.vec_rows(s_imgs + p_imgs), fam.ambient_dim
+    assert matalg._monomial(rows, n) is not None
+    index = graphalg._ck_relations_for(graph, rows, n)
+    assert index > PLANTED_MIN
+    assert index == ck_relations_loop(graph, s_imgs, p_imgs)
+    monkeypatch.setattr(matalg, "_monomial", lambda rows, n, by_column=False: None)
+    assert graphalg._ck_relations_for(graph, rows, n) == index
 
 
 def test_gauge_check_equals_its_star_map_oracle(monkeypatch):
