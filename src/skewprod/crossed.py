@@ -106,7 +106,7 @@ class AlgebraAction:
         return cls(span, group, mats, name=name)
 
     def image_rows(self, t: int) -> sp.csr_matrix:
-        return self.coeff_mats[t] @ self.span.rows
+        return self.span.combine(self.coeff_mats[t])
 
 
 def ck_action_from_graph_action(fam: CKFamily, action: GraphAction) -> AlgebraAction:
@@ -184,15 +184,15 @@ class ActionCrossedProduct:
         return coeffs @ self._pi_rows
 
     def element_rows(self, parts) -> sp.csr_matrix:
-        """The rows vec(sum_s pi~(a_s) u~_s) for k elements at once: ``parts``
-        maps s to the k stacked rows vec(a_s).  The coefficient of b_i in a_s
-        is that of the basis element pi~(b_i) u~_s, at i |G| + s, so one
-        expansion in the base and one sparse product serve every s."""
-        s = np.fromiter(parts, dtype=np.int64)
-        coeffs, _ = self.base.coefficients_rows(sp.vstack(list(parts.values()), format="csr"))
-        c, k = coeffs.tocoo(), coeffs.shape[0] // len(s)
-        return (sp.csr_matrix((c.data, (c.row % k, c.col * self.group.order + s[c.row // k])),
-                              shape=(k, self.dim)) @ self.span.rows).sorted_indices()
+        """The rows vec(sum_s pi~(a_s) u~_s) for k elements at once: row
+        j |G| + s of ``parts`` is vec(a_s) of the j-th element.  The
+        coefficient of b_i in a_s is that of the basis element pi~(b_i) u~_s,
+        at i |G| + s, so one expansion in the base and one
+        :meth:`~matalg.AlgebraSpan.combine` serve every s."""
+        coeffs, _ = self.base.coefficients_rows(parts)
+        m = self.group.order
+        return self.span.combine(
+            coeffs.toarray().reshape(-1, m, self.base.dim).transpose(0, 2, 1).reshape(-1, self.dim))
 
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
@@ -217,7 +217,7 @@ class ActionCrossedProduct:
         if tol is not None and resid > tol:
             raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
         e_cols = np.arange(self.base.dim) * self.group.order + self.group.identity_index
-        return coeffs[:, e_cols] @ self.base.rows
+        return self.base.combine(coeffs.toarray()[:, e_cols])
 
 
 @dataclass(eq=False)

@@ -338,6 +338,38 @@ class AlgebraSpan:
         indptr = np.searchsorted(keys[nz], np.arange(m + 1) * d)
         return sp.csr_matrix((a[nz], k[nz], indptr), shape=(m, d)), worst
 
+    def combine(self, coeffs) -> sp.csr_matrix:
+        """The rows vec(sum_i a_i b_i), one per row a of ``coeffs`` (dense or
+        CSR), as canonical CSR: ``coeffs @ rows``.  On an indexed basis the
+        supports are disjoint, so each entry is the one product a_i (b_i)_c,
+        formed by :func:`_times` as the sparse product forms it and dropped
+        when it is an exact zero: dense coefficients are gathered over the
+        support index, every support column of every row in order, and CSR
+        ones, such as the permutation-like matrices of an action, expand each
+        entry into the row of its basis element and sort.  Any other basis, or
+        non-canonical CSR coefficients, take the sparse product."""
+        b, sparse = self.rows, sp.issparse(coeffs)
+        coeffs = coeffs.tocsr() if sparse else np.asarray(coeffs, dtype=np.complex128)
+        k, n2 = coeffs.shape[0], b.shape[1]
+        if self.support is None or sparse and not coeffs.has_canonical_format:
+            out = sp.csr_matrix(coeffs) @ b
+            out.sort_indices()
+            return out
+        cols, owner, phase = self.support
+        if sparse:
+            r, i, a = _entries(coeffs)
+            count = np.diff(b.indptr)[i]
+            e = np.arange(count.sum()) + np.repeat(b.indptr[i] - np.cumsum(count) + count, count)
+            key = np.repeat(r, count) * n2 + b.indices[e]
+            order = np.argsort(key)
+            data, key = _times(np.repeat(a, count), b.data[e])[order], key[order]
+        else:
+            data = _times(coeffs[:, owner], phase.conj()).ravel()
+            key = (np.arange(k)[:, None] * n2 + cols).ravel()
+        nz = data != 0
+        indptr = np.searchsorted(key[nz], np.arange(k + 1) * n2)
+        return sp.csr_matrix((data[nz], key[nz] % n2, indptr), shape=(k, n2))
+
     def _sparse_coefficients_rows(self, rows: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
         """:meth:`coefficients_rows` by sparse products, for any basis."""
         raw = rows @ self._rows_h
@@ -662,7 +694,7 @@ def wedderburn_signature(
 
     for _ in range(_SIGNATURE_ATTEMPTS):
         coeffs = rng.standard_normal(2 * z_dim) @ parts
-        z = sp.csr_matrix(coeffs.reshape(1, d)) @ span.rows
+        z = span.combine(coeffs.reshape(1, d))
         if frobenius(z) < CLOSURE_TOL:
             continue
         _, left = next(left_products(span.rows, z, n))  # rows vec(z b_j)

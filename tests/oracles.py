@@ -954,7 +954,8 @@ def inner_product_loop(Q, c, terms, a, b, tol: float = 1e-9) -> np.ndarray:
     """<a, b> on the arrows of N for one pair: the general formula over every
     y from ``terms`` (see :func:`inner_product_terms_loop`), one sum per
     (n, y), against sum_t a_t* b_t convolved one arrow at a time.  Raises
-    FormulaMismatch as the evaluator does."""
+    FormulaMismatch where the evaluator's formulas raise, and also where the
+    two formulas disagree, which the evaluator returns as a failed check."""
     keep = sorted(terms)
     general = []
     for n in keep:

@@ -101,8 +101,8 @@ def test_one_function_is_one_row_of_a_stack():
 
 
 def _fails(check) -> bool:
-    """True when a module-structure check sees the defect: the two inner
-    product formulas disagree, or adjointability fails."""
+    """True when a module-structure check sees the defect: an inner-product
+    formula raises FormulaMismatch, or adjointability fails."""
     try:
         report = check()
         return not (report if isinstance(report, dict) else report.as_dict())["adjointability_ok"]
@@ -117,14 +117,31 @@ def test_planted_wrong_term_fails_both_versions():
     terms = inner_product_terms_loop(Q, c)
     ev(a, b)
     inner_product_loop(Q, c, terms, a[0], b[0])
-    # The first term of the first (n, y) pair reads b at another arrow.
+    # The first term of the first (n, y) pair reads b at another arrow, so
+    # the general formula depends on the choice of y.
     ev.zn = ev.zn.copy()
     ev.zn[0] = (ev.zn[0] + 1) % Q.n_arrows
     terms[int(ev.n_keep[0])][0][1][0] = ev.zn[0]
-    with pytest.raises(FormulaMismatch):
+    with pytest.raises(FormulaMismatch, match="choice of y"):
         ev(a, b)
-    with pytest.raises(FormulaMismatch):
+    with pytest.raises(FormulaMismatch, match="choice of y"):
         inner_product_loop(Q, c, terms, a[0], b[0])
+
+
+def test_formulas_that_disagree_fail_the_check_without_raising():
+    Q, c, rng = next(random_cases(74))
+    a, b = groupoids.random_functions(rng, 4, Q.n_arrows, Q.n_arrows)
+    ev = InnerProductEvaluator(Q, c)
+    val, check = ev(a, b)
+    assert check.passed
+    # The simplified formula is off by 1e-6 on N, where only the comparison of
+    # the two formulas reads it.
+    simplified = ev.simplified_formula
+    on_n = np.isin(np.arange(Q.n_arrows), ev.n_keep)
+    ev.simplified_formula = lambda a, b, tol: simplified(a, b, tol=tol) + 1e-6 * on_n
+    planted, check = ev(a, b)
+    assert np.array_equal(planted, val)
+    assert not check.passed and abs(check.error - 1e-6) <= 1e-12
 
 
 def test_planted_wrong_inverse_fails_both_versions():

@@ -70,6 +70,7 @@ def _reversed_arrows(Q):
 
 
 _INNER = groupoids.InnerProductEvaluator.__call__
+_SIMPLIFIED = groupoids.InnerProductEvaluator.simplified_formula
 _REPRESENT = groupoids.GroupoidAlgebra.represent_rows
 _KERNEL = groupoids.kernel_subgroupoid
 
@@ -83,13 +84,17 @@ def _negated_inner(self, a, b, tol):
     # <a, b> negated: the Gram matrices are negative and <ab, ab> exceeds ||a||^2 <b, b>.
     (groupoids.InnerProductEvaluator, "__call__", _negated_inner,
      "bimodule", {"gram_psd_ok", "boundedness_ok"}),
+    # sum_t a_t* b_t doubled: only the comparison of the two formulas sees it,
+    # and the report renders that check as inner_product_max_error, no flag.
+    (groupoids.InnerProductEvaluator, "simplified_formula",
+     lambda self, a, b, tol: 2 * _SIMPLIFIED(self, a, b, tol=tol), "bimodule", set()),
     # pi(f) halved: ||pi(a)||^2 <b, b> falls below <ab, ab>.
     (groupoids.GroupoidAlgebra, "represent_rows", lambda self, fs: 0.5 * _REPRESENT(self, fs),
      "bimodule", {"boundedness_ok"}),
     # N's arrows in reverse order: i(delta_n) is the wrong arrow, so P_N != P_Q o i.
     (groupoids, "kernel_subgroupoid", lambda Q, c: _reversed_arrows(_KERNEL(Q, c)),
      "gpd-iso", {"kernel_embedding_ok"}),
-], ids=["gram_psd", "boundedness", "kernel_embedding"])
+], ids=["gram_psd", "formula_agreement", "boundedness", "kernel_embedding"])
 def test_planted_defect_fails_the_report_with_exit_1(capsys, monkeypatch, target, name, plant,
                                                      command, failed):
     monkeypatch.setattr(target, name, plant)

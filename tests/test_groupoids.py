@@ -395,6 +395,41 @@ class TestExpectations:
         assert rep["faithfulness_min_norm"] > 1e-6
 
 
+def test_expectation_path_makes_no_sparse_product(monkeypatch):
+    # Phi(b), P(Phi(b)) and its coefficient functions gather on the support
+    # indices of C*(R) and C*(R) x_beta G; with the indices removed the same
+    # calls take the sparse products and give the same bits.
+    rng = np.random.default_rng(25)
+    original = sp.csr_matrix.__matmul__
+    for G in (Z2, Z3, S3) * 2:
+        Q = suite.random_groupoid(rng, max_units=3, max_arrows=8)
+        skew = skew_product_groupoid(Q, G, suite.random_cocycle(rng, Q, G))
+        trans = translation_groupoid_action(skew, G)
+        base, acp = convolution_algebra(skew), gpd.action_crossed_product(trans)
+        b, = gpd.random_functions(rng, 5, acp.dim)
+
+        def run():
+            x_rows = acp.element_rows(gpd._crossed_parts(base, G, b))
+            e_rows = acp.conditional_expectation_rows(x_rows, tol=1e-6)
+            return x_rows, e_rows, base.to_functions(e_rows)
+
+        with monkeypatch.context() as mp:
+            calls = []
+            mp.setattr(sp.csr_matrix, "__matmul__", lambda a, c: calls.append(1) or original(a, c))
+            fast = run()
+            assert calls == []
+            mp.setattr(base.span, "support", None)
+            mp.setattr(acp.span, "support", None)
+            slow = run()
+            assert calls
+        for got, want in zip(fast[:2], slow[:2]):
+            assert got.has_canonical_format and want.has_canonical_format
+            for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data.view(np.int64), want.data.view(np.int64))):
+                np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(fast[2].view(np.int64), slow[2].view(np.int64))
+
+
 class TestEquivalences:
     def test_semidirect_kind(self, pair2, pair2_cocycle, rng):
         bim, rep = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle, rng=rng)

@@ -546,3 +546,52 @@ def test_kron_rows_equal_the_sparse_kron(rng):
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data.view(np.int64), want.data.view(np.int64))):
             np.testing.assert_array_equal(a, b)
+
+
+def _phase_span(rng, n, d):
+    """d rows vec(b_i) of n x n matrices on disjoint random supports, their
+    entries drawn from all four UNIT_PHASES."""
+    cols = rng.permutation(n * n)[: 3 * d]
+    owner = np.r_[np.arange(d), rng.integers(0, d, 2 * d)]
+    data = np.array(matalg.UNIT_PHASES, dtype=np.complex128)[np.arange(3 * d) % 4]
+    return matalg.AlgebraSpan(n, sp.csr_matrix((data, (owner, cols)), shape=(d, n * n)))
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.has_canonical_format
+    want = want.sorted_indices()
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data.real.view(np.int64), want.data.real.view(np.int64)),
+                 (got.data.imag.view(np.int64), want.data.imag.view(np.int64))):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_combine_equals_the_sparse_product(case_spans, rng):
+    # combine against coeffs @ span.rows, every bit of the data, the sign of
+    # a zero too; an indexed span gathers without a sparse product.
+    spans = [_phase_span(rng, n, d) for n, d in ((3, 2), (4, 5), (6, 9))]
+    assert all(np.isin(matalg.UNIT_PHASES, s.rows.data).all() for s in spans)
+    spans += [s for kind in case_spans.values() for s in kind]
+    closure = span_closure([np.diag([1.0, 2.0, 0]), np.eye(3)[[1, 0, 2]] * (1 + 1j)])
+    assert closure.support is None
+    for span in [*spans, closure]:
+        k, d = 7, span.dim
+        dense = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+        dense[rng.random((k, d)) < 0.3] = 0
+        dense.real[rng.random((k, d)) < 0.2] = -0.0
+        dense.imag[rng.random((k, d)) < 0.2] = -0.0
+        dense[2] = 0  # an all-zero row
+        one = sp.csr_matrix((dense[:, 0] + 1, (np.arange(k), rng.integers(0, d, k))),
+                            shape=(k, d))  # one entry per row
+        stored = sp.csr_matrix(dense)  # with stored zeros, whose products are dropped
+        stored.data[::3] = complex(-0.0, -0.0)
+        stored.data[1::3] = 0.0
+        for coeffs in (dense, sp.csr_matrix(dense), stored, one, np.zeros((3, d))):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = []
+                original = sp.csr_matrix.__matmul__
+                mp.setattr(sp.csr_matrix, "__matmul__",
+                           lambda a, b: calls.append(1) or original(a, b))
+                got = span.combine(coeffs)
+            assert len(calls) == (span is closure), span.name
+            _same_bits(got, sp.csr_matrix(coeffs) @ span.rows)
