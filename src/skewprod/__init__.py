@@ -27,7 +27,7 @@ from .matalg import AlgebraSpan, span_closure, wedderburn_signature
 
 def fixture_path(name: str):
     """Path to one of the shipped JSON fixtures (e1, chain2, chain-s3,
-    pair-groupoid, z2, z3, z4, klein, s3, trivial)."""
+    pair-groupoid, s3-groupoid, q3-s3, z2, z3, z4, klein, s3, trivial)."""
     from importlib.resources import files
 
     return files("skewprod.fixtures") / f"{name}.json"

@@ -46,9 +46,9 @@ class ActionInvalid(ValueError):
 def _ad_perm(rows: sp.spmatrix, perm: np.ndarray, n: int) -> sp.csr_matrix:
     """vec(U X U*) for every row vec(X) of ``rows``, U the permutation matrix
     e_i -> e_(perm[i]): entry (i, j) of X moves to (perm[i], perm[j])."""
-    coo = rows.tocoo()
-    i, j = np.divmod(coo.col, n)
-    return sp.csr_matrix((coo.data, (coo.row, perm[i] * n + perm[j])), shape=rows.shape)
+    r, c, x = matalg._entries(rows.tocsr())
+    i, j = np.divmod(c, n)
+    return matalg._csr(x, r, perm[i] * n + perm[j], rows.shape)
 
 
 class AlgebraAction:
@@ -152,12 +152,8 @@ class ActionCrossedProduct:
         self.base = base
         self.group = group
         self.action = action
-        G = group
-        m = G.order
-        n = base.ambient_dim
-        d = base.dim
-        self.ambient_dim = n * m
-        N = self.ambient_dim
+        G, m, n, d = group, group.order, base.ambient_dim, base.dim
+        N = self.ambient_dim = n * m
         # u~_s = 1 (x) lam_s sends e_(i, u) to e_(i, s u), index i |G| + u.
         i, u = np.divmod(np.arange(N), m)
         self._u_perm = i * m + G.table[:, u]
@@ -170,18 +166,22 @@ class ActionCrossedProduct:
         chi_lam = sp.vstack([p for _, p in matalg.right_products(chi, lam, m)], format="csr")
         data, row, col = (np.concatenate(a) for a in zip(*(
             matalg._kron_coo(action.image_rows(G.inverse[t]), chi_lam[t::m], n, m) for t in G)))
-        rows = sp.csr_matrix((data, (row, col)), shape=(d * m, N * N))
+        rows = matalg._csr(data, row, col, (d * m, N * N))
         self._pi_rows = rows[np.arange(d) * m + G.identity_index]  # rows of pi~(b_i)
         self._u_rows = matalg._kron_rows(matalg.identity_row(n), lam, n, m)
+        self.span = AlgebraSpan(N, rows, name=f"{base.name} x G")
         # Generators: pi~ of the base generators, then u~_s.
-        gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], format="csr")
-        self.span = AlgebraSpan(N, rows, gen_rows=gen_rows, name=f"{base.name} x G")
+        self.span.gen_rows = sp.vstack([self.pi_tilde_rows(base.gen_rows), self._u_rows], "csr")
         self._verify_covariance(tol)
 
     def pi_tilde_rows(self, rows) -> sp.csr_matrix:
         """vec(pi~(a)) for every stacked row vec(a) of base-algebra elements."""
-        coeffs, _ = self.base.coefficients_rows(rows)
-        return coeffs @ self._pi_rows
+        return self._pi_tilde(self.base.coefficients_rows(rows)[0])
+
+    def _pi_tilde(self, c) -> sp.csr_matrix:
+        """vec(pi~(sum_i c_i b_i)) for every CSR row c; pi~(b_i) is basis element i |G| + e."""
+        at_e = c.indices * self.group.order + self.group.identity_index
+        return self.span.combine(sp.csr_matrix((c.data, at_e, c.indptr), (c.shape[0], self.dim)))
 
     def element_rows(self, parts) -> sp.csr_matrix:
         """The rows vec(sum_s pi~(a_s) u~_s) for k elements at once: row
@@ -198,11 +198,9 @@ class ActionCrossedProduct:
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
         for s in self.group:
             lhs = _ad_perm(self._pi_rows, self._u_perm[s], self.ambient_dim)
-            rhs = self.action.coeff_mats[s] @ self._pi_rows
+            rhs = self._pi_tilde(self.action.coeff_mats[s])
             if matalg.max_row_norm(lhs - rhs) > tol:
-                raise ActionInvalid(
-                    f"covariance u_s pi(a) u_s* = pi(gamma_s(a)) fails at s={s}"
-                )
+                raise ActionInvalid(f"covariance u_s pi(a) u_s* = pi(gamma_s(a)) fails at s={s}")
 
     @property
     def dim(self) -> int:
@@ -264,8 +262,8 @@ class GradedSpan:
         k, col, x = matalg._entries(self.spanning_rows)
         x = 0 + x
         keep = x != 0
-        return sp.csr_matrix((x[keep], (k[keep] // self.group.order, col[keep])),
-                             shape=(self.span.dim, self.spanning_rows.shape[1]))
+        return matalg._csr(x[keep], k[keep] // self.group.order, col[keep],
+                           (self.span.dim, self.spanning_rows.shape[1]))
 
     def delta(self, rows, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
         """The rows vec(delta(a)) for every stacked row vec(a), through the basis
@@ -340,13 +338,9 @@ class CoactionCrossedProduct:
         for every right factor b_j up to ``_PAIR_CAP`` spanning elements and
         for a fixed-seed sample beyond.
         """
-        tol = matalg.PRODUCT_TOL
-        G = self.group
-        m = G.order
-        d = self.base.dim
-        n = self.base.ambient_dim
+        tol, G, deg = matalg.PRODUCT_TOL, self.group, self.degrees
+        m, d, n = G.order, self.base.dim, self.base.ambient_dim
         total = d * m
-        deg = self.degrees
 
         # Group leg: (lam_s chi_u)(lam_t chi_w) = [u = t w] lam_{st} chi_w and
         # (lam_t chi_u)* = lam_{t^-1} chi_{t u}; exhaustive over G^4 / G^2, on
@@ -370,14 +364,13 @@ class CoactionCrossedProduct:
         # Spanning rows: lam_t chi_u = E_(t u, u), so entry (p, q) of b_i sits
         # in row i |G| + u at ((p |G| + t u), (q |G| + u)), compared exactly.
         N = self.ambient_dim
-        c = self.base.rows.tocoo()
-        p, q = np.divmod(c.col, n)
+        row, col, x = matalg._entries(self.base.rows)
+        p, q = np.divmod(col, n)
         u = np.arange(m)
-        expected = sp.csr_matrix(
-            (np.repeat(c.data, m),
-             ((c.row[:, None] * m + u).ravel(),
-              ((p[:, None] * m + G.table[deg[c.row]]) * N + q[:, None] * m + u).ravel())),
-            shape=(total, N * N))
+        expected = matalg._csr(
+            np.repeat(x, m), (row[:, None] * m + u).ravel(),
+            ((p[:, None] * m + G.table[deg[row]]) * N + q[:, None] * m + u).ravel(),
+            (total, N * N))
         diff = (self.span.rows != expected).tocoo()
         if diff.nnz:
             raise ActionInvalid(f"spanning row {diff.row.min()} is not b_i (x) lam_t chi_u")

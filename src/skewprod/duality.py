@@ -329,10 +329,8 @@ def certify_direct_iso(
     # Skew edge (f, r) sits at f |G| + r and skew vertex (v, r) at v |G| + r.
     es, vs = np.arange(n_se), np.arange(n_sv)
     sum_of = np.r_[vs % m, m + es // m, m + n_e + vs // m]  # y_r, sums over r, q_v
-    sums = sp.csr_matrix(
-        (np.ones(len(sum_of)), (sum_of, np.r_[n_se + vs, es, n_se + vs])),
-        shape=(m + n_e + graph.n_vertices, gen_rows.shape[0]),
-    ) @ gen_rows
+    sums = matalg._csr(np.ones(len(sum_of)), sum_of, np.r_[n_se + vs, es, n_se + vs],
+                       (m + n_e + graph.n_vertices, gen_rows.shape[0])) @ gen_rows
     y_rows, s_sums, q_rows = sums[:m], sums[m:m + n_e], sums[m + n_e:]
     # y_a u_b at row b |G| + a.
     yu = sp.vstack([p for _, p in matalg.right_products(y_rows, gen_rows[n_se + n_sv:], N)],
@@ -340,9 +338,8 @@ def certify_direct_iso(
     # w_t = sum_r y_(t r) u_(r^-1 t^-1 r); t_f = (sum_r pi~(s_(f,r))) w_(c(f)^-1),
     # the product at row c(f)^-1 n_e + f.
     inv, (t, r) = G.inverse, np.divmod(np.arange(m * m), m)
-    w_rows = sp.csr_matrix(
-        (np.ones(m * m), (t, G.table[inv[r], G.table[inv[t], r]] * m + G.table[t, r])),
-        shape=(m, m * m)) @ yu
+    w_rows = matalg._csr(np.ones(m * m), t,
+                         G.table[inv[r], G.table[inv[t], r]] * m + G.table[t, r], (m, m * m)) @ yu
     sw = sp.vstack([p for _, p in matalg.right_products(s_sums, w_rows, N)], format="csr")
     t_rows = sw[inv[labeling.by_edge] * n_e + np.arange(n_e)]
 

@@ -49,9 +49,8 @@ def _block_norms(data, rows, cols, n: int, k: int) -> np.ndarray:
 def _diag_blocks(rows: sp.spmatrix, n: int) -> sp.csr_matrix:
     """The n x n matrices of the stacked rows vec(x_k) as the diagonal blocks
     of one block-diagonal matrix, by index arithmetic."""
-    c, k = rows.tocoo(), rows.shape[0]
-    return sp.csr_matrix((c.data, (c.row * n + c.col // n, c.row * n + c.col % n)),
-                         shape=(k * n, k * n))
+    (r, c, x), k = matalg._entries(rows.tocsr()), rows.shape[0]
+    return matalg._csr(x, r * n + c // n, r * n + c % n, (k * n, k * n))
 
 
 def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int):
@@ -77,11 +76,11 @@ def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int):
             ss[keep], (f + a[s])[keep], (f + a[s])[keep])
     # The p_v stacked tall and side by side; the s_f and the s_f* block-diagonal.
     v = i[p] - n_e
-    tall = sp.csr_matrix((data[p], (v * n + a[p], b[p])), shape=(n_v * n, n))
-    wide = sp.csr_matrix((data[p], (a[p], v * n + b[p])), shape=(n, n_v * n))
+    tall = matalg._csr(data[p], v * n + a[p], b[p], (n_v * n, n))
+    wide = matalg._csr(data[p], a[p], v * n + b[p], (n, n_v * n))
     f = i[s] * n
-    S = sp.csr_matrix((data[s], (f + a[s], f + b[s])), shape=(n_e * n, n_e * n))
-    S_h = sp.csr_matrix((data[s].conj(), (f + b[s], f + a[s])), shape=S.shape)
+    S = matalg._csr(data[s], f + a[s], f + b[s], (n_e * n, n_e * n))
+    S_h = matalg._csr(data[s].conj(), f + b[s], f + a[s], S.shape)
     return [(m.data, m.row, m.col) for m in ((tall @ wide).tocoo(), (S_h @ S).tocoo(),
                                              (S @ S_h).tocoo())]
 
@@ -153,14 +152,14 @@ def _path_images(fam: CKFamily, gen_rows: sp.csr_matrix, n: int) -> sp.csr_matri
             col[level] = np.where((b >= 0) & (c >= 0) & (x != 0), c, -1)
             val[level] = x
         k, a = np.nonzero(col >= 0)
-        return sp.csr_matrix((val[k, a], (k, a * n + col[k, a])), shape=(n_p, n * n))
+        return matalg._csr(val[k, a], k, a * n + col[k, a], (n_p, n * n))
     words = gen_rows[n_e + fam.source]
     for level in fam.levels:
         # Block k of the product is the word of the k-th path of this level.
         z = (_diag_blocks(gen_rows[fam.head[level]], n)
-             @ _diag_blocks(words[fam.tail[level]], n)).tocoo()
-        new = sp.csr_matrix((z.data, (z.row // n, z.row % n * n + z.col % n)),
-                            shape=(len(level), n * n))
+             @ _diag_blocks(words[fam.tail[level]], n))
+        r, c, x = matalg._entries(z)
+        new = matalg._csr(x, r // n, r % n * n + c % n, (len(level), n * n))
         order = np.arange(n_p)
         order[level] = n_p + np.arange(len(level))
         words = sp.vstack([words, new], format="csr")[order]
@@ -209,15 +208,14 @@ class CKFamily:
 
         # vec(s_f) has a 1 at (f j) n + j for every path j from r(f), and
         # vec(p_v) at i n + i for every path i from v.
-        gen_rows = sp.csr_matrix(
-            (np.ones(len(longer) + n, dtype=np.complex128),
-             (np.r_[self.head[longer], graph.n_edges + self.source],
-              np.r_[longer * n + self.tail[longer], np.arange(n) * (n + 1)])),
-            shape=(graph.n_edges + graph.n_vertices, n * n))
+        gen_rows = matalg._csr(
+            np.ones(len(longer) + n, dtype=np.complex128),
+            np.r_[self.head[longer], graph.n_edges + self.source],
+            np.r_[longer * n + self.tail[longer], np.arange(n) * (n + 1)],
+            (graph.n_edges + graph.n_vertices, n * n))
         n_pairs = len(self.pairs)
-        basis = sp.csr_matrix((np.ones(n_pairs, dtype=np.complex128),
-                               (np.arange(n_pairs), self.pairs[:, 0] * n + self.pairs[:, 1])),
-                              shape=(n_pairs, n * n))
+        basis = matalg._csr(np.ones(n_pairs, dtype=np.complex128), np.arange(n_pairs),
+                            self.pairs[:, 0] * n + self.pairs[:, 1], (n_pairs, n * n))
         self.span = AlgebraSpan(n, basis, gen_rows=gen_rows, name="C*(E)")
         self.verify()
 
@@ -276,9 +274,8 @@ class CKFamily:
         # Each sink-bound path word s_mu equals the matrix unit e_{mu, w},
         # where w is the length-0 path at the sink; hence every canonical
         # basis element e_{mu,nu} = e_{mu,w} e_{w,nu} equals s_mu s_nu*.
-        units = sp.csr_matrix((np.ones(n, dtype=np.complex128),
-                               (np.arange(n), np.arange(n) * n + self.start[self.sink])),
-                              shape=(n, n * n))
+        units = matalg._csr(np.ones(n, dtype=np.complex128), np.arange(n),
+                            np.arange(n) * n + self.start[self.sink], (n, n * n))
         words = _path_images(self, self.span.gen_rows, n)
         if matalg.max_row_norm(words - units) > 1e-12:
             raise CKRelationError("path word disagrees with its matrix unit")

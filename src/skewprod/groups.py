@@ -18,6 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import matalg
+
 MAX_GROUP_ORDER = 16
 
 
@@ -189,9 +191,9 @@ def regular_rows(G: FiniteGroup) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_m
         m = G.order
         s, t = np.divmod(np.arange(m * m), m)
         ones = np.ones(m * m, dtype=np.complex128)
-        lam = sp.csr_matrix((ones, (s, G.table[s, t] * m + t)), shape=(m, m * m))
-        rho = sp.csr_matrix((ones, (s, G.table[t, G.inverse[s]] * m + t)), shape=(m, m * m))
-        chi = sp.csr_matrix((ones[:m], (t[:m], t[:m] * (m + 1))), shape=(m, m * m))  # vec(E_rr)
+        lam = matalg._csr(ones, s, G.table[s, t] * m + t, (m, m * m))
+        rho = matalg._csr(ones, s, G.table[t, G.inverse[s]] * m + t, (m, m * m))
+        chi = matalg._csr(ones[:m], t[:m], t[:m] * (m + 1), (m, m * m))  # vec(E_rr)
         G._regular_rows = lam, rho, chi
     return G._regular_rows
 

@@ -59,6 +59,30 @@ def as_dense(mat) -> np.ndarray:
     return np.asarray(mat, dtype=np.complex128)
 
 
+def _csr(data, row, col, shape) -> sp.csr_matrix:
+    """``sp.csr_matrix((data, (row, col)), shape=shape)`` from one stable sort
+    of the keys row ncols + col, as (data, indices, indptr) with int32 index
+    arrays (int64 once a dimension or the entry count reaches 2^31), which
+    scipy neither sorts nor scans; repeated pairs take the COO constructor."""
+    n_rows, n_cols = shape
+    data, col = np.asarray(data), np.asarray(col)
+    key = np.asarray(row, dtype=np.int64) * n_cols + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        return sp.csr_matrix((data, (row, col)), shape=shape)
+    return _canonical(data[order], col[order], np.searchsorted(key, np.arange(n_rows + 1) * n_cols),
+                      shape)
+
+
+def _canonical(data, indices, indptr, shape) -> sp.csr_matrix:
+    """CSR (data, indices, indptr) of sorted, distinct row indices, as :func:`_csr` builds it."""
+    index = np.int64 if max(*shape, len(indices)) >= 2**31 else np.int32
+    out = sp.csr_matrix((data, indices.astype(index), indptr.astype(index)), shape=shape)
+    out.has_canonical_format = True
+    return out
+
+
 def vec_rows(mats: Sequence) -> sp.csr_matrix:
     """Stack vec(m) for each matrix as the rows of one sparse matrix."""
     n = mats[0].shape[0]
@@ -66,33 +90,27 @@ def vec_rows(mats: Sequence) -> sp.csr_matrix:
     row = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
     col = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
     data = np.concatenate([c.data for c in coos]).astype(np.complex128)
-    return sp.csr_matrix((data, (row, col)), shape=(len(coos), n * n))
+    return _csr(data, row, col, (len(coos), n * n))
 
 
 def identity_row(n: int) -> sp.csr_matrix:
     """vec(1_n) as one sparse row."""
     i = np.arange(n)
-    return sp.csr_matrix((np.ones(n, dtype=np.complex128), (0 * i, i * (n + 1))), shape=(1, n * n))
+    return _csr(np.ones(n, dtype=np.complex128), 0 * i, i * (n + 1), (1, n * n))
 
 
 def unvec_rows(rows: sp.csr_matrix, n: int) -> list[sp.csr_matrix]:
     """Inverse of :func:`vec_rows`: each row vec(m) back as the n x n matrix m."""
     rows = rows.tocsr()
-    out = []
-    for k in range(rows.shape[0]):
-        lo, hi = rows.indptr[k], rows.indptr[k + 1]
-        cols = rows.indices[lo:hi]
-        out.append(sp.csr_matrix((rows.data[lo:hi], (cols // n, cols % n)), shape=(n, n)))
-    return out
+    ends = zip(rows.indptr[:-1], rows.indptr[1:])
+    return [_csr(rows.data[lo:hi], rows.indices[lo:hi] // n, rows.indices[lo:hi] % n, (n, n))
+            for lo, hi in ends]
 
 
 def star_columns(rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
     """Apply vec(X) -> vec(X*) to every row: transpose indices and conjugate."""
-    coo = rows.tocoo()
-    new_col = (coo.col % n) * n + (coo.col // n)
-    return sp.csr_matrix(
-        (coo.data.conj(), (coo.row, new_col)), shape=rows.shape
-    )
+    r, c, x = _entries(rows.tocsr())
+    return _csr(x.conj(), r, (c % n) * n + c // n, rows.shape)
 
 
 def _entries(rows: sp.csr_matrix):
@@ -154,17 +172,16 @@ def _products(rows: sp.spmatrix, factors: sp.spmatrix, n: int, left: bool):
             data = _times(x[e].conj(), val.conj()).conj() if left else _times(x[e], val)
             keep = data != 0  # the entries a sparse product keeps
             pos = col * n + xb[e] if left else xa[e] * n + col
-            yield k0, sp.csr_matrix((data[keep], ((j * d + xr[e])[keep], pos[keep])),
-                                    shape=(c * d, n * n))
+            yield k0, _csr(data[keep], (j * d + xr[e])[keep], pos[keep], (c * d, n * n))
             continue
         if tall is None:  # each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix
-            tall = sp.csr_matrix((x, (xr * n + xa, xb)), shape=(d * n, n))
-        f = factors[k0 : k0 + c].tocoo()
+            tall = _csr(x, xr * n + xa, xb, (d * n, n))
+        fr, fc, fx = _entries(factors[k0 : k0 + c])
         # Each factor g_j as the block columns j n .. j n + n - 1 of one n x (c n) matrix.
-        wide = sp.csr_matrix((f.data, (f.col // n, f.row * n + f.col % n)), shape=(n, c * n))
+        wide = _csr(fx, fc // n, fr * n + fc % n, (n, c * n))
         p = (tall @ wide).tocoo()
-        (i, a), (j, b) = divmod(p.row, n), divmod(p.col, n)
-        yield k0, sp.csr_matrix((p.data, (j * d + i, a * n + b)), shape=(c * d, n * n))
+        (i, a), (j, b) = divmod(p.row.astype(np.int64), n), divmod(p.col.astype(np.int64), n)
+        yield k0, _csr(p.data, j * d + i, a * n + b, (c * d, n * n))
 
 
 def right_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int):
@@ -336,7 +353,7 @@ class AlgebraSpan:
         worst = float(np.max(np.sqrt(err2) / np.maximum(norms, 1.0))) if m else 0.0
         nz = a != 0
         indptr = np.searchsorted(keys[nz], np.arange(m + 1) * d)
-        return sp.csr_matrix((a[nz], k[nz], indptr), shape=(m, d)), worst
+        return _canonical(a[nz], k[nz], indptr, (m, d)), worst
 
     def combine(self, coeffs) -> sp.csr_matrix:
         """The rows vec(sum_i a_i b_i), one per row a of ``coeffs`` (dense or
@@ -352,9 +369,7 @@ class AlgebraSpan:
         coeffs = coeffs.tocsr() if sparse else np.asarray(coeffs, dtype=np.complex128)
         k, n2 = coeffs.shape[0], b.shape[1]
         if self.support is None or sparse and not coeffs.has_canonical_format:
-            out = sp.csr_matrix(coeffs) @ b
-            out.sort_indices()
-            return out
+            return (sp.csr_matrix(coeffs) @ b).sorted_indices()
         cols, owner, phase = self.support
         if sparse:
             r, i, a = _entries(coeffs)
@@ -368,7 +383,7 @@ class AlgebraSpan:
             key = (np.arange(k)[:, None] * n2 + cols).ravel()
         nz = data != 0
         indptr = np.searchsorted(key[nz], np.arange(k + 1) * n2)
-        return sp.csr_matrix((data[nz], key[nz] % n2, indptr), shape=(k, n2))
+        return _canonical(data[nz], key[nz] % n2, indptr, (k, n2))
 
     def _sparse_coefficients_rows(self, rows: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
         """:meth:`coefficients_rows` by sparse products, for any basis."""
@@ -459,8 +474,7 @@ def _kron_coo(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int):
 def _kron_rows(x: sp.spmatrix, y: sp.spmatrix, na: int, nb: int) -> sp.csr_matrix:
     """vec(x_i (x) y_j) at row i len(y) + j, for stacked rows x of n_a x n_a and
     y of n_b x n_b matrices."""
-    data, row, col = _kron_coo(x, y, na, nb)
-    return sp.csr_matrix((data, (row, col)), shape=(x.shape[0] * y.shape[0], (na * nb) ** 2))
+    return _csr(*_kron_coo(x, y, na, nb), (x.shape[0] * y.shape[0], (na * nb) ** 2))
 
 
 def tensor_span(a: AlgebraSpan, b: AlgebraSpan, name: str | None = None) -> AlgebraSpan:
@@ -660,19 +674,18 @@ def wedderburn_signature(
     d = span.dim
     if d == 0:
         return ()
-    n = span.ambient_dim
-    tests = span.gen_rows
+    n, tests = span.ambient_dim, span.gen_rows
 
-    # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Each chunk of
-    # commutators, row j d + i, is laid out as the d x (c n^2) matrix whose
-    # row i holds the j-th commutator at columns j n^2 .. (j + 1) n^2 - 1.
+    # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Row i of a chunk's d-row matrix
+    # holds the j-th commutator of b_i at columns j n^2 + c, of which only the occupied ones
+    # are kept, in sorted order, so that each Gram sum adds its terms in the same order.
     K = sp.csr_matrix((d, d), dtype=np.complex128)
     for (_, bt), (_, tb) in zip(right_products(span.rows, tests, n),
                                 left_products(span.rows, tests, n)):
-        c = (bt - tb).tocoo()
-        j, i = np.divmod(c.row, d)
-        wide = sp.csr_matrix((c.data, (i, j * n * n + c.col)),
-                             shape=(d, c.shape[0] // d * n * n))
+        r, col, x = _entries(bt - tb)
+        j, i = np.divmod(r, d)
+        occupied, col = np.unique(j * n * n + col, return_inverse=True)
+        wide = _csr(x, i, col, (d, len(occupied)))
         K = K + wide @ wide.conj().T
     w, v = _block_eigh(K, vectors=True)
     scale = max(float(np.max(w)), 1.0)

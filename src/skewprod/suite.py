@@ -166,9 +166,7 @@ def random_cocycle(
     then psi for each component in the order of the bases.
     """
     phi = rng.integers(0, G.order, Q.n_units)
-    # base[u] = the least unit of u's orbit {r(x) : s(x) = u}.
-    base = np.full(Q.n_units, Q.n_units)
-    np.minimum.at(base, Q.s, Q.r)
+    base = groupoids._orbit_base(Q)
     units = np.arange(Q.n_units)
     from_base = np.nonzero(Q.s == base[Q.r])[0]
     _, first = np.unique(Q.r[from_base], return_index=True)

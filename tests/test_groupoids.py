@@ -324,7 +324,7 @@ class TestCertifyGpdIso:
     def test_coaction_checks(self, pair2, pair2_cocycle):
         alg = convolution_algebra(pair2)
         graded = graded_convolution(alg, pair2_cocycle)
-        check = coaction_check(graded, pair2_cocycle.values)
+        check = coaction_check(graded, pair2_cocycle.values[alg.gens])
         assert check.error == 0.0 and check.passed
 
 
@@ -715,6 +715,73 @@ def _component_blocks(Q):
     units = Counter(comp)
     arrows = Counter(comp[int(r)] for r in Q.r)
     return [(k, arrows[c] // k**2) for c, k in units.items()]
+
+
+class TestGeneratingArrows:
+    @pytest.mark.parametrize("H", [trivial_group(), Z2, Z3, S3], ids=["1", "Z2", "Z3", "S3"])
+    def test_two_k_minus_one_copies_of_the_isotropy(self, H):
+        for k in (1, 2, 3):
+            Q = transitive_groupoid(k, H)
+            gens = gpd._generating_arrows(Q)
+            assert len(gens) == (2 * k - 1) * H.order
+            assert np.array_equal(np.sort(Q.inv[gens]), gens)
+            assert np.array_equal(convolution_algebra(Q).gens, gens)
+
+    def test_a_set_that_does_not_generate_is_refused(self, monkeypatch):
+        # pair(3) has no isotropy: each generator off the units is the only
+        # arrow of its kind, and the unit at the base is x12 x21.  A Z2
+        # isotropy makes every single arrow a product of the others.
+        generating_arrows = gpd._generating_arrows
+        for Q, refused in ((pair_groupoid(3), lambda x: Q.r[x] != Q.s[x]),
+                           (transitive_groupoid(2, Z2), lambda x: False)):
+            gens = generating_arrows(Q)
+            for k, x in enumerate(gens):
+                monkeypatch.setattr(gpd, "_generating_arrows",
+                                    lambda Q, kept=np.delete(gens, k): kept)
+                if refused(x):
+                    with pytest.raises(GroupoidError, match="do not generate"):
+                        gpd.GroupoidAlgebra(Q)
+                else:
+                    assert gpd.GroupoidAlgebra(Q).span.gen_rows.shape[0] == len(gens) - 1
+
+    def test_reports_equal_those_of_every_arrow_as_generator(self, monkeypatch):
+        def reports():
+            out = []
+            for seed in range(30):
+                rng = np.random.default_rng(seed)
+                G = (Z2, Z3, S3)[seed % 3]
+                Q = suite.random_groupoid(rng, max_units=4, max_arrows=12)
+                c = suite.random_cocycle(rng, Q, G)
+                skew = skew_product_groupoid(Q, G, c)
+                trans = translation_groupoid_action(skew, G)
+                out.append((
+                    matalg.wedderburn_signature(convolution_algebra(Q).span),
+                    certify_gpd_iso(Q, G, c).as_dict(),
+                    certify_semi_cross(skew, G, trans, rng=np.random.default_rng(seed)).as_dict(),
+                    certify_full_groupoid(Q, G, c, rng=np.random.default_rng(seed)).signatures))
+            return out
+
+        with_gens = reports()
+        monkeypatch.setattr(gpd, "_generating_arrows", lambda Q: np.arange(Q.n_arrows))
+        assert reports() == with_gens
+
+    def test_q3_s3_fixture_passes_the_three_theorems(self, rng):
+        # Q_3 = transitive(3, Z2) + pair(3), with its rng-0 S3 cocycle: two
+        # multi-unit components over a non-abelian G.
+        G = groups.FiniteGroup.from_json(fixture_path("s3").read_text())
+        Q, names = gpd.groupoid_from_json(fixture_path("q3-s3").read_text())
+        c = cocycle_from_names(Q, G, names)
+        q3 = disjoint_union([transitive_groupoid(3, Z2), pair_groupoid(3)])
+        for field in ("r", "s", "mult", "inv"):
+            assert np.array_equal(getattr(Q, field), getattr(q3, field))
+        assert np.array_equal(c.values,
+                              suite.random_cocycle(np.random.default_rng(0), q3, G).values)
+        skew = skew_product_groupoid(Q, G, c)
+        certs = [certify_gpd_iso(Q, G, c),
+                 certify_semi_cross(skew, G, translation_groupoid_action(skew, G)),
+                 certify_full_groupoid(Q, G, c, rng=rng)]
+        assert all(cert.passed for cert in certs)
+        assert certs[2].signatures["lhs"] == certs[2].signatures["rhs"]
 
 
 class TestCocycleOnRightConventionFixture:

@@ -1,3 +1,7 @@
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -595,3 +599,75 @@ def test_combine_equals_the_sparse_product(case_spans, rng):
                 got = span.combine(coeffs)
             assert len(calls) == (span is closure), span.name
             _same_bits(got, sp.csr_matrix(coeffs) @ span.rows)
+
+
+def _same_csr(got, want):
+    """Equal CSR matrices, both canonical: shape, index dtype, indptr,
+    indices and every bit of the data, the sign of a zero too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.has_canonical_format and want.has_canonical_format
+    assert got.indices.dtype == got.indptr.dtype == want.indices.dtype == want.indptr.dtype
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data.real.view(np.int64), want.data.real.view(np.int64)),
+                 (np.imag(got.data).view(np.int64), np.imag(want.data).view(np.int64))):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_csr_equals_the_coo_constructor(rng):
+    # Unsorted distinct pairs with explicit zeros and -0.0 components, an
+    # empty input, a single row and real data, against scipy's COO path.
+    cases = []
+    for _ in range(30):
+        shape = tuple(int(v) for v in rng.integers(1, 9, 2))
+        flat = rng.permutation(shape[0] * shape[1])[: int(rng.integers(0, shape[0] * shape[1]))]
+        data = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+        data[rng.random(len(flat)) < 0.2] = 0
+        data.real[rng.random(len(flat)) < 0.2] = -0.0
+        data.imag[rng.random(len(flat)) < 0.2] = -0.0
+        cases.append((data, *np.divmod(flat, shape[1]), shape))
+    assert any(np.any(np.diff(row * 9 + col) < 0) for _, row, col, _ in cases)
+    cases += [(np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.int64),
+               np.zeros(0, dtype=np.int64), (3, 4)),
+              (np.array([1.0, -0.0, 0.0, 2.5]), np.zeros(4, dtype=np.int64),
+               np.array([5, 1, 0, 3]), (1, 6))]
+    for data, row, col, shape in cases:
+        got = matalg._csr(data, row, col, shape)
+        assert got.indices.dtype == np.int32
+        _same_csr(got, sp.csr_matrix((data, (row, col)), shape=shape))
+
+
+def test_csr_sums_repeated_pairs_as_scipy_does(rng):
+    for _ in range(10):
+        row, col = rng.integers(0, 3, 12), rng.integers(0, 4, 12)
+        data = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        data[::4] = complex(-0.0, 0.0)
+        got = matalg._csr(data, row, col, (3, 4))
+        assert got.nnz == len(np.unique(row * 4 + col)) < 12
+        _same_csr(got, sp.csr_matrix((data, (row, col)), shape=(3, 4)))
+
+
+def test_csr_takes_int64_indices_only_past_int32():
+    # A row of 2^31 columns needs int64 indices; three entries in it
+    # allocate three entries' worth, not a column-sized array.
+    data, row, col = np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=np.int64), [2**31 - 1, 5, 2**30]
+    tracemalloc.start()
+    got = matalg._csr(data, row, col, (1, 2**31))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**16
+    assert got.indices.dtype == got.indptr.dtype == np.int64
+    _same_csr(got, sp.csr_matrix((data, (row, col)), shape=(1, 2**31)))
+    col[0] -= 1  # the largest column that int32 indices hold
+    small = matalg._csr(data, row, col, (1, 2**31 - 1))
+    assert small.indices.dtype == small.indptr.dtype == np.int32
+    _same_csr(small, sp.csr_matrix((data, (row, col)), shape=(1, 2**31 - 1)))
+
+
+def test_no_sparse_kron_in_src():
+    # Every kron of src/ is index arithmetic through matalg._kron_coo and
+    # matalg._kron_rows, so no call to a kron( is left.
+    src = Path(matalg.__file__).parent
+    calls = {path.name: re.findall(r"[\w.]*kron\(", path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {}
+    assert "_kron_rows(" in (src / "matalg.py").read_text()

@@ -128,8 +128,8 @@ def test_coaction_check_equals_its_loop_oracle():
         _assert_coaction(coaction(ck_representation(E), G, lab), generator_degrees(lab))
     # Groupoid gradings, a third of them over S3.
     for Q, G, c in draws(12, seed=9):
-        _assert_coaction(groupoids.graded_convolution(groupoids.convolution_algebra(Q), c),
-                         c.values)
+        alg = groupoids.convolution_algebra(Q)
+        _assert_coaction(groupoids.graded_convolution(alg, c), c.values[alg.gens])
 
 
 def _assert_same_csr(a, b):
