@@ -116,20 +116,16 @@ def ck_action_from_graph_action(fam: CKFamily, action: GraphAction) -> AlgebraAc
     sends the matrix unit e_{mu,nu} to e_{t.mu, t.nu}.  The generator
     formula is verified exactly on every edge and vertex.
     """
-    G = action.group
-    act = AlgebraAction.from_permutations(
-        fam.span, G, fam.map_paths(action.eperm, action.vperm),
-        name="graph automorphism action"
-    )
-    # Batched over generators: row k of gen_rows is s_k for k < n_e, else p_(k - n_e).
-    n_e, n_v = fam.graph.n_edges, fam.graph.n_vertices
-    gen_rows = fam.span.gen_rows
-    coeffs, _ = fam.span.coefficients_rows(gen_rows)
+    G, perms = action.group, fam.map_paths(action.eperm, action.vperm)
+    act = AlgebraAction.from_permutations(fam.span, G, perms, name="graph automorphism action")
+    # gamma_t = Ad(U_t) remaps the entries of each generator, compared exactly
+    # with the generator at t.g: row k of gen_rows is s_k for k < n_e, else p_(k - n_e).
+    n_e, n_v, gen_rows = fam.graph.n_edges, fam.graph.n_vertices, fam.span.gen_rows
     for t in G:
         moved = [action.edge(t, e) for e in range(n_e)]
         moved += [n_e + action.vertex(t, v) for v in range(n_v)]
-        err = matalg.row_norms(coeffs @ act.coeff_mats[t] @ fam.span.rows - gen_rows[moved])
-        bad = np.flatnonzero(err > matalg.PRODUCT_TOL)
+        diff = _ad_perm(gen_rows, perms[t], fam.ambient_dim) - gen_rows[moved]
+        bad = np.flatnonzero(np.diff(diff.indptr))
         if bad.size and bad[0] < n_e:
             raise ActionInvalid(f"gamma_{t}(s_f) != s_(t.f) at edge {bad[0]}")
         if bad.size:

@@ -196,12 +196,19 @@ class DualityParts:
         gens, us = self.theta_gen_rows[:n_g], self.theta_gen_rows[n_g:]
         m = self.fam.ambient_dim * self.G.order
         ck_err = graphalg._ck_relations_for(skew, gens, m)
-        # Row t n_g + i: u_t t_i on the left, t_i u_t on the right, picked at
-        # t n_g + moved_t[i].
-        lhs = sp.vstack([p for _, p in matalg.left_products(gens, us, m)], format="csr")
-        rhs = sp.vstack([p for _, p in matalg.right_products(gens, us, m)], format="csr")
+        # Row t n_g + i: u_t t_i on the left, t_i u_t on the right, picked at t n_g
+        # + moved_t[i]; as entry tables, equal exactly where the difference is 0.
         moved = np.hstack([gact.eperm, n_e + gact.vperm])
         picks = (np.arange(self.G.order)[:, None] * n_g + moved).ravel()
+        sides = [matalg._index_products(gens, us, m, left, us.shape[0]) for left in (True, False)]
+        if None not in sides:
+            (_, _, j, i, pos, x), (_, _, jr, ir, posr, y) = (next(s) for s in sides)
+            lk, rk = (j * n_g + i) * m * m + pos, np.argsort(picks)[jr * n_g + ir] * m * m + posr
+            lo, ro = np.argsort(lk), np.argsort(rk)
+            if np.array_equal(lk[lo], rk[ro]) and np.array_equal(x[lo], y[ro]):
+                return ck_err, 0.0
+        lhs = sp.vstack([p for _, p in matalg.left_products(gens, us, m)], format="csr")
+        rhs = sp.vstack([p for _, p in matalg.right_products(gens, us, m)], format="csr")
         return ck_err, matalg.max_row_norm(lhs - rhs[picks])
 
     @cached_property

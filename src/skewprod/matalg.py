@@ -16,8 +16,8 @@ sparse products.
 The theorem certifiers certify *-maps through :func:`star_map_on_basis`: the
 domain comes with a known orthogonal basis, the candidate map is given by its
 matrix on that basis, and multiplicativity is checked against the stacked rows
-of the generators and of their images by exact linear algebra.  The tests
-compare it with a general closure-based oracle on small instances.
+of the generators and of their images, on index tables between partial-
+permutation bases with unit-phase entries and by linear algebra otherwise.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ MAX_AMBIENT_DIM = 256
 PRODUCT_TOL = 1e-9  # equality of single products
 CLOSURE_TOL = 1e-7  # quantities accumulated over span closure
 CHUNK = 16  # factors or elements per batched product; bounds its memory
+_INDEX_BATCH = 1 << 20  # factor-entry pairs star_map_on_basis reads at once; bounds its memory
 UNIT_PHASES = (1, -1, 1j, -1j)  # entries whose products are exact
 _CLOSURE_ROUNDS = 64  # breadth-first rounds before span_closure gives up
 _SIGNATURE_ATTEMPTS = 6  # random central elements wedderburn_signature tries
@@ -148,34 +149,49 @@ def _times(x, y) -> np.ndarray:
     return out
 
 
+def _index_products(rows: sp.spmatrix, factors: sp.spmatrix, n: int, left: bool, step: int):
+    """The products of :func:`_products` by partial permutations (None for
+    other factors) as entry arrays, ``step`` factors to a batch: per batch
+    (k0, c, j, i, pos, data), entry (pos, data) of vec(g_(k0 + j) X_i) (with
+    ``left``) or vec(X_i g_(k0 + j)), sorted by j, then i; exact zeros dropped."""
+    mono = _monomial(factors, n, by_column=left)
+    if mono is None:
+        return None
+    xr, xc, x = _entries(rows.tocsr())
+    xa, xb = np.divmod(xc, n)
+    m = xa if left else xb
+
+    def batch(k0):
+        # Right: X[a, m] goes to (X g)[a, col[m]] as X[a, m] val[m].  Left:
+        # X[m, b] goes to (g X)[col[m], b] as conj(0 + conj(X[m, b] val[m])),
+        # the adjoint of the right product of the adjoints.
+        j, e = np.nonzero(mono[0][k0 : k0 + step][:, m] >= 0)  # factor j meets entry e
+        col, val = mono[0][k0 + j, m[e]], mono[1][k0 + j, m[e]]
+        data = _times(x[e].conj(), val.conj()).conj() if left else _times(x[e], val)
+        keep = data != 0  # the entries a sparse product keeps
+        pos = col * n + xb[e] if left else xa[e] * n + col
+        return k0, min(step, len(mono[0]) - k0), j[keep], xr[e][keep], pos[keep], data[keep]
+
+    return map(batch, range(0, len(mono[0]), step))
+
+
 def _products(rows: sp.spmatrix, factors: sp.spmatrix, n: int, left: bool):
     """:func:`right_products`, or with ``left`` :func:`left_products`."""
     d = rows.shape[0]
     factors = factors.tocsr()
-    mono = _monomial(factors, n, by_column=left)
-    if mono is None and left:  # vec((X* g*)*), by the sparse products
+    batches = _index_products(rows, factors, n, left, CHUNK)
+    if batches is not None:
+        yield from ((k0, _csr(x, j * d + i, p, (c * d, n * n))) for k0, c, j, i, p, x in batches)
+        return
+    if left:  # vec((X* g*)*), by the sparse products
         for k0, prods in _products(star_columns(rows, n), star_columns(factors, n), n, False):
             yield k0, star_columns(prods, n)
         return
     xr, xc, x = _entries(rows.tocsr())
-    xa, xb = np.divmod(xc, n)
-    tall = None
+    # Each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix.
+    tall = _csr(x, xr * n + xc // n, xc % n, (d * n, n))
     for k0 in range(0, factors.shape[0], CHUNK):
         c = min(CHUNK, factors.shape[0] - k0)
-        if mono is not None:
-            # Right: X[a, m] goes to (X g)[a, col[m]] as X[a, m] val[m].  Left:
-            # X[m, b] goes to (g X)[col[m], b] as conj(0 + conj(X[m, b] val[m])),
-            # the adjoint of the right product of the adjoints.
-            m = xa if left else xb
-            j, e = np.nonzero(mono[0][k0 : k0 + c][:, m] >= 0)  # factor j meets entry e
-            col, val = mono[0][k0 + j, m[e]], mono[1][k0 + j, m[e]]
-            data = _times(x[e].conj(), val.conj()).conj() if left else _times(x[e], val)
-            keep = data != 0  # the entries a sparse product keeps
-            pos = col * n + xb[e] if left else xa[e] * n + col
-            yield k0, _csr(data[keep], (j * d + xr[e])[keep], pos[keep], (c * d, n * n))
-            continue
-        if tall is None:  # each X_i as the block rows i n .. i n + n - 1 of one (d n) x n matrix
-            tall = _csr(x, xr * n + xa, xb, (d * n, n))
         fr, fc, fx = _entries(factors[k0 : k0 + c])
         # Each factor g_j as the block columns j n .. j n + n - 1 of one n x (c n) matrix.
         wide = _csr(fx, fc // n, fr * n + fc % n, (n, c * n))
@@ -220,15 +236,10 @@ def row_sq_norms(rows: sp.spmatrix) -> np.ndarray:
                        (rows.data * rows.data.conj()).real, rows.shape[0])
 
 
-def row_norms(rows: sp.spmatrix) -> np.ndarray:
-    """Frobenius norm of each row of a sparse stacked vec matrix."""
-    return np.sqrt(row_sq_norms(rows))
-
-
 def max_row_norm(rows) -> float:
     """Largest Frobenius norm over the rows of a stacked vec matrix."""
     if sp.issparse(rows):
-        return float(np.max(row_norms(rows))) if rows.shape[0] else 0.0
+        return float(np.max(np.sqrt(row_sq_norms(rows)))) if rows.shape[0] else 0.0
     return float(np.max(np.linalg.norm(rows, axis=1))) if len(rows) else 0.0
 
 
@@ -266,6 +277,25 @@ def _block_eigh(mat: sp.spmatrix, vectors: bool = False):
         b, p, c = np.indices(vecs.shape).reshape(3, -1)
         w[f : f + n_rows], v[order[f + b * s + p], f + b * s + c] = vals.ravel(), vecs.ravel()
     return (w, v) if vectors else w
+
+
+def _multiples(span, gid, pos, val):
+    """Each group gid (sorted) of entries (pos, val) as a b_k for one row of the
+    indexed ``span``: (groups, k, a), or None unless it has nnz(b_k) entries on
+    the support of b_k at one ratio a in UNIT_PHASES and (nnz a) (1 / norms2[k])
+    == a bit for bit, the coefficient :meth:`AlgebraSpan.coefficients_rows` forms."""
+    cols, owner, phase = span.support
+    at = np.minimum(np.searchsorted(cols, pos), len(cols) - 1)
+    first = np.flatnonzero(np.diff(gid, prepend=-1))
+    size = np.diff(np.r_[first, len(gid)])
+    k, a, ref = owner[at], val * phase[at], np.repeat(first, size)
+    k0, a0 = k[first], a[first]
+    if (np.array_equal(cols[at], pos) and np.array_equal(k, k[ref]) and np.array_equal(a, a[ref])
+            and np.isin(a0, UNIT_PHASES).all()
+            and np.array_equal(size, np.diff(span.rows.indptr)[k0])
+            and np.array_equal(size * a0 * (1.0 / span.norms2[k0]), a0)):
+        return gid[first], k0, a0
+    return None
 
 
 class AlgebraSpan:
@@ -557,6 +587,57 @@ class StarMapReport:
     notes: dict = field(default_factory=dict)
 
 
+def _index_checks(domain, image_rows, m, gen_rows, image_gen_rows, target, inverse_rows):
+    """The checks of :func:`star_map_on_basis` that hold on index tables, so
+    that their float errors are exactly 0: "star" (b_i* = a b_k, T(b_i)* =
+    a T(b_k)), "mult" (g b_i = a b_k, T(g) T(b_i) = a T(b_k), or both 0) and
+    "target" (T(b_i) = a t_k, the inverse's table its inverse).  None unless
+    all spans and images are indexed and all generators partial permutations."""
+    n, d = domain.ambient_dim, domain.dim
+    try:
+        image = AlgebraSpan(m, image_rows, check=False)
+    except ValueError:  # a zero image
+        return None
+    if domain.support is None or image.support is None or (
+            target is not None and target.support is None):
+        return None
+    step = max(1, _INDEX_BATCH // max(domain.rows.nnz, image.rows.nnz))
+    prods = [_index_products(x, g, k, True, step)
+             for x, g, k in ((domain.rows, gen_rows, n), (image.rows, image_gen_rows, m))]
+    if None in prods:
+        return None
+
+    def same(x, y):
+        return x is not None and y is not None and all(map(np.array_equal, x, y))
+
+    def adjoints(span):
+        (r, c, x), k = _entries(span.rows), span.ambient_dim
+        return _multiples(span, r, c % k * k + c // k, x.conj())
+
+    held, star = set(), adjoints(domain)
+    if star is not None and len(star[0]) == d and same(star, adjoints(image)):
+        held.add("star")
+    if all(same(_multiples(domain, (k0 + j) * d + i, p, x),
+                _multiples(image, (k0 + jt) * d + it, q, y))
+           for (k0, _, j, i, p, x), (_, _, jt, it, q, y) in zip(*prods)):
+        held.add("mult")
+    t = None if target is None else _multiples(target, *_entries(image.rows))
+    if t is None or not np.array_equal(t[0], np.arange(d)):
+        return held
+    if inverse_rows is not None:  # T(b_i) = a_i t_kt[i] and T^-1(t_j) = c_j b_ks[j]
+        inverse, dt = inverse_rows.tocsr(), np.arange(target.dim)
+        # Read entry by entry only without repeated entries, which the float path sums.
+        s = _multiples(domain, *_entries(inverse)) if inverse.has_canonical_format else None
+        if s is None or d != target.dim:
+            return held
+        (_, kt, a), (rows, ks, c) = t, s
+        if not (np.array_equal(rows, dt) and np.array_equal(ks[kt], dt)
+                and np.array_equal(kt[ks], dt)
+                and np.all(a * c[kt] == 1) and np.all(c * a[ks] == 1)):
+            return held
+    return held | {"target"}
+
+
 def star_map_on_basis(
     domain: AlgebraSpan,
     image_rows: sp.csr_matrix,
@@ -571,18 +652,18 @@ def star_map_on_basis(
 
     ``image_rows[i]`` is vec(T(b_i)) for the i-th basis element of ``domain``,
     and row k of ``image_gen_rows`` is vec(T(g_k)) for the generator row k of
-    ``gen_rows``.  For every generator the identity T(g b_i) = T(g) T(b_i)
-    is checked for all i at once by sparse linear algebra, CHUNK generators
-    to one product; *-preservation is checked on the whole basis.  The
-    generators generate the domain, so every basis element is a sum of words
-    in them, and T(x b) = T(x) T(b) for every x and basis element b follows
-    word by word: these checks verify the homomorphism property on the
-    entire algebra.
+    ``gen_rows``.  T(g b_i) = T(g) T(b_i) is checked for every generator g and
+    every i, and *-preservation on the whole basis.  The generators generate
+    the domain, so T(x b) = T(x) T(b) follows word by word for every x and
+    basis element b: these checks verify the homomorphism property on the
+    entire algebra.  With ``inverse_rows``, the candidate inverse on the
+    target basis, the two coefficient maps are composed and compared with the
+    identity to witness bijectivity; otherwise injectivity is the Gram rank
+    of the images.
 
-    If ``inverse_rows`` gives the candidate inverse on the target basis, the
-    two coefficient matrices are composed and compared with the identity as
-    sparse matrices to witness bijectivity; otherwise injectivity falls back
-    to a Gram-rank computation on the images.
+    :func:`_index_checks` first decides the star, multiplicativity and target
+    checks on index tables; those that hold record the 0.0 their float code
+    computes, and the others run it, CHUNK generators to one product.
     """
     if gen_rows.shape[0] != image_gen_rows.shape[0]:
         raise DimensionMismatch(
@@ -596,18 +677,18 @@ def star_map_on_basis(
 
     # Domain is well-defined by construction (it is a basis); record scale.
     img_scale = max(1.0, max_row_norm(image_rows))
-
+    held = _index_checks(domain, image_rows, m, gen_rows, image_gen_rows, target,
+                         inverse_rows) or ()
     # Star preservation: expand b_i* in the basis, push through T, compare.
-    star_dom = star_columns(domain.rows, n)
-    s_coeffs, resid = domain.coefficients_rows(star_dom)
-    errs["star_domain_closure"] = resid
-    lhs = star_columns(image_rows, m)
-    rhs = s_coeffs @ image_rows
-    errs["star"] = max_row_norm(lhs - rhs) / img_scale
+    if "star" in held:
+        errs["star_domain_closure"] = errs["star"] = 0.0
+    else:
+        s_coeffs, errs["star_domain_closure"] = domain.coefficients_rows(
+            star_columns(domain.rows, n))
+        errs["star"] = max_row_norm(star_columns(image_rows, m) - s_coeffs @ image_rows) / img_scale
 
-    # Generator consistency and multiplicativity, batched over the generators:
-    # each chunk of products g b_i is expanded in the basis, pushed through T
-    # and compared with T(g) T(b_i).
+    # Generator consistency, and multiplicativity a chunk of generators at a time:
+    # each product g b_i is expanded in the basis, pushed through T, compared.
     errs["gen_consistency"] = 0.0
     errs["mult"] = 0.0
     errs["closure"] = 0.0
@@ -616,8 +697,8 @@ def star_map_on_basis(
         coeffs, resid = domain.coefficients_rows(gen_rows)
         errs["closure"] = max(errs["closure"], resid)
         errs["gen_consistency"] = max_row_norm(coeffs @ image_rows - timg_rows) / img_scale
-        for (_, dom), (_, lhs) in zip(left_products(domain.rows, gen_rows, n),
-                                      left_products(image_rows, timg_rows, m)):
+        for (_, dom), (_, lhs) in () if "mult" in held else zip(
+                left_products(domain.rows, gen_rows, n), left_products(image_rows, timg_rows, m)):
             c_dom, resid = domain.coefficients_rows(dom)
             errs["closure"] = max(errs["closure"], resid)
             err = max_row_norm(lhs - c_dom @ image_rows) / img_scale
@@ -629,14 +710,17 @@ def star_map_on_basis(
         Check("star_preserving", errs["star"], tol),
     ]
     # Membership in the target and bijectivity.
-    if target is not None:
-        c_t, resid = target.coefficients_rows(image_rows)
-        errs["target_membership"] = resid
+    if "target" in held:
+        errs["target_membership"] = 0.0
+    elif target is not None:
+        c_t, errs["target_membership"] = target.coefficients_rows(image_rows)
     if inverse_rows is not None and target is not None:
-        c_s, resid = domain.coefficients_rows(inverse_rows)
-        errs["inverse_membership"] = resid
-        errs["compose_id_domain"] = float(abs(c_t @ c_s - sp.identity(d)).max())
-        errs["compose_id_target"] = float(abs(c_s @ c_t - sp.identity(target.dim)).max())
+        if "target" in held:
+            errs.update(inverse_membership=0.0, compose_id_domain=0.0, compose_id_target=0.0)
+        else:
+            c_s, errs["inverse_membership"] = domain.coefficients_rows(inverse_rows)
+            errs["compose_id_domain"] = float(abs(c_t @ c_s - sp.identity(d)).max())
+            errs["compose_id_target"] = float(abs(c_s @ c_t - sp.identity(target.dim)).max())
         onto = np.maximum(errs["compose_id_target"], errs["target_membership"])
         checks += [Check("injective", errs["compose_id_domain"], tol),
                    Check("surjective", float(onto), tol)]
