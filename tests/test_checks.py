@@ -33,10 +33,9 @@ EXTRA = {
     "direct-iso": {"ck_family_ok", "ck_error", "covariance_ok", "composition_ok",
                    "composition_error", "dim_arithmetic_ok"},
     "diagram": {"chase_ok", "chase_error", "regular_rep_dim_ok"},
-    "free-action": {"beta_ok", "inner_direct_iso_ok", "quotient_vertices", "quotient_edges"},
+    "free-action": {"inner_direct_iso_ok", "quotient_vertices", "quotient_edges"},
     "gpd-iso": {"kernel_embedding_ok", "coaction_ok"},
-    "semi-cross": {"structure_constants_ok", "structure_error", "random_convolution_ok",
-                   "random_convolution_error", "bijection_ok"},
+    "semi-cross": {"random_convolution_ok", "random_convolution_error", "bijection_ok"},
     "full-gpd": {"dim_arithmetic_ok"},
 }
 
@@ -61,7 +60,7 @@ GRAPH_KEYS = (
 GROUPOID_KEYS = (
     {"groupoid", "groupoid.units", "groupoid.arrows", "group_order", "inner_product_max_error"}
     | _cert("gpd_iso", "gpd-iso", STAR_MAP, {"equivariance_error"})
-    | _cert("semi_cross", "semi-cross")
+    | _cert("semi_cross", "semi-cross", STAR_MAP)
     | _cert("full_gpd", "full-gpd", SIGNATURES)
     | _under("equivalence_semidirect", EQUIVALENCE)
     | _under("equivalence_subgroupoid", EQUIVALENCE | {"h_units"})
@@ -187,7 +186,7 @@ CLI_CASES = {
     "diagram": ("graph", _cert("certificate", "diagram")),
     "free-action": ("skew", _cert("certificate", "free-action", STAR_MAP, SIGNATURES)),
     "gpd-iso": ("groupoid", _cert("certificate", "gpd-iso", STAR_MAP, {"equivariance_error"})),
-    "semi-cross": ("groupoid", _cert("certificate", "semi-cross")),
+    "semi-cross": ("groupoid", _cert("certificate", "semi-cross", STAR_MAP)),
     "equivalence": ("groupoid", {"equivalence"} | _equivalence("semidirect")
                     | _equivalence("subgroupoid", "h_units")),
     "bimodule": ("groupoid", {"inner_product_max_error", "pairs"}

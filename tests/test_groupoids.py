@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import (
-    basis_matrix,
     equivalence_axioms_loop,
     regular_matrices,
     symmetric_group_3,
@@ -860,9 +859,9 @@ def test_json_round_trip_tuple_ids(pair2, pair2_cocycle):
 
 
 class TestBatchedChecks:
-    """The batched structure-constant, random-convolution and expectation
-    checks: planted defects next to the same call on correct input, and
-    loops over one element at a time as the oracle."""
+    """The semi-cross star map, the batched random-convolution and
+    expectation checks: planted defects next to the same call on correct
+    input, and loops over one element at a time as the oracle."""
 
     @pytest.fixture
     def setup(self, pair2, pair2_cocycle):
@@ -871,17 +870,18 @@ class TestBatchedChecks:
 
     def test_semidirect_of_trivial_action_fails_semi_cross(self, setup, monkeypatch):
         skew, trans = setup
-        cert = certify_semi_cross(skew, Z2, trans)
-        extra = cert.as_dict()["extra"]
-        assert extra["structure_constants_ok"] and extra["random_convolution_ok"]
+        body = certify_semi_cross(skew, Z2, trans).as_dict()
+        assert body["star_map"]["multiplicative"] and body["star_map"]["star_preserving"]
+        assert body["extra"]["random_convolution_ok"]
         trivial = gpd.GroupoidAction(skew, Z2, np.tile(np.arange(skew.n_arrows), (2, 1)))
         original = gpd.semidirect_product
         monkeypatch.setattr(gpd, "semidirect_product",
                             lambda R, G, action: original(R, G, trivial))
         cert = certify_semi_cross(skew, Z2, trans)
-        extra = cert.as_dict()["extra"]
-        assert not extra["structure_constants_ok"]
-        assert not extra["random_convolution_ok"]
+        body = cert.as_dict()
+        assert not body["star_map"]["multiplicative"]
+        assert not body["star_map"]["star_preserving"]
+        assert not body["extra"]["random_convolution_ok"]
         assert not cert.passed
 
     def test_crossed_product_of_another_action_fails_expectations(self, setup, monkeypatch):
@@ -920,10 +920,8 @@ class TestBatchedChecks:
         rep = expectations_and_norm_identities(
             skew, Z2, trans, n_random=40, rng=np.random.default_rng(6)
         )
-        structure, convolution = _semi_cross_loops(skew, Z2, trans, np.random.default_rng(5))
-        extra = cert.as_dict()["extra"]
-        assert extra["structure_error"] == structure
-        assert extra["random_convolution_error"] == convolution
+        convolution = _convolution_loop(skew, Z2, trans, np.random.default_rng(5))
+        assert cert.as_dict()["extra"]["random_convolution_error"] == convolution
         assert rep.as_dict()["red_semi_cross_error"] == _expectation_loop(
             skew, Z2, trans, 40, np.random.default_rng(6)
         )
@@ -951,34 +949,10 @@ def _one_element(R, G, semi, base, acp, f):
     return out.sorted_indices()
 
 
-def _semi_cross_loops(R, G, action, rng):
-    """structure_error and random_convolution_error, one element at a time."""
+def _convolution_loop(R, G, action, rng):
+    """random_convolution_error, one element at a time."""
     semi, base, acp = _loop_parts(R, G, action)
     lhs_alg = convolution_algebra(semi)
-    perm = np.zeros(semi.n_arrows, dtype=np.int64)
-    for i, a in enumerate(R.arrows):
-        for t in G:
-            perm[semi.arrow_index((a, G.name(t)))] = i * G.order + t
-
-    def rule(span, l):
-        g = basis_matrix(span, l).toarray()
-        basis = matalg.unvec_rows(span.rows, span.ambient_dim)
-        prods = matalg.vec_rows([b.toarray() @ g for b in basis])
-        coeffs, _ = span.coefficients_rows(prods)
-        coeffs.data[np.abs(coeffs.data) < 1e-13] = 0.0
-        coeffs.eliminate_zeros()
-        return coeffs
-
-    err = 0.0
-    for l in range(semi.n_arrows):
-        back = rule(acp.span, int(perm[l]))[perm][:, perm]
-        err = max(err, matalg.frobenius(rule(lhs_alg.span, l) - back))
-    star_dom, resid_dom = lhs_alg.span.coefficients_rows(
-        matalg.star_columns(lhs_alg.span.rows, semi.n_arrows))
-    star_img, resid_img = acp.span.coefficients_rows(
-        matalg.star_columns(acp.span.rows, acp.ambient_dim))
-    err = max(err, resid_dom, resid_img, matalg.frobenius(star_dom - star_img[perm][:, perm]))
-
     conv = 0.0
     for _ in range(4):
         f = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
@@ -986,7 +960,7 @@ def _semi_cross_loops(R, G, action, rng):
         fg = lhs_alg.convolve(f, g)
         lhs = _one_element(R, G, semi, base, acp, f) @ _one_element(R, G, semi, base, acp, g)
         conv = max(conv, matalg.frobenius(lhs - _one_element(R, G, semi, base, acp, fg)))
-    return err, conv
+    return conv
 
 
 def _expectation_loop(R, G, action, n_random, rng):

@@ -3,12 +3,13 @@
 Between partial-permutation bases with unit-phase entries the star,
 multiplicativity and target checks are decided by ``matalg._index_checks``
 on index tables.  Every certificate that goes through the star map (eqvt-iso,
-direct-iso, free-action, gpd-iso) gives the same checks and the same notes,
-key for key and in order, on the index path and with it forced off, on random
-graph and groupoid draws, the S3 fixtures and the ladder L_3 over S3; the
-index path engages on every star map of a suite run; and planted defects
-that keep the inputs indexed fail on the index path with the float path's
-errors, while a basis whose coefficients are inexact takes the fallback."""
+direct-iso, free-action, gpd-iso, semi-cross) gives the same checks and the
+same notes, key for key and in order, on the index path and with it forced
+off, on random graph and groupoid draws, the S3 fixtures and the ladder L_3
+over S3; the index path engages on every star map of a suite run; and
+planted defects that keep the inputs indexed fail on the index path with the
+float path's errors, while a basis whose coefficients are inexact takes the
+fallback."""
 import contextlib
 import io
 
@@ -80,6 +81,12 @@ def test_graph_certificates_agree_on_both_paths(monkeypatch):
     assert len(index) == 4 * len(draws) and all(h == ALL for h in held)
 
 
+def _groupoid_certificates(Q, G, c):
+    groupoids.certify_gpd_iso(Q, G, c)
+    skew = groupoids.skew_product_groupoid(Q, G, c)
+    groupoids.certify_semi_cross(skew, G, groupoids.translation_groupoid_action(skew, G))
+
+
 def test_groupoid_certificates_agree_on_both_paths(monkeypatch):
     rng = np.random.default_rng(2728)
     draws = []
@@ -88,9 +95,9 @@ def test_groupoid_certificates_agree_on_both_paths(monkeypatch):
         Q = suite.random_groupoid(rng)
         draws.append((Q, G, suite.random_cocycle(rng, Q, G)))
     index, floats, held = _paired(
-        monkeypatch, lambda: [groupoids.certify_gpd_iso(*draw) for draw in draws])
+        monkeypatch, lambda: [_groupoid_certificates(*draw) for draw in draws])
     _assert_same(index, floats)
-    assert len(index) == len(draws) and all(h == ALL for h in held)
+    assert len(index) == 2 * len(draws) and all(h == ALL for h in held)
 
 
 def test_s3_fixtures_and_ladder_agree_on_both_paths(monkeypatch):
@@ -102,14 +109,14 @@ def test_s3_fixtures_and_ladder_agree_on_both_paths(monkeypatch):
 
     def run():
         _graph_certificates(chain[0], G, chain[1])
-        groupoids.certify_gpd_iso(Q, G, c)
+        _groupoid_certificates(Q, G, c)
         parts = duality.DualityParts(E, S3, lab)
         duality.certify_eqvt_iso(E, S3, lab, parts=parts)
         duality.certify_direct_iso(E, S3, lab, compute_signatures=False, parts=parts)
 
     index, floats, held = _paired(monkeypatch, run)
     _assert_same(index, floats)
-    assert len(index) == 7 and all(h == ALL for h in held)
+    assert len(index) == 8 and all(h == ALL for h in held)
 
 
 def test_index_path_engages_on_every_star_map_of_a_suite_run(monkeypatch):
@@ -120,6 +127,34 @@ def test_index_path_engages_on_every_star_map_of_a_suite_run(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["suite", "run", "--seed", "0", "--cases", "6", "--json"]) == 0
     assert held and all(h == ALL for h in held)
+
+
+@pytest.mark.parametrize("G", [groups.cyclic_group(3), S3], ids=["Z3", "S3"])
+def test_semi_cross_with_an_inverted_generator_fails_on_the_index_path(G, monkeypatch):
+    # Phi planted as delta_x -> pi~(delta_(x^-1)) u~ on one generator x of
+    # C*(R x| G) that is not its own inverse, every other image kept.
+    rng = np.random.default_rng(2729)
+    Q = suite.random_groupoid(rng)
+    skew = groupoids.skew_product_groupoid(Q, G, suite.random_cocycle(rng, Q, G))
+    trans = groupoids.translation_groupoid_action(skew, G)
+    semi = groupoids.semidirect_product(skew, G, trans)
+    gens = groupoids.convolution_algebra(semi).gens
+    k = np.flatnonzero(semi.inv[gens] != gens)[0]
+    planted = gens.copy()
+    planted[k] = semi.inv[gens[k]]
+    star_map = matalg.star_map_on_basis
+
+    def planted_star_map(domain, image_rows, m, gen_rows, image_gen_rows, **kwargs):
+        assert (image_gen_rows != image_rows[gens]).nnz == 0
+        return star_map(domain, image_rows, m, gen_rows, image_rows[planted], **kwargs)
+
+    monkeypatch.setattr(matalg, "star_map_on_basis", planted_star_map)
+    index, floats, held = _paired(
+        monkeypatch, lambda: groupoids.certify_semi_cross(skew, G, trans))
+    _assert_same(index, floats)
+    assert len(held) == 1 and "mult" not in held[0]
+    verdicts = {c.name: c.passed for c in index[0].checks}
+    assert not verdicts["multiplicative"] and not verdicts["well_defined"]
 
 
 def _eqvt_inputs():
