@@ -208,6 +208,24 @@ def test_verify_groupoid_family(capsys):
         assert code == 0, sub
 
 
+def test_failed_equivalence_axiom_exits_1(capsys, monkeypatch):
+    # One defined cell of the left table left undefined: the report shows
+    # domains_ok false and fails, and the exit status is 1, not an error's 2.
+    verify = groupoids.EquivalenceBimodule.verify
+
+    def planted(bim):
+        bim.left_table = bim.left_table.copy()
+        bim.left_table[tuple(np.argwhere(bim.left_table >= 0)[0])] = -1
+        return verify(bim)
+
+    monkeypatch.setattr(groupoids.EquivalenceBimodule, "verify", planted)
+    code, out = run(capsys, "verify", "equivalence", "-q", fx("pair-groupoid"), "-G", fx("z2"),
+                    "--kind", "both", "--json")
+    body = json.loads(out)
+    assert code == 1 and body["passed"] is False
+    assert {body["equivalence"][kind]["domains_ok"] for kind in body["equivalence"]} == {False}
+
+
 def test_verify_bimodule(capsys):
     code, out = run(
         capsys,

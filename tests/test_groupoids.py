@@ -125,7 +125,8 @@ class TestMakeGroupoid:
         Q = pair2 if on == "pair2" else group_as_groupoid(groups.cyclic_group(4))
         mult = Q.mult.copy()
         mult[entry] = value
-        assert gpd._left_action_fault(mult, Q.r, Q.s, Q.unit_arrow, mult, Q.r, Q.s) == rule
+        rules = gpd._left_action_rules(mult, Q.r, Q.s, Q.unit_arrow, mult, Q.r, Q.s)
+        assert next(name for name, held in rules.items() if not held) == rule
         with pytest.raises(error):
             gpd.FiniteGroupoid(Q.units, Q.arrows, Q.r, Q.s, mult, Q.inv)
 
@@ -455,8 +456,8 @@ class TestEquivalences:
         hs, zs = np.nonzero(bim.left_table >= 0)
         k = np.nonzero(~np.isin(hs, bim.left.unit_arrow))[0][0]
         bim.left_table[hs[k], zs[k]] = zs[k]
-        with pytest.raises(AxiomFailed):
-            bim.verify()
+        report = bim.verify()
+        assert not report.passed and report.as_dict()["freeness_ok"] is False
 
 
 def _verdict(check):
@@ -561,48 +562,108 @@ def _plant_freeness(bim, side):
     return bim
 
 
-# (plant, side) -> what the array verify reports when the plant breaks only
-# its own rule.
+def _plant_extra_cell(bim, side):
+    # The first undefined h . z, s(h) != anchor(z), defined as a cell w != z
+    # with the moments a defined h . z would have.  No other axiom reads it:
+    # a composite through it is undefined.
+    r, s, _, T, anchor, other = _side(bim, side)
+    for h, z in np.argwhere(T < 0):
+        w = np.flatnonzero((anchor == r[h]) & (other == other[z]) & (np.arange(len(anchor)) != z))
+        if len(w):
+            T[h, z] = w[0]
+            return bim
+    raise AssertionError("no cell to define")
+
+
+def _plant_conjugate(bim, side):
+    # The action conjugated by a swap of two cells with the same moments:
+    # again a free action with the same orbits, which need not commute with
+    # the other side's.
+    _, _, _, T, anchor, other = _side(bim, side)
+    a, b = next((a, b) for a in range(len(anchor)) for b in range(a + 1, len(anchor))
+                if anchor[a] == anchor[b] and other[a] == other[b])
+    swap = np.arange(len(anchor))
+    swap[[a, b]] = b, a
+    T[:] = np.where(T >= 0, swap[T], -1)[:, swap]
+    return bim
+
+
+# (plant, side) -> the plant and the flag of the axiom it breaks.
 PLANTS = {
-    **{(rule, side): (plant, f"{side} action fails the {rule} rule")
-       for rule, plant in (("domain", _plant_domain), ("moment", _plant_moment),
-                           ("unit", _plant_unit), ("associativity", _plant_associativity))
+    **{(rule, side): (plant, flag)
+       for rule, plant, flag in (("domain", _plant_domain, "domains_ok"),
+                                 ("moment", _plant_moment, "moment_compatibility_ok"),
+                                 ("unit", _plant_unit, "unit_actions_ok"),
+                                 ("associativity", _plant_associativity, "associativity_ok"))
        for side in ("left", "right")},
-    ("commuting", "both"): (_plant_commuting, "actions do not commute"),
-    ("orbit", "right"): (_plant_orbit, "rho does not separate right orbits"),
-    ("orbit", "left"): (_plant_orbit, "sigma does not separate left orbits"),
+    ("commuting", "both"): (_plant_commuting, "commuting_ok"),
+    ("orbit", "right"): (_plant_orbit, "orbit_bijections_ok"),
+    ("orbit", "left"): (_plant_orbit, "orbit_bijections_ok"),
 }
 # On a principal groupoid such as pair2, arrows with the same range and
 # source are equal, so this plant needs isotropy.
-ISOTROPY_PLANTS = {**PLANTS, **{
-    ("freeness", side): (_plant_freeness, f"{side} action is not free")
-    for side in ("left", "right")}}
+ISOTROPY_PLANTS = {**PLANTS, **{("freeness", side): (_plant_freeness, "freeness_ok")
+                                for side in ("left", "right")}}
+AXIOM_FLAGS = {flag for _, flag in ISOTROPY_PLANTS.values()}
 
 
 class TestPlantedEquivalenceDefects:
     """One planted defect per axiom of ``EquivalenceBimodule.verify`` and per
-    side.  On pair2/Z2 the moment maps (rho, sigma) tell every carrier cell
-    apart, so a table edit may already break the moment rule; on Z2 as a
-    one-unit groupoid with the trivial cocycle they do not, and each plant
-    breaks only its own rule."""
+    side, each turning its axiom's flag false instead of raising.  On pair2/Z2
+    the moment maps (rho, sigma) tell every carrier cell apart, so a table
+    edit may break the moment rule too; on Z2 as a one-unit groupoid with the
+    trivial cocycle they do not, and each plant breaks only its own axiom."""
 
     @pytest.mark.parametrize("plant", sorted(PLANTS))
     def test_pair2(self, pair2, pair2_cocycle, plant):
         bim, _ = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
-        planted = PLANTS[plant][0](bim, plant[1])
-        with pytest.raises(AxiomFailed):
-            planted.verify()
-        assert _same_verdict(planted) is AxiomFailed
+        plant_fn, flag = PLANTS[plant]
+        planted = plant_fn(bim, plant[1])
+        report = planted.verify()
+        assert not report.passed and report.as_dict()[flag] is False
+        assert _same_verdict(planted) == report.as_dict()
 
     @pytest.mark.parametrize("plant", sorted(ISOTROPY_PLANTS))
     def test_isotropy_breaks_only_the_planted_rule(self, plant):
         Q = group_as_groupoid(Z2)
         bim, _ = certify_equivalence("semidirect", Q, Z2, Cocycle(Q, Z2, [0, 0]))
-        plant_fn, message = ISOTROPY_PLANTS[plant]
-        planted = plant_fn(bim, plant[1])
-        with pytest.raises(AxiomFailed, match=f"^{message}"):
-            planted.verify()
-        assert _same_verdict(planted) is AxiomFailed
+        plant_fn, flag = ISOTROPY_PLANTS[plant]
+        verdict = _same_verdict(plant_fn(bim, plant[1]))
+        assert verdict[flag] is False
+
+    def test_surjectivity_still_raises(self, pair2, pair2_cocycle):
+        bim, _ = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
+        bim.rho = np.zeros_like(bim.rho)
+        with pytest.raises(AxiomFailed, match="^left moment map is not surjective"):
+            bim.verify()
+        assert _same_verdict(bim) is AxiomFailed
+
+
+    # Three axioms can fail alone.  The other four cannot on a valid table:
+    # a unit that moves a cell, or a cell with wrong moments, breaks
+    # associativity too, and an action transitive on the fibres of the other
+    # moment map, as the orbit axiom asks, is free; commuting with a free
+    # transitive action of the other side makes a free transitive one
+    # associative.
+    @pytest.mark.parametrize("instance, plant, side, flag", [
+        ("Z2", _plant_extra_cell, "left", "domains_ok"),
+        ("pair2", _plant_extra_cell, "right", "domains_ok"),
+        ("Z3", _plant_conjugate, "left", "commuting_ok"),
+        ("Z3", _plant_conjugate, "right", "commuting_ok"),
+        ("Z2", _plant_orbit, "left", "orbit_bijections_ok"),
+        ("Z2", _plant_orbit, "right", "orbit_bijections_ok"),
+    ])
+    def test_plant_breaks_exactly_its_axiom(self, pair2, pair2_cocycle, instance, plant, side,
+                                            flag):
+        if instance == "pair2":
+            Q, G, c = pair2, Z2, pair2_cocycle
+        else:
+            G = {"Z2": Z2, "Z3": Z3}[instance]
+            Q = group_as_groupoid(G)
+            Q, G, c = Q, Z2, Cocycle(Q, Z2, [0] * Q.n_arrows)
+        bim, _ = certify_equivalence("semidirect", Q, G, c)
+        verdict = _same_verdict(plant(bim, side))
+        assert {f for f in AXIOM_FLAGS if verdict[f] is False} == {flag}
 
 
 @pytest.mark.parametrize("kind", ["semidirect", "subgroupoid"])

@@ -2,14 +2,16 @@
 
 Between partial-permutation bases with unit-phase entries the star,
 multiplicativity and target checks are decided by ``matalg._index_checks``
-on index tables.  Every certificate that goes through the star map (eqvt-iso,
-direct-iso, free-action, gpd-iso, semi-cross) gives the same checks and the
+on index tables, and generator consistency too where every generator and its
+image are multiples of one basis row (semi-cross, and some eqvt-iso draws).
+Every certificate that goes through the star map (eqvt-iso, direct-iso,
+free-action, gpd-iso, semi-cross) gives the same checks and the
 same notes, key for key and in order, on the index path and with it forced
 off, on random graph and groupoid draws, the S3 fixtures and the ladder L_3
 over S3; the index path engages on every star map of a suite run; and
 planted defects that keep the inputs indexed fail on the index path with the
 float path's errors, while a basis whose coefficients are inexact takes the
-fallback."""
+fallback; and L_3 and Q_3 over S3 pass every certificate with exact star maps."""
 import contextlib
 import io
 
@@ -21,6 +23,7 @@ from oracles import symmetric_group_3
 from skewprod import cli, duality, fixture_path, graphs, groupoids, groups, matalg, suite
 
 ALL = {"star", "mult", "target"}
+GEN = ALL | {"gen"}  # and every generator, with its image, a multiple of one basis row
 S3 = symmetric_group_3()
 
 
@@ -78,7 +81,7 @@ def test_graph_certificates_agree_on_both_paths(monkeypatch):
     index, floats, held = _paired(
         monkeypatch, lambda: [_graph_certificates(*draw) for draw in draws])
     _assert_same(index, floats)
-    assert len(index) == 4 * len(draws) and all(h == ALL for h in held)
+    assert len(index) == 4 * len(draws) and all(h in (ALL, GEN) for h in held)
 
 
 def _groupoid_certificates(Q, G, c):
@@ -97,7 +100,8 @@ def test_groupoid_certificates_agree_on_both_paths(monkeypatch):
     index, floats, held = _paired(
         monkeypatch, lambda: [_groupoid_certificates(*draw) for draw in draws])
     _assert_same(index, floats)
-    assert len(index) == 2 * len(draws) and all(h == ALL for h in held)
+    assert len(index) == 2 * len(draws) and held[::2] == [ALL] * len(draws)
+    assert held[1::2] == [GEN] * len(draws)  # semi-cross: generators are basis rows
 
 
 def test_s3_fixtures_and_ladder_agree_on_both_paths(monkeypatch):
@@ -116,7 +120,7 @@ def test_s3_fixtures_and_ladder_agree_on_both_paths(monkeypatch):
 
     index, floats, held = _paired(monkeypatch, run)
     _assert_same(index, floats)
-    assert len(index) == 8 and all(h == ALL for h in held)
+    assert len(index) == 8 and all(h in (ALL, GEN) for h in held) and GEN in held
 
 
 def test_index_path_engages_on_every_star_map_of_a_suite_run(monkeypatch):
@@ -126,7 +130,7 @@ def test_index_path_engages_on_every_star_map_of_a_suite_run(monkeypatch):
                         lambda *args: held.append(index_checks(*args)) or held[-1])
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["suite", "run", "--seed", "0", "--cases", "6", "--json"]) == 0
-    assert held and all(h == ALL for h in held)
+    assert held and all(h in (ALL, GEN) for h in held)
 
 
 @pytest.mark.parametrize("G", [groups.cyclic_group(3), S3], ids=["Z3", "S3"])
@@ -152,7 +156,7 @@ def test_semi_cross_with_an_inverted_generator_fails_on_the_index_path(G, monkey
     index, floats, held = _paired(
         monkeypatch, lambda: groupoids.certify_semi_cross(skew, G, trans))
     _assert_same(index, floats)
-    assert len(held) == 1 and "mult" not in held[0]
+    assert len(held) == 1 and not {"mult", "gen"} & held[0]
     verdicts = {c.name: c.passed for c in index[0].checks}
     assert not verdicts["multiplicative"] and not verdicts["well_defined"]
 
@@ -255,8 +259,43 @@ def test_repeated_inverse_entry_takes_the_fallback(monkeypatch):
     indices[1] = indices[0]
     inverse = sp.csr_matrix((rows.data, indices, rows.indptr), shape=rows.shape)
     args = (span, rows, 4, rows, rows)
-    assert matalg._index_checks(*args, span, inverse) == {"star", "mult"}
+    assert matalg._index_checks(*args, span, inverse) == {"star", "mult", "gen"}
     index = matalg.star_map_on_basis(*args, target=span, inverse_rows=inverse)
     assert index.notes["inverse_membership"] == 1.0
     monkeypatch.setattr(matalg, "_index_checks", lambda *a: None)
     _assert_same([index], [matalg.star_map_on_basis(*args, target=span, inverse_rows=inverse)])
+
+
+def test_s3_scale_ladder_smoke(monkeypatch):
+    # ROADMAP item 3's L_3 and Q_3 over S3, past the suites' ambient sizes:
+    # every certificate passes, each star map with max_error exactly 0.0,
+    # with position tables built and both groupings of the read-back taken.
+    E, _, lab = _ladder(3)
+    Q = groupoids.disjoint_union([groupoids.transitive_groupoid(3, groups.cyclic_group(2)),
+                                  groupoids.pair_groupoid(3)])
+    c = suite.random_cocycle(np.random.default_rng(0), Q, S3)
+    skew = groupoids.skew_product_groupoid(Q, S3, c)
+    grouped, tables = set(), []
+    read_back, slots = matalg.AlgebraSpan.coefficients_rows, matalg.AlgebraSpan._slots.func
+
+    def recording_read_back(span, rows):
+        if span.support is not None:
+            rows = rows.tocsr()
+            grouped.add(rows.shape[0] * span.dim <= matalg._BINS_PER_ENTRY * rows.nnz)
+        return read_back(span, rows)
+
+    monkeypatch.setattr(matalg.AlgebraSpan, "coefficients_rows", recording_read_back)
+    monkeypatch.setattr(matalg.AlgebraSpan._slots, "func",
+                        lambda span: tables.append(span.ambient_dim) or slots(span))
+    parts = duality.DualityParts(E, S3, lab)
+    certs = [duality.certify_eqvt_iso(E, S3, lab, parts=parts),
+             duality.certify_direct_iso(E, S3, lab, parts=parts),
+             duality.certify_regular_diagram(E, S3, lab, parts=parts),
+             groupoids.certify_gpd_iso(Q, S3, c),
+             groupoids.certify_semi_cross(skew, S3,
+                                          groupoids.translation_groupoid_action(skew, S3)),
+             groupoids.certify_full_groupoid(Q, S3, c)]
+    assert all(cert.passed for cert in certs)
+    star = [cert.star_report for cert in certs if cert.star_report is not None]
+    assert len(star) >= 4 and all(report.max_error == 0.0 for report in star)
+    assert grouped == {True, False} and max(tables) > 256

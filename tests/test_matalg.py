@@ -16,6 +16,7 @@ from oracles import (
     from_orthogonal,
     kron_rows_by_sparse_kron,
     matrix_unit,
+    multiples_by_searchsorted,
     regular_matrices,
     symmetric_group_3,
     wedderburn_signature_dense,
@@ -443,6 +444,63 @@ def test_indexed_expansion_equals_the_sparse_path(case_spans, rng):
                 assert (fast != slow).nnz == 0, span.name
                 assert fast_resid == pytest.approx(slow_resid, rel=0, abs=1e-15)
                 assert slow_resid <= 1e-12
+
+
+def _read_back_inputs(span, rng):
+    """Stacks for coefficients_rows on an indexed span: dense combine output
+    with zero rows, a right_products chunk, the same dense rows with entries
+    moved off the support and entries missed, and an empty stack."""
+    n2 = span.ambient_dim**2
+    coeffs = rng.standard_normal((6, span.dim)) + 1j * rng.standard_normal((6, span.dim))
+    coeffs[[1, 4]] = 0
+    dense = span.combine(coeffs)
+    off = np.setdiff1d(np.arange(n2), span.support[0])
+    moved = dense.copy()
+    if len(off):
+        moved.indices[::5] = off[np.arange(len(moved.indices[::5])) % len(off)]
+    moved.data[1::7] = 0  # stored zeros: owned columns that count as missed
+    moved.sort_indices()
+    chunk = next(matalg.right_products(span.rows, span.gen_rows, span.ambient_dim))[1]
+    return [dense, chunk, moved, sp.csr_matrix((0, n2), dtype=np.complex128)]
+
+
+def test_both_groupings_of_the_read_back_agree_bit_for_bit(case_spans, rng, monkeypatch):
+    # By bins over the m d (row, owner) pairs, or by sorting the pairs with
+    # np.unique: every bit of the coefficients and of the residual agrees.
+    # m d <= -inf (nan for an empty stack) never holds, so -inf forces the sort.
+    spans = [s for kind in case_spans.values() for s in kind]
+    for span in [*spans, _phase_span(rng, 6, 9)]:
+        for rows in _read_back_inputs(span, rng):
+            got = {}
+            for per_entry in (10**9, -np.inf):
+                monkeypatch.setattr(matalg, "_BINS_PER_ENTRY", per_entry)
+                got[per_entry] = span.coefficients_rows(rows)
+            (bins, bins_resid), (by_sort, sort_resid) = got.values()
+            _same_csr(bins, by_sort)
+            assert np.float64(bins_resid).tobytes() == np.float64(sort_resid).tobytes()
+            assert (bins != span._sparse_coefficients_rows(rows)[0]).nnz == 0, span.name
+
+
+def test_multiples_equal_the_searchsorted_reference(case_spans):
+    # The basis rows as multiples of themselves, their adjoints, the
+    # products g b_i, and the basis rows with one entry moved off the support.
+    for span in [s for kind in case_spans.values() for s in kind]:
+        n, d = span.ambient_dim, span.dim
+        r, c, x = matalg._entries(span.rows)
+        inputs = [(r, c, x), (r, c % n * n + c // n, x.conj())]
+        batches = matalg._index_products(span.rows, span.gen_rows, n, True, matalg.CHUNK) or ()
+        inputs += [((k0 + j) * d + i, p, v) for k0, _, j, i, p, v in batches]
+        off = np.setdiff1d(np.arange(n * n), span.support[0])
+        if len(off):
+            inputs.append((r, np.r_[off[:1], c[1:]], x))
+        for gid, pos, val in inputs:
+            got, want = matalg._multiples(span, gid, pos, val), multiples_by_searchsorted(
+                span, gid, pos, val)
+            assert (got is None) == (want is None), span.name
+            assert got is None or all(map(np.array_equal, got, want)), span.name
+        assert matalg._multiples(span, r, c, x) is not None, span.name
+        if len(off):
+            assert matalg._multiples(span, r, np.r_[off[:1], c[1:]], x) is None, span.name
 
 
 def test_planted_non_members_fail_both_paths():
