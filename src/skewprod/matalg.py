@@ -229,12 +229,14 @@ def frobenius(mat) -> float:
     return float(np.linalg.norm(mat))
 
 
-def row_sq_norms(rows: sp.spmatrix) -> np.ndarray:
+def row_sq_norms(rows: sp.spmatrix, row_of=None) -> np.ndarray:
     """Squared Frobenius norm of each row of a sparse stacked vec matrix: the
-    |x|^2 of its entries summed per row, in stored order."""
+    |x|^2 of its entries summed per row, in stored order; ``row_of``, the row
+    of each stored entry of a CSR ``rows``, when the caller has it."""
     rows = rows.tocsr()
-    return np.bincount(np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
-                       (rows.data * rows.data.conj()).real, rows.shape[0])
+    if row_of is None:
+        row_of = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+    return np.bincount(row_of, (rows.data * rows.data.conj()).real, rows.shape[0])
 
 
 def max_row_norm(rows) -> float:
@@ -403,7 +405,7 @@ class AlgebraSpan:
             off[hit] -= back
         err2 = (np.bincount(r, (off * off.conj()).real, m)
                 + np.bincount(keys // d, (a * a.conj()).real * (self.norms2[k] - hits), m))
-        norms = np.sqrt(np.bincount(r, (rows.data * rows.data.conj()).real, m))  # row_sq_norms
+        norms = np.sqrt(row_sq_norms(rows, r))
         worst = float(np.max(np.sqrt(err2) / np.maximum(norms, 1.0))) if m else 0.0
         nz = a != 0
         indptr = np.searchsorted(keys[nz], np.arange(m + 1) * d)

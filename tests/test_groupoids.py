@@ -19,6 +19,7 @@ from skewprod.groupoids import (
     Cocycle,
     CocycleError,
     EquivalenceBimodule,
+    FiniteGroupoid,
     GroupoidError,
     NotAssociativeGroupoid,
     NotAutomorphism,
@@ -588,6 +589,53 @@ def _plant_conjugate(bim, side):
     return bim
 
 
+def _plant_kernel(bim, side):
+    """The groupoid of ``side`` times Z2, acting through its first factor: an
+    action, with the same orbits, whose arrows (h, 1) fix every cell."""
+    G = bim.left if side == "left" else bim.right
+    x = np.arange(2 * G.n_arrows)
+    h, t = x // 2, x % 2
+    hh = G.mult[h[:, None], h]
+    K = FiniteGroupoid(G.units, [(a, k) for a in G.arrows for k in (0, 1)], G.r[h], G.s[h],
+                       np.where(hh >= 0, 2 * hh + (t[:, None] ^ t), -1), 2 * G.inv[h] + t)
+    if side == "left":
+        return EquivalenceBimodule(K, bim.right, bim.carrier, bim.rho, bim.sigma,
+                                   bim.left_table[h], bim.right_table)
+    return EquivalenceBimodule(bim.left, K, bim.carrier, bim.rho, bim.sigma,
+                               bim.left_table, bim.right_table[:, h])
+
+
+def _plant_relabel(bim, side):
+    # The last two non-unit arrows from r(0), the range of arrow 0, to itself
+    # swap rows.  On Z4 they are 2 and 3, so 1 + 1 = 2 acts as 3: a bijection
+    # of the arrows onto the same permutations that is not a homomorphism.
+    r, s, units, T, _, _ = _side(bim, side)
+    a, b = [k for k in range(len(r)) if r[k] == s[k] == r[0] and k not in units][-2:]
+    T[[a, b]] = T[[b, a]]
+    return bim
+
+
+def _fibre_swap(side):
+    """pair2 acts on two cells, one from each unit, and Z2 on the other side
+    swaps them.  pair2's moment map tells the two cells apart, so the swap
+    moves each cell off its fibre, and every other axiom holds."""
+    P, Z, cells = pair_groupoid(2), group_as_groupoid(Z2), np.arange(2)
+    from_unit = np.where(P.s[:, None] == cells, P.r[:, None], -1)  # x_ij . j = i
+    into_unit = np.where(P.r == cells[:, None], P.s, -1)  # i . x_ij = j
+    swap, one = np.array([[0, 1], [1, 0]]), np.zeros(2, dtype=np.int64)
+    if side == "left":
+        return EquivalenceBimodule(Z, P, ["a", "b"], one, cells, swap, into_unit)
+    return EquivalenceBimodule(P, Z, ["a", "b"], cells, one, from_unit, swap)
+
+
+def _broken_rules(bim, side):
+    """The rules of :func:`_left_action_rules` that the action of ``side`` breaks."""
+    r, s, units, T, anchor, other = _side(bim, side)
+    mult = bim.left.mult if side == "left" else bim.right.mult.T
+    rules = gpd._left_action_rules(mult, r, s, units, T, anchor, other)
+    return {rule for rule, held in rules.items() if not held}
+
+
 # (plant, side) -> the plant and the flag of the axiom it breaks.
 PLANTS = {
     **{(rule, side): (plant, flag)
@@ -605,14 +653,48 @@ PLANTS = {
 ISOTROPY_PLANTS = {**PLANTS, **{("freeness", side): (_plant_freeness, "freeness_ok")
                                 for side in ("left", "right")}}
 AXIOM_FLAGS = {flag for _, flag in ISOTROPY_PLANTS.values()}
+# (plant, side) -> every flag the plant turns false on Z2 as a one-unit
+# groupoid: its own, and those that the broken table breaks with it.
+ISOTROPY_FLAGS = {
+    **{(rule, side): flags for rule, flags in (
+        ("domain", {"domains_ok", "orbit_bijections_ok"}),
+        ("moment", {"moment_compatibility_ok", "unit_actions_ok", "associativity_ok",
+                    "commuting_ok", "orbit_bijections_ok"}),
+        ("unit", {"unit_actions_ok", "associativity_ok", "commuting_ok",
+                  "orbit_bijections_ok"}),
+        ("freeness", {"freeness_ok", "orbit_bijections_ok"}),
+        ("orbit", {"orbit_bijections_ok"}),
+    ) for side in ("left", "right")},
+    ("associativity", "left"): {"associativity_ok", "commuting_ok", "orbit_bijections_ok"},
+    ("associativity", "right"): {"associativity_ok", "commuting_ok", "freeness_ok",
+                                 "orbit_bijections_ok"},
+    ("commuting", "both"): {"commuting_ok", "freeness_ok", "orbit_bijections_ok"},
+}
+# The flag of each rule of :func:`_left_action_rules`, over both sides.
+ACTION_RULES = {"domains_ok": "domain", "moment_compatibility_ok": "moment",
+                "unit_actions_ok": "unit", "associativity_ok": "associativity"}
+
+
+def _assert_planted_side(bim, flag, side):
+    """A plant of an action rule breaks that rule of its own side's action
+    and no rule of the other side's; any other plant breaks neither action."""
+    broken = {s: _broken_rules(bim, s) for s in ("left", "right")}
+    if flag in ACTION_RULES:
+        other = "right" if side == "left" else "left"
+        assert ACTION_RULES[flag] in broken[side] and broken[other] == set()
+    else:
+        assert broken == {"left": set(), "right": set()}
 
 
 class TestPlantedEquivalenceDefects:
     """One planted defect per axiom of ``EquivalenceBimodule.verify`` and per
-    side, each turning its axiom's flag false instead of raising.  On pair2/Z2
-    the moment maps (rho, sigma) tell every carrier cell apart, so a table
-    edit may break the moment rule too; on Z2 as a one-unit groupoid with the
-    trivial cocycle they do not, and each plant breaks only its own axiom."""
+    side, each turning its axiom's flag false instead of raising.  A broken
+    table may break other axioms with it: on pair2/Z2 the moment maps (rho,
+    sigma) tell every carrier cell apart, so a table edit may break the
+    moment rule too, and on Z2 as a one-unit groupoid every plant turns false
+    exactly the flags that ISOTROPY_FLAGS lists.  The plants of
+    ``test_plant_breaks_exactly_its_axiom`` and the fibre swap turn only
+    their own flag false."""
 
     @pytest.mark.parametrize("plant", sorted(PLANTS))
     def test_pair2(self, pair2, pair2_cocycle, plant):
@@ -622,14 +704,18 @@ class TestPlantedEquivalenceDefects:
         report = planted.verify()
         assert not report.passed and report.as_dict()[flag] is False
         assert _same_verdict(planted) == report.as_dict()
+        if flag in ACTION_RULES:  # the commuting plant breaks pair2's right moment rule
+            _assert_planted_side(planted, flag, plant[1])
 
     @pytest.mark.parametrize("plant", sorted(ISOTROPY_PLANTS))
-    def test_isotropy_breaks_only_the_planted_rule(self, plant):
+    def test_isotropy_breaks_the_planted_rule_and_side(self, plant):
         Q = group_as_groupoid(Z2)
         bim, _ = certify_equivalence("semidirect", Q, Z2, Cocycle(Q, Z2, [0, 0]))
         plant_fn, flag = ISOTROPY_PLANTS[plant]
-        verdict = _same_verdict(plant_fn(bim, plant[1]))
-        assert verdict[flag] is False
+        planted = plant_fn(bim, plant[1])
+        verdict = _same_verdict(planted)
+        assert {f for f in AXIOM_FLAGS if verdict[f] is False} == ISOTROPY_FLAGS[plant]
+        _assert_planted_side(planted, flag, plant[1])
 
     def test_surjectivity_still_raises(self, pair2, pair2_cocycle):
         bim, _ = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
@@ -638,32 +724,41 @@ class TestPlantedEquivalenceDefects:
             bim.verify()
         assert _same_verdict(bim) is AxiomFailed
 
-
-    # Three axioms can fail alone.  The other four cannot on a valid table:
-    # a unit that moves a cell, or a cell with wrong moments, breaks
-    # associativity too, and an action transitive on the fibres of the other
-    # moment map, as the orbit axiom asks, is free; commuting with a free
-    # transitive action of the other side makes a free transitive one
-    # associative.
+    # Six axioms can fail alone.  The unit rule cannot: if the unit e at
+    # anchor(z) moves z to w while every other axiom holds, the orbit axiom
+    # gives an arrow h with h . z = z, and associativity reads
+    # (e h) . z = z against e . (h . z) = w.
     @pytest.mark.parametrize("instance, plant, side, flag", [
         ("Z2", _plant_extra_cell, "left", "domains_ok"),
         ("pair2", _plant_extra_cell, "right", "domains_ok"),
+        ("Z4", _plant_relabel, "left", "associativity_ok"),
+        ("Z4", _plant_relabel, "right", "associativity_ok"),
         ("Z3", _plant_conjugate, "left", "commuting_ok"),
         ("Z3", _plant_conjugate, "right", "commuting_ok"),
+        ("Z2", _plant_kernel, "left", "freeness_ok"),
+        ("pair2", _plant_kernel, "right", "freeness_ok"),
         ("Z2", _plant_orbit, "left", "orbit_bijections_ok"),
         ("Z2", _plant_orbit, "right", "orbit_bijections_ok"),
     ])
     def test_plant_breaks_exactly_its_axiom(self, pair2, pair2_cocycle, instance, plant, side,
                                             flag):
         if instance == "pair2":
-            Q, G, c = pair2, Z2, pair2_cocycle
+            Q, c = pair2, pair2_cocycle
         else:
-            G = {"Z2": Z2, "Z3": Z3}[instance]
-            Q = group_as_groupoid(G)
-            Q, G, c = Q, Z2, Cocycle(Q, Z2, [0] * Q.n_arrows)
-        bim, _ = certify_equivalence("semidirect", Q, G, c)
-        verdict = _same_verdict(plant(bim, side))
+            Q = group_as_groupoid(groups.cyclic_group(int(instance[1:])))
+            c = Cocycle(Q, Z2, [0] * Q.n_arrows)
+        bim, _ = certify_equivalence("semidirect", Q, Z2, c)
+        planted = plant(bim, side)
+        verdict = _same_verdict(planted)
         assert {f for f in AXIOM_FLAGS if verdict[f] is False} == {flag}
+        _assert_planted_side(planted, flag, side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_moment_rule_breaks_alone(self, side):
+        bim = _fibre_swap(side)
+        verdict = _same_verdict(bim)
+        assert {f for f in AXIOM_FLAGS if verdict[f] is False} == {"moment_compatibility_ok"}
+        _assert_planted_side(bim, "moment_compatibility_ok", side)
 
 
 @pytest.mark.parametrize("kind", ["semidirect", "subgroupoid"])
