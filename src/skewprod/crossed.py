@@ -261,14 +261,25 @@ class GradedSpan:
         return matalg._csr(x[keep], k[keep] // self.group.order, col[keep],
                            (self.span.dim, self.spanning_rows.shape[1]))
 
+    def _coefficients(self, rows, tol: float | None) -> sp.csr_matrix:
+        coeffs, resid = self.span.coefficients_rows(rows)
+        if tol is not None and resid > tol:
+            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
+        return coeffs
+
+    @cached_property
+    def gen_coefficients(self) -> sp.csr_matrix:
+        """The coefficients of the span's generator rows on its basis, expanded
+        once for :func:`coaction_check` and :class:`CoactionCrossedProduct`:
+        delta of the generators is ``gen_coefficients @ delta_rows``.  Raises
+        :class:`matalg.NotInSpan` as :meth:`delta` does."""
+        return self._coefficients(self.span.gen_rows, matalg.PRODUCT_TOL)
+
     def delta(self, rows, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
         """The rows vec(delta(a)) for every stacked row vec(a), through the basis
         expansion; raises :class:`matalg.NotInSpan` when a row is farther than
         ``tol`` from the span."""
-        coeffs, resid = self.span.coefficients_rows(rows)
-        if tol is not None and resid > tol:
-            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
-        return coeffs @ self.delta_rows
+        return self._coefficients(rows, tol) @ self.delta_rows
 
 
 def coaction_check(graded: GradedSpan, gen_degrees) -> Check:
@@ -283,7 +294,8 @@ def coaction_check(graded: GradedSpan, gen_degrees) -> Check:
     m, k = G.order, span.gen_rows.shape[0]
     formula = matalg._kron_rows(span.gen_rows, regular_rows(G)[0], span.ambient_dim, m)[
         np.arange(k) * m + np.asarray(gen_degrees)]
-    return Check("coaction", matalg.max_row_norm(graded.delta(span.gen_rows) - formula), 1e-12)
+    return Check("coaction", matalg.max_row_norm(graded.gen_coefficients @ graded.delta_rows
+                                                 - formula), 1e-12)
 
 
 class CoactionCrossedProduct:
@@ -312,7 +324,7 @@ class CoactionCrossedProduct:
         # j_G(chi_u) = 1 (x) chi_u.
         n = self.base.ambient_dim
         j_chi = matalg._kron_rows(matalg.identity_row(n), self._chi, n, G.order)
-        gen_rows = sp.vstack([graded.delta(self.base.gen_rows), j_chi], format="csr")
+        gen_rows = sp.vstack([graded.gen_coefficients @ graded.delta_rows, j_chi], format="csr")
         self.span = AlgebraSpan(self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
                                 name=f"{self.base.name} x_delta G")
         self._verify_spanning_relations()

@@ -53,15 +53,15 @@ def _diag_blocks(rows: sp.spmatrix, n: int) -> sp.csr_matrix:
     return matalg._csr(x, r * n + c // n, r * n + c % n, (k * n, k * n))
 
 
-def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int):
+def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int, mono):
     """The entries (data, row, col) of three block matrices: block (v, w) of
     the first is p_v p_w, block (f, f) of the second s_f* s_f and of the third
-    s_f s_f*.  For partial permutations (``matalg._monomial``) each is one
-    product of two entries, by index arithmetic; else by sparse products."""
+    s_f s_f*.  For partial permutations (``mono``, the family as
+    ``matalg._monomial`` reads it) each is one product of two entries, by
+    index arithmetic; else by sparse products."""
     i, c, data = matalg._entries(gen_rows)
     a, b = np.divmod(c, n)
     p, s = i >= n_e, i < n_e
-    mono = matalg._monomial(gen_rows, n)
     if mono is not None:
         # p_v[a, b] p_w[b, col_w[b]] at (v n + a, w n + col_w[b]); s_f[a, b]
         # gives the diagonal entries (b, b) of s_f* s_f and (a, a) of s_f s_f*.
@@ -85,6 +85,34 @@ def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int):
                                              (S @ S_h).tocoo())]
 
 
+def _ck_holds_on_indices(graph: DirectedGraph, gen_rows: sp.csr_matrix, mono) -> bool:
+    """Whether a family of partial permutations (``mono``, as
+    ``matalg._monomial`` reads it) with entries in ``UNIT_PHASES`` meets the
+    relations as facts about index sets: no generator is zero, each p_v is
+    the identity on its support, the supports partition the rows, s_f has
+    the columns of p_r(f), and the rows of the s_f out of a non-sink v
+    partition those of p_v.  Then each product is a 1 that cancels exactly."""
+    col, val = mono
+    n_e, n_v, n = graph.n_edges, graph.n_vertices, col.shape[1]
+    # Every stored entry a unit phase, and every generator row storing one.
+    if not (np.isin(gen_rows.data, matalg.UNIT_PHASES).all() and np.diff(gen_rows.indptr).all()):
+        return False
+    v, a = np.nonzero(col[n_e:] >= 0)
+    if not (np.array_equal(col[n_e + v, a], a) and np.all(val[n_e + v, a] == 1)
+            and np.array_equal(np.sort(a), np.arange(n))):
+        return False
+    owner = np.empty(n, dtype=np.int64)
+    owner[a] = v
+    # Entry (a, b) of s_f: b on r(f), a on s(f), and each row under a
+    # non-sink vertex in the range of exactly one edge.
+    f, a = np.nonzero(col[:n_e] >= 0)
+    non_sink = np.bincount(graph.src, minlength=n_v) > 0
+    return bool(np.all(owner[col[f, a]] == graph.rng[f]) and np.all(owner[a] == graph.src[f])
+                and np.array_equal(np.bincount(f, minlength=n_e),
+                                   np.bincount(v, minlength=n_v)[graph.rng])
+                and np.array_equal(np.bincount(a, minlength=n), non_sink[owner]))
+
+
 def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> float:
     """Largest violation of the Cuntz-Krieger relations by a candidate family
     of n x n matrices, given as the stacked rows vec(s_f) and then vec(p_v):
@@ -92,16 +120,20 @@ def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> 
     is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
     out of each non-sink v.
 
-    The products come from :func:`_ck_products`; each difference is the
-    entry lists of its two sides in one block matrix, and its norms are those
-    of a CSR matrix of them."""
+    A family that :func:`_ck_holds_on_indices` passes has error 0.0.  For
+    any other the products come from :func:`_ck_products`; each difference is
+    the entry lists of its two sides in one block matrix, and its norms are
+    those of a CSR matrix of them."""
     n_v, n_e = graph.n_vertices, graph.n_edges
     gen_rows = gen_rows.tocsr()
+    mono = matalg._monomial(gen_rows, n)
+    if mono is not None and _ck_holds_on_indices(graph, gen_rows, mono):
+        return 0.0
     r, c, data = matalg._entries(gen_rows)
     i, j = np.divmod(c, n)
     is_p = r >= n_e
     v, pi, pj, pd = r[is_p] - n_e, i[is_p], j[is_p], data[is_p]
-    pp, ss, ranges = _ck_products(gen_rows, n, n_e, n_v)
+    pp, ss, ranges = _ck_products(gen_rows, n, n_e, n_v, mono)
 
     errs = [0.0]
     # A zero generator, found by its Frobenius norm.
@@ -277,7 +309,9 @@ class CKFamily:
         units = matalg._csr(np.ones(n, dtype=np.complex128), np.arange(n),
                             np.arange(n) * n + self.start[self.sink], (n, n * n))
         words = _path_images(self, self.span.gen_rows, n)
-        if matalg.max_row_norm(words - units) > 1e-12:
+        same = all(map(np.array_equal, (words.indptr, words.indices, words.data),
+                       (units.indptr, units.indices, units.data)))
+        if not same and matalg.max_row_norm(words - units) > 1e-12:
             raise CKRelationError("path word disagrees with its matrix unit")
 
     def sink_block_sizes(self) -> dict[int, int]:

@@ -7,6 +7,7 @@ from oracles import (
     element,
     matrix_unit,
     regular_matrices,
+    symmetric_group_3,
     trivial_group,
 )
 
@@ -205,6 +206,21 @@ class TestFreeAction:
         cert = certify_free_action(e1, act)
         assert cert.passed
         assert cert.signatures["lhs"] == (2,)
+
+    def test_non_free_action_is_refused(self, e1, z2):
+        # Mutants of a free action on Z2 and S3: the trivial action of Z2 on
+        # E1, and S3 permuting six edges v_t -> w by left translation and
+        # fixing the sink w.
+        trivial = graphs.GraphAction(e1, z2, np.tile(np.arange(2), (2, 1)),
+                                     np.zeros((2, 1), dtype=int))
+        with pytest.raises(graphs.ActionNotFree, match="^element 1 fixes vertex 'v'$"):
+            certify_free_action(e1, trivial)
+        S3 = symmetric_group_3()
+        fan = DirectedGraph([f"v{t}" for t in S3] + ["w"],
+                            [(f"f{t}", f"v{t}", "w") for t in S3])
+        left = graphs.GraphAction(fan, S3, np.c_[S3.table, np.full(6, 6)], S3.table)
+        with pytest.raises(graphs.ActionNotFree, match="^element 1 fixes vertex 'w'$"):
+            certify_free_action(fan, left)
 
     def test_translation_on_skew(self, e1, z2, e1_z2_labeling):
         F = skew_product(e1, z2, e1_z2_labeling)

@@ -293,6 +293,43 @@ class TestPathGrading:
                                             identity) == message
 
 
+@pytest.mark.parametrize("phase", [-1, 1j])
+def test_path_word_with_a_flipped_phase_fails_verify(chain2, phase, monkeypatch):
+    fam = ck_representation(chain2)
+    original = graphalg._path_images
+
+    def flipped(*args):
+        words = original(*args).copy()
+        words.data[-1] *= phase
+        return words
+
+    monkeypatch.setattr(graphalg, "_path_images", flipped)
+    with pytest.raises(graphalg.CKRelationError, match="path word disagrees"):
+        fam.verify()
+
+
+def test_unit_phase_ck_families_form_no_products(monkeypatch):
+    # In a graph case the family, the skew family, Theta's images and the
+    # gauge samples 1, -1 and i are unit-phase partial permutations, decided
+    # on index tables; only the sample e^(2 pi i / 7) forms the products.
+    relations, products = [], []
+    for name, calls in (("_ck_relations_for", relations), ("_ck_products", products)):
+        def counted(*args, original=getattr(graphalg, name), calls=calls):
+            calls.append(args[0])
+            return original(*args)
+        monkeypatch.setattr(graphalg, name, counted)
+    z7 = suite.GAUGE_SAMPLES[-1]
+    assert z7 == np.exp(2j * np.pi / 7)
+    for seed in range(3):
+        relations.clear(), products.clear()
+        assert suite.run_graph_case(seed).passed
+        assert len(relations) == 3 + len(suite.GAUGE_SAMPLES)
+        # _ck_products(gen_rows, ...) once, on the edge entries scaled by z7.
+        (gen_rows,) = products
+        edges = gen_rows[:relations[0].n_edges]
+        assert np.array_equal(edges.data, np.full(edges.nnz, z7))
+
+
 def test_ck_family_gauge_and_theta_checks_make_no_sparse_product(two_chunk_instance,
                                                                   monkeypatch):
     # Every family here is a partial permutation, so the relation checks, the

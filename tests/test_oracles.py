@@ -5,7 +5,8 @@ random, gauge-scaled and groupoid inputs, a planted defect per Cuntz-Krieger
 relation that both versions see, and two planted gauge defects that both
 versions reject.  The relation check and the path words of partial
 permutations (index arithmetic) equal their sparse fallbacks bit for bit,
-and planted partial permutations take the index path."""
+planted partial permutations take the index path, and unit-phase plants
+that the exact index decision rejects take the product path."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -246,7 +247,18 @@ PLANTS = {
     # The graph without e3: the edges out of u miss the range of s_e3 in p_u.
     "range sum missing an edge": lambda E, s, p: (DirectedGraph(E.vertices, E.edges[:2]),
                                                   s[:2], p),
+    # Unit-phase partial permutations (UNIT_PHASE_PLANTS) that the index
+    # decision rejects and the product path measures.
+    "p_v diagonal entry -1": lambda E, s, p: (E, s, [_edited(p[0], 0, value=-1)] + p[1:]),
+    # p_v also keeps the one path of p_w, the length-0 path at w.
+    "two p_v sharing a row": lambda E, s, p: (E, s, [p[0], p[1] + p[2], p[2]]),
+    # s_e3 sends w to e1 e2, the range of s_e1 out of the same vertex u.
+    "overlapping ranges out of one vertex": lambda E, s, p: (
+        E, s[:2] + [sp.csr_matrix((s[2].data, (s[0].nonzero()[0], s[2].indices)),
+                                  shape=s[2].shape)], p),
 }
+UNIT_PHASE_PLANTS = ("p_v diagonal entry -1", "two p_v sharing a row",
+                     "overlapping ranges out of one vertex")
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
@@ -258,6 +270,19 @@ def test_planted_ck_defect_is_seen_by_both_versions(fork, plant):
                                          p_imgs[0].shape[0])
     assert batched > PLANTED_MIN
     assert batched == ck_relations_loop(graph, s_imgs, p_imgs)
+
+
+@pytest.mark.parametrize("plant", UNIT_PHASE_PLANTS)
+def test_unit_phase_defect_is_rejected_on_index_tables(fork, plant):
+    # The plant is a family the index decision reads, and it says no; the
+    # error the product path then gives is checked by
+    # test_planted_ck_defect_is_seen_by_both_versions.
+    fam = ck_representation(fork)
+    graph, s_imgs, p_imgs = PLANTS[plant](fork, list(fam.s), list(fam.p))
+    rows = matalg.vec_rows(s_imgs + p_imgs)
+    mono = matalg._monomial(rows, fam.ambient_dim)
+    assert mono is not None and np.isin(rows.data, matalg.UNIT_PHASES).all()
+    assert not graphalg._ck_holds_on_indices(graph, rows, mono)
 
 
 def _edited(m, k, value=None, col=None, drop=False):
