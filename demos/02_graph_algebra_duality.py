@@ -38,7 +38,7 @@ print("gauge automorphisms verified for four sample points")
 graded = graphalg.coaction(fam, Z2, labeling)
 assert crossed.coaction_check(graded, graphalg.generator_degrees(labeling)).passed
 N = fam.ambient_dim * Z2.order
-print("\ndelta(s_f) =\n", graded.delta(fam.span.gen_rows[:1]).reshape(N, N).toarray().real)
+print("\ndelta(s_f) =\n", graded.gen_delta[:1].reshape(N, N).toarray().real)
 print("spectral subspace dimensions:",
       {Z2.name(t): d for t, d in graded.subspace_dims().items()})
 

@@ -185,10 +185,12 @@ class ActionCrossedProduct:
         coefficient of b_i in a_s is that of the basis element pi~(b_i) u~_s,
         at i |G| + s, so one expansion in the base and one
         :meth:`~matalg.AlgebraSpan.combine` serve every s."""
-        coeffs, _ = self.base.coefficients_rows(parts)
-        m = self.group.order
-        return self.span.combine(
-            coeffs.toarray().reshape(-1, m, self.base.dim).transpose(0, 2, 1).reshape(-1, self.dim))
+        return self.span.combine(self._element_coefficients(parts))
+
+    def _element_coefficients(self, parts) -> np.ndarray:
+        """The coefficients of :meth:`element_rows` on this basis, one row per element."""
+        coeffs, m = self.base.coefficients_rows(parts)[0].toarray(), self.group.order
+        return coeffs.reshape(-1, m, self.base.dim).transpose(0, 2, 1).reshape(-1, self.dim)
 
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
@@ -204,14 +206,17 @@ class ActionCrossedProduct:
 
     def conditional_expectation_rows(self, rows, tol: float = matalg.PRODUCT_TOL) -> sp.csr_matrix:
         """P(sum_s pi~(a_s) u~_s) = a_e by trace pairing with the basis: vec(a_e)
-        for every stacked row vec(sum_s pi~(a_s) u~_s).  Raises
-        :class:`matalg.NotInSpan` if any row is farther than ``tol`` from the
-        crossed product."""
+        for every stacked row vec(sum_s pi~(a_s) u~_s), from the coefficients
+        at the columns i |G| + e kept as CSR.  Raises :class:`matalg.NotInSpan`
+        if any row is farther than ``tol`` from the crossed product."""
         coeffs, resid = self.span.coefficients_rows(rows)
         if tol is not None and resid > tol:
             raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
-        e_cols = np.arange(self.base.dim) * self.group.order + self.group.identity_index
-        return self.base.combine(coeffs.toarray()[:, e_cols])
+        r, c, a = matalg._entries(coeffs)
+        i, s = np.divmod(c, self.group.order)
+        at_e = s == self.group.identity_index
+        return self.base.combine(
+            matalg._csr(a[at_e], r[at_e], i[at_e], (coeffs.shape[0], self.base.dim)))
 
 
 @dataclass(eq=False)
@@ -261,25 +266,15 @@ class GradedSpan:
         return matalg._csr(x[keep], k[keep] // self.group.order, col[keep],
                            (self.span.dim, self.spanning_rows.shape[1]))
 
-    def _coefficients(self, rows, tol: float | None) -> sp.csr_matrix:
-        coeffs, resid = self.span.coefficients_rows(rows)
-        if tol is not None and resid > tol:
-            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
-        return coeffs
-
     @cached_property
-    def gen_coefficients(self) -> sp.csr_matrix:
-        """The coefficients of the span's generator rows on its basis, expanded
-        once for :func:`coaction_check` and :class:`CoactionCrossedProduct`:
-        delta of the generators is ``gen_coefficients @ delta_rows``.  Raises
-        :class:`matalg.NotInSpan` as :meth:`delta` does."""
-        return self._coefficients(self.span.gen_rows, matalg.PRODUCT_TOL)
-
-    def delta(self, rows, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
-        """The rows vec(delta(a)) for every stacked row vec(a), through the basis
-        expansion; raises :class:`matalg.NotInSpan` when a row is farther than
-        ``tol`` from the span."""
-        return self._coefficients(rows, tol) @ self.delta_rows
+    def gen_delta(self) -> sp.csr_matrix:
+        """The rows vec(delta(g)) of the span's generators g, their basis
+        coefficients times ``delta_rows``, formed once for every reader; raises
+        :class:`matalg.NotInSpan` when a g is farther than PRODUCT_TOL from the span."""
+        coeffs, resid = self.span.coefficients_rows(self.span.gen_rows)
+        if resid > matalg.PRODUCT_TOL:
+            raise matalg.NotInSpan(f"element is not in {self.span.name} (residual {resid:.2e})")
+        return coeffs @ self.delta_rows
 
 
 def coaction_check(graded: GradedSpan, gen_degrees) -> Check:
@@ -294,8 +289,7 @@ def coaction_check(graded: GradedSpan, gen_degrees) -> Check:
     m, k = G.order, span.gen_rows.shape[0]
     formula = matalg._kron_rows(span.gen_rows, regular_rows(G)[0], span.ambient_dim, m)[
         np.arange(k) * m + np.asarray(gen_degrees)]
-    return Check("coaction", matalg.max_row_norm(graded.gen_coefficients @ graded.delta_rows
-                                                 - formula), 1e-12)
+    return Check("coaction", matalg.max_row_norm(graded.gen_delta - formula), 1e-12)
 
 
 class CoactionCrossedProduct:
@@ -324,7 +318,7 @@ class CoactionCrossedProduct:
         # j_G(chi_u) = 1 (x) chi_u.
         n = self.base.ambient_dim
         j_chi = matalg._kron_rows(matalg.identity_row(n), self._chi, n, G.order)
-        gen_rows = sp.vstack([graded.gen_coefficients @ graded.delta_rows, j_chi], format="csr")
+        gen_rows = sp.vstack([graded.gen_delta, j_chi], format="csr")
         self.span = AlgebraSpan(self.ambient_dim, graded.spanning_rows, gen_rows=gen_rows,
                                 name=f"{self.base.name} x_delta G")
         self._verify_spanning_relations()

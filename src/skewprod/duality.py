@@ -422,7 +422,7 @@ def certify_regular_diagram(
     representation of the crossed product is faithful.
     """
     parts = _parts_for(parts, graph, G, labeling, tol)
-    fam, delta, skew = parts.fam, parts.coaction.delta, parts.skew
+    fam, skew = parts.fam, parts.skew
     _, rho, chi = regular_rows(G)
     P, n_g = fam.ambient_dim, fam.span.gen_rows.shape[0]
     ones = matalg.identity_row(P)
@@ -432,7 +432,7 @@ def certify_regular_diagram(
     # then u_t -> 1 (x) rho_t.
     chi_rows = matalg._kron_rows(ones, chi, P, G.order)
     prods = sp.vstack([p for _, p in matalg.right_products(
-        delta(fam.span.gen_rows), chi_rows, P * G.order)], format="csr")
+        parts.coaction.gen_delta, chi_rows, P * G.order)], format="csr")
     f, r = np.divmod(np.arange(skew.n_edges), G.order)
     v, rv = np.divmod(np.arange(skew.n_vertices), G.order)
     picks = np.r_[r * n_g + f, rv * n_g + graph.n_edges + v]

@@ -56,16 +56,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from skewprod import groups, matalg
-from skewprod.crossed import ActionInvalid
+from skewprod.crossed import ActionCrossedProduct, ActionInvalid
 from skewprod.groupoids import (
-    AxiomFailed,
     Cocycle,
     FormulaMismatch,
     GroupoidAction,
     GroupoidError,
+    algebra_action_from_groupoid_action,
     convolution_algebra,
     kernel_subgroupoid,
     make_groupoid,
+    semidirect_product,
 )
 from skewprod.matalg import frobenius
 
@@ -196,6 +197,16 @@ def delta_rows_by_collapse(graded) -> sp.csr_matrix:
     ones = np.ones((1, graded.group.order))
     collapse = sp.kron(sp.identity(graded.span.dim, format="csr"), ones, format="csr")
     return (collapse @ graded.spanning_rows).tocsr().sorted_indices()
+
+
+def delta(graded, rows, tol: float | None = matalg.PRODUCT_TOL) -> sp.csr_matrix:
+    """The rows vec(delta(a)) for every stacked row vec(a) of a graded span,
+    through the basis expansion; raises :class:`matalg.NotInSpan` when a row
+    is farther than ``tol`` from the span."""
+    coeffs, resid = graded.span.coefficients_rows(rows)
+    if tol is not None and resid > tol:
+        raise matalg.NotInSpan(f"element is not in {graded.span.name} (residual {resid:.2e})")
+    return coeffs @ graded.delta_rows
 
 
 def matrix_unit(n: int, i: int, j: int) -> sp.csr_matrix:
@@ -366,12 +377,12 @@ def graded_coaction_loop(graded, tol: float = 1e-12) -> dict:
 
     ident_err = nondeg_err = 0.0
     all_coeffs = span.coefficients_rows(span.gen_rows)[0].toarray()
-    all_dx = matalg.unvec_rows(graded.delta(span.gen_rows), n * m)
+    all_dx = matalg.unvec_rows(delta(graded, span.gen_rows), n * m)
     for coeffs, dx in zip(all_coeffs, all_dx):
         dx = dx.toarray()
         dxd = dx.reshape(n, m, n, m)
         xs = [np.einsum("ab,iajb->ij", lam[t].conj(), dxd) / m for t in G]
-        dxs = matalg.unvec_rows(graded.delta(matalg.vec_rows(xs), tol=None), n * m)
+        dxs = matalg.unvec_rows(delta(graded, matalg.vec_rows(xs), tol=None), n * m)
         recon = np.zeros_like(dx)
         for t, x_t, dx_t in zip(G, xs, dxs):
             component = element(span, np.where(graded.degrees == t, coeffs, 0)).toarray()
@@ -848,7 +859,7 @@ def equivalence_axioms_loop(L, N, rho, sigma, left_table, right_table) -> dict:
     (h, z) and (z, n), and every axiom walks them; the orbit check searches
     every pair of carrier cells.  The same report, each axiom's flag false
     when it fails and read on the defined cells whose values are carrier
-    cells; AxiomFailed when a moment map is not surjective."""
+    cells, and the surjectivity of both moment maps as one flag."""
     rho, sigma = np.asarray(rho), np.asarray(sigma)
     left_act = {(int(h), int(z)): int(left_table[h, z])
                 for h, z in zip(*np.nonzero(np.asarray(left_table) >= 0))}
@@ -856,11 +867,8 @@ def equivalence_axioms_loop(L, N, rho, sigma, left_table, right_table) -> dict:
                  for z, n in zip(*np.nonzero(np.asarray(right_table) >= 0))}
     nz = len(rho)
     out = {"carrier_size": nz, "properness": "automatic (finite carrier)"}
-    if set(rho.tolist()) != set(range(L.n_units)):
-        raise AxiomFailed("left moment map is not surjective")
-    if set(sigma.tolist()) != set(range(N.n_units)):
-        raise AxiomFailed("right moment map is not surjective")
-    out["moment_maps_surjective"] = True
+    out["moment_maps_surjective_ok"] = (set(rho.tolist()) == set(range(L.n_units))
+                                        and set(sigma.tolist()) == set(range(N.n_units)))
 
     expected_left = {
         (h, z) for h in range(L.n_arrows) for z in range(nz) if L.s[h] == rho[z]
@@ -944,6 +952,18 @@ def convolve_loop(Q, f, g) -> np.ndarray:
         for y in range(Q.n_arrows):
             if Q.r[y] == Q.r[x]:
                 out[x] += f[y] * g[int(Q.mult[Q.inv[y], x])]
+    return out
+
+
+def convolve_by_add_at(alg, f, g) -> np.ndarray:
+    """``GroupoidAlgebra.convolve`` by one ``np.add.at`` of the products over
+    the composable pairs, where ``skewprod`` sums by ``bincount``: each sum
+    adds the same terms in the same order."""
+    ys, zs, yz = alg._conv_triples
+    f, g = np.asarray(f, dtype=np.complex128), np.asarray(g, dtype=np.complex128)
+    terms = f[..., ys] * g[..., zs]
+    out = np.zeros(terms.shape[:-1] + (alg.groupoid.n_arrows,), dtype=np.complex128)
+    np.add.at(out, (..., yz), terms)
     return out
 
 
@@ -1072,6 +1092,70 @@ def expectation_draws_loop(R, G, action, n_random: int = 100, rng=None) -> dict:
         f = rand(R.n_arrows)
         low = min(low, alg.unit_sup_norm(alg.convolve(alg.star(f), f)))
     return {"translation_norm_error": err, "faithfulness_min_norm": float(low)}
+
+
+def semi_cross_parts_loop(R, G, action):
+    """R x| G, C*(R) and C*(R) x_beta G, with beta and the crossed product
+    built afresh rather than read from the caches on the action."""
+    semi = semidirect_product(R, G, action)
+    base = convolution_algebra(R)
+    beta = algebra_action_from_groupoid_action(base, action)
+    return semi, base, ActionCrossedProduct(base.span, G, beta, tol=matalg.PRODUCT_TOL)
+
+
+def crossed_element_loop(R, G, semi, base, acp, f) -> sp.csr_matrix:
+    """Phi(f) = sum_s pi~(f_s) u~_s for one function f on R x| G, as an
+    ambient matrix: f_s read from the arrow names of R x| G, u~_s = 1 (x)
+    lam_s by one sparse kron, and one sparse product per s."""
+    phi = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
+    for k, (a, tname) in enumerate(semi.arrows):
+        phi[G.index(tname)][R.arrow_index(a)] = f[k]
+    out = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
+    lam = regular_matrices(G)[0]
+    for s in G:
+        pi = acp.pi_tilde_rows(base.represent_rows(phi[s][None, :]))
+        u_s = sp.kron(sp.identity(R.n_arrows), lam[s], format="csr")
+        out = out + pi.reshape(acp.ambient_dim, acp.ambient_dim).tocsr() @ u_s
+    # Canonical index order: a sparse product adds its terms in stored order.
+    return out.sorted_indices()
+
+
+def random_convolution_loop(R, G, action, rng) -> float:
+    """``certify_semi_cross``'s random_convolution_error, one element at a time."""
+    semi, base, acp = semi_cross_parts_loop(R, G, action)
+    lhs_alg = convolution_algebra(semi)
+    conv = 0.0
+    for _ in range(4):
+        f = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        g = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        fg = lhs_alg.convolve(f, g)
+        lhs = (crossed_element_loop(R, G, semi, base, acp, f)
+               @ crossed_element_loop(R, G, semi, base, acp, g))
+        conv = max(conv, frobenius(lhs - crossed_element_loop(R, G, semi, base, acp, fg)))
+    return conv
+
+
+def red_semi_cross_loop(R, G, action, n_random: int = 100, rng=None) -> float:
+    """The identity that ``expectations_and_norm_identities`` (ii) decides on
+    delta functions, as floats on its random elements b, one at a time: the
+    largest | sup |P_{R x| G}(b)| - sup |P_R(E(Phi(b)))| |, each Phi(b) in
+    the crossed product at 1e-6 and each E(Phi(b)) in C*(R) at PRODUCT_TOL,
+    after the same draws for (i)."""
+    rng = rng or np.random.default_rng(0)
+    semi, base, acp = semi_cross_parts_loop(R, G, action)
+    for _ in range(max(8, n_random // 10)):
+        rng.standard_normal(R.n_arrows), rng.standard_normal(R.n_arrows)
+    err = 0.0
+    for _ in range(n_random):
+        b = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
+        x = crossed_element_loop(R, G, semi, base, acp, b)
+        f_e, resid = base.span.coefficients_rows(
+            acp.conditional_expectation_rows(matalg.vec_rows([x]), tol=1e-6))
+        if resid > matalg.PRODUCT_TOL:
+            raise matalg.NotInSpan(f"P(Phi(b)) is not in C*(R) (residual {resid:.2e})")
+        lhs = float(np.max(np.abs(b[semi.unit_arrow])))
+        err = max(err, abs(lhs - base.unit_sup_norm(f_e.toarray()[0])))
+    return err
 
 
 def kernel_expectation_loop(Q, c, n_random: int = 100, rng=None) -> float:

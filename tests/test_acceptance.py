@@ -204,15 +204,16 @@ def test_criterion_8_equivalences_and_inner_products(groupoid_cases):
 
 def test_criterion_9_expectations(groupoid_cases):
     """P_R faithful on positives (100 random elements, norm > 1e-6); the
-    translation norm identity exact; the reduced-semidirect norm identity
-    at 1e-9."""
+    translation norm identity exact; the reduced-semidirect identity
+    P_R(E(Phi(b))) = P_{R x| G}(b) exact, decided on delta functions (no
+    mismatched entry)."""
     bad = []
     for case in groupoid_cases:
         exp = case.summary["expectations"]
         ok = (
             exp["faithfulness_min_norm"] > 1e-6
             and exp["translation_norm_error"] == 0.0
-            and exp["red_semi_cross_error"] <= INNER_TOL
+            and exp["red_semi_cross_error"] == 0.0
         )
         if not ok:
             bad.append(case.seed)

@@ -6,6 +6,7 @@ versions see."""
 import numpy as np
 import pytest
 from oracles import (
+    convolve_by_add_at,
     convolve_loop,
     expectation_draws_loop,
     inner_product_loop,
@@ -40,6 +41,9 @@ def test_stacks_equal_their_loop_oracles():
         conv = alg.convolve(f, g)
         assert np.array_equal(conv, [alg.convolve(x, y) for x, y in zip(f, g)])
         assert np.max(np.abs(conv - [convolve_loop(Q, x, y) for x, y in zip(f, g)])) <= 1e-12
+        for x, y in ((f, g), (f[0], g[0]), (f.reshape(2, 3, -1), g.reshape(2, 3, -1))):
+            want = convolve_by_add_at(alg, x, y)
+            assert np.array_equal(alg.convolve(x, y).view(np.int64), want.view(np.int64))
         assert np.array_equal(groupoids._module_action(Q, keep, f, on_n),
                               [module_action_loop(Q, keep, x, y) for x, y in zip(f, on_n)])
 

@@ -22,7 +22,7 @@ STAR_MAP = {"star_map", "star_map.well_defined", "star_map.multiplicative",
             "star_map.star_preserving", "star_map.injective", "star_map.surjective",
             "star_map.max_error"}
 SIGNATURES = {"signatures", "signatures.lhs", "signatures.rhs"}
-EQUIVALENCE = {"carrier_size", "properness", "moment_maps_surjective", "domains_ok",
+EQUIVALENCE = {"carrier_size", "properness", "moment_maps_surjective_ok", "domains_ok",
                "moment_compatibility_ok", "unit_actions_ok", "associativity_ok",
                "commuting_ok", "freeness_ok", "orbit_bijections_ok", "properness_window_ok"}
 MODULE = {"module_action_ok", "module_action_error", "adjointability_ok",

@@ -6,6 +6,7 @@ from oracles import (
     coefficients,
     constant_labeling,
     contains,
+    delta,
     element,
     operator_norm,
     random_element,
@@ -70,7 +71,7 @@ class TestCoactionCrossedProduct:
         ccp = CoactionCrossedProduct(graded)
         lam, _, chi = regular_matrices(z2)
         # j_A(a) is the represented coaction and j_G resolves the identity.
-        j_a = matalg.unvec_rows(graded.delta(matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
+        j_a = matalg.unvec_rows(delta(graded, matalg.vec_rows([fam.s[0]])), ccp.ambient_dim)
         assert matalg.frobenius(j_a[0] - sp.kron(fam.s[0], lam[1])) < 1e-12
         # j_G(chi_u) = 1 (x) chi_u, the last |G| generator rows.
         j_g = matalg.unvec_rows(ccp.span.gen_rows[-z2.order:], ccp.ambient_dim)

@@ -5,6 +5,7 @@ from oracles import (
     basis_matrix,
     check_star_map,
     constant_labeling,
+    delta,
     regular_matrices,
     trivial_group,
 )
@@ -165,7 +166,7 @@ class TestCoaction:
         graded = coaction(fam, z2, e1_z2_labeling)
         # delta(s_f) = s_f (x) lam_g, a 4x4 matrix; delta(p_v) = p_v (x) 1.
         lam_g = np.array([[0, 1], [1, 0]])
-        deltas = graded.delta(fam.span.gen_rows).toarray().real.reshape(-1, 4, 4)
+        deltas = delta(graded, fam.span.gen_rows).toarray().real.reshape(-1, 4, 4)
         assert np.array_equal(
             deltas[0], sp.kron(fam.s[0].toarray().real, lam_g).toarray()
         )
@@ -178,7 +179,7 @@ class TestCoaction:
         G1 = trivial_group()
         fam = ck_representation(e1)
         graded = coaction(fam, G1, constant_labeling(e1, G1))
-        deltas = matalg.unvec_rows(graded.delta(fam.span.gen_rows), fam.ambient_dim)
+        deltas = matalg.unvec_rows(delta(graded, fam.span.gen_rows), fam.ambient_dim)
         for e in range(e1.n_edges):
             assert matalg.frobenius(deltas[e] - sp.kron(fam.s[e], np.eye(1))) == 0.0
 
@@ -194,7 +195,7 @@ class TestCoaction:
         fam = ck_representation(chain2)
         graded = coaction(fam, z3, lab)
         lam = regular_matrices(z3)[0]
-        deltas = matalg.unvec_rows(graded.delta(fam.span.rows), fam.ambient_dim * z3.order)
+        deltas = matalg.unvec_rows(delta(graded, fam.span.rows), fam.ambient_dim * z3.order)
         for k in range(fam.dim):
             t = int(graded.degrees[k])
             lhs = deltas[k]

@@ -5,15 +5,15 @@ import pytest
 import scipy.sparse as sp
 from oracles import (
     equivalence_axioms_loop,
-    regular_matrices,
+    random_convolution_loop,
+    red_semi_cross_loop,
     symmetric_group_3,
     trivial_group,
 )
 
 from skewprod import groupoids as gpd
-from skewprod import fixture_path, groups, matalg, suite
+from skewprod import crossed, fixture_path, groups, matalg, suite
 from skewprod.groupoids import (
-    AxiomFailed,
     BadInverse,
     BadUnits,
     Cocycle,
@@ -412,7 +412,7 @@ def test_expectation_path_makes_no_sparse_product(monkeypatch):
         def run():
             x_rows = acp.element_rows(gpd._crossed_parts(base, G, b))
             e_rows = acp.conditional_expectation_rows(x_rows, tol=1e-6)
-            return x_rows, e_rows, base.to_functions(e_rows)
+            return x_rows, e_rows, base.span.coefficients_rows(e_rows)[0].toarray()
 
         with monkeypatch.context() as mp:
             calls = []
@@ -434,12 +434,12 @@ def test_expectation_path_makes_no_sparse_product(monkeypatch):
 class TestEquivalences:
     def test_semidirect_kind(self, pair2, pair2_cocycle, rng):
         bim, rep = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle, rng=rng)
-        assert rep.passed and len(rep.checks) == 8
+        assert rep.passed and len(rep.checks) == 9
         assert rep.data["carrier_size"] == 8
 
     def test_subgroupoid_kind_h_units(self, pair2, pair2_cocycle, rng):
         bim, rep = certify_equivalence("subgroupoid", pair2, Z2, pair2_cocycle, rng=rng)
-        assert rep.passed and len(rep.checks) == 8
+        assert rep.passed and len(rep.checks) == 9
         # H has units {(u, t) : t in c(Q^u)}; both values occur at both units.
         assert rep.data["h_units"] == 4
 
@@ -653,6 +653,10 @@ PLANTS = {
 ISOTROPY_PLANTS = {**PLANTS, **{("freeness", side): (_plant_freeness, "freeness_ok")
                                 for side in ("left", "right")}}
 AXIOM_FLAGS = {flag for _, flag in ISOTROPY_PLANTS.values()}
+# rho sent to one unit: the cells over the other unit have left arrows
+# defined where rho says none are, and rho no longer separates right orbits.
+SURJECTIVITY_FLAGS = {"moment_maps_surjective_ok", "domains_ok", "moment_compatibility_ok",
+                      "orbit_bijections_ok"}
 # (plant, side) -> every flag the plant turns false on Z2 as a one-unit
 # groupoid: its own, and those that the broken table breaks with it.
 ISOTROPY_FLAGS = {
@@ -717,12 +721,20 @@ class TestPlantedEquivalenceDefects:
         assert {f for f in AXIOM_FLAGS if verdict[f] is False} == ISOTROPY_FLAGS[plant]
         _assert_planted_side(planted, flag, plant[1])
 
-    def test_surjectivity_still_raises(self, pair2, pair2_cocycle):
+    def test_non_surjective_moment_map_fails_its_check(self, pair2, pair2_cocycle):
         bim, _ = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
         bim.rho = np.zeros_like(bim.rho)
-        with pytest.raises(AxiomFailed, match="^left moment map is not surjective"):
-            bim.verify()
-        assert _same_verdict(bim) is AxiomFailed
+        verdict = _same_verdict(bim)
+        assert {f for f, ok in verdict.items() if ok is False} == SURJECTIVITY_FLAGS
+
+    def test_a_unit_no_cell_reaches_fails_surjectivity_alone(self, pair2, pair2_cocycle):
+        # A left unit with only its unit arrow and no cell over it: every
+        # action rule holds, and rho misses that unit.
+        bim, _ = certify_equivalence("semidirect", pair2, Z2, pair2_cocycle)
+        bim.left = disjoint_union([bim.left, units_only_groupoid(1)])
+        bim.left_table = np.vstack([bim.left_table, np.full(len(bim.carrier), -1)])
+        verdict = _same_verdict(bim)
+        assert {f for f, ok in verdict.items() if ok is False} == {"moment_maps_surjective_ok"}
 
     # Six axioms can fail alone.  The unit rule cannot: if the unit e at
     # anchor(z) moves z to w while every other axiom holds, the orbit axiom
@@ -1014,6 +1026,18 @@ def test_json_round_trip_tuple_ids(pair2, pair2_cocycle):
     assert back.n_units == skew.n_units
 
 
+# red_semi_cross_error under each planted defect: the entries of Phi's
+# coefficient table, of E's rows read back in C*(R) and of their values on
+# the units that differ from the identity tables they should match, plus 1
+# for a nonzero read-back residual.  E read at s != e reads delta_x back in
+# the row of (x, s) for one s != e and nothing in the row of (x, e): twice
+# the arrows of R, and twice its units on the units.  A shift of the units
+# of R x| G moves each unit's 1 to another column: twice the units.
+OTHER_ACTION_MISMATCHES = 37.0
+PLANT_MISMATCHES = {("Z2", "expectation_off_e"): 24.0, ("Z2", "units_permuted"): 8.0,
+                    ("S3", "expectation_off_e"): 84.0, ("S3", "units_permuted"): 12.0}
+
+
 class TestBatchedChecks:
     """The semi-cross star map, the batched random-convolution and
     expectation checks: planted defects next to the same call on correct
@@ -1052,7 +1076,7 @@ class TestBatchedChecks:
         rep = expectations_and_norm_identities(skew, Z2, trans, n_random=20)
         body = rep.as_dict()
         assert not rep.passed and not body["red_semi_cross_ok"]
-        assert body["red_semi_cross_error"] > 1e-9
+        assert body["red_semi_cross_error"] == OTHER_ACTION_MISMATCHES
         assert body["translation_norm_ok"] and body["off_units_ok"] and body["faithfulness_ok"]
 
     def test_norm_changing_translation_fails_translation_norm(self, setup, monkeypatch):
@@ -1070,66 +1094,61 @@ class TestBatchedChecks:
         assert body["translation_norm_error"] > 0
         assert body["red_semi_cross_ok"] and body["off_units_ok"] and body["faithfulness_ok"]
 
-    def test_errors_equal_the_per_element_loops(self, setup):
-        skew, trans = setup
-        cert = certify_semi_cross(skew, Z2, trans, rng=np.random.default_rng(5))
+    @pytest.mark.parametrize("instance", ["Z2", "S3"])
+    def test_errors_equal_the_per_element_loops(self, instance):
+        skew, G, trans = _expectation_instance(instance)
+        cert = certify_semi_cross(skew, G, trans, rng=np.random.default_rng(5))
         rep = expectations_and_norm_identities(
-            skew, Z2, trans, n_random=40, rng=np.random.default_rng(6)
+            skew, G, trans, n_random=40, rng=np.random.default_rng(6)
         )
-        convolution = _convolution_loop(skew, Z2, trans, np.random.default_rng(5))
+        convolution = random_convolution_loop(skew, G, trans, np.random.default_rng(5))
         assert cert.as_dict()["extra"]["random_convolution_error"] == convolution
-        assert rep.as_dict()["red_semi_cross_error"] == _expectation_loop(
-            skew, Z2, trans, 40, np.random.default_rng(6)
-        )
+        # The identity decided on delta functions holds exactly; the float
+        # loop on the same draws agrees to rounding.
+        assert rep.as_dict()["red_semi_cross_error"] == 0.0
+        assert red_semi_cross_loop(skew, G, trans, 40, np.random.default_rng(6)) <= 1e-9
+
+    @pytest.mark.parametrize("instance", ["Z2", "S3"])
+    @pytest.mark.parametrize("plant", ["expectation_off_e", "units_permuted"])
+    def test_planted_expectation_fails_red_semi_cross_alone(self, instance, plant, monkeypatch):
+        skew, G, trans = _expectation_instance(instance)
+        assert expectations_and_norm_identities(skew, G, trans, n_random=20).passed
+        if plant == "expectation_off_e":
+            monkeypatch.setattr(crossed.ActionCrossedProduct, "conditional_expectation_rows",
+                                _expectation_off_e)
+        else:
+            semi = gpd.semidirect_product(skew, G, trans)
+            shifted = _units_permuted(semi, np.roll(np.arange(semi.n_units), 1))
+            monkeypatch.setattr(gpd, "semidirect_product", lambda R, G, action: shifted)
+        body = expectations_and_norm_identities(skew, G, trans, n_random=20).as_dict()
+        assert {key for key, value in body.items() if value is False} == {"red_semi_cross_ok"}
+        assert body["red_semi_cross_error"] == PLANT_MISMATCHES[instance, plant]
 
 
-def _loop_parts(R, G, action):
-    semi = semidirect_product(R, G, action)
-    base = convolution_algebra(R)
-    beta = gpd.algebra_action_from_groupoid_action(base, action)
-    acp = gpd.ActionCrossedProduct(base.span, G, beta, tol=matalg.PRODUCT_TOL)
-    return semi, base, acp
+def _expectation_instance(name):
+    """(R, G, action) for the expectation checks: the skew product of the pair
+    groupoid over Z2, or of S3 as a one-unit groupoid over S3 (the fixtures
+    s3-groupoid and s3), with the translation action."""
+    if name == "Z2":
+        Q, G = pair_groupoid(2), Z2
+        c = cocycle_from_names(Q, G, {"x11": "e", "x22": "e", "x12": "g", "x21": "g"})
+    else:
+        G = groups.FiniteGroup.from_json(fixture_path("s3").read_text())
+        Q, names = gpd.groupoid_from_json(fixture_path("s3-groupoid").read_text())
+        c = cocycle_from_names(Q, G, names)
+    skew = skew_product_groupoid(Q, G, c)
+    return skew, G, translation_groupoid_action(skew, G)
 
 
-def _one_element(R, G, semi, base, acp, f):
-    phi = {s: np.zeros(R.n_arrows, dtype=np.complex128) for s in G}
-    for k, (a, tname) in enumerate(semi.arrows):
-        phi[G.index(tname)][R.arrow_index(a)] = f[k]
-    out = sp.csr_matrix((acp.ambient_dim, acp.ambient_dim), dtype=np.complex128)
-    lam = regular_matrices(G)[0]
-    for s in G:
-        pi = acp.pi_tilde_rows(base.represent_rows(phi[s][None, :]))
-        u_s = sp.kron(sp.identity(R.n_arrows), lam[s], format="csr")
-        out = out + pi.reshape(acp.ambient_dim, acp.ambient_dim).tocsr() @ u_s
-    # Canonical index order: a sparse product adds its terms in stored order.
-    return out.sorted_indices()
+def _expectation_off_e(self, rows, tol=matalg.PRODUCT_TOL):
+    """P read at the coefficients of pi~(b_i) u~_s for a fixed s != e."""
+    coeffs, _ = self.span.coefficients_rows(rows)
+    s = (self.group.identity_index + 1) % self.group.order
+    return self.base.combine(coeffs.toarray()[:, np.arange(self.base.dim) * self.group.order + s])
 
 
-def _convolution_loop(R, G, action, rng):
-    """random_convolution_error, one element at a time."""
-    semi, base, acp = _loop_parts(R, G, action)
-    lhs_alg = convolution_algebra(semi)
-    conv = 0.0
-    for _ in range(4):
-        f = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        g = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        fg = lhs_alg.convolve(f, g)
-        lhs = _one_element(R, G, semi, base, acp, f) @ _one_element(R, G, semi, base, acp, g)
-        conv = max(conv, matalg.frobenius(lhs - _one_element(R, G, semi, base, acp, fg)))
-    return conv
-
-
-def _expectation_loop(R, G, action, n_random, rng):
-    """red_semi_cross_error, one element at a time, after the same draws for (i)."""
-    semi, base, acp = _loop_parts(R, G, action)
-    for _ in range(max(8, n_random // 10)):
-        rng.standard_normal(R.n_arrows), rng.standard_normal(R.n_arrows)
-    err = 0.0
-    for _ in range(n_random):
-        b = rng.standard_normal(semi.n_arrows) + 1j * rng.standard_normal(semi.n_arrows)
-        x = _one_element(R, G, semi, base, acp, b)
-        f_e = base.to_functions(
-            acp.conditional_expectation_rows(matalg.vec_rows([x]), tol=1e-6))[0]
-        lhs = float(np.max(np.abs(b[semi.unit_arrow])))
-        err = max(err, abs(lhs - base.unit_sup_norm(f_e)))
-    return err
+def _units_permuted(Q, perm):
+    """Q with unit u moved to index perm[u], its arrows and tables unchanged."""
+    back = np.argsort(perm)
+    return FiniteGroupoid([Q.units[u] for u in back], Q.arrows, perm[Q.r], perm[Q.s],
+                          Q.mult, Q.inv)
