@@ -185,12 +185,10 @@ class ActionCrossedProduct:
         coefficient of b_i in a_s is that of the basis element pi~(b_i) u~_s,
         at i |G| + s, so one expansion in the base and one
         :meth:`~matalg.AlgebraSpan.combine` serve every s."""
-        return self.span.combine(self._element_coefficients(parts))
-
-    def _element_coefficients(self, parts) -> np.ndarray:
-        """The coefficients of :meth:`element_rows` on this basis, one row per element."""
-        coeffs, m = self.base.coefficients_rows(parts)[0].toarray(), self.group.order
-        return coeffs.reshape(-1, m, self.base.dim).transpose(0, 2, 1).reshape(-1, self.dim)
+        coeffs, _ = self.base.coefficients_rows(parts)
+        m = self.group.order
+        return self.span.combine(
+            coeffs.toarray().reshape(-1, m, self.base.dim).transpose(0, 2, 1).reshape(-1, self.dim))
 
     def _verify_covariance(self, tol: float):
         """u~_s pi~(a) u~_s* = pi~(gamma_s(a)), batched over the base basis."""
@@ -219,7 +217,7 @@ class ActionCrossedProduct:
             matalg._csr(a[at_e], r[at_e], i[at_e], (coeffs.shape[0], self.base.dim)))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GradedSpan:
     """A G-grading of an AlgebraSpan: basis element b_i has degree ``degrees[i]``.
 
@@ -230,7 +228,9 @@ class GradedSpan:
     ``graphalg.coaction``) or by the cocycle law (checked by
     ``groupoids.Cocycle``); adjoint degrees, the product-degree law and the
     spanning rows are checked by :class:`CoactionCrossedProduct`, and delta
-    on generators by :func:`coaction_check`.
+    on generators by :func:`coaction_check`.  Frozen: the rows derived from
+    the grading are cached, and delta of the generators is cached from
+    ``delta_rows``, so none of them can be replaced after it is read.
     """
 
     span: AlgebraSpan
@@ -238,7 +238,7 @@ class GradedSpan:
     group: FiniteGroup
 
     def __post_init__(self):
-        self.degrees = np.asarray(self.degrees, dtype=np.int64)
+        object.__setattr__(self, "degrees", np.asarray(self.degrees, dtype=np.int64))
 
     def subspace_dims(self) -> dict[int, int]:
         return {t: int(np.sum(self.degrees == t)) for t in self.group}

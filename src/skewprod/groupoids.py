@@ -866,6 +866,15 @@ def certify_full_groupoid(
     )
 
 
+def _mismatches(rows: sp.csr_matrix, at, expected: sp.csr_matrix) -> int:
+    """The entries of the rows ``at`` that differ from ``expected`` by more
+    than PRODUCT_TOL (an entry stored on one side only is compared with 0),
+    plus every entry stored in the other rows."""
+    stored = np.diff(rows.indptr)
+    off = stored.sum() - stored[at].sum()
+    return int(np.count_nonzero(np.abs((rows[at] - expected).data) > matalg.PRODUCT_TOL) + off)
+
+
 def expectations_and_norm_identities(
     R: FiniteGroupoid,
     G: FiniteGroup,
@@ -877,11 +886,12 @@ def expectations_and_norm_identities(
 
     (i)   || P_R(beta_s(f)) || = || P_R(f) || exactly (sup over units);
     (ii)  P_R(E(Phi(b))) = P_{R x| G}(b), hence equal sup norms; all maps are
-          linear, so it is decided exactly on the basis delta_k, k = x |G| + s:
-          Phi(delta_k) has the coefficients of row k of C*(R) x_beta G, E of
-          that row is b_x for s = e and 0 otherwise, read back as delta_x, and
-          P_R of that is P_{R x| G}(delta_k) on the units of R x| G, R's in
-          R's order.  The error counts mismatched entries;
+          linear, so it is decided on the basis delta_k, k = x |G| + s:
+          Phi(delta_k) has part s b_x = pi(delta_x) and no other, so it is
+          pi~(b_x) u~_s, row k of C*(R) x_beta G; E of that row is b_x for
+          s = e and 0 otherwise, entry by entry at PRODUCT_TOL; and the units
+          of R x| G are R's, (u, e) in R's order, so P_R(delta_x) at s = e is
+          P_{R x| G}(delta_k).  The error counts mismatched entries and units;
     (iii) P_R is faithful on positives: P_R(f* f) has positive sup norm for
           random nonzero f.
     """
@@ -903,17 +913,15 @@ def expectations_and_norm_identities(
     checks.append(Check("off_units", base_alg.unit_sup_norm(off), exact=True))
 
     # (ii) on the basis.  n_random elements of C*(R x| G) are drawn and left unused
-    # so that every later draw of the case stays in place.  A read-back with
-    # residual 0 makes E's rows exactly the sums of b_x that their coefficients give.
+    # so that every later draw of the case stays in place.
     random_functions(rng, n_random, semi.n_arrows)
-    k = np.arange(semi.n_arrows)
-    at_e, one = k % G.order == G.identity_index, np.eye(len(k))
-    phi = acp._element_coefficients(
-        _crossed_parts(base_alg, G, sp.identity(len(k), dtype=np.complex128, format="csr")))
-    f_e, resid = base_alg.span.coefficients_rows(acp.conditional_expectation_rows(acp.span.rows))
-    f_e = f_e.toarray()
-    bad = (np.count_nonzero(phi != one) + np.count_nonzero(f_e != one[:, at_e]) + (resid != 0)
-           + np.count_nonzero(base_alg.restrict_to_units(f_e) != one[:, semi.unit_arrow]))
+    n, m = semi.n_arrows, G.order
+    x, s = np.divmod(np.arange(n), m)
+    parts = _crossed_parts(base_alg, G, sp.identity(n, np.complex128, "csr"))
+    bad = (_mismatches(parts, np.arange(n) * m + s, base_alg.span.rows[x])
+           + _mismatches(acp.conditional_expectation_rows(acp.span.rows),
+                         np.flatnonzero(s == G.identity_index), base_alg.span.rows)
+           + np.count_nonzero(semi.unit_arrow != R.unit_arrow * m + G.identity_index))
     checks.append(Check("red_semi_cross", float(bad), exact=True))
 
     f, = random_functions(rng, n_random, R.n_arrows)

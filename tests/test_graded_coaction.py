@@ -1,5 +1,6 @@
 """Planted defects in the graded-coaction layer: each check that layer makes
 is shown to fail on a known error, next to the same call on correct input."""
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -26,53 +27,57 @@ def e1_z3(e1, z3):
     return coaction(ck_representation(e1), z3, lab), lab
 
 
-def _coaction(e1_z3) -> matalg.Check:
-    graded, lab = e1_z3
+def _coaction(graded, lab) -> matalg.Check:
     return coaction_check(graded, generator_degrees(lab))
 
 
-def _plant_delta_rows(graded, rows):
-    """Replace delta on the basis; delta of the generators, cached from it on
-    first use, is formed again from the planted rows."""
-    graded.delta_rows = rows
-    graded.__dict__.pop("gen_delta", None)
+def _planted(graded, **rows) -> GradedSpan:
+    """A fresh copy of the frozen ``graded`` with planted ``delta_rows`` or
+    ``spanning_rows``; the rows cached from them are formed again from the
+    planted ones."""
+    planted = dataclasses.replace(graded)
+    for name, value in rows.items():
+        object.__setattr__(planted, name, value)
+    return planted
 
 
 def test_rho_in_place_of_lam_fails_coaction_check(e1_z3, z3):
-    graded, _ = e1_z3
-    assert _coaction(e1_z3).error == 0.0
+    graded, lab = e1_z3
+    assert _coaction(graded, lab).error == 0.0
     # For an abelian group rho_t = lam_{t^-1}: delta(b) = b (x) rho_deg(b) is
     # still a coaction, but of the inverse grading, so s_f (x) lam_1 reads
     # s_f (x) lam_2, |lam_2 - lam_1| = 6^(1/2).
     rho = regular_matrices(z3)[1]
-    _plant_delta_rows(graded, matalg.vec_rows(
+    planted = _planted(graded, delta_rows=matalg.vec_rows(
         [
             sp.kron(basis_matrix(graded.span, k), rho[int(t)])
             for k, t in enumerate(graded.degrees)
         ]
     ))
-    check = _coaction(e1_z3)
+    check = _coaction(planted, lab)
     assert not check.passed and check.error == pytest.approx(6 ** 0.5, abs=1e-12)
 
 
 def test_zeroed_delta_row_fails_coaction_check(e1_z3):
-    graded, _ = e1_z3
+    graded, lab = e1_z3
+    assert _coaction(graded, lab).error == 0.0
     rows = graded.delta_rows.tolil()
     rows[0, :] = 0
-    _plant_delta_rows(graded, rows.tocsr())
+    planted = _planted(graded, delta_rows=rows.tocsr())
     # Row 0 is p_w = e_(w,w), so delta(p_w) = 0 against p_w (x) 1 = e_(w,w) (x) 1_3.
-    check = _coaction(e1_z3)
+    check = _coaction(planted, lab)
     assert not check.passed and check.error == pytest.approx(3 ** 0.5, abs=1e-12)
 
 
 def test_signed_lam_fails_coaction_check(e1_z3):
-    graded, _ = e1_z3
+    graded, lab = e1_z3
+    assert _coaction(graded, lab).error == 0.0
     # delta'(b) = b (x) lam'_deg(b) with lam'_1 = -lam_1: lam' is no
     # homomorphism (lam'_1 lam'_2 = -lam_0), and s_f (x) -lam_1 is 2 3^(1/2)
     # from s_f (x) lam_1.
-    _plant_delta_rows(graded, sp.diags(np.where(graded.degrees == 1, -1.0, 1.0))
-                      @ graded.delta_rows)
-    check = _coaction(e1_z3)
+    planted = _planted(graded, delta_rows=sp.diags(np.where(graded.degrees == 1, -1.0, 1.0))
+                       @ graded.delta_rows)
+    check = _coaction(planted, lab)
     assert not check.passed and check.error == pytest.approx(12 ** 0.5, abs=1e-12)
 
 
@@ -101,9 +106,10 @@ def test_non_unitary_similarity_fails_the_spanning_read_back(e1_z3, z3):
     f = np.array([2.0, 1.0, 1.0])
     deg = np.repeat(graded.degrees, z3.order)
     u = np.tile(np.arange(z3.order), graded.span.dim)
-    graded.spanning_rows = sp.diags(f[z3.table[deg, u]] / f[u]) @ graded.spanning_rows
+    planted = _planted(graded, spanning_rows=sp.diags(f[z3.table[deg, u]] / f[u])
+                       @ graded.spanning_rows)
     with pytest.raises(ActionInvalid, match=r"^spanning row \d+ is not b_i \(x\) lam_t chi_u$"):
-        CoactionCrossedProduct(graded)
+        CoactionCrossedProduct(planted)
 
 
 def test_order_16_group_stays_within_memory(e1):
