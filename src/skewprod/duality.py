@@ -189,27 +189,25 @@ class DualityParts:
         """(ck_error, covariance_error) of Theta's generator images: the
         Cuntz-Krieger relations of t_(f,r), q_(v,r), and u_t t_g = t_(t.g) u_t
         for every t and every generator g of C*(E x_c G), in one stacked
-        comparison.  Since u_t is unitary, the second is also
-        |u_t t_g u_t* - t_(t.g)|, the equivariance error of Phi."""
+        comparison of entry tables; the second counts the entries at which the
+        two sides differ, 1.0 when the images are not partial permutations.
+        Since u_t is unitary, it also witnesses u_t t_g u_t* = t_(t.g), the
+        equivariance of Phi."""
         skew, gact = self.skew, self.gact
         n_e, n_g = skew.n_edges, skew.n_edges + skew.n_vertices
         gens, us = self.theta_gen_rows[:n_g], self.theta_gen_rows[n_g:]
         m = self.fam.ambient_dim * self.G.order
         ck_err = graphalg._ck_relations_for(skew, gens, m)
         # Row t n_g + i: u_t t_i on the left, t_i u_t on the right, picked at t n_g
-        # + moved_t[i]; as entry tables, equal exactly where the difference is 0.
+        # + moved_t[i].
         moved = np.hstack([gact.eperm, n_e + gact.vperm])
         picks = (np.arange(self.G.order)[:, None] * n_g + moved).ravel()
         sides = [matalg._index_products(gens, us, m, left, us.shape[0]) for left in (True, False)]
-        if None not in sides:
-            (_, _, j, i, pos, x), (_, _, jr, ir, posr, y) = (next(s) for s in sides)
-            lk, rk = (j * n_g + i) * m * m + pos, np.argsort(picks)[jr * n_g + ir] * m * m + posr
-            lo, ro = np.argsort(lk), np.argsort(rk)
-            if np.array_equal(lk[lo], rk[ro]) and np.array_equal(x[lo], y[ro]):
-                return ck_err, 0.0
-        lhs = sp.vstack([p for _, p in matalg.left_products(gens, us, m)], format="csr")
-        rhs = sp.vstack([p for _, p in matalg.right_products(gens, us, m)], format="csr")
-        return ck_err, matalg.max_row_norm(lhs - rhs[picks])
+        if None in sides:
+            return ck_err, 1.0
+        (_, _, j, i, pos, x), (_, _, jr, ir, posr, y) = (next(s) for s in sides)
+        lk, rk = (j * n_g + i) * m * m + pos, np.argsort(picks)[jr * n_g + ir] * m * m + posr
+        return ck_err, float(matalg._mismatched(lk, x, rk, y))
 
     @cached_property
     def theta_rows(self) -> sp.csr_matrix:
@@ -286,7 +284,6 @@ def certify_eqvt_iso(
         m,
         fam_skew.span.gen_rows,
         gen_imgs,
-        tol=tol,
         target=ccp.span,
         inverse_rows=inverse_rows,
     )
@@ -356,7 +353,7 @@ def certify_direct_iso(
     inverse_rows = _basis_image_rows(fam, tq, N, post=yu[G.table[inv[t], r] * m + t])
 
     report = matalg.star_map_on_basis(
-        acp.span, image_rows, mt, acp.span.gen_rows, parts.theta_gen_rows, tol=tol,
+        acp.span, image_rows, mt, acp.span.gen_rows, parts.theta_gen_rows,
         target=target, inverse_rows=inverse_rows,
     )
 
@@ -501,7 +498,7 @@ def certify_free_action(
 
     report = matalg.star_map_on_basis(
         acp_f.span, image_rows, target.ambient_dim, acp_f.span.gen_rows,
-        parts.theta_gen_rows[gen_map], tol=tol, target=target,
+        parts.theta_gen_rows[gen_map], target=target,
     )
 
     signatures = {

@@ -46,56 +46,39 @@ def _block_norms(data, rows, cols, n: int, k: int) -> np.ndarray:
     return np.sqrt(np.bincount(r // n * k + c // n, np.abs(values) ** 2, k * k)).reshape(k, k)
 
 
-def _diag_blocks(rows: sp.spmatrix, n: int) -> sp.csr_matrix:
-    """The n x n matrices of the stacked rows vec(x_k) as the diagonal blocks
-    of one block-diagonal matrix, by index arithmetic."""
-    (r, c, x), k = matalg._entries(rows.tocsr()), rows.shape[0]
-    return matalg._csr(x, r * n + c // n, r * n + c % n, (k * n, k * n))
-
-
 def _ck_products(gen_rows: sp.csr_matrix, n: int, n_e: int, n_v: int, mono):
-    """The entries (data, row, col) of three block matrices: block (v, w) of
-    the first is p_v p_w, block (f, f) of the second s_f* s_f and of the third
-    s_f s_f*.  For partial permutations (``mono``, the family as
-    ``matalg._monomial`` reads it) each is one product of two entries, by
-    index arithmetic; else by sparse products."""
+    """The entries (data, row, col) of three block matrices, for a family of
+    partial permutations (``mono``, as ``matalg._monomial`` reads it): block
+    (v, w) of the first is p_v p_w, block (f, f) of the second s_f* s_f and
+    of the third s_f s_f*, each entry one product of two entries."""
     i, c, data = matalg._entries(gen_rows)
     a, b = np.divmod(c, n)
     p, s = i >= n_e, i < n_e
-    if mono is not None:
-        # p_v[a, b] p_w[b, col_w[b]] at (v n + a, w n + col_w[b]); s_f[a, b]
-        # gives the diagonal entries (b, b) of s_f* s_f and (a, a) of s_f s_f*.
-        col, val = mono[0][n_e:, b[p]], mono[1][n_e:, b[p]]
-        x = matalg._times(data[p], val)
-        keep = (col >= 0) & (x != 0)
-        pp = x[keep], np.broadcast_to((i[p] - n_e) * n + a[p], x.shape)[keep], (
-            np.arange(n_v)[:, None] * n + col)[keep]
-        ss = matalg._times(data[s].conj(), data[s])
-        f, keep = i[s] * n, ss != 0
-        return pp, (ss[keep], (f + b[s])[keep], (f + b[s])[keep]), (
-            ss[keep], (f + a[s])[keep], (f + a[s])[keep])
-    # The p_v stacked tall and side by side; the s_f and the s_f* block-diagonal.
-    v = i[p] - n_e
-    tall = matalg._csr(data[p], v * n + a[p], b[p], (n_v * n, n))
-    wide = matalg._csr(data[p], a[p], v * n + b[p], (n, n_v * n))
-    f = i[s] * n
-    S = matalg._csr(data[s], f + a[s], f + b[s], (n_e * n, n_e * n))
-    S_h = matalg._csr(data[s].conj(), f + b[s], f + a[s], S.shape)
-    return [(m.data, m.row, m.col) for m in ((tall @ wide).tocoo(), (S_h @ S).tocoo(),
-                                             (S @ S_h).tocoo())]
+    # p_v[a, b] p_w[b, col_w[b]] at (v n + a, w n + col_w[b]); s_f[a, b]
+    # gives the diagonal entries (b, b) of s_f* s_f and (a, a) of s_f s_f*.
+    col, val = mono[0][n_e:, b[p]], mono[1][n_e:, b[p]]
+    x = matalg._times(data[p], val)
+    keep = (col >= 0) & (x != 0)
+    pp = x[keep], np.broadcast_to((i[p] - n_e) * n + a[p], x.shape)[keep], (
+        np.arange(n_v)[:, None] * n + col)[keep]
+    ss = matalg._times(data[s].conj(), data[s])
+    f, keep = i[s] * n, ss != 0
+    return pp, (ss[keep], (f + b[s])[keep], (f + b[s])[keep]), (
+        ss[keep], (f + a[s])[keep], (f + a[s])[keep])
 
 
 def _ck_holds_on_indices(graph: DirectedGraph, gen_rows: sp.csr_matrix, mono) -> bool:
     """Whether a family of partial permutations (``mono``, as
-    ``matalg._monomial`` reads it) with entries in ``UNIT_PHASES`` meets the
-    relations as facts about index sets: no generator is zero, each p_v is
-    the identity on its support, the supports partition the rows, s_f has
-    the columns of p_r(f), and the rows of the s_f out of a non-sink v
-    partition those of p_v.  Then each product is a 1 that cancels exactly."""
+    ``matalg._monomial`` reads it) meets the relations as facts about index
+    sets: no generator is zero, each p_v is the identity on its support, the
+    supports partition the rows, each entry x of an s_f has conj(x) x = 1 as
+    :func:`_ck_products` forms it, s_f has the columns of p_r(f), and the
+    rows of the s_f out of a non-sink v partition those of p_v.  Then each
+    product is a 1 that cancels exactly."""
     col, val = mono
     n_e, n_v, n = graph.n_edges, graph.n_vertices, col.shape[1]
-    # Every stored entry a unit phase, and every generator row storing one.
-    if not (np.isin(gen_rows.data, matalg.UNIT_PHASES).all() and np.diff(gen_rows.indptr).all()):
+    s = val[:n_e][col[:n_e] >= 0]
+    if not (np.diff(gen_rows.indptr).all() and np.all(matalg._times(s.conj(), s) == 1)):
         return False
     v, a = np.nonzero(col[n_e:] >= 0)
     if not (np.array_equal(col[n_e + v, a], a) and np.all(val[n_e + v, a] == 1)
@@ -120,14 +103,17 @@ def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> 
     is nonzero with s_f* s_f = p_r(f), and sum s_f s_f* = p_v over the edges
     out of each non-sink v.
 
-    A family that :func:`_ck_holds_on_indices` passes has error 0.0.  For
+    A family that is not of partial permutations has error 1.0, as a zero
+    generator has, and one that :func:`_ck_holds_on_indices` passes 0.0.  For
     any other the products come from :func:`_ck_products`; each difference is
     the entry lists of its two sides in one block matrix, and its norms are
     those of a CSR matrix of them."""
     n_v, n_e = graph.n_vertices, graph.n_edges
     gen_rows = gen_rows.tocsr()
     mono = matalg._monomial(gen_rows, n)
-    if mono is not None and _ck_holds_on_indices(graph, gen_rows, mono):
+    if mono is None:
+        return 1.0
+    if _ck_holds_on_indices(graph, gen_rows, mono):
         return 0.0
     r, c, data = matalg._entries(gen_rows)
     i, j = np.divmod(c, n)
@@ -164,38 +150,27 @@ def _ck_relations_for(graph: DirectedGraph, gen_rows: sp.csr_matrix, n: int) -> 
 
 def _path_images(fam: CKFamily, gen_rows: sp.csr_matrix, n: int) -> sp.csr_matrix:
     """The rows vec(s_mu) of the word of every basis path, in path order, for
-    a family of n x n matrices given as the stacked rows s_f and then p_v.
+    a family of n x n partial permutations given as the stacked rows s_f and
+    then p_v; raises :class:`CKRelationError` for any other family.
 
     A path of length 0 at v has the word p_v, and f mu the word s_f s_mu: one
-    pass per level of ``fam``.  For partial permutations each word is index
-    arrays (``matalg._monomial``), and row a of s_f s_mu has the one entry
-    s_f[a, b] s_mu[b, col[b]] for b the column of row a of s_f; otherwise each
-    level is one sparse product of the block-diagonal s_f with the
-    block-diagonal words s_mu of the paths one shorter."""
+    pass per level of ``fam``.  Each word is index arrays
+    (``matalg._monomial``), and row a of s_f s_mu has the one entry
+    s_f[a, b] s_mu[b, col[b]] for b the column of row a of s_f."""
     n_p, n_e = fam.ambient_dim, fam.graph.n_edges
     mono = matalg._monomial(gen_rows, n)
-    if mono is not None:
-        col, val = mono[0][n_e + fam.source], mono[1][n_e + fam.source]
-        for level in fam.levels:
-            b, tail = mono[0][fam.head[level]], fam.tail[level]
-            at = np.maximum(b, 0)
-            x = matalg._times(mono[1][fam.head[level]], np.take_along_axis(val[tail], at, axis=1))
-            c = np.take_along_axis(col[tail], at, axis=1)
-            col[level] = np.where((b >= 0) & (c >= 0) & (x != 0), c, -1)
-            val[level] = x
-        k, a = np.nonzero(col >= 0)
-        return matalg._csr(val[k, a], k, a * n + col[k, a], (n_p, n * n))
-    words = gen_rows[n_e + fam.source]
+    if mono is None:
+        raise CKRelationError("the family is not of partial permutations")
+    col, val = mono[0][n_e + fam.source], mono[1][n_e + fam.source]
     for level in fam.levels:
-        # Block k of the product is the word of the k-th path of this level.
-        z = (_diag_blocks(gen_rows[fam.head[level]], n)
-             @ _diag_blocks(words[fam.tail[level]], n))
-        r, c, x = matalg._entries(z)
-        new = matalg._csr(x, r // n, r % n * n + c % n, (len(level), n * n))
-        order = np.arange(n_p)
-        order[level] = n_p + np.arange(len(level))
-        words = sp.vstack([words, new], format="csr")[order]
-    return words
+        b, tail = mono[0][fam.head[level]], fam.tail[level]
+        at = np.maximum(b, 0)
+        x = matalg._times(mono[1][fam.head[level]], np.take_along_axis(val[tail], at, axis=1))
+        c = np.take_along_axis(col[tail], at, axis=1)
+        col[level] = np.where((b >= 0) & (c >= 0) & (x != 0), c, -1)
+        val[level] = x
+    k, a = np.nonzero(col >= 0)
+    return matalg._csr(val[k, a], k, a * n + col[k, a], (n_p, n * n))
 
 
 class CKFamily:
@@ -309,9 +284,8 @@ class CKFamily:
         units = matalg._csr(np.ones(n, dtype=np.complex128), np.arange(n),
                             np.arange(n) * n + self.start[self.sink], (n, n * n))
         words = _path_images(self, self.span.gen_rows, n)
-        same = all(map(np.array_equal, (words.indptr, words.indices, words.data),
-                       (units.indptr, units.indices, units.data)))
-        if not same and matalg.max_row_norm(words - units) > 1e-12:
+        if not all(map(np.array_equal, (words.indptr, words.indices, words.data),
+                       (units.indptr, units.indices, units.data))):
             raise CKRelationError("path word disagrees with its matrix unit")
 
     def sink_block_sizes(self) -> dict[int, int]:

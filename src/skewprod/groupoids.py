@@ -744,7 +744,6 @@ def certify_semi_cross(
         acp.ambient_dim,
         lhs_alg.span.gen_rows,
         acp.span.rows[lhs_alg.gens],
-        tol=tol,
         target=acp.span,
         inverse_rows=lhs_alg.span.rows,
     )
@@ -810,7 +809,6 @@ def certify_gpd_iso(
         skew.n_arrows,
         ccp.span.gen_rows,
         skew_alg.span.combine(sums),
-        tol=tol,
         target=skew_alg.span,
         inverse_rows=ccp.span.rows,
     )

@@ -16,7 +16,9 @@ components and reference arrows by search, and the Gross-Tucker
 isomorphism is built as name dicts, where ``skewprod`` uses index
 arithmetic and index arrays.  *-maps on matrix lists are
 certified by closing the graph of the map, where ``skewprod`` certifies them
-on a known basis.  The equivalence-bimodule axioms are checked pair by pair
+on a known basis; on a known basis, ``float_star_map`` expands every product
+and adjoint by linear algebra and compares norms, where ``skewprod`` reads
+them on index tables.  The equivalence-bimodule axioms are checked pair by pair
 on dicts, where ``skewprod`` checks index tables.  Paths are looked up by
 their (source, edge tuple) keys and walked edge by edge, for the path
 degrees, gamma's path permutation and the lift into E x_c G, where
@@ -175,20 +177,21 @@ def kron_rows_by_sparse_kron(x, y, na: int, nb: int) -> sp.csr_matrix:
 
 def multiples_by_searchsorted(span, gid, pos, val):
     """``matalg._multiples`` with each position found by ``searchsorted`` in
-    the sorted support columns, in place of the span's position table: (groups,
-    k, a) when every group gid of entries (pos, val) is a b_k, else None."""
+    the sorted support columns, in place of the span's position table, and
+    the entries collected into a dict of (group, owner) lists: (groups, k, a),
+    a = nan unless the list is nnz(b_k) entries at one ratio, k = -1 off the
+    support."""
     cols, owner, phase = span.support
     at = np.minimum(np.searchsorted(cols, pos), len(cols) - 1)
-    first = np.flatnonzero(np.diff(gid, prepend=-1))
-    size = np.diff(np.r_[first, len(gid)])
-    k, a, ref = owner[at], val * phase[at], np.repeat(first, size)
-    k0, a0 = k[first], a[first]
-    if (np.array_equal(cols[at], pos) and np.array_equal(k, k[ref]) and np.array_equal(a, a[ref])
-            and np.isin(a0, matalg.UNIT_PHASES).all()
-            and np.array_equal(size, np.diff(span.rows.indptr)[k0])
-            and np.array_equal(size * a0 * (1.0 / span.norms2[k0]), a0)):
-        return gid[first], k0, a0
-    return None
+    k = np.where(cols[at] == pos, owner[at], -1)
+    lists = {}
+    for key, ratio in zip(zip(gid.tolist(), k.tolist()), (val * phase[at]).tolist()):
+        lists.setdefault(key, []).append(ratio)
+    size = np.diff(span.rows.indptr)
+    out = [(g, b, x[0] if b >= 0 and len(set(x)) == 1 and len(x) == size[b] else np.nan)
+           for (g, b), x in sorted(lists.items())]
+    g, b, a = zip(*out) if out else ((), (), ())
+    return np.array(g, dtype=np.int64), np.array(b, dtype=np.int64), np.array(a, dtype=complex)
 
 
 def delta_rows_by_collapse(graded) -> sp.csr_matrix:
@@ -460,18 +463,68 @@ def dual_unitaries(ccp) -> list:
     return [sp.kron(eye_n, r, format="csr") for r in rho]
 
 
+def float_star_map(domain, image_rows, image_ambient, gen_rows, image_gen_rows,
+                   tol: float = matalg.PRODUCT_TOL, target=None,
+                   inverse_rows=None) -> matalg.StarMapReport:
+    """``matalg.star_map_on_basis`` by linear algebra, for any orthogonal
+    basis: each product g b_i, each adjoint b_i* and each generator is
+    expanded in the basis, pushed through T and compared in norm, CHUNK
+    generators to one product; with ``inverse_rows`` the two coefficient maps
+    are composed and compared with the identity, otherwise injectivity is the
+    Gram rank of the images.  The checks pass at ``tol``."""
+    n, m, d = domain.ambient_dim, image_ambient, domain.dim
+    image_rows = image_rows.tocsr()
+    img_scale = max(1.0, matalg.max_row_norm(image_rows))
+    errs = {}
+    s_coeffs, errs["star_domain_closure"] = domain.coefficients_rows(
+        matalg.star_columns(domain.rows, n))
+    errs["star"] = matalg.max_row_norm(
+        matalg.star_columns(image_rows, m) - s_coeffs @ image_rows) / img_scale
+    errs["gen_consistency"] = errs["mult"] = errs["closure"] = 0.0
+    if gen_rows.shape[0]:
+        gen_rows, timg_rows = gen_rows.tocsr(), image_gen_rows.tocsr()
+        coeffs, errs["closure"] = domain.coefficients_rows(gen_rows)
+        errs["gen_consistency"] = matalg.max_row_norm(coeffs @ image_rows - timg_rows) / img_scale
+        for (_, dom), (_, lhs) in zip(matalg.left_products(domain.rows, gen_rows, n),
+                                      matalg.left_products(image_rows, timg_rows, m)):
+            c_dom, resid = domain.coefficients_rows(dom)
+            errs["closure"] = max(errs["closure"], resid)
+            errs["mult"] = max(errs["mult"],
+                               matalg.max_row_norm(lhs - c_dom @ image_rows) / img_scale)
+    checks = [matalg.Check("well_defined", max(errs["closure"], errs["gen_consistency"]), tol),
+              matalg.Check("multiplicative", errs["mult"], tol),
+              matalg.Check("star_preserving", errs["star"], tol)]
+    if target is not None:
+        c_t, errs["target_membership"] = target.coefficients_rows(image_rows)
+    if inverse_rows is not None and target is not None:
+        c_s, errs["inverse_membership"] = domain.coefficients_rows(inverse_rows)
+        errs["compose_id_domain"] = float(abs(c_t @ c_s - sp.identity(d)).max())
+        errs["compose_id_target"] = float(abs(c_s @ c_t - sp.identity(target.dim)).max())
+        onto = max(errs["compose_id_target"], errs["target_membership"])
+        checks += [matalg.Check("injective", errs["compose_id_domain"], tol),
+                   matalg.Check("surjective", onto, tol)]
+    else:
+        gram = image_rows @ image_rows.conj().T
+        rank = int(np.sum(matalg._block_eigh(gram) > tol * img_scale**2))
+        checks.append(matalg.Check("injective", float(d - rank), exact=True))
+        if target is not None:
+            onto = errs["target_membership"] if rank == d == target.dim else np.inf
+            checks.append(matalg.Check("surjective", onto, tol))
+    return matalg.StarMapReport(checks, max_error=float(max(errs.values())), notes=errs)
+
+
 def gauge_star_map(fam, z, gen_degrees, tol: float = 1e-12) -> bool:
     """alpha_z as a numerical certificate: the generators, s_f and then p_v,
     scaled by z^k in degree k form a Cuntz-Krieger family, and
     e_{mu,nu} -> z^(|mu|-|nu|) e_{mu,nu}, which must send each generator to
     its scaled image, is a bijective *-homomorphism by
-    ``matalg.star_map_on_basis``."""
+    :func:`float_star_map`."""
     n_e = fam.graph.n_edges
     scaled = [c * m for c, m in zip(z ** np.asarray(gen_degrees), list(fam.s) + list(fam.p))]
     ok = ck_relations_loop(fam.graph, scaled[:n_e], scaled[n_e:]) <= tol
     powers = [len(fam.paths[i].edges) - len(fam.paths[j].edges) for i, j in fam.pairs]
     scale = np.array([z**k for k in powers], dtype=np.complex128)
-    report = matalg.star_map_on_basis(
+    report = float_star_map(
         fam.span, sp.diags(scale).tocsr() @ fam.span.rows, fam.ambient_dim,
         fam.span.gen_rows, matalg.vec_rows(scaled), tol=tol, target=fam.span,
         inverse_rows=sp.diags(scale.conj()).tocsr() @ fam.span.rows)

@@ -178,12 +178,14 @@ class TestDualityParts:
     def test_covariance_error_sees_a_wrong_generator_image(self, e1, z2, e1_z2_labeling):
         parts = duality.DualityParts(e1, z2, e1_z2_labeling)
         assert parts.theta_side_errors == (0.0, 0.0)
-        # Doubling t_(f,e) breaks u_g t_(f,e) = t_(f,g) u_g with error |t_(f,e)| = 1.
+        # Doubling t_(f,e) breaks u_g t_(f,e) = t_(f,g) u_g at the one entry of
+        # t_(f,e), for g = e on the right side and for g = t on the left.
         planted = duality.DualityParts(e1, z2, e1_z2_labeling)
         rows = planted.theta_gen_rows
+        assert rows[0].nnz == 1
         planted.theta_gen_rows = sp.diags(np.r_[2.0, np.ones(rows.shape[0] - 1)]) @ rows
         ck_err, cov_err = planted.theta_side_errors
-        assert ck_err > 0.0 and cov_err == 1.0
+        assert ck_err > 0.0 and cov_err == 2.0
 
 
 class TestFreeAction:

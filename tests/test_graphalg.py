@@ -310,9 +310,10 @@ def test_path_word_with_a_flipped_phase_fails_verify(chain2, phase, monkeypatch)
 
 
 def test_unit_phase_ck_families_form_no_products(monkeypatch):
-    # In a graph case the family, the skew family, Theta's images and the
-    # gauge samples 1, -1 and i are unit-phase partial permutations, decided
-    # on index tables; only the sample e^(2 pi i / 7) forms the products.
+    # In a graph case the family, the skew family, Theta's images and every
+    # gauge sample are partial permutations whose s_f entries x have
+    # conj(x) x = 1 exactly, e^(2 pi i / 7) too, so all are decided on index
+    # tables and none forms the products.
     relations, products = [], []
     for name, calls in (("_ck_relations_for", relations), ("_ck_products", products)):
         def counted(*args, original=getattr(graphalg, name), calls=calls):
@@ -320,22 +321,20 @@ def test_unit_phase_ck_families_form_no_products(monkeypatch):
             return original(*args)
         monkeypatch.setattr(graphalg, name, counted)
     z7 = suite.GAUGE_SAMPLES[-1]
-    assert z7 == np.exp(2j * np.pi / 7)
+    assert z7 == np.exp(2j * np.pi / 7) and matalg._times(np.conj(z7), z7) == 1
     for seed in range(3):
-        relations.clear(), products.clear()
+        relations.clear()
         assert suite.run_graph_case(seed).passed
         assert len(relations) == 3 + len(suite.GAUGE_SAMPLES)
-        # _ck_products(gen_rows, ...) once, on the edge entries scaled by z7.
-        (gen_rows,) = products
-        edges = gen_rows[:relations[0].n_edges]
-        assert np.array_equal(edges.data, np.full(edges.nnz, z7))
+    assert products == []
 
 
 def test_ck_family_gauge_and_theta_checks_make_no_sparse_product(two_chunk_instance,
                                                                   monkeypatch):
     # Every family here is a partial permutation, so the relation checks, the
     # path words and the covariance products run on index arrays.  With no
-    # family read as one, the same calls fall back to sparse products.
+    # family read as one, the relation checks and the covariance read 1.0
+    # and the path words raise, still with no sparse product.
     E, G, lab = two_chunk_instance
     sparse_products = []
     original = sp.csr_matrix.__matmul__
@@ -348,7 +347,14 @@ def test_ck_family_gauge_and_theta_checks_make_no_sparse_product(two_chunk_insta
         return gauge_check(fam, suite.GAUGE_SAMPLES).passed, parts.theta_side_errors
 
     assert run() == (True, (0.0, 0.0))
-    assert sparse_products == []
+    fam, parts = ck_representation(E), duality.DualityParts(E, G, lab)
+    # Theta's images and the action are built while families read as partial permutations.
+    assert parts.theta_gen_rows.nnz and parts.gact is not None
     monkeypatch.setattr(matalg, "_monomial", lambda rows, n, by_column=False: None)
-    assert run() == (True, (0.0, 0.0))
-    assert sparse_products
+    assert parts.theta_side_errors == (1.0, 1.0)
+    assert gauge_check(fam, suite.GAUGE_SAMPLES).checks[0].error == 1.0
+    with pytest.raises(graphalg.CKRelationError, match="relations fail"):
+        ck_representation(E)
+    with pytest.raises(graphalg.CKRelationError, match="not of partial permutations"):
+        graphalg._path_images(fam, fam.span.gen_rows, fam.ambient_dim)
+    assert sparse_products == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     basis_matrix,
     check_star_map,
+    float_star_map,
     coefficients,
     contains,
     direct_sum,
@@ -161,9 +162,10 @@ class TestCheckStarMap:
 
 
 class TestStarMapOnBasis:
-    def test_agrees_with_pair_closure_route(self, e1, rng):
-        # Cross-validate the structured engine against check_star_map on a
-        # small instance: conjugation by a random unitary on C*(E1).
+    def test_refuses_a_map_the_pair_closure_route_passes(self, e1, rng):
+        # Conjugation by a random unitary on C*(E1) is a *-automorphism, which
+        # check_star_map and the float reference certify; its images are no
+        # partial permutations, so the engine refuses it and names them.
         from skewprod.graphalg import ck_representation
 
         fam = ck_representation(e1)
@@ -176,13 +178,13 @@ class TestStarMapOnBasis:
         )
         gens = list(fam.s) + list(fam.p)
         images = [sp.csr_matrix(u @ g.toarray() @ u.conj().T) for g in gens]
-        structured = star_map_on_basis(
-            fam.span, image_rows, 2, fam.span.gen_rows, matalg.vec_rows(images), tol=1e-9,
-            target=fam.span,
-        )
+        args = (fam.span, image_rows, 2, fam.span.gen_rows, matalg.vec_rows(images))
+        structured = star_map_on_basis(*args, target=fam.span)
         general = check_star_map(gens, images, target=fam.span)
-        assert all(c.passed for c in structured.checks) and general.passed
-        assert {c.name: c.passed for c in structured.checks}["injective"] and general.injective
+        assert all(c.passed for c in float_star_map(*args, target=fam.span).checks)
+        assert general.passed and general.injective
+        assert not any(c.passed for c in structured.checks)
+        assert structured.notes["unindexed"] == "image, generator images"
 
     def test_detects_broken_multiplicativity(self, e1):
         from skewprod.graphalg import ck_representation
@@ -191,15 +193,17 @@ class TestStarMapOnBasis:
         scale = sp.diags([2.0, 1.0, 1.0, 1.0]).tocsr()
         image_rows = scale @ fam.span.rows
         gens = fam.span.gen_rows
-        report = star_map_on_basis(fam.span, image_rows, 2, gens, gens, tol=1e-9)
+        report = star_map_on_basis(fam.span, image_rows, 2, gens, gens, target=fam.span)
         assert not all(c.passed for c in report.checks)
+        assert not all(c.passed for c in float_star_map(fam.span, image_rows, 2, gens, gens,
+                                                        target=fam.span).checks)
 
-    @pytest.mark.parametrize("entry, value, error", [((0, 1), 0.5, 0.5), ((3, 3), 0.0, 1.0)],
+    @pytest.mark.parametrize("entry, value, error", [((0, 1), 0.5, 1.0), ((3, 3), 0.0, 1.0)],
                              ids=["off-diagonal entry", "missing diagonal entry"])
     def test_composite_that_is_not_the_identity_fails_bijectivity(self, entry, value, error):
         # T is the identity of M_2 and its candidate inverse has one wrong
-        # coefficient, so both composites differ from 1 there by 0.5 or 1;
-        # a missing diagonal entry is an implicit zero of the sparse composite.
+        # coefficient, so one inverse row is no multiple of a basis row and
+        # each composite misses the identity at that one row.
         m2 = full_matrix_span(2)
         inverse = m2.rows.tolil()
         inverse[entry] = value
@@ -219,14 +223,16 @@ class TestStarMapOnBasis:
         scale = np.ones(m5.gen_rows.shape[0])
         scale[20] = 2.0
         images = sp.diags(scale) @ m5.gen_rows
-        report = star_map_on_basis(m5, m5.rows, 5, m5.gen_rows, images)
-        assert not {c.name: c.passed for c in report.checks}["multiplicative"]
-        assert report.notes["mult"] == 1.0
+        report = star_map_on_basis(m5, m5.rows, 5, m5.gen_rows, images, target=m5)
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert not verdicts["multiplicative"] and not verdicts["well_defined"]
+        # g_20 = E_40 has a nonzero product with the five E_0j.
+        assert report.notes["mult"] == 5.0 and report.notes["gen_consistency"] == 1.0
 
     def test_rejects_generator_and_image_counts_that_differ(self):
         m2 = full_matrix_span(2)
         with pytest.raises(DimensionMismatch, match="4 generators but 3 images"):
-            star_map_on_basis(m2, m2.rows, 2, m2.gen_rows, m2.gen_rows[:3])
+            star_map_on_basis(m2, m2.rows, 2, m2.gen_rows, m2.gen_rows[:3], target=m2)
 
 
 def test_vec_rows_stacks_row_major_vecs(rng):
@@ -496,11 +502,16 @@ def test_multiples_equal_the_searchsorted_reference(case_spans):
         for gid, pos, val in inputs:
             got, want = matalg._multiples(span, gid, pos, val), multiples_by_searchsorted(
                 span, gid, pos, val)
-            assert (got is None) == (want is None), span.name
-            assert got is None or all(map(np.array_equal, got, want)), span.name
-        assert matalg._multiples(span, r, c, x) is not None, span.name
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, err_msg=span.name)
+        # Each basis row is one multiple of itself; a row with an entry moved
+        # off the support is a term off the support and a part of a row.
+        assert all(map(np.array_equal, matalg._multiples(span, r, c, x),
+                       (np.arange(d), np.arange(d), np.ones(d)))), span.name
         if len(off):
-            assert matalg._multiples(span, r, np.r_[off[:1], c[1:]], x) is None, span.name
+            g, k, a = matalg._multiples(span, r, np.r_[off[:1], c[1:]], x)
+            assert g[0] == 0 and k[0] == -1 and np.isnan(a[0]), span.name
+            assert np.count_nonzero(np.isnan(a)) == 1 + (np.diff(span.rows.indptr)[0] > 1)
 
 
 def test_planted_non_members_fail_both_paths():

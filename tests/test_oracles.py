@@ -65,12 +65,11 @@ def _assert_same_bits(a, b):
         np.testing.assert_array_equal(x, y)
 
 
-def test_index_paths_equal_the_sparse_paths(monkeypatch):
+def test_index_paths_equal_their_loop_oracles():
     # The families of C*(E) scaled by z on and off the circle (inexact
     # products), the same with one stored zero in an s_f (a zero product,
-    # which a sparse product drops) and Theta's generator images, through the
-    # index path and, with no family read as partial permutations, the
-    # sparse fallback.
+    # which a sparse product keeps out of the words) and Theta's generator
+    # images, through the index path and the loops.
     rng = np.random.default_rng(24)
     cases = []
     for _ in range(12):
@@ -84,16 +83,14 @@ def test_index_paths_equal_the_sparse_paths(monkeypatch):
         n_g = skew.n_edges + skew.n_vertices
         cases += [(fam, rows, fam.ambient_dim), (fam, zeroed, fam.ambient_dim),
                   (parts.fam_skew, parts.theta_gen_rows[:n_g], fam.ambient_dim * parts.G.order)]
-
-    def run():
-        return [(graphalg._ck_relations_for(f.graph, rows, n), graphalg._path_images(f, rows, n))
-                for f, rows, n in cases]
-
-    index = run()
-    monkeypatch.setattr(matalg, "_monomial", lambda rows, n, by_column=False: None)
-    for (err, words), (sparse_err, sparse_words) in zip(index, run()):
-        assert err == sparse_err
-        _assert_same_bits(words, sparse_words)
+    for f, rows, n in cases:
+        mats = matalg.unvec_rows(rows, n)
+        s_imgs, p_imgs = mats[:f.graph.n_edges], mats[f.graph.n_edges:]
+        assert graphalg._ck_relations_for(f.graph, rows, n) == ck_relations_loop(
+            f.graph, s_imgs, p_imgs)
+        words = matalg.vec_rows(path_images_loop(f, s_imgs, p_imgs))
+        words.eliminate_zeros()
+        _assert_same_bits(graphalg._path_images(f, rows, n), words)
 
 
 def test_theta_rows_and_path_words_equal_their_loop_oracles(two_chunk_instance):
@@ -257,6 +254,7 @@ PLANTS = {
         E, s[:2] + [sp.csr_matrix((s[2].data, (s[0].nonzero()[0], s[2].indices)),
                                   shape=s[2].shape)], p),
 }
+NON_MONOMIAL_PLANTS = ("non-self-adjoint p_v",)
 UNIT_PHASE_PLANTS = ("p_v diagonal entry -1", "two p_v sharing a row",
                      "overlapping ranges out of one vertex")
 
@@ -268,8 +266,10 @@ def test_planted_ck_defect_is_seen_by_both_versions(fork, plant):
     graph, s_imgs, p_imgs = PLANTS[plant](fork, list(fam.s), list(fam.p))
     batched = graphalg._ck_relations_for(graph, matalg.vec_rows(s_imgs + p_imgs),
                                          p_imgs[0].shape[0])
-    assert batched > PLANTED_MIN
-    assert batched == ck_relations_loop(graph, s_imgs, p_imgs)
+    loop = ck_relations_loop(graph, s_imgs, p_imgs)
+    assert loop > PLANTED_MIN
+    # A family that is not of partial permutations reads 1.0.
+    assert batched == (1.0 if plant in NON_MONOMIAL_PLANTS else loop)
 
 
 @pytest.mark.parametrize("plant", UNIT_PHASE_PLANTS)
@@ -319,8 +319,9 @@ def test_planted_monomial_ck_defect_takes_the_index_path(fork, plant, monkeypatc
     index = graphalg._ck_relations_for(graph, rows, n)
     assert index > PLANTED_MIN
     assert index == ck_relations_loop(graph, s_imgs, p_imgs)
+    # Not read as partial permutations, the same family reads 1.0.
     monkeypatch.setattr(matalg, "_monomial", lambda rows, n, by_column=False: None)
-    assert graphalg._ck_relations_for(graph, rows, n) == index
+    assert graphalg._ck_relations_for(graph, rows, n) == 1.0
 
 
 def test_gauge_check_equals_its_star_map_oracle(monkeypatch):
