@@ -32,7 +32,7 @@ MAX_AMBIENT_DIM = 256
 PRODUCT_TOL = 1e-9  # equality of single products
 CLOSURE_TOL = 1e-7  # quantities accumulated over span closure
 CHUNK = 16  # factors or elements per batched product; bounds its memory
-_INDEX_BATCH = 1 << 20  # factor-entry pairs star_map_on_basis reads at once; bounds its memory
+_INDEX_BATCH = 1 << 20  # factor-entry pairs star_map_on_basis or _pair_gram reads at once
 _BINS_PER_ENTRY = 2  # coefficients_rows sorts no pairs at up to this many bins per entry
 UNIT_PHASES = (1, -1, 1j, -1j)  # entries whose products are exact
 _CLOSURE_ROUNDS = 64  # breadth-first rounds before span_closure gives up
@@ -731,34 +731,42 @@ def star_map_on_basis(
                          notes={k: float(v) for k, v in notes.items()})
 
 
-def wedderburn_signature(
-    span: AlgebraSpan, rng: np.random.Generator | None = None
-) -> tuple[int, ...]:
-    """Sorted multiset of matrix-block sizes {n_1, ..., n_k}, Sum n_i^2 = dim.
+def _pair_gram(span: AlgebraSpan) -> sp.csr_matrix | None:
+    """K of :func:`wedderburn_signature` from pair sums, for an indexed span
+    with partial-permutation generators (None otherwise).  Column (t, c) of
+    C_t then holds at most one entry x of some b_i t and one y of some t b_j,
+    as :func:`_index_products` lists them: each entry adds its |.|^2 at its
+    row's diagonal, and x and y together add -x conj(y) at (i, j) and its
+    conjugate at (j, i).  :func:`_csr` sums the cells; exact zeros are dropped,
+    as a sparse product drops them."""
+    if span.support is None:
+        return None
+    n, d = span.ambient_dim, span.dim
+    step = max(1, _INDEX_BATCH // max(span.rows.nnz, 1))
+    right = _index_products(span.rows, span.gen_rows, n, False, step)  # b_i t
+    if right is None:
+        return None
+    left = _index_products(span.rows, span.gen_rows, n, True, step)  # t b_j
+    diag, cells = np.zeros(d, dtype=np.complex128), []
+    for (_, _, jx, i, p, x), (_, _, jy, j, q, y) in zip(right, left):
+        diag += np.bincount(i, (x * x.conj()).real, d) + np.bincount(j, (y * y.conj()).real, d)
+        _, a, b = np.intersect1d(jx * n * n + p, jy * n * n + q, assume_unique=True,
+                                 return_indices=True)
+        cross = -(x[a] * y[b].conj())
+        cells += [(i[a], j[b], cross), (j[b], i[a], cross.conj())]
+    row, col, val = map(np.concatenate, zip((np.arange(d), np.arange(d), diag), *cells))
+    K = _csr(val, row, col, (d, d))
+    K.eliminate_zeros()
+    return K
 
-    The center is found as the null space of the commutator Gram matrix
-    against the generators.  A random self-adjoint central
-    element z, built in coefficient space, is central in A = (+) M_{n_k} as
-    z = (+) z_k 1, so left multiplication by z on A, the Hermitian matrix
-    <b_i, z b_j> / (|b_i| |b_j|), has the eigenvalue z_k with multiplicity
-    n_k^2.  The block sizes are the square roots of its eigenvalue cluster
-    sizes.  Two *-closed spans are *-isomorphic iff their signatures match.
-    Both Hermitian matrices stay sparse and are solved block by block, which
-    is exact: after a permutation each is block-diagonal, so its eigenvalues
-    are the blocks' and its null space the sum of theirs.  Raises
-    :class:`NotSemisimple` if, on every attempt, the cluster count differs
-    from dim Z or a cluster size is not a square, which for a genuine
-    *-closed matrix algebra signals numerical or input error.
-    """
-    rng = rng or np.random.default_rng(0)
-    d = span.dim
-    if d == 0:
-        return ()
-    n, tests = span.ambient_dim, span.gen_rows
 
-    # K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i).  Row i of a chunk's d-row matrix
-    # holds the j-th commutator of b_i at columns j n^2 + c, of which only the occupied ones
-    # are kept, in sorted order, so that each Gram sum adds its terms in the same order.
+def _sparse_gram(span: AlgebraSpan) -> sp.csr_matrix:
+    """K of :func:`wedderburn_signature` by one sparse product per chunk of
+    generators, for any span.  Row i of a chunk's d-row matrix holds the
+    commutator of b_i with factor j at columns j n^2 + c, of which only the
+    occupied ones are kept, in sorted order, so that each Gram sum adds its
+    terms in the same order."""
+    n, d, tests = span.ambient_dim, span.dim, span.gen_rows
     K = sp.csr_matrix((d, d), dtype=np.complex128)
     for (_, bt), (_, tb) in zip(right_products(span.rows, tests, n),
                                 left_products(span.rows, tests, n)):
@@ -767,6 +775,39 @@ def wedderburn_signature(
         occupied, col = np.unique(j * n * n + col, return_inverse=True)
         wide = _csr(x, i, col, (d, len(occupied)))
         K = K + wide @ wide.conj().T
+    return K
+
+
+def wedderburn_signature(
+    span: AlgebraSpan, rng: np.random.Generator | None = None
+) -> tuple[int, ...]:
+    """Sorted multiset of matrix-block sizes {n_1, ..., n_k}, Sum n_i^2 = dim.
+
+    The center is the null space of the commutator Gram matrix
+    K = sum_t C_t C_t*, C_t the rows vec(b_i t - t b_i) over the generators t,
+    summed from pairs on index tables when it can be (:func:`_pair_gram`), by
+    sparse products otherwise (:func:`_sparse_gram`).  A random self-adjoint
+    central element z = (y + y*)/2, y a random combination of the null
+    vectors, is central in A = (+) M_{n_k} as z = (+) z_k 1, so multiplication
+    by z on A, the Hermitian matrix <b_i, b_j z> / (|b_i| |b_j|), has the
+    eigenvalue z_k with multiplicity n_k^2.  The block sizes are the square
+    roots of its eigenvalue cluster sizes.  Two *-closed spans are
+    *-isomorphic iff their signatures match.  Both Hermitian matrices stay
+    sparse and are solved block by block, which is exact: after a permutation
+    each is block-diagonal, so its eigenvalues are the blocks' and its null
+    space the sum of theirs.  Each attempt draws ``standard_normal(2 dim Z)``.
+    Raises :class:`NotSemisimple` if, on every attempt, the cluster count
+    differs from dim Z or a cluster size is not a square, which for a genuine
+    *-closed matrix algebra signals numerical or input error.
+    """
+    rng = rng or np.random.default_rng(0)
+    d = span.dim
+    if d == 0:
+        return ()
+    n = span.ambient_dim
+    K = _pair_gram(span)
+    if K is None:
+        K = _sparse_gram(span)
     w, v = _block_eigh(K, vectors=True)
     scale = max(float(np.max(w)), 1.0)
     null_mask = w <= CLOSURE_TOL * scale
@@ -774,24 +815,19 @@ def wedderburn_signature(
     if z_dim == 0:
         raise NotSemisimple("no central elements found (not even a unit)")
 
-    # Coefficients of the central elements z and of z*: b_i* = Sum_j S_ij b_j,
-    # so z* has the coefficients conj(c) S.  Each z gives the Hermitian parts
-    # (z + z*)/2 and (z - z*)/2i, in this order.
+    # With y = Sum_k (r_2k - i r_2k+1) c_k over the central elements c_k, z = (y + y*)/2 is
+    # Sum_k r_2k (c_k + c_k*)/2 + r_2k+1 (c_k - c_k*)/2i.
     center = v[:, null_mask].T
-    star, _ = span.coefficients_rows(star_columns(span.rows, n))
-    adjoint = np.asarray(star.T @ center.conj().T).T
-    parts = np.empty((2 * z_dim, d), dtype=np.complex128)
-    parts[0::2] = (center + adjoint) / 2
-    parts[1::2] = (center - adjoint) / 2j
     inv_norms = 1.0 / np.sqrt(span.norms2)
 
     for _ in range(_SIGNATURE_ATTEMPTS):
-        coeffs = rng.standard_normal(2 * z_dim) @ parts
-        z = span.combine(coeffs.reshape(1, d))
+        r = rng.standard_normal(2 * z_dim)
+        y = span.combine(((r[0::2] - 1j * r[1::2]) @ center).reshape(1, d))
+        z = (y + star_columns(y, n)) / 2
         if frobenius(z) < CLOSURE_TOL:
             continue
-        _, left = next(left_products(span.rows, z, n))  # rows vec(z b_j)
-        mult = (span.rows.conj() @ left.T).tocoo()
+        _, prods = next(right_products(span.rows, z, n))  # rows vec(b_j z) = vec(z b_j)
+        mult = (span.rows.conj() @ prods.T).tocoo()
         mult.data *= inv_norms[mult.row] * inv_norms[mult.col]
         vals = np.sort(_block_eigh(mult))
         gap = max(1e-8, 1e-6 * max(float(vals[-1] - vals[0]), 1.0))

@@ -46,9 +46,9 @@ coaction's delta rows are the spanning rows summed over u by one sparse
 product (``delta_rows_by_collapse``), where ``skewprod`` relabels rows.
 
 The module also holds the small helpers that only tests call: the trivial
-group, constant labelings, the operator norm, matrix units, spans of
-orthogonal matrix lists, and the basis matrices, expansions, membership and
-random elements of an ``AlgebraSpan``.
+group, constant labelings, the ladder L_k and the groupoid Q_3 over S3, the
+operator norm, matrix units, spans of orthogonal matrix lists, and the basis
+matrices, expansions, membership and random elements of an ``AlgebraSpan``.
 """
 import itertools
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from skewprod import groups, matalg
+from skewprod import graphs, groups, matalg, suite
 from skewprod.crossed import ActionCrossedProduct, ActionInvalid
 from skewprod.groupoids import (
     Cocycle,
@@ -66,9 +66,12 @@ from skewprod.groupoids import (
     GroupoidError,
     algebra_action_from_groupoid_action,
     convolution_algebra,
+    disjoint_union,
     kernel_subgroupoid,
     make_groupoid,
+    pair_groupoid,
     semidirect_product,
+    transitive_groupoid,
 )
 from skewprod.matalg import frobenius
 
@@ -665,6 +668,24 @@ def symmetric_group_3() -> groups.FiniteGroup:
     perms = list(itertools.permutations(range(3)))
     table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
     return groups.make_group(table, elements=["".join(map(str, p)) for p in perms])
+
+
+def s3_ladder(k: int):
+    """L_k over S3: vertices v0..vk, two parallel edges v_i -> v_(i+1), each
+    edge labeled by rng.integers(6) of default_rng(0), in edge order."""
+    S3 = symmetric_group_3()
+    edges = [(f"e{i}{j}", f"v{i}", f"v{i + 1}") for i in range(k) for j in range(2)]
+    E = graphs.DirectedGraph([f"v{i}" for i in range(k + 1)], edges)
+    rng = np.random.default_rng(0)
+    return E, S3, groups.Labeling(E, S3, [int(rng.integers(6)) for _ in edges])
+
+
+def s3_q3():
+    """Q_3 over S3: the transitive groupoid on 3 units with isotropy Z2, beside
+    the pair groupoid on 3 units, with the random cocycle of default_rng(0)."""
+    S3 = symmetric_group_3()
+    Q = disjoint_union([transitive_groupoid(3, groups.cyclic_group(2)), pair_groupoid(3)])
+    return Q, S3, suite.random_cocycle(np.random.default_rng(0), Q, S3)
 
 
 def skew_product_by_names(Q, G, c):

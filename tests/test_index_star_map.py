@@ -22,7 +22,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import float_star_map, symmetric_group_3, trivial_group
+from oracles import float_star_map, s3_ladder, s3_q3, symmetric_group_3, trivial_group
 
 from skewprod import (cli, duality, fixture_path, graphalg, graphs, groupoids, groups, matalg,
                       suite)
@@ -65,15 +65,6 @@ def _graph_certificates(E, G, lab):
     duality.certify_free_action(parts.skew, graphs.translation_action(parts.skew, G))
 
 
-def _ladder(k: int):
-    """L_k over S3: vertices v0..vk, two parallel edges v_i -> v_(i+1), each
-    edge labeled by rng.integers(6) of default_rng(0), in edge order."""
-    edges = [(f"e{i}{j}", f"v{i}", f"v{i + 1}") for i in range(k) for j in range(2)]
-    E = graphs.DirectedGraph([f"v{i}" for i in range(k + 1)], edges)
-    rng = np.random.default_rng(0)
-    return E, S3, groups.Labeling(E, S3, [int(rng.integers(6)) for _ in edges])
-
-
 def test_graph_certificates_agree_with_the_reference(monkeypatch):
     rng = np.random.default_rng(2727)
     draws = [suite.random_graph_instance(rng) for _ in range(30)]
@@ -106,7 +97,7 @@ def test_s3_fixtures_and_ladder_agree_with_the_reference(monkeypatch):
     chain = graphs.labeled_graph_from_json(fixture_path("chain-s3").read_text(), G)
     Q, names = groupoids.groupoid_from_json(fixture_path("q3-s3").read_text())
     c = groupoids.cocycle_from_names(Q, G, names)
-    E, _, lab = _ladder(3)
+    E, _, lab = s3_ladder(3)
 
     def run():
         _graph_certificates(chain[0], G, chain[1])
@@ -192,7 +183,7 @@ def test_semi_cross_with_an_inverted_generator_fails_both(G, monkeypatch):
 def _eqvt_inputs():
     """The arguments certify_eqvt_iso hands the star map on the ladder L_2."""
     calls = []
-    E, G, lab = _ladder(2)
+    E, G, lab = s3_ladder(2)
     star_map = matalg.star_map_on_basis
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matalg, "star_map_on_basis",
@@ -312,10 +303,8 @@ def test_s3_scale_ladder_smoke(monkeypatch):
     # ROADMAP item 3's L_3 and Q_3 over S3, past the suites' ambient sizes:
     # every certificate passes, each star map with max_error exactly 0.0,
     # with position tables built and both groupings of the read-back taken.
-    E, _, lab = _ladder(3)
-    Q = groupoids.disjoint_union([groupoids.transitive_groupoid(3, groups.cyclic_group(2)),
-                                  groupoids.pair_groupoid(3)])
-    c = suite.random_cocycle(np.random.default_rng(0), Q, S3)
+    E, _, lab = s3_ladder(3)
+    Q, _, c = s3_q3()
     skew = groupoids.skew_product_groupoid(Q, S3, c)
     grouped, tables = set(), []
     read_back, slots = matalg.AlgebraSpan.coefficients_rows, matalg.AlgebraSpan._slots.func

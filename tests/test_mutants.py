@@ -6,7 +6,9 @@ package, so the library itself is untouched.  ROADMAP item 1's two defects of
 Upsilon in ``duality.certify_direct_iso`` are each caught on one Z3 draw and
 one S3 draw: ``injective`` and ``surjective`` of the exact star map fail.
 A group in which every element is its own inverse (Z2, Klein) cannot see
-either defect."""
+either defect.  The commutator Gram matrix of ``matalg.wedderburn_signature``
+with its pair cross term's sign flipped changes the signature, or finds no
+consistent centre, on both sides of direct-iso on the same two draws."""
 import sys
 import types
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from oracles import symmetric_group_3
 
-from skewprod import duality, groups, suite
+from skewprod import duality, groups, matalg, suite
 
 UPSILON_MUTANTS = {
     # t_f = (sum_r pi~(s_(f,r))) w_(c(f)), without the inverse.
@@ -25,6 +27,9 @@ UPSILON_MUTANTS = {
     "post-factor u_(b^-1 a)": (
         "post=yu[G.table[inv[t], r] * m + t]", "post=yu[G.table[inv[r], t] * m + t]"),
 }
+
+# The cross term +x conj(y) of a commutator column holding x of b_i t and y of t b_j.
+GRAM_MUTANT = ("cross = -(x[a] * y[b].conj())", "cross = x[a] * y[b].conj()")
 
 
 def mutant(module: types.ModuleType, snippet: str, replacement: str, monkeypatch):
@@ -60,3 +65,22 @@ def test_upsilon_mutant_fails_bijectivity(defect, group, monkeypatch):
     verdicts = {c.name: c.passed for c in cert.star_report.checks}
     assert not verdicts["injective"] and not verdicts["surjective"]
     assert verdicts["well_defined"] and verdicts["multiplicative"]
+
+
+def _signature(module, span):
+    """The signature by ``module``'s engine, or None when it raises."""
+    try:
+        return module.wedderburn_signature(span, rng=np.random.default_rng(0))
+    except module.NotSemisimple:
+        return None
+
+
+@pytest.mark.parametrize("group", sorted(DRAWS))
+def test_gram_cross_term_mutant_changes_the_signatures(group, monkeypatch):
+    parts = duality.DualityParts(*DRAWS[group])
+    sides = (parts.acp.span, parts.target)
+    planted = mutant(matalg, *GRAM_MUTANT, monkeypatch)
+    assert all(planted._pair_gram(span) is not None for span in sides)
+    for span in sides:
+        signature = _signature(matalg, span)
+        assert signature is not None and _signature(planted, span) != signature
