@@ -138,6 +138,18 @@ class TestGauge:
         with pytest.raises(ValueError):
             gauge_check(fam, [2.0])
 
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+    def test_admits_only_z_that_pass(self, phase):
+        # ||z|^2 - 1| is 4e-13 just inside the guard and 6e-13 just outside
+        # it; the relation error of {z s_f, p_v} is ||z|^2 - 1|, against a
+        # tolerance of 1e-12.
+        fam = ck_representation(suite.random_acyclic_graph(
+            np.random.default_rng(1), max_vertices=5, max_edges=6))
+        rep = gauge_check(fam, [phase * (1 + 2e-13)])
+        assert rep.passed and 3e-13 < rep.checks[0].error <= 5e-13
+        with pytest.raises(ValueError, match="within 5e-13"):
+            gauge_check(fam, [phase * (1 + 3e-13)])
+
     def test_cross_check_against_pair_closure(self, e1):
         fam = ck_representation(e1)
         gens = list(fam.s) + list(fam.p)
@@ -307,26 +319,6 @@ def test_path_word_with_a_flipped_phase_fails_verify(chain2, phase, monkeypatch)
     monkeypatch.setattr(graphalg, "_path_images", flipped)
     with pytest.raises(graphalg.CKRelationError, match="path word disagrees"):
         fam.verify()
-
-
-def test_unit_phase_ck_families_form_no_products(monkeypatch):
-    # In a graph case the family, the skew family, Theta's images and every
-    # gauge sample are partial permutations whose s_f entries x have
-    # conj(x) x = 1 exactly, e^(2 pi i / 7) too, so all are decided on index
-    # tables and none forms the products.
-    relations, products = [], []
-    for name, calls in (("_ck_relations_for", relations), ("_ck_products", products)):
-        def counted(*args, original=getattr(graphalg, name), calls=calls):
-            calls.append(args[0])
-            return original(*args)
-        monkeypatch.setattr(graphalg, name, counted)
-    z7 = suite.GAUGE_SAMPLES[-1]
-    assert z7 == np.exp(2j * np.pi / 7) and matalg._times(np.conj(z7), z7) == 1
-    for seed in range(3):
-        relations.clear()
-        assert suite.run_graph_case(seed).passed
-        assert len(relations) == 3 + len(suite.GAUGE_SAMPLES)
-    assert products == []
 
 
 def test_ck_family_gauge_and_theta_checks_make_no_sparse_product(two_chunk_instance,

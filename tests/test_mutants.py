@@ -8,7 +8,10 @@ one S3 draw: ``injective`` and ``surjective`` of the exact star map fail.
 A group in which every element is its own inverse (Z2, Klein) cannot see
 either defect.  The commutator Gram matrix of ``matalg.wedderburn_signature``
 with its pair cross term's sign flipped changes the signature, or finds no
-consistent centre, on both sides of direct-iso on the same two draws."""
+consistent centre, on both sides of direct-iso on the same two draws.  Theta's
+image t_(f,r) of one skew edge, zeroed in ``duality._theta_generator_images``,
+fails ``ck_family`` of ``certify_eqvt_iso`` with error 1.0, that of a zero
+generator, on both draws."""
 import sys
 import types
 from pathlib import Path
@@ -30,6 +33,11 @@ UPSILON_MUTANTS = {
 
 # The cross term +x conj(y) of a commutator column holding x of b_i t and y of t b_j.
 GRAM_MUTANT = ("cross = -(x[a] * y[b].conj())", "cross = x[a] * y[b].conj()")
+
+# The image of the first skew edge times 0, every other image times 1.
+_EDGE_IMAGES = "edges[(f * m + r) * m + labeling.by_edge[f]]"
+DROPPED_EDGE_IMAGE_MUTANT = (
+    _EDGE_IMAGES, f"sp.diags(np.arange(n_e * m) > 0, dtype=float) @ {_EDGE_IMAGES}")
 
 
 def mutant(module: types.ModuleType, snippet: str, replacement: str, monkeypatch):
@@ -84,3 +92,13 @@ def test_gram_cross_term_mutant_changes_the_signatures(group, monkeypatch):
     for span in sides:
         signature = _signature(matalg, span)
         assert signature is not None and _signature(planted, span) != signature
+
+
+@pytest.mark.parametrize("group", sorted(DRAWS))
+def test_dropped_edge_image_fails_the_ck_family(group, monkeypatch):
+    E, G, lab = DRAWS[group]
+    assert duality.certify_eqvt_iso(E, G, lab).passed
+    planted = mutant(duality, *DROPPED_EDGE_IMAGE_MUTANT, monkeypatch)
+    assert planted.DualityParts(E, G, lab).theta_gen_rows[0].nnz == 0
+    extra = planted.certify_eqvt_iso(E, G, lab).as_dict()["extra"]
+    assert extra == {"ck_family_ok": False, "ck_error": 1.0}

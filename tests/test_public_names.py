@@ -1,5 +1,8 @@
-"""Every public top-level function, class and method of ``src/skewprod/`` is
-used in ``src/`` besides its definition and its ``__init__`` re-export.
+"""Every top-level function, class and method of ``src/skewprod/``, public or
+private, is used in ``src/`` besides its definition and its ``__init__``
+re-export, so that no removed code path leaves an orphan helper behind.
+Special methods (``__init__``, ``__eq__``, ...) are called by Python itself
+and are exempt.
 
 Definitions come from the ``ast`` of each module; a use is the name as an
 identifier in the code of a module other than ``__init__``: a variable, a
@@ -20,40 +23,47 @@ ALLOWED = {
 }
 
 
-def public_definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
-    """(name, dotted path) of each public top-level function and class and
-    each public method of a top-level class."""
+def _special(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    """(name, dotted path) of each top-level function and class and each
+    method of a top-level class, special methods left out."""
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _special(node.name):
             out.append((node.name, f"{module}.{node.name}"))
         if isinstance(node, ast.ClassDef):
             out += [(item.name, f"{module}.{node.name}.{item.name}") for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+                    if isinstance(item, ast.FunctionDef) and not _special(item.name)]
     return out
 
 
-def uncalled_public_names(src: Path) -> list[str]:
+def uncalled_names(src: Path) -> list[str]:
     defined, used = [], set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined += public_definitions(tree, path.stem)
+        defined += definitions(tree, path.stem)
         if path.name != "__init__.py":
             used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted(dotted for name, dotted in defined if name not in used | ALLOWED)
 
 
-def test_every_public_name_has_a_caller_in_src():
-    assert uncalled_public_names(SRC) == []
+def test_every_name_has_a_caller_in_src():
+    assert uncalled_names(SRC) == []
 
 
 def test_uncalled_name_is_reported(tmp_path):
     (tmp_path / "__init__.py").write_text("from .mod import helper, unused\n")
     (tmp_path / "mod.py").write_text(
         "class Span:\n"
+        "    def __len__(self):\n        return 0\n\n"
         "    def grow(self):\n        return helper()\n\n"
         "    def shrink(self):\n        '''Not called by unused() or helper().'''\n\n\n"
-        "def helper():\n    return Span().grow\n\n\n"
+        "def _scale():\n    return 2\n\n\n"
+        "def _orphan():\n    '''Left behind by a removed caller of _scale().'''\n\n\n"
+        "def helper():\n    return Span().grow, _scale()\n\n\n"
         "def unused():\n    pass  # helper()\n")
-    assert uncalled_public_names(tmp_path) == ["mod.Span.shrink", "mod.unused"]
+    assert uncalled_names(tmp_path) == ["mod.Span.shrink", "mod._orphan", "mod.unused"]
